@@ -195,8 +195,8 @@ class DsmConfig:
             ``--mode detect-offline``.  Required by both, rejected with
             ``"online"``.
         deadline_seconds: Wall-clock budget for the whole run
-            (``--deadline``).  When the dispatcher loop observes the
-            budget exceeded it raises
+            (``--deadline``).  When the scheduler's dispatch step sees
+            the budget exceeded, ``Scheduler.run()`` raises
             :class:`~repro.errors.DeadlineExceeded` (CLI exit code 4)
             instead of hanging forever — the guard the fleet's per-job
             deadline builds on.  Purely wall-clock: a run that finishes

@@ -177,7 +177,7 @@ class TraceError(ReproError):
 class DeadlineExceeded(ReproError):
     """A run blew through its wall-clock deadline (``--deadline``).
 
-    Raised by the scheduler's dispatcher loop, so the simulation unwinds
+    Raised from ``Scheduler.run()``, so the simulation unwinds
     cleanly instead of hanging forever; the CLI maps it to exit code 4 and
     the fleet supervisor classifies it as a retryable timeout.  Purely a
     wall-clock guard: a run that finishes under its deadline is

@@ -1,10 +1,13 @@
 """Token-passing deterministic scheduler.
 
 Simulated processes are Python threads, but at most one ever executes: a
-single *token* is passed between the dispatcher (the thread that called
-:meth:`Scheduler.run`) and the process threads.  Processes hand the token
-back at explicit yield points — the DSM substrate yields at synchronization
-operations and page faults — and the scheduling policy picks who runs next.
+single *token* is handed directly from thread to thread.  Processes give the
+token up at explicit yield points — the DSM substrate yields at
+synchronization operations and page faults — and the thread giving it up
+asks the scheduling policy who runs next and wakes exactly that thread.
+Every thread parks on a lock of its own, so a switch costs one wake-up (none
+when the yielder is picked again).  The thread that called
+:meth:`Scheduler.run` parks until the run is over or must be aborted.
 Given the same policy and seed, an execution is fully reproducible.
 
 This design lets application code (FFT, SOR, TSP, Water...) be written as
@@ -18,7 +21,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import (DeadlineExceeded, DeadlockError, NodeCrashed,
                           ProcessFailure, SimulationError)
@@ -39,6 +42,19 @@ class ProcState(enum.Enum):
     CRASHED = "crashed"
 
 
+#: Seconds :meth:`Scheduler.run` waits for each process thread to exit.
+_JOIN_TIMEOUT = 5.0
+
+
+def _new_gate() -> Any:
+    """A lock created held: its one owner parks in ``acquire()`` and any
+    other thread wakes it with ``release()``.  A wake-up that comes before
+    the park is not lost — the ``acquire()`` then returns at once."""
+    gate = threading.Lock()
+    gate.acquire()
+    return gate
+
+
 class SimProcess:
     """One simulated process: a function plus its thread, state and clock."""
 
@@ -53,6 +69,8 @@ class SimProcess:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.thread: Optional[threading.Thread] = None
+        #: Where this process's thread parks while it lacks the token.
+        self.gate = _new_gate()
         #: Number of times this process passed a yield point.
         self.yields = 0
 
@@ -75,27 +93,33 @@ class Scheduler:
     wraps these so applications never call them directly.
     """
 
-    _DISPATCHER = None  # token value meaning "dispatcher's turn"
-
     def __init__(self, policy: Optional[SchedulingPolicy] = None,
                  max_switches: int = 50_000_000,
                  deadline_seconds: Optional[float] = None):
         self.policy = policy or RoundRobinPolicy()
         self.max_switches = max_switches
         #: Wall-clock budget for the whole run (``--deadline``); ``None``
-        #: disables the guard.  Checked in the dispatcher loop so the
-        #: abort happens while the dispatcher holds the token — the
+        #: disables the guard.  Checked in the dispatch step; the abort is
+        #: handed to the :meth:`run` caller, which raises it, and the
         #: process threads unwind quietly via the shutdown path.
         self.deadline_seconds = deadline_seconds
         self.processes: Dict[int, SimProcess] = {}
         self.switches = 0
-        self._cv = threading.Condition()
-        self._token: Optional[int] = self._DISPATCHER
+        #: Pids in state READY, kept current at every state transition so
+        #: the per-access "is anyone else runnable" checks are O(1).
+        self._ready: Set[int] = set()
+        #: Pid holding the token; ``None`` while the run() caller has it.
+        self._token: Optional[int] = None
+        self._last: Optional[int] = None  # previous pick, for the policy
+        self._started_at = 0.0
+        self._run_gate = _new_gate()  # the run() caller parks here
+        #: What run() must raise once the token comes back to it.
+        self._verdict: Optional[BaseException] = None
         self._shutdown = False
         self._started = False
 
     # ------------------------------------------------------------------ #
-    # Dispatcher side.
+    # The run() caller's side.
     # ------------------------------------------------------------------ #
     def spawn(self, fn: Callable[..., Any], *args: Any,
               name: Optional[str] = None) -> SimProcess:
@@ -112,7 +136,8 @@ class Scheduler:
         """Execute all spawned processes to completion.
 
         Raises :class:`ProcessFailure` if any process raises, and
-        :class:`DeadlockError` if all live processes block forever.
+        :class:`DeadlockError` if all live processes block forever.  Every
+        process thread has exited by the time this returns or raises.
         """
         if self._started:
             raise SimulationError("run() may only be called once")
@@ -123,75 +148,81 @@ class Scheduler:
                 target=self._thread_main, args=(proc,),
                 name=f"sim-{proc.name}", daemon=True)
             proc.thread.start()
-
-        last: Optional[int] = None
-        started_at = time.monotonic()
+        self._ready.update(self.processes)
+        self._started_at = time.monotonic()
         try:
-            while True:
-                if (self.deadline_seconds is not None
-                        and self.switches % 256 == 0):
-                    elapsed = time.monotonic() - started_at
-                    if elapsed > self.deadline_seconds:
-                        raise DeadlineExceeded(self.deadline_seconds,
-                                               elapsed, self.switches)
-                ready = [p.pid for p in self.processes.values()
-                         if p.state is ProcState.READY]
-                if not ready:
-                    blocked = {p.pid: p.block_reason or "?"
-                               for p in self.processes.values()
-                               if p.state is ProcState.BLOCKED}
-                    if blocked:
-                        raise DeadlockError(blocked,
-                                            crashed=self.crashed_pids())
-                    return  # everything DONE (or fail-stop CRASHED)
-                self.switches += 1
-                if self.switches > self.max_switches:
-                    raise SimulationError(
-                        f"exceeded max_switches={self.max_switches}; "
-                        "likely livelock")
-                pid = self.policy.pick(ready, last)
-                last = pid
-                self._give_token(pid)
-                self._await_token()
-                proc = self.processes[pid]
-                if isinstance(proc.error, NodeCrashed):
-                    # A fail-stop crash is not a program bug: park the
-                    # process in the terminal CRASHED state and keep
-                    # scheduling the survivors.  If any of them later waits
-                    # on the dead node the run ends in a DeadlockError that
-                    # names the crash.
-                    proc.state = ProcState.CRASHED
-                    proc.error = None
-                    continue
-                if proc.error is not None:
-                    raise ProcessFailure(pid, proc.error) from proc.error
+            self._pass_token(None)
+            self._run_gate.acquire()  # until the run is over or aborted
+            if self._verdict is not None:
+                raise self._verdict
         finally:
-            self._release_all_threads()
-
-    def _give_token(self, pid: int) -> None:
-        proc = self.processes[pid]
-        with self._cv:
-            proc.state = ProcState.RUNNING
-            self._token = pid
-            self._cv.notify_all()
-
-    def _await_token(self) -> None:
-        with self._cv:
-            while self._token is not self._DISPATCHER:
-                self._cv.wait()
-
-    def _release_all_threads(self) -> None:
-        """Unpark any threads still waiting (after an error) so they exit."""
-        with self._cv:
+            # Unpark the threads an abort left waiting, one at a time, so
+            # they unwind through application ``finally`` blocks neither
+            # concurrently with each other nor with the caller.
             self._shutdown = True
-            self._cv.notify_all()
+            for proc in self.processes.values():
+                proc.gate.release()
+                proc.thread.join(_JOIN_TIMEOUT)
+
+    def _pass_token(self, me: Optional[SimProcess]) -> bool:
+        """The one dispatch step, run by whichever thread is giving the
+        token up (``me``; ``None`` for the :meth:`run` caller or a process
+        that has finished): wake exactly the thread that runs next.  That
+        is the run() caller when nothing is left to run or the run must be
+        aborted.  Returns True if ``me`` was picked again and keeps going.
+        """
+        try:
+            nxt = self._pick()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            # A failing policy must not kill the thread that holds the
+            # token: run() would then wait for ever.
+            self._verdict, nxt = exc, None
+        if nxt is None:
+            self._token = None
+            self._run_gate.release()
+            return False
+        self._ready.remove(nxt.pid)
+        nxt.state = ProcState.RUNNING
+        self._token = nxt.pid
+        if nxt is me:
+            return True
+        nxt.gate.release()
+        return False
+
+    def _pick(self) -> Optional[SimProcess]:
+        """The process to run next, or ``None`` to end the run — leaving in
+        ``_verdict`` the exception run() is to raise, if any."""
+        if self._verdict is not None:  # a process failed
+            return None
+        if self.deadline_seconds is not None and self.switches % 256 == 0:
+            elapsed = time.monotonic() - self._started_at
+            if elapsed > self.deadline_seconds:
+                self._verdict = DeadlineExceeded(self.deadline_seconds,
+                                                 elapsed, self.switches)
+                return None
+        if not self._ready:
+            blocked = {p.pid: p.block_reason or "?"
+                       for p in self.processes.values()
+                       if p.state is ProcState.BLOCKED}
+            if blocked:
+                self._verdict = DeadlockError(blocked,
+                                              crashed=self.crashed_pids())
+            return None  # else everything DONE (or fail-stop CRASHED)
+        self.switches += 1
+        if self.switches > self.max_switches:
+            self._verdict = SimulationError(
+                f"exceeded max_switches={self.max_switches}; "
+                "likely livelock")
+            return None
+        self._last = self.policy.pick(sorted(self._ready), self._last)
+        return self.processes[self._last]
 
     # ------------------------------------------------------------------ #
     # Process side (called from process threads, which hold the token).
     # ------------------------------------------------------------------ #
     def current(self) -> Optional[int]:
         """Pid of the process currently holding the token (None if the
-        dispatcher holds it)."""
+        :meth:`run` caller holds it)."""
         return self._token
 
     def yield_control(self, pid: int) -> None:
@@ -202,10 +233,11 @@ class Scheduler:
         """
         proc = self._require_running(pid)
         proc.yields += 1
-        if not any(p.state is ProcState.READY for p in self.processes.values()):
+        if not self._ready:
             return
         proc.state = ProcState.READY
-        self._hand_back_and_wait(proc)
+        self._ready.add(pid)
+        self._hand_off(proc)
 
     def block(self, pid: int, reason: str) -> None:
         """Block the calling process until another process calls
@@ -213,15 +245,14 @@ class Scheduler:
         proc = self._require_running(pid)
         proc.state = ProcState.BLOCKED
         proc.block_reason = reason
-        self._hand_back_and_wait(proc)
+        self._hand_off(proc)
         proc.block_reason = None
 
     def others_ready(self, pid: int) -> bool:
         """True if any process other than ``pid`` is currently runnable —
         used by spin-style waits to detect that yielding cannot make
         progress."""
-        return any(p.pid != pid and p.state is ProcState.READY
-                   for p in self.processes.values())
+        return len(self._ready) > (pid in self._ready)
 
     def unblock(self, pid: int) -> None:
         """Make a blocked process runnable again (does not transfer control).
@@ -232,6 +263,7 @@ class Scheduler:
         proc = self.processes[pid]
         if proc.state is ProcState.BLOCKED:
             proc.state = ProcState.READY
+            self._ready.add(pid)
 
     # ------------------------------------------------------------------ #
     # Internals.
@@ -245,34 +277,39 @@ class Scheduler:
                 f"P{pid} called into the scheduler without holding the token")
         return proc
 
-    def _hand_back_and_wait(self, proc: SimProcess) -> None:
-        """Give the token to the dispatcher and sleep until rescheduled."""
-        with self._cv:
-            self._token = self._DISPATCHER
-            self._cv.notify_all()
-            while self._token != proc.pid:
-                if self._shutdown:
-                    raise SystemExit  # unwind quietly after a failure
-                self._cv.wait()
+    def _hand_off(self, proc: SimProcess) -> None:
+        """Give the token up and sleep until rescheduled."""
+        if self._pass_token(proc):
+            return
+        proc.gate.acquire()
+        if self._shutdown:
+            raise SystemExit  # unwind quietly after a failure
 
     def _thread_main(self, proc: SimProcess) -> None:
-        # Wait for the first dispatch.
-        with self._cv:
-            while self._token != proc.pid:
-                if self._shutdown:
-                    return
-                self._cv.wait()
+        proc.gate.acquire()  # wait for the first dispatch
+        if self._shutdown:
+            return
         try:
             proc.result = proc.fn(*proc.args)
         except SystemExit:  # shutdown unwind
-            return
+            pass
         except BaseException as exc:  # noqa: BLE001 - reported as ProcessFailure
             proc.error = exc
-        finally:
-            with self._cv:
-                proc.state = ProcState.DONE
-                self._token = self._DISPATCHER
-                self._cv.notify_all()
+        if self._shutdown:
+            return  # run() is already raising, and is joining this thread
+        if isinstance(proc.error, NodeCrashed):
+            # A fail-stop crash is not a program bug: park the process in
+            # the terminal CRASHED state and keep scheduling the survivors.
+            # If any of them later waits on the dead node the run ends in
+            # a DeadlockError that names the crash.
+            proc.state = ProcState.CRASHED
+            proc.error = None
+        else:
+            proc.state = ProcState.DONE
+            if proc.error is not None:
+                self._verdict = ProcessFailure(proc.pid, proc.error)
+                self._verdict.__cause__ = proc.error
+        self._pass_token(None)
 
     # ------------------------------------------------------------------ #
     # Introspection used by the harness and tests.

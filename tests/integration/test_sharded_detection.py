@@ -151,20 +151,23 @@ def test_sharded_matches_centralized_crashy_checkpointed(crash_seed):
     assert_identical_reports(sharded, central)
 
 
+#: The first ``crash_seed`` whose (hash-derived, deterministic) schedule at
+#: ``crash_rate=0.05`` on 4-process tsp kills a shard owner mid-detect, with
+#: or without checkpoints.  If a schedule change moves it, the
+#: ``fallbacks_owner_crash`` assertions below fail: re-pin, do not loop.
+OWNER_CRASH_SEED = 14
+
+
 def test_shard_owner_crash_falls_back_soundly():
-    """Hammer the detect-phase crash points until an owner dies mid-shard:
-    the epoch must fall back to coordinator-local detection, and with
-    checkpoints on the reports still match the centralized run."""
-    fallbacks = 0
-    for crash_seed in range(1, 30):
-        sharded, central = paired_runs(
-            "tsp", nprocs=4, crash_rate=0.05, crash_seed=crash_seed,
-            checkpoint=True)
-        assert_identical_reports(sharded, central)
-        fallbacks += sharded.sharding_stats.fallbacks_owner_crash
-        if fallbacks:
-            break
-    assert fallbacks > 0, "no detect-phase owner crash ever fired"
+    """An owner dies mid-shard: the epoch must fall back to
+    coordinator-local detection, and with checkpoints on the reports still
+    match the centralized run."""
+    sharded, central = paired_runs(
+        "tsp", nprocs=4, crash_rate=0.05, crash_seed=OWNER_CRASH_SEED,
+        checkpoint=True)
+    assert sharded.sharding_stats.fallbacks_owner_crash > 0, (
+        "no detect-phase owner crash fired")
+    assert_identical_reports(sharded, central)
 
 
 def test_shard_owner_crash_without_checkpoints_is_sound():
@@ -173,24 +176,21 @@ def test_shard_owner_crash_without_checkpoints_is_sound():
     unverifiable entries — a race may be missed only if one of its sides
     is covered by an unverifiable pair, never silently."""
     spec = get_app("tsp")
-    for crash_seed in range(1, 30):
-        sharded = spec.run(nprocs=4, sharded_detection=True,
-                           crash_rate=0.05, crash_seed=crash_seed)
-        if sharded.sharding_stats.fallbacks_owner_crash == 0:
+    sharded = spec.run(nprocs=4, sharded_detection=True,
+                       crash_rate=0.05, crash_seed=OWNER_CRASH_SEED)
+    assert sharded.sharding_stats.fallbacks_owner_crash > 0, (
+        "no detect-phase owner crash fired")
+    clean = spec.run(nprocs=4)
+    found = {r.key() for r in sharded.races}
+    sides = {(e.a.pid, e.a.index) for e in sharded.unverifiable} \
+        | {(e.b.pid, e.b.index) for e in sharded.unverifiable}
+    for race in clean.races:
+        if race.key() in found:
             continue
-        clean = spec.run(nprocs=4)
-        found = {r.key() for r in sharded.races}
-        sides = {(e.a.pid, e.a.index) for e in sharded.unverifiable} \
-            | {(e.b.pid, e.b.index) for e in sharded.unverifiable}
-        for race in clean.races:
-            if race.key() in found:
-                continue
-            race_sides = {(race.a.pid, race.a.index),
-                          (race.b.pid, race.b.index)}
-            assert race_sides & sides, (
-                f"race silently dropped with no unverifiable trace: {race}")
-        return
-    pytest.fail("no detect-phase owner crash ever fired")
+        race_sides = {(race.a.pid, race.a.index),
+                      (race.b.pid, race.b.index)}
+        assert race_sides & sides, (
+            f"race silently dropped with no unverifiable trace: {race}")
 
 
 def test_sharded_matches_centralized_under_failover():
