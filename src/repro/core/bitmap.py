@@ -23,10 +23,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-#: Python >= 3.10 has int.bit_count (a single popcount); resolved once at
-#: import so Bitmap.count() pays no per-call hasattr probe.
-_HAS_BIT_COUNT = hasattr(int, "bit_count")
-
 #: Words per coarse granule (the "16-word granule" of the two-level
 #: filter).  Fixed: the incremental mask update in ``set``/``set_range``
 #: is a shift by 4.
@@ -191,9 +187,7 @@ class Bitmap:
 
     def count(self) -> int:
         """Population count."""
-        return int.from_bytes(self._bytes, "little").bit_count() \
-            if _HAS_BIT_COUNT else bin(
-                int.from_bytes(self._bytes, "little")).count("1")
+        return int.from_bytes(self._bytes, "little").bit_count()
 
     def overlaps(self, other: "Bitmap") -> bool:
         """True if any bit is set in both bitmaps (constant-time in page

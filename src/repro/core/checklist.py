@@ -11,8 +11,12 @@ exactly those pages and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.bitmap import Digest, digests_disjoint
+from repro.core.concurrency import (Block, PairSearchStats,
+                                    concurrency_windows, group_by_pid,
+                                    pair_blocks)
 from repro.dsm.interval import Interval
 
 
@@ -80,102 +84,220 @@ def build_check_list(
     return entries
 
 
-def index_meetings(intervals: List[Interval]) -> int:
-    """Upper bound on the (pair, page) meetings the inverted-index build
-    (:func:`build_check_list_fast`) will generate, in O(total notices).
+def entry_key(entry: CheckEntry) -> Tuple[int, int, int, int]:
+    """Canonical check-list order: process-pair rank, then interval
+    indices — the naive enumeration order."""
+    return (entry.a.pid, entry.b.pid, entry.a.index, entry.b.index)
 
-    Per page with W writers and R readers the index visits at most
-    ``W*(W-1)/2`` writer/writer and ``W*R`` writer/reader combinations.
-    The detector compares this against the reference probe work to pick
-    the cheaper check-list strategy for the epoch at hand: lock-heavy
-    workloads share pages between *ordered* intervals (page overlap is a
-    weak filter, pair enumeration is cheap), barrier workloads are the
-    reverse.
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass
+class EpochJoin:
+    """Steps 2-3 (and the coarse filter) of one set of pair blocks: the
+    check list as counts, plus the entries step 5 has to walk."""
+
+    #: Concurrency masks the join ran over (see :meth:`PageIndex.scan`),
+    #: the probes that found them and the pairs they hold.
+    conc: List[int] = field(default_factory=list)
+    probes: int = 0
+    concurrent_pairs: int = 0
+    #: Check-list length.
+    check_entries: int = 0
+    #: (pid, index) of the intervals in >= 1 check-list entry.
+    used: Set[Tuple[int, int]] = field(default_factory=set)
+    #: Digest pre-checks of the access-kind combinations, and how many
+    #: collided (both 0 with the filter off).
+    granule_checks: int = 0
+    granule_hits: int = 0
+    #: Canonical order.  Filter on: the entries with a granule hit, their
+    #: pages and flags narrowed to the hits.  Filter off: every entry.
+    entries: List[CheckEntry] = field(default_factory=list)
+    #: Reference steps only (:meth:`RaceDetector._winnow`), where
+    #: ``entries`` is the whole list with the filter on: id(entry) -> the
+    #: pages that survived it.
+    plan: Optional[Dict[int, List[OverlapPage]]] = None
+    #: Bitmaps the surviving combinations name (:func:`bitmaps_needed`).
+    needed: Set[Tuple[int, int, int, str]] = field(default_factory=set)
+
+    def pages_of(self, entry: CheckEntry) -> List[OverlapPage]:
+        """The pages of one of ``entries`` that step 5 has to compare."""
+        return entry.pages if self.plan is None else self.plan[id(entry)]
+
+
+class PageIndex:
+    """One epoch's intervals as bit positions, and its notices inverted.
+
+    Every interval gets an ordinal in ``(pid, index)`` order, so a process
+    is a contiguous bit range and a set of intervals is one Python int.
+    The reference pipeline enumerates every concurrent pair and
+    intersects its notice lists, although the vast majority of pairs
+    share no page at all; here the concurrent partners of an interval are
+    a mask (:meth:`scan`), the accessors of a page are a mask, and the
+    check list is their intersection (:meth:`join`) — counted by
+    popcount, materialized only for the pairs step 5 must look at.
     """
-    wcount: Dict[int, int] = {}
-    rcount: Dict[int, int] = {}
-    for rec in intervals:
-        for page in rec.write_pages:
-            wcount[page] = wcount.get(page, 0) + 1
-        for page in rec.read_pages:
-            rcount[page] = rcount.get(page, 0) + 1
-    return sum(w * (w - 1) // 2 + w * rcount.get(page, 0)
-               for page, w in wcount.items())
+
+    def __init__(self, intervals: List[Interval]):
+        self.by_pid = group_by_pid(intervals)
+        #: ordinal -> interval; ``base[pid]`` is the first ordinal of pid.
+        self.recs: List[Interval] = []
+        self.base: Dict[int, int] = {}
+        for pid in sorted(self.by_pid):
+            self.base[pid] = len(self.recs)
+            self.recs.extend(self.by_pid[pid])
+        #: page -> mask of the intervals that wrote / read it.
+        self.writers: Dict[int, int] = {}
+        self.readers: Dict[int, int] = {}
+        #: Prefix sums of notice-list sizes by ordinal, for O(1) range sums.
+        self._notices = [0]
+        for o, rec in enumerate(self.recs):
+            for page in rec.write_pages:
+                self.writers[page] = self.writers.get(page, 0) | 1 << o
+            for page in rec.read_pages:
+                self.readers[page] = self.readers.get(page, 0) | 1 << o
+            self._notices.append(self._notices[-1] + len(rec.write_pages)
+                                 + len(rec.read_pages))
+        #: (page, kind) -> {digest: mask of the accessors carrying it}.
+        self._classes: Dict[Tuple[int, str], Dict[Digest, int]] = {}
+        #: (page, kind, digest d) -> (settled, colliding): the (page, kind)
+        #: accessors whose digest has been tested against d, and those of
+        #: them it is not provably disjoint from.
+        self._verdicts: Dict[Tuple[int, str, Digest], Tuple[int, int]] = {}
+
+    def scan(self, blocks: Iterable[Block],
+             stats: PairSearchStats) -> Tuple[List[int], int]:
+        """Pair search over ``blocks``: returns ``(conc, probe_work)``.
+
+        ``conc[o]`` has the bit of every higher-pid interval concurrent
+        with ``recs[o]`` — each window of :func:`concurrency_windows` is
+        one run of bits.  ``probe_work`` is the sum of :func:`overlap_work`
+        over the concurrent pairs (what the detector charges for the
+        winnowing step), as window arithmetic: ``size(a) * width`` plus a
+        range sum of partner sizes.
+        """
+        conc = [0] * len(self.recs)
+        pre = self._notices
+        probe_work = 0
+        for p, i, q, lo, hi in concurrency_windows(self.by_pid, blocks, stats):
+            o = self.base[p] + i
+            first = self.base[q] + lo
+            width = hi - lo
+            probe_work += (width * (pre[o + 1] - pre[o])
+                           + pre[first + width] - pre[first])
+            conc[o] |= ((1 << width) - 1) << first
+        return conc, probe_work
+
+    def join(self, conc: List[int], coarse_filter: bool) -> EpochJoin:
+        """The check list of the concurrent pairs in ``conc``.
+
+        Identical to :func:`build_check_list` over those pairs — same
+        entries, order, sorted pages and access-kind flags — followed,
+        with ``coarse_filter``, by the detector's per-entry digest
+        pre-check; the equivalence tests assert this.
+        """
+        out = EpochJoin(conc=conc)
+        used = 0
+        for o, mask in enumerate(conc):
+            if not mask:
+                continue
+            a = self.recs[o]
+            #: (page, write/write, a-read/b-write, a-write/b-read) masks.
+            rows = []
+            for page in a.write_pages:
+                w = mask & self.writers[page]
+                r = mask & self.readers.get(page, 0)
+                if w or r:
+                    rows.append((page, w, w if page in a.read_pages else 0, r))
+            for page in a.read_pages - a.write_pages:
+                w = mask & self.writers.get(page, 0)
+                if w:
+                    rows.append((page, 0, w, 0))
+            partners, combos = _fold(rows)
+            if not partners:
+                continue
+            out.check_entries += partners.bit_count()
+            used |= partners | 1 << o
+            if coarse_filter:
+                out.granule_checks += combos
+                rows = [(page, self._hits(a, page, "write", "write", ww),
+                         self._hits(a, page, "read", "write", arbw),
+                         self._hits(a, page, "write", "read", awbr))
+                        for page, ww, arbw, awbr in rows]
+                partners, combos = _fold(rows)
+                out.granule_hits += combos
+            rows.sort()
+            for b in _bits(partners):
+                out.entries.append(CheckEntry(a, self.recs[b], [
+                    OverlapPage(page, bool(ww >> b & 1), bool(arbw >> b & 1),
+                                bool(awbr >> b & 1))
+                    for page, ww, arbw, awbr in rows
+                    if (ww | arbw | awbr) >> b & 1]))
+        out.entries.sort(key=entry_key)
+        out.used = {(self.recs[o].pid, self.recs[o].index)
+                    for o in _bits(used)}
+        return out
+
+    def _hits(self, a: Interval, page: int, kind_a: str, kind_b: str,
+              candidates: int) -> int:
+        """The ``candidates`` whose ``(page, kind_b)`` digest is not
+        provably disjoint from ``a``'s ``(page, kind_a)`` digest.
+
+        The accessors of one (page, kind) are grouped by digest value, and
+        a pair of values is tested once per epoch, when the first
+        candidate pair carrying it turns up: every test settles a whole
+        class of candidates, so the tests number at most min(candidate
+        pairs, pairs of values) — never more than one per pair.
+        """
+        if not candidates:
+            return 0
+        mine = a.digest(page, kind_a)
+        classes = self._classes.get((page, kind_b))
+        if classes is None:
+            classes = self._classes[page, kind_b] = {}
+            accessors = self.writers if kind_b == "write" else self.readers
+            for o in _bits(accessors[page]):
+                theirs = self.recs[o].digest(page, kind_b)
+                classes[theirs] = classes.get(theirs, 0) | 1 << o
+        settled, colliding = self._verdicts.get((page, kind_b, mine), (0, 0))
+        pending = candidates & ~settled
+        if pending:
+            while pending:
+                theirs = self.recs[(pending & -pending).bit_length()
+                                   - 1].digest(page, kind_b)
+                members = classes[theirs]
+                if not digests_disjoint(mine, theirs):
+                    colliding |= members
+                settled |= members
+                pending &= ~members
+            self._verdicts[page, kind_b, mine] = settled, colliding
+        return candidates & colliding
+
+
+def _fold(rows: List[Tuple[int, int, int, int]]) -> Tuple[int, int]:
+    """``(partners, combinations)`` of one interval's candidate rows: the
+    union of the three masks over all pages, and their total popcount."""
+    partners = combos = 0
+    for _page, ww, arbw, awbr in rows:
+        partners |= ww | arbw | awbr
+        combos += ww.bit_count() + arbw.bit_count() + awbr.bit_count()
+    return partners, combos
 
 
 def build_check_list_fast(intervals: List[Interval]) -> List[CheckEntry]:
-    """Check-list construction through an inverted page index.
-
-    The reference pipeline enumerates every concurrent pair and
-    intersects its notice lists — O(pairs x notice-list length) even
-    though the vast majority of pairs share no page at all.  This variant
-    never materializes the pair set: it inverts the notices first —
-    page -> (intervals that wrote it, intervals that read it) — so only
-    (writer, accessor) combinations that actually met on a page are ever
-    touched, and the concurrency test runs on those few candidates alone.
-    Cost: O(total notices + candidate meetings) ~ O(notices + output).
-
-    The returned entries are identical to running
-    :func:`~repro.core.concurrency.find_concurrent_pairs` followed by
-    :func:`build_check_list`: same pairs, same order (process-pair rank,
-    then interval indices — the naive enumeration order), same sorted
-    pages, same access-kind flags.  The equivalence tests assert this.
-    """
-    writers: Dict[int, List[Interval]] = {}
-    readers: Dict[int, List[Interval]] = {}
-    for rec in intervals:
-        for page in rec.write_pages:
-            writers.setdefault(page, []).append(rec)
-        for page in rec.read_pages:
-            readers.setdefault(page, []).append(rec)
-
-    #: (id(a), id(b)) -> [a, b, candidate pages]; a.pid < b.pid as in the
-    #: naive enumeration.  Each (pair, page) meeting is generated exactly
-    #: once — writer/writer combinations by position (i < j), and
-    #: writer/reader combinations with pure readers only — so the page
-    #: accumulator is a plain list append, no set hashing.
-    candidates: Dict[Tuple[int, int], List] = {}
-    get = candidates.get
-    for page, ws in writers.items():
-        rs = readers.get(page)
-        pure_readers = (None if rs is None else
-                        [r for r in rs if page not in r.write_pages])
-        if len(ws) == 1 and not pure_readers:
-            continue
-        for i, w in enumerate(ws):
-            w_pid = w.pid
-            for x in ws[i + 1:]:
-                if x.pid == w_pid:
-                    continue
-                a, b = (w, x) if w_pid < x.pid else (x, w)
-                key = (id(a), id(b))
-                entry = get(key)
-                if entry is None:
-                    entry = candidates[key] = [a, b, []]
-                entry[2].append(page)
-            if pure_readers:
-                for x in pure_readers:
-                    if x.pid == w_pid:
-                        continue
-                    a, b = (w, x) if w_pid < x.pid else (x, w)
-                    key = (id(a), id(b))
-                    entry = get(key)
-                    if entry is None:
-                        entry = candidates[key] = [a, b, []]
-                    entry[2].append(page)
-
-    entries: List[CheckEntry] = []
-    for a, b, pages in candidates.values():
-        if not a.concurrent_with(b):
-            continue
-        entries.append(CheckEntry(a, b, [OverlapPage(
-            page=page,
-            write_write=page in a.write_pages and page in b.write_pages,
-            a_read_b_write=page in a.read_pages and page in b.write_pages,
-            a_write_b_read=page in a.write_pages and page in b.read_pages,
-        ) for page in sorted(pages)]))
-    entries.sort(key=lambda e: (e.a.pid, e.b.pid, e.a.index, e.b.index))
-    return entries
+    """The whole check list through :class:`PageIndex`, no filter: the
+    entries of :func:`~repro.core.concurrency.find_concurrent_pairs`
+    followed by :func:`build_check_list`, in the same order."""
+    index = PageIndex(intervals)
+    conc, _probe_work = index.scan(pair_blocks(index.by_pid),
+                                   PairSearchStats())
+    return index.join(conc, coarse_filter=False).entries
 
 
 def bitmaps_needed(entries: List[CheckEntry]) -> Set[Tuple[int, int, int, str]]:

@@ -12,8 +12,8 @@ of the same process are never compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.dsm.interval import Interval
 from repro.dsm.vector_clock import precedes
@@ -66,73 +66,41 @@ def find_concurrent_pairs(
                         yield (a, b)
 
 
-#: A concurrency window: interval ``a`` of process p is concurrent with
-#: exactly ``qs[lo:hi]`` of process q.
-Window = Tuple[Interval, List[Interval], int, int]
+#: A process-pair block ``(p, q)``, ``p < q``: all pairs of one interval
+#: of p with one interval of q.
+Block = Tuple[int, int]
 
 
-def scan_windows(intervals: List[Interval],
-                 stats: PairSearchStats) -> Tuple[int, int, List[Window]]:
-    """Pair-search aggregates *without materializing the pairs*.
-
-    Returns ``(concurrent_pairs, probe_work, windows)`` where
-    ``probe_work`` is the sum of
-    :func:`repro.core.checklist.overlap_work` over every concurrent pair
-    — the quantity the detector charges for the page-overlap winnowing
-    step.  Because the concurrent partners of an interval within one
-    process form a contiguous window (same argument as
-    :func:`find_concurrent_pairs_pruned`), both aggregates collapse to
-    window arithmetic: the pair count is the window width and the probe
-    work is ``size(a) * width + prefix-sum of partner sizes``, so the
-    cost is O(i log i) bisection probes with *zero* per-pair Python
-    work.  The non-empty windows are returned so a caller that does
-    decide to enumerate (see :func:`iter_window_pairs`) pays no second
-    bisection pass.
-
-    ``stats`` receives the interval count, the actual bisection probes in
-    ``comparisons``, and the concurrent-pair count.
-    """
-    by_pid = group_by_pid(intervals)
-    stats.intervals += len(intervals)
+def pair_blocks(by_pid: Dict[int, List[Interval]]) -> List[Block]:
+    """Every cross-process block, in the naive enumeration's order."""
     pids = sorted(by_pid)
-    # Per-process prefix sums of notice-list sizes, for O(1) range sums.
-    prefix: Dict[int, List[int]] = {}
-    for pid in pids:
-        acc = [0]
-        for rec in by_pid[pid]:
-            acc.append(acc[-1] + len(rec.write_pages) + len(rec.read_pages))
-        prefix[pid] = acc
-    total_pairs = 0
-    probe_work = 0
-    windows: List[Window] = []
-    for i, p in enumerate(pids):
-        for q in pids[i + 1:]:
-            qs = by_pid[q]
-            pre = prefix[q]
-            for a in by_pid[p]:
-                lo = _first_not_before(a, qs, stats)
-                hi = _first_after(a, qs, stats)
-                if hi > lo:
-                    width = hi - lo
-                    total_pairs += width
-                    probe_work += (width * (len(a.write_pages)
-                                            + len(a.read_pages))
-                                   + pre[hi] - pre[lo])
-                    windows.append((a, qs, lo, hi))
-    stats.concurrent_pairs += total_pairs
-    return total_pairs, probe_work, windows
+    return [(p, q) for i, p in enumerate(pids) for q in pids[i + 1:]]
 
 
-def iter_window_pairs(windows: List[Window]) -> Iterator[Tuple[Interval, Interval]]:
-    """Expand scanned windows into concurrent pairs.
+def concurrency_windows(
+        by_pid: Dict[int, List[Interval]], blocks: Iterable[Block],
+        stats: PairSearchStats) -> Iterator[Tuple[int, int, int, int, int]]:
+    """Yield ``(p, i, q, lo, hi)`` for every non-empty concurrency window
+    of the process-pair ``blocks``: interval ``by_pid[p][i]`` is
+    concurrent with exactly ``by_pid[q][lo:hi]``.
 
-    Yields exactly the pairs of :func:`find_concurrent_pairs`, in the
-    same order (windows are collected process-pair-major, interval-index
-    ascending — the naive enumeration order).
+    For a fixed interval ``a`` of process p, process q's intervals are
+    totally ordered, so the set concurrent with ``a`` is a *contiguous
+    window*: everything before it happened-before ``a`` (transitively,
+    because q's later intervals dominate its earlier ones) and everything
+    after it happened-after.  Both window edges are found by binary
+    search — O(i log i) probes per block instead of O(i^2), each counted
+    in ``stats.comparisons``; the window widths add up in
+    ``stats.concurrent_pairs``.
     """
-    for a, qs, lo, hi in windows:
-        for b in qs[lo:hi]:
-            yield (a, b)
+    for p, q in blocks:
+        qs = by_pid[q]
+        for i, a in enumerate(by_pid[p]):
+            lo = _first_not_before(a, qs, stats)
+            hi = _first_after(a, qs, stats)
+            if hi > lo:
+                stats.concurrent_pairs += hi - lo
+                yield p, i, q, lo, hi
 
 
 def model_comparison_count(intervals: List[Interval]) -> int:
@@ -158,29 +126,17 @@ def find_concurrent_pairs_pruned(
         stats: PairSearchStats) -> Iterator[Tuple[Interval, Interval]]:
     """Pair search with the ordering-based bypass the paper alludes to
     ("synchronization and program order allow many of the comparisons to
-    be bypassed", §4 step 2).
-
-    For a fixed interval ``a`` of process p, process q's intervals are
-    totally ordered, so the set concurrent with ``a`` is a *contiguous
-    window*: everything before it happened-before ``a`` (transitively,
-    because q's later intervals dominate its earlier ones) and everything
-    after it happened-after.  Both window edges are found by binary
-    search, so the comparison count per process pair drops from
-    O(i^2) to O(i log i) — the yielded pairs are identical to
+    be bypassed", §4 step 2): the windows of :func:`concurrency_windows`
+    expanded pair by pair.  The yielded pairs are identical to
     :func:`find_concurrent_pairs` (a property the tests verify).
     """
     by_pid = group_by_pid(intervals)
     stats.intervals += len(intervals)
-    pids = sorted(by_pid)
-    for i, p in enumerate(pids):
-        for q in pids[i + 1:]:
-            qs = by_pid[q]
-            for a in by_pid[p]:
-                lo = _first_not_before(a, qs, stats)
-                hi = _first_after(a, qs, stats)
-                for b in qs[lo:hi]:
-                    stats.concurrent_pairs += 1
-                    yield (a, b)
+    for p, i, q, lo, hi in concurrency_windows(by_pid, pair_blocks(by_pid),
+                                               stats):
+        a = by_pid[p][i]
+        for b in by_pid[q][lo:hi]:
+            yield (a, b)
 
 
 def _first_not_before(a: Interval, qs: List[Interval],

@@ -28,13 +28,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.bitmap import Bitmap, digests_disjoint
-from repro.core.checklist import (CheckEntry, OverlapPage, bitmaps_needed,
-                                  build_check_list, build_check_list_fast,
-                                  index_meetings, overlap_work, page_overlaps)
-from repro.core.concurrency import (PairSearchStats, _first_after,
-                                    _first_not_before, find_concurrent_pairs,
-                                    group_by_pid, iter_window_pairs,
-                                    model_comparison_count, scan_windows)
+from repro.core.checklist import (CheckEntry, EpochJoin, OverlapPage,
+                                  PageIndex, bitmaps_needed,
+                                  build_check_list, entry_key, overlap_work)
+from repro.core.concurrency import (Block, PairSearchStats,
+                                    find_concurrent_pairs,
+                                    model_comparison_count, pair_blocks)
 from repro.core.report import (IntervalRef, RaceKind, RaceReport,
                                decode_report_key, encode_report_key)
 from repro.dsm.interval import Interval
@@ -43,18 +42,6 @@ from repro.net.message import WireSizer
 from repro.net.transport import Transport
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostCategory, CostModel
-
-
-#: Relative cost of one inverted-index (pair, page) meeting vs one
-#: reference notice-merge probe, for the fast path's per-epoch strategy
-#: choice.  Calibrated on the TSP (lock-dense) / Water (barrier) captures
-#: in ``benchmarks/bench_wallclock.py``.
-INDEX_MEETING_COST = 3
-
-#: Below this many modeled comparisons an epoch is too small for the
-#: window scan to pay for its own setup; the fast path just runs the
-#: reference pipeline (identical verdicts and charges by construction).
-SMALL_EPOCH_COMPARISONS = 4096
 
 
 @dataclass
@@ -171,7 +158,7 @@ class DetectShard:
 
     owner: int
     #: Assigned (p, q) blocks, p < q, in canonical block order.
-    blocks: List[Tuple[int, int]] = field(default_factory=list)
+    blocks: List[Block] = field(default_factory=list)
     #: Naive comparison count of the assigned blocks (sum of
     #: ``|I_p| * |I_q|``) — the shard's INTERVALS charge and the
     #: load-balancing weight.
@@ -197,6 +184,8 @@ class ShardPlan:
     #: Sum of all block weights == ``model_comparison_count(intervals)``.
     model_comparisons: int
     lost_present: bool
+    #: The epoch's inverted notices, shared by every shard's join.
+    index: PageIndex
 
 
 @dataclass
@@ -265,7 +254,7 @@ class RaceDetector:
         self.master_pid = master_pid
         self.first_races_only = first_races_only
         #: Execution engine selector.  True (default): pruned pair search +
-        #: inverted-index check list, with the naive algorithm's work
+        #: bit-parallel check-list join, with the naive algorithm's work
         #: charged to virtual time analytically.  False: the paper's
         #: literal O(i^2 p^2) reference algorithm.  Verdicts, stats and
         #: ledgers are identical either way (the equivalence tests assert
@@ -309,124 +298,79 @@ class RaceDetector:
         # Steps 2+3: concurrent pairs (constant-time VC comparisons), then
         # page-overlap winnowing into the check list.
         #
-        # The fast path (default) never materializes the concurrent-pair
-        # set: the pair count and the overlap probe work are computed as
-        # window aggregates of the pruned O(i log i) search, and the check
-        # list comes straight from an inverted page->notices index, so the
-        # Python work is O(i log i + notices + output).  Virtual time is
+        # The fast path (default) never enumerates the concurrent pairs:
+        # the pruned O(i log i) search leaves them as bit masks, the check
+        # list is their intersection with the inverted notices, and only
+        # the entries step 5 must look at become objects.  Virtual time is
         # *decoupled* from that execution: the master clock is charged for
         # the naive algorithm's comparison count (computed analytically)
         # and the reference probe work, exactly as the reference engine
         # charges them — ledgers, stats, and verdicts are bit-identical
         # either way.
-        search = PairSearchStats()
-        model = model_comparison_count(intervals)
-        if self.fast_path and model > SMALL_EPOCH_COMPARISONS:
-            _pair_count, probe_work, windows = scan_windows(intervals, search)
-            self.actual_comparisons += search.comparisons
-            search.comparisons = model
-            # Adaptive check-list strategy (both produce identical
-            # entries): the inverted index wins when pages are shared by
-            # few intervals (barrier workloads); enumerating the scanned
-            # windows wins when many *ordered* intervals pile onto the
-            # same pages (lock workloads), where page overlap is a weak
-            # filter.  Meetings are costlier than merge probes (dict ops
-            # plus a concurrency test per candidate), hence the factor.
-            if INDEX_MEETING_COST * index_meetings(intervals) <= probe_work:
-                check_list = build_check_list_fast(intervals)
-            else:
-                check_list = build_check_list(iter_window_pairs(windows))
-        else:
-            pairs = list(find_concurrent_pairs(intervals, search))
-            self.actual_comparisons += search.comparisons
-            probe_work = sum(overlap_work(a, b) for a, b in pairs)
-            check_list = build_check_list(pairs)
-        self.stats.intervals_total += search.intervals
-        self.stats.interval_comparisons += search.comparisons
-        self.stats.concurrent_pairs += search.concurrent_pairs
-        master_clock.advance(
-            self.cost_model.interval_compare * max(1, search.comparisons),
-            CostCategory.INTERVALS)
-        master_clock.advance(
-            self.cost_model.page_overlap_check * probe_work,
-            CostCategory.INTERVALS)
-        self.stats.overlapping_pairs += len(check_list)
-        used: Set[Tuple[int, int]] = set()
-        for entry in check_list:
-            used.add((entry.a.pid, entry.a.index))
-            used.add((entry.b.pid, entry.b.index))
-        self.stats.intervals_used += len(used)
-
-        # Crash degradation: an interval marked *lost* kept its page-level
-        # notices (they travelled on synchronization messages before the
-        # crash) but its word bitmaps died with the node, so it still
-        # participates in the concurrency search and the check list — its
-        # entries just cannot be bitmap-resolved.  They are split off here
-        # and reported as explicit ``unverifiable`` entries in step 5.
         lost_present = any(rec.lost for rec in intervals)
-        if lost_present:
-            resolvable = [e for e in check_list
-                          if not (e.a.lost or e.b.lost)]
+        index = None
+        if self.fast_path:
+            index = PageIndex(intervals)
+            model = model_comparison_count(intervals)
+            join = self._join_blocks(index, pair_blocks(index.by_pid), model,
+                                     lost_present, master_clock)
         else:
-            resolvable = check_list
-
-        # Two-level filter (first level): pre-check every combination of
-        # the resolvable entries against the coarse digests that arrived
-        # piggy-backed on the interval records.  Digest-disjoint
-        # combinations are provably race-free — they leave the fetch set
-        # *and* the comparison loop; only granule hits go on.
-        plan: Dict[int, Optional[List[OverlapPage]]] = {}
-        if self.coarse_filter:
-            effective: List[CheckEntry] = []
-            checks = hits = 0
-            for entry in resolvable:
-                pages, entry_checks, entry_hits = self._filter_pages(entry)
-                checks += entry_checks
-                hits += entry_hits
-                plan[id(entry)] = pages
-                if pages:
-                    effective.append(CheckEntry(entry.a, entry.b, pages))
-            self.stats.granule_checks += checks
-            self.stats.granule_hits += hits
-            self.stats.pairs_filtered += checks - hits
-            master_clock.advance(
-                self.cost_model.granule_check * checks,
-                CostCategory.COARSE_FILTER)
-            needed = bitmaps_needed(effective)
-        else:
-            needed = bitmaps_needed(resolvable)
+            search = PairSearchStats()
+            pairs = list(find_concurrent_pairs(intervals, search))
+            model = search.comparisons
+            self._charge_pair_search(
+                model, sum(overlap_work(a, b) for a, b in pairs),
+                master_clock)
+            join = self._winnow(build_check_list(pairs), lost_present,
+                                master_clock)
+            join.probes = model
+            join.concurrent_pairs = search.concurrent_pairs
+        self.actual_comparisons += join.probes
+        self.stats.intervals_total += len(intervals)
+        self.stats.interval_comparisons += model
+        self.stats.concurrent_pairs += join.concurrent_pairs
+        self.stats.overlapping_pairs += join.check_entries
+        self.stats.intervals_used += len(join.used)
+        self.stats.granule_checks += join.granule_checks
+        self.stats.granule_hits += join.granule_hits
+        self.stats.pairs_filtered += join.granule_checks - join.granule_hits
 
         # Step 4: the extra barrier round retrieving exactly the bitmaps
         # the check list names.  On a lossy network an owner's exchange can
         # exhaust its retry budget; those owners' bitmaps stay unavailable
         # and the affected check entries degrade to page granularity below.
-        failed_owners = self._charge_bitmap_round(needed, master_clock)
+        failed_owners = self._charge_bitmap_round(join.needed, master_clock)
         if failed_owners:
-            fetched = sum(1 for pid, _idx, _page, _kind in needed
+            fetched = sum(1 for pid, _idx, _page, _kind in join.needed
                           if pid not in failed_owners)
+            if join.plan is None and self.coarse_filter:
+                # The page-granularity reports are defined over the
+                # *unfiltered* pages, which the join did not materialize.
+                join.entries = index.join(join.conc, False).entries
+                join.plan = {id(entry): self._filter_pages(entry)[0]
+                             for entry in join.entries}
         else:
-            fetched = len(needed)
+            fetched = len(join.needed)
         self.stats.bitmaps_fetched += fetched
 
         # Step 5: bitmap comparison -> race reports.  Entries touching a
         # lost interval go to the unverifiable side channel instead.
         new_races: List[RaceReport] = []
         new_unverifiable: List[RaceReport] = []
-        for entry in check_list:
+        for entry in join.entries:
             if lost_present and (entry.a.lost or entry.b.lost):
                 new_unverifiable.extend(
                     self._report_unverifiable(entry, epoch))
                 continue
             new_races.extend(self._compare_entry(
-                entry, epoch, master_clock, failed_owners,
-                pages=plan.get(id(entry)) if self.coarse_filter else None))
+                entry, join.pages_of(entry), epoch, master_clock,
+                failed_owners))
         self.unverifiable.extend(new_unverifiable)
 
         self.stats.epoch_history.append(EpochSummary(
-            epoch=epoch, intervals=search.intervals,
-            comparisons=search.comparisons,
-            concurrent_pairs=search.concurrent_pairs,
-            check_list_entries=len(check_list),
+            epoch=epoch, intervals=len(intervals), comparisons=model,
+            concurrent_pairs=join.concurrent_pairs,
+            check_list_entries=join.check_entries,
             bitmaps_fetched=fetched, races=len(new_races),
             unverifiable=len(new_unverifiable)))
 
@@ -514,35 +458,35 @@ class RaceDetector:
         """
         if len(owners) < 2:
             return None
-        by_pid = group_by_pid(intervals)
-        pids = sorted(by_pid)
-        if len(pids) < 2:
+        index = PageIndex(intervals)
+        by_pid = index.by_pid
+        if len(by_pid) < 2:
             return None
         owner_rank = {pid: rank for rank, pid in enumerate(owners)}
         load: Dict[int, int] = {pid: 0 for pid in owners}
         shards = {pid: DetectShard(owner=pid) for pid in owners}
         total = 0
-        for i, p in enumerate(pids):
-            for q in pids[i + 1:]:
-                weight = len(by_pid[p]) * len(by_pid[q])
-                total += weight
-                candidates = [x for x in (p, q) if x in owner_rank]
-                if candidates:
-                    owner = min(candidates,
-                                key=lambda x: (load[x], owner_rank[x]))
-                else:
-                    owner = owners[0]
-                shards[owner].blocks.append((p, q))
-                shards[owner].model_comparisons += weight
-                load[owner] += weight
+        for p, q in pair_blocks(by_pid):
+            weight = len(by_pid[p]) * len(by_pid[q])
+            total += weight
+            candidates = [x for x in (p, q) if x in owner_rank]
+            if candidates:
+                owner = min(candidates,
+                            key=lambda x: (load[x], owner_rank[x]))
+            else:
+                owner = owners[0]
+            shards[owner].blocks.append((p, q))
+            shards[owner].model_comparisons += weight
+            load[owner] += weight
         return ShardPlan(owners=list(owners), by_pid=by_pid, shards=shards,
                          intervals=list(intervals), model_comparisons=total,
-                         lost_present=any(rec.lost for rec in intervals))
+                         lost_present=any(rec.lost for rec in intervals),
+                         index=index)
 
     def compute_shard(self, shard: DetectShard, plan: ShardPlan,
                       epoch: int, clock: VirtualClock) -> ShardResult:
-        """Run the pruned pair search + bitmap comparison for one shard's
-        blocks on the owner's ``clock``.
+        """Run the pair search, the check-list join and the bitmap
+        comparison for one shard's blocks on the owner's ``clock``.
 
         Charges mirror the centralized engine exactly — the naive
         comparison model under INTERVALS, overlap probes under INTERVALS,
@@ -561,71 +505,28 @@ class RaceDetector:
                           comparisons=shard.model_comparisons)
         if not shard.blocks:
             return res
-        search = PairSearchStats()
-        windows = []
-        probe_work = 0
-        for p, q in shard.blocks:
-            qs = plan.by_pid[q]
-            pre = [0]
-            for rec in qs:
-                pre.append(pre[-1] + len(rec.write_pages)
-                           + len(rec.read_pages))
-            for a in plan.by_pid[p]:
-                lo = _first_not_before(a, qs, search)
-                hi = _first_after(a, qs, search)
-                if hi > lo:
-                    width = hi - lo
-                    res.concurrent_pairs += width
-                    probe_work += (width * (len(a.write_pages)
-                                            + len(a.read_pages))
-                                   + pre[hi] - pre[lo])
-                    windows.append((a, qs, lo, hi))
-        res.probes = search.comparisons
-        clock.advance(
-            self.cost_model.interval_compare * shard.model_comparisons,
-            CostCategory.INTERVALS)
-        clock.advance(self.cost_model.page_overlap_check * probe_work,
-                      CostCategory.INTERVALS)
-        check_list = build_check_list(iter_window_pairs(windows))
-        res.check_entries = len(check_list)
-        for entry in check_list:
-            res.used.add((entry.a.pid, entry.a.index))
-            res.used.add((entry.b.pid, entry.b.index))
-        if plan.lost_present:
-            resolvable = [e for e in check_list
-                          if not (e.a.lost or e.b.lost)]
-        else:
-            resolvable = check_list
-        # Two-level filter, shard-side: identical digest pre-checks on the
-        # owner's clock.  Blocks partition the centralized entries exactly,
-        # so the per-shard counters sum to the centralized figures and the
+        join = self._join_blocks(plan.index, shard.blocks,
+                                 shard.model_comparisons, plan.lost_present,
+                                 clock)
+        res.probes = join.probes
+        res.concurrent_pairs = join.concurrent_pairs
+        res.check_entries = join.check_entries
+        res.used = join.used
+        res.needed = join.needed
+        # Blocks partition the centralized entries exactly, so the
+        # per-shard filter counters sum to the centralized figures and the
         # committed stats stay engine-independent.
-        fplan: Dict[int, Optional[List[OverlapPage]]] = {}
-        if self.coarse_filter:
-            effective: List[CheckEntry] = []
-            for entry in resolvable:
-                pages, entry_checks, entry_hits = self._filter_pages(entry)
-                res.granule_checks += entry_checks
-                res.granule_hits += entry_hits
-                res.pairs_filtered += entry_checks - entry_hits
-                fplan[id(entry)] = pages
-                if pages:
-                    effective.append(CheckEntry(entry.a, entry.b, pages))
-            clock.advance(self.cost_model.granule_check * res.granule_checks,
-                          CostCategory.COARSE_FILTER)
-            res.needed = bitmaps_needed(effective)
-        else:
-            res.needed = bitmaps_needed(resolvable)
+        res.granule_checks = join.granule_checks
+        res.granule_hits = join.granule_hits
+        res.pairs_filtered = join.granule_checks - join.granule_hits
         res.fetch_messages, res.fetch_bytes = self._charge_shard_bitmap_round(
             shard.owner, res.needed, clock)
-        for entry in check_list:
+        for entry in join.entries:
             if plan.lost_present and (entry.a.lost or entry.b.lost):
                 res.items.append(self._shard_unverifiable_item(entry, epoch))
             else:
                 item = self._shard_race_item(
-                    entry, epoch, clock, res,
-                    pages=fplan.get(id(entry)) if self.coarse_filter
-                    else None)
+                    entry, join.pages_of(entry), epoch, clock, res)
                 if item is not None:
                     res.items.append(item)
         return res
@@ -769,93 +670,104 @@ class RaceDetector:
             nbytes += msg.nbytes
         return nmsgs, nbytes
 
-    def _shard_race_item(self, entry: CheckEntry, epoch: int,
-                         clock: VirtualClock, res: ShardResult,
-                         pages: Optional[List[OverlapPage]] = None
-                         ) -> Optional[ShardItem]:
-        """Dedup-free mirror of ``_compare_entry``: same page/combination
-        order, same BITMAPS charge per comparison, but every intersection
-        bit becomes a candidate — first-occurrence dedup is the
-        coordinator's commit step, where the global order is known."""
-        a, b = entry.a, entry.b
-        reports: List[RaceReport] = []
-        for ov in (entry.pages if pages is None else pages):
-            if ov.write_write:
-                reports.extend(self._shard_intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.WRITE_WRITE, epoch, clock, res))
-            if ov.a_read_b_write:
-                reports.extend(self._shard_intersect(
-                    a, "read", a.read_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, clock, res))
-            if ov.a_write_b_read:
-                reports.extend(self._shard_intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "read", b.read_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, clock, res))
+    def _shard_race_item(self, entry: CheckEntry, pages: List[OverlapPage],
+                         epoch: int, clock: VirtualClock,
+                         res: ShardResult) -> Optional[ShardItem]:
+        """``_compare_entry`` without the dedup: every intersection bit
+        becomes a candidate — first-occurrence dedup is the coordinator's
+        commit step, where the global order is known."""
+        comparisons, reports = self._word_candidates(entry, pages, epoch,
+                                                     clock)
+        res.bitmap_comparisons += comparisons
         if not reports:
             return None
-        return ShardItem(key=(a.pid, b.pid, a.index, b.index),
-                         kind="race", reports=reports)
-
-    def _shard_intersect(self, a: Interval, a_access: str,
-                         bm_a: Optional[Bitmap], b: Interval, b_access: str,
-                         bm_b: Optional[Bitmap], page: int, kind: RaceKind,
-                         epoch: int, clock: VirtualClock,
-                         res: ShardResult) -> List[RaceReport]:
-        res.bitmap_comparisons += 1
-        clock.advance(
-            self.cost_model.bitmap_compare_per_word * self.page_size_words,
-            CostCategory.BITMAPS)
-        bm_a = bm_a or self._empty
-        bm_b = bm_b or self._empty
-        reports: List[RaceReport] = []
-        for bit in bm_a.intersection_bits(bm_b):
-            addr = page * self.page_size_words + bit
-            reports.append(RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=page, offset=bit, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label)))
-        return reports
+        return ShardItem(key=entry_key(entry), kind="race", reports=reports)
 
     def _shard_unverifiable_item(self, entry: CheckEntry,
                                  epoch: int) -> ShardItem:
-        """Dedup-free mirror of ``_report_unverifiable``; the pair key and
+        """``_report_unverifiable`` without the dedup; the pair key and
         every candidate entry travel with the item because the pair count
         and the report dedup both belong to the coordinator's commit."""
-        a, b = entry.a, entry.b
-        pair_key = tuple(sorted([(a.pid, a.index), (b.pid, b.index)]))
-        lost = tuple(f"P{rec.pid}:{rec.index}"
-                     for rec in sorted((a, b), key=lambda r: (r.pid, r.index))
-                     if rec.lost)
-        reports: List[RaceReport] = []
-        for ov in entry.pages:
-            combos = []
-            if ov.write_write:
-                combos.append(("write", "write", RaceKind.WRITE_WRITE))
-            if ov.a_read_b_write:
-                combos.append(("read", "write", RaceKind.READ_WRITE))
-            if ov.a_write_b_read:
-                combos.append(("write", "read", RaceKind.READ_WRITE))
-            addr = ov.page * self.page_size_words
-            for a_access, b_access, kind in combos:
-                reports.append(RaceReport(
-                    kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                    page=ov.page, offset=0, epoch=epoch,
-                    a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                    b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                    granularity="page", verdict="unverifiable",
-                    lost_intervals=lost))
-        return ShardItem(key=(a.pid, b.pid, a.index, b.index),
-                         kind="unverifiable", reports=reports,
-                         pair_key=pair_key)
+        pair_key, reports = self._unverifiable_candidates(entry, epoch)
+        return ShardItem(key=entry_key(entry), kind="unverifiable",
+                         reports=reports, pair_key=pair_key)
 
     # ------------------------------------------------------------------ #
     # Internals.
     # ------------------------------------------------------------------ #
+    def _join_blocks(self, index: PageIndex, blocks: List[Block],
+                     model: int, lost_present: bool,
+                     clock: VirtualClock) -> EpochJoin:
+        """Steps 2-3 and the coarse filter for ``blocks`` of the epoch in
+        ``index``, charged to ``clock`` as the reference engine charges
+        them (``model`` is the naive comparison count of the blocks)."""
+        search = PairSearchStats()
+        conc, probe_work = index.scan(blocks, search)
+        self._charge_pair_search(model, probe_work, clock)
+        if lost_present:
+            # Crash-degraded epoch: the unverifiable reports are defined
+            # over every entry and its unfiltered pages, so take the whole
+            # list and the reference steps.
+            join = self._winnow(index.join(conc, False).entries, True, clock)
+            join.conc = conc
+        else:
+            join = index.join(conc, self.coarse_filter)
+            join.needed = bitmaps_needed(join.entries)
+            if self.coarse_filter:
+                clock.advance(
+                    self.cost_model.granule_check * join.granule_checks,
+                    CostCategory.COARSE_FILTER)
+        join.probes = search.comparisons
+        join.concurrent_pairs = search.concurrent_pairs
+        return join
+
+    def _charge_pair_search(self, comparisons: int, probe_work: int,
+                            clock: VirtualClock) -> None:
+        clock.advance(self.cost_model.interval_compare * max(1, comparisons),
+                      CostCategory.INTERVALS)
+        clock.advance(self.cost_model.page_overlap_check * probe_work,
+                      CostCategory.INTERVALS)
+
+    def _winnow(self, check_list: List[CheckEntry], lost_present: bool,
+                clock: VirtualClock) -> EpochJoin:
+        """The reference steps from a fully materialized check list to the
+        bitmaps it needs: one digest pre-check per entry."""
+        join = EpochJoin(check_entries=len(check_list), entries=check_list)
+        for entry in check_list:
+            join.used.add((entry.a.pid, entry.a.index))
+            join.used.add((entry.b.pid, entry.b.index))
+        # Crash degradation: an interval marked *lost* kept its page-level
+        # notices (they travelled on synchronization messages before the
+        # crash) but its word bitmaps died with the node, so it still
+        # participates in the concurrency search and the check list — its
+        # entries just cannot be bitmap-resolved.  They are split off here
+        # and reported as explicit ``unverifiable`` entries in step 5.
+        if lost_present:
+            resolvable = [e for e in check_list
+                          if not (e.a.lost or e.b.lost)]
+        else:
+            resolvable = check_list
+        # Two-level filter (first level): pre-check every combination of
+        # the resolvable entries against the coarse digests that arrived
+        # piggy-backed on the interval records.  Digest-disjoint
+        # combinations are provably race-free — they leave the fetch set
+        # *and* the comparison loop; only granule hits go on.
+        if self.coarse_filter:
+            join.plan = {}
+            effective: List[CheckEntry] = []
+            for entry in resolvable:
+                pages, checks, hits = self._filter_pages(entry)
+                join.granule_checks += checks
+                join.granule_hits += hits
+                join.plan[id(entry)] = pages
+                if pages:
+                    effective.append(CheckEntry(entry.a, entry.b, pages))
+            clock.advance(self.cost_model.granule_check * join.granule_checks,
+                          CostCategory.COARSE_FILTER)
+            resolvable = effective
+        join.needed = bitmaps_needed(resolvable)
+        return join
+
     def _charge_bitmap_round(self, needed: Set[Tuple[int, int, int, str]],
                              master_clock: VirtualClock) -> Set[int]:
         """Message accounting for the bitmap retrieval round: one request
@@ -929,73 +841,26 @@ class RaceDetector:
                                        a_write_b_read=awbr))
         return out, checks, hits
 
-    def _compare_entry(self, entry: CheckEntry, epoch: int,
-                       master_clock: VirtualClock,
-                       failed_owners: Set[int] = frozenset(),
-                       pages: Optional[List[OverlapPage]] = None
-                       ) -> List[RaceReport]:
-        races: List[RaceReport] = []
-        a, b = entry.a, entry.b
-        if failed_owners and (a.pid in failed_owners
-                              or b.pid in failed_owners):
+    def _compare_entry(self, entry: CheckEntry, pages: List[OverlapPage],
+                       epoch: int, master_clock: VirtualClock,
+                       failed_owners: Set[int]) -> List[RaceReport]:
+        if failed_owners and (entry.a.pid in failed_owners
+                              or entry.b.pid in failed_owners):
             # Word bitmaps for one side never arrived: degrade this entry
-            # to explicit page-granularity reports rather than dropping it.
+            # to explicit page-granularity reports rather than dropping it
+            # — the affected range is never silently lost (ROADMAP
+            # robustness goal; compare Butelle & Coti's requirement that
+            # detection metadata survive an unreliable substrate).
             # Deliberately over the *unfiltered* pages: with the exchange
             # failed, the conservative page-granularity report matches
             # what the filter-off detector would emit.
-            for ov in entry.pages:
-                races.extend(self._report_page_granularity(
-                    entry, ov, epoch))
+            races = self._first_seen(self._page_candidates(entry, epoch))
+            self.stats.page_granularity_reports += len(races)
             return races
-        for ov in (entry.pages if pages is None else pages):
-            if ov.write_write:
-                races.extend(self._intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.WRITE_WRITE, epoch, master_clock))
-            if ov.a_read_b_write:
-                races.extend(self._intersect(
-                    a, "read", a.read_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, master_clock))
-            if ov.a_write_b_read:
-                races.extend(self._intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "read", b.read_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, master_clock))
-        return races
-
-    def _report_page_granularity(self, entry: CheckEntry, ov,
-                                 epoch: int) -> List[RaceReport]:
-        """Conservative fallback for a check-list page whose word bitmaps
-        could not be retrieved: report the *whole page* as potentially
-        racy, explicitly flagged ``granularity="page"`` — the affected
-        range is never silently dropped (ROADMAP robustness goal; compare
-        Butelle & Coti's requirement that detection metadata survive an
-        unreliable substrate)."""
-        a, b = entry.a, entry.b
-        combos = []
-        if ov.write_write:
-            combos.append(("write", "write", RaceKind.WRITE_WRITE))
-        if ov.a_read_b_write:
-            combos.append(("read", "write", RaceKind.READ_WRITE))
-        if ov.a_write_b_read:
-            combos.append(("write", "read", RaceKind.READ_WRITE))
-        races: List[RaceReport] = []
-        addr = ov.page * self.page_size_words
-        for a_access, b_access, kind in combos:
-            report = RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=ov.page, offset=0, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                granularity="page")
-            key = report.key()
-            if key not in self._seen_keys:
-                self._seen_keys.add(key)
-                self.stats.page_granularity_reports += 1
-                races.append(report)
-        return races
+        comparisons, candidates = self._word_candidates(entry, pages, epoch,
+                                                        master_clock)
+        self.stats.bitmap_comparisons += comparisons
+        return self._first_seen(candidates)
 
     def _report_unverifiable(self, entry: CheckEntry,
                              epoch: int) -> List[RaceReport]:
@@ -1006,63 +871,106 @@ class RaceDetector:
         explicit ``verdict="unverifiable"`` page-granularity entries naming
         the lost interval(s) — soundness of the degraded detector means
         never dropping a check silently."""
-        a, b = entry.a, entry.b
-        pair_key = tuple(sorted([(a.pid, a.index), (b.pid, b.index)]))
+        pair_key, candidates = self._unverifiable_candidates(entry, epoch)
         if pair_key not in self._unverifiable_pair_keys:
             self._unverifiable_pair_keys.add(pair_key)
             self.stats.unverifiable_pairs += 1
-        lost = tuple(f"P{rec.pid}:{rec.index}"
-                     for rec in sorted((a, b), key=lambda r: (r.pid, r.index))
-                     if rec.lost)
-        combos = []
-        races: List[RaceReport] = []
+        races = self._first_seen(candidates)
+        self.stats.unverifiable_reports += len(races)
+        return races
+
+    def _first_seen(self, candidates: List[RaceReport]) -> List[RaceReport]:
+        """First-occurrence dedup across epochs (``RaceReport.key()``
+        deliberately excludes the epoch)."""
+        fresh: List[RaceReport] = []
+        for report in candidates:
+            key = report.key()
+            if key not in self._seen_keys:
+                self._seen_keys.add(key)
+                fresh.append(report)
+        return fresh
+
+    def _word_candidates(self, entry: CheckEntry, pages: List[OverlapPage],
+                         epoch: int, clock: VirtualClock
+                         ) -> Tuple[int, List[RaceReport]]:
+        """Step 5 for one entry, before the dedup: one bitmap comparison
+        per access-kind combination of ``pages``; returns ``(comparisons,
+        reports)``, one report per common word."""
+        a, b = entry.a, entry.b
+        comparisons = 0
+        found: List[RaceReport] = []
+        for ov in pages:
+            page = ov.page
+            if ov.write_write:
+                comparisons += 1
+                self._intersect(
+                    found, a, "write", a.write_bitmaps.get(page),
+                    b, "write", b.write_bitmaps.get(page),
+                    page, RaceKind.WRITE_WRITE, epoch, clock)
+            if ov.a_read_b_write:
+                comparisons += 1
+                self._intersect(
+                    found, a, "read", a.read_bitmaps.get(page),
+                    b, "write", b.write_bitmaps.get(page),
+                    page, RaceKind.READ_WRITE, epoch, clock)
+            if ov.a_write_b_read:
+                comparisons += 1
+                self._intersect(
+                    found, a, "write", a.write_bitmaps.get(page),
+                    b, "read", b.read_bitmaps.get(page),
+                    page, RaceKind.READ_WRITE, epoch, clock)
+        return comparisons, found
+
+    def _intersect(self, found: List[RaceReport], a: Interval, a_access: str,
+                   bm_a: Optional[Bitmap], b: Interval, b_access: str,
+                   bm_b: Optional[Bitmap], page: int, kind: RaceKind,
+                   epoch: int, clock: VirtualClock) -> None:
+        """One bitmap comparison, charged to ``clock``; absent bitmaps are
+        empty (this is where §6.5's diff-derived write detection silently
+        loses same-value overwrites: the diff produced no bits)."""
+        clock.advance(
+            self.cost_model.bitmap_compare_per_word * self.page_size_words,
+            CostCategory.BITMAPS)
+        bm_a = bm_a or self._empty
+        bm_b = bm_b or self._empty
+        for bit in bm_a.intersection_bits(bm_b):
+            addr = page * self.page_size_words + bit
+            found.append(RaceReport(
+                kind=kind, addr=addr, symbol=self.symbol_for(addr),
+                page=page, offset=bit, epoch=epoch,
+                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
+                b=IntervalRef(b.pid, b.index, b_access, b.sync_label)))
+
+    def _page_candidates(self, entry: CheckEntry, epoch: int,
+                         **verdict: Any) -> List[RaceReport]:
+        """Whole-page reports, flagged ``granularity="page"``, for every
+        combination of ``entry``'s pages whose bitmaps cannot be had."""
+        a, b = entry.a, entry.b
+        reports: List[RaceReport] = []
         for ov in entry.pages:
-            combos.clear()
+            addr = ov.page * self.page_size_words
+            combos = []
             if ov.write_write:
                 combos.append(("write", "write", RaceKind.WRITE_WRITE))
             if ov.a_read_b_write:
                 combos.append(("read", "write", RaceKind.READ_WRITE))
             if ov.a_write_b_read:
                 combos.append(("write", "read", RaceKind.READ_WRITE))
-            addr = ov.page * self.page_size_words
             for a_access, b_access, kind in combos:
-                report = RaceReport(
+                reports.append(RaceReport(
                     kind=kind, addr=addr, symbol=self.symbol_for(addr),
                     page=ov.page, offset=0, epoch=epoch,
                     a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
                     b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                    granularity="page", verdict="unverifiable",
-                    lost_intervals=lost)
-                key = report.key()
-                if key not in self._seen_keys:
-                    self._seen_keys.add(key)
-                    self.stats.unverifiable_reports += 1
-                    races.append(report)
-        return races
+                    granularity="page", **verdict))
+        return reports
 
-    def _intersect(self, a: Interval, a_access: str, bm_a: Optional[Bitmap],
-                   b: Interval, b_access: str, bm_b: Optional[Bitmap],
-                   page: int, kind: RaceKind, epoch: int,
-                   master_clock: VirtualClock) -> List[RaceReport]:
-        """One bitmap comparison; absent bitmaps are empty (this is where
-        §6.5's diff-derived write detection silently loses same-value
-        overwrites: the diff produced no bits)."""
-        self.stats.bitmap_comparisons += 1
-        master_clock.advance(
-            self.cost_model.bitmap_compare_per_word * self.page_size_words,
-            CostCategory.BITMAPS)
-        bm_a = bm_a or self._empty
-        bm_b = bm_b or self._empty
-        races: List[RaceReport] = []
-        for bit in bm_a.intersection_bits(bm_b):
-            addr = page * self.page_size_words + bit
-            report = RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=page, offset=bit, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label))
-            key = report.key()
-            if key not in self._seen_keys:
-                self._seen_keys.add(key)
-                races.append(report)
-        return races
+    def _unverifiable_candidates(self, entry: CheckEntry, epoch: int
+                                 ) -> Tuple[Tuple, List[RaceReport]]:
+        """``(pair key, reports)`` of an entry touching a lost interval."""
+        sides = sorted((entry.a, entry.b), key=lambda r: (r.pid, r.index))
+        lost = tuple(f"P{rec.pid}:{rec.index}" for rec in sides if rec.lost)
+        return (tuple((rec.pid, rec.index) for rec in sides),
+                self._page_candidates(entry, epoch, verdict="unverifiable",
+                                      lost_intervals=lost))
+

@@ -33,8 +33,8 @@ class DsmConfig:
             bitmaps, no barrier analysis) — the baseline for slowdowns.
         first_races_only: Report only races from the earliest barrier
             epoch that has any (§6.4 extension).
-        detector_fast_path: Use the pruned pair search plus the inverted
-            page index as the detection execution engine (default).  The
+        detector_fast_path: Use the pruned pair search plus the bit-parallel
+            page-index join as the detection execution engine (default).  The
             race verdicts, detector statistics, and virtual-time ledgers
             are identical to the reference engine — the naive algorithm's
             cost is still charged to the master clock analytically — only

@@ -1,5 +1,6 @@
-"""The pruned (binary-search) pair search and the window/index fast-path
-primitives: equivalence with the naive reference, and the savings."""
+"""The pruned (binary-search) pair search and the window-mask / page-index
+fast-path primitives: equivalence with the naive reference, and the
+savings."""
 
 import random
 
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checklist import (build_check_list, build_check_list_fast,
-                                  index_meetings, overlap_work)
+from repro.core.checklist import (PageIndex, build_check_list,
+                                  build_check_list_fast, overlap_work)
 from repro.core.concurrency import (PairSearchStats, find_concurrent_pairs,
                                     find_concurrent_pairs_pruned,
-                                    iter_window_pairs,
-                                    model_comparison_count, scan_windows)
+                                    model_comparison_count, pair_blocks)
 from repro.dsm.interval import Interval
 from repro.dsm.vector_clock import VectorClock
 
@@ -104,15 +104,17 @@ def test_scan_windows_aggregates_match_naive(seed):
     naive_stats = PairSearchStats()
     naive_pairs = list(find_concurrent_pairs(intervals, naive_stats))
     stats = PairSearchStats()
-    pair_count, probe_work, windows = scan_windows(intervals, stats)
-    assert pair_count == naive_stats.concurrent_pairs
+    index = PageIndex(intervals)
+    conc, probe_work = index.scan(pair_blocks(index.by_pid), stats)
     assert stats.concurrent_pairs == naive_stats.concurrent_pairs
-    assert stats.intervals == naive_stats.intervals
     assert probe_work == sum(overlap_work(a, b) for a, b in naive_pairs)
-    # Windows expand to the identical pair sequence, order included.
-    assert [((a.pid, a.index), (b.pid, b.index))
-            for a, b in iter_window_pairs(windows)] == \
-           [((a.pid, a.index), (b.pid, b.index)) for a, b in naive_pairs]
+    # The window masks hold exactly the naive pairs, higher pid on the
+    # bit side.
+    assert sorted(((a.pid, a.index), (index.recs[o].pid, index.recs[o].index))
+                  for a, mask in zip(index.recs, conc)
+                  for o in range(mask.bit_length()) if mask >> o & 1) == \
+           sorted(((a.pid, a.index), (b.pid, b.index))
+                  for a, b in naive_pairs)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -134,22 +136,6 @@ def test_indexed_check_list_matches_reference_property(seed, nprocs, per_proc):
         find_concurrent_pairs(intervals, PairSearchStats()))
     fast = build_check_list_fast(intervals)
     assert [entry_key(e) for e in fast] == [entry_key(e) for e in reference]
-
-
-def test_index_meetings_bounds_index_work():
-    """The estimator counts every writer/writer and writer/reader page
-    meeting the index build can generate."""
-    intervals = random_epoch(3, nprocs=4, per_proc=8, notices=True)
-    meetings = index_meetings(intervals)
-    assert meetings >= 0
-    # Exact on a hand-built epoch: 2 writers + 1 reader on one page.
-    a = Interval(0, 1, VectorClock([1, 0, 0]), 0, 16)
-    b = Interval(1, 1, VectorClock([0, 1, 0]), 0, 16)
-    c = Interval(2, 1, VectorClock([0, 0, 1]), 0, 16)
-    a.record_write(5, 0)
-    b.record_write(5, 1)
-    c.record_read(5, 2)
-    assert index_meetings([a, b, c]) == 1 + 2  # one w/w pair, two w/r
 
 
 def test_pruned_on_fully_concurrent_epoch():

@@ -57,7 +57,7 @@ def generate_program(seed: int, nprocs: int, phases: int, ops_per_phase: int):
     return program
 
 
-def run_program(program, nprocs, seed):
+def run_program(program, nprocs, seed, **config):
     def app(env):
         base = env.malloc(NWORDS, name="arena")
         env.barrier()
@@ -68,7 +68,7 @@ def run_program(program, nprocs, seed):
 
     return run_app_with_system(
         app, nprocs=nprocs, track_access_trace=True,
-        policy="random", seed=seed)
+        policy="random", seed=seed, **config)
 
 
 def _execute(env, base, op):
@@ -85,9 +85,9 @@ def _execute(env, base, op):
 
 
 def _compare(seed: int, nprocs: int, phases: int, ops: int,
-             sched_seed: int) -> None:
+             sched_seed: int, **config) -> None:
     program = generate_program(seed, nprocs, phases, ops)
-    system, result = run_program(program, nprocs, sched_seed)
+    system, result = run_program(program, nprocs, sched_seed, **config)
     online = online_race_keys(result)
     hb = HappensBeforeDetector(system.store.vc_log)
     oracle = hb.races(result.access_trace)
@@ -107,6 +107,17 @@ def test_online_matches_oracles_random_programs(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_online_matches_oracles_more_processes(seed):
     _compare(seed + 100, nprocs=5, phases=2, ops=5, sched_seed=seed)
+
+
+@pytest.mark.parametrize("config", [dict(coarse_filter=False),
+                                    dict(sharded_detection=True)],
+                         ids=["no-coarse-filter", "sharded"])
+@pytest.mark.parametrize("seed", range(6))
+def test_online_matches_oracles_non_default_cells(seed, config):
+    """The epoch join also serves the filter-off and the sharded cells;
+    the oracle has to agree there, not only under the default config."""
+    _compare(seed + 200, nprocs=4, phases=3, ops=6, sched_seed=seed * 5 + 2,
+             **config)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),
