@@ -3,9 +3,10 @@
 The instrumentation sets one bit per page word accessed (paper §4: "sets a
 bit in a per-page bitmap").  Bitmap comparison — the operation that
 distinguishes false sharing from a true data race — is a constant-time
-bitwise AND over the page's bits.  We store bits in a ``bytearray`` and use
-Python's arbitrary-precision integers for whole-bitmap intersection, which
-is both fast and exact.
+bitwise AND over the page's bits.  We keep a page's bits as one Python
+arbitrary-precision integer (bit ``i`` is word ``i``), so setting a range
+and intersecting two bitmaps are single integer operations; bytes exist
+only where a bitmap leaves the process (:meth:`Bitmap.to_bytes`).
 
 Each bitmap also maintains, incrementally on every mutation, a **coarse
 granule mask**: one bit per :data:`GRANULE_WORDS`-word granule, set when
@@ -126,13 +127,13 @@ def digests_disjoint(a: Digest, b: Digest) -> bool:
 class Bitmap:
     """Fixed-width bitset, one bit per word of a page."""
 
-    __slots__ = ("nbits", "_bytes", "_coarse")
+    __slots__ = ("nbits", "_bits", "_coarse")
 
     def __init__(self, nbits: int):
         if nbits <= 0 or nbits % 8 != 0:
             raise ValueError("nbits must be a positive multiple of 8")
         self.nbits = nbits
-        self._bytes = bytearray(nbits // 8)
+        self._bits = 0
         self._coarse = 0
 
     # ------------------------------------------------------------------ #
@@ -142,17 +143,15 @@ class Bitmap:
         """Set bit ``i`` (word ``i`` of the page was accessed)."""
         if not 0 <= i < self.nbits:
             raise IndexError(f"bit {i} out of range [0, {self.nbits})")
-        self._bytes[i >> 3] |= 1 << (i & 7)
+        self._bits |= 1 << i
         self._coarse |= 1 << (i >> 4)
 
     def set_range(self, start: int, count: int) -> None:
         """Set ``count`` consecutive bits starting at ``start``.
 
-        Used by the range-access fast path: the whole bitmap is OR-ed
-        with a shifted all-ones mask as one arbitrary-precision integer
-        operation (word-at-a-time in the int representation), so tracking
-        a long vector access costs O(bytes) with no per-bit loop — the
-        partial leading/trailing bytes included.
+        Used by the range-access fast path: the bitmap is OR-ed with a
+        shifted all-ones mask, so tracking a long vector access is one
+        integer operation with no per-bit loop.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -163,15 +162,10 @@ class Bitmap:
             raise IndexError(f"range [{start}, {end}) out of [0, {self.nbits})")
         glo = start >> 4
         self._coarse |= ((1 << (((end - 1) >> 4) - glo + 1)) - 1) << glo
-        if count == 1:
-            self._bytes[start >> 3] |= 1 << (start & 7)
-            return
-        merged = (int.from_bytes(self._bytes, "little")
-                  | (((1 << count) - 1) << start))
-        self._bytes[:] = merged.to_bytes(len(self._bytes), "little")
+        self._bits |= ((1 << count) - 1) << start
 
     def clear(self) -> None:
-        self._bytes[:] = bytes(len(self._bytes))
+        self._bits = 0
         self._coarse = 0
 
     # ------------------------------------------------------------------ #
@@ -180,40 +174,28 @@ class Bitmap:
     def test(self, i: int) -> bool:
         if not 0 <= i < self.nbits:
             raise IndexError(f"bit {i} out of range [0, {self.nbits})")
-        return bool(self._bytes[i >> 3] & (1 << (i & 7)))
+        return bool(self._bits >> i & 1)
 
     def any(self) -> bool:
-        return any(self._bytes)
+        return self._bits != 0
 
     def count(self) -> int:
         """Population count."""
-        return int.from_bytes(self._bytes, "little").bit_count()
+        return self._bits.bit_count()
 
     def overlaps(self, other: "Bitmap") -> bool:
         """True if any bit is set in both bitmaps (constant-time in page
         size, as the paper's bitmap comparison)."""
         self._check_width(other)
-        return bool(int.from_bytes(self._bytes, "little")
-                    & int.from_bytes(other._bytes, "little"))
+        return bool(self._bits & other._bits)
 
     def intersection_bits(self, other: "Bitmap") -> List[int]:
         """Indices of bits set in both bitmaps — the racy word offsets."""
         self._check_width(other)
-        inter = (int.from_bytes(self._bytes, "little")
-                 & int.from_bytes(other._bytes, "little"))
-        bits: List[int] = []
-        while inter:
-            low = inter & -inter
-            bits.append(low.bit_length() - 1)
-            inter ^= low
-        return bits
+        return list(_iter_bits(self._bits & other._bits))
 
     def iter_set_bits(self) -> Iterator[int]:
-        value = int.from_bytes(self._bytes, "little")
-        while value:
-            low = value & -value
-            yield low.bit_length() - 1
-            value ^= low
+        return _iter_bits(self._bits)
 
     # ------------------------------------------------------------------ #
     # Encoding / misc.
@@ -221,28 +203,30 @@ class Bitmap:
     @property
     def nbytes(self) -> int:
         """Wire size: one bit per word."""
-        return len(self._bytes)
+        return self.nbits // 8
 
     def to_bytes(self) -> bytes:
-        return bytes(self._bytes)
+        """Little-endian bytes (bit ``i`` is bit ``i & 7`` of byte
+        ``i >> 3``): the wire and checkpoint encoding."""
+        return self._bits.to_bytes(self.nbits // 8, "little")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitmap":
         bm = cls(len(data) * 8)
-        bm._bytes[:] = data
+        bm._bits = int.from_bytes(data, "little")
         bm._coarse = _coarse_of(data)
         return bm
 
     def copy(self) -> "Bitmap":
-        return Bitmap.from_bytes(self._bytes)
+        bm = Bitmap(self.nbits)
+        bm._bits = self._bits
+        bm._coarse = self._coarse
+        return bm
 
     def union_update(self, other: "Bitmap") -> None:
-        """In-place OR (used when merging diff-derived write sets): one
-        big-int OR over the whole page instead of a per-byte loop."""
+        """In-place OR (used when merging diff-derived write sets)."""
         self._check_width(other)
-        merged = (int.from_bytes(self._bytes, "little")
-                  | int.from_bytes(other._bytes, "little"))
-        self._bytes[:] = merged.to_bytes(len(self._bytes), "little")
+        self._bits |= other._bits
         self._coarse |= other._coarse
 
     @property
@@ -257,7 +241,16 @@ class Bitmap:
                 f"bitmap width mismatch: {self.nbits} vs {other.nbits}")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bitmap) and self._bytes == other._bytes
+        return (isinstance(other, Bitmap) and self.nbits == other.nbits
+                and self._bits == other._bits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bitmap(nbits={self.nbits}, set={self.count()})"
+
+
+def _iter_bits(value: int) -> Iterator[int]:
+    """Indices of the set bits of ``value``, ascending."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low

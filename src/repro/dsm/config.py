@@ -40,10 +40,10 @@ class DsmConfig:
             cost is still charged to the master clock analytically — only
             real (Python) wall-clock time differs.  Off = the paper's
             literal O(i²p²) algorithm, kept for equivalence tests.
-        access_fast_path: Use the batched access execution engine in
-            ``Env`` (default): clock advances fused into one pre-summed
-            charge per access, per-configuration bound methods chosen at
-            ``Env.__init__``, and ranges recorded natively down to
+        access_fast_path: Use the production access engine of ``Env``
+            (default): one straight-line path per operation, the clock
+            advance fused into one pre-summed charge written to the ledger
+            slots in line, and ranges recorded natively down to
             ``Bitmap.set_range``.  Virtual-time charges are arithmetically
             identical to the reference engine, so every ledger, statistic
             and artifact is byte-identical — only real (Python) wall-clock

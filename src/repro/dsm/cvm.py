@@ -32,7 +32,7 @@ from repro.dsm.config import DsmConfig
 from repro.dsm.coordinator import (CoordinatorRole, FailoverStats,
                                    ShardingStats, elect_coordinator)
 from repro.dsm.interval import Interval, intervals_unseen_by
-from repro.dsm.memory import SharedSegment
+from repro.dsm.memory import Allocation, SharedSegment
 from repro.dsm.node import IntervalStore, Node
 from repro.dsm.page import PageDirectory
 from repro.dsm.protocol import make_protocol
@@ -54,6 +54,11 @@ from repro.sim.scheduler import Scheduler
 #: Yield to the scheduler after this many shared accesses, so that long
 #: computation phases cannot starve other simulated processes.
 YIELD_EVERY = 512
+
+#: Ledger slots the access engine charges.
+_BASE = CostCategory.BASE.slot
+_PROC_CALL = CostCategory.PROC_CALL.slot
+_ACCESS_CHECK = CostCategory.ACCESS_CHECK.slot
 
 
 @dataclass
@@ -1371,71 +1376,58 @@ class Env:
     def __init__(self, system: CVM, pid: int):
         self.system = system
         self.pid = pid
-        self.config = system.config
-        self.nprocs = system.config.nprocs
+        self.config = config = system.config
+        self.nprocs = config.nprocs
         self._node = system.nodes[pid]
         self._clock = self._node.clock
-        self._cm = system.config.cost_model
-        self._psz = system.config.page_size_words
+        self._cm = cm = config.cost_model
+        self._psz = config.page_size_words
         self._accesses_since_yield = 0
-        # Pre-resolved fast-path facts.
-        self._detect = system.config.detection
-        self._diff_writes = system.config.diff_write_detection
-        self._proc_call = (0.0 if system.config.inline_instrumentation
-                           else self._cm.proc_call)
-        # Tracing and pc-watching are both fixed before run() (the config
-        # is frozen; replay attribution installs its watch on the system
-        # before starting the second run), so _after_access can skip the
-        # per-word dict lookups entirely on the common path.
-        self._trace = system.config.track_access_trace
+        self._detect = config.detection
+        #: §6.5 diff mode dispenses with store instrumentation entirely.
+        self._record_writes = (config.detection
+                               and not config.diff_write_detection)
+        self._proc_call = (0.0 if config.inline_instrumentation
+                           else cm.proc_call)
+        # Tracing, pc-watching and crash injection are all fixed before
+        # run() (the config is frozen; replay attribution installs its
+        # watch on the system before starting the second run).
+        self._trace = config.track_access_trace
         self._watching = system.pc_watch is not None
-        #: Crash injector (None in the default, crash-free configuration —
-        #: the per-access hook then costs one attribute test).
         self._crasher = system._crasher
-        # --- access-engine dispatch (chosen once per configuration) ----- #
-        # Three engines share identical virtual-time arithmetic (every
-        # ledger, bitmap, counter and message is byte-identical across
-        # them; see docs/performance.md):
-        #  * fast (default): fused clock charges via advance_split, bound
-        #    protocol/scheduler attributes, single-page ranges without
-        #    chunk materialization;
-        #  * scalar (access_fast_path=False): the paper's literal per-word
-        #    instrumentation chain, one analysis call per word — the
-        #    reference engine and the old side of bench_endtoend.py;
-        #  * general: tracing, pc-watching or crash injection is active —
-        #    the chunked class-level methods below, which evaluate those
-        #    hooks exactly where the crash/trace semantics require.
-        self._segwords = system.config.segment_words
+        #: Accesses between two visits to the hook tail (_after_access):
+        #: one when any hook is configured, else only when a yield is due.
+        self._tail_every = (1 if self._trace or self._watching
+                            or self._crasher is not None else YIELD_EVERY)
+        self._segwords = config.segment_words
+        self._segment = system.segment
+        #: Bounds-check cache of the range engine: the allocation the last
+        #: range starting on each page fell in, good while the segment's
+        #: generation is the one they were looked up under.
+        self._blocks: Dict[int, Allocation] = {}
+        self._blocks_gen = system.segment.generation
         self._ensure_readable = system.protocol.ensure_readable
         self._ensure_writable = system.protocol.ensure_writable
-        cm = self._cm
-        if self._proc_call:
-            self._instr_parts: Tuple[Tuple[CostCategory, float], ...] = (
-                (CostCategory.BASE, cm.plain_access),
-                (CostCategory.PROC_CALL, self._proc_call),
-                (CostCategory.ACCESS_CHECK, cm.access_check_shared))
-        else:
-            self._instr_parts = (
-                (CostCategory.BASE, cm.plain_access),
-                (CostCategory.ACCESS_CHECK, cm.access_check_shared))
-        total = 0.0
-        for _cat, cycles in self._instr_parts:
-            total += cycles
-        self._instr_total = total
-        general = (self._trace or self._watching
-                   or self._crasher is not None)
-        if not general:
-            if system.config.access_fast_path:
-                self.load = self._load_fast_detect if self._detect \
-                    else self._load_fast_plain
-                self.store = self._store_fast_detect \
-                    if self._detect and not self._diff_writes \
-                    else self._store_fast_plain
-                self.load_range = self._load_range_fast
-                self.store_range = self._store_range_fast
-            else:
-                self.load_range = self._load_range_scalar
-                self.store_range = self._store_range_scalar
+        self._slots = self._clock.ledger.slots
+        # Per-word (BASE, PROC_CALL, ACCESS_CHECK) cycles of a shared read,
+        # a shared write and an instrumented-but-private access.  The
+        # access engine adds them to the clock and the ledger slots
+        # itself, so the ledger's negative-charge check runs here, once.
+        plain = (cm.plain_access, 0.0, 0.0)
+        shared = (cm.plain_access, self._proc_call, cm.access_check_shared)
+        self._read_costs = shared if self._detect else plain
+        self._write_costs = shared if self._record_writes else plain
+        self._private_costs = ((cm.plain_access, self._proc_call,
+                                cm.access_check_private)
+                               if self._detect else plain)
+        for cycles in (*shared, cm.access_check_private, cm.compute_unit):
+            if cycles < 0:
+                raise ValueError(f"negative charge: {cycles}")
+        if not config.access_fast_path:
+            self.load = self._load_scalar
+            self.store = self._store_scalar
+            self.load_range = self._load_range_scalar
+            self.store_range = self._store_range_scalar
 
     # ------------------------------------------------------------------ #
     # Allocation.
@@ -1457,176 +1449,76 @@ class Env:
         return self.system.segment.symbol_for(addr)
 
     # ------------------------------------------------------------------ #
-    # Shared accesses (single word).
+    # Shared accesses: the production engine.  One straight-line path per
+    # operation: bounds check, protocol fault check, one clock advance
+    # with its ledger slots, the interval's bitmap, then the hook tail
+    # when one is due.  The total is summed before it reaches the clock;
+    # every cost-model constant is a dyadic rational far below 2**52, so
+    # float addition over them is exact and ``now`` and each ledger slot
+    # come out bit-identical to the scalar engine's one advance per part.
     # ------------------------------------------------------------------ #
     def load(self, addr: int, site: Optional[str] = None) -> Any:
-        node = self._node
-        if not 0 <= addr < self.config.segment_words:
+        if not 0 <= addr < self._segwords:
             raise SegmentationFault(self.pid, addr)
-        page, off = addr // self._psz, addr % self._psz
-        copy = self.system.protocol.ensure_readable(node, page)
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
+        node = self._node
+        page, off = divmod(addr, self._psz)
+        copy = self._ensure_readable(node, page)
+        base, pc, ac = self._read_costs
+        self._clock.now += base + pc + ac
+        slots = self._slots
+        slots[_BASE] += base
+        slots[_PROC_CALL] += pc
+        slots[_ACCESS_CHECK] += ac
         if self._detect:
             node.shared_instr_calls += 1
-            if self._proc_call:
-                self._clock.advance(self._proc_call, CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_shared,
-                                CostCategory.ACCESS_CHECK)
             node.current.record_read(page, off)
-        self._after_access(addr, 1, False, site)
+        n = self._accesses_since_yield = self._accesses_since_yield + 1
+        if n >= self._tail_every:
+            self._after_access(addr, 1, False, site)
         return copy.data[off]
 
     def store(self, addr: int, value: Any, site: Optional[str] = None) -> None:
-        node = self._node
-        if not 0 <= addr < self.config.segment_words:
+        if not 0 <= addr < self._segwords:
             raise SegmentationFault(self.pid, addr)
-        page, off = addr // self._psz, addr % self._psz
-        copy = self.system.protocol.ensure_writable(node, page, off)
-        copy.data[off] = value
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
-        if self._detect and not self._diff_writes:
-            # §6.5 diff mode dispenses with store instrumentation entirely.
+        node = self._node
+        page, off = divmod(addr, self._psz)
+        self._ensure_writable(node, page, off).data[off] = value
+        base, pc, ac = self._write_costs
+        self._clock.now += base + pc + ac
+        slots = self._slots
+        slots[_BASE] += base
+        slots[_PROC_CALL] += pc
+        slots[_ACCESS_CHECK] += ac
+        if self._record_writes:
             node.shared_instr_calls += 1
-            if self._proc_call:
-                self._clock.advance(self._proc_call, CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_shared,
-                                CostCategory.ACCESS_CHECK)
             node.current.record_write(page, off)
-        self._after_access(addr, 1, True, site)
+        n = self._accesses_since_yield = self._accesses_since_yield + 1
+        if n >= self._tail_every:
+            self._after_access(addr, 1, True, site)
 
-    # ------------------------------------------------------------------ #
-    # Shared accesses (contiguous ranges — the vectorized fast path).
-    # ------------------------------------------------------------------ #
     def load_range(self, addr: int, count: int,
                    site: Optional[str] = None) -> List[Any]:
         if count <= 0:
             return []
-        self.system.segment.check_range(addr, count)
-        out: List[Any] = []
-        node = self._node
-        for page, off, n in self._page_chunks(addr, count):
-            copy = self.system.protocol.ensure_readable(node, page)
-            out.extend(copy.data[off:off + n])
-            if self._detect:
-                node.current.record_read(page, off, n)
-        self._charge_bulk(count, instrumented=self._detect)
-        self._after_access(addr, count, False, site)
-        return out
-
-    def store_range(self, addr: int, values: Sequence[Any],
-                    site: Optional[str] = None) -> None:
-        count = len(values)
-        if count == 0:
-            return
-        self.system.segment.check_range(addr, count)
-        node = self._node
-        taken = 0
-        for page, off, n in self._page_chunks(addr, count):
-            copy = self.system.protocol.ensure_writable(node, page, off)
-            copy.data[off:off + n] = values[taken:taken + n]
-            taken += n
-            if self._detect and not self._diff_writes:
-                node.current.record_write(page, off, n)
-        self._charge_bulk(count,
-                          instrumented=self._detect and not self._diff_writes)
-        self._after_access(addr, count, True, site)
-
-    # ------------------------------------------------------------------ #
-    # Fast engine (default; no trace/watch/crash hooks active): fused
-    # charges, bound attributes, no chunk materialization for the common
-    # single-page range.  Arithmetic is identical to the scalar engine —
-    # see VirtualClock.advance_split for the exactness argument.
-    # ------------------------------------------------------------------ #
-    def _load_fast_detect(self, addr: int,
-                          site: Optional[str] = None) -> Any:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_readable(node, page)
-        node.shared_instr_calls += 1
-        self._clock.advance_split(self._instr_total, self._instr_parts)
-        node.current.record_read(page, off)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-        return copy.data[off]
-
-    def _load_fast_plain(self, addr: int,
-                         site: Optional[str] = None) -> Any:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_readable(node, page)
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-        return copy.data[off]
-
-    def _store_fast_detect(self, addr: int, value: Any,
-                           site: Optional[str] = None) -> None:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_writable(node, page, off)
-        copy.data[off] = value
-        node.shared_instr_calls += 1
-        self._clock.advance_split(self._instr_total, self._instr_parts)
-        node.current.record_write(page, off)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-
-    def _store_fast_plain(self, addr: int, value: Any,
-                          site: Optional[str] = None) -> None:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_writable(node, page, off)
-        copy.data[off] = value
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-
-    def _load_range_fast(self, addr: int, count: int,
-                         site: Optional[str] = None) -> List[Any]:
-        if count <= 0:
-            return []
-        self.system.segment.check_range(addr, count)
         node = self._node
         psz = self._psz
         page, off = divmod(addr, psz)
+        block = self._blocks.get(page)
+        if (block is None or addr < block.addr or addr + count > block.end
+                or self._blocks_gen != self._segment.generation):
+            self._cache_block(page, addr, count)
         n = psz - off
         detect = self._detect
         if count <= n:  # common case: the whole range on one page
-            copy = self._ensure_readable(node, page)
-            out = copy.data[off:off + count]
+            out = self._ensure_readable(node, page).data[off:off + count]
             if detect:
                 node.current.record_read(page, off, count)
         else:
             out = []
             remaining = count
             while True:
-                copy = self._ensure_readable(node, page)
-                take = n if n < remaining else remaining
-                out += copy.data[off:off + take]
+                take = min(n, remaining)
+                out += self._ensure_readable(node, page).data[off:off + take]
                 if detect:
                     node.current.record_read(page, off, take)
                 remaining -= take
@@ -1637,168 +1529,82 @@ class Env:
                 n = psz
         if detect:
             node.shared_instr_calls += count
-            self._charge_bulk_fused(count)
-        else:
-            self._clock.advance(self._cm.plain_access * count,
-                                CostCategory.BASE)
-        self._accesses_since_yield += count
-        if self._accesses_since_yield >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
+        base, pc, ac = self._read_costs
+        base *= count
+        pc *= count
+        ac *= count
+        self._clock.now += base + pc + ac
+        slots = self._slots
+        slots[_BASE] += base
+        slots[_PROC_CALL] += pc
+        slots[_ACCESS_CHECK] += ac
+        n = self._accesses_since_yield = self._accesses_since_yield + count
+        if n >= self._tail_every:
+            self._after_access(addr, count, False, site)
         return out
 
-    def _store_range_fast(self, addr: int, values: Sequence[Any],
-                          site: Optional[str] = None) -> None:
+    def store_range(self, addr: int, values: Sequence[Any],
+                    site: Optional[str] = None) -> None:
         count = len(values)
         if count == 0:
             return
-        self.system.segment.check_range(addr, count)
         node = self._node
         psz = self._psz
         page, off = divmod(addr, psz)
+        block = self._blocks.get(page)
+        if (block is None or addr < block.addr or addr + count > block.end
+                or self._blocks_gen != self._segment.generation):
+            self._cache_block(page, addr, count)
         n = psz - off
-        record = self._detect and not self._diff_writes
+        record = self._record_writes
         if count <= n:  # common case: no slicing of ``values`` at all
-            copy = self._ensure_writable(node, page, off)
-            copy.data[off:off + count] = values
+            self._ensure_writable(node, page, off).data[off:off + count] = \
+                values
             if record:
                 node.current.record_write(page, off, count)
         else:
             taken = 0
-            remaining = count
             while True:
-                copy = self._ensure_writable(node, page, off)
-                take = n if n < remaining else remaining
-                copy.data[off:off + take] = values[taken:taken + take]
+                take = min(n, count - taken)
+                self._ensure_writable(node, page, off).data[
+                    off:off + take] = values[taken:taken + take]
                 if record:
                     node.current.record_write(page, off, take)
                 taken += take
-                remaining -= take
-                if not remaining:
+                if taken == count:
                     break
                 page += 1
                 off = 0
                 n = psz
         if record:
             node.shared_instr_calls += count
-            self._charge_bulk_fused(count)
-        else:
-            self._clock.advance(self._cm.plain_access * count,
-                                CostCategory.BASE)
-        self._accesses_since_yield += count
-        if self._accesses_since_yield >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
+        base, pc, ac = self._write_costs
+        base *= count
+        pc *= count
+        ac *= count
+        self._clock.now += base + pc + ac
+        slots = self._slots
+        slots[_BASE] += base
+        slots[_PROC_CALL] += pc
+        slots[_ACCESS_CHECK] += ac
+        n = self._accesses_since_yield = self._accesses_since_yield + count
+        if n >= self._tail_every:
+            self._after_access(addr, count, True, site)
 
-    # ------------------------------------------------------------------ #
-    # Scalar reference engine (access_fast_path=False): the paper's
-    # literal instrumentation, one full analysis chain per word.  Kept for
-    # the equivalence suite and as the old side of bench_endtoend.py.
-    # ------------------------------------------------------------------ #
-    def _load_range_scalar(self, addr: int, count: int,
-                           site: Optional[str] = None) -> List[Any]:
-        if count <= 0:
-            return []
-        self.system.segment.check_range(addr, count)
-        node = self._node
-        clock = self._clock
-        cm = self._cm
-        detect = self._detect
-        proc_call = self._proc_call
-        ensure = self._ensure_readable
-        psz = self._psz
-        out: List[Any] = []
-        for a in range(addr, addr + count):
-            page, off = a // psz, a % psz
-            copy = ensure(node, page)
-            clock.advance(cm.plain_access, CostCategory.BASE)
-            if detect:
-                node.shared_instr_calls += 1
-                if proc_call:
-                    clock.advance(proc_call, CostCategory.PROC_CALL)
-                clock.advance(cm.access_check_shared,
-                              CostCategory.ACCESS_CHECK)
-                node.current.record_read(page, off)
-            out.append(copy.data[off])
-        self._after_access(addr, count, False, site)
-        return out
-
-    def _store_range_scalar(self, addr: int, values: Sequence[Any],
-                            site: Optional[str] = None) -> None:
-        count = len(values)
-        if count == 0:
-            return
-        self.system.segment.check_range(addr, count)
-        node = self._node
-        clock = self._clock
-        cm = self._cm
-        record = self._detect and not self._diff_writes
-        proc_call = self._proc_call
-        ensure = self._ensure_writable
-        psz = self._psz
-        for i, a in enumerate(range(addr, addr + count)):
-            page, off = a // psz, a % psz
-            copy = ensure(node, page, off)
-            copy.data[off] = values[i]
-            clock.advance(cm.plain_access, CostCategory.BASE)
-            if record:
-                node.shared_instr_calls += 1
-                if proc_call:
-                    clock.advance(proc_call, CostCategory.PROC_CALL)
-                clock.advance(cm.access_check_shared,
-                              CostCategory.ACCESS_CHECK)
-                node.current.record_write(page, off)
-        self._after_access(addr, count, True, site)
-
-    def _page_chunks(self, addr: int, count: int) -> List[Tuple[int, int, int]]:
-        """Split [addr, addr+count) into (page, offset, length) chunks.
-        The common single-page case is computed without looping."""
-        psz = self._psz
-        page, off = addr // psz, addr % psz
-        n = psz - off
-        if count <= n:
-            return [(page, off, count)]
-        chunks = [(page, off, n)]
-        count -= n
-        page += 1
-        while count >= psz:
-            chunks.append((page, 0, psz))
-            page += 1
-            count -= psz
-        if count:
-            chunks.append((page, 0, count))
-        return chunks
-
-    def _charge_bulk(self, count: int, instrumented: bool) -> None:
-        self._clock.advance(self._cm.plain_access * count, CostCategory.BASE)
-        if instrumented:
-            self._node.shared_instr_calls += count
-            if self._proc_call:
-                self._clock.advance(self._proc_call * count,
-                                    CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_shared * count,
-                                CostCategory.ACCESS_CHECK)
-
-    def _charge_bulk_fused(self, count: int) -> None:
-        """Bulk charge for ``count`` instrumented accesses as one fused
-        clock advance; the per-category parts are the same products
-        ``_charge_bulk`` computes, so ledgers come out bit-identical."""
-        cm = self._cm
-        base = cm.plain_access * count
-        acs = cm.access_check_shared * count
-        if self._proc_call:
-            pc = self._proc_call * count
-            self._clock.advance_split(
-                base + pc + acs,
-                ((CostCategory.BASE, base), (CostCategory.PROC_CALL, pc),
-                 (CostCategory.ACCESS_CHECK, acs)))
-        else:
-            self._clock.advance_split(
-                base + acs,
-                ((CostCategory.BASE, base), (CostCategory.ACCESS_CHECK, acs)))
+    def _cache_block(self, page: int, addr: int, count: int) -> None:
+        """Range bounds check on a miss of the block cache: look the
+        allocation up (faulting as this process) and keep it for the next
+        range that starts on ``page``."""
+        segment = self._segment
+        if self._blocks_gen != segment.generation:  # a free() since
+            self._blocks.clear()
+            self._blocks_gen = segment.generation
+        self._blocks[page] = segment.check_range(addr, count, self.pid)
 
     def _after_access(self, addr: int, count: int, is_write: bool,
                       site: Optional[str]) -> None:
+        """The hook tail of an access already counted into
+        ``_accesses_since_yield``: trace, pc-watch, crash point, yield."""
         if self._trace or self._watching:
             system = self.system
             if self._trace:
@@ -1812,10 +1618,81 @@ class Env:
                                      site or "<unknown site>", is_write))
         if self._crasher is not None:
             self.system._maybe_crash(self.pid, "access")
-        self._accesses_since_yield += count
         if self._accesses_since_yield >= YIELD_EVERY:
             self._accesses_since_yield = 0
             self.system.scheduler.yield_control(self.pid)
+
+    # ------------------------------------------------------------------ #
+    # Scalar reference engine (access_fast_path=False): the paper's
+    # literal instrumentation, one analysis call per word and one clock
+    # advance per cost category.  Kept for the equivalence suite and as
+    # the old side of bench_endtoend.py.
+    # ------------------------------------------------------------------ #
+    def _load_word(self, addr: int) -> Any:
+        node = self._node
+        clock = self._clock
+        page, off = divmod(addr, self._psz)
+        copy = self._ensure_readable(node, page)
+        clock.advance(self._cm.plain_access, CostCategory.BASE)
+        if self._detect:
+            node.shared_instr_calls += 1
+            if self._proc_call:
+                clock.advance(self._proc_call, CostCategory.PROC_CALL)
+            clock.advance(self._cm.access_check_shared,
+                          CostCategory.ACCESS_CHECK)
+            node.current.record_read(page, off)
+        return copy.data[off]
+
+    def _store_word(self, addr: int, value: Any) -> None:
+        node = self._node
+        clock = self._clock
+        page, off = divmod(addr, self._psz)
+        self._ensure_writable(node, page, off).data[off] = value
+        clock.advance(self._cm.plain_access, CostCategory.BASE)
+        if self._record_writes:
+            node.shared_instr_calls += 1
+            if self._proc_call:
+                clock.advance(self._proc_call, CostCategory.PROC_CALL)
+            clock.advance(self._cm.access_check_shared,
+                          CostCategory.ACCESS_CHECK)
+            node.current.record_write(page, off)
+
+    def _load_scalar(self, addr: int, site: Optional[str] = None) -> Any:
+        if not 0 <= addr < self._segwords:
+            raise SegmentationFault(self.pid, addr)
+        value = self._load_word(addr)
+        self._accesses_since_yield += 1
+        self._after_access(addr, 1, False, site)
+        return value
+
+    def _store_scalar(self, addr: int, value: Any,
+                      site: Optional[str] = None) -> None:
+        if not 0 <= addr < self._segwords:
+            raise SegmentationFault(self.pid, addr)
+        self._store_word(addr, value)
+        self._accesses_since_yield += 1
+        self._after_access(addr, 1, True, site)
+
+    def _load_range_scalar(self, addr: int, count: int,
+                           site: Optional[str] = None) -> List[Any]:
+        if count <= 0:
+            return []
+        self._segment.check_range(addr, count, self.pid)
+        out = [self._load_word(a) for a in range(addr, addr + count)]
+        self._accesses_since_yield += count
+        self._after_access(addr, count, False, site)
+        return out
+
+    def _store_range_scalar(self, addr: int, values: Sequence[Any],
+                            site: Optional[str] = None) -> None:
+        count = len(values)
+        if count == 0:
+            return
+        self._segment.check_range(addr, count, self.pid)
+        for a, value in zip(range(addr, addr + count), values):
+            self._store_word(a, value)
+        self._accesses_since_yield += count
+        self._after_access(addr, count, True, site)
 
     # ------------------------------------------------------------------ #
     # Private work (instrumented-but-private accesses, pure compute).
@@ -1827,20 +1704,24 @@ class Env:
         dominate the runtime calls to the analysis routines."""
         if count <= 0:
             return
-        self._clock.advance(self._cm.plain_access * count, CostCategory.BASE)
         if self._detect:
             self._node.private_instr_calls += count
-            if self._proc_call:
-                self._clock.advance(self._proc_call * count,
-                                    CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_private * count,
-                                CostCategory.ACCESS_CHECK)
+        base, pc, ac = self._private_costs
+        base *= count
+        pc *= count
+        ac *= count
+        self._clock.now += base + pc + ac
+        slots = self._slots
+        slots[_BASE] += base
+        slots[_PROC_CALL] += pc
+        slots[_ACCESS_CHECK] += ac
 
     def compute(self, units: float) -> None:
         """Charge pure computation (uninstrumented work)."""
         if units > 0:
-            self._clock.advance(self._cm.compute_unit * units,
-                                CostCategory.BASE)
+            cycles = self._cm.compute_unit * units
+            self._clock.now += cycles
+            self._slots[_BASE] += cycles
 
     def pause(self, times: int = 1) -> None:
         """Yield to the scheduler ``times`` times — models local work long

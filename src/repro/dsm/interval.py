@@ -67,7 +67,8 @@ class Interval:
                      bitmap: bool = True) -> None:
         """Record ``count`` consecutive written words on ``page`` starting
         at word ``offset``."""
-        self._check_open()
+        if self.closed:
+            raise ValueError(f"interval {self!r} is closed")
         self.write_pages.add(page)
         if bitmap:
             bm = self.write_bitmaps.get(page)
@@ -81,7 +82,8 @@ class Interval:
     def record_read(self, page: int, offset: int, count: int = 1,
                     bitmap: bool = True) -> None:
         """Record ``count`` consecutive read words on ``page``."""
-        self._check_open()
+        if self.closed:
+            raise ValueError(f"interval {self!r} is closed")
         self.read_pages.add(page)
         if bitmap:
             bm = self.read_bitmaps.get(page)
@@ -112,10 +114,6 @@ class Interval:
     def close(self) -> None:
         """Freeze the interval at the release/acquire that ends it."""
         self.closed = True
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise ValueError(f"interval {self!r} is closed")
 
     # ------------------------------------------------------------------ #
     # Ordering.

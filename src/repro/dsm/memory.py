@@ -11,7 +11,7 @@ address into ``variable + offset``, the "reference identification" of §6.1.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AllocationError, SegmentationFault
@@ -24,10 +24,12 @@ class Allocation:
     name: str
     addr: int
     nwords: int
+    #: One past the block's last word (stored: the access layer's bounds
+    #: check reads it on every range access).
+    end: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def end(self) -> int:
-        return self.addr + self.nwords
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "end", self.addr + self.nwords)
 
 
 class SharedSegment:
@@ -45,6 +47,9 @@ class SharedSegment:
         self._alloc_starts: List[int] = []
         self._by_name: Dict[str, Allocation] = {}
         self._anon_counter = 0
+        #: Bumped by every :meth:`free`; a cached :class:`Allocation` is
+        #: good for as long as the generation it was looked up under.
+        self.generation = 0
 
     # ------------------------------------------------------------------ #
     # Allocation.
@@ -99,6 +104,7 @@ class SharedSegment:
         del self._by_name[alloc.name]
         bisect.insort(self._free, (alloc.addr, alloc.nwords))
         self._coalesce()
+        self.generation += 1
 
     def _coalesce(self) -> None:
         merged: List[Tuple[int, int]] = []
@@ -112,23 +118,25 @@ class SharedSegment:
     # ------------------------------------------------------------------ #
     # Lookup.
     # ------------------------------------------------------------------ #
-    def block_of(self, addr: int) -> Allocation:
+    def block_of(self, addr: int, pid: int = -1) -> Allocation:
         """The allocation containing ``addr``; raises
-        :class:`SegmentationFault` (pid -1, resolved by callers) if none."""
+        :class:`SegmentationFault` on behalf of process ``pid`` if none."""
         pos = bisect.bisect_right(self._alloc_starts, addr) - 1
         if pos >= 0:
             alloc = self._allocs[pos]
             if alloc.addr <= addr < alloc.end:
                 return alloc
-        raise SegmentationFault(-1, addr)
+        raise SegmentationFault(pid, addr)
 
-    def check_range(self, addr: int, nwords: int) -> None:
-        """Validate that [addr, addr+nwords) lies inside one allocation."""
-        alloc = self.block_of(addr)
+    def check_range(self, addr: int, nwords: int, pid: int = -1) -> Allocation:
+        """Validate that [addr, addr+nwords) lies inside one allocation
+        (raising on behalf of process ``pid``) and return it."""
+        alloc = self.block_of(addr, pid)
         if addr + nwords > alloc.end:
             raise SegmentationFault(
-                -1, addr + nwords - 1,
+                pid, addr + nwords - 1,
                 f"range runs off the end of {alloc.name!r}")
+        return alloc
 
     def symbol_for(self, addr: int) -> str:
         """Human-readable ``name[+offset]`` for an address, or the raw

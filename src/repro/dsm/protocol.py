@@ -64,9 +64,11 @@ class Protocol:
     # Fault entry points (called by the access layer before any access).
     # ------------------------------------------------------------------ #
     def ensure_readable(self, node: Node, page_id: int) -> PageCopy:
-        copy = node.page_copy(page_id)
-        if copy.valid:
-            return copy
+        copy = node.pages.get(page_id)
+        if copy is None:
+            copy = node.page_copy(page_id)
+        elif copy.state is not PageState.INVALID and copy.data is not None:
+            return copy  # valid: the per-access path, no further call
         self.faults_read += 1
         self._fetch_page(node, copy)
         copy.state = PageState.READ_ONLY
@@ -75,8 +77,10 @@ class Protocol:
     def ensure_writable(self, node: Node, page_id: int, offset: int) -> PageCopy:
         """Make the page locally writable, recording the page in the current
         interval's write set (the write notice) on the faulting transition."""
-        copy = node.page_copy(page_id)
-        if copy.state is PageState.WRITABLE:
+        copy = node.pages.get(page_id)
+        if copy is None:
+            copy = node.page_copy(page_id)
+        elif copy.state is PageState.WRITABLE:
             return copy
         fetched = False
         if not copy.valid:

@@ -113,5 +113,5 @@ def time_detection(epochs: List[CapturedEpoch], page_size_words: int,
     return DetectionTiming(
         label=label, fast_path=fast_path, sample=sample,
         races=list(detector.races), stats=detector.stats,
-        clock_now=clock.now, ledger_totals=dict(clock.ledger.totals),
+        clock_now=clock.now, ledger_totals=clock.ledger.totals,
         actual_comparisons=detector.actual_comparisons)

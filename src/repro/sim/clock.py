@@ -23,12 +23,13 @@ class VirtualClock:
     within the model, base time is exactly total time minus tagged overhead.
     """
 
-    __slots__ = ("now", "ledger")
+    __slots__ = ("now", "ledger", "_slots")
 
     def __init__(self) -> None:
         #: Current virtual time in cycles.
         self.now: float = 0.0
         self.ledger = CostLedger()
+        self._slots = self.ledger.slots
 
     def advance(self, cycles: float, category: CostCategory = CostCategory.BASE) -> float:
         """Advance the clock by ``cycles``, attributing them to ``category``.
@@ -38,7 +39,7 @@ class VirtualClock:
         if cycles < 0:
             raise ValueError(f"cannot advance clock by negative cycles ({cycles})")
         self.now += cycles
-        self.ledger.charge(category, cycles)
+        self._slots[category.slot] += cycles
         return self.now
 
     def advance_split(self, total: float, parts) -> float:
@@ -46,19 +47,21 @@ class VirtualClock:
         attributing the charge per category via ``parts`` — an iterable of
         ``(category, cycles)`` pairs whose cycles sum to ``total``.
 
-        This is the fused-charge entry point of the access fast path: a
-        detected shared access makes one ``advance_split`` call instead of
-        three ``advance`` calls.  Because every cost-model constant is a
-        dyadic rational far below 2**52, float addition over them is exact
-        and associative here, so ``now`` and every per-category ledger
-        total come out bit-identical to the sequential-advance chain.
+        One call in place of one ``advance`` per part.  Because every
+        cost-model constant is a dyadic rational far below 2**52, float
+        addition over them is exact and associative here, so ``now`` and
+        every per-category ledger total come out bit-identical to the
+        sequential-advance chain.  (``Env`` applies the same fusion to
+        ``now`` and ``ledger.slots`` in line, without the call.)
         """
         if total < 0:
             raise ValueError(f"cannot advance clock by negative cycles ({total})")
         self.now += total
-        charge = self.ledger.charge
+        slots = self._slots
         for category, cycles in parts:
-            charge(category, cycles)
+            if cycles < 0:
+                raise ValueError(f"negative charge: {cycles}")
+            slots[category.slot] += cycles
         return self.now
 
     def wait_until(self, t: float) -> float:

@@ -27,46 +27,53 @@ not meaningful — only ratios are.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, List
 
 
 class CostCategory(enum.Enum):
-    """Tag attached to every virtual-time charge."""
+    """Tag attached to every virtual-time charge.
+
+    A member is declared as ``value`` or ``(value, paper)``.  ``paper``
+    marks the paper's Figure 3 categories.  The robustness and engine
+    categories added since are overhead too, but ``paper=False`` keeps
+    them out of :data:`OVERHEAD_CATEGORIES`, so every table and figure
+    regenerated with their feature off (the default) stays byte-identical.
+    ``slot`` is the member's index in :attr:`CostLedger.slots`.
+    """
+
+    def __new__(cls, value: str, paper: bool = False):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.slot = len(cls.__members__)
+        member.paper = paper
+        return member
 
     #: Application computation and base (unmodified-CVM) protocol work.
     BASE = "base"
     #: Race-detection data-structure management + read-notice bandwidth.
-    CVM_MODS = "cvm_mods"
+    CVM_MODS = ("cvm_mods", True)
     #: Procedure-call overhead of instrumentation stubs.
-    PROC_CALL = "proc_call"
+    PROC_CALL = ("proc_call", True)
     #: Shared/private classification + bitmap bit set.
-    ACCESS_CHECK = "access_check"
+    ACCESS_CHECK = ("access_check", True)
     #: Concurrent-interval comparison at barriers.
-    INTERVALS = "intervals"
+    INTERVALS = ("intervals", True)
     #: Extra bitmap round + bitmap comparison.
-    BITMAPS = "bitmaps"
+    BITMAPS = ("bitmaps", True)
     #: Retransmissions, retry timeouts and acks of the reliable channel
-    #: (:mod:`repro.net.reliable`) on a lossy network.  Not one of the
-    #: paper's Figure 3 categories — the prototype ran over bare UDP — so
-    #: it is deliberately *not* in :data:`OVERHEAD_CATEGORIES`: tables and
-    #: figures regenerated with faults disabled stay byte-identical.
+    #: (:mod:`repro.net.reliable`) on a lossy network; the prototype ran
+    #: over bare UDP.
     RETRANSMIT = "retransmit"
     #: Crash-fault tolerance: barrier checkpoints, death-declaration
     #: timeouts, recovery traffic, checkpoint restores and the deterministic
     #: re-execution of lost work (:mod:`repro.sim.crash`,
-    #: :mod:`repro.dsm.checkpoint`).  Like RETRANSMIT it lies outside the
-    #: paper's taxonomy and outside :data:`OVERHEAD_CATEGORIES`, so with
-    #: crashes and checkpointing disabled (the default) every regenerated
-    #: table and figure stays byte-identical.
+    #: :mod:`repro.dsm.checkpoint`).
     RECOVERY = "recovery"
     #: Master failover: coordinator-state journaling at barriers, the
     #: election round after the coordinator dies, detection-state migration
     #: to the new coordinator and the re-solicitation of in-flight interval
-    #: metadata from survivors (:mod:`repro.dsm.coordinator`).  Like
-    #: RETRANSMIT and RECOVERY it lies outside the paper's taxonomy and
-    #: outside :data:`OVERHEAD_CATEGORIES`, so with failover disabled (the
-    #: default) every regenerated table and figure stays byte-identical.
+    #: metadata from survivors (:mod:`repro.dsm.coordinator`).
     FAILOVER = "failover"
     #: Sharded epoch detection (``--sharded-detection``): the shard-
     #: assignment broadcast, partner interval-record fetches, owner-side
@@ -74,10 +81,6 @@ class CostCategory(enum.Enum):
     #: coordinator.  The *comparison work itself* stays in the paper's
     #: INTERVALS/BITMAPS categories (it merely moves to the shard owners'
     #: clocks); only the distribution protocol's traffic is priced here.
-    #: Like RETRANSMIT, RECOVERY and FAILOVER it lies outside the paper's
-    #: taxonomy and outside :data:`OVERHEAD_CATEGORIES`, so with sharding
-    #: disabled (the default) every regenerated table and figure stays
-    #: byte-identical.
     SHARDED_DETECT = "sharded_detect"
     #: Two-phase record mode (``--mode record``): appending one
     #: synchronization-order entry (lock grant, barrier arrival, message
@@ -85,19 +88,14 @@ class CostCategory(enum.Enum):
     #: file at the end of the run.  This is the *online* cost of the
     #: record/detect-offline pipeline (Ronsse & De Bosschere's
     #: non-intrusive record phase); the detector's full cost moves to the
-    #: offline replay run.  Like RETRANSMIT, RECOVERY, FAILOVER and
-    #: SHARDED_DETECT it lies outside the paper's taxonomy and outside
-    #: :data:`OVERHEAD_CATEGORIES`, so with record mode off (the default)
-    #: every regenerated table and figure stays byte-identical.
+    #: offline replay run.
     RECORD = "record"
     #: Two-level detection filter (``--coarse-filter``): the coarse-digest
     #: bytes piggy-backed on interval records and the granule pre-checks
     #: that prove most page-overlapping pairs race-free before any bitmap
     #: is fetched.  The savings land in the BITMAPS (centralized) and
     #: SHARDED_DETECT (shard owners) categories as *fewer* fetches and
-    #: comparisons; the filter's own cost is priced here, outside
-    #: :data:`OVERHEAD_CATEGORIES`, so with the filter disabled every
-    #: regenerated table and figure stays byte-identical.
+    #: comparisons; the filter's own cost is priced here.
     COARSE_FILTER = "coarse_filter"
 
     @property
@@ -105,17 +103,9 @@ class CostCategory(enum.Enum):
         return self is not CostCategory.BASE
 
 
-#: Categories whose charges are race-detection overhead, in Figure 3 order.
-#: RETRANSMIT, RECOVERY and FAILOVER are excluded: they are robustness
-#: overhead (network, node and coordinator layer respectively) outside the
-#: paper's taxonomy, reported separately (see docs/robustness.md).
-OVERHEAD_CATEGORIES = (
-    CostCategory.CVM_MODS,
-    CostCategory.PROC_CALL,
-    CostCategory.ACCESS_CHECK,
-    CostCategory.INTERVALS,
-    CostCategory.BITMAPS,
-)
+#: The paper's race-detection overhead categories, in Figure 3 order.  The
+#: ``paper=False`` ones are reported separately (see docs/robustness.md).
+OVERHEAD_CATEGORIES = tuple(cat for cat in CostCategory if cat.paper)
 
 
 @dataclass
@@ -232,26 +222,38 @@ class CostModel:
         return self.msg_latency + self.cycles_per_byte * nbytes
 
 
-@dataclass
 class CostLedger:
-    """Per-process accumulator of charges, keyed by :class:`CostCategory`."""
+    """Per-process accumulator of charges, one float per
+    :class:`CostCategory` at index ``category.slot`` of :attr:`slots`.
 
-    totals: Dict[CostCategory, float] = field(
-        default_factory=lambda: {cat: 0.0 for cat in CostCategory}
-    )
+    :class:`~repro.sim.clock.VirtualClock` and the ``Env`` access engine
+    add to ``slots`` directly on the per-access path; everything else goes
+    through :meth:`charge` and reads :attr:`totals`.
+    """
+
+    __slots__ = ("slots",)
+
+    def __init__(self) -> None:
+        self.slots: List[float] = [0.0] * len(CostCategory)
 
     def charge(self, category: CostCategory, cycles: float) -> None:
         if cycles < 0:
             raise ValueError(f"negative charge: {cycles}")
-        self.totals[category] += cycles
+        self.slots[category.slot] += cycles
+
+    @property
+    def totals(self) -> Dict[CostCategory, float]:
+        """Charges by category, in enum order — a snapshot: writing to the
+        returned dict does not move the ledger."""
+        return dict(zip(CostCategory, self.slots))
 
     @property
     def base(self) -> float:
-        return self.totals[CostCategory.BASE]
+        return self.slots[CostCategory.BASE.slot]
 
     @property
     def overhead(self) -> float:
-        return sum(self.totals[cat] for cat in OVERHEAD_CATEGORIES)
+        return sum(self.slots[cat.slot] for cat in OVERHEAD_CATEGORIES)
 
     @property
     def total(self) -> float:
@@ -260,8 +262,9 @@ class CostLedger:
     def merge(self, other: "CostLedger") -> None:
         """Add another ledger's charges into this one (used for system-wide
         aggregation by the harness)."""
-        for cat, cycles in other.totals.items():
-            self.totals[cat] += cycles
+        slots = self.slots
+        for slot, cycles in enumerate(other.slots):
+            slots[slot] += cycles
 
     def breakdown(self) -> Dict[str, float]:
         """Overhead per category as a fraction of *base* time.
@@ -273,4 +276,5 @@ class CostLedger:
         base = self.base
         if base <= 0:
             return {cat.value: 0.0 for cat in OVERHEAD_CATEGORIES}
-        return {cat.value: self.totals[cat] / base for cat in OVERHEAD_CATEGORIES}
+        return {cat.value: self.slots[cat.slot] / base
+                for cat in OVERHEAD_CATEGORIES}

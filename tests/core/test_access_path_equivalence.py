@@ -81,8 +81,8 @@ def test_batched_matches_scalar_under_faults():
 
 
 def test_batched_matches_scalar_under_crashes():
-    """Crash configs run the general engine on the fast side too (the
-    crasher hook needs per-chunk control); verdicts must not move."""
+    """Crash configs evaluate a crash point in the hook tail of every
+    access call, on both engines alike; verdicts must not move."""
     fast, ref = paired_runs("water", crash_rate=0.01, crash_seed=7,
                             checkpoint=True)
     assert_equivalent(fast, ref)
@@ -90,7 +90,7 @@ def test_batched_matches_scalar_under_crashes():
 
 
 def test_fused_charge_decomposition_matches():
-    """The fused advance_split attributes exactly what the scalar chain
+    """The fused in-line charge attributes exactly what the scalar chain
     attributes, category by category."""
     fast, ref = paired_runs("sor")
     for cat in (CostCategory.BASE, CostCategory.PROC_CALL,

@@ -1,10 +1,14 @@
 """Word-granularity bitmaps, validated against a Python-set reference."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bitmap import Bitmap
+from repro.core.bitmap import (BLOOM_SPARSE_MAX, DIGEST_MAX_BITS,
+                               GRANULE_WORDS, Bitmap, bloom_word_mask,
+                               coarse_digest)
 
 WIDTH = 64
 indices = st.integers(min_value=0, max_value=WIDTH - 1)
@@ -240,3 +244,126 @@ def test_overlaps_after_range_fill(bits, spec):
     covered = set(range(start, start + count))
     assert a.overlaps(from_set(bits)) == bool(covered & bits)
     assert a.intersection_bits(from_set(bits)) == sorted(covered & bits)
+
+
+# ---------------------------------------------------------------------- #
+# Seeded model test: the int-backed Bitmap against a bytearray reference
+# that stores and answers everything one bit at a time.
+# ---------------------------------------------------------------------- #
+class ByteModel:
+    def __init__(self, nbits):
+        self.nbits = nbits
+        self.data = bytearray(nbits // 8)
+
+    def set(self, i):
+        self.data[i >> 3] |= 1 << (i & 7)
+
+    def bits(self):
+        return [i for i in range(self.nbits)
+                if self.data[i >> 3] >> (i & 7) & 1]
+
+    def coarse_mask(self):
+        return sum(1 << g for g in {i // GRANULE_WORDS for i in self.bits()})
+
+    def digest(self):
+        """coarse_digest, spelled out: fold the granule mask pairwise to
+        at most DIGEST_MAX_BITS bits; Bloom only for sparse sets."""
+        granules = {i // GRANULE_WORDS for i in self.bits()}
+        ngran = -(-self.nbits // GRANULE_WORDS)
+        while ngran > DIGEST_MAX_BITS:
+            granules = {g // 2 for g in granules}
+            ngran = (ngran + 1) // 2
+        gmask = sum(1 << g for g in granules)
+        if len(self.bits()) > BLOOM_SPARSE_MAX:
+            return (gmask, None)
+        bloom = 0
+        for i in self.bits():
+            bloom |= bloom_word_mask(i)
+        return (gmask, bloom)
+
+
+def _assert_same(bm, model):
+    assert bm.nbits == model.nbits and bm.nbytes == len(model.data)
+    assert bm.to_bytes() == bytes(model.data)
+    assert list(bm.iter_set_bits()) == model.bits()
+    assert bm.count() == len(model.bits())
+    assert bm.any() == bool(model.bits())
+    assert bm.coarse_mask == model.coarse_mask()
+    assert coarse_digest(bm, bm.nbits) == model.digest()
+
+
+def _assert_rejected(bm, model, rng):
+    """Every range/width check, each leaving the bitmap untouched."""
+    n = bm.nbits
+    for bad in (-1, n, n + rng.randrange(1, 100)):
+        with pytest.raises(IndexError):
+            bm.set(bad)
+        with pytest.raises(IndexError):
+            bm.test(bad)
+    for start, count in ((-1, 2), (n - 1, 2), (n, 1), (0, n + 1)):
+        with pytest.raises(IndexError):
+            bm.set_range(start, count)
+    with pytest.raises(ValueError):
+        bm.set_range(0, -1)
+    other = Bitmap(n + 8)
+    for op in (bm.overlaps, bm.intersection_bits, bm.union_update):
+        with pytest.raises(ValueError):
+            op(other)
+    _assert_same(bm, model)
+
+
+@pytest.mark.parametrize("nbits", [8, 64, 1024, 2048])
+@pytest.mark.parametrize("seed", range(4))
+def test_int_backed_bitmap_matches_bytearray_model(nbits, seed):
+    rng = random.Random(1000 * nbits + seed)
+    pairs = [(Bitmap(nbits), ByteModel(nbits)) for _ in range(3)]
+    for _step in range(120):
+        k = rng.randrange(len(pairs))
+        bm, model = pairs[k]
+        other, other_model = pairs[rng.randrange(len(pairs))]
+        op = rng.choice(["set", "set", "set_range", "set_range", "clear",
+                         "union", "copy", "roundtrip", "query", "reject"])
+        if op == "set":
+            i = rng.randrange(nbits)
+            bm.set(i)
+            model.set(i)
+            assert bm.test(i)
+        elif op == "set_range":
+            start = rng.randrange(nbits)
+            count = rng.randrange(0, min(nbits - start, 40) + 1)
+            bm.set_range(start, count)
+            for i in range(start, start + count):
+                model.set(i)
+        elif op == "clear":
+            bm.clear()
+            model.data = bytearray(nbits // 8)
+        elif op == "union":
+            bm.union_update(other)
+            for i in other_model.bits():
+                model.set(i)
+        elif op == "copy":
+            dup, dup_model = bm.copy(), ByteModel(nbits)
+            dup_model.data[:] = model.data
+            assert dup == bm and dup is not bm
+            i = rng.randrange(nbits)
+            dup.set(i)
+            dup_model.set(i)
+            _assert_same(bm, model)         # the copy does not write through
+            pairs[k] = (dup, dup_model)
+        elif op == "roundtrip":
+            bm = Bitmap.from_bytes(bm.to_bytes())
+            pairs[k] = (bm, model)
+        elif op == "query":
+            shared = sorted(set(model.bits()) & set(other_model.bits()))
+            assert bm.intersection_bits(other) == shared
+            assert bm.overlaps(other) == bool(shared)
+            assert (bm == other) == (model.data == other_model.data)
+            wider = Bitmap(nbits + 8)
+            for i in model.bits():
+                wider.set(i)
+            assert bm != wider and not (bm == wider)   # same bits, wider
+            assert bm != model.bits()
+        else:
+            _assert_rejected(bm, model, rng)
+        _assert_same(*pairs[k])
+

@@ -132,7 +132,7 @@ def test_compute_charges_base_only():
 
 
 # ---------------------------------------------------------------------- #
-# _page_chunks and the range engines' page-splitting edge cases.
+# The range engines' page-splitting edge cases.
 # ---------------------------------------------------------------------- #
 def _chunks_reference(addr, count, psz):
     out = []
@@ -146,29 +146,48 @@ def _chunks_reference(addr, count, psz):
     return out
 
 
+def _observed_chunks(addr, count, fast):
+    """(page, offset, length) runs a range access of [addr, addr+count)
+    left in the interval's read and write bitmaps, and the words read."""
+    def runs(bitmaps):
+        out = []
+        for page in sorted(bitmaps):
+            bits = list(bitmaps[page].iter_set_bits())
+            assert bits == list(range(bits[0], bits[0] + len(bits)))
+            out.append((page, bits[0], len(bits)))
+        return out
+
+    def app(env):
+        x = env.malloc(64, name="x")
+        env.store_range(x + addr, list(range(100, 100 + count)))
+        words = env.load_range(x + addr, count)
+        interval = env.system.nodes[env.pid].current
+        return (runs(interval.write_bitmaps), runs(interval.read_bitmaps),
+                words)
+
+    return run_app(app, nprocs=1, access_fast_path=fast).results[0]
+
+
 @pytest.mark.parametrize("addr,count", [
     (0, 1), (0, 16), (5, 11), (5, 12), (15, 1), (15, 2),
     (0, 17), (0, 32), (0, 33), (7, 40), (16, 16), (31, 3),
 ])
 def test_page_chunks_match_reference(addr, count):
-    def app(env):
-        return env._page_chunks(addr, count)
-
-    res = run_app(app, nprocs=1)
-    assert res.results[0] == _chunks_reference(addr, count, 16)
+    expected = _chunks_reference(addr, count, 16)
+    for fast in (True, False):
+        written, read, words = _observed_chunks(addr, count, fast)
+        assert written == read == expected
+        assert words == list(range(100, 100 + count))
 
 
 def test_page_chunks_single_page_cases():
     """The loop-free single-page case covers exact fits too."""
-    def app(env):
-        return [env._page_chunks(0, 16),    # exactly one full page
-                env._page_chunks(3, 13),    # to the page's last word
-                env._page_chunks(16, 1),    # first word of a later page
-                env._page_chunks(31, 1)]    # last word of a page
-
-    res = run_app(app, nprocs=1)
-    assert res.results[0] == [[(0, 0, 16)], [(0, 3, 13)],
-                              [(1, 0, 1)], [(1, 15, 1)]]
+    assert [_observed_chunks(addr, count, True)[0]
+            for addr, count in [(0, 16),    # exactly one full page
+                                (3, 13),    # to the page's last word
+                                (16, 1),    # first word of a later page
+                                (31, 1)]    # last word of a page
+            ] == [[(0, 0, 16)], [(0, 3, 13)], [(1, 0, 1)], [(1, 15, 1)]]
 
 
 def test_store_range_exact_page_multiple_roundtrip():
@@ -247,3 +266,66 @@ def test_range_engines_agree_on_straddling_contents(fast):
 
     res = run_app(app, nprocs=2, access_fast_path=fast)
     assert sorted(r.addr for r in res.races) == [30, 31, 32, 33]
+
+
+# ---------------------------------------------------------------------- #
+# Range faults: raised as the faulting process, through the block cache.
+# ---------------------------------------------------------------------- #
+def _range_faults(fast):
+    """(operation, .pid, message) of every range fault process 1 takes."""
+    from repro.errors import SegmentationFault
+
+    def app(env):
+        x = env.malloc(8, name="x")
+        y = env.malloc(8, name="y")
+        env.barrier()
+        if env.pid != 1:
+            return None
+        faults = []
+
+        def attempt(what, op, *args):
+            try:
+                op(*args)
+            except SegmentationFault as exc:
+                faults.append((what, exc.pid, str(exc)))
+
+        assert env.load_range(x, 8) == [0] * 8     # x is now the cached block
+        attempt("load past end", env.load_range, x + 4, 8)
+        attempt("store past end", env.store_range, x + 4, [1] * 8)
+        attempt("load crossing into y", env.load_range, x + 6, 4)
+        attempt("load unmapped", env.load_range, y + 100, 2)
+        attempt("store unmapped", env.store_range, y + 100, [1, 2])
+        assert env.load_range(x, 8) == [0] * 8     # nothing was written
+        env.system.segment.free(x)
+        attempt("load freed", env.load_range, x, 8)
+        attempt("store freed", env.store_range, x, [1] * 8)
+        assert env.malloc(4, name="x2") == x       # first fit reuses the hole
+        assert env.load_range(x, 4) == [0] * 4
+        attempt("load past shrunk block", env.load_range, x, 8)
+        return faults
+
+    return run_app(app, nprocs=2, access_fast_path=fast).results[1]
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_range_faults_name_the_faulting_process(fast):
+    faults = _range_faults(fast)
+    assert [what for what, _pid, _msg in faults] == [
+        "load past end", "store past end", "load crossing into y",
+        "load unmapped", "store unmapped", "load freed", "store freed",
+        "load past shrunk block"]
+    for _what, pid, message in faults:
+        assert pid == 1
+        assert message.startswith("P1: segmentation fault at word address ")
+    messages = dict((what, msg) for what, _pid, msg in faults)
+    assert "word address 11 (range runs off the end of 'x')" in \
+        messages["load past end"]
+    assert "word address 9 (range runs off the end of 'x')" in \
+        messages["load crossing into y"]
+    assert "word address 0 (unmapped address)" in messages["load freed"]
+    assert "word address 7 (range runs off the end of 'x2')" in \
+        messages["load past shrunk block"]
+
+
+def test_range_fault_messages_agree_across_engines():
+    assert _range_faults(True) == _range_faults(False)

@@ -1,0 +1,81 @@
+"""Golden observables of the spine's access-heavy cells, per hook config.
+
+``access_golden.json`` was captured on the commit *before* the per-access
+chain was rebuilt (PR 14: indexed ledger, int-backed bitmaps, one fused
+``Env`` engine).  On that commit the three configurations below ran three
+different engines — the fast one (default), and the general chunked one
+whenever tracing or crash injection was on.  They now all run the one
+production engine, which may change how an access is charged and recorded,
+never what: report keys, ``DetectorStats``, every process's ledger per
+category, the final virtual time, traffic, the instrumentation counters,
+the access trace and the crash counters must stay exactly what the old
+engines produced.
+
+Regenerate (only from a commit whose behaviour is the reference) with
+``PYTHONPATH=src python -m tests.integration.test_access_golden``.
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+
+import pytest
+
+from benchmarks.spine.workloads import BY_NAME, spec_of
+from repro.dsm.cvm import CVM
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "access_golden.json")
+
+CELLS = {cell.label: cell
+         for workload in ("lock_churn", "range_sweep")
+         for cell in BY_NAME[workload].cells}
+#: One entry per engine of the parent commit.
+HOOKS = {
+    "default": {},
+    "trace": dict(track_access_trace=True),
+    "crash": dict(crash_rate=0.01, crash_seed=7, checkpoint=True),
+}
+
+
+def observe(label: str, hooks: str) -> dict:
+    cell = CELLS[label]
+    spec = spec_of(cell.app)
+    cfg = spec.config(nprocs=cell.nprocs, **cell.config_flags(0, ""),
+                      **HOOKS[hooks])
+    result = CVM(cfg).run(spec.func, cell.params)
+    trace = hashlib.blake2b(digest_size=16)
+    for event in result.access_trace:
+        trace.update(repr(dataclasses.astuple(event)).encode())
+    return {
+        "report_keys": [repr(r.key()) for r in result.races],
+        "stats": result.detector_stats.to_dict(),
+        "ledgers": [{cat.value: cycles
+                     for cat, cycles in ledger.totals.items()}
+                    for ledger in result.ledgers],
+        "runtime_cycles": result.runtime_cycles,
+        "messages": result.traffic.total_messages,
+        "bytes": result.traffic.total_bytes,
+        "shared_instr_calls": result.shared_instr_calls,
+        "private_instr_calls": result.private_instr_calls,
+        "trace_events": len(result.access_trace),
+        "trace_digest": trace.hexdigest(),
+        "crashes": result.crash_stats.crashes,
+    }
+
+
+@pytest.mark.parametrize("hooks", sorted(HOOKS))
+@pytest.mark.parametrize("label", sorted(CELLS))
+def test_cell_matches_the_three_engine_parent(label, hooks):
+    with open(GOLDEN_PATH) as f:
+        golden = json.load(f)[label][hooks]
+    # Through JSON so both sides carry the same float and key types.
+    assert json.loads(json.dumps(observe(label, hooks))) == golden
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump({label: {hooks: observe(label, hooks)
+                           for hooks in sorted(HOOKS)}
+                   for label in sorted(CELLS)}, f, indent=1, sort_keys=True)
+        f.write("\n")

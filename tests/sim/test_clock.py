@@ -94,3 +94,68 @@ def test_negative_charge_rejected():
     ledger = CostLedger()
     with pytest.raises(ValueError):
         ledger.charge(CostCategory.BASE, -5)
+
+
+# ---------------------------------------------------------------------- #
+# The slot-indexed ledger behind the ``totals`` view.
+# ---------------------------------------------------------------------- #
+def test_categories_carry_slot_and_paper_flag():
+    assert [cat.slot for cat in CostCategory] == \
+        list(range(len(CostCategory)))
+    assert [cat.value for cat in OVERHEAD_CATEGORIES] == \
+        ["cvm_mods", "proc_call", "access_check", "intervals", "bitmaps"]
+    assert OVERHEAD_CATEGORIES == \
+        tuple(cat for cat in CostCategory if cat.paper)
+    assert not CostCategory.BASE.paper
+    assert CostCategory("retransmit") is CostCategory.RETRANSMIT
+
+
+def test_totals_lists_every_category_in_enum_order():
+    ledger = CostLedger()
+    assert list(ledger.totals) == list(CostCategory)
+    assert set(ledger.totals.values()) == {0.0}
+    ledger.charge(CostCategory.RECORD, 2.5)
+    assert list(ledger.totals) == list(CostCategory)
+    assert ledger.totals[CostCategory.RECORD] == 2.5
+
+
+def test_advance_split_equals_the_sequential_chain():
+    parts = ((CostCategory.BASE, 1.0), (CostCategory.PROC_CALL, 46.0),
+             (CostCategory.ACCESS_CHECK, 27.0))
+    fused, chained = VirtualClock(), VirtualClock()
+    for clock in (fused, chained):
+        clock.advance(9_000.5, CostCategory.CVM_MODS)
+    for _ in range(1000):
+        fused.advance_split(74.0, parts)
+        for cat, cycles in parts:
+            chained.advance(cycles, cat)
+    assert fused.now == chained.now
+    assert fused.ledger.totals == chained.ledger.totals
+    with pytest.raises(ValueError):
+        fused.advance_split(-1.0, parts)
+    with pytest.raises(ValueError):
+        fused.advance_split(1.0, ((CostCategory.BASE, -1.0),))
+
+
+def test_totals_survive_merge_and_merge_keeps_the_clock_attached():
+    a, b = VirtualClock(), VirtualClock()
+    a.advance(10, CostCategory.BASE)
+    b.advance(5, CostCategory.BASE)
+    b.advance(3, CostCategory.FAILOVER)
+    a.ledger.merge(b.ledger)
+    assert a.ledger.totals[CostCategory.BASE] == 15
+    assert a.ledger.totals[CostCategory.FAILOVER] == 3
+    assert b.ledger.totals[CostCategory.BASE] == 5
+    a.advance(1, CostCategory.FAILOVER)   # still the ledger the clock feeds
+    assert a.ledger.totals[CostCategory.FAILOVER] == 4
+
+
+def test_totals_is_a_snapshot():
+    ledger = CostLedger()
+    ledger.charge(CostCategory.BITMAPS, 7)
+    view = ledger.totals
+    view[CostCategory.BITMAPS] = 99
+    del view[CostCategory.BASE]
+    assert ledger.totals[CostCategory.BITMAPS] == 7
+    assert list(ledger.totals) == list(CostCategory)
+    assert ledger.breakdown()["bitmaps"] == 0.0   # base is still zero
