@@ -23,6 +23,7 @@ from typing import List, Optional
 
 from repro.apps.base import measure
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
+from repro.sim.crash import DEFAULT_ELECTION_TIMEOUT
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -82,7 +83,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "master is pinned to P0 and immune to crashes, "
                         "byte-identical to builds without the coordinator "
                         "subsystem")
-    p.add_argument("--election-timeout", type=float, default=None,
+    p.add_argument("--election-timeout", type=float,
+                   default=DEFAULT_ELECTION_TIMEOUT,
                    metavar="CYCLES",
                    help="virtual-time silence past the last live arrival "
                         "before the survivors hold the coordinator "
@@ -155,13 +157,11 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 def _fault_overrides(args) -> dict:
     """DsmConfig overrides carrying the CLI's fault- and crash-injection
-    flags."""
-    from repro.sim.crash import DEFAULT_ELECTION_TIMEOUT, parse_crash_at
-    election = getattr(args, "election_timeout", None)
+    flags (every caller's parser went through :func:`_add_run_options`)."""
+    from repro.sim.crash import parse_crash_at
     return dict(loss_rate=args.loss_rate,
-                master_failover=getattr(args, "master_failover", False),
-                election_timeout=(election if election is not None
-                                  else DEFAULT_ELECTION_TIMEOUT),
+                master_failover=args.master_failover,
+                election_timeout=args.election_timeout,
                 duplicate_rate=args.duplicate_rate,
                 reorder_rate=args.reorder_rate,
                 fault_seed=args.fault_seed,
@@ -169,17 +169,16 @@ def _fault_overrides(args) -> dict:
                 crash_rate=args.crash_rate,
                 crash_seed=args.crash_seed,
                 crash_at=parse_crash_at(args.crash_at),
-                sharded_detection=getattr(args, "sharded_detection", False),
-                detection_shards=getattr(args, "detection_shards", 0),
-                coarse_filter=getattr(args, "coarse_filter", True),
+                sharded_detection=args.sharded_detection,
+                detection_shards=args.detection_shards,
+                coarse_filter=args.coarse_filter,
                 checkpoint_dir=args.checkpoint_dir,
-                checkpoint_delta=getattr(args, "checkpoint_delta", False),
-                resume_from=getattr(args, "resume_from", None),
-                mode=getattr(args, "mode", "online"),
-                trace_file=getattr(args, "trace_file", None),
-                deadline_seconds=getattr(args, "deadline", None),
-                access_fast_path=not getattr(
-                    args, "reference_access_path", False))
+                checkpoint_delta=args.checkpoint_delta,
+                resume_from=args.resume_from,
+                mode=args.mode,
+                trace_file=args.trace_file,
+                deadline_seconds=args.deadline,
+                access_fast_path=not args.reference_access_path)
 
 
 def cmd_apps(_args) -> int:
@@ -330,7 +329,7 @@ def cmd_report(args) -> int:
 def cmd_attribute(args) -> int:
     from repro.errors import ConfigError
     from repro.replay import attribute_races
-    if getattr(args, "mode", "online") != "online":
+    if args.mode != "online":
         raise ConfigError(
             f"attribute runs its own two-run record/replay protocol and "
             f"cannot compose with --mode {args.mode}; drop --mode/--trace-file")
@@ -361,7 +360,7 @@ def cmd_timeline(args) -> int:
     from repro.core.timeline import timeline_from_run
     from repro.dsm.cvm import CVM
     from repro.errors import ConfigError
-    if getattr(args, "mode", "online") != "online":
+    if args.mode != "online":
         raise ConfigError(
             f"timeline needs the detector's interval metadata and cannot "
             f"compose with --mode {args.mode}; drop --mode/--trace-file")

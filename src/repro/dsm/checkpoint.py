@@ -36,18 +36,18 @@ canonical bytes exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union, TYPE_CHECKING
 
+from repro import durable
 from repro.core.bitmap import Bitmap
 from repro.dsm.interval import Interval
 from repro.dsm.page import PageCopy, PageState
 from repro.dsm.vector_clock import VectorClock
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node ← checkpoint)
     from repro.dsm.node import IntervalStore, Node
@@ -58,19 +58,17 @@ FORMAT_VERSION = 1
 _FILE_RE = re.compile(r"ckpt_p(\d+)_g(\d+)\.json$")
 
 
-def _canon(obj: Any) -> str:
-    """Canonical JSON text (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _hash_text(text: str) -> str:
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
-
-
-def _content_hash(obj: Any) -> str:
-    """Content hash of an object's canonical JSON form — the key delta
-    encoding compares pages/intervals by."""
-    return _hash_text(_canon(obj))
+def _parse(text: str) -> Dict[str, Any]:
+    """Decode one checkpoint's JSON text and check its format version."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
+    if data.get("version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format version {data.get('version')!r} "
+            f"not supported (expected {FORMAT_VERSION})")
+    return data
 
 
 # ---------------------------------------------------------------------- #
@@ -166,7 +164,7 @@ class NodeSnapshot:
         consult it without re-encoding."""
         cached = self._json
         if cached is None:
-            cached = _canon(self.data)
+            cached = durable.canon(self.data)
             object.__setattr__(self, "_json", cached)
         return cached
 
@@ -178,14 +176,7 @@ class NodeSnapshot:
 
     @classmethod
     def from_json(cls, text: str) -> "NodeSnapshot":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
-        if data.get("version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {data.get('version')!r} "
-                f"not supported (expected {FORMAT_VERSION})")
+        data = _parse(text)
         if data.get("delta"):
             raise CheckpointError(
                 "delta checkpoint cannot be loaded standalone — replay its "
@@ -231,7 +222,7 @@ class DeltaSnapshot:
     def to_json(self) -> str:
         cached = self._json
         if cached is None:
-            cached = _canon(self.data)
+            cached = durable.canon(self.data)
             object.__setattr__(self, "_json", cached)
         return cached
 
@@ -277,16 +268,16 @@ def encode_delta(prev: NodeSnapshot, snap: NodeSnapshot) -> DeltaSnapshot:
     if "coordinator" in nd and nd["coordinator"] != pd.get("coordinator"):
         set_fields["coordinator"] = nd["coordinator"]
     prev_pages, new_pages = pd["pages"], nd["pages"]
-    prev_hashes = {k: _content_hash(v) for k, v in prev_pages.items()}
+    prev_hashes = {k: durable.content_hash(v) for k, v in prev_pages.items()}
     pages_set = {k: v for k, v in new_pages.items()
-                 if prev_hashes.get(k) != _content_hash(v)}
+                 if prev_hashes.get(k) != durable.content_hash(v)}
     pages_del = sorted((k for k in prev_pages if k not in new_pages),
                        key=int)
     prev_recs = {str(r["index"]): r for r in pd["store_records"]}
     new_recs = {str(r["index"]): r for r in nd["store_records"]}
-    rec_hashes = {k: _content_hash(v) for k, v in prev_recs.items()}
+    rec_hashes = {k: durable.content_hash(v) for k, v in prev_recs.items()}
     recs_set = {k: v for k, v in new_recs.items()
-                if rec_hashes.get(k) != _content_hash(v)}
+                if rec_hashes.get(k) != durable.content_hash(v)}
     recs_del = sorted((k for k in prev_recs if k not in new_recs), key=int)
     data = {
         "version": FORMAT_VERSION,
@@ -294,7 +285,7 @@ def encode_delta(prev: NodeSnapshot, snap: NodeSnapshot) -> DeltaSnapshot:
         "pid": snap.pid,
         "generation": snap.generation,
         "base_generation": prev.generation,
-        "base_hash": _hash_text(prev.to_json()),
+        "base_hash": durable.digest(prev.to_json()),
         "set": set_fields,
         "pages": {"set": pages_set, "del": pages_del},
         "records": {"set": recs_set, "del": recs_del},
@@ -318,7 +309,7 @@ def apply_delta(prev: NodeSnapshot, delta: DeltaSnapshot) -> NodeSnapshot:
             f"{d['generation']} is based on generation "
             f"{d['base_generation']}, but the reconstructed base is at "
             f"generation {prev.generation}")
-    if d["base_hash"] != _hash_text(prev.to_json()):
+    if d["base_hash"] != durable.digest(prev.to_json()):
         raise CheckpointError(
             f"delta base mismatch for P{prev.pid} at generation "
             f"{d['generation']}: the base snapshot's content hash does "
@@ -342,20 +333,7 @@ def apply_delta(prev: NodeSnapshot, delta: DeltaSnapshot) -> NodeSnapshot:
 def load_checkpoint(path: str) -> WrittenCheckpoint:
     """Load one checkpoint file: a full :class:`NodeSnapshot` or a
     :class:`DeltaSnapshot`, depending on the file's ``delta`` marker."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path!r}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
-    if data.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {data.get('version')!r} "
-            f"not supported (expected {FORMAT_VERSION})")
+    data = _parse(durable.read_text(path, CheckpointError, "checkpoint"))
     return DeltaSnapshot(data) if data.get("delta") else NodeSnapshot(data)
 
 
@@ -458,7 +436,7 @@ class CheckpointManager:
                  delta: bool = False):
         self.directory = directory
         self.delta = delta
-        self._lock_fd: Optional[int] = None
+        self._lock: Optional[durable.FileLock] = None
         if directory is not None:
             try:
                 os.makedirs(directory, exist_ok=True)
@@ -476,58 +454,37 @@ class CheckpointManager:
     # Directory exclusivity.
     # ------------------------------------------------------------------ #
     def _acquire_lock(self, directory: str) -> None:
-        """Take an exclusive advisory lock on ``<directory>/LOCK``.
+        """Take the exclusive lock on ``<directory>/LOCK``.
 
         Two live runs writing one ``--checkpoint-dir`` would interleave
         their ``ckpt_p*_g*.json`` files and silently corrupt *both* runs'
         recovery (and a later ``--resume-from`` would restore a chimera).
         The lock makes the collision loud: the second run is refused with
         a :class:`~repro.errors.ConfigError` naming the run already
-        holding the directory.  ``flock`` locks follow the open file
-        description, so the guard catches same-process collisions (two
-        CVM instances in one test process) as well as concurrent fleet
-        workers in separate OS processes; it dies with the process, so a
-        crashed run never leaves the directory permanently wedged.
+        holding the directory — another CVM instance of this process or a
+        concurrent fleet worker alike (:class:`repro.durable.FileLock`).
         """
         try:
-            import fcntl
-        except ImportError:  # pragma: no cover - non-POSIX fallback
-            return
-        from repro.errors import ConfigError
-        path = os.path.join(directory, "LOCK")
-        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            holder = ""
-            try:
-                holder = os.read(fd, 256).decode("utf-8", "replace").strip()
-            finally:
-                os.close(fd)
+            self._lock = durable.FileLock(os.path.join(directory, "LOCK"))
+        except durable.LockHeld as held:
             raise ConfigError(
                 f"checkpoint directory {directory!r} is already in use"
-                + (f" by {holder}" if holder else "")
+                + (f" by {held.holder}" if held.holder else "")
                 + ": two runs cannot share one --checkpoint-dir (their "
                 "ckpt_p*_g*.json files would interleave and corrupt both "
                 "recoveries); give each run its own directory — the fleet "
                 "scopes each job under <spool>/ckpt/<job-id> for exactly "
-                "this reason")
-        owner = f"os-pid {os.getpid()}"
-        os.ftruncate(fd, 0)
-        os.write(fd, owner.encode("utf-8"))
-        self._lock_fd = fd
+                "this reason") from None
+        self._lock.note = f"os-pid {os.getpid()}"
 
     def close(self) -> None:
         """Release the directory lock (idempotent).  Called when the
         owning run finishes; the LOCK file itself is left behind — the
         next run re-locks and rewrites it, and ``load_dir`` ignores any
         file not matching the checkpoint name pattern."""
-        if self._lock_fd is not None:
-            try:
-                os.close(self._lock_fd)
-            except OSError:  # pragma: no cover - double close is harmless
-                pass
-            self._lock_fd = None
+        if self._lock is not None:
+            self._lock.close()
+            self._lock = None
 
     def take(self, node: "Node", store: "IntervalStore",
              generation: int,
@@ -550,12 +507,8 @@ class CheckpointManager:
         if self.directory is not None:
             path = os.path.join(
                 self.directory, f"ckpt_p{node.pid}_g{generation}.json")
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(written.to_json())
-            except OSError as exc:
-                raise CheckpointError(
-                    f"cannot write checkpoint {path!r}: {exc}") from exc
+            durable.publish(path, written.to_json(), CheckpointError,
+                            "checkpoint")
         return written
 
     def latest(self, pid: int) -> Optional[NodeSnapshot]:
@@ -581,15 +534,6 @@ class CheckpointManager:
             raise CheckpointError(f"no checkpoint exists for P{node.pid}")
         restore_node(snap, node, store)
         return snap
-
-    @staticmethod
-    def load_snapshot(path: str) -> NodeSnapshot:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return NodeSnapshot.from_json(fh.read())
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint {path!r}: {exc}") from exc
 
     @classmethod
     def load_dir(cls, directory: str) -> "CheckpointManager":

@@ -3,18 +3,111 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan, plan_from_rates
-from repro.net.reliable import (DEFAULT_RETRY_BUDGET, DEFAULT_TIMEOUT_CYCLES)
+from repro.net.reliable import DEFAULT_RETRY_BUDGET
 from repro.net.transport import DEFAULT_MAX_DATAGRAM
 from repro.sim.costmodel import CostModel
-from repro.sim.crash import (CrashPlan, DEFAULT_CRASH_DETECT_TIMEOUT,
-                             DEFAULT_ELECTION_TIMEOUT, plan_from_options)
+from repro.sim.crash import (CrashPlan, DEFAULT_ELECTION_TIMEOUT,
+                             plan_from_options)
 
 #: DECstation Alphas used 8 KB pages; with 8-byte words that is 1024 words.
 DEFAULT_PAGE_SIZE_WORDS = 1024
+
+#: The execution modes of the two-phase pipeline that read or write a trace.
+TWO_PHASE_MODES = ("record", "detect-offline")
+
+
+class Conflict(NamedTuple):
+    """One rule of the flag-conflict table.
+
+    ``applies(config)`` is true for a composition the rule refuses;
+    ``reason`` is the :class:`~repro.errors.ConfigError` text and must name
+    every entry of ``flags`` (both are formatted with ``mode=config.mode``)
+    so the user is told *which* flags collide; ``witnesses`` maps a
+    description to constructor kwargs that trip the rule —
+    ``tests/dsm/test_config_matrix.py`` constructs every one of them, so a
+    rule cannot exist without a test."""
+
+    applies: Callable[["DsmConfig"], bool]
+    flags: Tuple[str, ...]
+    reason: str
+    witnesses: Dict[str, Dict[str, Any]]
+
+
+#: Every cross-flag refusal, in the order ``DsmConfig.__post_init__`` walks
+#: them (after the per-field range checks): the first rule that applies
+#: raises.
+CONFLICTS: Tuple[Conflict, ...] = (
+    Conflict(
+        lambda c: c.detection_shards > 0 and not c.sharded_detection,
+        ("--detection-shards", "--sharded-detection"),
+        "--detection-shards requires sharded detection "
+        "(--sharded-detection / DsmConfig.sharded_detection); "
+        "enable it or drop the shard cap",
+        {"shard cap without sharding": dict(detection_shards=2)}),
+    Conflict(
+        lambda c: not c.master_failover
+        and any(pid == 0 for pid, _gen in c.crash_at),
+        ("--crash-at", "--master-failover"),
+        "--crash-at cannot target P0: the barrier master runs "
+        "the detector and cannot crash unless master failover "
+        "is enabled (--master-failover)",
+        {"master crash without failover":
+             dict(crash_at=((0, 1),), nprocs=4)}),
+    Conflict(
+        lambda c: c.mode not in ("online",) + TWO_PHASE_MODES,
+        ("--mode", "{mode}"),
+        "unknown mode {mode!r} (--mode): expected 'online', "
+        "'record' or 'detect-offline'",
+        {"unknown mode": dict(mode="turbo")}),
+    Conflict(
+        lambda c: c.mode in TWO_PHASE_MODES and c.trace_file is None,
+        ("--mode {mode}", "--trace-file"),
+        "--mode {mode} requires a trace path (--trace-file)",
+        {"record without trace file": dict(mode="record"),
+         "detect-offline without trace file": dict(mode="detect-offline")}),
+    Conflict(
+        lambda c: c.mode in TWO_PHASE_MODES and c.crashes_enabled,
+        ("--mode {mode}", "--crash-rate", "--crash-at"),
+        "--mode {mode} cannot compose with crash "
+        "injection (--crash-rate/--crash-at): a crash changes "
+        "which synchronization events exist, so the trace "
+        "would silently mis-record the execution; drop one of "
+        "the two flags",
+        {"record with random crashes":
+             dict(mode="record", trace_file="/tmp/t.log", crash_rate=0.01),
+         "record with scheduled crash":
+             dict(mode="record", trace_file="/tmp/t.log",
+                  crash_at=((1, 0),)),
+         "detect-offline with random crashes":
+             dict(mode="detect-offline", trace_file="/tmp/t.log",
+                  crash_rate=0.01),
+         "detect-offline with scheduled crash":
+             dict(mode="detect-offline", trace_file="/tmp/t.log",
+                  crash_at=((1, 0),))}),
+    Conflict(
+        lambda c: c.mode in TWO_PHASE_MODES and c.resume_from is not None,
+        ("--mode {mode}", "--resume-from"),
+        "--mode {mode} cannot compose with --resume-from: "
+        "a resumed run skips the synchronization events the "
+        "checkpoints cover, so the trace and the execution "
+        "would disagree; drop one of the two flags",
+        {"record with resume":
+             dict(mode="record", trace_file="/tmp/t.log",
+                  resume_from="/tmp/ck"),
+         "detect-offline with resume":
+             dict(mode="detect-offline", trace_file="/tmp/t.log",
+                  resume_from="/tmp/ck")}),
+    Conflict(
+        lambda c: c.mode == "online" and c.trace_file is not None,
+        ("--trace-file", "online"),
+        "--trace-file only makes sense with --mode record or "
+        "--mode detect-offline (current mode: 'online')",
+        {"trace file with online mode": dict(trace_file="/tmp/t.log")}),
+)
 
 
 @dataclass
@@ -61,8 +154,6 @@ class DsmConfig:
         policy: Scheduling policy spec (``"round_robin"`` or ``"random"``).
         seed: Seed for the scheduling policy.
         max_datagram: Transport datagram limit in bytes.
-        fragmentable_messages: Allow oversize messages to fragment (the
-            paper's planned communication-layer fix) instead of raising.
         loss_rate: Per-datagram drop probability of the simulated network.
             Any nonzero fault rate (or an explicit ``fault_plan``) routes
             all traffic through the reliable channel
@@ -75,8 +166,6 @@ class DsmConfig:
             (``--fault-seed``); independent of the scheduling ``seed``.
         retry_budget: Total transmission attempts per fragment before the
             reliable channel gives up (``--retry-budget``).
-        retransmit_timeout: First-retry timeout in cycles; doubles per
-            retry, capped by the channel.
         fault_plan: Full per-tag fault plan; overrides the scalar rates
             (which then only serve as CLI-level shorthand).
         crash_rate: Per-event node-crash probability (``--crash-rate``);
@@ -94,17 +183,12 @@ class DsmConfig:
             ``master_failover`` is on; otherwise it runs the detector and
             the recovery protocol and targeting it is a configuration
             error.
-        crash_plan: Full crash plan; overrides the scalar options (which
-            then only serve as CLI-level shorthand).
         crash_recovery: When True (default), a crashed node is recovered —
             from its latest barrier checkpoint when checkpointing is on,
             or by restart-and-reexecute with *lost* detection metadata
             when it is off.  False = fail-stop: the node simply dies and
             the survivors' next barrier deadlocks (the no-tolerance
             baseline).
-        crash_detect_timeout: Extra virtual cycles the barrier master
-            waits beyond the latest live arrival before declaring a
-            missing node dead and starting recovery.
         master_failover: Make the barrier master an elected, migratable
             coordinator role (``--master-failover``): when the current
             coordinator dies, the surviving nodes elect the lowest live
@@ -221,20 +305,16 @@ class DsmConfig:
     policy: str = "round_robin"
     seed: int = 0
     max_datagram: int = DEFAULT_MAX_DATAGRAM
-    fragmentable_messages: bool = True
     loss_rate: float = 0.0
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
     fault_seed: int = 0
     retry_budget: int = DEFAULT_RETRY_BUDGET
-    retransmit_timeout: float = DEFAULT_TIMEOUT_CYCLES
     fault_plan: Optional[FaultPlan] = None
     crash_rate: float = 0.0
     crash_seed: int = 0
     crash_at: Tuple[Tuple[int, int], ...] = ()
-    crash_plan: Optional[CrashPlan] = None
     crash_recovery: bool = True
-    crash_detect_timeout: float = DEFAULT_CRASH_DETECT_TIMEOUT
     master_failover: bool = False
     election_timeout: float = DEFAULT_ELECTION_TIMEOUT
     sharded_detection: bool = False
@@ -269,12 +349,8 @@ class DsmConfig:
                 raise ValueError(f"{name} must be in [0, 1): {rate}")
         if self.retry_budget < 1:
             raise ValueError("retry_budget must be at least 1 attempt")
-        if self.retransmit_timeout <= 0:
-            raise ValueError("retransmit_timeout must be positive")
         if not 0.0 <= self.crash_rate < 1.0:
             raise ValueError(f"crash_rate must be in [0, 1): {self.crash_rate}")
-        if self.crash_detect_timeout <= 0:
-            raise ValueError("crash_detect_timeout must be positive")
         if self.election_timeout <= 0:
             raise ValueError("election_timeout must be positive")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -284,59 +360,26 @@ class DsmConfig:
         if self.detection_shards < 0:
             raise ValueError(
                 f"detection_shards must be >= 0: {self.detection_shards}")
-        if self.detection_shards > 0 and not self.sharded_detection:
-            raise ConfigError(
-                "--detection-shards requires sharded detection "
-                "(--sharded-detection / DsmConfig.sharded_detection); "
-                "enable it or drop the shard cap")
         self.crash_at = tuple(sorted(set(
             (int(pid), int(gen)) for pid, gen in self.crash_at)))
         for pid, gen in self.crash_at:
             if not 0 <= pid < self.nprocs:
                 raise ValueError(
                     f"crash_at pid {pid} out of range for nprocs={self.nprocs}")
-            if pid == 0 and not self.master_failover:
-                raise ConfigError(
-                    "--crash-at cannot target P0: the barrier master runs "
-                    "the detector and cannot crash unless master failover "
-                    "is enabled (--master-failover)")
             if pid == 0 and self.nprocs < 2:
                 raise ValueError(
                     "crash_at cannot target P0 with nprocs=1: no surviving "
                     "process could be elected coordinator")
             if gen < 0:
                 raise ValueError(f"crash_at generation must be >= 0: {gen}")
-        if self.mode not in ("online", "record", "detect-offline"):
-            raise ConfigError(
-                f"unknown mode {self.mode!r} (--mode): expected 'online', "
-                "'record' or 'detect-offline'")
-        if self.mode in ("record", "detect-offline"):
-            if self.trace_file is None:
-                raise ConfigError(
-                    f"--mode {self.mode} requires a trace path "
-                    "(--trace-file)")
-            if self.crashes_enabled:
-                raise ConfigError(
-                    f"--mode {self.mode} cannot compose with crash "
-                    "injection (--crash-rate/--crash-at): a crash changes "
-                    "which synchronization events exist, so the trace "
-                    "would silently mis-record the execution; drop one of "
-                    "the two flags")
-            if self.resume_from is not None:
-                raise ConfigError(
-                    f"--mode {self.mode} cannot compose with --resume-from: "
-                    "a resumed run skips the synchronization events the "
-                    "checkpoints cover, so the trace and the execution "
-                    "would disagree; drop one of the two flags")
-            if self.mode == "record":
-                # A record run never detects: that is the whole point of
-                # the phase split.  Force it off rather than making every
-                # caller remember to.
-                self.detection = False
-        elif self.trace_file is not None:
-            raise ConfigError(
-                "--trace-file only makes sense with --mode record or "
-                "--mode detect-offline (current mode: 'online')")
+        for rule in CONFLICTS:
+            if rule.applies(self):
+                raise ConfigError(rule.reason.format(mode=self.mode))
+        if self.mode == "record":
+            # A record run never detects: that is the whole point of the
+            # phase split.  Force it off rather than making every caller
+            # remember to.
+            self.detection = False
 
     @property
     def num_pages(self) -> int:
@@ -357,10 +400,7 @@ class DsmConfig:
         return self.effective_fault_plan() is not None
 
     def effective_crash_plan(self) -> Optional[CrashPlan]:
-        """The crash plan in force: an explicit ``crash_plan`` wins, else
-        a plan from the scalar options, else ``None`` (no crashes)."""
-        if self.crash_plan is not None:
-            return self.crash_plan if self.crash_plan.enabled else None
+        """The crash plan in force, or ``None`` (no crashes)."""
         return plan_from_options(self.crash_rate, self.crash_seed,
                                  self.crash_at)
 

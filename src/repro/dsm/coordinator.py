@@ -42,8 +42,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro import durable
 from repro.core.detector import RaceDetector
-from repro.dsm.checkpoint import _canon, _hash_text
 from repro.dsm.interval import Interval
 from repro.dsm.node import IntervalStore
 from repro.sim.clock import VirtualClock
@@ -218,15 +218,7 @@ class CoordinatorRole:
         """Canonical encoding of :meth:`serialize_state` (sorted keys, no
         whitespace — same convention as checkpoints, so byte sizes are
         deterministic and priceable)."""
-        return _canon(self.serialize_state())
-
-    @staticmethod
-    def frame_journal(text: str) -> str:
-        """Self-validating journal frame: the canonical state body plus a
-        trailing content-hash line (same hash as checkpoint integrity).  A
-        torn write — truncation anywhere, including mid-hash — breaks the
-        frame detectably, which :meth:`parse_journal` exploits."""
-        return text + "\n" + _hash_text(text)
+        return durable.canon(self.serialize_state())
 
     @staticmethod
     def parse_journal(framed: str) -> Dict[str, Any]:
@@ -234,8 +226,8 @@ class CoordinatorRole:
         on a torn or corrupt frame (missing/mismatched hash, unparseable
         body, wrong shape) so the restore path can fall back instead of
         installing garbage."""
-        body, sep, digest = framed.rpartition("\n")
-        if not sep or _hash_text(body) != digest:
+        body = durable.unframe(framed)
+        if body is None:
             raise ValueError("coordinator journal tail torn or corrupt "
                              "(content hash mismatch)")
         try:
@@ -256,7 +248,7 @@ class CoordinatorRole:
         is framed with a trailing content hash so a torn write is
         *detectable* on restore rather than silently corrupting the
         successor's detector state."""
-        framed = self.frame_journal(self.state_json())
+        framed = durable.frame(self.state_json())
         nbytes = len(framed.encode("utf-8"))
         self._journal = framed
         clock.advance(cost_model.checkpoint_write_per_byte * nbytes,
@@ -266,9 +258,13 @@ class CoordinatorRole:
         return nbytes
 
     @property
-    def journal_json(self) -> Optional[str]:
-        """The last journaled role state, framed (``None`` until first
-        journaled)."""
+    def journal_json(self) -> str:
+        """The last journaled role state, framed — or, before the first
+        journal write, the frame of the current in-memory state (possible
+        only if failover was enabled mid-run, which the config layer does
+        not allow)."""
+        if self._journal is None:
+            return durable.frame(self.state_json())
         return self._journal
 
     def install_from_journal(self, new_pid: int,
@@ -281,9 +277,7 @@ class CoordinatorRole:
         accounting treats the winner's own bitmaps as local) and the
         journaled state is restored into it through the real
         serialize → canonical JSON → parse → restore path; returns the
-        migrated byte count.  Uses the current in-memory state if nothing
-        was journaled yet (possible only if failover was enabled mid-run,
-        which the config layer does not allow).
+        migrated byte count.
 
         If the journal's frame fails validation — a torn write truncated
         or corrupted its tail — the restore falls back to
@@ -292,8 +286,7 @@ class CoordinatorRole:
         and counts the event in ``stats.journal_fallbacks``.  It never
         raises on a bad journal: a coordinator election must not die on
         the very fault it exists to survive."""
-        framed = (self._journal if self._journal is not None
-                  else self.frame_journal(self.state_json()))
+        framed = self.journal_json
         nbytes = len(framed.encode("utf-8"))
         try:
             state = self.parse_journal(framed)

@@ -47,7 +47,8 @@ from repro.net.reliable import ReliableChannel
 from repro.net.stats import TrafficStats
 from repro.net.transport import Transport
 from repro.sim.costmodel import CostCategory, CostLedger
-from repro.sim.crash import CrashInjector, CrashRecord, CrashStats
+from repro.sim.crash import (DEFAULT_CRASH_DETECT_TIMEOUT, CrashInjector,
+                             CrashRecord, CrashStats)
 from repro.sim.policy import make_policy
 from repro.sim.scheduler import Scheduler
 
@@ -160,8 +161,7 @@ class CVM:
         plan = config.effective_fault_plan()
         if plan is not None:
             self.net = ReliableChannel(
-                self.transport, plan, retry_budget=config.retry_budget,
-                timeout_cycles=config.retransmit_timeout)
+                self.transport, plan, retry_budget=config.retry_budget)
         else:
             self.net = self.transport
         self.segment = SharedSegment(config.segment_words,
@@ -192,13 +192,6 @@ class CVM:
         # injector is None, every hook below is a cheap no-op, and all
         # artifacts are byte-identical to a build without this layer.
         cplan = config.effective_crash_plan()
-        if cplan is not None and not config.master_failover:
-            for cpid, _gen in cplan.at:
-                if cpid == self.coordinator.pid:
-                    raise ValueError(
-                        "crash_at cannot target the barrier master "
-                        f"(P{self.coordinator.pid}); enable master "
-                        "failover with --master-failover")
         self._crasher = CrashInjector(cplan) if cplan is not None else None
         self.crash_stats = CrashStats()
         self.sharding_stats = ShardingStats()
@@ -636,6 +629,29 @@ class CVM:
                           CostCategory.COARSE_FILTER)
             self.transport.stats.add_digest_bytes(nbytes)
 
+    def _ship_consistency(self, have: VectorClock,
+                          upto: Optional[VectorClock], clock,
+                          send: Optional[Tuple[str, int, int]] = None):
+        """Ship, on ``clock``, the interval records a process with clock
+        ``have`` is missing up to ``upto`` (none when ``upto`` is ``None``:
+        a bare vector clock) as one ``send = (tag, src, dst)`` message,
+        and account their read notices and coarse digests.  Without
+        ``send`` the records rode an earlier message and only the
+        accounting is done.  Returns ``(records, message)``."""
+        if upto is not None:
+            recs, body, read_bytes = self._consistency_payload(have, upto)
+        else:
+            recs, body, read_bytes = [], self.sizer.vector_clock(), 0
+        msg = None
+        if send is not None:
+            tag, src, dst = send
+            msg = self.net.send(tag, src, dst, None, body, clock,
+                                fragmentable=True)
+        if read_bytes:
+            self.transport.stats.add_read_notice_bytes(read_bytes)
+        self._charge_digests(recs, clock)
+        return recs, msg
+
     def _apply_consistency(self, node: Node, recs: List[Interval],
                            horizon: VectorClock) -> None:
         """Acquire-side application: invalidate per write notices, then
@@ -716,17 +732,9 @@ class CVM:
             self.net.send("lock_forward", st.manager, granter, None,
                                 sizer.ints(3) + sizer.vector_clock(), clock)
         if granter != node.pid:
-            horizon = st.last_release_vc
-            if horizon is not None:
-                grant_recs, body, read_bytes = self._consistency_payload(
-                    node.vc, horizon)
-            else:
-                grant_recs, body, read_bytes = [], sizer.vector_clock(), 0
-            msg = self.net.send("lock_grant", granter, node.pid, None,
-                                      body, clock, fragmentable=self.config.fragmentable_messages)
-            if read_bytes:
-                self.transport.stats.add_read_notice_bytes(read_bytes)
-            self._charge_digests(grant_recs, clock)
+            _recs, msg = self._ship_consistency(
+                node.vc, st.last_release_vc, clock,
+                ("lock_grant", granter, node.pid))
             clock.wait_until(msg.arrival_time)
 
     def lock_release(self, pid: int, lid: int) -> None:
@@ -749,13 +757,9 @@ class CVM:
                 self.lock_order.record_grant(lid, nxt)
                 if self.trace_recorder is not None:
                     self._charge_record(node)  # the releaser does the work
-            grant_recs, body, read_bytes = self._consistency_payload(
-                self.nodes[nxt].vc, st.last_release_vc)
-            msg = self.net.send("lock_grant", pid, nxt, None, body,
-                                      node.clock, fragmentable=self.config.fragmentable_messages)
-            if read_bytes:
-                self.transport.stats.add_read_notice_bytes(read_bytes)
-            self._charge_digests(grant_recs, node.clock)
+            _recs, msg = self._ship_consistency(
+                self.nodes[nxt].vc, st.last_release_vc, node.clock,
+                ("lock_grant", pid, nxt))
             st.grant_box[nxt] = GrantInfo(pid, st.last_release_vc,
                                           msg.arrival_time)
             self.scheduler.unblock(nxt)
@@ -819,11 +823,7 @@ class CVM:
             ev.waiters.append(pid)
             self.scheduler.block(pid, f"event {eid}")
         node.clock.wait_until(ev.set_time)
-        recs, _body, read_bytes = self._consistency_payload(node.vc,
-                                                            ev.set_vc)
-        if read_bytes:
-            self.transport.stats.add_read_notice_bytes(read_bytes)
-        self._charge_digests(recs, node.clock)
+        recs, _msg = self._ship_consistency(node.vc, ev.set_vc, node.clock)
         self._apply_consistency(node, recs, ev.set_vc)
         node.open_interval(f"event({eid}) wait")
 
@@ -847,14 +847,9 @@ class CVM:
         node.open_interval("barrier arrival")
         master_node = self.nodes[bar.master]
         if pid != bar.master:
-            recs, body, read_bytes = self._consistency_payload(
-                master_node.vc, horizon)
-            msg = self.net.send("barrier_arrival", pid, bar.master,
-                                      None, body, node.clock,
-                                      fragmentable=self.config.fragmentable_messages)
-            if read_bytes:
-                self.transport.stats.add_read_notice_bytes(read_bytes)
-            self._charge_digests(recs, node.clock)
+            recs, msg = self._ship_consistency(
+                master_node.vc, horizon, node.clock,
+                ("barrier_arrival", pid, bar.master))
             self._apply_consistency(master_node, recs, horizon)
             arrival_now = msg.arrival_time
         else:
@@ -906,14 +901,9 @@ class CVM:
             if other == bar.master:
                 bar.release_box[other] = (release_vc, master_clock.now)
                 continue
-            recs, body, read_bytes = self._consistency_payload(
-                self.nodes[other].vc, release_vc)
-            msg = self.net.send("barrier_release", bar.master, other,
-                                      None, body, master_clock,
-                                      fragmentable=self.config.fragmentable_messages)
-            if read_bytes:
-                self.transport.stats.add_read_notice_bytes(read_bytes)
-            self._charge_digests(recs, master_clock)
+            recs, msg = self._ship_consistency(
+                self.nodes[other].vc, release_vc, master_clock,
+                ("barrier_release", bar.master, other))
             for rec in recs:
                 self.protocol.apply_write_notice(self.nodes[other], rec)
             bar.release_box[other] = (release_vc, msg.arrival_time)
@@ -988,7 +978,7 @@ class CVM:
                     dead_owners.append(pid)
             if dead_owners:
                 master_clock.wait_until(
-                    master_clock.now + self.config.crash_detect_timeout)
+                    master_clock.now + DEFAULT_CRASH_DETECT_TIMEOUT)
                 sh.fallbacks_owner_crash += 1
                 role.run_detection(epoch_recs, self.epoch, master_clock)
                 return
@@ -1178,10 +1168,7 @@ class CVM:
             self.net.send("coordinator_announce", winner, p, None,
                           self.sizer.ints(2), clock,
                           category=CostCategory.FAILOVER)
-        journal = role.journal_json
-        if journal is None:
-            journal = CoordinatorRole.frame_journal(role.state_json())
-        jbytes = len(journal.encode("utf-8"))
+        jbytes = len(role.journal_json.encode("utf-8"))
         msg = self.net.send("coordinator_state", old, winner, None,
                             self.sizer.ints(2) + jbytes, clock,
                             category=CostCategory.FAILOVER,
@@ -1261,7 +1248,7 @@ class CVM:
             return
         live = [t for p, t in bar.arrival_times.items() if p not in crashed]
         deadline = ((max(live) if live else master_clock.now)
-                    + self.config.crash_detect_timeout)
+                    + DEFAULT_CRASH_DETECT_TIMEOUT)
         master_clock.wait_until(deadline)
         for p in sorted(crashed):
             bar.declare_dead(p)

@@ -3,9 +3,9 @@
 A job is (app × config × seed × mode) — exactly what the single-run CLI
 executes, but packaged as a canonical-JSON payload so it can sit in a
 spool directory, ride the fleet journal, and be handed to a worker
-subprocess.  Files holding a job use the repo's standard framing
-(canonical body + newline + BLAKE2b content hash), so a torn submit is
-detected at ingestion instead of poisoning the queue.
+subprocess.  Files holding a job are one :func:`repro.durable.frame` plus a
+newline, so a torn submit is detected at ingestion instead of poisoning the
+queue.
 
 Priority classes follow the two-phase production story (docs/robustness.md):
 ``record`` runs are the cheap always-on production traffic and are served
@@ -17,10 +17,11 @@ to both.  Within a class, jobs run in submission order.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.dsm.checkpoint import _canon, _hash_text
+from repro import durable
 from repro.dsm.config import DsmConfig
 from repro.errors import FleetError
 
@@ -36,7 +37,7 @@ PRIORITY_CLASSES = {"record": 0, "detect-offline": 1, "online": 2}
 #: classified permanently-failed by the worker), never silently ignored.
 _CONFIG_FIELDS = frozenset(
     f.name for f in dataclasses.fields(DsmConfig)
-    if f.name not in ("cost_model", "fault_plan", "crash_plan"))
+    if f.name not in ("cost_model", "fault_plan"))
 
 #: Simulated processes one worker slot is sized for; a 32-proc job costs
 #: four slots, the 2-4 proc test jobs cost one (see placement.py).
@@ -44,17 +45,15 @@ PROCS_PER_SLOT = 8
 
 
 def frame_payload(payload: Dict[str, Any]) -> str:
-    """Canonical body + newline + content hash (the journal idiom)."""
-    body = _canon(payload)
-    return body + "\n" + _hash_text(body)
+    """The frame of a payload's canonical form."""
+    return durable.frame(durable.canon(payload))
 
 
 def parse_framed_payload(framed: str, what: str) -> Dict[str, Any]:
     """Validate a frame and decode its JSON body; raises
     :class:`FleetError` on a torn or corrupt file."""
-    import json
-    body, sep, digest = framed.rpartition("\n")
-    if not sep or _hash_text(body) != digest:
+    body = durable.unframe(framed)
+    if body is None:
         raise FleetError(f"{what}: frame torn or corrupt "
                          "(content hash mismatch)")
     try:

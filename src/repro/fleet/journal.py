@@ -2,14 +2,12 @@
 
 The journal is the fleet's source of truth for ``serve --resume``: every
 state transition — submission, worker start, attempt outcome, retry,
-terminal classification, drain — is appended as one *frame* (canonical
-JSON body + newline + BLAKE2b content hash + newline, the PR 6
-coordinator-journal idiom) and flushed before the transition takes
+terminal classification, drain — is appended as one record of a
+:mod:`repro.durable` append log and flushed before the transition takes
 effect.  If the service itself is SIGKILLed, the on-disk journal is a
-prefix of the true history ending in at most one torn frame;
-:meth:`FleetJournal.replay` stops at the first invalid frame and reports
-how much it dropped, mirroring the coordinator journal's
-fall-back-to-last-intact-frame semantics.
+prefix of the true history ending in at most one torn record;
+:meth:`FleetJournal.replay` stops at the first invalid record and reports
+how much it dropped.
 
 Only the service process writes the journal (submissions ride separate
 spool files until ingestion), so frames never interleave.
@@ -18,14 +16,22 @@ spool files until ingestion), so frames never interleave.
 from __future__ import annotations
 
 import json
-import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.dsm.checkpoint import _canon, _hash_text
+from repro import durable
 from repro.errors import FleetError
 
 #: Bump when the journal event schema changes incompatibly.
 JOURNAL_FORMAT_VERSION = 1
+
+
+def _decode_event(body: str, index: int) -> Dict[str, Any]:
+    """One journal record: an event object numbered by its position."""
+    record = json.loads(body)
+    if not isinstance(record, dict) or "event" not in record \
+            or record.get("n") != index:
+        raise ValueError("not the journal's next event")
+    return record
 
 
 class FleetJournal:
@@ -44,27 +50,12 @@ class FleetJournal:
         resume (replayed events already hold 0..seq_start-1).
 
         Any torn tail left by a SIGKILLed writer is cut back to the last
-        intact frame first — appending onto a partial line would glue the
-        next frame to it and corrupt the journal from that point on.
+        intact record first.
         """
         if self._fh is not None:
             raise FleetError(f"journal {self.path!r} is already open")
-        self._truncate_torn_tail()
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = durable.open_log(self.path, _decode_event)
         self._seq = seq_start
-
-    def _truncate_torn_tail(self) -> None:
-        events, dropped = self.replay(self.path)
-        if not dropped:
-            return
-        # Canonical JSON is ASCII, but measure in bytes regardless: keep
-        # exactly the lines replay() verified, drop the rest.
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        keep = sum(len(line) + 1
-                   for line in data.split(b"\n")[:2 * len(events)])
-        with open(self.path, "rb+") as fh:
-            fh.truncate(keep)
 
     def append(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Frame and append one event, flushed so a killed service loses
@@ -74,9 +65,7 @@ class FleetJournal:
         record = {"v": JOURNAL_FORMAT_VERSION, "n": self._seq,
                   "event": event}
         record.update(fields)
-        body = _canon(record)
-        self._fh.write(body + "\n" + _hash_text(body) + "\n")
-        self._fh.flush()
+        durable.append_log(self._fh, durable.canon(record))
         self._seq += 1
         return record
 
@@ -90,40 +79,19 @@ class FleetJournal:
     # ------------------------------------------------------------------ #
     @staticmethod
     def replay(path: str) -> Tuple[List[Dict[str, Any]], int]:
-        """Decode the longest intact frame prefix.
+        """Decode the longest intact record prefix.
 
         Returns ``(events, dropped_lines)``: ``dropped_lines`` counts
-        trailing lines past the last intact frame (0 for a cleanly
-        written journal; 1-2 after a torn write).  A corrupt frame in
-        the *middle* also stops the replay — everything after an
-        unverifiable frame is untrusted, exactly like the coordinator
-        journal's fallback.  A missing file is an empty history.
+        trailing lines past the last intact record (0 for a cleanly
+        written journal; 1-2 after a torn write).  A corrupt or
+        misnumbered record in the *middle* also stops the replay —
+        everything after an unverifiable record is untrusted.  A missing
+        file is an empty history.
         """
-        if not os.path.exists(path):
-            return [], 0
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
+            return durable.replay_log(path, _decode_event)[:2]
         except OSError as exc:
             raise FleetError(f"cannot read journal {path!r}: {exc}")
-        if lines and lines[-1] == "":
-            lines.pop()
-        events: List[Dict[str, Any]] = []
-        consumed = 0
-        for i in range(0, len(lines) - 1, 2):
-            body, digest = lines[i], lines[i + 1]
-            if _hash_text(body) != digest:
-                break
-            try:
-                record = json.loads(body)
-            except json.JSONDecodeError:
-                break
-            if not isinstance(record, dict) or "event" not in record \
-                    or record.get("n") != len(events):
-                break
-            events.append(record)
-            consumed = i + 2
-        return events, len(lines) - consumed
 
     @staticmethod
     def last_seq(events: List[Dict[str, Any]]) -> int:

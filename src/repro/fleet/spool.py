@@ -20,12 +20,11 @@ with no service running at all.
 
 from __future__ import annotations
 
-import fcntl
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
-from repro.dsm.checkpoint import _hash_text
+from repro import durable
 from repro.errors import AdmissionError, FleetError
 from repro.fleet.job import JobSpec, parse_framed_payload
 from repro.fleet.journal import FleetJournal
@@ -88,16 +87,12 @@ class FleetSpool:
         """Allocate the next spool-unique job id, serialized by an
         advisory lock so concurrent submitters never collide."""
         self.ensure()
-        fd = os.open(self.seq_path, os.O_RDWR | os.O_CREAT, 0o644)
+        lock = durable.FileLock(self.seq_path, wait=True)
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            raw = os.read(fd, 64).decode("ascii").strip()
-            seq = int(raw) if raw else 0
-            os.lseek(fd, 0, os.SEEK_SET)
-            os.ftruncate(fd, 0)
-            os.write(fd, str(seq + 1).encode("ascii"))
+            seq = int(lock.note or 0)
+            lock.note = str(seq + 1)
         finally:
-            os.close(fd)  # releases the lock
+            lock.close()
         return f"job-{seq:06d}"
 
     def submit(self, spec: JobSpec,
@@ -110,10 +105,7 @@ class FleetSpool:
         if backlog >= limit:
             raise AdmissionError(spec.job_id, limit)
         path = os.path.join(self.pending_dir, spec.job_id + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(spec.to_framed() + "\n")
-        os.replace(tmp, path)
+        durable.publish(path, spec.to_framed() + "\n")
         return path
 
     def pending_files(self) -> List[str]:
@@ -138,18 +130,14 @@ class FleetSpool:
         where ``digest`` is the frame's content hash (journaled so a
         resume can detect a result file lost or corrupted since)."""
         path = self.result_path(job_id)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                framed = fh.read().rstrip("\n")
-        except OSError as exc:
-            raise FleetError(f"result for {job_id} unreadable: {exc}")
-        payload = parse_framed_payload(framed, f"result for {job_id}")
+        what = f"result for {job_id}"
+        framed = durable.read_text(path, FleetError, what)
+        payload = parse_framed_payload(framed, what)
         if payload.get("job_id") != job_id:
             raise FleetError(
                 f"result file {path!r} names job "
                 f"{payload.get('job_id')!r}, expected {job_id!r}")
-        body = framed.rpartition("\n")[0]
-        return payload, _hash_text(body)
+        return payload, durable.digest(durable.unframe(framed))
 
 
 def fold_journal(events: List[Dict[str, Any]]

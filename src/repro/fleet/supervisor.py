@@ -31,7 +31,6 @@ produces a byte-identical aggregate with or without failures.
 
 from __future__ import annotations
 
-import fcntl
 import os
 import signal
 import subprocess
@@ -40,6 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import durable
 from repro.errors import AdmissionError, FleetError
 from repro.exitcodes import (EXIT_CLEAN, EXIT_CONFIG, EXIT_RACES,
                              EXIT_RUNTIME, EXIT_TIMEOUT)
@@ -111,7 +111,7 @@ class FleetService:
     # ------------------------------------------------------------------ #
     def serve(self, resume: bool = False) -> int:
         self.spool.ensure()
-        lock_fh = self._take_serve_lock()
+        lock = self._take_serve_lock()
         try:
             events, dropped = FleetJournal.replay(self.spool.journal_path)
             if events and not resume:
@@ -139,33 +139,27 @@ class FleetService:
             finally:
                 self.journal.close()
         finally:
-            lock_fh.close()
+            lock.close()
 
-    def _take_serve_lock(self):
+    def _take_serve_lock(self) -> durable.FileLock:
         """One live service per spool, enforced with an OS lock.
 
         Two services folding one journal would interleave frames and
-        corrupt the sequence for every later reader.  flock is released
+        corrupt the sequence for every later reader.  The lock is released
         by the kernel when the holder dies — a SIGKILLed service never
         strands its spool, so ``--resume`` needs no cleanup step.
         """
-        fh = open(self.spool.serve_lock_path, "a+", encoding="utf-8")
         try:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            fh.seek(0)
-            holder = fh.read().strip() or "unknown"
-            fh.close()
+            lock = durable.FileLock(self.spool.serve_lock_path)
+        except durable.LockHeld as held:
             raise FleetError(
                 f"spool {self.spool.root!r} is already being served "
                 f"(lock {self.spool.serve_lock_path!r} held by os-pid "
-                f"{holder}); one service per spool — stop the other "
-                "service or point --spool elsewhere")
-        fh.seek(0)
-        fh.truncate()
-        fh.write(f"{os.getpid()}\n")
-        fh.flush()
-        return fh
+                f"{held.holder or 'unknown'}); one service per spool — "
+                "stop the other service or point --spool elsewhere"
+            ) from None
+        lock.note = f"{os.getpid()}\n"
+        return lock
 
     def _on_sigterm(self, signum, frame) -> None:
         self._sigterm = True
@@ -299,9 +293,8 @@ class FleetService:
                 break
             path = os.path.join(self.spool.pending_dir, name)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    spec = JobSpec.parse_framed(
-                        fh.read().rstrip("\n"), what=f"submission {name}")
+                spec = JobSpec.parse_framed(durable.read_text(path),
+                                            what=f"submission {name}")
             except (OSError, FleetError) as exc:
                 self.journal.append("reject", file=name, error=str(exc))
                 self._log(f"fleet: rejecting submission {name}: {exc}")
@@ -356,9 +349,7 @@ class FleetService:
         spec = rec.spec
         rec.attempts += 1
         job_path = os.path.join(self.spool.work_dir, spec.job_id + ".json")
-        with open(job_path + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write(spec.to_framed() + "\n")
-        os.replace(job_path + ".tmp", job_path)
+        durable.publish(job_path, spec.to_framed() + "\n")
         heartbeat_path = os.path.join(self.spool.work_dir,
                                       spec.job_id + ".hb")
         try:
@@ -526,12 +517,9 @@ class FleetService:
     def _finish(self) -> int:
         payload = self.build_aggregate_payload()
         text = render_aggregate(payload)
-        for path, content in ((self.spool.aggregate_txt, text),
-                              (self.spool.aggregate_json,
-                               frame_payload(payload) + "\n")):
-            with open(path + ".tmp", "w", encoding="utf-8") as fh:
-                fh.write(content)
-            os.replace(path + ".tmp", path)
+        durable.publish(self.spool.aggregate_txt, text)
+        durable.publish(self.spool.aggregate_json,
+                        frame_payload(payload) + "\n")
         completed = sum(1 for rec in self.records.values()
                         if rec.state in ("done", "races"))
         degraded = len(self.records) - completed

@@ -22,12 +22,12 @@ byte-identical whether or not crashes and retries happened along the way.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import threading
 import time
 from typing import Any, Dict
 
+from repro import durable
 from repro.exitcodes import (EXIT_CLEAN, EXIT_RACES, classify_exception)
 from repro.fleet.job import JobSpec, frame_payload
 
@@ -40,9 +40,7 @@ def _heartbeat_loop(path: str, interval: float, stop: threading.Event) -> None:
     while not stop.is_set():
         beat += 1
         try:
-            with open(path + ".tmp", "w", encoding="utf-8") as fh:
-                fh.write(str(beat))
-            os.replace(path + ".tmp", path)
+            durable.publish(path, str(beat))
         except OSError:
             pass  # a vanished spool is the supervisor's problem, not ours
         stop.wait(interval)
@@ -88,14 +86,6 @@ def run_job(spec: JobSpec) -> Dict[str, Any]:
     return build_result_payload(spec, result)
 
 
-def _write_result(path: str, payload: Dict[str, Any]) -> None:
-    """Atomic publish: the supervisor only ever sees a complete frame."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(frame_payload(payload) + "\n")
-    os.replace(tmp, path)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro.fleet.worker")
     parser.add_argument("--job", required=True)
@@ -104,8 +94,7 @@ def main(argv=None) -> int:
     parser.add_argument("--heartbeat-interval", type=float, default=0.2)
     args = parser.parse_args(argv)
 
-    with open(args.job, "r", encoding="utf-8") as fh:
-        spec = JobSpec.parse_framed(fh.read().rstrip("\n"))
+    spec = JobSpec.parse_framed(durable.read_text(args.job))
 
     if "exit_code" in spec.chaos:
         # Simulated worker death (before any heartbeat): segfault-style
@@ -129,7 +118,8 @@ def main(argv=None) -> int:
         return classify_exception(exc) if isinstance(exc, Exception) else 3
     finally:
         stop.set()
-    _write_result(args.result, payload)
+    # Atomic publish: the supervisor only ever sees a complete frame.
+    durable.publish(args.result, frame_payload(payload) + "\n")
     return EXIT_RACES if payload["races"] else EXIT_CLEAN
 
 

@@ -11,14 +11,14 @@ synchronization order — the ROLT idea (§7): record minimal ordering
 information (the sequence in which each lock is granted), then force the
 same grant order on replay.
 
-* :class:`~repro.replay.record.LockOrderRecorder` — first run: log grants.
-* :class:`~repro.replay.replay.LockOrderEnforcer` — second run: force them.
+* :class:`~repro.replay.trace.SyncTraceRecorder` — first run: log grants.
+* :class:`~repro.replay.trace.SyncTraceEnforcer` — second run: force them.
 * :func:`~repro.replay.attribute.attribute_races` — the full two-run
   pipeline: detect races, then replay with a watch on the racy addresses
   and return the access sites (our PC analogue) that produced them.
 
 The two-phase pipeline (``--mode record`` / ``--mode detect-offline``)
-extends the same machinery to the production-traffic use case: a record
+uses the same two classes for the production-traffic use case: a record
 run logs the *complete* synchronization order (lock grants, barrier
 arrival order, sync-message delivery order) to a hash-framed trace file
 with detection off, and a replay run re-executes steered by the trace
@@ -26,8 +26,6 @@ with the full detector on — see :mod:`repro.replay.trace`.
 """
 
 from repro.replay.attribute import AttributionReport, attribute_races
-from repro.replay.record import LockOrderRecorder, SyncOrderLog
-from repro.replay.replay import LockOrderEnforcer
 from repro.replay.trace import (
     SYNC_TAGS,
     SyncTrace,
@@ -40,10 +38,7 @@ from repro.replay.trace import (
 
 __all__ = [
     "AttributionReport",
-    "LockOrderEnforcer",
-    "LockOrderRecorder",
     "SYNC_TAGS",
-    "SyncOrderLog",
     "SyncTrace",
     "SyncTraceEnforcer",
     "SyncTraceRecorder",

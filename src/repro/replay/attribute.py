@@ -17,8 +17,7 @@ from typing import Any, Callable, Dict, List, Set, Tuple
 from repro.core.report import RaceReport
 from repro.dsm.config import DsmConfig
 from repro.dsm.cvm import CVM
-from repro.replay.record import LockOrderRecorder
-from repro.replay.replay import LockOrderEnforcer
+from repro.replay.trace import SyncTraceEnforcer, SyncTraceRecorder
 
 
 @dataclass
@@ -62,8 +61,9 @@ def attribute_races(app: Callable[..., Any], params: Any,
     different scheduling seed) to demonstrate that order enforcement — not
     scheduler determinism — is what makes the races recur.
     """
-    # First run: detect and record.
-    recorder = LockOrderRecorder()
+    # First run: detect and record.  Only ``lock_order`` is attached (no
+    # arrival or delivery verification), so the replay may use another seed.
+    recorder = SyncTraceRecorder()
     system1 = CVM(config)
     system1.lock_order = recorder
     result1 = system1.run(app, params)
@@ -73,7 +73,7 @@ def attribute_races(app: Callable[..., Any], params: Any,
                  for addr in racy_addrs}
 
     # Second run: enforce the order, watch only the racy words.
-    enforcer = LockOrderEnforcer(recorder.log)
+    enforcer = SyncTraceEnforcer(recorder.trace)
     system2 = CVM(replay_config or config)
     system2.lock_order = enforcer
     watch: Dict[int, List[Tuple]] = {addr: [] for addr in racy_addrs}
@@ -88,5 +88,5 @@ def attribute_races(app: Callable[..., Any], params: Any,
         sites=sites,
         symbol_of=symbol_of,
         replay_grants=enforcer.grants_replayed,
-        log_bytes=recorder.log.log_bytes(),
+        log_bytes=recorder.trace.log_bytes,
     )

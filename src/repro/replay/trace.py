@@ -20,11 +20,17 @@ therefore both *steers* the replay (the lock-grant gate in
 ``CVM.lock_acquire``) and *verifies* it (arrival and delivery streams
 raise :class:`~repro.errors.ReplayError` on the first divergence).
 
-File format (PR 6's journal idiom): the canonical-JSON body followed by a
-newline and a BLAKE2b content hash of the body.  Truncation or corruption
-anywhere — including mid-hash — breaks the frame detectably, so a torn
-record-side write surfaces as a loud :class:`~repro.errors.TraceError` at
+File format: one :func:`repro.durable.frame` of the canonical-JSON body,
+published atomically and without a trailing newline.  Truncation or
+corruption anywhere — including mid-hash — breaks the frame detectably, so
+a damaged trace surfaces as a loud :class:`~repro.errors.TraceError` at
 replay instead of silently steering the run somewhere else.
+
+The lock-grant portion alone is the ROLT log of §7 (one pid sequence per
+lock; barriers are symmetric and need none): :func:`attribute_races
+<repro.replay.attribute.attribute_races>` attaches a recorder and an
+enforcer as ``CVM.lock_order`` only, which reproduces the grant order under
+a *different* scheduling seed.
 """
 
 from __future__ import annotations
@@ -34,10 +40,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.dsm.checkpoint import _canon, _hash_text
+from repro import durable
 from repro.errors import ReplayError, TraceError
-from repro.replay.record import SyncOrderLog
-from repro.replay.replay import LockOrderEnforcer
+from repro.net.reliable import DEFAULT_TIMEOUT_CYCLES
 
 #: Bump when the trace schema changes incompatibly.
 TRACE_FORMAT_VERSION = 1
@@ -86,17 +91,19 @@ def execution_digest(config, app_name: str) -> str:
         "page_size_words": config.page_size_words,
         "segment_words": config.segment_words,
         "max_datagram": config.max_datagram,
-        "fragmentable_messages": config.fragmentable_messages,
+        # Former DsmConfig fields nothing ever set, hashed at their constant
+        # values so traces recorded before their removal still replay.
+        "fragmentable_messages": True,
         "loss_rate": config.loss_rate,
         "duplicate_rate": config.duplicate_rate,
         "reorder_rate": config.reorder_rate,
         "fault_seed": config.fault_seed,
         "retry_budget": config.retry_budget,
-        "retransmit_timeout": config.retransmit_timeout,
+        "retransmit_timeout": DEFAULT_TIMEOUT_CYCLES,
         "fault_plan": plan_desc,
         "consolidation_interval": config.consolidation_interval,
     }
-    return _hash_text(_canon(fields))
+    return durable.content_hash(fields)
 
 
 @dataclass
@@ -135,14 +142,15 @@ class SyncTrace:
         return (self.total_grants + self.total_arrivals
                 + len(self.deliveries))
 
-    def sync_order_log(self) -> SyncOrderLog:
-        """The lock-grant portion as the ROLT log the existing enforcer
-        machinery consumes."""
-        return SyncOrderLog(grants={lid: list(seq)
-                                    for lid, seq in self.lock_grants.items()})
+    @property
+    def log_bytes(self) -> int:
+        """Encoded size of the lock-grant order alone: one 32-bit pid per
+        grant plus one id+length per lock — the ordering information a
+        ROLT first run persists (§7), and why its overhead is minimal."""
+        return 4 * self.total_grants + 8 * len(self.lock_grants)
 
     # ---------------------------------------------------------------- #
-    # Canonical serialization with the PR 6 journal framing.
+    # Canonical, framed serialization.
     # ---------------------------------------------------------------- #
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -161,10 +169,7 @@ class SyncTrace:
         }
 
     def to_framed(self) -> str:
-        """Canonical body + newline + content hash: a torn write breaks
-        the frame detectably (same idiom as the coordinator journal)."""
-        body = _canon(self.to_payload())
-        return body + "\n" + _hash_text(body)
+        return durable.frame(durable.canon(self.to_payload()))
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "SyncTrace":
@@ -197,8 +202,8 @@ class SyncTrace:
         """Validate the frame and decode the trace; raises
         :class:`TraceError` on a torn or corrupt file so replay fails
         loudly instead of silently steering a different execution."""
-        body, sep, digest = framed.rpartition("\n")
-        if not sep or _hash_text(body) != digest:
+        body = durable.unframe(framed)
+        if body is None:
             raise TraceError(
                 "trace file tail torn or corrupt (content hash mismatch); "
                 "re-run the record phase")
@@ -211,27 +216,15 @@ class SyncTrace:
 
 def load_trace(path: str) -> SyncTrace:
     """Read and validate a trace file written by a record run."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            framed = fh.read()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace file {path!r}: {exc}")
-    return SyncTrace.parse_framed(framed)
+    return SyncTrace.parse_framed(
+        durable.read_text(path, TraceError, "trace file"))
 
 
 def write_trace(trace: SyncTrace, path: str) -> int:
-    """Persist a trace file; returns the byte count (the record run's
-    flush cost input).  The frame makes torn writes detectable at replay;
-    the write itself is plain (a record run that dies mid-flush simply
-    yields an invalid trace, which replay rejects)."""
-    framed = trace.to_framed()
-    data = framed.encode("utf-8")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(framed)
-    except OSError as exc:
-        raise TraceError(f"cannot write trace file {path!r}: {exc}")
-    return len(data)
+    """Publish a trace file atomically; returns the byte count (the
+    record run's flush cost input)."""
+    return durable.publish(path, trace.to_framed(), TraceError,
+                           "trace file")
 
 
 class SyncTraceRecorder:
@@ -289,33 +282,46 @@ class SyncTraceRecorder:
 
 class SyncTraceEnforcer:
     """Attach to a replay run (``--mode detect-offline``): steers the
-    lock-grant order through the recorded sequence (the existing ROLT
-    enforcer) and *verifies* the barrier-arrival and message-delivery
-    streams position by position, raising
-    :class:`~repro.errors.ReplayError` on the first divergence."""
+    lock-grant order through the recorded per-lock sequence, regardless of
+    the replay's scheduling policy or seed, and *verifies* the
+    barrier-arrival and message-delivery streams position by position,
+    raising :class:`~repro.errors.ReplayError` on the first divergence."""
 
     def __init__(self, trace: SyncTrace):
         self.trace = trace
-        self._locks = LockOrderEnforcer(trace.sync_order_log())
+        #: Next unconsumed position per recorded lock.
+        self._grant_pos: Dict[int, int] = {lid: 0 for lid in trace.lock_grants}
         #: Next unconsumed position per barrier generation.
         self._arrival_pos: Dict[int, int] = {}
         self._delivery_pos = 0
+        self.grants_replayed = 0
         self.arrivals_verified = 0
         self.deliveries_verified = 0
 
-    @property
-    def grants_replayed(self) -> int:
-        return self._locks.grants_replayed
+    # -- lock controller protocol --------------------------------------- #
+    def expected_next(self, lid: int) -> Optional[int]:
+        """Pid that must receive the next grant of ``lid`` (None when the
+        lock has no recorded constraint left)."""
+        seq = self.trace.lock_grants.get(lid)
+        if seq is None:
+            return None
+        pos = self._grant_pos[lid]
+        return seq[pos] if pos < len(seq) else None
 
-    # -- lock controller protocol (delegated) -------------------------- #
     def may_acquire(self, lid: int, pid: int) -> bool:
-        return self._locks.may_acquire(lid, pid)
-
-    def expected_next(self, lid: int):
-        return self._locks.expected_next(lid)
+        expected = self.expected_next(lid)
+        return expected is None or expected == pid
 
     def record_grant(self, lid: int, pid: int) -> None:
-        self._locks.record_grant(lid, pid)
+        expected = self.expected_next(lid)
+        if expected is not None and expected != pid:
+            raise ReplayError(
+                f"replay diverged on lock {lid}: grant "
+                f"#{self._grant_pos[lid]} went to P{pid}, recorded "
+                f"P{expected}")
+        if lid in self._grant_pos:
+            self._grant_pos[lid] += 1
+        self.grants_replayed += 1
 
     # -- barrier-arrival verification ---------------------------------- #
     def on_barrier_arrival(self, generation: int, pid: int) -> None:
@@ -360,8 +366,9 @@ class SyncTraceEnforcer:
 
     def fully_consumed(self) -> bool:
         """True when every recorded entry was replayed and verified."""
-        if not self._locks.fully_consumed():
-            return False
+        for lid, recorded in self.trace.lock_grants.items():
+            if self._grant_pos[lid] < len(recorded):
+                return False
         for gen, recorded in enumerate(self.trace.barrier_arrivals):
             if self._arrival_pos.get(gen, 0) < len(recorded):
                 return False

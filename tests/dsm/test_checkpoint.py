@@ -15,7 +15,8 @@ import pytest
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
 from repro.dsm.checkpoint import (CheckpointManager, NodeSnapshot,
                                   interval_from_dict, interval_to_dict,
-                                  restore_node, snapshot_node)
+                                  load_checkpoint, restore_node,
+                                  snapshot_node)
 from repro.dsm.cvm import CVM
 from repro.dsm.node import IntervalStore, Node
 from repro.errors import CheckpointError, ReproError
@@ -50,7 +51,7 @@ def test_roundtrip_idempotent_every_app(name, tmp_path):
         probe = {0, 1 if len(gens) > 1 else gens[-1], gens[-1]}
         for gen in sorted(probe & set(gens)):
             path = os.path.join(ckdir, f"ckpt_p{pid}_g{gen}.json")
-            snap = CheckpointManager.load_snapshot(path)
+            snap = load_checkpoint(path)
             assert snap.pid == pid and snap.generation == gen
             # Restore into a *fresh* node, snapshot again: must be equal.
             store = IntervalStore()
@@ -69,7 +70,7 @@ def test_roundtrip_serialization_is_canonical(tmp_path):
     _cfg, ckdir = _run_with_checkpoints("sor", tmp_path)
     path = os.path.join(ckdir, sorted(
         f for f in os.listdir(ckdir) if f.startswith("ckpt_"))[0])
-    snap = CheckpointManager.load_snapshot(path)
+    snap = load_checkpoint(path)
     # serialize -> parse -> serialize is a fixpoint (sorted keys, no
     # whitespace), so nbytes is deterministic.
     text = snap.to_json()
@@ -132,7 +133,7 @@ def test_manager_load_dir_picks_latest_generation(tmp_path):
 def test_restore_wrong_pid_rejected(tmp_path):
     cfg, ckdir = _run_with_checkpoints("sor", tmp_path)
     path = os.path.join(ckdir, "ckpt_p1_g0.json")
-    snap = CheckpointManager.load_snapshot(path)
+    snap = load_checkpoint(path)
     store = IntervalStore()
     node = Node(2, cfg, VirtualClock(), store)
     with pytest.raises(CheckpointError, match="P1.*P2"):

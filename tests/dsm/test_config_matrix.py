@@ -10,72 +10,42 @@ failover (plus the scalar guards the CLI exposes).
 
 import pytest
 
-from repro.dsm.config import DsmConfig
+from repro.dsm.config import CONFLICTS, DsmConfig
 from repro.errors import ConfigError
 
-# (description, config kwargs, [substrings the error must name])
-CONFLICTS = [
-    ("record without trace file",
-     dict(mode="record"),
-     ["--mode record", "--trace-file"]),
-    ("detect-offline without trace file",
-     dict(mode="detect-offline"),
-     ["--mode detect-offline", "--trace-file"]),
-    ("trace file with online mode",
-     dict(trace_file="/tmp/t.log"),
-     ["--trace-file", "online"]),
-    ("unknown mode",
-     dict(mode="turbo"),
-     ["--mode", "turbo"]),
-    ("record with random crashes",
-     dict(mode="record", trace_file="/tmp/t.log", crash_rate=0.01),
-     ["--mode record", "--crash-rate"]),
-    ("record with scheduled crash",
-     dict(mode="record", trace_file="/tmp/t.log", crash_at=((1, 0),)),
-     ["--mode record", "--crash-at"]),
-    ("detect-offline with random crashes",
-     dict(mode="detect-offline", trace_file="/tmp/t.log",
-          crash_rate=0.01),
-     ["--mode detect-offline", "--crash-rate"]),
-    ("detect-offline with scheduled crash",
-     dict(mode="detect-offline", trace_file="/tmp/t.log",
-          crash_at=((1, 0),)),
-     ["--mode detect-offline", "--crash-at"]),
-    ("record with resume",
-     dict(mode="record", trace_file="/tmp/t.log", resume_from="/tmp/ck"),
-     ["--mode record", "--resume-from"]),
-    ("detect-offline with resume",
-     dict(mode="detect-offline", trace_file="/tmp/t.log",
-          resume_from="/tmp/ck"),
-     ["--mode detect-offline", "--resume-from"]),
-    ("shard cap without sharding",
-     dict(detection_shards=2),
-     ["--detection-shards", "--sharded-detection"]),
-    ("master crash without failover",
-     dict(crash_at=((0, 1),), nprocs=4),
-     ["--crash-at", "--master-failover"]),
-]
+#: (description, config kwargs, rule) for every witness of every rule of
+#: the one conflict table — the table ``DsmConfig.__post_init__`` walks.
+WITNESSES = [(description, kwargs, rule)
+             for rule in CONFLICTS
+             for description, kwargs in rule.witnesses.items()]
 
 
 @pytest.mark.parametrize(
-    "kwargs,must_name",
-    [c[1:] for c in CONFLICTS], ids=[c[0] for c in CONFLICTS])
-def test_conflicts_raise_config_error_naming_both_flags(kwargs, must_name):
+    "kwargs,rule",
+    [w[1:] for w in WITNESSES], ids=[w[0] for w in WITNESSES])
+def test_conflicts_raise_config_error_naming_both_flags(kwargs, rule):
     with pytest.raises(ConfigError) as exc_info:
         DsmConfig(**kwargs)
     message = str(exc_info.value)
-    for flag in must_name:
-        assert flag in message, \
+    mode = kwargs.get("mode", "online")
+    assert message == rule.reason.format(mode=mode), \
+        "an earlier rule of the table refused this witness"
+    for flag in rule.flags:
+        assert flag.format(mode=mode) in message, \
             f"error message {message!r} does not name {flag!r}"
 
 
 @pytest.mark.parametrize(
-    "kwargs,must_name",
-    [c[1:] for c in CONFLICTS], ids=[c[0] for c in CONFLICTS])
-def test_conflicts_also_catchable_as_value_error(kwargs, must_name):
+    "kwargs,rule",
+    [w[1:] for w in WITNESSES], ids=[w[0] for w in WITNESSES])
+def test_conflicts_also_catchable_as_value_error(kwargs, rule):
     # ConfigError subclasses ValueError: broad validators keep working.
     with pytest.raises(ValueError):
         DsmConfig(**kwargs)
+
+
+def test_every_rule_has_a_witness():
+    assert all(rule.witnesses for rule in CONFLICTS)
 
 
 LEGAL = [

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro import durable
 from repro.dsm.config import DsmConfig
 from repro.dsm.coordinator import (CoordinatorRole, FailoverStats,
                                    elect_coordinator)
@@ -170,7 +171,7 @@ def test_parse_journal_rejects_flipped_byte():
 
 
 def test_parse_journal_rejects_wrong_shape():
-    framed = CoordinatorRole.frame_journal('["not", "a", "role"]')
+    framed = durable.frame('["not", "a", "role"]')
     with pytest.raises(ValueError, match="malformed"):
         CoordinatorRole.parse_journal(framed)
 

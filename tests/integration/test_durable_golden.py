@@ -1,0 +1,120 @@
+"""Golden bytes of every durable record the repo writes.
+
+``durable_golden.json`` was captured on the commit *before* the five
+hand-rolled copies of "canonical JSON + newline + BLAKE2b" (checkpoints,
+coordinator journal, synchronization trace, fleet job/result files, fleet
+journal) were folded onto :mod:`repro.durable`.  The fold moves mechanism
+only: every byte written for a given run must stay what the old copies
+wrote — checkpoint files unframed canonical JSON, the trace file without a
+trailing newline, fleet files with one — because ``nbytes``/``trace_bytes``
+feed virtual-time charges and old spools, traces and checkpoint
+directories must stay readable.
+
+The checkpoint directory's ``LOCK`` file is left out: it holds the writing
+process's OS pid.
+
+Regenerate (only from a commit whose bytes are the reference) with
+``PYTHONPATH=src python -m tests.integration.test_durable_golden``.
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+
+import pytest
+
+from repro.apps.registry import get_app
+from repro.dsm.cvm import CVM
+from repro.fleet import worker
+from repro.fleet.job import JobSpec
+from repro.fleet.journal import FleetJournal
+from repro.fleet.spool import FleetSpool
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "durable_golden.json")
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _sha_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _sha(fh.read())
+
+
+def checkpoint_dir(tmp: str) -> dict:
+    ckdir = os.path.join(tmp, "ckpt")
+    get_app("water").run(nprocs=4, checkpoint_dir=ckdir,
+                         checkpoint_delta=True)
+    return {name: _sha_file(os.path.join(ckdir, name))
+            for name in sorted(os.listdir(ckdir)) if name != "LOCK"}
+
+
+def record_trace(tmp: str) -> dict:
+    path = os.path.join(tmp, "water.trace")
+    result = get_app("water").run(nprocs=4, mode="record", trace_file=path)
+    return {"sha": _sha_file(path),
+            "trace_bytes": result.record_stats["trace_bytes"]}
+
+
+def coordinator_journal(tmp: str) -> dict:
+    spec = get_app("water")
+    cfg = spec.config(nprocs=4, master_failover=True, crash_at=((0, 1),))
+    system = CVM(cfg)
+    result = system.run(spec.func, spec.default_params)
+    return {"sha": _sha(system.coordinator.journal_json),
+            "failover": result.failover_stats.summary()}
+
+
+def fleet_files(tmp: str) -> dict:
+    spec = JobSpec(job_id="job-000007", app="queue_racy", mode="online",
+                   nprocs=3, seed=2, overrides={"loss_rate": 0.05},
+                   deadline_seconds=30.0)
+    spool = FleetSpool(os.path.join(tmp, "spool"))
+    job_path = spool.submit(spec)
+    result_path = spool.result_path(spec.job_id)
+    worker.main(["--job", job_path, "--result", result_path,
+                 "--heartbeat", os.path.join(tmp, "hb")])
+    return {"job_framed": _sha(spec.to_framed()),
+            "job_file": _sha_file(job_path),
+            "result_file": _sha_file(result_path)}
+
+
+def fleet_journal(tmp: str) -> dict:
+    path = os.path.join(tmp, "journal.log")
+    journal = FleetJournal(path)
+    journal.open()
+    journal.append("service", resume=False, slots=4, queue_limit=64)
+    journal.append("submit", job={"job_id": "job-000000", "app": "fft"})
+    journal.append("drain")
+    journal.close()
+    return {"sha": _sha_file(path)}
+
+
+SITES = {
+    "checkpoint_dir": checkpoint_dir,
+    "record_trace": record_trace,
+    "coordinator_journal": coordinator_journal,
+    "fleet_files": fleet_files,
+    "fleet_journal": fleet_journal,
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_bytes_match_the_parent(site, tmp_path):
+    with open(GOLDEN_PATH) as f:
+        golden = json.load(f)[site]
+    assert SITES[site](str(tmp_path)) == golden
+
+
+if __name__ == "__main__":
+    observed = {}
+    for site in sorted(SITES):
+        with tempfile.TemporaryDirectory() as tmp:
+            observed[site] = SITES[site](tmp)
+    with open(GOLDEN_PATH, "w") as f:
+        json.dump(observed, f, indent=1, sort_keys=True)
+        f.write("\n")

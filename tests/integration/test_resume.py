@@ -99,3 +99,32 @@ def test_resume_from_delta_directory(tmp_path):
                        checkpoint_delta=True)
     assert _report_lines(resumed) == _report_lines(original)
     assert resumed.runtime_cycles == original.runtime_cycles
+
+
+def test_resume_survives_a_run_killed_mid_checkpoint(checkpointed, tmp_path):
+    """Checkpoints are published atomically (tmp + rename), so a run killed
+    while writing P1's generation-3 file leaves ``ckpt_p1_g3.json.tmp``
+    and no torn ``ckpt_p1_g3.json``: the loader ignores the leftover and
+    the resume starts from the last cut every node completed."""
+    import shutil
+    d, original = checkpointed
+    killed = str(tmp_path / "killed")
+    shutil.copytree(d, killed)
+    os.remove(os.path.join(killed, "LOCK"))
+    cut = 3
+    for name in os.listdir(killed):
+        pid, gen = (int(x) for x in name[len("ckpt_p"):-len(".json")]
+                    .split("_g"))
+        if gen > cut or (gen == cut and pid >= 1):
+            os.remove(os.path.join(killed, name))
+    with open(os.path.join(d, f"ckpt_p1_g{cut}.json")) as fh:
+        torn = fh.read()[:100]
+    with open(os.path.join(killed, f"ckpt_p1_g{cut}.json.tmp"), "w") as fh:
+        fh.write(torn)
+    spec = get_app(APP)
+    system = CVM(spec.config(nprocs=NPROCS, resume_from=killed))
+    resumed = system.run(spec.func, spec.default_params)
+    assert system._resume_gen == cut - 1
+    assert system.resumed_nodes == NPROCS
+    assert _report_lines(resumed) == _report_lines(original)
+    assert resumed.runtime_cycles == original.runtime_cycles

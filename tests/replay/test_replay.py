@@ -5,7 +5,7 @@ import pytest
 from repro.apps.registry import APPLICATIONS
 from repro.dsm.cvm import CVM
 from repro.errors import ReplayError
-from repro.replay import (LockOrderEnforcer, LockOrderRecorder, SyncOrderLog)
+from repro.replay import SyncTrace, SyncTraceEnforcer, SyncTraceRecorder
 
 
 def _contended_app(env):
@@ -22,7 +22,7 @@ def record_run(seed, nprocs=4):
     spec = APPLICATIONS["tsp"]
     cfg = spec.config(nprocs=nprocs, policy="random", seed=seed)
     system = CVM(cfg)
-    recorder = LockOrderRecorder()
+    recorder = SyncTraceRecorder()
     system.lock_order = recorder
     result = system.run(_contended_app)
     return recorder, result
@@ -30,10 +30,10 @@ def record_run(seed, nprocs=4):
 
 def test_recorder_logs_every_grant():
     recorder, result = record_run(seed=1)
-    assert recorder.log.total_grants() == result.lock_acquires
-    assert recorder.log.log_bytes() > 0
+    assert recorder.trace.total_grants == result.lock_acquires
+    assert recorder.trace.log_bytes > 0
     # All grants are for lock 1 and each pid appears 4 times.
-    grants = recorder.log.grants[1]
+    grants = recorder.trace.lock_grants[1]
     assert sorted(grants) == sorted([p for p in range(4) for _ in range(4)])
 
 
@@ -42,8 +42,8 @@ def test_replay_reproduces_grant_order_under_different_seed():
     spec = APPLICATIONS["tsp"]
     cfg2 = spec.config(nprocs=4, policy="random", seed=999)  # different!
     system2 = CVM(cfg2)
-    replayer = LockOrderRecorder()  # second recorder to observe the replay
-    enforcer = LockOrderEnforcer(recorder.log)
+    replayer = SyncTraceRecorder()  # second recorder to observe the replay
+    enforcer = SyncTraceEnforcer(recorder.trace)
 
     class Both:
         """Enforce the first run's order while recording the second's."""
@@ -60,15 +60,12 @@ def test_replay_reproduces_grant_order_under_different_seed():
 
     system2.lock_order = Both()
     system2.run(_contended_app)
-    assert replayer.log.grants == recorder.log.grants
+    assert replayer.trace.lock_grants == recorder.trace.lock_grants
     assert enforcer.fully_consumed()
 
 
 def test_enforcer_raises_on_divergence():
-    log = SyncOrderLog()
-    log.append(7, 0)
-    log.append(7, 1)
-    enforcer = LockOrderEnforcer(log)
+    enforcer = SyncTraceEnforcer(SyncTrace(lock_grants={7: [0, 1]}))
     assert enforcer.may_acquire(7, 0)
     assert not enforcer.may_acquire(7, 1)
     enforcer.record_grant(7, 0)
@@ -77,7 +74,7 @@ def test_enforcer_raises_on_divergence():
 
 
 def test_enforcer_unconstrained_locks_pass_through():
-    enforcer = LockOrderEnforcer(SyncOrderLog())
+    enforcer = SyncTraceEnforcer(SyncTrace())
     assert enforcer.may_acquire(3, 2)
     assert enforcer.expected_next(3) is None
     enforcer.record_grant(3, 2)  # no constraint, no error
@@ -85,9 +82,6 @@ def test_enforcer_unconstrained_locks_pass_through():
 
 
 def test_log_bytes_accounting():
-    log = SyncOrderLog()
-    for pid in (0, 1, 0, 2):
-        log.append(5, pid)
-    log.append(6, 1)
-    assert log.total_grants() == 5
-    assert log.log_bytes() == 4 * 5 + 8 * 2
+    trace = SyncTrace(lock_grants={5: [0, 1, 0, 2], 6: [1]})
+    assert trace.total_grants == 5
+    assert trace.log_bytes == 4 * 5 + 8 * 2

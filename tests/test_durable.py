@@ -1,0 +1,232 @@
+"""repro.durable: the one implementation of frames, atomic publish, the
+append log and the directory lock.
+
+The torn-write fuzz runs here once, against the one implementation; each
+record's *policy* on a torn frame (raise, fall back, quarantine) keeps its
+own test beside the record (tests/dsm/test_coordinator.py,
+tests/replay/test_record_offline.py, tests/fleet/).
+"""
+
+import ast
+import os
+
+import pytest
+
+from repro import durable
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+
+BODIES = [
+    durable.canon({"event": "submit", "n": 0, "job": {"app": "fft"}}),
+    durable.canon([1, 2.5, "three", None, {"nested": ["\n", "é"]}]),
+    "{}",
+    "",
+]
+
+
+def _flipped(data: bytes, i: int) -> bytes:
+    return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+
+
+# ---------------------------------------------------------------------- #
+# Frames.
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("body", BODIES)
+def test_frame_round_trips_with_and_without_trailing_newline(body):
+    framed = durable.frame(body)
+    assert framed == body + "\n" + durable.digest(body)
+    assert durable.unframe(framed) == body
+    assert durable.unframe(framed + "\n") == body
+
+
+@pytest.mark.parametrize("body", BODIES)
+def test_frame_truncated_at_every_byte_is_detected(body):
+    framed = durable.frame(body)
+    for cut in range(len(framed)):
+        assert durable.unframe(framed[:cut]) is None, cut
+
+
+@pytest.mark.parametrize("body", BODIES)
+def test_frame_with_any_one_byte_flipped_is_detected(body):
+    data = durable.frame(body).encode("utf-8")
+    for i in range(len(data)):
+        damaged = _flipped(data, i).decode("utf-8", "replace")
+        assert durable.unframe(damaged) is None, i
+
+
+def test_canon_is_sorted_and_compact():
+    assert durable.canon({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+    assert durable.content_hash({"b": 1, "a": [1, 2]}) == \
+        durable.digest('{"a":[1,2],"b":1}')
+
+
+# ---------------------------------------------------------------------- #
+# Atomic publish.
+# ---------------------------------------------------------------------- #
+def test_publish_replaces_whole_files_and_counts_bytes(tmp_path):
+    path = str(tmp_path / "record.json")
+    assert durable.publish(path, "é1") == 3
+    assert durable.publish(path, "second") == 6
+    assert durable.read_text(path) == "second"
+    assert os.listdir(tmp_path) == ["record.json"]  # no tmp left behind
+
+
+def test_failed_publish_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "record.json")
+    durable.publish(path, "intact")
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(durable.os, "replace", killed)
+    with pytest.raises(OSError):
+        durable.publish(path, "half-wr")
+    assert durable.read_text(path) == "intact"
+
+
+class _SiteError(Exception):
+    pass
+
+
+def test_io_errors_are_wrapped_in_the_callers_type(tmp_path):
+    missing = str(tmp_path / "nope" / "record.json")
+    with pytest.raises(_SiteError, match="cannot read ledger .*record.json"):
+        durable.read_text(missing, _SiteError, "ledger")
+    with pytest.raises(_SiteError, match="cannot write ledger"):
+        durable.publish(missing, "x", _SiteError, "ledger")
+    with pytest.raises(OSError):
+        durable.read_text(missing)
+
+
+# ---------------------------------------------------------------------- #
+# Append log.
+# ---------------------------------------------------------------------- #
+def _decode(body, index):
+    if not body.startswith(f"{index}:"):
+        raise ValueError("out of sequence")
+    return body
+
+
+def _write_log(path, n):
+    fh = durable.open_log(path, _decode)
+    for i in range(n):
+        durable.append_log(fh, f"{i}:payload-{'x' * i}")
+    fh.close()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _record_ends(data: bytes):
+    """Byte offset just past each record's terminating newline."""
+    ends, newlines = [], 0
+    for offset, byte in enumerate(data):
+        if byte == 0x0A:
+            newlines += 1
+            if newlines % 2 == 0:
+                ends.append(offset + 1)
+    return ends
+
+
+def test_log_truncated_at_every_byte_replays_the_intact_prefix(tmp_path):
+    path = str(tmp_path / "log")
+    data = _write_log(path, 4)
+    ends = _record_ends(data)
+    assert len(ends) == 4 and ends[-1] == len(data)
+    for cut in range(len(data) + 1):
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        intact = sum(1 for end in ends if end <= cut)
+        records, dropped, _ = durable.replay_log(path, _decode)
+        assert [r.split(":")[0] for r in records] == \
+            [str(i) for i in range(intact)], cut
+        assert (dropped == 0) == (cut in [0] + ends), cut
+        # Reopen, append: the torn tail is cut first, so the log is clean.
+        fh = durable.open_log(path, _decode)
+        durable.append_log(fh, f"{intact}:appended")
+        fh.close()
+        records, dropped, _ = durable.replay_log(path, _decode)
+        assert dropped == 0, cut
+        assert len(records) == intact + 1
+        assert records[-1] == f"{intact}:appended"
+
+
+def test_log_with_any_one_byte_flipped_replays_the_records_before_it(
+        tmp_path):
+    path = str(tmp_path / "log")
+    data = _write_log(path, 4)
+    ends = _record_ends(data)
+    for i in range(len(data)):
+        with open(path, "wb") as fh:
+            fh.write(_flipped(data, i))
+        records, dropped, _ = durable.replay_log(path, _decode)
+        assert len(records) == sum(1 for end in ends if end <= i), i
+        assert dropped > 0
+
+
+def test_log_stops_at_a_record_the_caller_refuses(tmp_path):
+    path = str(tmp_path / "log")
+    fh = durable.open_log(path, _decode)
+    durable.append_log(fh, "0:a")
+    durable.append_log(fh, "7:out of sequence")
+    durable.append_log(fh, "2:c")
+    fh.close()
+    records, dropped, _ = durable.replay_log(path, _decode)
+    assert records == ["0:a"] and dropped == 4
+
+
+def test_missing_log_is_empty(tmp_path):
+    assert durable.replay_log(str(tmp_path / "nope"), _decode) == ([], 0, 0)
+
+
+# ---------------------------------------------------------------------- #
+# The lock.
+# ---------------------------------------------------------------------- #
+def test_second_taker_learns_the_holders_note(tmp_path):
+    path = str(tmp_path / "LOCK")
+    first = durable.FileLock(path)
+    first.note = "run 17"
+    with pytest.raises(durable.LockHeld) as exc_info:
+        durable.FileLock(path)
+    assert exc_info.value.holder == "run 17"
+    first.close()
+    first.close()  # idempotent
+    second = durable.FileLock(path, wait=True)
+    assert second.note == "run 17"  # the note outlives its writer
+    second.note = "9"
+    assert second.note == "9"
+    second.close()
+
+
+# ---------------------------------------------------------------------- #
+# Layering (static: importing repro.dsm pulls cvm in transitively).
+# ---------------------------------------------------------------------- #
+def _imported_modules(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield module
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
+
+
+def test_durable_imports_nothing_from_repro():
+    names = list(_imported_modules(os.path.join(SRC, "durable.py")))
+    assert names
+    assert not [n for n in names if n.split(".")[0] == "repro"]
+
+
+@pytest.mark.parametrize("package", ["fleet", "replay"])
+def test_no_durable_record_reaches_into_the_checkpoint_module(package):
+    directory = os.path.join(SRC, package)
+    modules = [name for name in sorted(os.listdir(directory))
+               if name.endswith(".py")]
+    assert modules
+    for name in modules:
+        names = _imported_modules(os.path.join(directory, name))
+        assert not [n for n in names
+                    if n.startswith("repro.dsm.checkpoint")], name
