@@ -32,7 +32,7 @@ from repro.core.checklist import (CheckEntry, EpochJoin, OverlapPage,
                                   PageIndex, bitmaps_needed,
                                   build_check_list, entry_key, overlap_work)
 from repro.core.concurrency import (Block, PairSearchStats,
-                                    find_concurrent_pairs,
+                                    find_concurrent_pairs, group_by_pid,
                                     model_comparison_count, pair_blocks)
 from repro.core.report import (IntervalRef, RaceKind, RaceReport,
                                decode_report_key, encode_report_key)
@@ -143,13 +143,13 @@ class DetectorStats:
 
 
 # ---------------------------------------------------------------------- #
-# Sharded execution (``--sharded-detection``): the epoch's cross-process
-# pair blocks are partitioned over owner pids, each owner runs the pruned
-# pair search + bitmap comparison for its blocks on its own clock, and the
-# dedup-free candidate reports tree-reduce back to the coordinator, which
-# commits them through the *same* cross-epoch dedup state ``run_epoch``
-# uses — the emitted reports are byte-identical by construction.  The
-# orchestration (scatter, fetches, reduce, crash fallback) lives in
+# An epoch's work is cut into *slices*: its cross-process pair blocks are
+# partitioned over owner pids and each owner computes its slice on its own
+# clock (:class:`RaceDetector` states the contract).  Centralized
+# detection is the one-owner case; ``--sharded-detection`` runs N slices
+# whose items tree-reduce back to the coordinator and through the same
+# commit, so the emitted reports are byte-identical by construction.  The
+# orchestration (scatter, reduce, crash fallback) lives in
 # :mod:`repro.dsm.cvm`; everything here is pure detection logic.
 # ---------------------------------------------------------------------- #
 @dataclass
@@ -171,9 +171,9 @@ class ShardPlan:
 
     Blocks partition the cross-process pairs exactly, so per-shard
     aggregates (model comparisons, concurrent pairs, probe work, check
-    entries, bitmap comparisons) sum to the centralized figures, and the
+    entries, bitmap comparisons) sum to the one-owner figures, and the
     per-shard candidate streams merge — by canonical entry key — into the
-    centralized processing order.
+    check-list order.
     """
 
     #: Owner pids, coordinator first (the reduce root).
@@ -181,11 +181,10 @@ class ShardPlan:
     by_pid: Dict[int, List[Interval]]
     shards: Dict[int, DetectShard]
     intervals: List[Interval]
-    #: Sum of all block weights == ``model_comparison_count(intervals)``.
-    model_comparisons: int
     lost_present: bool
-    #: The epoch's inverted notices, shared by every shard's join.
-    index: PageIndex
+    #: The epoch's inverted notices, shared by every shard's join; None
+    #: for the reference engine, which joins pair at a time.
+    index: Optional[PageIndex]
 
 
 @dataclass
@@ -195,15 +194,16 @@ class ShardItem:
     ``key`` is the canonical check-entry key ``(a.pid, b.pid, a.index,
     b.index)`` — unique across shards (an entry belongs to exactly one
     block) — so a plain sorted merge of per-shard item lists reproduces
-    the centralized check-list order, and the commit step can replay the
-    cross-epoch dedup exactly as ``run_epoch`` would have.
+    the check-list order, and the commit step runs the cross-epoch dedup
+    over it whatever the number of slices.
     """
 
     key: Tuple[int, int, int, int]
-    #: "race" or "unverifiable" (crash-lost side).
+    #: "race", "page" (a side's bitmaps never arrived: whole-page reports)
+    #: or "unverifiable" (crash-lost side).
     kind: str
-    #: Candidate reports in centralized generation order, *not* deduped —
-    #: dedup against ``_seen_keys`` is the coordinator's commit step.
+    #: Candidate reports in generation order, *not* deduped — dedup
+    #: against ``_seen_keys`` is the commit step.
     reports: List[RaceReport]
     #: Unverifiable-pair dedup key (``kind == "unverifiable"`` only).
     pair_key: Optional[Tuple] = None
@@ -211,33 +211,43 @@ class ShardItem:
 
 @dataclass
 class ShardResult:
-    """One shard's computation: candidate items plus additive counters."""
+    """One slice's computation: candidate items plus additive counters."""
 
     owner: int
     #: Modeled (naive) comparisons of the assigned blocks.
     comparisons: int = 0
-    #: Bisection probes the pruned search actually performed.
-    probes: int = 0
-    concurrent_pairs: int = 0
-    check_entries: int = 0
+    #: Steps 2-3 of the slice, per-pair objects released.  Blocks partition
+    #: the check list exactly, so its counters sum — and its ``used`` /
+    #: ``needed`` sets unite — over the slices to the one-owner figures.
+    join: EpochJoin = field(default_factory=EpochJoin)
     bitmap_comparisons: int = 0
-    #: (pid, index) of intervals in >= 1 overlapping pair of this shard.
-    used: Set[Tuple[int, int]] = field(default_factory=set)
-    #: Bitmaps the shard's check entries name (global-set union at commit).
-    needed: Set[Tuple[int, int, int, str]] = field(default_factory=set)
-    #: Message/byte counts of the shard-local bitmap fetches.
+    #: Message/byte counts of the slice's bitmap round.
     fetch_messages: int = 0
     fetch_bytes: int = 0
-    #: Two-level filter counters for this shard's combinations.
-    granule_checks: int = 0
-    granule_hits: int = 0
-    pairs_filtered: int = 0
+    #: Pids whose exchange exhausted the retry budget (tolerant round
+    #: only); their entries are the ``"page"`` items.
+    failed_owners: Set[int] = field(default_factory=set)
     #: Candidate items in canonical entry-key order.
     items: List[ShardItem] = field(default_factory=list)
 
 
 class RaceDetector:
-    """On-the-fly detector; one instance per CVM system."""
+    """On-the-fly detector; one instance per CVM system.
+
+    Every epoch goes through one pipeline, whatever the number of slices:
+
+    * **plan** — partition the epoch's pair blocks over owner pids
+      (``run_epoch``: the master owns them all; ``plan_shards``: N owners).
+    * **compute** — per slice, on the owner's clock: pair search,
+      check-list join, bitmap round, bitmap comparison, yielding one
+      :class:`ShardResult`.  Pure: it charges clocks and sends messages
+      but mutates *no* detector state, so an abandoned slice (crash or
+      network fallback) leaves the detector exactly as it was.
+    * **commit** — fold the slice results and their key-merged candidate
+      items in.  The only writer of ``stats``, ``races``,
+      ``unverifiable``, ``_seen_keys``, ``_unverifiable_pair_keys`` and
+      ``_first_race_epoch`` (``restore_state`` apart).
+    """
 
     def __init__(self, page_size_words: int, cost_model: CostModel,
                  sizer: WireSizer, transport: Transport,
@@ -289,103 +299,27 @@ class RaceDetector:
     # ------------------------------------------------------------------ #
     def run_epoch(self, intervals: List[Interval], epoch: int,
                   master_clock: VirtualClock) -> List[RaceReport]:
-        """Analyze a closed epoch; returns the new race reports."""
-        self.stats.epochs_checked += 1
-        for rec in intervals:
-            self.stats.bitmaps_created += (len(rec.read_bitmaps)
-                                           + len(rec.write_bitmaps))
+        """Analyze a closed epoch; returns the new race reports.
 
-        # Steps 2+3: concurrent pairs (constant-time VC comparisons), then
-        # page-overlap winnowing into the check list.
-        #
-        # The fast path (default) never enumerates the concurrent pairs:
-        # the pruned O(i log i) search leaves them as bit masks, the check
-        # list is their intersection with the inverted notices, and only
-        # the entries step 5 must look at become objects.  Virtual time is
-        # *decoupled* from that execution: the master clock is charged for
-        # the naive algorithm's comparison count (computed analytically)
-        # and the reference probe work, exactly as the reference engine
-        # charges them — ledgers, stats, and verdicts are bit-identical
-        # either way.
-        lost_present = any(rec.lost for rec in intervals)
-        index = None
-        if self.fast_path:
-            index = PageIndex(intervals)
-            model = model_comparison_count(intervals)
-            join = self._join_blocks(index, pair_blocks(index.by_pid), model,
-                                     lost_present, master_clock)
-        else:
-            search = PairSearchStats()
-            pairs = list(find_concurrent_pairs(intervals, search))
-            model = search.comparisons
-            self._charge_pair_search(
-                model, sum(overlap_work(a, b) for a, b in pairs),
-                master_clock)
-            join = self._winnow(build_check_list(pairs), lost_present,
-                                master_clock)
-            join.probes = model
-            join.concurrent_pairs = search.concurrent_pairs
-        self.actual_comparisons += join.probes
-        self.stats.intervals_total += len(intervals)
-        self.stats.interval_comparisons += model
-        self.stats.concurrent_pairs += join.concurrent_pairs
-        self.stats.overlapping_pairs += join.check_entries
-        self.stats.intervals_used += len(join.used)
-        self.stats.granule_checks += join.granule_checks
-        self.stats.granule_hits += join.granule_hits
-        self.stats.pairs_filtered += join.granule_checks - join.granule_hits
-
-        # Step 4: the extra barrier round retrieving exactly the bitmaps
-        # the check list names.  On a lossy network an owner's exchange can
-        # exhaust its retry budget; those owners' bitmaps stay unavailable
-        # and the affected check entries degrade to page granularity below.
-        failed_owners = self._charge_bitmap_round(join.needed, master_clock)
-        if failed_owners:
-            fetched = sum(1 for pid, _idx, _page, _kind in join.needed
-                          if pid not in failed_owners)
-            if join.plan is None and self.coarse_filter:
-                # The page-granularity reports are defined over the
-                # *unfiltered* pages, which the join did not materialize.
-                join.entries = index.join(join.conc, False).entries
-                join.plan = {id(entry): self._filter_pages(entry)[0]
-                             for entry in join.entries}
-        else:
-            fetched = len(join.needed)
-        self.stats.bitmaps_fetched += fetched
-
-        # Step 5: bitmap comparison -> race reports.  Entries touching a
-        # lost interval go to the unverifiable side channel instead.
-        new_races: List[RaceReport] = []
-        new_unverifiable: List[RaceReport] = []
-        for entry in join.entries:
-            if lost_present and (entry.a.lost or entry.b.lost):
-                new_unverifiable.extend(
-                    self._report_unverifiable(entry, epoch))
-                continue
-            new_races.extend(self._compare_entry(
-                entry, join.pages_of(entry), epoch, master_clock,
-                failed_owners))
-        self.unverifiable.extend(new_unverifiable)
-
-        self.stats.epoch_history.append(EpochSummary(
-            epoch=epoch, intervals=len(intervals), comparisons=model,
-            concurrent_pairs=join.concurrent_pairs,
-            check_list_entries=join.check_entries,
-            bitmaps_fetched=fetched, races=len(new_races),
-            unverifiable=len(new_unverifiable)))
-
-        if self.first_races_only and new_races:
-            if self._first_race_epoch is None:
-                self._first_race_epoch = epoch
-            elif epoch > self._first_race_epoch:
-                # Races in a later epoch are necessarily affected by the
-                # earlier ones (a barrier orders the epochs), hence not
-                # "first" races (§6.4).
-                self.stats.races_suppressed_not_first += len(new_races)
-                return []
-        self.races.extend(new_races)
-        self.stats.races_found += len(new_races)
-        return new_races
+        The one-slice pipeline: the master owns every block.  Its bitmap
+        round is the paper's extra barrier round, priced under BITMAPS,
+        and tolerates a lossy network: an owner whose exchange exhausts
+        the retry budget keeps its bitmaps, and the check entries that
+        needed them degrade to page granularity.
+        """
+        index = PageIndex(intervals) if self.fast_path else None
+        by_pid = index.by_pid if index is not None else group_by_pid(intervals)
+        shard = DetectShard(self.master_pid, pair_blocks(by_pid),
+                            model_comparison_count(intervals))
+        plan = ShardPlan(owners=[shard.owner], by_pid=by_pid,
+                         shards={shard.owner: shard},
+                         intervals=list(intervals),
+                         lost_present=any(rec.lost for rec in intervals),
+                         index=index)
+        res = self._compute(shard, plan, epoch, master_clock, "bitmap_",
+                            CostCategory.BITMAPS, tolerant=True)
+        self.transport.stats.add_bitmap_round_bytes(res.fetch_bytes)
+        return self._commit(plan, [res], res.items, epoch)
 
     # ------------------------------------------------------------------ #
     # State migration (master failover).
@@ -435,12 +369,10 @@ class RaceDetector:
         self.actual_comparisons = data["actual_comparisons"]
 
     # ------------------------------------------------------------------ #
-    # Sharded execution primitives (see the module-level note above the
-    # shard dataclasses).  ``plan_shards`` -> per-owner ``compute_shard``
-    # -> pairwise ``merge_shard_items`` -> ``commit_sharded`` on the
-    # coordinator reproduces ``run_epoch``'s reports and statistics
-    # byte-identically; the cvm layer drives the phases and prices the
-    # distribution traffic.
+    # The N-slice entry points: ``plan_shards`` -> per-owner
+    # ``compute_shard`` -> pairwise ``merge_shard_items`` ->
+    # ``commit_sharded`` on the coordinator are ``run_epoch``'s steps; the
+    # cvm layer drives the phases and prices the distribution traffic.
     # ------------------------------------------------------------------ #
     def plan_shards(self, intervals: List[Interval],
                     owners: List[int]) -> Optional[ShardPlan]:
@@ -463,23 +395,19 @@ class RaceDetector:
         if len(by_pid) < 2:
             return None
         owner_rank = {pid: rank for rank, pid in enumerate(owners)}
-        load: Dict[int, int] = {pid: 0 for pid in owners}
         shards = {pid: DetectShard(owner=pid) for pid in owners}
-        total = 0
         for p, q in pair_blocks(by_pid):
-            weight = len(by_pid[p]) * len(by_pid[q])
-            total += weight
             candidates = [x for x in (p, q) if x in owner_rank]
             if candidates:
-                owner = min(candidates,
-                            key=lambda x: (load[x], owner_rank[x]))
+                owner = min(candidates, key=lambda x: (
+                    shards[x].model_comparisons, owner_rank[x]))
             else:
                 owner = owners[0]
             shards[owner].blocks.append((p, q))
-            shards[owner].model_comparisons += weight
-            load[owner] += weight
+            shards[owner].model_comparisons += (len(by_pid[p])
+                                                * len(by_pid[q]))
         return ShardPlan(owners=list(owners), by_pid=by_pid, shards=shards,
-                         intervals=list(intervals), model_comparisons=total,
+                         intervals=list(intervals),
                          lost_present=any(rec.lost for rec in intervals),
                          index=index)
 
@@ -488,48 +416,23 @@ class RaceDetector:
         """Run the pair search, the check-list join and the bitmap
         comparison for one shard's blocks on the owner's ``clock``.
 
-        Charges mirror the centralized engine exactly — the naive
-        comparison model under INTERVALS, overlap probes under INTERVALS,
-        one BITMAPS charge per bitmap comparison — they just land on the
-        owner's ledger.  Bitmaps the shard names but the owner does not
-        hold are fetched with the same byte formulas as the centralized
-        bitmap round, priced under SHARDED_DETECT;
-        :class:`repro.errors.RetryExhaustedError` propagates so the
-        caller can fall back to centralized detection for the epoch.
-
-        Mutates **no** detector state: every counter lives in the
-        returned :class:`ShardResult`, so an abandoned sharded pass (crash
-        or network fallback) leaves the detector exactly as it was.
+        Charges are the centralized engine's — the naive comparison model
+        under INTERVALS, overlap probes under INTERVALS, one BITMAPS
+        charge per bitmap comparison — they just land on the owner's
+        ledger.  Bitmaps the shard names but the owner does not hold are
+        fetched in a round priced under SHARDED_DETECT (it exists only
+        because of sharding — the per-shard fetches may overlap across
+        owners, which the separate category keeps honest);
+        :class:`repro.errors.RetryExhaustedError` propagates from the
+        first failing exchange so the caller can fall back to centralized
+        detection for the epoch.
         """
-        res = ShardResult(owner=shard.owner,
-                          comparisons=shard.model_comparisons)
         if not shard.blocks:
-            return res
-        join = self._join_blocks(plan.index, shard.blocks,
-                                 shard.model_comparisons, plan.lost_present,
-                                 clock)
-        res.probes = join.probes
-        res.concurrent_pairs = join.concurrent_pairs
-        res.check_entries = join.check_entries
-        res.used = join.used
-        res.needed = join.needed
-        # Blocks partition the centralized entries exactly, so the
-        # per-shard filter counters sum to the centralized figures and the
-        # committed stats stay engine-independent.
-        res.granule_checks = join.granule_checks
-        res.granule_hits = join.granule_hits
-        res.pairs_filtered = join.granule_checks - join.granule_hits
-        res.fetch_messages, res.fetch_bytes = self._charge_shard_bitmap_round(
-            shard.owner, res.needed, clock)
-        for entry in join.entries:
-            if plan.lost_present and (entry.a.lost or entry.b.lost):
-                res.items.append(self._shard_unverifiable_item(entry, epoch))
-            else:
-                item = self._shard_race_item(
-                    entry, join.pages_of(entry), epoch, clock, res)
-                if item is not None:
-                    res.items.append(item)
-        return res
+            # Nothing to search (usually the coordinator's slice): unlike
+            # a whole epoch, a blockless slice owes no pair-search charge.
+            return ShardResult(owner=shard.owner)
+        return self._compute(shard, plan, epoch, clock, "shard_bitmap_",
+                             CostCategory.SHARDED_DETECT, tolerant=False)
 
     @staticmethod
     def merge_shard_items(left: List[ShardItem],
@@ -562,149 +465,183 @@ class RaceDetector:
     def commit_sharded(self, plan: ShardPlan, results: List[ShardResult],
                        items: List[ShardItem], epoch: int,
                        master_clock: VirtualClock) -> List[RaceReport]:
-        """Coordinator-side commit of a sharded epoch: fold the reduced
-        candidate stream through the cross-epoch dedup state and update
-        every statistic exactly as ``run_epoch`` would have.
+        """Coordinator-side commit of a sharded epoch.  ``items`` is the
+        fully merged, key-sorted candidate list of ``results``."""
+        return self._commit(plan, results, items, epoch)
 
-        ``items`` is the fully merged, key-sorted candidate list — the
-        centralized check-list order — so first-occurrence dedup against
-        ``_seen_keys`` keeps precisely the reports the centralized engine
-        keeps, in the same order.
+    # ------------------------------------------------------------------ #
+    # Internals: the compute and commit steps, then what they are made of.
+    # ------------------------------------------------------------------ #
+    def _compute(self, shard: DetectShard, plan: ShardPlan, epoch: int,
+                 clock: VirtualClock, tag: str, category: CostCategory,
+                 tolerant: bool) -> ShardResult:
+        """Steps 2-5 for one slice on the owner's ``clock``, up to the
+        dedup: every intersection bit becomes a candidate, because
+        first-occurrence dedup needs the global order, which only the
+        commit has.  ``tag``, ``category`` and ``tolerant`` are the
+        caller's bitmap-round policy (:meth:`_bitmap_round`)."""
+        res = ShardResult(owner=shard.owner,
+                          comparisons=shard.model_comparisons)
+        # Steps 2+3: concurrent pairs (constant-time VC comparisons), then
+        # page-overlap winnowing into the check list.
+        #
+        # The fast path (default) never enumerates the concurrent pairs:
+        # the pruned O(i log i) search leaves them as bit masks, the check
+        # list is their intersection with the inverted notices, and only
+        # the entries step 5 must look at become objects.  Virtual time is
+        # *decoupled* from that execution: the clock is charged for the
+        # naive algorithm's comparison count (computed analytically) and
+        # the reference probe work, exactly as the reference engine
+        # charges them — ledgers, stats, and verdicts are bit-identical
+        # either way.
+        search = PairSearchStats()
+        if plan.index is not None:
+            join = self._join_blocks(shard, plan, search, clock)
+        else:
+            pairs = list(find_concurrent_pairs(plan.intervals, search))
+            res.comparisons = search.comparisons
+            self._charge_pair_search(
+                search.comparisons,
+                sum(overlap_work(a, b) for a, b in pairs), clock)
+            join = self._winnow(build_check_list(pairs), plan.lost_present,
+                                clock)
+        join.probes = search.comparisons
+        join.concurrent_pairs = search.concurrent_pairs
+        res.join = join
+
+        # Step 4; a tolerated failure degrades that owner's entries below.
+        res.fetch_messages, res.fetch_bytes, failed = self._bitmap_round(
+            shard.owner, join.needed, clock, tag, category, tolerant)
+        res.failed_owners = failed
+        if failed and join.plan is None and self.coarse_filter:
+            # The page-granularity reports are defined over the
+            # *unfiltered* pages, which the join did not materialize.
+            join.entries = plan.index.join(join.conc, False).entries
+            join.plan = {id(entry): self._filter_pages(entry)[0]
+                         for entry in join.entries}
+
+        # Step 5: bitmap comparison -> candidate reports.
+        for entry in join.entries:
+            if plan.lost_present and (entry.a.lost or entry.b.lost):
+                res.items.append(self._unverifiable_item(entry, epoch))
+            elif failed and (entry.a.pid in failed or entry.b.pid in failed):
+                # Word bitmaps for one side never arrived: degrade this
+                # entry to explicit page-granularity reports rather than
+                # dropping it — the affected range is never silently lost
+                # (ROADMAP robustness goal; compare Butelle & Coti's
+                # requirement that detection metadata survive an
+                # unreliable substrate).  Deliberately over the
+                # *unfiltered* pages: with the exchange failed, the
+                # conservative page-granularity report matches what the
+                # filter-off detector would emit.
+                res.items.append(ShardItem(
+                    entry_key(entry), "page",
+                    self._page_candidates(entry, epoch)))
+            else:
+                comparisons, reports = self._word_candidates(
+                    entry, join.pages_of(entry), epoch, clock)
+                res.bitmap_comparisons += comparisons
+                if reports:
+                    res.items.append(ShardItem(entry_key(entry), "race",
+                                               reports))
+        # The commit reads the join's counters and sets; its per-pair
+        # objects are done with, and N slices' worth of them would
+        # otherwise live until the reduce has finished.
+        join.entries, join.conc, join.plan = [], [], None
+        return res
+
+    def _commit(self, plan: ShardPlan, results: List[ShardResult],
+                items: List[ShardItem], epoch: int) -> List[RaceReport]:
+        """Fold one epoch's slices into the detector; returns the new race
+        reports.
+
+        ``items`` is the key-sorted merge of the slices' candidates — the
+        check-list order — so first-occurrence dedup against
+        ``_seen_keys`` (``RaceReport.key()`` deliberately excludes the
+        epoch) keeps the same reports in the same order however the epoch
+        was sliced.
         """
-        self.stats.epochs_checked += 1
+        stats = self.stats
+        stats.epochs_checked += 1
         for rec in plan.intervals:
-            self.stats.bitmaps_created += (len(rec.read_bitmaps)
-                                           + len(rec.write_bitmaps))
-        self.stats.intervals_total += len(plan.intervals)
-        self.stats.interval_comparisons += plan.model_comparisons
-        self.stats.concurrent_pairs += sum(r.concurrent_pairs
-                                           for r in results)
-        self.actual_comparisons += sum(r.probes for r in results)
-        self.stats.overlapping_pairs += sum(r.check_entries for r in results)
+            stats.bitmaps_created += (len(rec.read_bitmaps)
+                                      + len(rec.write_bitmaps))
+        stats.intervals_total += len(plan.intervals)
+        comparisons = concurrent_pairs = check_entries = 0
         used: Set[Tuple[int, int]] = set()
         needed: Set[Tuple[int, int, int, str]] = set()
+        failed: Set[int] = set()
         for r in results:
-            used |= r.used
-            needed |= r.needed
-        self.stats.intervals_used += len(used)
-        fetched = len(needed)
-        self.stats.bitmaps_fetched += fetched
-        self.stats.bitmap_comparisons += sum(r.bitmap_comparisons
-                                             for r in results)
-        self.stats.granule_checks += sum(r.granule_checks for r in results)
-        self.stats.granule_hits += sum(r.granule_hits for r in results)
-        self.stats.pairs_filtered += sum(r.pairs_filtered for r in results)
+            comparisons += r.comparisons
+            concurrent_pairs += r.join.concurrent_pairs
+            check_entries += r.join.check_entries
+            used |= r.join.used
+            needed |= r.join.needed
+            failed |= r.failed_owners
+            self.actual_comparisons += r.join.probes
+            stats.bitmap_comparisons += r.bitmap_comparisons
+            stats.granule_checks += r.join.granule_checks
+            stats.granule_hits += r.join.granule_hits
+            stats.pairs_filtered += (r.join.granule_checks
+                                     - r.join.granule_hits)
+        stats.interval_comparisons += comparisons
+        stats.concurrent_pairs += concurrent_pairs
+        stats.overlapping_pairs += check_entries
+        stats.intervals_used += len(used)
+        stats.bitmap_rounds_failed += len(failed)
+        fetched = sum(1 for pid, _idx, _page, _kind in needed
+                      if pid not in failed)
+        stats.bitmaps_fetched += fetched
 
         new_races: List[RaceReport] = []
         new_unverifiable: List[RaceReport] = []
         for item in items:
+            fresh: List[RaceReport] = []
+            for report in item.reports:
+                key = report.key()
+                if key not in self._seen_keys:
+                    self._seen_keys.add(key)
+                    fresh.append(report)
             if item.kind == "unverifiable":
                 if item.pair_key not in self._unverifiable_pair_keys:
                     self._unverifiable_pair_keys.add(item.pair_key)
-                    self.stats.unverifiable_pairs += 1
-                for report in item.reports:
-                    key = report.key()
-                    if key not in self._seen_keys:
-                        self._seen_keys.add(key)
-                        self.stats.unverifiable_reports += 1
-                        new_unverifiable.append(report)
+                    stats.unverifiable_pairs += 1
+                stats.unverifiable_reports += len(fresh)
+                new_unverifiable.extend(fresh)
             else:
-                for report in item.reports:
-                    key = report.key()
-                    if key not in self._seen_keys:
-                        self._seen_keys.add(key)
-                        new_races.append(report)
+                if item.kind == "page":
+                    stats.page_granularity_reports += len(fresh)
+                new_races.extend(fresh)
         self.unverifiable.extend(new_unverifiable)
 
-        self.stats.epoch_history.append(EpochSummary(
+        stats.epoch_history.append(EpochSummary(
             epoch=epoch, intervals=len(plan.intervals),
-            comparisons=plan.model_comparisons,
-            concurrent_pairs=sum(r.concurrent_pairs for r in results),
-            check_list_entries=sum(r.check_entries for r in results),
-            bitmaps_fetched=fetched, races=len(new_races),
-            unverifiable=len(new_unverifiable)))
+            comparisons=comparisons, concurrent_pairs=concurrent_pairs,
+            check_list_entries=check_entries, bitmaps_fetched=fetched,
+            races=len(new_races), unverifiable=len(new_unverifiable)))
 
         if self.first_races_only and new_races:
             if self._first_race_epoch is None:
                 self._first_race_epoch = epoch
             elif epoch > self._first_race_epoch:
-                self.stats.races_suppressed_not_first += len(new_races)
+                # Races in a later epoch are necessarily affected by the
+                # earlier ones (a barrier orders the epochs), hence not
+                # "first" races (§6.4).
+                stats.races_suppressed_not_first += len(new_races)
                 return []
         self.races.extend(new_races)
-        self.stats.races_found += len(new_races)
+        stats.races_found += len(new_races)
         return new_races
 
-    def _charge_shard_bitmap_round(
-            self, owner: int, needed: Set[Tuple[int, int, int, str]],
-            clock: VirtualClock) -> Tuple[int, int]:
-        """Shard-local bitmap retrieval: same byte formulas as the
-        centralized round, on the owner's clock, priced under
-        SHARDED_DETECT (the round exists only because of sharding — the
-        per-shard fetches may overlap across owners, which the separate
-        category keeps honest).  Returns ``(messages, bytes)``;
-        RetryExhaustedError propagates to trigger the centralized
-        fallback."""
-        nmsgs = nbytes = 0
-        if not needed:
-            return nmsgs, nbytes
-        by_owner: Dict[int, int] = {}
-        for pid, _idx, _page, _kind in needed:
-            by_owner[pid] = by_owner.get(pid, 0) + 1
-        for pid in sorted(by_owner):
-            if pid == owner:
-                continue  # the shard owner's own bitmaps are local
-            count = by_owner[pid]
-            req_bytes = self.sizer.ints(1 + 4 * count)
-            reply_bytes = self.sizer.ints(1) + count * (
-                self.sizer.ints(4) + self.sizer.bitmap())
-            msg = self.transport.send(
-                "shard_bitmap_request", owner, pid, None, req_bytes,
-                clock, category=CostCategory.SHARDED_DETECT)
-            nmsgs += 1
-            nbytes += msg.nbytes
-            msg = self.transport.send(
-                "shard_bitmap_reply", pid, owner, None, reply_bytes,
-                clock, category=CostCategory.SHARDED_DETECT,
-                fragmentable=True)
-            nmsgs += 1
-            nbytes += msg.nbytes
-        return nmsgs, nbytes
-
-    def _shard_race_item(self, entry: CheckEntry, pages: List[OverlapPage],
-                         epoch: int, clock: VirtualClock,
-                         res: ShardResult) -> Optional[ShardItem]:
-        """``_compare_entry`` without the dedup: every intersection bit
-        becomes a candidate — first-occurrence dedup is the coordinator's
-        commit step, where the global order is known."""
-        comparisons, reports = self._word_candidates(entry, pages, epoch,
-                                                     clock)
-        res.bitmap_comparisons += comparisons
-        if not reports:
-            return None
-        return ShardItem(key=entry_key(entry), kind="race", reports=reports)
-
-    def _shard_unverifiable_item(self, entry: CheckEntry,
-                                 epoch: int) -> ShardItem:
-        """``_report_unverifiable`` without the dedup; the pair key and
-        every candidate entry travel with the item because the pair count
-        and the report dedup both belong to the coordinator's commit."""
-        pair_key, reports = self._unverifiable_candidates(entry, epoch)
-        return ShardItem(key=entry_key(entry), kind="unverifiable",
-                         reports=reports, pair_key=pair_key)
-
-    # ------------------------------------------------------------------ #
-    # Internals.
-    # ------------------------------------------------------------------ #
-    def _join_blocks(self, index: PageIndex, blocks: List[Block],
-                     model: int, lost_present: bool,
+    def _join_blocks(self, shard: DetectShard, plan: ShardPlan,
+                     search: PairSearchStats,
                      clock: VirtualClock) -> EpochJoin:
-        """Steps 2-3 and the coarse filter for ``blocks`` of the epoch in
-        ``index``, charged to ``clock`` as the reference engine charges
-        them (``model`` is the naive comparison count of the blocks)."""
-        search = PairSearchStats()
-        conc, probe_work = index.scan(blocks, search)
-        self._charge_pair_search(model, probe_work, clock)
-        if lost_present:
+        """Steps 2-3 and the coarse filter for the blocks of ``shard``,
+        charged to ``clock`` as the reference engine charges them."""
+        index = plan.index
+        conc, probe_work = index.scan(shard.blocks, search)
+        self._charge_pair_search(shard.model_comparisons, probe_work, clock)
+        if plan.lost_present:
             # Crash-degraded epoch: the unverifiable reports are defined
             # over every entry and its unfiltered pages, so take the whole
             # list and the reference steps.
@@ -717,8 +654,6 @@ class RaceDetector:
                 clock.advance(
                     self.cost_model.granule_check * join.granule_checks,
                     CostCategory.COARSE_FILTER)
-        join.probes = search.comparisons
-        join.concurrent_pairs = search.concurrent_pairs
         return join
 
     def _charge_pair_search(self, comparisons: int, probe_work: int,
@@ -768,43 +703,51 @@ class RaceDetector:
         join.needed = bitmaps_needed(resolvable)
         return join
 
-    def _charge_bitmap_round(self, needed: Set[Tuple[int, int, int, str]],
-                             master_clock: VirtualClock) -> Set[int]:
-        """Message accounting for the bitmap retrieval round: one request
-        and one reply per process that owns needed bitmaps.
+    def _bitmap_round(self, requester: int,
+                      needed: Set[Tuple[int, int, int, str]],
+                      clock: VirtualClock, tag: str, category: CostCategory,
+                      tolerant: bool) -> Tuple[int, int, Set[int]]:
+        """Message accounting for the bitmap retrieval round: one
+        ``<tag>request`` and one ``<tag>reply`` per process that owns
+        needed bitmaps, in pid order, on ``clock`` under ``category``.
+        Returns ``(messages, bytes, failed pids)``.
 
-        Returns the pids whose exchange exhausted the reliable channel's
-        retry budget (always empty on a fault-free network); their bitmaps
-        are unavailable and the caller degrades those check entries to
-        page-granularity reports instead of silently dropping them.
+        A pid fails when its exchange exhausts the reliable channel's
+        retry budget (never on a fault-free network).  A ``tolerant``
+        round records it — its bitmaps are unavailable and the caller
+        degrades those check entries to page-granularity reports instead
+        of silently dropping them — and goes on to the remaining owners;
+        otherwise the error propagates at once, before anything is sent
+        to a later owner, and the caller abandons the slice.
         """
+        nmsgs = nbytes = 0
         failed: Set[int] = set()
-        if not needed:
-            return failed
         by_owner: Dict[int, int] = {}
         for pid, _idx, _page, _kind in needed:
             by_owner[pid] = by_owner.get(pid, 0) + 1
         for pid in sorted(by_owner):
+            if pid == requester:
+                continue  # the requester's own bitmaps are local
             count = by_owner[pid]
             req_bytes = self.sizer.ints(1 + 4 * count)
             reply_bytes = self.sizer.ints(1) + count * (
                 self.sizer.ints(4) + self.sizer.bitmap())
-            if pid == self.master_pid:
-                continue  # master's own bitmaps are local
             try:
                 msg = self.transport.send(
-                    "bitmap_request", self.master_pid, pid, None, req_bytes,
-                    master_clock, category=CostCategory.BITMAPS)
-                self.transport.stats.add_bitmap_round_bytes(msg.nbytes)
+                    tag + "request", requester, pid, None, req_bytes,
+                    clock, category=category)
+                nmsgs += 1
+                nbytes += msg.nbytes
                 msg = self.transport.send(
-                    "bitmap_reply", pid, self.master_pid, None, reply_bytes,
-                    master_clock, category=CostCategory.BITMAPS,
-                    fragmentable=True)
-                self.transport.stats.add_bitmap_round_bytes(msg.nbytes)
+                    tag + "reply", pid, requester, None, reply_bytes,
+                    clock, category=category, fragmentable=True)
+                nmsgs += 1
+                nbytes += msg.nbytes
             except RetryExhaustedError:
+                if not tolerant:
+                    raise
                 failed.add(pid)
-                self.stats.bitmap_rounds_failed += 1
-        return failed
+        return nmsgs, nbytes, failed
 
     def _filter_pages(self, entry: CheckEntry
                       ) -> Tuple[List[OverlapPage], int, int]:
@@ -840,55 +783,6 @@ class RaceDetector:
                                        a_read_b_write=arbw,
                                        a_write_b_read=awbr))
         return out, checks, hits
-
-    def _compare_entry(self, entry: CheckEntry, pages: List[OverlapPage],
-                       epoch: int, master_clock: VirtualClock,
-                       failed_owners: Set[int]) -> List[RaceReport]:
-        if failed_owners and (entry.a.pid in failed_owners
-                              or entry.b.pid in failed_owners):
-            # Word bitmaps for one side never arrived: degrade this entry
-            # to explicit page-granularity reports rather than dropping it
-            # — the affected range is never silently lost (ROADMAP
-            # robustness goal; compare Butelle & Coti's requirement that
-            # detection metadata survive an unreliable substrate).
-            # Deliberately over the *unfiltered* pages: with the exchange
-            # failed, the conservative page-granularity report matches
-            # what the filter-off detector would emit.
-            races = self._first_seen(self._page_candidates(entry, epoch))
-            self.stats.page_granularity_reports += len(races)
-            return races
-        comparisons, candidates = self._word_candidates(entry, pages, epoch,
-                                                        master_clock)
-        self.stats.bitmap_comparisons += comparisons
-        return self._first_seen(candidates)
-
-    def _report_unverifiable(self, entry: CheckEntry,
-                             epoch: int) -> List[RaceReport]:
-        """Degraded-mode reporting for a check entry touching a crash-lost
-        interval: the pair is concurrent and its notices overlap, but the
-        word bitmaps of the lost side died with the node, so the race can
-        be neither confirmed nor refuted.  Every such pair is surfaced as
-        explicit ``verdict="unverifiable"`` page-granularity entries naming
-        the lost interval(s) — soundness of the degraded detector means
-        never dropping a check silently."""
-        pair_key, candidates = self._unverifiable_candidates(entry, epoch)
-        if pair_key not in self._unverifiable_pair_keys:
-            self._unverifiable_pair_keys.add(pair_key)
-            self.stats.unverifiable_pairs += 1
-        races = self._first_seen(candidates)
-        self.stats.unverifiable_reports += len(races)
-        return races
-
-    def _first_seen(self, candidates: List[RaceReport]) -> List[RaceReport]:
-        """First-occurrence dedup across epochs (``RaceReport.key()``
-        deliberately excludes the epoch)."""
-        fresh: List[RaceReport] = []
-        for report in candidates:
-            key = report.key()
-            if key not in self._seen_keys:
-                self._seen_keys.add(key)
-                fresh.append(report)
-        return fresh
 
     def _word_candidates(self, entry: CheckEntry, pages: List[OverlapPage],
                          epoch: int, clock: VirtualClock
@@ -965,12 +859,21 @@ class RaceDetector:
                     granularity="page", **verdict))
         return reports
 
-    def _unverifiable_candidates(self, entry: CheckEntry, epoch: int
-                                 ) -> Tuple[Tuple, List[RaceReport]]:
-        """``(pair key, reports)`` of an entry touching a lost interval."""
+    def _unverifiable_item(self, entry: CheckEntry, epoch: int) -> ShardItem:
+        """Degraded-mode reporting for a check entry touching a crash-lost
+        interval: the pair is concurrent and its notices overlap, but the
+        word bitmaps of the lost side died with the node, so the race can
+        be neither confirmed nor refuted.  Every such pair is surfaced as
+        explicit ``verdict="unverifiable"`` page-granularity entries naming
+        the lost interval(s) — soundness of the degraded detector means
+        never dropping a check silently.  The pair key travels with the
+        item because the pair count, like the report dedup, belongs to the
+        commit."""
         sides = sorted((entry.a, entry.b), key=lambda r: (r.pid, r.index))
         lost = tuple(f"P{rec.pid}:{rec.index}" for rec in sides if rec.lost)
-        return (tuple((rec.pid, rec.index) for rec in sides),
-                self._page_candidates(entry, epoch, verdict="unverifiable",
-                                      lost_intervals=lost))
+        return ShardItem(
+            entry_key(entry), "unverifiable",
+            self._page_candidates(entry, epoch, verdict="unverifiable",
+                                  lost_intervals=lost),
+            pair_key=tuple((rec.pid, rec.index) for rec in sides))
 

@@ -120,12 +120,9 @@ def interval_from_dict(data: Dict[str, Any]) -> Interval:
 # Node snapshots.
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class NodeSnapshot:
-    """One node's barrier-consistent state, as a plain serializable dict.
-
-    Two snapshots are equal iff their canonical JSON forms are equal —
-    the round-trip tests lean on this.
-    """
+class _Snapshot:
+    """What a full and a delta checkpoint share: the payload dict, its
+    memoized canonical encoding and the size charged for it."""
 
     data: Dict[str, Any]
 
@@ -134,8 +131,6 @@ class NodeSnapshot:
     #: be mutated after the first ``to_json`` call — snapshots are
     #: write-once by construction.
     _json: Optional[str] = field(default=None, repr=False, compare=False)
-
-    is_delta = False
 
     @property
     def pid(self) -> int:
@@ -146,17 +141,6 @@ class NodeSnapshot:
         """Number of barriers the node had completed when snapped (0 = the
         initial pre-application checkpoint)."""
         return self.data["generation"]
-
-    @property
-    def epoch(self) -> int:
-        return self.data["epoch"]
-
-    @property
-    def clock_now(self) -> float:
-        """The node's virtual clock at snapshot time (recorded for
-        cross-run resume; in-run recovery charges restore time explicitly
-        and never rewinds clocks)."""
-        return self.data["clock_now"]
 
     def to_json(self) -> str:
         """Canonical encoding, serialized once and memoized: the size
@@ -174,6 +158,28 @@ class NodeSnapshot:
         costs are charged on."""
         return len(self.to_json().encode("utf-8"))
 
+
+@dataclass(frozen=True)
+class NodeSnapshot(_Snapshot):
+    """One node's barrier-consistent state, as a plain serializable dict.
+
+    Two snapshots are equal iff their canonical JSON forms are equal —
+    the round-trip tests lean on this.
+    """
+
+    is_delta = False
+
+    @property
+    def epoch(self) -> int:
+        return self.data["epoch"]
+
+    @property
+    def clock_now(self) -> float:
+        """The node's virtual clock at snapshot time (recorded for
+        cross-run resume; in-run recovery charges restore time explicitly
+        and never rewinds clocks)."""
+        return self.data["clock_now"]
+
     @classmethod
     def from_json(cls, text: str) -> "NodeSnapshot":
         data = _parse(text)
@@ -189,7 +195,7 @@ class NodeSnapshot:
 
 
 @dataclass(frozen=True)
-class DeltaSnapshot:
+class DeltaSnapshot(_Snapshot):
     """A checkpoint encoded against the node's previous generation.
 
     Holds only the components whose content hash changed (plus deletions
@@ -200,35 +206,12 @@ class DeltaSnapshot:
     so recovery cost and behavior are unchanged.
     """
 
-    data: Dict[str, Any]
-
-    _json: Optional[str] = field(default=None, repr=False, compare=False)
-
     is_delta = True
-
-    @property
-    def pid(self) -> int:
-        return self.data["pid"]
-
-    @property
-    def generation(self) -> int:
-        return self.data["generation"]
 
     @property
     def base_generation(self) -> int:
         """Generation of the snapshot this delta was encoded against."""
         return self.data["base_generation"]
-
-    def to_json(self) -> str:
-        cached = self._json
-        if cached is None:
-            cached = durable.canon(self.data)
-            object.__setattr__(self, "_json", cached)
-        return cached
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.to_json().encode("utf-8"))
 
 
 #: What ``CheckpointManager.take`` returns: the object actually written.

@@ -48,6 +48,7 @@ from repro.dsm.interval import Interval
 from repro.dsm.node import IntervalStore
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostCategory, CostModel
+from repro.sim.crash import counter_summary
 
 
 def elect_coordinator(old_pid: int, live_pids: Sequence[int],
@@ -93,14 +94,7 @@ class FailoverStats:
 
     def summary(self) -> Dict[str, int]:
         """Flat summary used in logs and tests."""
-        return {
-            "elections_held": self.elections_held,
-            "state_bytes_migrated": self.state_bytes_migrated,
-            "records_resolicited": self.records_resolicited,
-            "state_checkpoints": self.state_checkpoints,
-            "state_checkpoint_bytes": self.state_checkpoint_bytes,
-            "journal_fallbacks": self.journal_fallbacks,
-        }
+        return counter_summary(self)
 
 
 @dataclass
@@ -138,20 +132,7 @@ class ShardingStats:
 
     def summary(self) -> Dict[str, int]:
         """Flat summary used in logs and tests."""
-        return {
-            "epochs_sharded": self.epochs_sharded,
-            "epochs_centralized": self.epochs_centralized,
-            "shards_dispatched": self.shards_dispatched,
-            "records_shipped": self.records_shipped,
-            "scatter_messages": self.scatter_messages,
-            "bytes_scattered": self.bytes_scattered,
-            "reduce_messages": self.reduce_messages,
-            "bytes_reduced": self.bytes_reduced,
-            "bitmap_fetch_messages": self.bitmap_fetch_messages,
-            "bitmap_fetch_bytes": self.bitmap_fetch_bytes,
-            "fallbacks_owner_crash": self.fallbacks_owner_crash,
-            "fallbacks_network": self.fallbacks_network,
-        }
+        return counter_summary(self)
 
     def merge(self, other: "ShardingStats") -> None:
         """Fold a *staged* epoch's counters in.  The sharded phases stage
@@ -160,18 +141,8 @@ class ShardingStats:
         (owner crash, retry exhaustion) contributes nothing — the
         counters describe work that was actually committed, not work that
         was attempted and abandoned."""
-        self.epochs_sharded += other.epochs_sharded
-        self.epochs_centralized += other.epochs_centralized
-        self.shards_dispatched += other.shards_dispatched
-        self.records_shipped += other.records_shipped
-        self.scatter_messages += other.scatter_messages
-        self.bytes_scattered += other.bytes_scattered
-        self.reduce_messages += other.reduce_messages
-        self.bytes_reduced += other.bytes_reduced
-        self.bitmap_fetch_messages += other.bitmap_fetch_messages
-        self.bitmap_fetch_bytes += other.bitmap_fetch_bytes
-        self.fallbacks_owner_crash += other.fallbacks_owner_crash
-        self.fallbacks_network += other.fallbacks_network
+        for name, value in counter_summary(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 class CoordinatorRole:

@@ -887,9 +887,9 @@ class CVM:
         master_clock.wait_until(max(bar.arrival_times.values()))
         if role.detector is not None:
             epoch_recs = role.collect_epoch(self.store, self.epoch)
-            if self.config.sharded_detection:
-                self._run_sharded_detection(role, epoch_recs, master_clock)
-            else:
+            if not (self.config.sharded_detection
+                    and self._run_sharded_detection(role, epoch_recs,
+                                                    master_clock)):
                 role.run_detection(epoch_recs, self.epoch, master_clock)
         # Release payloads: one per process, carrying what it is missing.
         # The write notices are applied (invalidating stale copies) here,
@@ -931,17 +931,18 @@ class CVM:
     # ------------------------------------------------------------------ #
     def _run_sharded_detection(self, role: CoordinatorRole,
                                epoch_recs: List[Interval],
-                               master_clock) -> None:
-        """One epoch's detection, sharded when possible.
+                               master_clock) -> bool:
+        """One epoch's detection, sharded when possible; False when it
+        was not, and the caller falls back to the centralized engine.
 
-        Falls back to the centralized engine — soundly and without having
-        mutated any detector state — when the epoch has nothing to shard,
-        when a shard owner crashes during the sharded phase, or when a
-        sharding exchange exhausts the reliable channel's retry budget.
-        The fallback re-runs the full pass on the coordinator's clock;
-        virtual time already spent on the abandoned sharded phase stays
-        spent (honest wasted work), but verdicts and detector statistics
-        come out exactly as if sharding had been off for this epoch.
+        Gives up — soundly and without having mutated any detector state
+        — when the epoch has nothing to shard, when a shard owner crashes
+        during the sharded phase, or when a sharding exchange exhausts the
+        reliable channel's retry budget.  The fallback re-runs the full
+        pass on the coordinator's clock; virtual time already spent on the
+        abandoned sharded phase stays spent (honest wasted work), but
+        verdicts and detector statistics come out exactly as if sharding
+        had been off for this epoch.
         """
         bar = self.barrier_state
         det = role.detector
@@ -952,8 +953,7 @@ class CVM:
         plan = det.plan_shards(epoch_recs, owners)
         if plan is None:
             sh.epochs_centralized += 1
-            role.run_detection(epoch_recs, self.epoch, master_clock)
-            return
+            return False
         # Mid-phase owner deaths.  One crash point per live owner with a
         # non-empty shard, on the independent "detect" schedule (so the
         # access/send/barrier schedules of non-sharded runs are
@@ -980,15 +980,13 @@ class CVM:
                 master_clock.wait_until(
                     master_clock.now + DEFAULT_CRASH_DETECT_TIMEOUT)
                 sh.fallbacks_owner_crash += 1
-                role.run_detection(epoch_recs, self.epoch, master_clock)
-                return
+                return False
         try:
             results, items, staged = self._sharded_phases(det, plan,
                                                           master_clock)
         except RetryExhaustedError:
             sh.fallbacks_network += 1
-            role.run_detection(epoch_recs, self.epoch, master_clock)
-            return
+            return False
         det.commit_sharded(plan, results, items, self.epoch, master_clock)
         # Counters for the sharded phases are staged and folded in only
         # now that the epoch committed: an abandoned phase (a fallback
@@ -996,6 +994,7 @@ class CVM:
         # behind for work whose results were thrown away.
         sh.merge(staged)
         sh.epochs_sharded += 1
+        return True
 
     def _sharded_phases(self, det, plan, master_clock):
         """The three distributed phases of one sharded epoch; returns

@@ -114,8 +114,6 @@ class BarrierState:
         #: current generation; cleared at every reset.  Diagnostic state:
         #: the recovery protocol itself lives in ``repro.dsm.cvm``.
         self.dead_this_generation: Set[int] = set()
-        #: Total deaths declared across all generations.
-        self.deaths_declared = 0
         #: Optional ``(generation, pid)`` callback fired at every arrival —
         #: the two-phase pipeline's arrival-order capture point
         #: (:class:`~repro.replay.trace.SyncTraceRecorder` appends to the
@@ -148,7 +146,6 @@ class BarrierState:
                 "(enable master failover with --master-failover "
                 "/ DsmConfig.master_failover)")
         self.dead_this_generation.add(pid)
-        self.deaths_declared += 1
 
     def shard_owners(self, crashed, limit: int = 0) -> List[int]:
         """Owner pids for a sharded detection pass this generation

@@ -18,19 +18,10 @@ back-to-back runs in one interpreter assign identical message identities.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-
-def _unit(key: str) -> float:
-    """Deterministic uniform [0, 1) variate derived from ``key``.
-
-    blake2b is stable across platforms and Python versions (unlike
-    ``hash()``, which is salted per process).
-    """
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
+from repro.sim.crash import unit_variate
 
 
 @dataclass(frozen=True)
@@ -123,16 +114,16 @@ class FaultInjector:
             return FaultDecision()
         ident = (f"{self.plan.seed}:{tag}:{src}>{dst}"
                  f":{seqno}.{fragment}#{attempt}")
-        drop = rates.drop > 0 and _unit("drop|" + ident) < rates.drop
+        drop = rates.drop > 0 and unit_variate("drop|" + ident) < rates.drop
         if drop:
             # A dropped datagram never reaches the receiver; duplication
             # and reordering are moot.
             return FaultDecision(drop=True)
         return FaultDecision(
             duplicate=(rates.duplicate > 0
-                       and _unit("dup|" + ident) < rates.duplicate),
+                       and unit_variate("dup|" + ident) < rates.duplicate),
             reorder=(rates.reorder > 0
-                     and _unit("ord|" + ident) < rates.reorder))
+                     and unit_variate("ord|" + ident) < rates.reorder))
 
 
 def plan_from_rates(loss_rate: float, duplicate_rate: float,

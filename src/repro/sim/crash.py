@@ -38,6 +38,7 @@ scheduling skips (a node whose crash is still pending recovery,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
@@ -60,10 +61,10 @@ DEFAULT_ELECTION_TIMEOUT = DEFAULT_CRASH_DETECT_TIMEOUT
 EVENT_KINDS = ("access", "send", "barrier")
 
 
-def _unit(key: str) -> float:
-    """Deterministic uniform [0, 1) variate derived from ``key`` (the
-    :mod:`repro.net.faults` recipe: BLAKE2b is stable across platforms and
-    interpreter runs, unlike the salted builtin ``hash``)."""
+def unit_variate(key: str) -> float:
+    """Deterministic uniform [0, 1) variate derived from ``key``, shared
+    with :mod:`repro.net.faults` (BLAKE2b is stable across platforms and
+    interpreter runs, unlike the builtin ``hash``, salted per process)."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
@@ -142,7 +143,7 @@ class CrashInjector:
         if self.plan.rate <= 0:
             return False
         ident = f"crash|{self.plan.seed}:{pid}:{kind}:{count}"
-        return _unit(ident) < self.plan.rate
+        return unit_variate(ident) < self.plan.rate
 
     def scheduled_at(self, pid: int, generation: int) -> bool:
         """True if the explicit schedule kills ``pid`` at its arrival to
@@ -209,18 +210,15 @@ class CrashStats:
                 + self.recoveries_without_checkpoint)
 
     def summary(self) -> Dict[str, int]:
-        """Flat summary used in logs and tests."""
-        return {
-            "crashes": self.crashes,
-            "master_crashes_suppressed": self.master_crashes_suppressed,
-            "pending_crash_skips": self.pending_crash_skips,
-            "recoveries_from_checkpoint": self.recoveries_from_checkpoint,
-            "recoveries_without_checkpoint": self.recoveries_without_checkpoint,
-            "intervals_lost": self.intervals_lost,
-            "deaths_declared": self.deaths_declared,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_bytes": self.checkpoint_bytes,
-        }
+        """Flat summary used in logs and tests (``by_kind`` stays out)."""
+        return counter_summary(self)
+
+
+def counter_summary(stats) -> Dict[str, int]:
+    """Every ``int`` field of a stats dataclass, in declaration order —
+    derived, so a new counter cannot be left out of a summary."""
+    return {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), int)}
 
 
 def plan_from_options(rate: float, seed: int,

@@ -24,7 +24,7 @@ from repro.errors import RetryExhaustedError
 from repro.net.message import WireSizer
 from repro.net.transport import Transport
 from repro.sim.clock import VirtualClock
-from repro.sim.costmodel import CostModel
+from repro.sim.costmodel import CostCategory, CostModel
 
 PAGE_WORDS = 64
 PAGES = 5
@@ -93,8 +93,11 @@ class FailingTransport(Transport):
     def __init__(self, cost_model, victim):
         super().__init__(cost_model)
         self.victim = victim
+        #: (tag, src, dst) of every send attempted, failed ones included.
+        self.attempts = []
 
     def send(self, tag, src, dst, *args, **kwargs):
+        self.attempts.append((tag, src, dst))
         if self.victim in (src, dst):
             raise RetryExhaustedError(tag, src, dst, 0, 0, 3)
         return super().send(tag, src, dst, *args, **kwargs)
@@ -246,6 +249,141 @@ def test_sharded_matches_reference_engine(seed, coarse_filter, lost):
     assert sharded.stats == ref.stats
     assert sharded._seen_keys == ref._seen_keys
     assert sharded._unverifiable_pair_keys == ref._unverifiable_pair_keys
+
+
+def all_racing(pids):
+    """One interval per pid, all concurrent, all writing word 0 of page 0:
+    every process pair is a check-list entry with a race."""
+    width = max(pids) + 1
+    intervals = []
+    for pid in pids:
+        vc = [0] * width
+        vc[pid] = 1
+        rec = Interval(pid, 1, VectorClock(vc), 0, PAGE_WORDS)
+        rec.record_write(0, 0)
+        rec.close()
+        intervals.append(rec)
+    return intervals
+
+
+def test_sharded_failed_exchange_propagates_and_mutates_nothing():
+    """The sharded round shares its loop with the tolerant centralized
+    one: it must still give up at the first failing exchange, ask no later
+    owner, and leave the detector as it found it."""
+    intervals = all_racing(range(4))
+    detector = make_detector(4, True, False, victim=2)
+    # Some state to preserve, including a tolerated failed exchange.
+    detector.run_epoch(intervals, 0, VirtualClock())
+    assert detector.stats.bitmap_rounds_failed == 1
+    plan = detector.plan_shards(intervals, [0, 1])
+    shard = plan.shards[0]
+    # Block (2, 3) has no endpoint owner, so it lands on the coordinator,
+    # whose round asks pids 1, 2 and 3 in that order.
+    assert (2, 3) in shard.blocks
+    before = (detector.serialize_state(), detector.stats.to_dict(),
+              detector.transport.stats.bitmap_round_bytes)
+    detector.transport.attempts.clear()
+    clock = VirtualClock()
+    with pytest.raises(RetryExhaustedError):
+        detector.compute_shard(shard, plan, 1, clock)
+    assert detector.transport.attempts == [
+        ("shard_bitmap_request", 0, 1), ("shard_bitmap_reply", 1, 0),
+        ("shard_bitmap_request", 0, 2)]
+    assert (detector.serialize_state(), detector.stats.to_dict(),
+            detector.transport.stats.bitmap_round_bytes) == before
+
+
+def test_centralized_failed_exchange_asks_the_remaining_owners():
+    intervals = all_racing(range(4))
+    detector = make_detector(4, True, False, victim=2)
+    detector.run_epoch(intervals, 0, VirtualClock())
+    assert detector.transport.attempts == [
+        ("bitmap_request", 0, 1), ("bitmap_reply", 1, 0),
+        ("bitmap_request", 0, 2),
+        ("bitmap_request", 0, 3), ("bitmap_reply", 3, 0)]
+    # One bitmap per pid was needed; pid 2's never arrived.
+    assert detector.stats.bitmaps_fetched == 3
+    traffic = detector.transport.stats
+    assert traffic.bitmap_round_bytes == traffic.total_bytes > 0
+
+
+def test_run_epoch_is_one_span_for_the_tracer():
+    """``benchmarks/spine/trace.py`` wraps these four names on the
+    instance and sums their spans: a centralized epoch must enter
+    ``run_epoch`` once and none of the others, nested or not."""
+    intervals, nprocs = make_epoch(1)
+    detector = make_detector(nprocs, True, True)
+    entered = []
+
+    def wrap(name):
+        inner = getattr(detector, name)
+
+        def wrapper(*args, **kwargs):
+            entered.append(name)
+            return inner(*args, **kwargs)
+        setattr(detector, name, wrapper)
+
+    for name in ("run_epoch", "plan_shards", "compute_shard",
+                 "commit_sharded"):
+        wrap(name)
+    detector.run_epoch(intervals, 0, VirtualClock())
+    assert detector.stats.overlapping_pairs > 0
+    assert entered == ["run_epoch"]
+
+
+def test_reference_engine_builds_no_page_index(monkeypatch):
+    """``fast_path=False`` stays the literal pair-at-a-time pipeline: the
+    shared plan step must not hand it the bit-parallel index."""
+    from repro.core import detector as detector_module
+
+    def forbidden(intervals):
+        raise AssertionError("reference engine built a PageIndex")
+    monkeypatch.setattr(detector_module, "PageIndex", forbidden)
+    intervals, nprocs = make_epoch(1)
+    detector = make_detector(nprocs, False, True)
+    detector.run_epoch(intervals, 0, VirtualClock())
+    assert detector.stats.overlapping_pairs > 0
+
+
+def test_pair_search_floor_is_per_epoch_not_per_slice():
+    """An epoch with no cross-process block still charges the pair search
+    once; a blockless slice of a sharded epoch charges nothing."""
+    cost = CostModel()
+    detector = make_detector(3, True, True)
+    clock = VirtualClock()
+    detector.run_epoch(all_racing([1]), 0, clock)
+    assert clock.ledger.totals[CostCategory.INTERVALS] == \
+        cost.interval_compare * 1
+    assert clock.now == cost.interval_compare * 1
+
+    # Pid 0 coordinates but has no interval: both endpoints of the only
+    # block are owners, so its own slice is empty.
+    intervals = all_racing([1, 2])
+    plan = detector.plan_shards(intervals, [0, 1, 2])
+    assert plan.shards[0].blocks == []
+    clock = VirtualClock()
+    res = detector.compute_shard(plan.shards[0], plan, 1, clock)
+    assert clock.now == 0 and not any(clock.ledger.slots)
+    assert res.items == [] and res.comparisons == 0
+
+
+@pytest.mark.parametrize("coarse_filter", [False, True])
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_mixed_degraded_items_keep_check_list_order(seed, coarse_filter):
+    """A lost interval *and* a failed exchange in one epoch: ``race``,
+    ``page`` and ``unverifiable`` items interleave in the check list, and
+    one dedup pass in entry-key order must report each kind in that
+    order."""
+    intervals, nprocs = make_epoch(seed)
+    random.Random(seed).choice(intervals).lost = True
+    victim = 1 + seed % max(1, nprocs - 1)
+    fast = run_centralized(intervals, nprocs, True, coarse_filter, victim)
+    ref = run_centralized(intervals, nprocs, False, coarse_filter, victim)
+    assert fast == ref
+    for reports in (fast["races"], fast["unverifiable"]):
+        keys = [(r["a"]["pid"], r["b"]["pid"], r["a"]["index"],
+                 r["b"]["index"]) for r in reports]
+        assert keys == sorted(keys)
 
 
 def test_generator_covers_the_shapes_it_promises():

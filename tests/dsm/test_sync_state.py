@@ -49,13 +49,11 @@ def test_barrier_death_declaration_bookkeeping():
     bar = BarrierState(3)
     bar.declare_dead(2)
     assert bar.dead_this_generation == {2}
-    assert bar.deaths_declared == 1
     bar.arrive(0, 1.0)
     bar.arrive(1, 2.0)
     bar.arrive(2, 9.0)
     bar.reset_for_next_generation()
     assert bar.dead_this_generation == set()
-    assert bar.deaths_declared == 1  # cumulative counter survives reset
     with pytest.raises(SynchronizationError, match="master"):
         bar.declare_dead(0)
 
