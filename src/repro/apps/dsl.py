@@ -49,6 +49,7 @@ from repro.dsm.cvm import Env
 from repro.instrument.atom import AtomRewriter
 from repro.instrument.isa import BinaryImage
 from repro.instrument.linker import link
+from repro.instrument.lower import lower_image
 from repro.instrument.machine import HEAP_BASE, Machine
 from repro.instrument.parser import compile_source
 
@@ -60,11 +61,17 @@ ARENA_WORDS = 512
 @lru_cache(maxsize=None)
 def compiled_image(name: str, source: str,
                    regalloc: str = "linear") -> BinaryImage:
-    """Compile, link and ATOM-instrument a DSL program (cached — the
-    binary is immutable and shared by every process and every run)."""
+    """Compile, link, ATOM-instrument and lower a DSL program (cached —
+    the binary is immutable and shared by every process and every run).
+
+    Lowering happens here, in the thread that builds the image: block
+    compilation inside the simulation threads would leave its transient
+    allocations resident in every thread's arena."""
     obj = compile_source(source, name, regalloc=regalloc)
-    image = link(name, [obj], libraries=[], include_cvm=False, strict=True)
-    return AtomRewriter().instrument(image)
+    image = AtomRewriter().instrument(
+        link(name, [obj], libraries=[], include_cvm=False, strict=True))
+    lower_image(image)
+    return image
 
 
 class DslMachine(Machine):
@@ -109,8 +116,7 @@ class DslMachine(Machine):
             self.env.private_accesses(1)
 
 
-def run_dsl_app(env: Env, source: str, name: str, *main_args: int,
-                regalloc: str = "linear") -> int:
+def run_dsl_app(env: Env, source: str, name: str, *main_args: int) -> int:
     """Execute a DSL program under this Env and return its ``main``'s
     value.  ``main`` is invoked as ``main(pid, nprocs, mailbox, *args)``
     where ``mailbox`` is the machine address of the shared mailbox page.

@@ -7,7 +7,9 @@ Usage (``python -m repro.cli <command> ...``)::
     report [--write PATH]        regenerate every table and figure
     attribute APP [options]      two-run §6.1 racy-access attribution
     table2                       static instrumentation statistics
-    disasm APP [--instrumented]  mini-ISA listing of an app kernel binary
+    disasm APP [--instrumented] [--lowered]
+                                 mini-ISA listing of an app kernel binary,
+                                 or the block code it is lowered to
     fleet serve|submit|status|drain
                                  supervised multi-run detection service
 
@@ -416,7 +418,14 @@ def cmd_disasm(args) -> int:
                   f"{report.calls_after} ({report.ranged_calls} ranged, "
                   f"{report.words_batched} words)")
             print()
-    if not args.full:
+    if args.lowered:
+        # What the machine executes: only application code is lowered.
+        from repro.instrument.lower import lower_image
+        low = lower_image(image)
+        for name in sorted(low.code):
+            print(low.listing(image.functions[name]))
+            print()
+    elif not args.full:
         # Application code only (libraries are synthetic filler).
         for name in sorted(image.functions):
             fn = image.functions[name]
@@ -657,6 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "contiguous analysis calls into ranged calls")
     p_dis.add_argument("--full", action="store_true",
                        help="include synthetic library code")
+    p_dis.add_argument("--lowered", action="store_true",
+                       help="print the lowered form instead: per function "
+                            "the register slot map and the basic-block "
+                            "source the machine executes, each statement "
+                            "annotated with its instruction")
     p_dis.set_defaults(func=cmd_disasm)
 
     p_fleet = sub.add_parser(

@@ -20,9 +20,10 @@ We have no Alpha binaries, so we rebuild the whole pipeline one level down:
 * :mod:`repro.instrument.atom` — the rewriter: classifies every load and
   store (Table 2's categories) and inserts analysis-routine calls before
   the survivors;
-* :mod:`repro.instrument.machine` — an interpreter that executes
-  (instrumented) binaries, so the inserted calls demonstrably fire at run
-  time.
+* :mod:`repro.instrument.lower` — decodes each application function once
+  into basic-block Python code (slots, block indices, constants resolved);
+* :mod:`repro.instrument.machine` — the execution context that runs those
+  blocks, so the inserted calls demonstrably fire at run time.
 """
 
 from repro.instrument.atom import AtomRewriter, InstrumentationReport

@@ -1,10 +1,17 @@
-"""Interpreter for mini-ISA binaries.
+"""Execution context for mini-ISA binaries.
 
 Executes application code (including the analysis calls the rewriter
 inserted), so the instrumentation pipeline can be demonstrated end to end:
 compile a kernel, link it, rewrite it with :class:`AtomRewriter`, run it,
 and watch the analysis routine fire once per surviving load/store while
 fp/gp-relative accesses execute silently.
+
+Nothing is decoded per instruction: :mod:`repro.instrument.lower` turns
+each application function once into basic-block code, and a call is frame
+set-up plus a loop handing control from block to block.  This module owns
+the state the blocks run against (memory, heap, ``sp``, ``steps``,
+``analysis_calls``) and what is resolved at run time: the ``read_word`` /
+``write_word`` memory seam, intrinsics by name, the analysis hook.
 
 The machine has a flat word-addressed memory with three regions — stack,
 static data, heap — mirroring the address-space layout the run-time shared
@@ -26,9 +33,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InstrumentationError
-from repro.instrument.atom import ANALYSIS_SYMBOL
-from repro.instrument.isa import (ARG_REGS, FP, GP, RV, BinaryImage,
-                                  Function, Instruction, Op, Section)
+from repro.instrument.isa import ARG_REGS, BinaryImage, Section
+from repro.instrument.lower import (ARG_SLOT, FP_SLOT, GP_SLOT, RV_SLOT,
+                                    lowered)
 
 #: Memory layout (word addresses).
 STACK_BASE = 0
@@ -83,14 +90,11 @@ class Machine:
             "__heap_alloc": self._heap_alloc,
             "__heap_free": self._heap_free,
         }
-        self._labels: Dict[str, Dict[str, int]] = {}
         # Free lists for the ``new``/``delete`` allocator: exact-size
         # block recycling (metadata lives Python-side, uninstrumented,
         # like libc allocator internals).
         self._free_blocks: Dict[int, List[int]] = {}
         self._block_sizes: Dict[int, int] = {}
-        self._faddrs: Optional[Dict[str, int]] = None
-        self._fnames: Optional[Dict[int, str]] = None
 
     # ------------------------------------------------------------------ #
     # Public API.
@@ -149,40 +153,6 @@ class Machine:
         self._free_blocks.setdefault(size, []).append(addr)
         return 0
 
-    def _build_func_tables(self) -> None:
-        self._faddrs = {}
-        self._fnames = {}
-        for fname in sorted(self.image.functions):
-            addr = self.image.function_address(fname)
-            self._faddrs[fname] = addr
-            self._fnames[addr] = fname
-
-    def _function_address(self, name: str) -> int:
-        if self._faddrs is None:
-            self._build_func_tables()
-        addr = self._faddrs.get(name)
-        if addr is None:
-            raise InstrumentationError(
-                f"la of undefined function {name!r}")
-        return addr
-
-    def _function_by_address(self, addr: int) -> str:
-        if self._fnames is None:
-            self._build_func_tables()
-        name = self._fnames.get(addr)
-        if name is None:
-            raise InstrumentationError(
-                f"callr through {addr}: not a function address")
-        return name
-
-    def _labels_of(self, fn: Function) -> Dict[str, int]:
-        cached = self._labels.get(fn.name)
-        if cached is None:
-            cached = {ins.target: i for i, ins in enumerate(fn.instructions)
-                      if ins.op is Op.LABEL}
-            self._labels[fn.name] = cached
-        return cached
-
     def _call(self, name: str, args: List[int]) -> int:
         fn = self.image.functions.get(name)
         if fn is None or fn.section is not Section.APP:
@@ -190,100 +160,29 @@ class Machine:
             if intrinsic is not None:
                 return int(intrinsic(*args))
             return 0  # opaque library call
+        if len(args) > len(ARG_REGS):
+            raise InstrumentationError(
+                f"{name}: {len(args)} arguments, but the calling convention "
+                f"has {len(ARG_REGS)} argument registers "
+                f"({ARG_REGS[0]}..{ARG_REGS[-1]})")
+        code = lowered(self.image).function(fn)
         frame = self.sp - max(1, fn.frame_words)
+        r = [0] * code.nregs
+        r[FP_SLOT], r[GP_SLOT] = frame, STATIC_BASE
+        r[ARG_SLOT:ARG_SLOT + len(args)] = args
+        blocks, rd, wr = code.blocks, self.read_word, self.write_word
         saved_sp, self.sp = self.sp, frame
-        regs: Dict[str, int] = {FP: frame, GP: STATIC_BASE}
-        for i, v in enumerate(args):
-            regs[ARG_REGS[i]] = v
         try:
-            return self._exec(fn, regs)
+            b = 0
+            while b >= 0:
+                b = blocks[b](self, r, rd, wr)
+            return r[RV_SLOT]
         finally:
             self.sp = saved_sp
 
-    def _exec(self, fn: Function, regs: Dict[str, int]) -> int:
-        labels = self._labels_of(fn)
-        code = fn.instructions
-        pc = 0
-        get = lambda r: regs.get(r, 0)  # noqa: E731
-        while pc < len(code):
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise InstrumentationError(
-                    f"machine exceeded {self.max_steps} steps")
-            ins = code[pc]
-            op = ins.op
-            if op is Op.LD:
-                regs[ins.reg] = self.read_word(get(ins.base) + ins.offset)
-            elif op is Op.ST:
-                self.write_word(get(ins.base) + ins.offset, get(ins.reg))
-            elif op is Op.LI:
-                regs[ins.reg] = ins.imm
-            elif op is Op.MOV:
-                regs[ins.reg] = get(ins.srcs[0])
-            elif op is Op.ADD:
-                regs[ins.reg] = get(ins.srcs[0]) + get(ins.srcs[1])
-            elif op is Op.SUB:
-                regs[ins.reg] = get(ins.srcs[0]) - get(ins.srcs[1])
-            elif op is Op.MUL:
-                regs[ins.reg] = get(ins.srcs[0]) * get(ins.srcs[1])
-            elif op is Op.DIV:
-                denom = get(ins.srcs[1])
-                regs[ins.reg] = 0 if denom == 0 else \
-                    int(get(ins.srcs[0]) / denom)
-            elif op is Op.AND:
-                regs[ins.reg] = get(ins.srcs[0]) & get(ins.srcs[1])
-            elif op is Op.OR:
-                regs[ins.reg] = get(ins.srcs[0]) | get(ins.srcs[1])
-            elif op is Op.XOR:
-                regs[ins.reg] = get(ins.srcs[0]) ^ get(ins.srcs[1])
-            elif op is Op.SLT:
-                regs[ins.reg] = 1 if get(ins.srcs[0]) < get(ins.srcs[1]) else 0
-            elif op is Op.SEQ:
-                regs[ins.reg] = 1 if get(ins.srcs[0]) == get(ins.srcs[1]) else 0
-            elif op is Op.BEQZ:
-                if get(ins.srcs[0]) == 0:
-                    pc = labels[ins.target]
-            elif op is Op.BNEZ:
-                if get(ins.srcs[0]) != 0:
-                    pc = labels[ins.target]
-            elif op is Op.J:
-                pc = labels[ins.target]
-            elif op is Op.CALL:
-                if ins.target == ANALYSIS_SYMBOL:
-                    # One procedure call regardless of how many words a
-                    # ranged call (imm = run length) announces — that is
-                    # the cost batching removes.
-                    self.analysis_calls += 1
-                    base_val = get(ins.srcs[0]) if ins.srcs else 0
-                    addr = base_val + ins.offset
-                    is_store = (ins.srcs[1] == "st"
-                                if len(ins.srcs) > 1 else False)
-                    count = ins.imm if ins.imm is not None else 1
-                    if count == 1:
-                        self.analysis_hook(addr, is_store, ins.origin)
-                    else:
-                        range_hook = getattr(self.analysis_hook,
-                                             "range_access", None)
-                        if range_hook is not None:
-                            range_hook(addr, count, is_store, ins.origin)
-                        else:
-                            for k in range(count):
-                                self.analysis_hook(addr + k, is_store,
-                                                   ins.origin)
-                else:
-                    call_args = [get(ARG_REGS[i]) for i in range(6)]
-                    regs[RV] = self._call(ins.target, call_args)
-            elif op is Op.LA:
-                regs[ins.reg] = self._function_address(ins.target)
-            elif op is Op.CALLR:
-                callee = self._function_by_address(get(ins.srcs[0]))
-                call_args = [get(ARG_REGS[i]) for i in range(6)]
-                regs[RV] = self._call(callee, call_args)
-            elif op is Op.RET:
-                return get(RV)
-            elif op in (Op.LABEL, Op.NOP):
-                pass
-            else:  # pragma: no cover - exhaustive
-                raise InstrumentationError(f"cannot execute {ins.render()}")
-            pc += 1
-        return get(RV)
+    def _callr(self, addr: int, args: List[int]) -> int:
+        name = lowered(self.image).names.get(addr)
+        if name is None:
+            raise InstrumentationError(
+                f"callr through {addr}: not a function address")
+        return self._call(name, args)

@@ -152,3 +152,44 @@ def test_private_instrumentation_flows_to_table3_accounting():
     assert res.detector_stats is not None
     stats = res.private_instr_calls
     assert stats > 0
+
+
+# ---------------------------------------------------------------------- #
+# Lowering happens at image build, never in a simulation thread.
+# ---------------------------------------------------------------------- #
+def test_simulation_threads_never_lower(monkeypatch):
+    """``compiled_image`` returns a fully lowered binary, so the sixteen
+    app threads only execute: block compilation inside them would leave
+    its transient allocations in every thread's arena (peak RSS +15 %
+    when PR 18 tried it).  And the lowered form lives on the image,
+    nowhere else: clearing the image cache and rebuilding lowers again —
+    ``instrument.compile_s`` times that build from a cleared cache."""
+    from repro.apps.dsl import compiled_image
+    from repro.apps.hashtab import SOURCE
+    from repro.instrument import lower
+
+    compiles = []
+    real_compile = lower._compile
+
+    def counting(source, filename):
+        compiles.append(filename)
+        return real_compile(source, filename)
+
+    monkeypatch.setattr(lower, "_compile", counting)
+    compiled_image.cache_clear()
+    image = compiled_image("hashtab", SOURCE)
+    built = len(compiles)
+    assert built == len(image.functions) > 0
+    assert compiled_image("hashtab", SOURCE) is image    # cached: no work
+    assert len(compiles) == built
+
+    def refuse(source, filename):
+        raise AssertionError(f"lowering {filename} inside a run")
+
+    monkeypatch.setattr(lower, "_compile", refuse)
+    assert run("hashtab", nprocs=4).races
+
+    monkeypatch.setattr(lower, "_compile", counting)
+    compiled_image.cache_clear()
+    compiled_image("hashtab", SOURCE)
+    assert len(compiles) == 2 * built

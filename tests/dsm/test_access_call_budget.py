@@ -17,12 +17,12 @@ from tests.helpers import run_app
 CEILING = {"load_range": 4, "store_range": 4, "load": 4, "store": 4}
 
 
-def _count_calls(op, *args):
+def count_calls(op, *args):
     calls = []
 
     def profiler(frame, event, arg):
         if event == "call":
-            calls.append(frame.f_code.co_qualname)
+            calls.append(frame.f_code.co_name)
 
     sys.setprofile(profiler)
     try:
@@ -40,10 +40,10 @@ def test_warm_access_stays_within_its_call_budget():
         env.store_range(x, values)
         env.load_range(x, 3)
         return {
-            "load_range": _count_calls(env.load_range, x + 4, 3),
-            "store_range": _count_calls(env.store_range, x + 4, values),
-            "load": _count_calls(env.load, x + 1),
-            "store": _count_calls(env.store, x + 1, 7),
+            "load_range": count_calls(env.load_range, x + 4, 3),
+            "store_range": count_calls(env.store_range, x + 4, values),
+            "load": count_calls(env.load, x + 1),
+            "store": count_calls(env.store, x + 1, 7),
         }
 
     calls = run_app(app, nprocs=1).results[0]

@@ -11,8 +11,15 @@ category, the final virtual time, traffic, the instrumentation counters,
 the access trace and the crash counters must stay exactly what the old
 engines produced.
 
+``irregular_golden.json`` holds the three ``irregular_scalar`` cells —
+the apps whose every access is issued by the mini-ISA machine — in the
+default configuration, captured on the commit before that machine's step
+interpreter was replaced by lowered basic-block code (PR 18).  Their
+thousands of report keys are stored as a count and a digest.
+
 Regenerate (only from a commit whose behaviour is the reference) with
-``PYTHONPATH=src python -m tests.integration.test_access_golden``.
+``PYTHONPATH=src python -m tests.integration.test_access_golden
+[access|irregular]``.
 """
 
 import dataclasses
@@ -26,10 +33,13 @@ from benchmarks.spine.workloads import BY_NAME, spec_of
 from repro.dsm.cvm import CVM
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "access_golden.json")
+IRREGULAR_PATH = os.path.join(os.path.dirname(__file__),
+                              "irregular_golden.json")
 
 CELLS = {cell.label: cell
          for workload in ("lock_churn", "range_sweep")
          for cell in BY_NAME[workload].cells}
+IRREGULAR = {cell.label: cell for cell in BY_NAME["irregular_scalar"].cells}
 #: One entry per engine of the parent commit.
 HOOKS = {
     "default": {},
@@ -39,11 +49,12 @@ HOOKS = {
 
 
 def observe(label: str, hooks: str) -> dict:
-    cell = CELLS[label]
+    cell = CELLS.get(label) or IRREGULAR[label]
     spec = spec_of(cell.app)
     cfg = spec.config(nprocs=cell.nprocs, **cell.config_flags(0, ""),
                       **HOOKS[hooks])
-    result = CVM(cfg).run(spec.func, cell.params)
+    params = cell.params if cell.params is not None else spec.default_params
+    result = CVM(cfg).run(spec.func, params)
     trace = hashlib.blake2b(digest_size=16)
     for event in result.access_trace:
         trace.update(repr(dataclasses.astuple(event)).encode())
@@ -73,9 +84,35 @@ def test_cell_matches_the_three_engine_parent(label, hooks):
     assert json.loads(json.dumps(observe(label, hooks))) == golden
 
 
-if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as f:
-        json.dump({label: {hooks: observe(label, hooks)
-                           for hooks in sorted(HOOKS)}
-                   for label in sorted(CELLS)}, f, indent=1, sort_keys=True)
+def observe_irregular(label: str) -> dict:
+    seen = observe(label, "default")
+    keys = seen.pop("report_keys")
+    seen["reports"] = len(keys)
+    seen["report_digest"] = hashlib.blake2b(
+        "\n".join(keys).encode(), digest_size=16).hexdigest()
+    return seen
+
+
+@pytest.mark.parametrize("label", sorted(IRREGULAR))
+def test_irregular_cell_matches_the_step_interpreter_parent(label):
+    with open(IRREGULAR_PATH) as f:
+        golden = json.load(f)[label]
+    assert json.loads(json.dumps(observe_irregular(label))) == golden
+
+
+def _write(path: str, golden: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(golden, f, indent=1, sort_keys=True)
         f.write("\n")
+
+
+if __name__ == "__main__":
+    import sys
+    which = sys.argv[1:] or ["access", "irregular"]
+    if "access" in which:
+        _write(GOLDEN_PATH, {label: {hooks: observe(label, hooks)
+                                     for hooks in sorted(HOOKS)}
+                             for label in sorted(CELLS)})
+    if "irregular" in which:
+        _write(IRREGULAR_PATH, {label: observe_irregular(label)
+                                for label in sorted(IRREGULAR)})

@@ -72,6 +72,26 @@ def test_disasm_instrumented(capsys):
     assert "call __race_analysis" in out
 
 
+def test_disasm_lowered_annotates_every_statement(capsys):
+    """``--lowered`` dumps the phase after the rewriters: the block
+    source's trailing comments, read in order, are the listing."""
+    argv = ("disasm", "hashtab", "--regalloc", "linear", "--instrumented",
+            "--batched")
+    rc, listing = run_cli(capsys, *argv)
+    assert rc == 0
+    rc, lowered = run_cli(capsys, *argv, "--lowered")
+    assert rc == 0
+    assert lowered.splitlines()[0] == listing.splitlines()[0]  # ; batched:
+    instructions = [line.strip() for line in listing.splitlines()
+                    if line and not line.startswith((".", ";"))]
+    comments = [line.split("  # ", 1)[1] for line in lowered.splitlines()
+                if "  # " in line]
+    assert comments == instructions
+    assert ".lowered main\n; slots: fp=0 gp=1 a0=2" in lowered
+    assert "def b0(m, r, rd, wr):" in lowered
+    assert "ranged(m.analysis_hook, " in lowered
+
+
 def test_timeline(capsys):
     rc, out = run_cli(capsys, "timeline", "queue_racy")
     assert rc == 0
