@@ -122,12 +122,14 @@ def main(argv: List[str] = None) -> int:
         "all_equivalent": all(r["equivalent"] for r in rows),
     }
     # The scale-out benchmark (bench_detection_scaleout.py) owns the
-    # "scaleout" key of the shared file; carry it through a rewrite.
+    # "scaleout" and "coarse_filter" keys of the shared file; carry them
+    # through a rewrite.
     if os.path.exists(args.output):
         with open(args.output) as f:
             previous = json.load(f)
-        if "scaleout" in previous:
-            report["scaleout"] = previous["scaleout"]
+        for key in ("scaleout", "coarse_filter"):
+            if key in previous:
+                report[key] = previous[key]
     with open(args.output, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")

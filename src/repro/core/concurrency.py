@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.dsm.interval import Interval
-from repro.dsm.vector_clock import precedes
 
 
 @dataclass
@@ -89,18 +88,55 @@ def concurrency_windows(
     window*: everything before it happened-before ``a`` (transitively,
     because q's later intervals dominate its earlier ones) and everything
     after it happened-after.  Both window edges are found by binary
-    search — O(i log i) probes per block instead of O(i^2), each counted
-    in ``stats.comparisons``; the window widths add up in
-    ``stats.concurrent_pairs``.
+    search — O(i log i) probes per block instead of O(i^2).
+
+    The records are closed, so what a probe reads is fixed per block: the
+    two columns the searches compare against — q's interval indices and
+    q's view of p (``vc[p]``) — are read out once, and every probe is one
+    integer comparison against a column (the paper's constant-time check,
+    :func:`~repro.dsm.vector_clock.precedes`, with both operands in
+    hand).  ``stats.comparisons`` (one per probe) and
+    ``stats.concurrent_pairs`` (the window widths) are added once per
+    block, after its last window; ``tests/core/reference_windows.py``
+    keeps the probe-at-a-time search this must agree with, midpoint for
+    midpoint.
     """
     for p, q in blocks:
         qs = by_pid[q]
+        n = len(qs)
+        indices = [b.index for b in qs]
+        seen_of_p = [b.vc.entries[p] for b in qs]
+        probes = pairs = 0
         for i, a in enumerate(by_pid[p]):
-            lo = _first_not_before(a, qs, stats)
-            hi = _first_after(a, qs, stats)
-            if hi > lo:
-                stats.concurrent_pairs += hi - lo
-                yield p, i, q, lo, hi
+            # First interval of q that did NOT happen-before a:
+            # b happened-before a iff a.vc[q] >= b.index, and q's indices
+            # increase, so the predicate is monotone (true then false).
+            seen = a.vc.entries[q]
+            first, hi = 0, n
+            while first < hi:
+                mid = (first + hi) // 2
+                probes += 1
+                if seen >= indices[mid]:
+                    first = mid + 1
+                else:
+                    hi = mid
+            # First interval of q that a happened-before:
+            # a happened-before b iff b.vc[p] >= a.index, and clock entries
+            # never decrease along q's program order (false then true).
+            index = a.index
+            after, hi = 0, n
+            while after < hi:
+                mid = (after + hi) // 2
+                probes += 1
+                if seen_of_p[mid] >= index:
+                    hi = mid
+                else:
+                    after = mid + 1
+            if after > first:
+                pairs += after - first
+                yield p, i, q, first, after
+        stats.comparisons += probes
+        stats.concurrent_pairs += pairs
 
 
 def model_comparison_count(intervals: List[Interval]) -> int:
@@ -137,40 +173,3 @@ def find_concurrent_pairs_pruned(
         a = by_pid[p][i]
         for b in by_pid[q][lo:hi]:
             yield (a, b)
-
-
-def _first_not_before(a: Interval, qs: List[Interval],
-                      stats: PairSearchStats) -> int:
-    """Index of the first interval of q that did NOT happen-before a.
-
-    b_k happened-before a  iff  a.vc[q] >= b_k.index; since indices are
-    increasing, this predicate is monotone (true then false) -> bisect.
-    """
-    lo, hi = 0, len(qs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        stats.comparisons += 1
-        if precedes(qs[mid].pid, qs[mid].index, a.vc):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _first_after(a: Interval, qs: List[Interval],
-                 stats: PairSearchStats) -> int:
-    """Index of the first interval of q that a happened-before.
-
-    a happened-before b_k  iff  b_k.vc[p] >= a.index; vector-clock entries
-    are non-decreasing along q's program order, so this predicate is
-    monotone (false then true) -> bisect.
-    """
-    lo, hi = 0, len(qs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        stats.comparisons += 1
-        if precedes(a.pid, a.index, qs[mid].vc):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.baseline.trace import TraceEvent
 from repro.core.detector import DetectorStats, RaceDetector
@@ -31,7 +32,7 @@ from repro.dsm.checkpoint import (CheckpointManager, restore_node,
 from repro.dsm.config import DsmConfig
 from repro.dsm.coordinator import (CoordinatorRole, FailoverStats,
                                    ShardingStats, elect_coordinator)
-from repro.dsm.interval import Interval, intervals_unseen_by
+from repro.dsm.interval import Interval
 from repro.dsm.memory import Allocation, SharedSegment
 from repro.dsm.node import IntervalStore, Node
 from repro.dsm.page import PageDirectory
@@ -40,7 +41,7 @@ from repro.dsm.sync import (BarrierState, EventState, GrantInfo,
                             LockState)
 from repro.dsm.vector_clock import VectorClock, precedes
 from repro.errors import (AllocationError, CheckpointError, ConfigError,
-                          NodeCrashed, RetryExhaustedError,
+                          NodeCrashed, ReplayError, RetryExhaustedError,
                           SegmentationFault, SynchronizationError)
 from repro.net.message import WireSizer
 from repro.net.reliable import ReliableChannel
@@ -594,36 +595,42 @@ class CVM:
         self.protocol.on_interval_closed(node, closed)
         return closed
 
-    def _consistency_payload(self, have: VectorClock,
-                             upto: VectorClock) -> Tuple[List[Interval], int, int]:
-        """Interval records a process with clock ``have`` is missing up to
-        horizon ``upto``; returns (records, body bytes, read-notice bytes)."""
-        recs = [rec for rec in intervals_unseen_by(self.store.by_pid(),
-                                                   have, upto)
-                if not rec.is_empty]
-        with_reads = self.config.detection
-        body = self.sizer.vector_clock()
-        read_bytes = 0
+    def _record_bytes(self, recs: Iterable[Interval]) -> Tuple[int, int, int]:
+        """Summed wire figures of ``recs``: (record bytes, read-notice
+        bytes, coarse-digest bytes), each closed record priced once (see
+        :meth:`Interval.wire_figures`).  The last two are 0 with
+        detection, respectively the two-level filter, off."""
+        sizer, with_reads, coarse = (self.sizer, self.config.detection,
+                                     self._coarse)
+        body = read_bytes = digest_bytes = 0
         for rec in recs:
-            body += rec.wire_size(self.sizer, with_reads)
-            if with_reads:
-                read_bytes += rec.read_notice_wire_size(self.sizer)
-        return recs, body, read_bytes
+            b, r, d = rec.wire_figures(sizer, with_reads, coarse)
+            body += b
+            read_bytes += r
+            digest_bytes += d
+        return body, read_bytes, digest_bytes
 
-    def _charge_digests(self, recs: Sequence[Interval], clock) -> None:
-        """Two-level filter carriage: price the coarse digests
-        piggy-backed on this consistency payload's notice lists (one per
-        write notice and, with detection, per read notice).  Charged in
-        cycles on the shipping side under ``CostCategory.COARSE_FILTER``
+    def _consistency_payload(
+            self, have: VectorClock, upto: Optional[VectorClock],
+            pids: Optional[Iterable[int]] = None,
+    ) -> Tuple[List[Interval], int, int, int]:
+        """Interval records a process with clock ``have`` is missing up to
+        horizon ``upto`` (none when ``upto`` is ``None``: a bare vector
+        clock), of the owners ``pids`` only when given; returns (records,
+        body bytes, read-notice bytes, coarse-digest bytes)."""
+        recs = [] if upto is None else self.store.unseen(have, upto, pids)
+        body, read_bytes, digest_bytes = self._record_bytes(recs)
+        return recs, self.sizer.vector_clock() + body, read_bytes, digest_bytes
+
+    def _charge_digests(self, nbytes: int, clock) -> None:
+        """Two-level filter carriage: price the ``nbytes`` of coarse
+        digests piggy-backed on a consistency payload's notice lists (one
+        per write notice and, with detection, per read notice).  Charged
+        in cycles on the shipping side under ``CostCategory.COARSE_FILTER``
         — message bodies are *not* inflated, so every filter-off wire
         figure (fragment counts, per-tag byte totals, Table 3's overhead
-        fraction) is untouched.  No-op unless detection and the filter
-        are both on."""
-        if not self._coarse:
-            return
-        nbytes = 0
-        for rec in recs:
-            nbytes += rec.digest_wire_size(self.sizer)
+        fraction) is untouched.  ``nbytes`` is 0 unless detection and the
+        filter are both on."""
         if nbytes:
             clock.advance(self.config.cost_model.cycles_per_byte * nbytes,
                           CostCategory.COARSE_FILTER)
@@ -638,10 +645,8 @@ class CVM:
         and account their read notices and coarse digests.  Without
         ``send`` the records rode an earlier message and only the
         accounting is done.  Returns ``(records, message)``."""
-        if upto is not None:
-            recs, body, read_bytes = self._consistency_payload(have, upto)
-        else:
-            recs, body, read_bytes = [], self.sizer.vector_clock(), 0
+        recs, body, read_bytes, digest_bytes = self._consistency_payload(
+            have, upto)
         msg = None
         if send is not None:
             tag, src, dst = send
@@ -649,7 +654,7 @@ class CVM:
                                 fragmentable=True)
         if read_bytes:
             self.transport.stats.add_read_notice_bytes(read_bytes)
-        self._charge_digests(recs, clock)
+        self._charge_digests(digest_bytes, clock)
         return recs, msg
 
     def _apply_consistency(self, node: Node, recs: List[Interval],
@@ -683,7 +688,6 @@ class CVM:
             # when a data race influenced synchronization control flow,
             # the §6.1 caveat about general races) into a clear error
             # instead of a livelock.
-            from repro.errors import ReplayError
             spins = 0
             while (st.holder is None and not st.queue
                    and not self.lock_order.may_acquire(lid, pid)):
@@ -702,10 +706,8 @@ class CVM:
                 self.lock_order.record_grant(lid, pid)
                 if self.trace_recorder is not None:
                     self._charge_record(node)
-            self._charge_idle_lock_acquire(node, st)
+            recs = self._charge_idle_lock_acquire(node, st)
             if st.last_release_vc is not None:
-                recs, _body, _rb = self._consistency_payload(
-                    node.vc, st.last_release_vc)
                 self._apply_consistency(node, recs, st.last_release_vc)
         else:
             st.queue.append(pid)
@@ -713,15 +715,17 @@ class CVM:
             self.scheduler.block(pid, f"lock {lid}")
             grant = st.grant_box.pop(pid)
             node.clock.wait_until(grant.arrival_time)
-            recs, _body, _rb = self._consistency_payload(
-                node.vc, grant.release_vc)
-            self._apply_consistency(node, recs, grant.release_vc)
+            self._apply_consistency(
+                node, self.store.unseen(node.vc, grant.release_vc),
+                grant.release_vc)
         node.open_interval(f"lock({lid}) acquire")
 
-    def _charge_idle_lock_acquire(self, node: Node, st: LockState) -> None:
+    def _charge_idle_lock_acquire(self, node: Node,
+                                  st: LockState) -> List[Interval]:
         """Message accounting for acquiring an idle lock: request to the
         manager, forward to the last releaser, grant (with piggybacked
-        consistency data) back to the requester."""
+        consistency data) back to the requester.  Returns the interval
+        records the grant carried, for the acquirer to apply."""
         sizer = self.sizer
         clock = node.clock
         granter = st.last_releaser if st.last_releaser is not None else st.manager
@@ -731,11 +735,15 @@ class CVM:
         if granter not in (st.manager, node.pid):
             self.net.send("lock_forward", st.manager, granter, None,
                                 sizer.ints(3) + sizer.vector_clock(), clock)
-        if granter != node.pid:
-            _recs, msg = self._ship_consistency(
-                node.vc, st.last_release_vc, clock,
-                ("lock_grant", granter, node.pid))
-            clock.wait_until(msg.arrival_time)
+        if granter == node.pid:
+            # Never released, or last released by this node, whose clock
+            # has only grown since: no grant travels, nothing is missing.
+            return []
+        recs, msg = self._ship_consistency(
+            node.vc, st.last_release_vc, clock,
+            ("lock_grant", granter, node.pid))
+        clock.wait_until(msg.arrival_time)
+        return recs
 
     def lock_release(self, pid: int, lid: int) -> None:
         node = self.nodes[pid]
@@ -891,22 +899,7 @@ class CVM:
                     and self._run_sharded_detection(role, epoch_recs,
                                                     master_clock)):
                 role.run_detection(epoch_recs, self.epoch, master_clock)
-        # Release payloads: one per process, carrying what it is missing.
-        # The write notices are applied (invalidating stale copies) here,
-        # *before* the checked epoch's records are discarded below; the
-        # blocked processes are not running, so mutating their page tables
-        # is safe, and their departure only needs the horizon clock.
-        release_vc = master_node.vc.copy()
-        for other in range(self.config.nprocs):
-            if other == bar.master:
-                bar.release_box[other] = (release_vc, master_clock.now)
-                continue
-            recs, msg = self._ship_consistency(
-                self.nodes[other].vc, release_vc, master_clock,
-                ("barrier_release", bar.master, other))
-            for rec in recs:
-                self.protocol.apply_write_notice(self.nodes[other], rec)
-            bar.release_box[other] = (release_vc, msg.arrival_time)
+        self._barrier_release_pass(bar, master_node)
         if role.failover:
             # Journal the role state after every completed detection pass:
             # a coordinator death next epoch restores from here, so the
@@ -920,6 +913,26 @@ class CVM:
             self.store.discard_epoch(self.epoch - 1)
         self.epoch += 1
         bar.reset_for_next_generation()
+
+    def _barrier_release_pass(self, bar: BarrierState,
+                              master_node: Node) -> None:
+        """Release payloads: one per process, carrying what it is missing.
+        The write notices are applied (invalidating stale copies) here,
+        *before* the checked epoch's records are discarded; the blocked
+        processes are not running, so mutating their page tables is safe,
+        and their departure only needs the horizon clock."""
+        master_clock = master_node.clock
+        release_vc = master_node.vc.copy()
+        for other in range(self.config.nprocs):
+            if other == bar.master:
+                bar.release_box[other] = (release_vc, master_clock.now)
+                continue
+            recs, msg = self._ship_consistency(
+                self.nodes[other].vc, release_vc, master_clock,
+                ("barrier_release", bar.master, other))
+            for rec in recs:
+                self.protocol.apply_write_notice(self.nodes[other], rec)
+            bar.release_box[other] = (release_vc, msg.arrival_time)
 
     # ------------------------------------------------------------------ #
     # Sharded detection (``--sharded-detection``): scatter the epoch's
@@ -1038,7 +1051,6 @@ class CVM:
         sh.shards_dispatched += sum(
             1 for pid in active if plan.shards[pid].blocks)
         n = len(active)
-        with_reads = self.config.detection
         # Per-owner record deltas: what each owner's own clock has not
         # observed of the partner pids its blocks name.  The records are
         # physically in the global store (the simulation models placement
@@ -1074,12 +1086,12 @@ class CVM:
                     body += sizer.vector_clock()
                     for rec in missing[p]:
                         edge_recs[(rec.pid, rec.index)] = rec
-                for rec in edge_recs.values():
-                    body += rec.wire_size(sizer, with_reads)
-                msg = self.net.send("detect_shard", src, dst, None, body,
-                                    clocks[src], category=cat,
-                                    fragmentable=True)
-                self._charge_digests(list(edge_recs.values()), clocks[src])
+                rec_bytes, _rb, digest_bytes = self._record_bytes(
+                    edge_recs.values())
+                msg = self.net.send("detect_shard", src, dst, None,
+                                    body + rec_bytes, clocks[src],
+                                    category=cat, fragmentable=True)
+                self._charge_digests(digest_bytes, clocks[src])
                 clocks[dst].wait_until(msg.arrival_time)
                 sh.scatter_messages += 1
                 sh.bytes_scattered += msg.nbytes
@@ -1190,19 +1202,12 @@ class CVM:
         # and idempotent, so page state, invalidation counts and the
         # merged clock come out identical, for a fraction of the bytes.
         vc0 = new_node.vc.copy()
-        with_reads = self.config.detection
-        tables = self.store.by_pid()
         for p in sorted(bar.horizons):
             if p == winner:
                 continue
             horizon = bar.horizons[p]
-            table = tables.get(p, {})
-            recs = [table[idx]
-                    for idx in range(vc0[p] + 1, horizon[p] + 1)
-                    if idx in table and not table[idx].is_empty]
-            body = self.sizer.vector_clock()
-            for rec in recs:
-                body += rec.wire_size(self.sizer, with_reads)
+            recs, body, _rb, digest_bytes = self._consistency_payload(
+                vc0, horizon, pids=(p,))
             self.net.send("resolicit_request", winner, p, None,
                           self.sizer.ints(2) + self.sizer.vector_clock(),
                           clock, category=CostCategory.FAILOVER)
@@ -1210,7 +1215,7 @@ class CVM:
                                 body, clock,
                                 category=CostCategory.FAILOVER,
                                 fragmentable=True)
-            self._charge_digests(recs, clock)
+            self._charge_digests(digest_bytes, clock)
             clock.wait_until(msg.arrival_time)
             self._apply_consistency(new_node, recs, horizon)
             role.stats.records_resolicited += len(recs)

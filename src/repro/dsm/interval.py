@@ -18,7 +18,7 @@ barrier round (§4, step 4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.bitmap import Bitmap, Digest, coarse_digest
 from repro.dsm.vector_clock import VectorClock, concurrent
@@ -26,11 +26,22 @@ from repro.net.message import WireSizer
 
 
 class Interval:
-    """One interval of one process."""
+    """One interval of one process.
+
+    *Sealing contract.*  A record is mutable while it is open and frozen
+    by :meth:`close`; the one legal mutation afterwards is
+    :meth:`merge_write_bitmap` (the §6.5 diff merge at the closing
+    release).  Everything derived from the notice lists and bitmaps — the
+    coarse digests (:meth:`digest`) and the wire figures
+    (:meth:`wire_figures`) — is therefore computed at most once per
+    closed record and kept on the record itself; it is never kept while
+    the interval is open, and the merge drops what it outdates.
+    """
 
     __slots__ = ("pid", "index", "vc", "epoch", "write_pages", "read_pages",
                  "write_bitmaps", "read_bitmaps", "closed",
-                 "page_size_words", "sync_label", "lost", "_digests")
+                 "page_size_words", "sync_label", "lost", "_digests",
+                 "_wire")
 
     def __init__(self, pid: int, index: int, vc: VectorClock, epoch: int,
                  page_size_words: int, sync_label: str = ""):
@@ -59,6 +70,9 @@ class Interval:
         #: Finalized coarse digests, keyed (page, "write"|"read"), cached
         #: once the interval is closed (see :meth:`digest`).
         self._digests: Dict[Tuple[int, str], Digest] = {}
+        #: Sealed ``(body, read-notice, digest)`` bytes of the closed
+        #: record (see :meth:`wire_figures`); ``None`` until first priced.
+        self._wire: Optional[Tuple[int, int, int]] = None
 
     # ------------------------------------------------------------------ #
     # Access recording (called by the instrumentation runtime).
@@ -108,8 +122,10 @@ class Interval:
             self.write_bitmaps[page] = bm.copy()
         else:
             mine.union_update(bm)
-        # The merged bitmap supersedes any digest finalized earlier.
+        # The merged bitmap supersedes any digest finalized earlier, and
+        # with it the sealed wire figures (a new notice, a changed digest).
         self._digests.pop((page, "write"), None)
+        self._wire = None
 
     def close(self) -> None:
         """Freeze the interval at the release/acquire that ends it."""
@@ -148,6 +164,26 @@ class Interval:
         off the list is absent entirely, so the whole list is overhead)."""
         return sizer.notice_list(len(self.read_pages))
 
+    def wire_figures(self, sizer: WireSizer, with_read_notices: bool,
+                     with_digests: bool) -> Tuple[int, int, int]:
+        """``(body, read-notice, digest)`` bytes this record adds to a
+        consistency payload: :meth:`wire_size`, and — when the run ships
+        them — :meth:`read_notice_wire_size` and :meth:`digest_wire_size`
+        (0 otherwise).  A closed record is priced once and returns the
+        same tuple on every later visit; an open one is priced afresh
+        each time.  The memo is not keyed by the arguments: a record
+        belongs to one system, whose sizer and flags are fixed for the
+        run."""
+        figures = self._wire
+        if figures is None:
+            figures = (
+                self.wire_size(sizer, with_read_notices),
+                self.read_notice_wire_size(sizer) if with_read_notices else 0,
+                self.digest_wire_size(sizer) if with_digests else 0)
+            if self.closed:
+                self._wire = figures
+        return figures
+
     # ------------------------------------------------------------------ #
     # Coarse digests (two-level detection filter).
     # ------------------------------------------------------------------ #
@@ -180,19 +216,3 @@ class Interval:
     def __repr__(self) -> str:
         return (f"Interval(P{self.pid}:{self.index}, epoch={self.epoch}, "
                 f"w={sorted(self.write_pages)}, r={sorted(self.read_pages)})")
-
-
-def intervals_unseen_by(intervals: Dict[int, Dict[int, Interval]],
-                        have: VectorClock, upto: VectorClock) -> Iterable[Interval]:
-    """Yield interval records the acquirer (with clock ``have``) is missing
-    relative to a releaser that has seen ``upto``.
-
-    ``intervals`` maps pid -> {index -> Interval}.  This is the consistency
-    information LRC piggybacks on synchronization messages (§3.1): all
-    intervals seen by the releaser but not the acquirer.
-    """
-    for pid in range(len(upto)):
-        for idx in range(have[pid] + 1, upto[pid] + 1):
-            rec = intervals.get(pid, {}).get(idx)
-            if rec is not None:
-                yield rec

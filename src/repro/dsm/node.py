@@ -9,7 +9,7 @@ the protocol's and the CVM facade's business.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.interval import Interval
@@ -29,6 +29,11 @@ class IntervalStore:
     Epoch-scoped views feed the detector; :meth:`discard_epoch` is the
     garbage collection the paper performs once races have been checked
     (§6.4: "only discards trace information when it has been checked").
+
+    Every record in the store is closed, hence sealed (see
+    :class:`~repro.dsm.interval.Interval`): :meth:`unseen` selects what a
+    synchronization message carries, and what that costs on the wire is
+    read off the records, not re-derived per message.
     """
 
     def __init__(self) -> None:
@@ -58,6 +63,29 @@ class IntervalStore:
 
     def by_pid(self) -> Dict[int, Dict[int, Interval]]:
         return self._by_pid
+
+    def unseen(self, have: VectorClock, upto: VectorClock,
+               pids: Optional[Iterable[int]] = None) -> List[Interval]:
+        """The non-empty records a process with clock ``have`` is missing
+        relative to one that has seen ``upto``, in (pid, index) order —
+        the consistency information LRC piggybacks on synchronization
+        messages (§3.1).  ``pids`` restricts the walk to those owners
+        (default: every pid ``upto`` names).  Empty intervals carry no
+        notices and never travel."""
+        have_entries, upto_entries = have.entries, upto.entries
+        out: List[Interval] = []
+        for pid in range(len(upto_entries)) if pids is None else pids:
+            seen, horizon = have_entries[pid], upto_entries[pid]
+            if horizon <= seen:
+                continue
+            table = self._by_pid.get(pid)
+            if not table:
+                continue
+            for idx in range(seen + 1, horizon + 1):
+                rec = table.get(idx)
+                if rec is not None and (rec.write_pages or rec.read_pages):
+                    out.append(rec)
+        return out
 
     def epoch_intervals(self, epoch: int) -> List[Interval]:
         """All closed intervals belonging to a barrier epoch, in

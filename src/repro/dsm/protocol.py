@@ -112,15 +112,21 @@ class Protocol:
         interval (the acquire-time half of lazy release consistency)."""
         if interval.pid == node.pid:
             return
+        pages = node.pages
         for page_id in interval.write_pages:
+            # The node's own copy first: most notices name a page it holds
+            # no valid copy of, and only a valid one is worth asking the
+            # directory about.
+            copy = pages.get(page_id)
+            if (copy is None or copy.state is PageState.INVALID
+                    or copy.data is None):
+                continue
             if self._keeps_copy_despite_notice(node, page_id):
                 continue
-            copy = node.pages.get(page_id)
-            if copy is not None and copy.valid:
-                self.invalidations += 1
-                copy.state = PageState.INVALID
-                copy.data = None
-                copy.drop_twin()
+            self.invalidations += 1
+            copy.state = PageState.INVALID
+            copy.data = None
+            copy.drop_twin()
 
     # ------------------------------------------------------------------ #
     # Subclass hooks.

@@ -48,7 +48,11 @@ class VectorClock:
         return f"VC{tuple(self.entries)}"
 
     def copy(self) -> "VectorClock":
-        return VectorClock(self.entries)
+        # Entries were validated when this clock was built and only ever
+        # grow (tick, observe): the snapshot skips the constructor's scan.
+        clone = VectorClock.__new__(VectorClock)
+        clone.entries = self.entries[:]
+        return clone
 
     def tick(self, pid: int) -> int:
         """Advance the owner's own entry (new interval); returns the new

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dsm.interval import Interval, intervals_unseen_by
+from repro.dsm.interval import Interval
+from repro.dsm.node import IntervalStore
 from repro.dsm.vector_clock import VectorClock
 from repro.net.message import INT_BYTES, WireSizer
 
@@ -70,20 +71,154 @@ def test_wire_size_read_notices_only_with_detection():
     assert iv.read_notice_wire_size(sizer) == (1 + 2) * INT_BYTES
 
 
+def store_of(*intervals):
+    store = IntervalStore()
+    for iv in intervals:
+        iv.close()
+        store.add(iv)
+    return store
+
+
+def writer(pid, index):
+    iv = make_interval(pid, index)
+    iv.record_write(0, pid)
+    return iv
+
+
 def test_intervals_unseen_by():
-    store = {
-        0: {1: make_interval(0, 1), 2: make_interval(0, 2),
-            3: make_interval(0, 3)},
-        1: {1: make_interval(1, 1)},
-    }
+    store = store_of(writer(0, 1), writer(0, 2), writer(0, 3), writer(1, 1))
     have = VectorClock([1, 0])
     upto = VectorClock([3, 1])
-    got = [(iv.pid, iv.index) for iv in intervals_unseen_by(store, have, upto)]
+    got = [(iv.pid, iv.index) for iv in store.unseen(have, upto)]
     assert got == [(0, 2), (0, 3), (1, 1)]
+    # Restricted to some owners (the failover re-solicitation's walk).
+    assert [(iv.pid, iv.index)
+            for iv in store.unseen(have, upto, pids=(1,))] == [(1, 1)]
+    # A pid whose entry is already covered contributes nothing.
+    assert store.unseen(upto, upto) == []
+    assert store.unseen(upto, have) == []
 
 
 def test_intervals_unseen_by_skips_missing_records():
-    store = {0: {2: make_interval(0, 2)}}
-    got = list(intervals_unseen_by(store, VectorClock([0, 0]),
-                                   VectorClock([3, 0])))
+    # Index 1 was discarded, index 3 is empty (no notices: never travels).
+    store = store_of(writer(0, 2), make_interval(0, 3))
+    got = store.unseen(VectorClock([0, 0]), VectorClock([3, 0]))
     assert [(iv.pid, iv.index) for iv in got] == [(0, 2)]
+
+
+# ---------------------------------------------------------------------- #
+# Sealed wire figures: a closed record is priced once.
+# ---------------------------------------------------------------------- #
+SIZER = WireSizer(2, 16)
+
+
+def definitions(iv):
+    """The three figures straight from their defining methods."""
+    return (iv.wire_size(SIZER, True), iv.read_notice_wire_size(SIZER),
+            iv.digest_wire_size(SIZER))
+
+
+def bitmap_of(*offsets):
+    from repro.core.bitmap import Bitmap
+    bm = Bitmap(16)
+    for off in offsets:
+        bm.set(off)
+    return bm
+
+
+def test_open_interval_is_never_memoised():
+    iv = make_interval()
+    iv.record_write(1, 0)
+    before = iv.wire_figures(SIZER, True, True)
+    assert before == definitions(iv)
+    iv.record_read(2, 3)
+    after = iv.wire_figures(SIZER, True, True)
+    assert after == definitions(iv)
+    assert after != before
+    assert iv._wire is None
+
+
+def test_closed_interval_is_priced_once(monkeypatch):
+    iv = make_interval()
+    iv.record_write(1, 0)
+    iv.record_read(2, 3)
+    iv.close()
+    figures = iv.wire_figures(SIZER, True, True)
+    assert figures == definitions(iv)
+
+    def no_digest(self, page, kind):
+        raise AssertionError("a sealed record was priced again")
+
+    monkeypatch.setattr(Interval, "digest", no_digest)
+    assert iv.wire_figures(SIZER, True, True) is figures
+
+
+def test_figures_leave_out_what_the_run_does_not_ship():
+    iv = make_interval()
+    iv.record_write(1, 0)
+    iv.record_read(2, 3)
+    iv.close()
+    body, reads, digests = definitions(iv)
+    assert iv.wire_figures(SIZER, True, False) == (body, reads, 0)
+    iv._wire = None
+    assert iv.wire_figures(SIZER, False, False) == (
+        iv.wire_size(SIZER, False), 0, 0)
+
+
+def test_merge_after_close_refreshes_body_and_digest_bytes():
+    iv = make_interval()
+    iv.record_write(1, 0)
+    iv.close()
+    body, reads, digests = iv.wire_figures(SIZER, True, True)
+    assert digests == SIZER.digest(True)  # one sparse page: Bloom carried
+    # A new page: one more write notice, one more (sparse) digest.
+    iv.merge_write_bitmap(5, bitmap_of(2))
+    grown = iv.wire_figures(SIZER, True, True)
+    assert grown == definitions(iv)
+    assert grown == (body + INT_BYTES, reads, digests + SIZER.digest(True))
+    # Sparse -> dense on a page already named: the notice list is
+    # unchanged, the page's digest loses its Bloom filter.
+    iv.merge_write_bitmap(1, bitmap_of(*range(1, 10)))
+    flipped = iv.wire_figures(SIZER, True, True)
+    assert flipped == definitions(iv)
+    assert flipped == (grown[0], reads,
+                       grown[2] - SIZER.digest(True) + SIZER.digest(False))
+    assert iv.wire_figures(SIZER, True, True) is flipped
+
+
+def test_lost_record_prices_as_before():
+    iv = make_interval()
+    iv.record_write(1, 0)
+    iv.record_read(2, 3)
+    iv.close()
+    iv.lost = True
+    assert iv.wire_figures(SIZER, True, True) == definitions(iv)
+
+
+@pytest.mark.parametrize("flags", [
+    dict(protocol="mw", diff_write_detection=True),
+    dict(master_failover=True, crash_at=((0, 1),)),
+], ids=["mw-diff", "failover"])
+def test_sealed_run_equals_a_run_priced_on_every_visit(monkeypatch, flags):
+    """water@4 with the sealed figures against the same run with the slot
+    cleared before every read: ledgers, per-tag traffic and failover
+    counters agree."""
+    from repro.apps.registry import get_app
+
+    def observed(res):
+        return ([ledger.totals for ledger in res.ledgers],
+                dict(res.traffic.messages_by_tag),
+                dict(res.traffic.bytes_by_tag),
+                res.traffic.read_notice_bytes, res.traffic.digest_bytes,
+                res.failover_stats.summary(), res.runtime_cycles,
+                sorted(str(r) for r in res.races))
+
+    sealed = observed(get_app("water").run(nprocs=4, **flags))
+    priced_once = Interval.wire_figures
+
+    def priced_every_visit(self, *args):
+        self._wire = None
+        return priced_once(self, *args)
+
+    monkeypatch.setattr(Interval, "wire_figures", priced_every_visit)
+    assert observed(get_app("water").run(nprocs=4, **flags)) == sealed

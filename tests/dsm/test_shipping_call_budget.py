@@ -1,0 +1,90 @@
+"""A timing-free budget for consistency shipping and the window search.
+
+Counts the Python-level calls (``sys.setprofile`` ``call`` events, the
+counter of ``test_access_call_budget.py``) of the two loops that visit
+closed interval records most often, on a fixed 8-pid lock-only program
+(six critical sections per pid under its own lock, two falsely shared
+pages, one barrier):
+
+* one barrier's **release pass** — the coordinator ships every other
+  process the records it is missing and applies their write notices —
+  per record shipped: every record was priced when it first travelled,
+  so a visit is ``wire_figures`` + ``apply_write_notice`` and, for a page
+  the receiver holds a valid copy of, the directory lookup;
+* one ``concurrency_windows`` **block** per probe: the generator's own
+  resumptions and the two column reads, no call per probe.
+
+The ceilings are the counts of the code as it stands.  Before the
+records were sealed (PR 20's parent) the same program made 9,081 calls
+in the release pass (30.9 per record: each visit re-ran ``wire_size``,
+``read_notice_wire_size``, ``digest_wire_size`` and asked the directory
+about every page) and 80 in the block (2.67 per probe: ``precedes`` and
+``VectorClock.__getitem__`` once each per probe).
+"""
+
+import pytest
+
+from repro.core.concurrency import (PairSearchStats, concurrency_windows,
+                                    group_by_pid)
+from repro.dsm.cvm import CVM
+from tests.dsm.test_access_call_budget import count_calls
+from tests.helpers import small_config
+
+NPROCS = 8
+SECTIONS = 6
+
+#: 294 records shipped, 4.28 calls each.
+RELEASE_PASS_CEILING = 1258
+#: 30 probes, 0.33 calls each.
+WINDOW_BLOCK_CEILING = 10
+
+
+def program(env):
+    psz = env.system.config.page_size_words
+    base = env.malloc(2 * psz, name="field", page_aligned=True)
+    for it in range(SECTIONS):
+        with env.locked(env.pid):
+            env.store(base + env.pid, it)
+            env.store(base + psz + env.pid, it)
+    env.barrier()
+
+
+@pytest.fixture(scope="module")
+def counted_run():
+    """Run ``program`` once; the first barrier's release-pass calls, the
+    number of records that pass shipped, and the epoch's records."""
+    system = CVM(small_config(nprocs=NPROCS))
+    release_pass = system._barrier_release_pass
+    seen = {}
+
+    def counted(bar, master_node):
+        if seen:  # the implicit final barrier: nothing left to ship
+            return release_pass(bar, master_node)
+        seen["shipped"] = sum(
+            len(system.store.unseen(system.nodes[other].vc, master_node.vc))
+            for other in range(NPROCS) if other != bar.master)
+        seen["epoch"] = system.store.epoch_intervals(system.epoch)
+        seen["calls"] = count_calls(release_pass, bar, master_node)
+
+    system._barrier_release_pass = counted
+    system.run(program)
+    return seen["calls"], seen["shipped"], seen["epoch"]
+
+
+def test_release_pass_stays_within_its_call_budget(counted_run):
+    calls, shipped, _epoch = counted_run
+    # Every other process has seen only itself: it misses the critical
+    # sections of the seven others (the intervals between are empty).
+    assert shipped == (NPROCS - 1) * (NPROCS - 1) * SECTIONS
+    assert len(calls) <= RELEASE_PASS_CEILING, (len(calls) / shipped, calls)
+
+
+def test_window_block_stays_within_its_call_budget(counted_run):
+    _calls, _shipped, epoch = counted_run
+    by_pid = group_by_pid([rec for rec in epoch if not rec.is_empty])
+    stats = PairSearchStats()
+    calls = count_calls(
+        lambda: list(concurrency_windows(by_pid, [(0, 1)], stats)))
+    assert stats.comparisons == 30
+    assert len(calls) <= WINDOW_BLOCK_CEILING, (
+        len(calls) / stats.comparisons, calls)
