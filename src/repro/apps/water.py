@@ -34,7 +34,7 @@ updates corrupt the reported energy).  Construct the app with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.apps.base import band
 from repro.dsm.cvm import Env
@@ -84,11 +84,7 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
     kin_addr = env.malloc(1, name="water_kineng")
     pot_addr = env.malloc(1, name="water_poteng")
     lo, hi = band(nmol, env.nprocs, env.pid)
-
-    def force_addr(mol: int) -> int:
-        owner = _owner_of(mol, nmol, nprocs)
-        start, _ = band(nmol, nprocs, owner)
-        return forces + owner * part_words + 3 * (mol - start)
+    owners, faddr = molecule_tables(nmol, nprocs, forces, part_words)
 
     # Deterministic initial conditions for the local block.
     for m in range(lo, hi):
@@ -96,7 +92,7 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
                                       for a in range(3)])
         env.store_range(vel + 3 * m, [float((m * 3 + a) % 5) - 2.0
                                       for a in range(3)])
-        env.store_range(force_addr(m), [0.0, 0.0, 0.0])
+        env.store_range(faddr[m], [0.0, 0.0, 0.0])
     if env.pid == 0:
         env.store(kin_addr, 0.0)
         env.store(pot_addr, 0.0)
@@ -122,7 +118,7 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
                 r2 = sum(d * d for d in dx) + 1.0
                 f = 24.0 / (r2 * r2)
                 pot_partial += 4.0 / r2
-                owner = _owner_of(j, nmol, nprocs)
+                owner = owners[j]
                 pending[owner].append([f * d for d in dx])
                 pending_idx[owner].append(j)
                 env.compute(FLOPS_PER_PAIR)
@@ -140,8 +136,8 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
                     # overhead (Table 3: 48%).
                     env.load_range(pos + 3 * j, 3)
                     env.load_range(vel + 3 * j, 3)
-                    cur = env.load_range(force_addr(j), 3)
-                    env.store_range(force_addr(j),
+                    cur = env.load_range(faddr[j], 3)
+                    env.store_range(faddr[j],
                                     [c + d for c, d in zip(cur, df)])
                 env.unlock(partition_lock(owner))
         env.barrier()
@@ -149,7 +145,7 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
         # Phase 2: intra-molecular integration on the local block only.
         kin_partial = 0.0
         for m in range(lo, hi):
-            f = env.load_range(force_addr(m), 3)
+            f = env.load_range(faddr[m], 3)
             v = env.load_range(vel + 3 * m, 3)
             p = env.load_range(pos + 3 * m, 3)
             v = [vi + dt * fi for vi, fi in zip(v, f)]
@@ -157,7 +153,7 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
             kin_partial += sum(vi * vi for vi in v)
             env.store_range(vel + 3 * m, v)
             env.store_range(pos + 3 * m, p)
-            env.store_range(force_addr(m), [0.0, 0.0, 0.0])
+            env.store_range(faddr[m], [0.0, 0.0, 0.0])
             env.compute(3 * FLOPS_PER_PAIR)
             env.private_accesses(3 * PRIVATE_PER_PAIR)
 
@@ -181,6 +177,15 @@ def water(env: Env, params: WaterParams = WaterParams()) -> float:
         pot_result = env.load(pot_addr)
         env.barrier()
     return float(pot_result)
+
+
+def molecule_tables(nmol: int, nprocs: int, forces: int,
+                    part_words: int) -> Tuple[List[int], List[int]]:
+    """Per-molecule owner pid and force-triple address (fixed for a run)."""
+    owners = [_owner_of(mol, nmol, nprocs) for mol in range(nmol)]
+    return owners, [forces + owner * part_words
+                    + 3 * (mol - band(nmol, nprocs, owner)[0])
+                    for mol, owner in enumerate(owners)]
 
 
 def _owner_of(mol: int, nmol: int, nprocs: int) -> int:

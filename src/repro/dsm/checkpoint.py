@@ -9,17 +9,17 @@ protection states and twins), access counters, and the node's live interval
 records including their word bitmaps — with nothing in flight.
 
 Snapshots serialize to a canonical JSON form (sorted keys, no whitespace),
-so byte size is deterministic and doubles as the recovery-cost input.  The
-canonical encoding is memoized per snapshot: sizing, persisting and
-hashing a checkpoint serialize it once, not once per consumer.  With
+so byte size is deterministic and doubles as the recovery-cost input.  Each
+page and interval record is encoded once per snapshot; the full text and
+the next generation's delta are assembled from those member texts.  With
 ``--checkpoint-dir`` the :class:`CheckpointManager` also persists one file
 per (pid, barrier generation), which enables *cross-run* restoration of a
 long simulation's per-node state (``CheckpointManager.load_dir``) in
 addition to the in-run crash recovery driven by :mod:`repro.dsm.cvm`.
 
 With ``checkpoint_delta`` the manager writes *delta* checkpoints: each
-generation is encoded against the node's previous snapshot, keyed by
-content hash — only pages and interval records whose canonical-JSON hash
+generation is encoded against the node's previous snapshot, component by
+component — only pages and interval records whose canonical text
 changed are included (plus scalar fields that moved and explicit deletion
 lists).  Generation 0 is always a full snapshot.  ``load_dir`` replays a
 delta chain back into full snapshots, validating base-generation
@@ -36,6 +36,7 @@ canonical bytes exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -119,6 +120,14 @@ def interval_from_dict(data: Dict[str, Any]) -> Interval:
 # ---------------------------------------------------------------------- #
 # Node snapshots.
 # ---------------------------------------------------------------------- #
+def _assemble(data: Dict[str, Any], **sections: str) -> str:
+    """Canonical text of ``data``, its large ``sections`` given as texts."""
+    texts = {key: durable.canon(value) for key, value in data.items()
+             if key not in sections}
+    texts.update(sections)
+    return durable.assemble(texts)
+
+
 @dataclass(frozen=True)
 class _Snapshot:
     """What a full and a delta checkpoint share: the payload dict, its
@@ -142,21 +151,29 @@ class _Snapshot:
         initial pre-application checkpoint)."""
         return self.data["generation"]
 
+    def _encode(self) -> str:
+        return durable.canon(self.data)
+
     def to_json(self) -> str:
-        """Canonical encoding, serialized once and memoized: the size
+        """Canonical encoding, produced once and memoized: the size
         charge, the stats, the file write and the delta base hash all
         consult it without re-encoding."""
         cached = self._json
         if cached is None:
-            cached = durable.canon(self.data)
+            cached = self._encode()
             object.__setattr__(self, "_json", cached)
         return cached
 
-    @property
+    @functools.cached_property
     def nbytes(self) -> int:
         """Serialized size — the byte count recovery and checkpoint-write
         costs are charged on."""
         return len(self.to_json().encode("utf-8"))
+
+    def publish(self, path: str) -> None:
+        """Write the text atomically; its one UTF-8 encode sizes ``nbytes``."""
+        self.__dict__["nbytes"] = durable.publish(
+            path, self.to_json(), CheckpointError, "checkpoint")
 
 
 @dataclass(frozen=True)
@@ -165,9 +182,30 @@ class NodeSnapshot(_Snapshot):
 
     Two snapshots are equal iff their canonical JSON forms are equal —
     the round-trip tests lean on this.
+
+    *Member texts ⇒ canonical text.*  Each page and interval record is
+    encoded once, into :attr:`members`; ``durable.assemble`` (held to
+    ``durable.canon``) builds the full text and the next delta from those.
     """
 
     is_delta = False
+
+    @functools.cached_property
+    def members(self) -> Dict[str, Dict[str, str]]:
+        """``{key: text}`` of the pages and of the records (by index), in
+        payload order; released by the manager once superseded."""
+        return {"pages": {key: durable.canon(page) for key, page
+                          in self.data["pages"].items()},
+                "records": {str(rec["index"]): durable.canon(rec)
+                            for rec in self.data["store_records"]}}
+
+    def release_members(self) -> None:
+        self.__dict__.pop("members", None)
+
+    def _encode(self) -> str:
+        pages, records = self.members.values()
+        return _assemble(self.data, pages=durable.assemble(pages),
+                         store_records=durable.assemble(records.values()))
 
     @property
     def epoch(self) -> int:
@@ -198,7 +236,7 @@ class NodeSnapshot(_Snapshot):
 class DeltaSnapshot(_Snapshot):
     """A checkpoint encoded against the node's previous generation.
 
-    Holds only the components whose content hash changed (plus deletions
+    Holds only the components whose member text changed (plus deletions
     and moved scalar fields); ``nbytes`` is therefore the *bytes written
     this generation* — exactly what the virtual-time write cost and the
     checkpoint statistics should price.  Restoration always goes through
@@ -219,7 +257,7 @@ WrittenCheckpoint = Union[NodeSnapshot, DeltaSnapshot]
 
 #: Top-level snapshot fields a delta may carry forward wholesale (the
 #: dict-valued components ``pages``/``store_records`` are diffed by
-#: content hash instead).
+#: member text instead).
 _DELTA_SCALAR_FIELDS = ("epoch", "clock_now", "vc", "intervals_created",
                         "shared_instr_calls", "private_instr_calls",
                         "twinned_pages", "current")
@@ -229,12 +267,13 @@ def encode_delta(prev: NodeSnapshot, snap: NodeSnapshot) -> DeltaSnapshot:
     """Encode ``snap`` as a delta against ``prev`` (same pid, the node's
     previous checkpoint generation).
 
-    Pages and interval records are keyed by content hash: an entry whose
-    canonical-JSON hash is unchanged is omitted entirely; changed or new
-    entries are carried in full; entries that disappeared go on explicit
-    deletion lists.  The delta also pins ``base_generation`` and the
-    base's full-snapshot hash so a broken or reordered chain is detected
-    at replay time, not silently mis-applied.
+    Pages and interval records are compared by member text
+    (:attr:`NodeSnapshot.members`): an unchanged entry is omitted
+    entirely, a changed or new one is carried in full — the delta's text
+    is assembled from the same member texts — and one that disappeared
+    goes on an explicit deletion list.  The delta also pins
+    ``base_generation`` and the base's full-snapshot hash so a broken or
+    reordered chain is detected at replay time, not silently mis-applied.
     """
     if prev.pid != snap.pid:
         raise CheckpointError(
@@ -250,18 +289,18 @@ def encode_delta(prev: NodeSnapshot, snap: NodeSnapshot) -> DeltaSnapshot:
     # presence mismatches cannot occur within one chain.
     if "coordinator" in nd and nd["coordinator"] != pd.get("coordinator"):
         set_fields["coordinator"] = nd["coordinator"]
-    prev_pages, new_pages = pd["pages"], nd["pages"]
-    prev_hashes = {k: durable.content_hash(v) for k, v in prev_pages.items()}
-    pages_set = {k: v for k, v in new_pages.items()
-                 if prev_hashes.get(k) != durable.content_hash(v)}
-    pages_del = sorted((k for k in prev_pages if k not in new_pages),
-                       key=int)
-    prev_recs = {str(r["index"]): r for r in pd["store_records"]}
-    new_recs = {str(r["index"]): r for r in nd["store_records"]}
-    rec_hashes = {k: durable.content_hash(v) for k, v in prev_recs.items()}
-    recs_set = {k: v for k, v in new_recs.items()
-                if rec_hashes.get(k) != durable.content_hash(v)}
-    recs_del = sorted((k for k in prev_recs if k not in new_recs), key=int)
+    values = {"pages": nd["pages"],
+              "records": {str(r["index"]): r for r in nd["store_records"]}}
+    sections, texts = {}, {}
+    for name, new in snap.members.items():
+        old = prev.members[name]
+        changed = {key: text for key, text in new.items()
+                   if old.get(key) != text}
+        gone = sorted((key for key in old if key not in new), key=int)
+        sections[name] = {"set": {key: values[name][key] for key in changed},
+                          "del": gone}
+        texts[name] = durable.assemble({"set": durable.assemble(changed),
+                                        "del": durable.canon(gone)})
     data = {
         "version": FORMAT_VERSION,
         "delta": True,
@@ -270,10 +309,9 @@ def encode_delta(prev: NodeSnapshot, snap: NodeSnapshot) -> DeltaSnapshot:
         "base_generation": prev.generation,
         "base_hash": durable.digest(prev.to_json()),
         "set": set_fields,
-        "pages": {"set": pages_set, "del": pages_del},
-        "records": {"set": recs_set, "del": recs_del},
+        **sections,
     }
-    return DeltaSnapshot(data)
+    return DeltaSnapshot(data, _assemble(data, **texts))
 
 
 def apply_delta(prev: NodeSnapshot, delta: DeltaSnapshot) -> NodeSnapshot:
@@ -484,14 +522,14 @@ class CheckpointManager:
         snap = snapshot_node(node, store, generation, coordinator)
         prev = self._latest.get(node.pid)
         written: WrittenCheckpoint = snap
-        if self.delta and prev is not None:
-            written = encode_delta(prev, snap)
+        if prev is not None:
+            if self.delta:
+                written = encode_delta(prev, snap)
+            prev.release_members()
         self._latest[node.pid] = snap
         if self.directory is not None:
-            path = os.path.join(
-                self.directory, f"ckpt_p{node.pid}_g{generation}.json")
-            durable.publish(path, written.to_json(), CheckpointError,
-                            "checkpoint")
+            written.publish(os.path.join(
+                self.directory, f"ckpt_p{node.pid}_g{generation}.json"))
         return written
 
     def latest(self, pid: int) -> Optional[NodeSnapshot]:
@@ -551,7 +589,8 @@ class CheckpointManager:
                         raise CheckpointError(
                             f"delta checkpoint {name!r} has no full base "
                             f"snapshot in {directory!r}")
-                    current = apply_delta(current, loaded)
+                    base, current = current, apply_delta(current, loaded)
+                    base.release_members()  # encoded for the hash check
                 else:
                     current = loaded
                 if current.generation != gen:

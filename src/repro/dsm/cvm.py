@@ -35,7 +35,7 @@ from repro.dsm.coordinator import (CoordinatorRole, FailoverStats,
 from repro.dsm.interval import Interval
 from repro.dsm.memory import Allocation, SharedSegment
 from repro.dsm.node import IntervalStore, Node
-from repro.dsm.page import PageDirectory
+from repro.dsm.page import PageDirectory, PageState
 from repro.dsm.protocol import make_protocol
 from repro.dsm.sync import (BarrierState, EventState, GrantInfo,
                             LockState)
@@ -57,10 +57,11 @@ from repro.sim.scheduler import Scheduler
 #: computation phases cannot starve other simulated processes.
 YIELD_EVERY = 512
 
-#: Ledger slots the access engine charges.
+#: Ledger slots the access engine charges; page states its warm test names.
 _BASE = CostCategory.BASE.slot
 _PROC_CALL = CostCategory.PROC_CALL.slot
 _ACCESS_CHECK = CostCategory.ACCESS_CHECK.slot
+_INVALID, _WRITABLE = PageState.INVALID, PageState.WRITABLE
 
 
 @dataclass
@@ -1362,7 +1363,12 @@ class CVM:
 class Env:
     """Per-process application handle: the DSM API plus the analysis
     routine of the paper's instrumentation (access classification, bitmap
-    maintenance, cost accounting)."""
+    maintenance, cost accounting).  A *warm* access — valid copy
+    (``WRITABLE`` for a store), bitmap already in the open interval — is
+    decided here and costs one further call, ``Bitmap.set``/``set_range``:
+    ``ensure_*`` would return without a side effect, and a bitmap implies
+    its notice (``Interval``).  Pages and interval are read through the
+    node on every access: recovery replaces both."""
 
     def __init__(self, system: CVM, pid: int):
         self.system = system
@@ -1453,7 +1459,9 @@ class Env:
             raise SegmentationFault(self.pid, addr)
         node = self._node
         page, off = divmod(addr, self._psz)
-        copy = self._ensure_readable(node, page)
+        copy = node.pages.get(page)
+        if copy is None or copy.state is _INVALID or copy.data is None:
+            copy = self._ensure_readable(node, page)
         base, pc, ac = self._read_costs
         self._clock.now += base + pc + ac
         slots = self._slots
@@ -1462,7 +1470,12 @@ class Env:
         slots[_ACCESS_CHECK] += ac
         if self._detect:
             node.shared_instr_calls += 1
-            node.current.record_read(page, off)
+            current = node.current
+            bm = current.read_bitmaps.get(page)
+            if bm is None or current.closed:
+                current.record_read(page, off)
+            else:
+                bm.set(off)
         n = self._accesses_since_yield = self._accesses_since_yield + 1
         if n >= self._tail_every:
             self._after_access(addr, 1, False, site)
@@ -1473,7 +1486,10 @@ class Env:
             raise SegmentationFault(self.pid, addr)
         node = self._node
         page, off = divmod(addr, self._psz)
-        self._ensure_writable(node, page, off).data[off] = value
+        copy = node.pages.get(page)
+        if copy is None or copy.state is not _WRITABLE:
+            copy = self._ensure_writable(node, page, off)
+        copy.data[off] = value
         base, pc, ac = self._write_costs
         self._clock.now += base + pc + ac
         slots = self._slots
@@ -1482,7 +1498,12 @@ class Env:
         slots[_ACCESS_CHECK] += ac
         if self._record_writes:
             node.shared_instr_calls += 1
-            node.current.record_write(page, off)
+            current = node.current
+            bm = current.write_bitmaps.get(page)
+            if bm is None or current.closed:
+                current.record_write(page, off)
+            else:
+                bm.set(off)
         n = self._accesses_since_yield = self._accesses_since_yield + 1
         if n >= self._tail_every:
             self._after_access(addr, 1, True, site)
@@ -1501,9 +1522,17 @@ class Env:
         n = psz - off
         detect = self._detect
         if count <= n:  # common case: the whole range on one page
-            out = self._ensure_readable(node, page).data[off:off + count]
+            copy = node.pages.get(page)
+            if copy is None or copy.state is _INVALID or copy.data is None:
+                copy = self._ensure_readable(node, page)
+            out = copy.data[off:off + count]
             if detect:
-                node.current.record_read(page, off, count)
+                current = node.current
+                bm = current.read_bitmaps.get(page)
+                if bm is None or current.closed:
+                    current.record_read(page, off, count)
+                else:
+                    bm.set_range(off, count)
         else:
             out = []
             remaining = count
@@ -1549,10 +1578,17 @@ class Env:
         n = psz - off
         record = self._record_writes
         if count <= n:  # common case: no slicing of ``values`` at all
-            self._ensure_writable(node, page, off).data[off:off + count] = \
-                values
+            copy = node.pages.get(page)
+            if copy is None or copy.state is not _WRITABLE:
+                copy = self._ensure_writable(node, page, off)
+            copy.data[off:off + count] = values
             if record:
-                node.current.record_write(page, off, count)
+                current = node.current
+                bm = current.write_bitmaps.get(page)
+                if bm is None or current.closed:
+                    current.record_write(page, off, count)
+                else:
+                    bm.set_range(off, count)
         else:
             taken = 0
             while True:

@@ -36,6 +36,10 @@ class Interval:
     (:meth:`wire_figures`) — is therefore computed at most once per
     closed record and kept on the record itself; it is never kept while
     the interval is open, and the merge drops what it outdates.
+
+    *Bitmap ⇒ notice.*  A page with a read (write) bitmap is in
+    ``read_pages`` (``write_pages``): ``record_*``, the merge and restore
+    insert both, so ``Env``'s warm path sets bits in a bitmap it finds.
     """
 
     __slots__ = ("pid", "index", "vc", "epoch", "write_pages", "read_pages",
@@ -88,10 +92,7 @@ class Interval:
             bm = self.write_bitmaps.get(page)
             if bm is None:
                 bm = self.write_bitmaps[page] = Bitmap(self.page_size_words)
-            if count == 1:
-                bm.set(offset)
-            else:
-                bm.set_range(offset, count)
+            bm.set_range(offset, count)
 
     def record_read(self, page: int, offset: int, count: int = 1,
                     bitmap: bool = True) -> None:
@@ -103,10 +104,7 @@ class Interval:
             bm = self.read_bitmaps.get(page)
             if bm is None:
                 bm = self.read_bitmaps[page] = Bitmap(self.page_size_words)
-            if count == 1:
-                bm.set(offset)
-            else:
-                bm.set_range(offset, count)
+            bm.set_range(offset, count)
 
     def merge_write_bitmap(self, page: int, bm: Bitmap) -> None:
         """OR a diff-derived write bitmap into the interval (§6.5 mode).

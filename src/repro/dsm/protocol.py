@@ -68,7 +68,7 @@ class Protocol:
         if copy is None:
             copy = node.page_copy(page_id)
         elif copy.state is not PageState.INVALID and copy.data is not None:
-            return copy  # valid: the per-access path, no further call
+            return copy  # valid (a warm Env access tests this itself)
         self.faults_read += 1
         self._fetch_page(node, copy)
         copy.state = PageState.READ_ONLY

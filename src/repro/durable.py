@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Iterable, List, Optional, TextIO, Tuple
 
 try:
     import fcntl
@@ -27,9 +27,22 @@ except ImportError:  # pragma: no cover - non-POSIX: locks are not taken
     fcntl = None
 
 
+_CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canon(obj: Any) -> str:
     """Canonical JSON text (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANON.encode(obj)
+
+
+def assemble(members: dict[str, str] | Iterable[str]) -> str:
+    """Canonical text of an object (``{key: text}``) or array (the texts in
+    order) from its members' canonical texts: for a JSON-able ``d`` keyed by
+    strings, ``assemble({k: canon(v) for k, v in d.items()}) == canon(d)``."""
+    if isinstance(members, dict):
+        return "{" + ",".join([f"{canon(key)}:{members[key]}"
+                               for key in sorted(members)]) + "}"
+    return "[" + ",".join(members) + "]"
 
 
 def digest(text: str) -> str:
@@ -38,8 +51,8 @@ def digest(text: str) -> str:
 
 
 def content_hash(obj: Any) -> str:
-    """Digest of an object's canonical form — what delta checkpoints
-    compare pages by and what pins a trace to its configuration."""
+    """Digest of an object's canonical form — what pins a trace to its
+    configuration."""
     return digest(canon(obj))
 
 

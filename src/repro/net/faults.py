@@ -18,10 +18,9 @@ back-to-back runs in one interpreter assign identical message identities.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-from repro.sim.crash import unit_variate
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,10 @@ class FaultDecision:
     drop: bool = False
     duplicate: bool = False
     reorder: bool = False
+
+
+#: The two verdicts that need no fresh instance (decisions are frozen).
+_DELIVERED, _DROPPED = FaultDecision(), FaultDecision(drop=True)
 
 
 @dataclass(frozen=True)
@@ -111,19 +114,22 @@ class FaultInjector:
         """
         rates = self.plan.rates_for(tag)
         if not rates.any:
-            return FaultDecision()
-        ident = (f"{self.plan.seed}:{tag}:{src}>{dst}"
-                 f":{seqno}.{fragment}#{attempt}")
-        drop = rates.drop > 0 and unit_variate("drop|" + ident) < rates.drop
+            return _DELIVERED
+        # ``sim.crash.unit_variate("kind|identity") < rate`` in line, per kind.
+        key = (f"|{self.plan.seed}:{tag}:{src}>{dst}"
+               f":{seqno}.{fragment}#{attempt}").encode("utf-8")
+        drop, duplicate, reorder = [
+            rate > 0 and int.from_bytes(hashlib.blake2b(
+                kind + key, digest_size=8).digest(), "big") / 2.0 ** 64 < rate
+            for kind, rate in zip((b"drop", b"dup", b"ord"), (
+                rates.drop, rates.duplicate, rates.reorder))]
         if drop:
             # A dropped datagram never reaches the receiver; duplication
             # and reordering are moot.
-            return FaultDecision(drop=True)
-        return FaultDecision(
-            duplicate=(rates.duplicate > 0
-                       and unit_variate("dup|" + ident) < rates.duplicate),
-            reorder=(rates.reorder > 0
-                     and unit_variate("ord|" + ident) < rates.reorder))
+            return _DROPPED
+        if not (duplicate or reorder):
+            return _DELIVERED
+        return FaultDecision(duplicate=duplicate, reorder=reorder)
 
 
 def plan_from_rates(loss_rate: float, duplicate_rate: float,

@@ -62,8 +62,8 @@ EVENT_KINDS = ("access", "send", "barrier")
 
 
 def unit_variate(key: str) -> float:
-    """Deterministic uniform [0, 1) variate derived from ``key``, shared
-    with :mod:`repro.net.faults` (BLAKE2b is stable across platforms and
+    """Deterministic uniform [0, 1) variate derived from ``key``; inlined
+    by :mod:`repro.net.faults` (BLAKE2b is stable across platforms and
     interpreter runs, unlike the builtin ``hash``, salted per process)."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0 ** 64

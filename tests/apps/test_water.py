@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.apps.base import band
 from repro.apps.registry import APPLICATIONS
-from repro.apps.water import WaterParams, water
+from repro.apps.water import (WaterParams, _owner_of, molecule_tables,
+                              water)
 from repro.core.report import RaceKind, involves_symbol
 from repro.dsm.cvm import CVM
 
@@ -65,3 +67,21 @@ def test_deterministic_given_seed():
     b = CVM(SPEC.config(nprocs=4, policy="random", seed=3)).run(water, SMALL)
     assert a.results == b.results
     assert len(a.races) == len(b.races)
+
+
+@pytest.mark.parametrize("nmol", [1, 7, 48, 64, 216])
+def test_molecule_tables_are_the_functions_tabulated(nmol):
+    """``owners[mol]`` / ``faddr[mol]`` are what the per-access
+    ``force_addr`` → ``_owner_of`` → ``band`` chain computed: the owner's
+    page-aligned partition block plus the molecule's slot in the owner's
+    band (more processes than molecules included)."""
+    forces, part_words = 4096, 128
+    for nprocs in range(1, 17):
+        owners, faddr = molecule_tables(nmol, nprocs, forces, part_words)
+        assert len(owners) == len(faddr) == nmol
+        for mol in range(nmol):
+            owner = _owner_of(mol, nmol, nprocs)
+            lo, hi = band(nmol, nprocs, owner)
+            assert lo <= mol < hi
+            assert owners[mol] == owner
+            assert faddr[mol] == forces + owner * part_words + 3 * (mol - lo)

@@ -14,7 +14,8 @@ import os
 
 import pytest
 
-from repro.apps.registry import get_app
+from repro import durable
+from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
 from repro.dsm.checkpoint import (CheckpointManager, DeltaSnapshot,
                                   NodeSnapshot, apply_delta, encode_delta,
                                   load_checkpoint)
@@ -220,3 +221,105 @@ def test_snapshots_do_not_alias_live_pages():
                 copy.data[0] = 424242
         assert snap.to_json() == text
         assert "424242" not in snap.to_json()
+
+
+# ---------------------------------------------------------------------- #
+# Encode once: member texts ⇒ canonical text.
+# ---------------------------------------------------------------------- #
+def _takes(monkeypatch, name, nprocs=4, **flags):
+    """Run ``name`` with delta checkpoints and return, per take in run
+    order, ``(full snapshot, written checkpoint)``."""
+    from repro.dsm import checkpoint
+    taken = []
+    snapshot_node = checkpoint.snapshot_node
+    take = CheckpointManager.take
+
+    def keeping_snapshot(*args, **kwargs):
+        taken.append([snapshot_node(*args, **kwargs), None])
+        return taken[-1][0]
+
+    def keeping_take(self, *args, **kwargs):
+        written = take(self, *args, **kwargs)
+        taken[-1][1] = written
+        return written
+
+    monkeypatch.setattr(checkpoint, "snapshot_node", keeping_snapshot)
+    monkeypatch.setattr(CheckpointManager, "take", keeping_take)
+    get_app(name).run(nprocs=3 if name == "queue_racy" else nprocs,
+                      checkpoint_delta=True, **flags)
+    return taken
+
+
+@pytest.mark.parametrize("failover", [False, True],
+                         ids=["plain", "coordinator-section"])
+@pytest.mark.parametrize("name", sorted(APPLICATIONS) + sorted(EXTRAS))
+def test_assembled_text_is_the_canonical_text(monkeypatch, name, failover):
+    """A snapshot's text is assembled from member texts, a delta's from
+    the same members; both are byte for byte what ``durable.canon`` makes
+    of the payload — at generations 0, 1 and last of every node, with and
+    without the failover ``coordinator`` section."""
+    taken = _takes(monkeypatch, name, master_failover=failover)
+    by_pid = {}
+    for snap, written in taken:
+        by_pid.setdefault(snap.pid, []).append((snap, written))
+    assert by_pid
+    probed_deltas = 0
+    for pid, chain in by_pid.items():
+        assert [s.generation for s, _w in chain] == list(range(len(chain)))
+        assert ("coordinator" in chain[0][0].data) == failover
+        for snap, written in (chain[0], chain[min(1, len(chain) - 1)],
+                              chain[-1]):
+            assert written.is_delta == (snap.generation > 0)
+            for obj in (snap, written):
+                text = obj.to_json()
+                assert text == durable.canon(obj.data)
+                assert obj.nbytes == len(text.encode("utf-8"))
+            probed_deltas += written.is_delta
+    assert probed_deltas
+
+
+def test_each_component_is_encoded_once(monkeypatch):
+    """The encode budget of a water@4 ``checkpoint_delta`` run, free of
+    timing: the characters ``durable.canon`` produces, summed over the
+    run, stay within 1.25x the summed length of the full snapshots taken
+    — each page and record once, plus the small scalar fields of the full
+    and the delta text: 1.11x here.  (Before member texts, hashing each
+    page of both generations, dumping the base again for ``base_hash`` and
+    dumping the delta cost 3.26x on this cell, 3.6x on water@8.)"""
+    encoded = []
+    canon = durable.canon
+
+    def counting_canon(obj):
+        text = canon(obj)
+        encoded.append(len(text))
+        return text
+
+    monkeypatch.setattr(durable, "canon", counting_canon)
+    taken = _takes(monkeypatch, "water")
+    spent = sum(encoded)
+    monkeypatch.setattr(durable, "canon", canon)
+    full = sum(len(canon(snap.data)) for snap, _written in taken)
+    assert len(taken) >= 8 and any(w.is_delta for _s, w in taken)
+    assert spent <= 1.25 * full, (spent, full, spent / full)
+    assert spent >= 0.5 * full  # the counter saw the run
+
+
+def test_superseded_snapshot_holds_no_member_memo(monkeypatch, tmp_path):
+    """The member memo lives on each node's latest snapshot only: the
+    manager releases it when the next generation supersedes it, in
+    ``take`` and when ``load_dir`` replays a chain."""
+    kept = [snap for snap, _written in _takes(
+        monkeypatch, "sor", nprocs=2, checkpoint_dir=str(tmp_path))]
+    latest = {snap.pid: snap for snap in kept}
+    assert len(kept) > len(latest)
+    for snap in kept:
+        if snap is latest[snap.pid]:
+            assert "members" in vars(snap)  # encoded, ready to be a base
+        else:
+            assert "members" not in vars(snap)
+            assert snap.to_json() == durable.canon(snap.data)  # text stays
+    mgr = CheckpointManager.load_dir(str(tmp_path))
+    for pid, gens in mgr._history.items():
+        assert len(gens) > 1
+        for snap in gens.values():
+            assert "members" not in vars(snap) or snap is mgr.latest(pid)

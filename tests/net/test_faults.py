@@ -1,10 +1,15 @@
 """Deterministic fault injection: schedules are a pure function of the
 seed and the datagram identity."""
 
+import hashlib
+import random
+
 import pytest
 
-from repro.net.faults import (FaultInjector, FaultPlan, FaultRates,
-                              plan_from_rates)
+from repro.net import faults
+from repro.net.faults import (FaultDecision, FaultInjector, FaultPlan,
+                              FaultRates, plan_from_rates)
+from repro.sim.crash import unit_variate
 
 
 def decisions(plan, n=200, tag="sync"):
@@ -84,3 +89,66 @@ def test_plan_from_rates_returns_none_when_all_zero():
     plan = plan_from_rates(0.1, 0.0, 0.0, seed=7)
     assert plan is not None and plan.seed == 7
     assert plan.default.drop == 0.1
+
+
+def _spec_decide(plan, tag, src, dst, seqno, fragment, attempt):
+    """``decide`` as it was written before the variates were inlined:
+    three ``unit_variate`` draws over ``kind|identity`` strings."""
+    rates = plan.rates_for(tag)
+    ident = f"{plan.seed}:{tag}:{src}>{dst}:{seqno}.{fragment}#{attempt}"
+    if rates.drop > 0 and unit_variate("drop|" + ident) < rates.drop:
+        return FaultDecision(drop=True)
+    return FaultDecision(
+        duplicate=(rates.duplicate > 0
+                   and unit_variate("dup|" + ident) < rates.duplicate),
+        reorder=(rates.reorder > 0
+                 and unit_variate("ord|" + ident) < rates.reorder))
+
+
+def test_decide_is_the_three_unit_variate_formula(monkeypatch):
+    """Seeded sweep over the whole datagram identity and over rate
+    triples with zeros in every position: the inlined draws give the
+    verdict of the definition, and a zero rate hashes nothing."""
+    draws, blake2b = [], hashlib.blake2b
+
+    def counting_blake2b(data, **kwargs):
+        draws.append(bytes(data))
+        return blake2b(data, **kwargs)
+
+    # (``faults.hashlib`` is the module: the spec's draws count too, so
+    # ``decide``'s are read off before the spec runs.)
+    monkeypatch.setattr(faults.hashlib, "blake2b", counting_blake2b)
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(1500):
+        rates = FaultRates(*(rng.choice([0.0, 0.0, 0.05, 0.5, 0.95])
+                             for _ in range(3)))
+        plan = FaultPlan(default=rates, seed=rng.randrange(1 << 32),
+                         by_tag={"quiet": FaultRates()})
+        ident = (rng.choice(["sync", "page_reply", "bitmap_reply", "quiet",
+                             "tag:with|odd#chars", "étiquette"]),
+                 rng.randrange(16), rng.randrange(16), rng.randrange(10 ** 6),
+                 rng.randrange(8), rng.randrange(1, 6))
+        del draws[:]
+        got = FaultInjector(plan).decide(*ident)
+        kinds = [d.split(b"|", 1)[0] for d in draws]
+        drawn = set(kinds)
+        assert got == _spec_decide(plan, *ident), (rates, ident)
+        zero = {kind for kind, rate in zip(
+            (b"drop", b"dup", b"ord"),
+            (rates.drop, rates.duplicate, rates.reorder)) if rate == 0}
+        if ident[0] == "quiet":
+            zero = {b"drop", b"dup", b"ord"}
+        assert not drawn & zero, (rates, ident, drawn)
+        assert len(kinds) == len(drawn) <= 3
+        verdicts.add(got)
+    assert len(verdicts) == 5  # clean, drop, dup, reorder, dup+reorder
+
+
+def test_common_verdicts_are_shared_instances():
+    inj = FaultInjector(FaultPlan.uniform(loss_rate=0.3, seed=4))
+    fates = [inj.decide("t", 0, 1, seq) for seq in range(100)]
+    assert len({id(f) for f in fates if f.drop}) == 1
+    assert len({id(f) for f in fates if f == FaultDecision()}) == 1
+    quiet = FaultInjector(FaultPlan(by_tag={"x": FaultRates(drop=0.5)}))
+    assert quiet.decide("other", 0, 1, 0) is quiet.decide("other", 0, 1, 1)

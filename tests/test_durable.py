@@ -11,6 +11,7 @@ import ast
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import durable
 
@@ -58,6 +59,34 @@ def test_canon_is_sorted_and_compact():
     assert durable.canon({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
     assert durable.content_hash({"b": 1, "a": [1, 2]}) == \
         durable.digest('{"a":[1,2],"b":1}')
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+#: Keys that sort differently as numbers, need escaping, or are not ASCII.
+_KEYS = st.sampled_from(["10", "2", "", 'q"uote', "back\\slash", "é", "\n",
+                         "\u2028", "a", "A"]) | st.text(max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_KEYS, _JSON, max_size=8))
+def test_assemble_over_member_texts_is_canon(d):
+    """The helper encode-once checkpoints lean on: an object assembled
+    from its members' canonical texts is the canonical text."""
+    members = {k: durable.canon(v) for k, v in d.items()}
+    assert durable.assemble(members) == durable.canon(d)
+    assert durable.assemble(list(members.values())) == \
+        durable.canon(list(d.values()))
+
+
+def test_assemble_sorts_keys_as_canon_does():
+    members = {"2": "1", "10": "2", 'q"': "3", "é": "4"}
+    assert durable.assemble(members) == '{"10":2,"2":1,"q\\"":3,"\\u00e9":4}'
+    assert durable.assemble({}) == "{}" and durable.assemble([]) == "[]"
 
 
 # ---------------------------------------------------------------------- #
