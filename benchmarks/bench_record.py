@@ -19,8 +19,8 @@ overhead is not at least that many times the record overhead (both
 measured as *added* virtual time over the base run).
 
 Results go to ``BENCH_record.json`` so the repository carries the
-record-overhead trajectory across PRs, alongside ``BENCH_endtoend.json``
-and ``BENCH_detection.json``.
+record-overhead trajectory across PRs, alongside
+``BENCH_detection.json``.
 
 Usage::
 

@@ -42,11 +42,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="run the paper's literal O(i²p²) detection "
                         "algorithm instead of the fast path (identical "
                         "output, slower wall-clock; see docs/performance.md)")
-    p.add_argument("--reference-access-path", action="store_true",
-                   help="run the paper's literal one-analysis-call-per-"
-                        "word access instrumentation instead of the "
-                        "batched Env engine (identical output, slower "
-                        "wall-clock; see docs/performance.md)")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-datagram drop probability of the simulated "
                         "network (default 0: reliable, byte-identical to "
@@ -99,10 +94,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "the coordinator — byte-identical races, smaller "
                         "serialized detection share at the coordinator "
                         "(see docs/performance.md)")
-    p.add_argument("--detection-shards", type=int, default=0, metavar="N",
-                   help="cap the number of shard owners per epoch "
-                        "(requires --sharded-detection; 0 = every live "
-                        "process, 1 = coordinator-local)")
     p.add_argument("--coarse-filter", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="two-level detection filter (default on): "
@@ -172,15 +163,13 @@ def _fault_overrides(args) -> dict:
                 crash_seed=args.crash_seed,
                 crash_at=parse_crash_at(args.crash_at),
                 sharded_detection=args.sharded_detection,
-                detection_shards=args.detection_shards,
                 coarse_filter=args.coarse_filter,
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_delta=args.checkpoint_delta,
                 resume_from=args.resume_from,
                 mode=args.mode,
                 trace_file=args.trace_file,
-                deadline_seconds=args.deadline,
-                access_fast_path=not args.reference_access_path)
+                deadline_seconds=args.deadline)
 
 
 def cmd_apps(_args) -> int:

@@ -42,13 +42,6 @@ class Conflict(NamedTuple):
 #: raises.
 CONFLICTS: Tuple[Conflict, ...] = (
     Conflict(
-        lambda c: c.detection_shards > 0 and not c.sharded_detection,
-        ("--detection-shards", "--sharded-detection"),
-        "--detection-shards requires sharded detection "
-        "(--sharded-detection / DsmConfig.sharded_detection); "
-        "enable it or drop the shard cap",
-        {"shard cap without sharding": dict(detection_shards=2)}),
-    Conflict(
         lambda c: not c.master_failover
         and any(pid == 0 for pid, _gen in c.crash_at),
         ("--crash-at", "--master-failover"),
@@ -133,16 +126,6 @@ class DsmConfig:
             cost is still charged to the master clock analytically — only
             real (Python) wall-clock time differs.  Off = the paper's
             literal O(i²p²) algorithm, kept for equivalence tests.
-        access_fast_path: Use the production access engine of ``Env``
-            (default): one straight-line path per operation, the clock
-            advance fused into one pre-summed charge written to the ledger
-            slots in line, and ranges recorded natively down to
-            ``Bitmap.set_range``.  Virtual-time charges are arithmetically
-            identical to the reference engine, so every ledger, statistic
-            and artifact is byte-identical — only real (Python) wall-clock
-            time differs.  Off = the per-word scalar chain (the paper's
-            one-call-per-access instrumentation), kept for equivalence
-            tests and as the old side of ``bench_endtoend.py``.
         diff_write_detection: With the multi-writer protocol, derive write
             bitmaps from diffs instead of instrumenting stores (§6.5
             extension; same-value overwrites become invisible).
@@ -219,10 +202,6 @@ class DsmConfig:
             exhausting the reliable channel's retries) falls back to
             coordinator-local detection for that epoch, soundly.  Off by
             default.
-        detection_shards: Cap on the number of shard owners per epoch
-            (``--detection-shards``); 0 (default) means every live
-            process owns a shard.  1 degenerates to coordinator-local
-            detection.  Requires ``sharded_detection``.
         coarse_filter: Two-level detection filter (``--coarse-filter`` /
             ``--no-coarse-filter``; default **on**).  Each interval
             record piggy-backs a coarse per-page access digest — a
@@ -298,7 +277,6 @@ class DsmConfig:
     detection: bool = True
     first_races_only: bool = False
     detector_fast_path: bool = True
-    access_fast_path: bool = True
     diff_write_detection: bool = False
     inline_instrumentation: bool = False
     consolidation_interval: int = 0
@@ -318,7 +296,6 @@ class DsmConfig:
     master_failover: bool = False
     election_timeout: float = DEFAULT_ELECTION_TIMEOUT
     sharded_detection: bool = False
-    detection_shards: int = 0
     coarse_filter: bool = True
     checkpoint: bool = False
     checkpoint_dir: Optional[str] = None
@@ -329,8 +306,6 @@ class DsmConfig:
     deadline_seconds: Optional[float] = None
     cost_model: CostModel = field(default_factory=CostModel)
     track_access_trace: bool = False
-    #: Retain every transport message for inspection (tests/debugging).
-    trace_messages: bool = False
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -357,9 +332,6 @@ class DsmConfig:
             raise ValueError(
                 f"deadline_seconds (--deadline) must be positive: "
                 f"{self.deadline_seconds}")
-        if self.detection_shards < 0:
-            raise ValueError(
-                f"detection_shards must be >= 0: {self.detection_shards}")
         self.crash_at = tuple(sorted(set(
             (int(pid), int(gen)) for pid, gen in self.crash_at)))
         for pid, gen in self.crash_at:

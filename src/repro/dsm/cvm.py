@@ -153,8 +153,7 @@ class CVM:
             deadline_seconds=config.deadline_seconds)
         self.sizer = WireSizer(config.nprocs, config.page_size_words)
         self.transport = Transport(config.cost_model,
-                                   max_datagram=config.max_datagram,
-                                   trace=config.trace_messages)
+                                   max_datagram=config.max_datagram)
         # With faults configured, all protocol traffic goes through the
         # reliable channel (fragmentation, ack/retransmit, duplicate
         # suppression); with faults off — the default — the bare transport
@@ -963,7 +962,7 @@ class CVM:
         sh = self.sharding_stats
         crashed = [p for p in range(self.config.nprocs)
                    if self.nodes[p].crashed is not None]
-        owners = bar.shard_owners(crashed, self.config.detection_shards)
+        owners = bar.shard_owners(crashed)
         plan = det.plan_shards(epoch_recs, owners)
         if plan is None:
             sh.epochs_centralized += 1
@@ -1420,11 +1419,6 @@ class Env:
         for cycles in (*shared, cm.access_check_private, cm.compute_unit):
             if cycles < 0:
                 raise ValueError(f"negative charge: {cycles}")
-        if not config.access_fast_path:
-            self.load = self._load_scalar
-            self.store = self._store_scalar
-            self.load_range = self._load_range_scalar
-            self.store_range = self._store_range_scalar
 
     # ------------------------------------------------------------------ #
     # Allocation.
@@ -1433,26 +1427,38 @@ class Env:
                page_aligned: bool = False) -> int:
         """Allocate shared memory.  Named allocations are idempotent across
         processes (the SPMD idiom: every process asks for ``"grid"`` and
-        gets the same address)."""
+        gets the same address) — for the same size: scalar accesses are
+        bounds-checked against the segment only, so a process handed a
+        smaller block than it asked for would write into its neighbour."""
         seg = self.system.segment
         if name is not None:
             try:
-                return seg.lookup(name).addr
+                block = seg.lookup(name)
             except AllocationError:
                 pass
+            else:
+                if block.nwords != nwords:
+                    raise AllocationError(
+                        f"P{self.pid}: malloc({nwords}, name={name!r}) does "
+                        f"not match the existing {block.nwords}-word block "
+                        f"{name!r}")
+                return block.addr
         return seg.malloc(nwords, name=name, page_aligned=page_aligned)
 
     def symbol_for(self, addr: int) -> str:
         return self.system.segment.symbol_for(addr)
 
     # ------------------------------------------------------------------ #
-    # Shared accesses: the production engine.  One straight-line path per
-    # operation: bounds check, protocol fault check, one clock advance
-    # with its ledger slots, the interval's bitmap, then the hook tail
-    # when one is due.  The total is summed before it reaches the clock;
-    # every cost-model constant is a dyadic rational far below 2**52, so
-    # float addition over them is exact and ``now`` and each ledger slot
-    # come out bit-identical to the scalar engine's one advance per part.
+    # Shared accesses.  One straight-line path per operation: bounds
+    # check, protocol fault check, one clock advance with its ledger
+    # slots, the interval's bitmap, then the hook tail when one is due.
+    # The total is summed before it reaches the clock; every cost-model
+    # constant is a dyadic rational far below 2**52, so float addition
+    # over them is exact and ``now`` and each ledger slot come out
+    # bit-identical to one advance per word and cost category — the
+    # paper's analysis routine as tests/dsm/reference_env.py spells it
+    # out, which tests/dsm/test_env_matches_reference.py holds these four
+    # bodies to.
     # ------------------------------------------------------------------ #
     def load(self, addr: int, site: Optional[str] = None) -> Any:
         if not 0 <= addr < self._segwords:
@@ -1648,78 +1654,6 @@ class Env:
         if self._accesses_since_yield >= YIELD_EVERY:
             self._accesses_since_yield = 0
             self.system.scheduler.yield_control(self.pid)
-
-    # ------------------------------------------------------------------ #
-    # Scalar reference engine (access_fast_path=False): the paper's
-    # literal instrumentation, one analysis call per word and one clock
-    # advance per cost category.  Kept for the equivalence suite and as
-    # the old side of bench_endtoend.py.
-    # ------------------------------------------------------------------ #
-    def _load_word(self, addr: int) -> Any:
-        node = self._node
-        clock = self._clock
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_readable(node, page)
-        clock.advance(self._cm.plain_access, CostCategory.BASE)
-        if self._detect:
-            node.shared_instr_calls += 1
-            if self._proc_call:
-                clock.advance(self._proc_call, CostCategory.PROC_CALL)
-            clock.advance(self._cm.access_check_shared,
-                          CostCategory.ACCESS_CHECK)
-            node.current.record_read(page, off)
-        return copy.data[off]
-
-    def _store_word(self, addr: int, value: Any) -> None:
-        node = self._node
-        clock = self._clock
-        page, off = divmod(addr, self._psz)
-        self._ensure_writable(node, page, off).data[off] = value
-        clock.advance(self._cm.plain_access, CostCategory.BASE)
-        if self._record_writes:
-            node.shared_instr_calls += 1
-            if self._proc_call:
-                clock.advance(self._proc_call, CostCategory.PROC_CALL)
-            clock.advance(self._cm.access_check_shared,
-                          CostCategory.ACCESS_CHECK)
-            node.current.record_write(page, off)
-
-    def _load_scalar(self, addr: int, site: Optional[str] = None) -> Any:
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        value = self._load_word(addr)
-        self._accesses_since_yield += 1
-        self._after_access(addr, 1, False, site)
-        return value
-
-    def _store_scalar(self, addr: int, value: Any,
-                      site: Optional[str] = None) -> None:
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        self._store_word(addr, value)
-        self._accesses_since_yield += 1
-        self._after_access(addr, 1, True, site)
-
-    def _load_range_scalar(self, addr: int, count: int,
-                           site: Optional[str] = None) -> List[Any]:
-        if count <= 0:
-            return []
-        self._segment.check_range(addr, count, self.pid)
-        out = [self._load_word(a) for a in range(addr, addr + count)]
-        self._accesses_since_yield += count
-        self._after_access(addr, count, False, site)
-        return out
-
-    def _store_range_scalar(self, addr: int, values: Sequence[Any],
-                            site: Optional[str] = None) -> None:
-        count = len(values)
-        if count == 0:
-            return
-        self._segment.check_range(addr, count, self.pid)
-        for a, value in zip(range(addr, addr + count), values):
-            self._store_word(a, value)
-        self._accesses_since_yield += count
-        self._after_access(addr, count, True, site)
 
     # ------------------------------------------------------------------ #
     # Private work (instrumented-but-private accesses, pure compute).

@@ -51,8 +51,3 @@ def diff_to_bitmap(diff: Diff, page_size_words: int) -> Bitmap:
     for offset, _value in diff:
         bm.set(offset)
     return bm
-
-
-def diff_wire_words(diff: Diff) -> int:
-    """Number of changed words, used for wire-size accounting."""
-    return len(diff)

@@ -147,7 +147,7 @@ class BarrierState:
                 "/ DsmConfig.master_failover)")
         self.dead_this_generation.add(pid)
 
-    def shard_owners(self, crashed, limit: int = 0) -> List[int]:
+    def shard_owners(self, crashed) -> List[int]:
         """Owner pids for a sharded detection pass this generation
         (``--sharded-detection``): the coordinator first (it is the reduce
         root), then every other live arriver in pid order.
@@ -155,17 +155,11 @@ class BarrierState:
         ``crashed`` names pids that crashed during the closing epoch —
         they recovered at arrival but are conservatively not trusted with
         shard ownership (their detection metadata may be the part that
-        was lost).  ``limit > 0`` truncates the list
-        (``--detection-shards``); a limit of 1 leaves only the
-        coordinator, which the caller treats as centralized detection.
+        was lost).
         """
         dead = set(crashed) | self.dead_this_generation
-        owners = [self.master]
-        owners += [p for p in sorted(self.arrival_times)
-                   if p != self.master and p not in dead]
-        if limit > 0:
-            owners = owners[:limit]
-        return owners
+        return [self.master] + [p for p in sorted(self.arrival_times)
+                                if p != self.master and p not in dead]
 
     def reassign_master(self, pid: int) -> None:
         """Move the master role to ``pid`` (election outcome).  Only legal

@@ -136,8 +136,3 @@ class WireSizer:
     def message(self, body_bytes: int) -> int:
         """Total wire size of a message with ``body_bytes`` of body."""
         return HEADER_BYTES + body_bytes
-
-
-def sizer_for(nprocs: int, page_size_words: int) -> WireSizer:
-    """Convenience constructor used by the DSM configuration."""
-    return WireSizer(nprocs, page_size_words)

@@ -138,11 +138,6 @@ class SyncTrace:
         return sum(len(gen) for gen in self.barrier_arrivals)
 
     @property
-    def entry_count(self) -> int:
-        return (self.total_grants + self.total_arrivals
-                + len(self.deliveries))
-
-    @property
     def log_bytes(self) -> int:
         """Encoded size of the lock-grant order alone: one 32-bit pid per
         grant plus one id+length per lock — the ordering information a

@@ -314,10 +314,6 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # Introspection used by the harness and tests.
     # ------------------------------------------------------------------ #
-    @property
-    def num_processes(self) -> int:
-        return len(self.processes)
-
     def clocks(self) -> List[VirtualClock]:
         """Virtual clocks of all processes, in pid order."""
         return [self.processes[pid].clock for pid in sorted(self.processes)]

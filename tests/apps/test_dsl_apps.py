@@ -7,11 +7,13 @@ collisions, unsynchronized visit counters, bucket-chain splices), and
 ``with_sync=True`` — the identical workload under its lock — must
 report zero.  On top, the detection axes the registry sweeps for the
 scalar apps are pinned here explicitly for the bridge-backed ones:
-scalar vs batched engine, centralized vs sharded detection, coarse
-filter off vs on all produce byte-identical reports.
+the access engine vs its per-word spec, centralized vs sharded detection,
+coarse filter off vs on all produce byte-identical reports.
 """
 
 import pytest
+
+from tests.dsm.reference_env import reference_engine
 
 from repro.apps.bfs import BfsParams, bfs
 from repro.apps.hashtab import HashTabParams, hashtab
@@ -91,10 +93,13 @@ def test_runs_are_deterministic(app):
 
 @pytest.mark.parametrize("app", DSL_APPS)
 def test_scalar_engine_matches_batched(app):
-    fast = run(app, nprocs=4, access_fast_path=True)
-    ref = run(app, nprocs=4, access_fast_path=False)
-    assert _keyed(fast) == _keyed(ref)
-    assert fast.runtime_cycles == ref.runtime_cycles
+    """The per-word spec of the access engine (tests/dsm/reference_env.py)
+    under the bridge's scalar loads and stores."""
+    production = run(app, nprocs=4)
+    with reference_engine():
+        reference = run(app, nprocs=4)
+    assert _keyed(production) == _keyed(reference)
+    assert production.runtime_cycles == reference.runtime_cycles
 
 
 @pytest.mark.parametrize("app", DSL_APPS)

@@ -40,3 +40,10 @@ def test_policy_strings_accepted_lazily():
     # Policy strings are resolved by the CVM constructor, not the config.
     cfg = DsmConfig(policy="random", seed=7)
     assert cfg.policy == "random" and cfg.seed == 7
+
+
+@pytest.mark.parametrize("retired", [
+    "access_fast_path", "detection_shards", "trace_messages"])
+def test_retired_fields_are_gone(retired):
+    with pytest.raises(TypeError, match=retired):
+        DsmConfig(**{retired: False})

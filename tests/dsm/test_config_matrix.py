@@ -57,14 +57,12 @@ LEGAL = [
      dict(mode="record", trace_file="/tmp/t.log", loss_rate=0.05)),
     ("record with sharding flags",
      dict(mode="record", trace_file="/tmp/t.log",
-          sharded_detection=True, detection_shards=2)),
+          sharded_detection=True)),
     ("detect-offline with failover",
      dict(mode="detect-offline", trace_file="/tmp/t.log",
           master_failover=True)),
     ("crashes with failover targeting master",
      dict(crash_at=((0, 1),), master_failover=True, nprocs=4)),
-    ("sharding with cap",
-     dict(sharded_detection=True, detection_shards=3)),
     ("online with deadline",
      dict(deadline_seconds=5.0)),
     ("record with checkpointing",

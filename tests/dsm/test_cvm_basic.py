@@ -5,7 +5,8 @@ import pytest
 from tests.helpers import run_app, run_app_with_system, small_config
 
 from repro.dsm.cvm import CVM
-from repro.errors import SegmentationFault, SynchronizationError
+from repro.errors import (AllocationError, ProcessFailure, SegmentationFault,
+                          SynchronizationError)
 
 
 def test_store_then_load_locally():
@@ -24,6 +25,29 @@ def test_named_malloc_idempotent_across_processes():
 
     res = run_app(app, nprocs=4)
     assert len(set(res.results)) == 1
+
+
+def test_named_malloc_of_a_different_size_is_refused():
+    """Handed the existing 8-word block, a process that asked for 16
+    would store past its end into the next allocation, unchecked: scalar
+    accesses are bounds-checked against the segment only."""
+    def app(env):
+        if env.pid == 0:
+            env.malloc(8, name="x")
+            env.malloc(8, name="y")
+        env.barrier()
+        if env.pid == 1:
+            x = env.malloc(16, name="x")
+            env.store(x + 12, 99)
+        env.barrier()
+        return env.load(env.malloc(8, name="y") + 4)
+
+    with pytest.raises(ProcessFailure) as exc_info:
+        run_app(app, nprocs=2)
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, AllocationError)
+    assert str(cause) == ("P1: malloc(16, name='x') does not match the "
+                          "existing 8-word block 'x'")
 
 
 def test_values_propagate_through_barrier():

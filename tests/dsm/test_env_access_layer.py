@@ -1,7 +1,10 @@
 """The Env access layer: range semantics, tracking granularity, costs."""
 
+import contextlib
+
 import pytest
 
+from tests.dsm.reference_env import reference_engine
 from tests.helpers import run_app, run_app_with_system
 
 from repro.sim.costmodel import CostCategory
@@ -146,7 +149,7 @@ def _chunks_reference(addr, count, psz):
     return out
 
 
-def _observed_chunks(addr, count, fast):
+def _observed_chunks(addr, count):
     """(page, offset, length) runs a range access of [addr, addr+count)
     left in the interval's read and write bitmaps, and the words read."""
     def runs(bitmaps):
@@ -165,7 +168,7 @@ def _observed_chunks(addr, count, fast):
         return (runs(interval.write_bitmaps), runs(interval.read_bitmaps),
                 words)
 
-    return run_app(app, nprocs=1, access_fast_path=fast).results[0]
+    return run_app(app, nprocs=1).results[0]
 
 
 @pytest.mark.parametrize("addr,count", [
@@ -174,15 +177,16 @@ def _observed_chunks(addr, count, fast):
 ])
 def test_page_chunks_match_reference(addr, count):
     expected = _chunks_reference(addr, count, 16)
-    for fast in (True, False):
-        written, read, words = _observed_chunks(addr, count, fast)
+    for engine in (contextlib.nullcontext, reference_engine):
+        with engine():
+            written, read, words = _observed_chunks(addr, count)
         assert written == read == expected
         assert words == list(range(100, 100 + count))
 
 
 def test_page_chunks_single_page_cases():
     """The loop-free single-page case covers exact fits too."""
-    assert [_observed_chunks(addr, count, True)[0]
+    assert [_observed_chunks(addr, count)[0]
             for addr, count in [(0, 16),    # exactly one full page
                                 (3, 13),    # to the page's last word
                                 (16, 1),    # first word of a later page
@@ -251,8 +255,7 @@ def test_out_of_segment_range_faults_without_partial_write():
     assert isinstance(exc_info.value.__cause__, SegmentationFault)
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_range_engines_agree_on_straddling_contents(fast):
+def test_range_engines_agree_on_straddling_contents(engine):
     """Both engines place identical words for a multi-page store; the
     racy overlap lands at the same addresses either way."""
     def app(env):
@@ -264,14 +267,14 @@ def test_range_engines_agree_on_straddling_contents(fast):
             env.store_range(x + 30, [5] * 8)                # words 30..37
         env.barrier()
 
-    res = run_app(app, nprocs=2, access_fast_path=fast)
+    res = run_app(app, nprocs=2)
     assert sorted(r.addr for r in res.races) == [30, 31, 32, 33]
 
 
 # ---------------------------------------------------------------------- #
 # Range faults: raised as the faulting process, through the block cache.
 # ---------------------------------------------------------------------- #
-def _range_faults(fast):
+def _range_faults():
     """(operation, .pid, message) of every range fault process 1 takes."""
     from repro.errors import SegmentationFault
 
@@ -304,12 +307,11 @@ def _range_faults(fast):
         attempt("load past shrunk block", env.load_range, x, 8)
         return faults
 
-    return run_app(app, nprocs=2, access_fast_path=fast).results[1]
+    return run_app(app, nprocs=2).results[1]
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_range_faults_name_the_faulting_process(fast):
-    faults = _range_faults(fast)
+def test_range_faults_name_the_faulting_process(engine):
+    faults = _range_faults()
     assert [what for what, _pid, _msg in faults] == [
         "load past end", "store past end", "load crossing into y",
         "load unmapped", "store unmapped", "load freed", "store freed",
@@ -328,4 +330,6 @@ def test_range_faults_name_the_faulting_process(fast):
 
 
 def test_range_fault_messages_agree_across_engines():
-    assert _range_faults(True) == _range_faults(False)
+    production = _range_faults()
+    with reference_engine():
+        assert _range_faults() == production

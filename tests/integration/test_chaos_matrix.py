@@ -12,6 +12,8 @@ The crash-tolerance and lossy-network layers were each validated alone
   surface as explicit unverifiable entries, never silently vanish.
 """
 
+import functools
+
 import pytest
 
 from repro.apps.registry import get_app
@@ -31,12 +33,20 @@ def tsp_free():
     return get_app("tsp").run(nprocs=4)
 
 
+@functools.lru_cache(maxsize=None)
+def _chaos_run(crash_rate, loss_rate, seed, **flags):
+    """One checkpointed tsp@4 run of a matrix cell.  Runs are
+    deterministic, so the tests that sweep the same (cell, seed, flags)
+    share one execution."""
+    return get_app("tsp").run(
+        nprocs=4, crash_rate=crash_rate, crash_seed=seed,
+        loss_rate=loss_rate, fault_seed=seed, checkpoint=True, **flags)
+
+
 @pytest.mark.parametrize("crash_rate,loss_rate", MATRIX)
 def test_chaos_cell_reports_byte_identical(crash_rate, loss_rate, tsp_free):
     for seed in SEEDS:
-        res = get_app("tsp").run(
-            nprocs=4, crash_rate=crash_rate, crash_seed=seed,
-            loss_rate=loss_rate, fault_seed=seed, checkpoint=True)
+        res = _chaos_run(crash_rate, loss_rate, seed)
         assert _report_lines(res) == _report_lines(tsp_free), (
             f"report diverged at crash={crash_rate} loss={loss_rate} "
             f"seed={seed}")
@@ -49,9 +59,7 @@ def test_matrix_exercises_both_fault_kinds():
     crashes = retransmits = 0
     for crash_rate, loss_rate in MATRIX:
         for seed in SEEDS:
-            res = get_app("tsp").run(
-                nprocs=4, crash_rate=crash_rate, crash_seed=seed,
-                loss_rate=loss_rate, fault_seed=seed, checkpoint=True)
+            res = _chaos_run(crash_rate, loss_rate, seed)
             crashes += res.crash_stats.crashes
             retransmits += res.traffic.retransmits
     assert crashes > 0
@@ -150,10 +158,7 @@ def test_chaos_cell_with_master_failover_byte_identical(crash_rate,
                                                         loss_rate,
                                                         tsp_free):
     for seed in SEEDS:
-        res = get_app("tsp").run(
-            nprocs=4, crash_rate=crash_rate, crash_seed=seed,
-            loss_rate=loss_rate, fault_seed=seed, checkpoint=True,
-            master_failover=True)
+        res = _chaos_run(crash_rate, loss_rate, seed, master_failover=True)
         assert _report_lines(res) == _report_lines(tsp_free), (
             f"report diverged at crash={crash_rate} loss={loss_rate} "
             f"seed={seed} with master failover")
@@ -269,11 +274,10 @@ def test_resume_past_election_with_sharded_detection(tmp_path):
 def test_chaos_cell_coarse_filter_byte_identical(crash_rate, loss_rate,
                                                  tsp_free):
     for seed in SEEDS:
-        kwargs = dict(nprocs=4, crash_rate=crash_rate, crash_seed=seed,
-                      loss_rate=loss_rate, fault_seed=seed,
-                      checkpoint=True, sharded_detection=True)
-        on = get_app("tsp").run(coarse_filter=True, **kwargs)
-        off = get_app("tsp").run(coarse_filter=False, **kwargs)
+        on = _chaos_run(crash_rate, loss_rate, seed,
+                        sharded_detection=True, coarse_filter=True)
+        off = _chaos_run(crash_rate, loss_rate, seed,
+                         sharded_detection=True, coarse_filter=False)
         assert _report_lines(on) == _report_lines(off) \
             == _report_lines(tsp_free), (
                 f"filter changed the report at crash={crash_rate} "
@@ -287,10 +291,8 @@ def test_chaos_filter_cells_exercise_the_filter():
     filtered = crashes = retransmits = 0
     for crash_rate, loss_rate in MATRIX:
         for seed in SEEDS:
-            res = get_app("tsp").run(
-                nprocs=4, crash_rate=crash_rate, crash_seed=seed,
-                loss_rate=loss_rate, fault_seed=seed, checkpoint=True,
-                sharded_detection=True, coarse_filter=True)
+            res = _chaos_run(crash_rate, loss_rate, seed,
+                             sharded_detection=True, coarse_filter=True)
             filtered += res.detector_stats.pairs_filtered
             crashes += res.crash_stats.crashes
             retransmits += res.traffic.retransmits

@@ -15,7 +15,6 @@ overhead breakdown, so sharding-off artifacts stay byte-identical.
 import pytest
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
-from repro.dsm.config import DsmConfig
 from repro.sim.costmodel import OVERHEAD_CATEGORIES, CostCategory
 
 ALL_APPS = sorted(APPLICATIONS) + sorted(EXTRAS)
@@ -89,43 +88,6 @@ def test_sharded_matches_centralized_multi_writer():
     sharded, central = paired_runs("water", protocol="mw",
                                    diff_write_detection=True)
     assert_identical_reports(sharded, central)
-
-
-# ---------------------------------------------------------------------- #
-# Shard-count cap.
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("shards", [2, 3])
-def test_detection_shards_cap_preserves_reports(shards):
-    spec = get_app("tsp")
-    sharded = spec.run(nprocs=8, sharded_detection=True,
-                       detection_shards=shards)
-    central = spec.run(nprocs=8)
-    assert_identical_reports(sharded, central)
-    assert sharded.sharding_stats.epochs_sharded > 0
-
-
-def test_detection_shards_one_degenerates_to_centralized():
-    """A single owner is the coordinator itself — nothing to distribute,
-    every epoch runs the centralized pass."""
-    spec = get_app("tsp")
-    sharded = spec.run(nprocs=8, sharded_detection=True,
-                       detection_shards=1)
-    central = spec.run(nprocs=8)
-    assert_identical_reports(sharded, central)
-    sh = sharded.sharding_stats
-    assert sh.epochs_sharded == 0
-    assert sh.epochs_centralized > 0
-    assert sh.scatter_messages == sh.reduce_messages == 0
-
-
-def test_config_rejects_negative_shards():
-    with pytest.raises(ValueError, match="detection_shards"):
-        DsmConfig(nprocs=4, sharded_detection=True, detection_shards=-1)
-
-
-def test_config_rejects_shards_without_sharding():
-    with pytest.raises(ValueError, match="--sharded-detection"):
-        DsmConfig(nprocs=4, detection_shards=2)
 
 
 # ---------------------------------------------------------------------- #

@@ -158,9 +158,9 @@ def test_system_level_message_trace():
         env.barrier()
         env.load(x)
 
-    cfg = DsmConfig(nprocs=2, page_size_words=16, segment_words=1024,
-                    trace_messages=True)
+    cfg = DsmConfig(nprocs=2, page_size_words=16, segment_words=1024)
     system = CVM(cfg)
+    system.transport.trace = True
     system.run(app)
     tags = {m.tag for m in system.transport.messages}
     assert "barrier_arrival" in tags and "barrier_release" in tags

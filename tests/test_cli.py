@@ -1,8 +1,13 @@
 """Command-line interface."""
 
+import os
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +114,30 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("retired", [
+    ["--reference-access-path"], ["--detection-shards", "2"]])
+def test_retired_run_flags_are_refused_by_argparse(retired, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "water", "--procs", "2", *retired])
+    assert exc_info.value.code == 2
+    assert retired[0] in capsys.readouterr().err
+
+
+def test_readme_run_flags_exist(capsys):
+    """Every flag in the README's table of ``run`` options is one the
+    ``run`` subparser accepts, so a retired flag cannot linger there."""
+    with open(README, encoding="utf-8") as f:
+        table = f.read().split("Flags shared by `run`", 1)[1]
+    rows = table.split("|---|---|\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    documented = {flag for row in rows
+                  for flag in re.findall(r"`(--[a-z-]+)", row.split("|")[1])}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    accepted = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert len(documented) >= 20
+    assert documented <= accepted, sorted(documented - accepted)
+
+
 def test_config_error_maps_to_exit_code_2(capsys):
     # --trace-file without a two-phase mode is a ConfigError.
     rc = main(["run", "fft", "--procs", "2", "--trace-file", "/tmp/t.log"])
@@ -146,6 +175,16 @@ def test_fleet_submit_rejects_unknown_override(capsys, tmp_path):
                "fft", "--set", "warp_speed=9"])
     assert rc == 3
     assert "unknown DsmConfig override" in capsys.readouterr().err
+
+
+def test_fleet_submit_refuses_a_retired_config_field_by_name(capsys,
+                                                            tmp_path):
+    """The accepted override keys derive from ``DsmConfig``'s fields, so
+    a retired knob is refused at submit time, named."""
+    rc = main(["fleet", "submit", "--spool", str(tmp_path / "s"),
+               "fft", "--set", "access_fast_path=false"])
+    assert rc == 3
+    assert "['access_fast_path']" in capsys.readouterr().err
 
 
 def test_fleet_drain_touches_marker(capsys, tmp_path):
