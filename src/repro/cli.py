@@ -29,6 +29,7 @@ from repro.sim.crash import DEFAULT_ELECTION_TIMEOUT
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_run_plan` reads."""
     p.add_argument("app", choices=sorted(APPLICATIONS) + sorted(EXTRAS))
     p.add_argument("--procs", type=int, default=8)
     p.add_argument("--protocol", choices=["sw", "mw"], default="sw")
@@ -120,12 +121,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "previous --checkpoint-dir run with the same "
                         "configuration; reproduces the uninterrupted run's "
                         "race report byte-identically")
-    p.add_argument("--report", default=None, metavar="PATH",
-                   help="also write the race report (one sorted line per "
-                        "race) to PATH — lets CI diff reports across "
-                        "fault seeds, loss rates and crash seeds "
-                        "(unverifiable crash-degradation entries go to "
-                        "stdout only, keeping the file comparable)")
     p.add_argument("--mode", choices=["online", "record", "detect-offline"],
                    default="online",
                    help="two-phase pipeline: 'record' runs with detection "
@@ -148,28 +143,44 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "(exit code 4) instead of running away")
 
 
-def _fault_overrides(args) -> dict:
-    """DsmConfig overrides carrying the CLI's fault- and crash-injection
-    flags (every caller's parser went through :func:`_add_run_options`)."""
+def _nprocs(args) -> int:
+    """``queue_racy`` is Figure 5's three roles, whatever ``--procs``."""
+    return 3 if args.app == "queue_racy" else args.procs
+
+
+def _run_plan(args, **extra):
+    """The one reading of :func:`_add_run_options`'s flags: the app, its
+    parameter set (``--paper-input``) and the ``AppSpec.config`` / ``run``
+    keyword arguments (plus ``extra``)."""
     from repro.sim.crash import parse_crash_at
-    return dict(loss_rate=args.loss_rate,
-                master_failover=args.master_failover,
-                election_timeout=args.election_timeout,
-                duplicate_rate=args.duplicate_rate,
-                reorder_rate=args.reorder_rate,
-                fault_seed=args.fault_seed,
-                retry_budget=args.retry_budget,
-                crash_rate=args.crash_rate,
-                crash_seed=args.crash_seed,
-                crash_at=parse_crash_at(args.crash_at),
-                sharded_detection=args.sharded_detection,
-                coarse_filter=args.coarse_filter,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_delta=args.checkpoint_delta,
-                resume_from=args.resume_from,
-                mode=args.mode,
-                trace_file=args.trace_file,
-                deadline_seconds=args.deadline)
+    spec = get_app(args.app)
+    params = spec.paper_params if args.paper_input else spec.default_params
+    return spec, params, dict(
+        nprocs=_nprocs(args),
+        protocol=args.protocol,
+        policy=args.policy,
+        seed=args.seed,
+        first_races_only=args.first_races_only,
+        detector_fast_path=not args.reference_detector,
+        loss_rate=args.loss_rate,
+        master_failover=args.master_failover,
+        election_timeout=args.election_timeout,
+        duplicate_rate=args.duplicate_rate,
+        reorder_rate=args.reorder_rate,
+        fault_seed=args.fault_seed,
+        retry_budget=args.retry_budget,
+        crash_rate=args.crash_rate,
+        crash_seed=args.crash_seed,
+        crash_at=parse_crash_at(args.crash_at),
+        sharded_detection=args.sharded_detection,
+        coarse_filter=args.coarse_filter,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_delta=args.checkpoint_delta,
+        resume_from=args.resume_from,
+        mode=args.mode,
+        trace_file=args.trace_file,
+        deadline_seconds=args.deadline,
+        **extra)
 
 
 def cmd_apps(_args) -> int:
@@ -181,9 +192,8 @@ def cmd_apps(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = get_app(args.app)
-    params = spec.paper_params if args.paper_input else spec.default_params
-    nprocs = 3 if args.app == "queue_racy" else args.procs
+    spec, params, overrides = _run_plan(args)
+    nprocs = overrides["nprocs"]
     if args.resume_from or args.mode != "online":
         # A resumed run must match the original checkpointed run exactly,
         # so only the detection-on run is performed (measure()'s
@@ -191,20 +201,10 @@ def cmd_run(args) -> int:
         # The two-phase modes are likewise single runs: record forces
         # detection off and logs the synchronization order; detect-offline
         # replays the trace with detection on.
-        res = spec.run(nprocs=nprocs, params=params,
-                       protocol=args.protocol, policy=args.policy,
-                       seed=args.seed,
-                       first_races_only=args.first_races_only,
-                       detector_fast_path=not args.reference_detector,
-                       **_fault_overrides(args))
+        res = spec.run(params=params, **overrides)
         result = None
     else:
-        result = measure(spec, nprocs=nprocs, params=params,
-                         protocol=args.protocol, policy=args.policy,
-                         seed=args.seed,
-                         first_races_only=args.first_races_only,
-                         detector_fast_path=not args.reference_detector,
-                         **_fault_overrides(args))
+        result = measure(spec, params=params, **overrides)
         res = result.detected
     print(f"{args.app} on {nprocs} simulated processes "
           f"({args.protocol} protocol, {args.policy} seed {args.seed})")
@@ -324,12 +324,8 @@ def cmd_attribute(args) -> int:
         raise ConfigError(
             f"attribute runs its own two-run record/replay protocol and "
             f"cannot compose with --mode {args.mode}; drop --mode/--trace-file")
-    spec = get_app(args.app)
-    cfg = spec.config(nprocs=args.procs, protocol=args.protocol,
-                      policy=args.policy, seed=args.seed,
-                      detector_fast_path=not args.reference_detector,
-                      **_fault_overrides(args))
-    report = attribute_races(spec.func, spec.default_params, cfg)
+    spec, params, overrides = _run_plan(args)
+    report = attribute_races(spec.func, params, spec.config(**overrides))
     if not report.races:
         print("no races to attribute")
         return 0
@@ -355,15 +351,9 @@ def cmd_timeline(args) -> int:
         raise ConfigError(
             f"timeline needs the detector's interval metadata and cannot "
             f"compose with --mode {args.mode}; drop --mode/--trace-file")
-    spec = get_app(args.app)
-    nprocs = 3 if args.app == "queue_racy" else args.procs
-    cfg = spec.config(nprocs=nprocs, protocol=args.protocol,
-                      policy=args.policy, seed=args.seed,
-                      track_access_trace=True,
-                      detector_fast_path=not args.reference_detector,
-                      **_fault_overrides(args))
-    system = CVM(cfg)
-    result = system.run(spec.func, spec.default_params)
+    spec, params, overrides = _run_plan(args, track_access_trace=True)
+    system = CVM(spec.config(**overrides))
+    result = system.run(spec.func, params)
     print(timeline_from_run(system, result))
     if result.races:
         print(f"\n{len(result.races)} race(s); '!' marks intervals "
@@ -472,7 +462,7 @@ def cmd_fleet_submit(args) -> int:
         chaos["exit_code"] = args.chaos_exit_code
     if args.chaos_hang:
         chaos["hang"] = True
-    nprocs = 3 if args.app == "queue_racy" else args.procs
+    nprocs = _nprocs(args)
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     for seed in seeds:
         job_id = spool.next_job_id()
@@ -624,6 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an application")
     _add_run_options(p_run)
+    p_run.add_argument("--report", default=None, metavar="PATH",
+                       help="also write the race report (one sorted line "
+                            "per race) to PATH — lets CI diff reports "
+                            "across fault seeds, loss rates and crash "
+                            "seeds (unverifiable crash-degradation entries "
+                            "go to stdout only, keeping the file "
+                            "comparable)")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="regenerate tables and figures")

@@ -17,6 +17,7 @@ from repro.core.bitmap import Digest, digests_disjoint
 from repro.core.concurrency import (Block, PairSearchStats,
                                     concurrency_windows, group_by_pid,
                                     pair_blocks)
+from repro.core.report import RaceKind
 from repro.dsm.interval import Interval
 
 
@@ -27,11 +28,22 @@ class OverlapPage:
 
     page: int
     #: True if both intervals wrote the page.
-    write_write: bool
+    write_write: bool = False
     #: True if interval ``a`` read and ``b`` wrote.
-    a_read_b_write: bool
+    a_read_b_write: bool = False
     #: True if interval ``a`` wrote and ``b`` read.
-    a_write_b_read: bool
+    a_write_b_read: bool = False
+
+
+#: The access-kind combinations under which a page of a concurrent pair
+#: ``(a, b)`` can carry a race, in the order they are checked and reported:
+#: the :class:`OverlapPage` flag, ``a``'s access, ``b``'s access, and the
+#: kind of race a common word is.  Reads never race with reads.
+ACCESS_COMBINATIONS = (
+    ("write_write", "write", "write", RaceKind.WRITE_WRITE),
+    ("a_read_b_write", "read", "write", RaceKind.READ_WRITE),
+    ("a_write_b_read", "write", "read", RaceKind.READ_WRITE),
+)
 
 
 @dataclass
@@ -309,15 +321,10 @@ def bitmaps_needed(entries: List[CheckEntry]) -> Set[Tuple[int, int, int, str]]:
     """
     needed: Set[Tuple[int, int, int, str]] = set()
     for entry in entries:
+        a, b = entry.a, entry.b
         for ov in entry.pages:
-            a, b = entry.a, entry.b
-            if ov.write_write:
-                needed.add((a.pid, a.index, ov.page, "write"))
-                needed.add((b.pid, b.index, ov.page, "write"))
-            if ov.a_read_b_write:
-                needed.add((a.pid, a.index, ov.page, "read"))
-                needed.add((b.pid, b.index, ov.page, "write"))
-            if ov.a_write_b_read:
-                needed.add((a.pid, a.index, ov.page, "write"))
-                needed.add((b.pid, b.index, ov.page, "read"))
+            for flag, a_access, b_access, _kind in ACCESS_COMBINATIONS:
+                if getattr(ov, flag):
+                    needed.add((a.pid, a.index, ov.page, a_access))
+                    needed.add((b.pid, b.index, ov.page, b_access))
     return needed

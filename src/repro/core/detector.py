@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.bitmap import Bitmap, digests_disjoint
-from repro.core.checklist import (CheckEntry, EpochJoin, OverlapPage,
-                                  PageIndex, bitmaps_needed,
-                                  build_check_list, entry_key, overlap_work)
+from repro.core.checklist import (ACCESS_COMBINATIONS, CheckEntry,
+                                  EpochJoin, OverlapPage, PageIndex,
+                                  bitmaps_needed, build_check_list,
+                                  entry_key, overlap_work)
 from repro.core.concurrency import (Block, PairSearchStats,
                                     find_concurrent_pairs, group_by_pid,
                                     model_comparison_count, pair_blocks)
@@ -759,29 +760,17 @@ class RaceDetector:
         out: List[OverlapPage] = []
         checks = hits = 0
         for ov in entry.pages:
-            ww = arbw = awbr = False
-            if ov.write_write:
-                checks += 1
-                if not digests_disjoint(a.digest(ov.page, "write"),
-                                        b.digest(ov.page, "write")):
-                    ww = True
-                    hits += 1
-            if ov.a_read_b_write:
-                checks += 1
-                if not digests_disjoint(a.digest(ov.page, "read"),
-                                        b.digest(ov.page, "write")):
-                    arbw = True
-                    hits += 1
-            if ov.a_write_b_read:
-                checks += 1
-                if not digests_disjoint(a.digest(ov.page, "write"),
-                                        b.digest(ov.page, "read")):
-                    awbr = True
-                    hits += 1
-            if ww or arbw or awbr:
-                out.append(OverlapPage(page=ov.page, write_write=ww,
-                                       a_read_b_write=arbw,
-                                       a_write_b_read=awbr))
+            page = ov.page
+            surviving = {}
+            for flag, a_access, b_access, _kind in ACCESS_COMBINATIONS:
+                if getattr(ov, flag):
+                    checks += 1
+                    if not digests_disjoint(a.digest(page, a_access),
+                                            b.digest(page, b_access)):
+                        surviving[flag] = True
+            if surviving:
+                hits += len(surviving)
+                out.append(OverlapPage(page, **surviving))
         return out, checks, hits
 
     def _word_candidates(self, entry: CheckEntry, pages: List[OverlapPage],
@@ -793,26 +782,17 @@ class RaceDetector:
         a, b = entry.a, entry.b
         comparisons = 0
         found: List[RaceReport] = []
+        bitmaps = {"read": (a.read_bitmaps, b.read_bitmaps),
+                   "write": (a.write_bitmaps, b.write_bitmaps)}
         for ov in pages:
             page = ov.page
-            if ov.write_write:
-                comparisons += 1
-                self._intersect(
-                    found, a, "write", a.write_bitmaps.get(page),
-                    b, "write", b.write_bitmaps.get(page),
-                    page, RaceKind.WRITE_WRITE, epoch, clock)
-            if ov.a_read_b_write:
-                comparisons += 1
-                self._intersect(
-                    found, a, "read", a.read_bitmaps.get(page),
-                    b, "write", b.write_bitmaps.get(page),
-                    page, RaceKind.READ_WRITE, epoch, clock)
-            if ov.a_write_b_read:
-                comparisons += 1
-                self._intersect(
-                    found, a, "write", a.write_bitmaps.get(page),
-                    b, "read", b.read_bitmaps.get(page),
-                    page, RaceKind.READ_WRITE, epoch, clock)
+            for flag, a_access, b_access, kind in ACCESS_COMBINATIONS:
+                if getattr(ov, flag):
+                    comparisons += 1
+                    self._intersect(
+                        found, a, a_access, bitmaps[a_access][0].get(page),
+                        b, b_access, bitmaps[b_access][1].get(page),
+                        page, kind, epoch, clock)
         return comparisons, found
 
     def _intersect(self, found: List[RaceReport], a: Interval, a_access: str,
@@ -843,20 +823,16 @@ class RaceDetector:
         reports: List[RaceReport] = []
         for ov in entry.pages:
             addr = ov.page * self.page_size_words
-            combos = []
-            if ov.write_write:
-                combos.append(("write", "write", RaceKind.WRITE_WRITE))
-            if ov.a_read_b_write:
-                combos.append(("read", "write", RaceKind.READ_WRITE))
-            if ov.a_write_b_read:
-                combos.append(("write", "read", RaceKind.READ_WRITE))
-            for a_access, b_access, kind in combos:
-                reports.append(RaceReport(
-                    kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                    page=ov.page, offset=0, epoch=epoch,
-                    a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                    b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                    granularity="page", **verdict))
+            for flag, a_access, b_access, kind in ACCESS_COMBINATIONS:
+                if getattr(ov, flag):
+                    reports.append(RaceReport(
+                        kind=kind, addr=addr, symbol=self.symbol_for(addr),
+                        page=ov.page, offset=0, epoch=epoch,
+                        a=IntervalRef(a.pid, a.index, a_access,
+                                      a.sync_label),
+                        b=IntervalRef(b.pid, b.index, b_access,
+                                      b.sync_label),
+                        granularity="page", **verdict))
         return reports
 
     def _unverifiable_item(self, entry: CheckEntry, epoch: int) -> ShardItem:

@@ -13,11 +13,17 @@ the Coherent Virtual Machine (CVM) that the paper's race detector leverages:
 * a lock manager and barrier master whose messages piggyback consistency
   information, exactly the channel the detector rides on.
 
-The public entry point is :class:`repro.dsm.cvm.CVM`.
+The public entry point is :class:`repro.dsm.cvm.CVM`, which is wiring;
+each responsibility lives in the module that owns its state — ``env``
+(the access engine), ``sync`` (locks, events, the barrier, consistency
+shipping), ``coordinator`` (the barrier-master role and the epoch's
+detection pass), ``recovery`` (crashes, failover), ``checkpoint``
+(snapshots, the checkpoint cut, resume), ``protocol`` (coherence).
 """
 
 from repro.dsm.config import DsmConfig
-from repro.dsm.cvm import CVM, Env, RunResult
+from repro.dsm.cvm import CVM, RunResult
+from repro.dsm.env import Env
 from repro.dsm.interval import Interval
 from repro.dsm.vector_clock import VectorClock
 

@@ -15,7 +15,9 @@ the next generation's delta are assembled from those member texts.  With
 ``--checkpoint-dir`` the :class:`CheckpointManager` also persists one file
 per (pid, barrier generation), which enables *cross-run* restoration of a
 long simulation's per-node state (``CheckpointManager.load_dir``) in
-addition to the in-run crash recovery driven by :mod:`repro.dsm.cvm`.
+addition to the in-run crash recovery driven by :mod:`repro.dsm.recovery`.
+The run side lives here too: :func:`barrier_cut` is what a system does at
+every cut, :class:`ResumePoint` is ``--resume-from``.
 
 With ``checkpoint_delta`` the manager writes *delta* checkpoints: each
 generation is encoded against the node's previous snapshot, component by
@@ -49,8 +51,10 @@ from repro.dsm.interval import Interval
 from repro.dsm.page import PageCopy, PageState
 from repro.dsm.vector_clock import VectorClock
 from repro.errors import CheckpointError, ConfigError
+from repro.sim.costmodel import CostCategory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node ← checkpoint)
+    from repro.dsm.cvm import CVM
     from repro.dsm.node import IntervalStore, Node
 
 #: Bump when the snapshot schema changes incompatibly.
@@ -604,3 +608,95 @@ class CheckpointManager:
     def snapshots(self) -> List[NodeSnapshot]:
         """Latest snapshots, in pid order."""
         return [self._latest[pid] for pid in sorted(self._latest)]
+
+
+# ---------------------------------------------------------------------- #
+# The run side: what a system does at each barrier-consistent cut.
+# ---------------------------------------------------------------------- #
+class ResumePoint:
+    """Cross-run resume (``--resume-from``): re-execute deterministically
+    and, at the barrier generation the directory covers for every node,
+    validate and reinstall each node's state from the restored snapshots.
+    The resumed run must use the same configuration the checkpoints were
+    written under (checkpointing stays enabled so the virtual-time write
+    charges line up)."""
+
+    def __init__(self, directory: str, nprocs: int):
+        mgr = CheckpointManager.load_dir(directory)
+        pids = sorted(s.pid for s in mgr.snapshots())
+        if pids != list(range(nprocs)):
+            raise CheckpointError(
+                f"checkpoint directory {directory!r} covers "
+                f"pids {pids}, but the run has nprocs={nprocs}")
+        gen = min(s.generation for s in mgr.snapshots())
+        for pid in pids:
+            if not mgr.has_generation(pid, gen):
+                raise CheckpointError(
+                    f"checkpoint directory {directory!r} has "
+                    f"no consistent cut: P{pid} lacks generation {gen}")
+        self.manager = mgr
+        #: The cut resumed at: the latest generation every node reached.
+        self.generation = gen
+        self.resumed_nodes = 0
+
+    def install(self, system: "CVM", node: "Node") -> None:
+        """Validate and install one node's restored snapshot at the resume
+        cut.
+
+        Deterministic re-execution has brought the node to exactly the
+        state the checkpoint captured, so the freshly-computed snapshot
+        must equal the stored one byte for byte — anything else means the
+        directory came from a different app/params/flags and resuming
+        would silently diverge.  The restored (deserialized) objects are
+        then actually installed, so the remainder of the run exercises the
+        restore path end to end."""
+        snap = self.manager.at_generation(node.pid, self.generation)
+        current = snapshot_node(
+            node, system.store, self.generation,
+            coordinator=system.coordinator.snapshot_section(node.pid))
+        if current != snap:
+            raise CheckpointError(
+                f"resume state diverged for P{node.pid} at generation "
+                f"{self.generation}: the checkpoint directory was not "
+                "produced by an equivalent run (same application, "
+                "parameters, process count and flags)")
+        restore_node(snap, node, system.store)
+        self.resumed_nodes += 1
+
+
+def checkpointed_coordinator_state(system: "CVM", pid: int):
+    """The dead coordinator's detector state as of its last barrier
+    checkpoint, or None when checkpointing is off or no snapshot holds
+    a coordinator section.  This is the durable fallback
+    :meth:`CoordinatorRole.install_from_journal` restores from when
+    the journal tail turns out torn or corrupt."""
+    if system.checkpoints is None:
+        return None
+    snap = system.checkpoints.latest(pid)
+    if snap is None:
+        return None
+    section = snap.data.get("coordinator")
+    if not section:
+        return None
+    return section.get("state")
+
+
+def barrier_cut(system: "CVM", node: "Node", generation: int) -> None:
+    """``node`` stands at the barrier-consistent cut ``generation`` (0:
+    before the application starts, so every node can be recovered even if
+    it dies before the first barrier).  A resuming run installs the
+    restored state at its resume cut, before the checkpoint re-records the
+    (identical) state; the bytes written are priced on the node's clock."""
+    resume = system.resume
+    if resume is not None and generation == resume.generation:
+        resume.install(system, node)
+    if system.checkpoints is not None:
+        snap = system.checkpoints.take(
+            node, system.store, generation,
+            coordinator=system.coordinator.snapshot_section(node.pid))
+        node.clock.advance(
+            system.config.cost_model.checkpoint_write_per_byte * snap.nbytes,
+            CostCategory.RECOVERY)
+        node.last_checkpoint_time = node.clock.now
+        system.crash_stats.checkpoints_written += 1
+        system.crash_stats.checkpoint_bytes += snap.nbytes

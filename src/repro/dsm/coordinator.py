@@ -40,15 +40,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro import durable
 from repro.core.detector import RaceDetector
 from repro.dsm.interval import Interval
-from repro.dsm.node import IntervalStore
+from repro.dsm.node import IntervalStore, Node
+from repro.dsm.vector_clock import precedes
+from repro.errors import RetryExhaustedError
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostCategory, CostModel
-from repro.sim.crash import counter_summary
+from repro.sim.crash import DEFAULT_CRASH_DETECT_TIMEOUT, counter_summary
 
 
 def elect_coordinator(old_pid: int, live_pids: Sequence[int],
@@ -145,29 +148,64 @@ class ShardingStats:
             setattr(self, name, getattr(self, name) + value)
 
 
+def make_detector(system, master_pid: int) -> Optional[RaceDetector]:
+    """Detector factory for the coordinator role: the initial instance
+    at construction, and replacement instances (re-homed on the
+    election winner) during failover.  ``None`` with detection off."""
+    config = system.config
+    if not config.detection:
+        return None
+    return RaceDetector(
+        config.page_size_words, config.cost_model, system.sizer,
+        system.net, system.segment.symbol_for, master_pid=master_pid,
+        first_races_only=config.first_races_only,
+        fast_path=config.detector_fast_path,
+        coarse_filter=config.coarse_filter)
+
+
+def tree_edges(n: int, root_first: bool = False
+               ) -> Iterator[Tuple[int, int, int]]:
+    """Edges ``(parent, child, step)`` of the binary tree over owner
+    indices ``0..n-1`` rooted at 0 (``child = parent + step`` heads the
+    subtree ``[child, child + step)``): leaves first, the order a reduce
+    merges in, or ``root_first``, the mirrored order a scatter fans out."""
+    steps = []
+    step = 1
+    while step < n:
+        steps.append(step)
+        step *= 2
+    for step in (reversed(steps) if root_first else steps):
+        for parent in range(0, n - step, 2 * step):
+            yield parent, parent + step, step
+
+
 class CoordinatorRole:
     """Ownership object for the barrier-master responsibilities.
 
     The DSM engine routes every "master" decision through this role
     instead of comparing against a hard-coded pid: barrier release runs on
-    ``self.pid``'s clock, interval collection and the detection pass go
-    through :meth:`collect_epoch` / :meth:`run_detection`, and snapshots
-    embed :meth:`snapshot_section`.  The pid is stable for the whole run
-    unless failover is enabled *and* the coordinator crashes, in which
-    case :mod:`repro.dsm.cvm` drives the election and calls
-    :meth:`install_from_journal` on the winner.
+    ``self.pid``'s clock, the epoch's detection pass — centralized or
+    sharded — is :meth:`run_epoch`, and snapshots embed
+    :meth:`snapshot_section`.  The pid is stable for the whole run unless
+    failover is enabled *and* the coordinator crashes, in which case
+    :mod:`repro.dsm.recovery` drives the election and calls
+    :meth:`install_from_journal` on the winner.  ``system`` is the
+    :class:`repro.dsm.cvm.CVM` facade the role analyses for (the journal
+    and election halves work without one).
     """
 
     def __init__(self, nprocs: int, failover: bool,
                  detector: Optional[RaceDetector],
                  detector_factory: Callable[[int], Optional[RaceDetector]],
-                 initial_pid: int = 0):
+                 initial_pid: int = 0, system=None):
         self.nprocs = nprocs
         self.failover = failover
         self.pid = initial_pid
         self.detector = detector
         self._factory = detector_factory
+        self.system = system
         self.stats = FailoverStats()
+        self.sharding_stats = ShardingStats()
         #: Canonical-JSON journal of the role state at the last completed
         #: detection pass — what a successor restores from.  Maintained
         #: only under failover.
@@ -277,26 +315,241 @@ class CoordinatorRole:
     # ------------------------------------------------------------------ #
     # The responsibilities the role owns.
     # ------------------------------------------------------------------ #
-    def collect_epoch(self, store: IntervalStore,
-                      epoch: int) -> List[Interval]:
-        """Interval collection for the closing epoch (paper §4 step 1:
-        the records arrived on barrier messages; the coordinator gathers
-        the epoch's full set for analysis)."""
-        return store.epoch_intervals(epoch)
+    def run_epoch(self, store: IntervalStore, epoch: int,
+                  clock: VirtualClock) -> None:
+        """The closing epoch's detection pass on the coordinator's
+        ``clock`` (paper §4: the records arrived on barrier messages; the
+        coordinator analyses the epoch's full set) — sharded when
+        ``--sharded-detection`` is on and the epoch can be, centralized
+        otherwise and on every fallback; no-op with detection off."""
+        det = self.detector
+        if det is None:
+            return
+        epoch_recs = store.epoch_intervals(epoch)
+        if not (self.system.config.sharded_detection
+                and self._run_sharded_detection(epoch_recs, epoch, clock)):
+            det.run_epoch(epoch_recs, epoch, clock)
 
-    def run_detection(self, intervals: List[Interval], epoch: int,
-                      clock: VirtualClock) -> List[Any]:
-        """One detection pass on the coordinator's clock; no-op with
-        detection off."""
+    # ------------------------------------------------------------------ #
+    # Sharded detection (``--sharded-detection``): scatter the epoch's
+    # pair blocks to shard owners, compute in parallel on the owners'
+    # clocks, tree-reduce the candidate reports to the coordinator, and
+    # commit there through the centralized dedup state — byte-identical
+    # reports, with the coordinator's serialized detection share spread
+    # over the live pids.  All protocol traffic under SHARDED_DETECT.
+    # ------------------------------------------------------------------ #
+    def _run_sharded_detection(self, epoch_recs: List[Interval], epoch: int,
+                               master_clock: VirtualClock) -> bool:
+        """One epoch's detection, sharded when possible; False when it
+        was not, and the caller falls back to the centralized engine.
+
+        Gives up — soundly and without having mutated any detector state
+        — when the epoch has nothing to shard, when a shard owner crashes
+        during the sharded phase, or when a sharding exchange exhausts the
+        reliable channel's retry budget.  The fallback re-runs the full
+        pass on the coordinator's clock; virtual time already spent on the
+        abandoned sharded phase stays spent (honest wasted work), but
+        verdicts and detector statistics come out exactly as if sharding
+        had been off for this epoch.
+        """
+        system = self.system
+        recovery = system.recovery
+        det = self.detector
+        sh = self.sharding_stats
+        # Owners: the coordinator first (it is the reduce root), then
+        # every other live pid in pid order.  Pids that crashed during the
+        # closing epoch recovered at arrival but are conservatively not
+        # trusted with shard ownership (their detection metadata may be
+        # the part that was lost).
+        live, _crashed = recovery.live_and_crashed()
+        owners = [self.pid] + [p for p in live if p != self.pid]
+        plan = det.plan_shards(epoch_recs, owners)
+        if plan is None:
+            sh.epochs_centralized += 1
+            return False
+        # Mid-phase owner deaths.  One crash point per live owner with a
+        # non-empty shard, on the independent "detect" schedule (so the
+        # access/send/barrier schedules of non-sharded runs are
+        # unperturbed).  Evaluated only under crash_recovery: a fail-stop
+        # raise here would unwind the last arriver's thread, not the
+        # owner's.  Any hit abandons the sharded phase for this epoch —
+        # the crashed owner recovers exactly like a barrier-arrival crash,
+        # and the coordinator, after waiting out its detection timeout,
+        # re-runs the full pass locally.
+        if recovery.crasher is not None and system.config.crash_recovery:
+            owner_died = False
+            for pid in owners[1:]:
+                if plan.shards[pid].blocks and recovery.crash_owner(pid):
+                    owner_died = True
+            if owner_died:
+                master_clock.wait_until(
+                    master_clock.now + DEFAULT_CRASH_DETECT_TIMEOUT)
+                sh.fallbacks_owner_crash += 1
+                return False
+        try:
+            results, items, staged = self._sharded_phases(det, plan, epoch)
+        except RetryExhaustedError:
+            sh.fallbacks_network += 1
+            return False
+        det.commit_sharded(plan, results, items, epoch, master_clock)
+        # Counters for the sharded phases are staged and folded in only
+        # now that the epoch committed: an abandoned phase (a fallback
+        # above) must not leave dispatched-shard or shipped-record counts
+        # behind for work whose results were thrown away.
+        sh.merge(staged)
+        sh.epochs_sharded += 1
+        return True
+
+    def _sharded_phases(self, det, plan, epoch: int):
+        """The three distributed phases of one sharded epoch; returns
+        ``(shard results, fully merged candidate items, staged stats)``.
+
+        Counters are accumulated in a *staged* :class:`ShardingStats`
+        that the caller merges only after ``commit_sharded`` succeeds: a
+        ``RetryExhaustedError`` mid-phase abandons the epoch, and
+        counters incremented before the failing send would otherwise
+        survive the fallback and overcount (shards "dispatched" whose
+        results were discarded, records "shipped" that the fallback never
+        used).
+
+        1. *Scatter*: the block assignments fan out along a binary tree
+           rooted at the coordinator (log-depth, not serialized on the
+           coordinator's clock).  Each edge also carries the partner
+           interval records the owners in its subtree have not observed
+           — the coordinator already holds the epoch's full record set
+           (it arrived on the barrier messages) and learned every
+           arriver's clock the same way, so shipping the deltas downhill
+           costs zero extra messages, where a fetch round would cost
+           O(owners x partners) round trips per epoch.
+        2. *Compute*: each owner, on its own clock, runs the pruned pair
+           search for its blocks and fetches the bitmaps its check
+           entries name (request/reply pairs, overlapped like the
+           centralized engine's bitmap round).
+        3. *Reduce*: candidate items flow back along the mirrored binary
+           tree (owners at distance ``step`` merge pairwise), ending at
+           the coordinator with the globally key-sorted stream.
+
+        RetryExhaustedError from any exchange propagates to the caller's
+        centralized fallback.
+        """
+        system = self.system
+        sync = system.sync
+        net = system.net
+        nodes = system.nodes
+        sizer = system.sizer
+        sh = ShardingStats()  # staged; merged by the caller on commit
+        cat = CostCategory.SHARDED_DETECT
+        coord = plan.owners[0]
+        active = [coord] + [pid for pid in plan.owners[1:]
+                            if plan.shards[pid].blocks]
+        clocks = {pid: nodes[pid].clock for pid in active}
+        sh.shards_dispatched += sum(
+            1 for pid in active if plan.shards[pid].blocks)
+        n = len(active)
+        # Per-owner record deltas: what each owner's own clock has not
+        # observed of the partner pids its blocks name.  The records are
+        # physically in the global store (the simulation models placement
+        # by accounting); what is priced is their wire metadata riding
+        # the scatter tree below.
+        missing: Dict[int, List[Interval]] = {}
+        for pid in active[1:]:
+            node_vc = nodes[pid].vc
+            partners = sorted({x for blk in plan.shards[pid].blocks
+                               for x in blk if x != pid})
+            recs = [rec for q in partners for rec in plan.by_pid[q]
+                    if not rec.is_empty
+                    and not precedes(q, rec.index, node_vc)]
+            missing[pid] = recs
+            sh.records_shipped += len(recs)
+        # Phase 1: binary-tree scatter of assignments + record deltas.
+        for i, j, step in tree_edges(n, root_first=True):
+            src, dst = active[i], active[j]
+            subtree = active[j:min(j + step, n)]
+            nblocks = sum(len(plan.shards[p].blocks) for p in subtree)
+            body = sizer.ints(3 + 2 * len(subtree) + 2 * nblocks)
+            # Each edge ships the union of its subtree's deltas, every
+            # record once, plus one horizon clock per owner.
+            edge_recs = {}
+            for p in subtree:
+                body += sizer.vector_clock()
+                for rec in missing[p]:
+                    edge_recs[(rec.pid, rec.index)] = rec
+            rec_bytes, _rb, digest_bytes = sync.record_bytes(
+                edge_recs.values())
+            msg = net.send("detect_shard", src, dst, None,
+                           body + rec_bytes, clocks[src],
+                           category=cat, fragmentable=True)
+            sync.charge_digests(digest_bytes, clocks[src])
+            clocks[dst].wait_until(msg.arrival_time)
+            sh.scatter_messages += 1
+            sh.bytes_scattered += msg.nbytes
+        # Phase 2: shard compute, per owner on its own clock.
+        results = []
+        buffers = {}
+        for pid in active:
+            res = det.compute_shard(plan.shards[pid], plan, epoch,
+                                    clocks[pid])
+            sh.bitmap_fetch_messages += res.fetch_messages
+            sh.bitmap_fetch_bytes += res.fetch_bytes
+            results.append(res)
+            buffers[pid] = res.items
+        # Phase 3: binary tree-reduce of the candidate items, mirroring
+        # the scatter tree; the coordinator (index 0) absorbs the final
+        # merges on the master clock.
+        for i, j, _step in tree_edges(n):
+            dst, src = active[i], active[j]
+            msg = net.send(
+                "shard_reduce", src, dst, len(buffers[src]),
+                det.shard_reduce_bytes(buffers[src]), clocks[src],
+                category=cat, fragmentable=True)
+            clocks[dst].wait_until(msg.arrival_time)
+            sh.reduce_messages += 1
+            sh.bytes_reduced += msg.nbytes
+            buffers[dst] = det.merge_shard_items(buffers[dst],
+                                                 buffers[src])
+        return results, buffers[coord], sh
+
+    # ------------------------------------------------------------------ #
+    # Consolidation between barriers (§6.3).
+    # ------------------------------------------------------------------ #
+    def maybe_consolidate(self, node: Node) -> None:
+        limit = self.system.config.consolidation_interval
+        if limit <= 0 or self.detector is None:
+            return
+        if node.intervals_in_current_epoch() >= limit:
+            self.consolidate(node.pid)
+
+    def consolidate(self, pid: int) -> int:
+        """Race-check and garbage-collect intervals that are already
+        ordered before every process's current view — they can never be
+        concurrent with anything created later, so they can be retired
+        without global synchronization.  Returns how many were retired."""
         if self.detector is None:
-            return []
-        return self.detector.run_epoch(intervals, epoch, clock)
+            return 0
+        system = self.system
+        store = system.store
+        current = store.epoch_intervals(system.epoch)
+        if not current:
+            return 0
+        self.detector.run_epoch(current, system.epoch,
+                                system.nodes[pid].clock)
+        retired = 0
+        for rec in current:
+            if all(other.vc[rec.pid] >= rec.index for other in system.nodes):
+                table = store.by_pid().get(rec.pid, {})
+                if rec.index in table:
+                    del table[rec.index]
+                    retired += 1
+        return retired
 
-    def snapshot_section(self, pid: int) -> Dict[str, Any]:
-        """Per-node checkpoint section (failover only): every node records
-        who currently holds the role; the holder's snapshot additionally
-        carries the full serialized role state, joining the delta chain
-        like any other snapshot component."""
+    def snapshot_section(self, pid: int) -> Optional[Dict[str, Any]]:
+        """Per-node checkpoint section: every node records who currently
+        holds the role; the holder's snapshot additionally carries the
+        full serialized role state, joining the delta chain like any other
+        snapshot component.  ``None`` without failover, so failover-off
+        checkpoints stay byte-identical to builds without this module."""
+        if not self.failover:
+            return None
         return {
             "pid": self.pid,
             "state": (self.serialize_state() if pid == self.pid else None),

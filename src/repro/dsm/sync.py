@@ -1,19 +1,27 @@
-"""Synchronization-object state: locks and barriers.
+"""Synchronization: locks, events and the barrier, state and protocol.
 
-These classes hold pure state (holder, queues, arrival bookkeeping); the
-message traffic, clock reconciliation and consistency-information exchange
-that happen at acquire/release/barrier live in :mod:`repro.dsm.cvm`, which
-drives them.
+:class:`LockState`, :class:`EventState` and :class:`BarrierState` hold the
+per-object state (holder, queues, arrival bookkeeping);
+:class:`Synchronizer` drives them.  Its operations implement lazy release
+consistency exactly as §3.1 describes: every acquire and release opens a
+new interval; lock grants and barrier messages piggyback the interval
+records (write notices, and with detection on, read notices) that the
+receiver has not yet seen; write notices invalidate stale page copies at
+the acquirer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.dsm.checkpoint import barrier_cut
+from repro.dsm.interval import Interval
+from repro.dsm.node import Node
 from repro.dsm.vector_clock import VectorClock
-from repro.errors import SynchronizationError
+from repro.errors import ReplayError, SynchronizationError
+from repro.sim.costmodel import CostCategory
 
 
 @dataclass
@@ -112,7 +120,7 @@ class BarrierState:
         self.barriers_completed = 0
         #: Processes the master declared dead (crash recovery) during the
         #: current generation; cleared at every reset.  Diagnostic state:
-        #: the recovery protocol itself lives in ``repro.dsm.cvm``.
+        #: the recovery protocol itself lives in ``repro.dsm.recovery``.
         self.dead_this_generation: Set[int] = set()
         #: Optional ``(generation, pid)`` callback fired at every arrival —
         #: the two-phase pipeline's arrival-order capture point
@@ -147,20 +155,6 @@ class BarrierState:
                 "/ DsmConfig.master_failover)")
         self.dead_this_generation.add(pid)
 
-    def shard_owners(self, crashed) -> List[int]:
-        """Owner pids for a sharded detection pass this generation
-        (``--sharded-detection``): the coordinator first (it is the reduce
-        root), then every other live arriver in pid order.
-
-        ``crashed`` names pids that crashed during the closing epoch —
-        they recovered at arrival but are conservatively not trusted with
-        shard ownership (their detection metadata may be the part that
-        was lost).
-        """
-        dead = set(crashed) | self.dead_this_generation
-        return [self.master] + [p for p in sorted(self.arrival_times)
-                                if p != self.master and p not in dead]
-
     def reassign_master(self, pid: int) -> None:
         """Move the master role to ``pid`` (election outcome).  Only legal
         under failover; the pinned-master configuration never migrates."""
@@ -181,3 +175,390 @@ class BarrierState:
         self.arrival_times.clear()
         self.horizons.clear()
         self.dead_this_generation.clear()
+
+
+class Synchronizer:
+    """The synchronization operations of one system, on the state above.
+    ``system`` is the :class:`repro.dsm.cvm.CVM` facade, on which the five
+    operations applications reach are bound under the same names —
+    callers look them up there."""
+
+    def __init__(self, system) -> None:
+        self.system = system
+        self.config = config = system.config
+        self.scheduler = system.scheduler
+        self.sizer = system.sizer
+        self.traffic = system.transport.stats
+        self.net = system.net
+        self.store = system.store
+        self.protocol = system.protocol
+        self.nodes = system.nodes
+        self.recovery = system.recovery
+        self._crasher = system._crasher
+        self.locks: Dict[int, LockState] = {}
+        self.events: Dict[int, EventState] = {}
+        self.barrier_state = BarrierState(config.nprocs, master=0,
+                                          failover=config.master_failover)
+        # Two-level detection filter: when on (and detecting), every
+        # consistency payload also carries the coarse access digests the
+        # filter consults, priced by charge_digests at each ship site.
+        self._coarse = config.detection and config.coarse_filter
+
+    # ------------------------------------------------------------------ #
+    # Interval helpers and consistency shipping.
+    # ------------------------------------------------------------------ #
+    def _close_interval(self, node: Node) -> None:
+        self.protocol.on_interval_closed(node, node.close_interval())
+
+    def record_bytes(self, recs: Iterable[Interval]) -> Tuple[int, int, int]:
+        """Summed wire figures of ``recs``: (record bytes, read-notice
+        bytes, coarse-digest bytes), each closed record priced once (see
+        :meth:`Interval.wire_figures`).  The last two are 0 with
+        detection, respectively the two-level filter, off."""
+        sizer, with_reads, coarse = (self.sizer, self.config.detection,
+                                     self._coarse)
+        body = read_bytes = digest_bytes = 0
+        for rec in recs:
+            b, r, d = rec.wire_figures(sizer, with_reads, coarse)
+            body += b
+            read_bytes += r
+            digest_bytes += d
+        return body, read_bytes, digest_bytes
+
+    def consistency_payload(
+            self, have: VectorClock, upto: Optional[VectorClock],
+            pids: Optional[Iterable[int]] = None,
+    ) -> Tuple[List[Interval], int, int, int]:
+        """Interval records a process with clock ``have`` is missing up to
+        horizon ``upto`` (none when ``upto`` is ``None``: a bare vector
+        clock), of the owners ``pids`` only when given; returns (records,
+        body bytes, read-notice bytes, coarse-digest bytes)."""
+        recs = [] if upto is None else self.store.unseen(have, upto, pids)
+        body, read_bytes, digest_bytes = self.record_bytes(recs)
+        return recs, self.sizer.vector_clock() + body, read_bytes, digest_bytes
+
+    def charge_digests(self, nbytes: int, clock) -> None:
+        """Two-level filter carriage: price the ``nbytes`` of coarse
+        digests piggy-backed on a consistency payload's notice lists (one
+        per write notice and, with detection, per read notice).  Charged
+        in cycles on the shipping side under ``CostCategory.COARSE_FILTER``
+        — message bodies are *not* inflated, so every filter-off wire
+        figure (fragment counts, per-tag byte totals, Table 3's overhead
+        fraction) is untouched.  ``nbytes`` is 0 unless detection and the
+        filter are both on."""
+        if nbytes:
+            clock.advance(self.config.cost_model.cycles_per_byte * nbytes,
+                          CostCategory.COARSE_FILTER)
+            self.traffic.add_digest_bytes(nbytes)
+
+    def _ship_consistency(self, have: VectorClock,
+                          upto: Optional[VectorClock], clock,
+                          send: Optional[Tuple[str, int, int]] = None):
+        """Ship, on ``clock``, the interval records a process with clock
+        ``have`` is missing up to ``upto`` (none when ``upto`` is ``None``:
+        a bare vector clock) as one ``send = (tag, src, dst)`` message,
+        and account their read notices and coarse digests.  Without
+        ``send`` the records rode an earlier message and only the
+        accounting is done.  Returns ``(records, message)``."""
+        recs, body, read_bytes, digest_bytes = self.consistency_payload(
+            have, upto)
+        msg = None
+        if send is not None:
+            tag, src, dst = send
+            msg = self.net.send(tag, src, dst, None, body, clock,
+                                fragmentable=True)
+        if read_bytes:
+            self.traffic.add_read_notice_bytes(read_bytes)
+        self.charge_digests(digest_bytes, clock)
+        return recs, msg
+
+    def apply_consistency(self, node: Node, recs: List[Interval],
+                          horizon: VectorClock) -> None:
+        """Acquire-side application: invalidate per write notices, then
+        merge the horizon clock."""
+        for rec in recs:
+            self.protocol.apply_write_notice(node, rec)
+        node.vc.observe(horizon)
+
+    # ------------------------------------------------------------------ #
+    # Locks.
+    # ------------------------------------------------------------------ #
+    def _lock_state(self, lid: int) -> LockState:
+        st = self.locks.get(lid)
+        if st is None:
+            st = self.locks[lid] = LockState(lid, lid % self.config.nprocs)
+        return st
+
+    def lock_acquire(self, pid: int, lid: int) -> None:
+        node = self.nodes[pid]
+        self.scheduler.yield_control(pid)
+        if self._crasher is not None:
+            self.recovery.maybe_crash(pid, "send")  # the lock-request send
+        st = self._lock_state(lid)
+        order = self.system.lock_order
+        if order is not None:
+            # Replay enforcement gates only the free-lock fast path: when
+            # the lock is held, the queue hand-off in ``_pick_next_waiter``
+            # follows the recorded order instead.  A bounded spin converts
+            # divergence (the recorded acquirer never shows up — possible
+            # when a data race influenced synchronization control flow,
+            # the §6.1 caveat about general races) into a clear error
+            # instead of a livelock.
+            spins = 0
+            while (st.holder is None and not st.queue
+                   and not order.may_acquire(lid, pid)):
+                spins += 1
+                if not self.scheduler.others_ready(pid) or spins > 20_000:
+                    raise ReplayError(
+                        f"replay diverged: P{pid} must wait for "
+                        f"P{order.expected_next(lid)} to acquire "
+                        f"lock {lid} first, but that grant never happens")
+                self.scheduler.yield_control(pid)
+        self._close_interval(node)
+        if st.holder is None and not st.queue:
+            st.holder = pid
+            st.acquires += 1
+            if order is not None:
+                order.record_grant(lid, pid)
+            recs = self._charge_idle_lock_acquire(node, st)
+            if st.last_release_vc is not None:
+                self.apply_consistency(node, recs, st.last_release_vc)
+        else:
+            st.queue.append(pid)
+            st.contended += 1
+            self.scheduler.block(pid, f"lock {lid}")
+            grant = st.grant_box.pop(pid)
+            node.clock.wait_until(grant.arrival_time)
+            self.apply_consistency(
+                node, self.store.unseen(node.vc, grant.release_vc),
+                grant.release_vc)
+        node.open_interval(f"lock({lid}) acquire")
+
+    def _charge_idle_lock_acquire(self, node: Node,
+                                  st: LockState) -> List[Interval]:
+        """Message accounting for acquiring an idle lock: request to the
+        manager, forward to the last releaser, grant (with piggybacked
+        consistency data) back to the requester.  Returns the interval
+        records the grant carried, for the acquirer to apply."""
+        sizer = self.sizer
+        clock = node.clock
+        granter = st.last_releaser if st.last_releaser is not None else st.manager
+        if st.manager != node.pid:
+            self.net.send("lock_request", node.pid, st.manager, None,
+                                sizer.ints(3), clock)
+        if granter not in (st.manager, node.pid):
+            self.net.send("lock_forward", st.manager, granter, None,
+                                sizer.ints(3) + sizer.vector_clock(), clock)
+        if granter == node.pid:
+            # Never released, or last released by this node, whose clock
+            # has only grown since: no grant travels, nothing is missing.
+            return []
+        recs, msg = self._ship_consistency(
+            node.vc, st.last_release_vc, clock,
+            ("lock_grant", granter, node.pid))
+        clock.wait_until(msg.arrival_time)
+        return recs
+
+    def lock_release(self, pid: int, lid: int) -> None:
+        node = self.nodes[pid]
+        if self._crasher is not None:
+            self.recovery.maybe_crash(pid, "send")  # the grant/release send
+        st = self._lock_state(lid)
+        if st.holder != pid:
+            raise SynchronizationError(
+                f"P{pid} released lock {lid} held by {st.holder}")
+        self._close_interval(node)
+        st.last_releaser = pid
+        st.last_release_vc = node.vc.copy()
+        node.open_interval(f"lock({lid}) release")
+        if st.queue:
+            order = self.system.lock_order
+            nxt = self._pick_next_waiter(st, order)
+            st.holder = nxt
+            st.acquires += 1
+            if order is not None:
+                order.record_grant(lid, nxt)  # the releaser does the work
+            _recs, msg = self._ship_consistency(
+                self.nodes[nxt].vc, st.last_release_vc, node.clock,
+                ("lock_grant", pid, nxt))
+            st.grant_box[nxt] = GrantInfo(pid, st.last_release_vc,
+                                          msg.arrival_time)
+            self.scheduler.unblock(nxt)
+        else:
+            st.holder = None
+        self.system.coordinator.maybe_consolidate(node)
+        self.scheduler.yield_control(pid)
+
+    @staticmethod
+    def _pick_next_waiter(st: LockState, order) -> int:
+        """FIFO normally; under replay enforcement, the recorded acquirer
+        (who must already be queued, else we fall back to FIFO and the
+        controller flags the divergence at its next check)."""
+        if order is not None:
+            expected = order.expected_next(st.lid)
+            if expected is not None and expected in st.queue:
+                st.queue.remove(expected)
+                return expected
+        return st.queue.popleft()
+
+    # ------------------------------------------------------------------ #
+    # Events (one-shot flags: CVM's generalized synchronization).
+    # ------------------------------------------------------------------ #
+    def _event_state(self, eid: int) -> EventState:
+        ev = self.events.get(eid)
+        if ev is None:
+            ev = self.events[eid] = EventState(eid)
+        return ev
+
+    def event_set(self, pid: int, eid: int) -> None:
+        """Release half of an event: close the interval, record the
+        consistency horizon, wake any waiters."""
+        node = self.nodes[pid]
+        if self._crasher is not None:
+            self.recovery.maybe_crash(pid, "send")  # the event_set send
+        ev = self._event_state(eid)
+        if ev.is_set:
+            raise SynchronizationError(
+                f"event {eid} set twice (P{ev.setter}, then P{pid})")
+        self._close_interval(node)
+        ev.is_set = True
+        ev.setter = pid
+        ev.set_vc = node.vc.copy()
+        node.open_interval(f"event({eid}) set")
+        msg = self.net.send(
+            "event_set", pid, (pid + 1) % self.config.nprocs, None,
+            self.sizer.ints(2) + self.sizer.vector_clock(), node.clock)
+        ev.set_time = msg.arrival_time
+        for waiter in ev.waiters:
+            self.scheduler.unblock(waiter)
+        ev.waiters.clear()
+        self.scheduler.yield_control(pid)
+
+    def event_wait(self, pid: int, eid: int) -> None:
+        """Acquire half: block until the event is set, then apply the
+        setter's consistency information (write-notice invalidations plus
+        the horizon clock)."""
+        node = self.nodes[pid]
+        ev = self._event_state(eid)
+        self._close_interval(node)
+        if not ev.is_set:
+            ev.waiters.append(pid)
+            self.scheduler.block(pid, f"event {eid}")
+        node.clock.wait_until(ev.set_time)
+        recs, _msg = self._ship_consistency(node.vc, ev.set_vc, node.clock)
+        self.apply_consistency(node, recs, ev.set_vc)
+        node.open_interval(f"event({eid}) wait")
+
+    # ------------------------------------------------------------------ #
+    # Barrier.
+    # ------------------------------------------------------------------ #
+    def barrier(self, pid: int) -> None:
+        node = self.nodes[pid]
+        self.scheduler.yield_control(pid)
+        bar = self.barrier_state
+        if self._crasher is not None:
+            self.recovery.maybe_crash(pid, "barrier",
+                                      generation=bar.generation)
+            if node.crashed is not None:
+                # The node died earlier this epoch (or right here): it is
+                # recovered before it can arrive, so its arrival message —
+                # and the arrival time the master sees — carries the full
+                # recovery cost.
+                self.recovery.charge_node_recovery(node)
+        self._close_interval(node)
+        horizon = node.vc.copy()
+        node.open_interval("barrier arrival")
+        master_node = self.nodes[bar.master]
+        if pid != bar.master:
+            recs, msg = self._ship_consistency(
+                master_node.vc, horizon, node.clock,
+                ("barrier_arrival", pid, bar.master))
+            self.apply_consistency(master_node, recs, horizon)
+            arrival_now = msg.arrival_time
+        else:
+            arrival_now = node.clock.now
+        if bar.failover:
+            # The closing horizon is what a new coordinator would have to
+            # re-solicit from this process if the master dies this epoch.
+            bar.horizons[pid] = horizon
+        last = bar.arrive(pid, arrival_now)
+        if not last:
+            self.scheduler.block(pid, f"barrier gen {bar.generation}")
+        else:
+            self._barrier_master_work()
+            for other in range(self.config.nprocs):
+                if other != pid:
+                    self.scheduler.unblock(other)
+        self._barrier_depart(pid)
+
+    def _barrier_master_work(self) -> None:
+        """Runs in the last arriver's thread but on the *coordinator's*
+        virtual clock — detection overhead is serialized at the master
+        (§6.2).  If the coordinator itself is among this epoch's crashed
+        nodes and failover is enabled, the survivors first elect a
+        replacement and migrate the detection state to it; the analysis
+        then proceeds on the new coordinator's clock."""
+        system = self.system
+        bar = self.barrier_state
+        role = system.coordinator
+        if (role.failover and self.config.nprocs > 1
+                and self.nodes[role.pid].crashed is not None):
+            self.recovery.coordinator_failover(bar)
+        master_node = self.nodes[bar.master]
+        master_clock = master_node.clock
+        if self._crasher is not None:
+            self.recovery.declare_deaths(bar, master_clock)
+        master_clock.wait_until(max(bar.arrival_times.values()))
+        role.run_epoch(self.store, system.epoch, master_clock)
+        self._barrier_release_pass(bar, master_node)
+        if role.failover:
+            # Journal the role state after every completed detection pass:
+            # a coordinator death next epoch restores from here, so the
+            # journal is never staler than the last barrier-consistent cut.
+            role.journal_state(master_clock, self.config.cost_model)
+        # The epoch is fully checked: discard its trace information
+        # (bitmaps, notices).  Also sweep the previous epoch's stragglers
+        # (the empty arrival intervals closed at departure).
+        self.store.discard_epoch(system.epoch)
+        if system.epoch > 0:
+            self.store.discard_epoch(system.epoch - 1)
+        system.epoch += 1
+        bar.reset_for_next_generation()
+
+    def _barrier_release_pass(self, bar: BarrierState,
+                              master_node: Node) -> None:
+        """Release payloads: one per process, carrying what it is missing.
+        The write notices are applied (invalidating stale copies) here,
+        *before* the checked epoch's records are discarded; the blocked
+        processes are not running, so mutating their page tables is safe,
+        and their departure only needs the horizon clock."""
+        master_clock = master_node.clock
+        release_vc = master_node.vc.copy()
+        for other in range(self.config.nprocs):
+            if other == bar.master:
+                bar.release_box[other] = (release_vc, master_clock.now)
+                continue
+            recs, msg = self._ship_consistency(
+                self.nodes[other].vc, release_vc, master_clock,
+                ("barrier_release", bar.master, other))
+            for rec in recs:
+                self.protocol.apply_write_notice(self.nodes[other], rec)
+            bar.release_box[other] = (release_vc, msg.arrival_time)
+
+    def _barrier_depart(self, pid: int) -> None:
+        node = self.nodes[pid]
+        bar = self.barrier_state
+        release_vc, arrival_time = bar.release_box.pop(pid)
+        node.clock.wait_until(arrival_time)
+        self._close_interval(node)  # the (empty) arrival interval
+        # Write notices were already applied by the master's release pass;
+        # departing only merges the horizon clock.
+        node.vc.observe(release_vc)
+        node.epoch = self.system.epoch
+        node.open_interval("barrier depart")
+        # The departure is the epoch's consistent cut: a recovered node's
+        # crash is fully absorbed here, and (when enabled) each node
+        # checkpoints itself before touching the new epoch.
+        node.crashed = None
+        node.epoch_start_time = node.clock.now
+        barrier_cut(self.system, node, bar.barriers_completed)

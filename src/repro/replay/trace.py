@@ -17,7 +17,7 @@ program's synchronization structure alone.  Detection changes *virtual
 time* (clock charges, extra bitmap traffic) but never the interleaving —
 which is exactly the property the equivalence suite asserts.  The trace
 therefore both *steers* the replay (the lock-grant gate in
-``CVM.lock_acquire``) and *verifies* it (arrival and delivery streams
+``Synchronizer.lock_acquire``) and *verifies* it (arrival and delivery streams
 raise :class:`~repro.errors.ReplayError` on the first divergence).
 
 File format: one :func:`repro.durable.frame` of the canonical-JSON body,
@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import durable
-from repro.errors import ReplayError, TraceError
+from repro.errors import ConfigError, ReplayError, TraceError
 from repro.net.reliable import DEFAULT_TIMEOUT_CYCLES
+from repro.sim.costmodel import CostCategory
 
 #: Bump when the trace schema changes incompatibly.
 TRACE_FORMAT_VERSION = 1
@@ -222,21 +223,56 @@ def write_trace(trace: SyncTrace, path: str) -> int:
                            "trace file")
 
 
+def attach(system):
+    """The controller of a two-phase run (``system.config.mode``), hooked
+    to barrier arrivals and message deliveries; the caller makes it
+    ``system.lock_order``.  Detect-offline loads and frame-checks the trace
+    file here, so corrupt files fail before any work (the config-digest
+    check happens in ``begin_run``, where the app name is known).  The
+    delivery hook goes on ``system.net`` — the reliable channel when
+    faults are configured — so a lossy record run captures
+    *post-retransmit* delivery order and the bare transport's per-fragment
+    sends never fire it."""
+    config = system.config
+    if config.mode == "record":
+        controller = SyncTraceRecorder(system)
+    else:
+        controller = SyncTraceEnforcer(load_trace(config.trace_file), system)
+    system.sync.barrier_state.order_hook = controller.on_barrier_arrival
+    system.net.delivery_hook = controller.on_delivery
+    return controller
+
+
 class SyncTraceRecorder:
     """Attach to a record run (``--mode record``): passively logs the
     synchronization order.
 
     Implements the ``CVM.lock_order`` controller protocol (grants are
     never gated while recording) plus the barrier-arrival and
-    message-delivery hooks.  The CVM charges ``CostModel.record_entry``
-    under ``CostCategory.RECORD`` at each capture site and the per-byte
-    flush cost when the trace file is written at the end of the run.
+    message-delivery hooks.  Given the record run's ``system``
+    (:func:`attach`), it also prices itself under ``CostCategory.RECORD``:
+    ``CostModel.record_entry`` per captured entry on the acting pid's
+    clock — the record run's only per-event online cost — and the
+    per-byte flush cost when :meth:`end_run` writes the trace file.
+    Without one (:func:`attribute_races
+    <repro.replay.attribute.attribute_races>` logs grants only) it is free.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, system=None) -> None:
         self.trace = SyncTrace()
         #: Entries captured (the record run's per-entry cost multiplier).
         self.entries_recorded = 0
+        #: Size of the flushed trace file (0 until :meth:`end_run`).
+        self.trace_bytes = 0
+        self._system = system
+
+    def _captured(self, pid: int) -> None:
+        """One more entry, captured by ``pid``'s action."""
+        self.entries_recorded += 1
+        system = self._system
+        if system is not None:
+            system.nodes[pid].clock.advance(
+                system.config.cost_model.record_entry, CostCategory.RECORD)
 
     # -- lock controller protocol ------------------------------------- #
     def may_acquire(self, lid: int, pid: int) -> bool:
@@ -247,32 +283,56 @@ class SyncTraceRecorder:
 
     def record_grant(self, lid: int, pid: int) -> None:
         self.trace.lock_grants.setdefault(lid, []).append(pid)
-        self.entries_recorded += 1
+        # The running process does the work: the acquirer of an idle
+        # lock, the releaser handing a held one to its next waiter.
+        system = self._system
+        self._captured(pid if system is None else system.scheduler.current())
 
     # -- barrier-arrival hook ------------------------------------------ #
     def on_barrier_arrival(self, generation: int, pid: int) -> None:
         while len(self.trace.barrier_arrivals) <= generation:
             self.trace.barrier_arrivals.append([])
         self.trace.barrier_arrivals[generation].append(pid)
-        self.entries_recorded += 1
+        self._captured(pid)
 
     # -- delivery hook (post-retransmit, one per logical message) ------ #
     def on_delivery(self, tag: str, src: int, dst: int) -> None:
         if tag not in SYNC_TAGS:
             return
         self.trace.deliveries.append((tag, src, dst))
-        self.entries_recorded += 1
+        self._captured(src)
 
-    def build(self, app: str, config, digest: str) -> SyncTrace:
-        """Finalize the trace with its execution header."""
+    # -- the record run's start and end -------------------------------- #
+    def begin_run(self, app_name: str) -> None:
+        """Stamp the trace with its execution header."""
+        config = self._system.config
         t = self.trace
-        t.app = app
+        t.app = app_name
         t.nprocs = config.nprocs
         t.seed = config.seed
         t.policy = config.policy
         t.fault_seed = config.fault_seed
-        t.digest = digest
-        return t
+        t.digest = execution_digest(config, app_name)
+
+    def end_run(self) -> None:
+        """End-of-run trace flush: frame and persist the file, and price
+        the serialization on the coordinator's clock (it owns the run's
+        durable artifacts, like the role journal)."""
+        system = self._system
+        config = system.config
+        self.trace_bytes = write_trace(self.trace, config.trace_file)
+        system.nodes[system.coordinator.pid].clock.advance(
+            config.cost_model.record_flush_per_byte * self.trace_bytes,
+            CostCategory.RECORD)
+
+    def stats(self) -> Dict[str, int]:
+        """``RunResult.record_stats`` of a record run."""
+        t = self.trace
+        return {"entries_recorded": self.entries_recorded,
+                "lock_grants": t.total_grants,
+                "barrier_arrivals": t.total_arrivals,
+                "deliveries": len(t.deliveries),
+                "trace_bytes": self.trace_bytes}
 
 
 class SyncTraceEnforcer:
@@ -280,10 +340,13 @@ class SyncTraceEnforcer:
     lock-grant order through the recorded per-lock sequence, regardless of
     the replay's scheduling policy or seed, and *verifies* the
     barrier-arrival and message-delivery streams position by position,
-    raising :class:`~repro.errors.ReplayError` on the first divergence."""
+    raising :class:`~repro.errors.ReplayError` on the first divergence.
+    ``system`` is the detect-offline run (:func:`attach`), whose
+    configuration :meth:`begin_run` holds the trace header to."""
 
-    def __init__(self, trace: SyncTrace):
+    def __init__(self, trace: SyncTrace, system=None):
         self.trace = trace
+        self._system = system
         #: Next unconsumed position per recorded lock.
         self._grant_pos: Dict[int, int] = {lid: 0 for lid in trace.lock_grants}
         #: Next unconsumed position per barrier generation.
@@ -369,7 +432,31 @@ class SyncTraceEnforcer:
                 return False
         return self._delivery_pos >= len(self.trace.deliveries)
 
-    def check_fully_consumed(self) -> None:
+    # -- the replay run's start and end -------------------------------- #
+    def begin_run(self, app_name: str) -> None:
+        """Refuse to replay a trace recorded under a different execution
+        configuration: the config digest pins every execution-shaping
+        field (app, nprocs, seed, policy, network-fault schedule...), so
+        a mismatch means the trace would steer a different program."""
+        config = self._system.config
+        trace = self.trace
+        digest = execution_digest(config, app_name)
+        if digest != trace.digest:
+            raise ConfigError(
+                "--mode detect-offline: the trace (--trace-file) was "
+                "recorded under a different execution configuration: "
+                f"recorded app={trace.app!r} nprocs={trace.nprocs} "
+                f"seed={trace.seed} policy={trace.policy!r} "
+                f"fault_seed={trace.fault_seed}; this run has "
+                f"app={app_name!r} nprocs={config.nprocs} "
+                f"seed={config.seed} policy={config.policy!r} "
+                f"fault_seed={config.fault_seed} (config digest "
+                f"{trace.digest} != {digest}); re-record with --mode "
+                "record under this configuration or fix the flags")
+
+    def end_run(self) -> None:
+        """A replay that finished without consuming the whole trace means
+        the executions disagree — fail, don't under-report."""
         if not self.fully_consumed():
             remaining_grants = (self.trace.total_grants
                                 - self.grants_replayed)
@@ -382,3 +469,9 @@ class SyncTraceEnforcer:
                 f"{remaining_grants} grant(s), {remaining_arrivals} "
                 f"arrival(s) and {remaining_deliveries} deliver(ies) "
                 "were never replayed")
+
+    def stats(self) -> Dict[str, int]:
+        """``RunResult.record_stats`` of a detect-offline run."""
+        return {"grants_replayed": self.grants_replayed,
+                "arrivals_verified": self.arrivals_verified,
+                "deliveries_verified": self.deliveries_verified}

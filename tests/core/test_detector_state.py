@@ -15,6 +15,7 @@ import pytest
 from repro.apps.registry import get_app
 from repro.core.detector import DetectorStats, RaceDetector
 from repro.core.report import decode_report_key, encode_report_key
+from repro.dsm.coordinator import make_detector
 from repro.dsm.cvm import CVM
 
 
@@ -34,7 +35,7 @@ def racy_system():
 
 
 def _fresh_detector(system, master_pid):
-    return system._make_detector(master_pid)
+    return make_detector(system, master_pid)
 
 
 # ---------------------------------------------------------------------- #

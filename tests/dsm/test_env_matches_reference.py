@@ -35,6 +35,7 @@ from tests.helpers import small_config
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
 from repro.core.bitmap import Bitmap
 from repro.dsm import cvm
+from repro.dsm.env import YIELD_EVERY
 from repro.dsm.page import PageState
 from repro.sim.costmodel import CostCategory
 
@@ -351,7 +352,7 @@ def test_the_corpus_reaches_the_hook_tail(scratch):
             prog = program(cell, seed)
             marathons += any(
                 sum(words(op) for phase in prog.phases
-                    for op in leaves(phase[pid])) >= cvm.YIELD_EVERY
+                    for op in leaves(phase[pid])) >= YIELD_EVERY
                 for pid in range(prog.nprocs))
         assert marathons >= 2, cell
 

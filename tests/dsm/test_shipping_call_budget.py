@@ -54,7 +54,7 @@ def counted_run():
     """Run ``program`` once; the first barrier's release-pass calls, the
     number of records that pass shipped, and the epoch's records."""
     system = CVM(small_config(nprocs=NPROCS))
-    release_pass = system._barrier_release_pass
+    release_pass = system.sync._barrier_release_pass
     seen = {}
 
     def counted(bar, master_node):
@@ -66,7 +66,7 @@ def counted_run():
         seen["epoch"] = system.store.epoch_intervals(system.epoch)
         seen["calls"] = count_calls(release_pass, bar, master_node)
 
-    system._barrier_release_pass = counted
+    system.sync._barrier_release_pass = counted
     system.run(program)
     return seen["calls"], seen["shipped"], seen["epoch"]
 

@@ -66,7 +66,7 @@ def test_explicit_consolidate_call():
             env.store(x, 2)
         # Everything so far is ordered for this process; a manual
         # consolidation retires what everyone has already seen.
-        retired = env.system.consolidate(env.pid)
+        retired = env.system.coordinator.consolidate(env.pid)
         env.barrier()
         return retired
 

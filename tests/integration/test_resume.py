@@ -47,7 +47,7 @@ def test_resume_installs_every_node(checkpointed):
     cfg = spec.config(nprocs=NPROCS, resume_from=d)
     system = CVM(cfg)
     system.run(spec.func, spec.default_params)
-    assert system.resumed_nodes == NPROCS
+    assert system.resume.resumed_nodes == NPROCS
 
 
 def test_resume_via_cli_flag(checkpointed, tmp_path):
@@ -124,7 +124,7 @@ def test_resume_survives_a_run_killed_mid_checkpoint(checkpointed, tmp_path):
     spec = get_app(APP)
     system = CVM(spec.config(nprocs=NPROCS, resume_from=killed))
     resumed = system.run(spec.func, spec.default_params)
-    assert system._resume_gen == cut - 1
-    assert system.resumed_nodes == NPROCS
+    assert system.resume.generation == cut - 1
+    assert system.resume.resumed_nodes == NPROCS
     assert _report_lines(resumed) == _report_lines(original)
     assert resumed.runtime_cycles == original.runtime_cycles

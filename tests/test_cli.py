@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.apps.registry import get_app
 from repro.cli import build_parser, main
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -102,6 +103,66 @@ def test_timeline(capsys):
     assert rc == 0
     assert "P0 |" in out and "happens-before edges" in out
     assert "race(s)" in out
+
+
+# ---------------------------------------------------------------------- #
+# ``attribute`` and ``timeline`` share ``run``'s flags: each one they
+# accept is honoured, and ``--report`` — which only ``run`` writes — is
+# refused.
+# ---------------------------------------------------------------------- #
+def test_attribute_honours_first_races_only(capsys):
+    spec = get_app("water")
+    first = len(spec.run(nprocs=4, first_races_only=True).races)
+    assert 0 < first < len(spec.run(nprocs=4).races)
+    rc, out = run_cli(capsys, "attribute", "water", "--procs", "4",
+                      "--first-races-only")
+    assert rc == 0
+    assert out.startswith(f"{first} races;")
+
+
+def test_attribute_honours_paper_input(capsys, monkeypatch):
+    import repro.replay
+    seen = []
+
+    def no_races(func, params, config, replay_config=None):
+        seen.append(params)
+        return repro.replay.AttributionReport([], {}, {}, 0, 0)
+
+    monkeypatch.setattr(repro.replay, "attribute_races", no_races)
+    rc, _out = run_cli(capsys, "attribute", "lu", "--paper-input")
+    assert rc == 0
+    assert seen == [get_app("lu").paper_params]
+    assert seen != [get_app("lu").default_params]
+
+
+def test_timeline_honours_paper_input(capsys, monkeypatch):
+    from repro.dsm.cvm import CVM
+    spec = get_app("lu")
+    seen = []
+    run = CVM.run
+
+    def scaled_down(system, func, params):
+        seen.append(params)
+        return run(system, func, spec.default_params)
+
+    monkeypatch.setattr(CVM, "run", scaled_down)
+    rc, _out = run_cli(capsys, "timeline", "lu", "--procs", "2",
+                       "--paper-input")
+    assert rc == 0
+    assert seen == [spec.paper_params]
+
+
+@pytest.mark.parametrize("command", ["attribute", "timeline"])
+def test_report_flag_belongs_to_run_only(command, capsys, tmp_path):
+    path = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "water", "--procs", "2", "--report", str(path)])
+    assert exc_info.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    rc, _out = run_cli(capsys, "run", "water", "--procs", "2",
+                       "--report", str(path))
+    assert rc == 1
+    assert "water_poteng" in path.read_text()
 
 
 def test_parser_rejects_unknown_app():
