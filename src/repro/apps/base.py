@@ -22,6 +22,8 @@ class AppSpec:
         input_description: Table 1 "Input Set" text for the default run.
         synchronization: Table 1 "Synchronization" text.
         expect_races: Whether the paper found races in this program.
+        footprint_words: ``(params, nprocs, page_size_words)`` -> shared
+            words ``func`` allocates, where the app declares it.
     """
 
     name: str
@@ -31,6 +33,7 @@ class AppSpec:
     input_description: str
     synchronization: str
     expect_races: bool
+    footprint_words: Optional[Callable[[Any, int, int], int]] = None
 
     def config(self, nprocs: int = 8, detection: bool = True,
                **overrides: Any) -> DsmConfig:
@@ -40,6 +43,14 @@ class AppSpec:
             page_size_words=64, segment_words=1 << 16)
         base.update(overrides)
         return DsmConfig(**base)
+
+    def segment_words(self, params: Any, nprocs: int) -> int:
+        """``config``'s segment, or the next power of two that holds the
+        footprint ``params`` declare when that is larger."""
+        cfg = self.config(nprocs)
+        need = (self.footprint_words(params, nprocs, cfg.page_size_words)
+                if self.footprint_words else 0)
+        return max(cfg.segment_words, 1 << (need - 1).bit_length())
 
     def run(self, nprocs: int = 8, detection: bool = True,
             params: Any = None, **config_overrides: Any) -> RunResult:

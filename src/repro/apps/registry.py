@@ -14,7 +14,7 @@ from repro.apps.lu import LuParams, lu
 from repro.apps.queue_racy import QueueParams, queue_app
 from repro.apps.wsdeque import WsDequeParams, wsdeque
 from repro.apps.sor import PAPER_PARAMS as SOR_PAPER
-from repro.apps.sor import SorParams, sor
+from repro.apps.sor import SorParams, footprint_words as sor_footprint, sor
 from repro.apps.tsp import PAPER_PARAMS as TSP_PAPER
 from repro.apps.tsp import TspParams, tsp
 from repro.apps.water import PAPER_PARAMS as WATER_PAPER
@@ -30,7 +30,7 @@ APPLICATIONS: Dict[str, AppSpec] = {
         name="sor", func=sor,
         default_params=SorParams(), paper_params=SOR_PAPER,
         input_description="48x64", synchronization="barrier",
-        expect_races=False),
+        expect_races=False, footprint_words=sor_footprint),
     "tsp": AppSpec(
         name="tsp", func=tsp,
         default_params=TspParams(), paper_params=TSP_PAPER,

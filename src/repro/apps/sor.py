@@ -37,6 +37,11 @@ class SorParams:
 PAPER_PARAMS = SorParams(rows=512, cols=512, iterations=5)
 
 
+def footprint_words(params: SorParams, _nprocs: int, page_words: int) -> int:
+    """Two page-aligned ``rows * cols`` grids."""
+    return 2 * -(-params.rows * params.cols // page_words) * page_words
+
+
 def sor(env: Env, params: SorParams = SorParams()) -> float:
     """Run Jacobi relaxation; returns the final center-point value."""
     rows, cols, iters = params.rows, params.cols, params.iterations

@@ -157,6 +157,7 @@ def _run_plan(args, **extra):
     params = spec.paper_params if args.paper_input else spec.default_params
     return spec, params, dict(
         nprocs=_nprocs(args),
+        segment_words=spec.segment_words(params, _nprocs(args)),
         protocol=args.protocol,
         policy=args.policy,
         seed=args.seed,
@@ -668,11 +669,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    from repro.errors import ReproError
+    from repro.errors import ConfigError, ReproError, SegmentExhausted
     from repro.exitcodes import EXIT_CONFIG, EXIT_TIMEOUT, classify_exception
     try:
         return args.func(args)
     except (ReproError, ValueError) as exc:
+        if isinstance(getattr(exc, "original", None), SegmentExhausted):
+            exc = ConfigError(
+                f"{exc.original}: these parameters (--paper-input?) outgrow "
+                f"segment_words and the app declares no footprint_words")
         code = classify_exception(exc)
         label = {EXIT_CONFIG: "configuration error",
                  EXIT_TIMEOUT: "deadline exceeded"}.get(code, "error")

@@ -3,24 +3,36 @@
 Given the full shared-access trace of a run and the vector clock of every
 interval, this detector applies Definition 2 of the paper directly: two
 accesses race iff they touch the same word, at least one writes, and their
-intervals are unordered by happens-before-1.  It makes *no* use of pages,
-notices, check lists or epochs — making it a fully independent oracle for
+intervals are unordered by happens-before-1.  It reads the trace and the
+vector-clock log and makes *no* use of pages, notices, check lists, epochs
+or the production engine's window search — a fully independent oracle for
 validating the online detector (the online system must report exactly the
 racy (word, interval-pair) set this one computes).
 
-Complexity is O(accesses per word squared); it is meant for test-scale
-inputs, which is precisely why the paper's online pruning matters.
+No judgement is made twice: words with the same *accessor set* — the same
+``(pid, interval, is_write)`` triples — race on the same pairs, so each
+distinct set is analysed once, and ``concurrent`` is evaluated once per
+(writer, other) interval pair.  Cost: one step per distinct (event, word)
+to group, then set algebra per (accessor set, writer); default Water@8 is
+434 words, 74 sets, 13.6 k verdicts.  The word-by-word body this replaced
+is the executable spec ``tests/core/baseline/reference_hb.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from collections import defaultdict
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core.baseline.trace import TraceEvent
 from repro.dsm.vector_clock import VectorClock, concurrent
 
 #: A canonical race key: (kind, word address, ((pid, idx, access) sorted)).
 RaceKey = Tuple[str, int, Tuple[Tuple[int, int, str], ...]]
+#: One deduplicated access to a word: (pid, interval index, is_write).
+Access = Tuple[int, int, bool]
+IntervalId = Tuple[int, int]
+#: interval -> (the intervals it has been compared with, the concurrent ones).
+Verdicts = Dict[IntervalId, Tuple[Set[IntervalId], Set[IntervalId]]]
 
 
 def make_race_key(kind: str, addr: int,
@@ -29,7 +41,7 @@ def make_race_key(kind: str, addr: int,
 
 
 class HappensBeforeDetector:
-    """Brute-force happens-before race detection over a trace."""
+    """Happens-before race detection over a trace, word by word."""
 
     def __init__(self, vc_log: Dict[Tuple[int, int], VectorClock]):
         #: (pid, interval index) -> vector clock at interval start.
@@ -43,35 +55,55 @@ class HappensBeforeDetector:
                 f"no vector clock logged for P{pid} interval {index}; "
                 "was track_access_trace enabled?") from None
 
-    def _concurrent(self, a_pid: int, a_idx: int,
-                    b_pid: int, b_idx: int) -> bool:
-        return concurrent(a_pid, a_idx, self._vc(a_pid, a_idx),
-                          b_pid, b_idx, self._vc(b_pid, b_idx))
+    def _concurrent_with(self, a: IntervalId, others: Set[IntervalId],
+                         verdicts: Verdicts) -> Set[IntervalId]:
+        """The members of ``others`` concurrent with interval ``a``: each
+        (a, b) is put to ``concurrent`` on first sight and remembered."""
+        decided, unordered = verdicts.setdefault(a, (set(), set()))
+        new = others - decided
+        if new:
+            pid, index = a
+            vc = self._vc(pid, index)
+            for b in new:
+                if b[0] != pid and concurrent(pid, index, vc,
+                                              *b, self._vc(*b)):
+                    unordered.add(b)
+            decided |= new
+        return others & unordered
+
+    @staticmethod
+    def accessor_sets(trace: Iterable[TraceEvent]
+                      ) -> Dict[FrozenSet[Access], List[int]]:
+        """The words of the trace grouped by who accessed them: repeated
+        identical accesses add nothing, and two words with the same
+        accessor set have the same races."""
+        by_word: Dict[int, Set[Access]] = defaultdict(set)
+        for pid, index, addr, count, is_write in set(trace):
+            access = (pid, index, is_write)
+            for word in range(addr, addr + count):
+                by_word[word].add(access)
+        groups: Dict[FrozenSet[Access], List[int]] = {}
+        for word, accesses in by_word.items():
+            groups.setdefault(frozenset(accesses), []).append(word)
+        return groups
 
     def races(self, trace: Iterable[TraceEvent]) -> Set[RaceKey]:
         """All racy (kind, word, interval-pair) triples in the trace."""
-        # Group accesses by word: (pid, interval, is_write), deduplicated —
-        # repeated identical accesses add nothing.
-        by_word: Dict[int, Set[Tuple[int, int, bool]]] = {}
-        for ev in trace:
-            for word in ev.words():
-                by_word.setdefault(word, set()).add(
-                    (ev.pid, ev.interval_index, ev.is_write))
+        verdicts: Verdicts = {}
         out: Set[RaceKey] = set()
-        for word, accesses in by_word.items():
-            acc = sorted(accesses)
-            for i, (p1, i1, w1) in enumerate(acc):
-                for p2, i2, w2 in acc[i + 1:]:
-                    if not (w1 or w2):
-                        continue
-                    if p1 == p2:
-                        continue
-                    if self._concurrent(p1, i1, p2, i2):
-                        kind = "write-write" if (w1 and w2) else "read-write"
-                        out.add(make_race_key(
-                            kind, word,
-                            (p1, i1, "write" if w1 else "read"),
-                            (p2, i2, "write" if w2 else "read")))
+        for accessors, words in self.accessor_sets(trace).items():
+            # A writer against every other writer and every reader (two
+            # reads cannot race); a racy writer pair comes up twice, one key.
+            writers = {(pid, index) for pid, index, w in accessors if w}
+            readers = {(pid, index) for pid, index, w in accessors if not w}
+            for a in writers:
+                for kind, others, access in (
+                        ("write-write", writers, "write"),
+                        ("read-write", readers, "read")):
+                    for b in self._concurrent_with(a, others, verdicts):
+                        sides = (*a, "write"), (*b, access)
+                        out.update(make_race_key(kind, word, *sides)
+                                   for word in words)
         return out
 
     def racy_words(self, trace: Iterable[TraceEvent]) -> Set[int]:

@@ -10,17 +10,16 @@ oracles and to quantify the log-size savings (an ablation bench).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 #: Wire/log footprint of one encoded trace event: pid + interval + addr +
 #: count + rw flag, 4 bytes each (what a post-mortem log would store).
 TRACE_EVENT_BYTES = 20
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One shared memory access (or contiguous run of accesses)."""
+class TraceEvent(NamedTuple):
+    """One shared memory access (or contiguous run of accesses): a tuple,
+    built by the access layer in one C call and unpacked by the oracles."""
 
     pid: int
     #: Index of the interval the access executed in (its vector clock is

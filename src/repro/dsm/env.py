@@ -315,8 +315,10 @@ class Env:
         if self._trace or self._watching:
             system = self.system
             if self._trace:
-                system.access_trace.append(TraceEvent(
-                    self.pid, self._node.vc[self.pid], addr, count, is_write))
+                # One C call: no __new__ or VectorClock.__getitem__ frame.
+                system.access_trace.append(tuple.__new__(TraceEvent, (
+                    self.pid, self._node.vc.entries[self.pid],
+                    addr, count, is_write)))
             if self._watching:
                 for w in range(addr, addr + count):
                     hits = system.pc_watch.get(w)

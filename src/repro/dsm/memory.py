@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import AllocationError, SegmentationFault
+from repro.errors import AllocationError, SegmentExhausted, SegmentationFault
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class SharedSegment:
                 if rest:
                     self._free.insert(i, (aligned + nwords, rest))
                 return self._install(aligned, nwords, name)
-        raise AllocationError(
+        raise SegmentExhausted(
             f"shared segment exhausted: cannot allocate {nwords} words")
 
     def _install(self, addr: int, nwords: int, name: Optional[str]) -> int:

@@ -132,6 +132,10 @@ class AllocationError(DsmError):
     """The shared segment has no room for a requested allocation."""
 
 
+class SegmentExhausted(AllocationError):
+    """No hole of the segment fits: ``segment_words`` is too small."""
+
+
 class CheckpointError(DsmError):
     """A node checkpoint could not be written, read, or restored."""
 

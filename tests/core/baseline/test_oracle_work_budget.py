@@ -1,0 +1,60 @@
+"""A timing-free budget for the validation path.
+
+Checking a run should cost about what the run costs.  On default Water at
+8 processes (seed 0) the trace touches 434 words that fall into 74
+distinct accessor sets, and 13,617 interval pairs are ever compared: the
+oracle may evaluate ``concurrent`` once per pair and analyse each set once
+— the word-by-word body it replaced (``reference_hb.py``) evaluated
+``concurrent`` 307,185 times.  The other half of the budget is that
+tracing stays out of the untraced access path: with ``track_access_trace``
+off an ``Env`` access costs the calls ``test_access_call_budget`` allows,
+and with it on exactly one more, the hook tail, which builds the event
+without a Python-level constructor frame.
+"""
+
+import pytest
+
+from tests.dsm.test_access_call_budget import CEILING, warm_access_calls
+from tests.helpers import run_app
+
+from repro.apps.registry import get_app
+from repro.core.baseline import hb_detector
+from repro.core.baseline.hb_detector import HappensBeforeDetector
+from repro.core.baseline.trace import TraceEvent
+from repro.dsm.cvm import CVM
+
+#: Ceilings on default Water@8: ``concurrent`` evaluations, accessor sets.
+MAX_VERDICTS = 20_000
+MAX_ACCESSOR_SETS = 100
+
+
+def test_oracle_decides_each_pair_and_each_accessor_set_once(monkeypatch):
+    spec = get_app("water")
+    system = CVM(spec.config(nprocs=8, seed=0, track_access_trace=True))
+    result = system.run(spec.func, spec.default_params)
+
+    evaluated = []
+    concurrent = hb_detector.concurrent
+
+    def counting(a_pid, a_idx, a_vc, b_pid, b_idx, b_vc):
+        evaluated.append(((a_pid, a_idx), (b_pid, b_idx)))
+        return concurrent(a_pid, a_idx, a_vc, b_pid, b_idx, b_vc)
+
+    monkeypatch.setattr(hb_detector, "concurrent", counting)
+    detector = HappensBeforeDetector(system.store.vc_log)
+    assert len(detector.races(result.access_trace)) == 252
+    assert len(evaluated) == len(set(evaluated)) <= MAX_VERDICTS
+
+    groups = detector.accessor_sets(result.access_trace)
+    assert sum(len(words) for words in groups.values()) == 434
+    assert len(groups) <= MAX_ACCESSOR_SETS
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_tracing_adds_one_call_and_only_when_on(traced):
+    result = run_app(warm_access_calls, nprocs=1, track_access_trace=traced)
+    for op, calls in result.results[0].items():
+        assert len(calls) == CEILING[op] + traced, (op, calls)
+        assert ("_after_access" in calls) == traced
+    assert len(result.access_trace) == (6 if traced else 0)
+    assert all(type(event) is TraceEvent for event in result.access_trace)

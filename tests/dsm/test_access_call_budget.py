@@ -37,21 +37,23 @@ def count_calls(op, *args):
     return calls
 
 
-def test_warm_access_stays_within_its_call_budget():
-    def app(env):
-        x = env.malloc(16, name="x")
-        values = [1, 2, 3]
-        # Warm: page writable, block cached, bitmaps allocated.
-        env.store_range(x, values)
-        env.load_range(x, 3)
-        return {
-            "load_range": count_calls(env.load_range, x + 4, 3),
-            "store_range": count_calls(env.store_range, x + 4, values),
-            "load": count_calls(env.load, x + 1),
-            "store": count_calls(env.store, x + 1, 7),
-        }
+def warm_access_calls(env):
+    """The calls each of the four operations makes on a warm page."""
+    x = env.malloc(16, name="x")
+    values = [1, 2, 3]
+    # Warm: page writable, block cached, bitmaps allocated.
+    env.store_range(x, values)
+    env.load_range(x, 3)
+    return {
+        "load_range": count_calls(env.load_range, x + 4, 3),
+        "store_range": count_calls(env.store_range, x + 4, values),
+        "load": count_calls(env.load, x + 1),
+        "store": count_calls(env.store, x + 1, 7),
+    }
 
-    calls = run_app(app, nprocs=1).results[0]
+
+def test_warm_access_stays_within_its_call_budget():
+    calls = run_app(warm_access_calls, nprocs=1).results[0]
     for op, ceiling in CEILING.items():
         assert len(calls[op]) <= ceiling, (op, calls[op])
         assert calls[op][0] == op and calls[op][-1] in ("set", "set_range")

@@ -22,7 +22,6 @@ Regenerate (only from a commit whose behaviour is the reference) with
 [access|irregular]``.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -57,7 +56,7 @@ def observe(label: str, hooks: str) -> dict:
     result = CVM(cfg).run(spec.func, params)
     trace = hashlib.blake2b(digest_size=16)
     for event in result.access_trace:
-        trace.update(repr(dataclasses.astuple(event)).encode())
+        trace.update(repr(tuple(event)).encode())
     return {
         "report_keys": [repr(r.key()) for r in result.races],
         "stats": result.detector_stats.to_dict(),

@@ -7,6 +7,7 @@ from tests.helpers import online_race_keys
 
 from repro.apps.fft import FftParams
 from repro.apps.registry import APPLICATIONS
+from repro.apps.sor import PAPER_PARAMS as SOR_PAPER_PARAMS
 from repro.apps.sor import SorParams
 from repro.apps.tsp import TspParams
 from repro.apps.water import WaterParams
@@ -21,12 +22,14 @@ SMALL_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("app", ["sor", "fft", "tsp", "water"])
-def test_online_matches_oracles(app):
+def oracle_keys(app, params, nprocs):
+    """Run ``app`` traced; the happens-before oracle's key set, once the
+    online detector and the post-mortem analysis have both matched it."""
     spec = APPLICATIONS[app]
-    cfg = spec.config(nprocs=4, track_access_trace=True)
+    cfg = spec.config(nprocs=nprocs, track_access_trace=True,
+                      segment_words=spec.segment_words(params, nprocs))
     system = CVM(cfg)
-    result = system.run(spec.func, SMALL_PARAMS[app])
+    result = system.run(spec.func, params)
 
     online = online_race_keys(result)
     hb = HappensBeforeDetector(system.store.vc_log).races(result.access_trace)
@@ -36,6 +39,23 @@ def test_online_matches_oracles(app):
         f"{app}: online detector disagrees with happens-before oracle\n"
         f"missed: {sorted(hb - online)[:4]}\nphantom: {sorted(online - hb)[:4]}")
     assert pm == hb
+    return hb
+
+
+@pytest.mark.parametrize("app", ["sor", "fft", "tsp", "water"])
+def test_online_matches_oracles(app):
+    oracle_keys(app, SMALL_PARAMS[app], nprocs=4)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("app,params,races", [
+    ("water", WaterParams(nmol=128, steps=3), 252),
+    ("sor", SOR_PAPER_PARAMS, 0),
+])
+def test_online_matches_oracles_above_default_scale(app, params, races):
+    """Past the default parameters: Water at 128 molecules (a 125 k-event
+    trace) and SOR at the paper's 512x512."""
+    assert len(oracle_keys(app, params, nprocs=8)) == races
 
 
 def test_online_saves_the_postmortem_log():

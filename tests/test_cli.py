@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import dataclasses
 import os
 import re
 
@@ -37,6 +38,30 @@ def test_run_clean_app(capsys):
     rc, out = run_cli(capsys, "run", "sor", "--procs", "2")
     assert rc == 0
     assert "no data races detected" in out
+
+
+def test_run_sor_at_the_papers_input_sizes_its_segment(capsys):
+    """``--paper-input`` used to die inside P0: 512x512 x 2 grids do not
+    fit the default 64 K-word segment.  The CLI now sizes the segment
+    from SOR's declared footprint; default parameters keep the default."""
+    spec = get_app("sor")
+    assert spec.segment_words(spec.default_params, 8) == 1 << 16
+    assert spec.segment_words(spec.paper_params, 8) == 1 << 19
+    rc, out = run_cli(capsys, "run", "sor", "--procs", "8", "--paper-input")
+    assert rc == 0
+    assert "4096.0 KB shared" in out and "no data races detected" in out
+
+
+def test_run_outgrowing_an_undeclared_footprint_is_a_config_error(
+        capsys, monkeypatch):
+    from repro.apps.registry import APPLICATIONS
+    monkeypatch.setitem(APPLICATIONS, "sor", dataclasses.replace(
+        get_app("sor"), footprint_words=None))
+    rc = main(["run", "sor", "--procs", "8", "--paper-input"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error" in err and "process P0 failed" not in err
+    assert "--paper-input" in err and "segment_words" in err
 
 
 def test_run_queue_forces_three_procs(capsys):
