@@ -22,12 +22,14 @@ decomposition falls out of the ledger.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.bitmap import Bitmap, digests_disjoint
+from repro.core.bitmap import digests_disjoint
 from repro.core.checklist import (ACCESS_COMBINATIONS, CheckEntry,
                                   EpochJoin, OverlapPage, PageIndex,
                                   bitmaps_needed, build_check_list,
@@ -38,6 +40,7 @@ from repro.core.concurrency import (Block, PairSearchStats,
 from repro.core.report import (IntervalRef, RaceKind, RaceReport,
                                decode_report_key, encode_report_key)
 from repro.dsm.interval import Interval
+from repro.durable import assemble, canon
 from repro.errors import RetryExhaustedError
 from repro.net.message import WireSizer
 from repro.net.transport import Transport
@@ -106,6 +109,11 @@ class DetectorStats:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form; ``from_dict`` round-trips it exactly
         (coordinator-state migration on master failover)."""
+        return {**self.scalars(), "epoch_history": [
+            dataclasses.asdict(s) for s in self.epoch_history]}
+
+    def scalars(self) -> Dict[str, Any]:
+        """:meth:`to_dict` without ``epoch_history``."""
         data = {f.name: getattr(self, f.name)
                 for f in dataclasses.fields(self)
                 if f.name != "epoch_history"}
@@ -116,8 +124,6 @@ class DetectorStats:
                 or self.pairs_filtered):
             for name in ("granule_checks", "granule_hits", "pairs_filtered"):
                 del data[name]
-        data["epoch_history"] = [dataclasses.asdict(s)
-                                 for s in self.epoch_history]
         return data
 
     @classmethod
@@ -290,10 +296,11 @@ class RaceDetector:
         #: apart from confirmed races so race artifacts stay comparable
         #: across runs while the degradation is still fully reported.
         self.unverifiable: List[RaceReport] = []
-        self._seen_keys: Set[Tuple] = set()
+        #: Report keys seen so far, as an insertion-ordered set.
+        self._seen_keys: Dict[Tuple, None] = {}
         self._unverifiable_pair_keys: Set[Tuple] = set()
         self._first_race_epoch: Optional[int] = None
-        self._empty = Bitmap(page_size_words)
+        self._reset_texts(self.serialize_state())
 
     # ------------------------------------------------------------------ #
     # Entry point: one epoch's analysis, run on the barrier master.
@@ -346,12 +353,57 @@ class RaceDetector:
             "seen_keys": sorted(
                 (encode_report_key(k) for k in self._seen_keys),
                 key=json.dumps),
+            **self._small_state(),
+        }
+
+    def _small_state(self) -> Dict[str, Any]:
+        """The members of :meth:`serialize_state` that stay small."""
+        return {
             "unverifiable_pair_keys": sorted(
                 [list(a), list(b)]
                 for a, b in self._unverifiable_pair_keys),
             "first_race_epoch": self._first_race_epoch,
             "actual_comparisons": self.actual_comparisons,
         }
+
+    def state_json(self) -> str:
+        """``durable.canon(self.serialize_state())``, assembled from member
+        texts: each report, epoch summary and seen key is encoded the
+        first time it is journalled, so the coordinator's journal write
+        after every detection pass costs the new reports, not all."""
+        texts = self._texts
+        for name, items, encode in (
+                ("races", self.races, RaceReport.to_dict),
+                ("unverifiable", self.unverifiable, RaceReport.to_dict),
+                ("epoch_history", self.stats.epoch_history,
+                 dataclasses.asdict)):
+            done = texts[name]
+            done.extend([canon(encode(x)) for x in items[len(done):]])
+        # (json.dumps, canon) pairs in serialize_state's order; the seen
+        # keys past their count are the new ones (insertion order).
+        keys = self._key_texts
+        for key in itertools.islice(self._seen_keys, len(keys), None):
+            encoded = encode_report_key(key)
+            bisect.insort(keys, (json.dumps(encoded), canon(encoded)))
+        stats = {name: canon(value)
+                 for name, value in self.stats.scalars().items()}
+        stats["epoch_history"] = assemble(texts["epoch_history"])
+        members = {name: canon(value)
+                   for name, value in self._small_state().items()}
+        members.update(stats=assemble(stats),
+                       races=assemble(texts["races"]),
+                       unverifiable=assemble(texts["unverifiable"]),
+                       seen_keys=assemble([text for _, text in keys]))
+        return assemble(members)
+
+    def _reset_texts(self, data: Dict[str, Any]) -> None:
+        """:meth:`state_json`'s member texts of the snapshot ``data``."""
+        self._texts = {name: [canon(d) for d in data[name]]
+                       for name in ("races", "unverifiable")}
+        self._texts["epoch_history"] = [
+            canon(d) for d in data["stats"]["epoch_history"]]
+        self._key_texts = [(json.dumps(k), canon(k))
+                           for k in data["seen_keys"]]
 
     def restore_state(self, data: Dict[str, Any]) -> None:
         """Install a ``serialize_state`` snapshot, replacing all mutable
@@ -362,12 +414,14 @@ class RaceDetector:
         self.races = [RaceReport.from_dict(d) for d in data["races"]]
         self.unverifiable = [RaceReport.from_dict(d)
                              for d in data["unverifiable"]]
-        self._seen_keys = {decode_report_key(k) for k in data["seen_keys"]}
+        self._seen_keys = dict.fromkeys(
+            decode_report_key(k) for k in data["seen_keys"])
         self._unverifiable_pair_keys = {
             (tuple(a), tuple(b))
             for a, b in data["unverifiable_pair_keys"]}
         self._first_race_epoch = data["first_race_epoch"]
         self.actual_comparisons = data["actual_comparisons"]
+        self._reset_texts(data)
 
     # ------------------------------------------------------------------ #
     # The N-slice entry points: ``plan_shards`` -> per-owner
@@ -601,7 +655,7 @@ class RaceDetector:
             for report in item.reports:
                 key = report.key()
                 if key not in self._seen_keys:
-                    self._seen_keys.add(key)
+                    self._seen_keys[key] = None
                     fresh.append(report)
             if item.kind == "unverifiable":
                 if item.pair_key not in self._unverifiable_pair_keys:
@@ -778,8 +832,19 @@ class RaceDetector:
                          ) -> Tuple[int, List[RaceReport]]:
         """Step 5 for one entry, before the dedup: one bitmap comparison
         per access-kind combination of ``pages``; returns ``(comparisons,
-        reports)``, one report per common word."""
+        reports)``, one report per common word.
+
+        The page base and the two :class:`IntervalRef` are built per
+        comparison, so a word costs its symbol and one ``tuple.__new__``.
+        An absent bitmap is empty (where §6.5's diff-derived write
+        detection loses same-value overwrites: the diff set no bits).  The
+        comparisons are charged in one advance, equal to one per
+        comparison as the cost constants are dyadic rationals (the per-bit
+        spec: tests/core/reference_step5.py)."""
         a, b = entry.a, entry.b
+        psz = self.page_size_words
+        symbol_for = self.symbol_for
+        new = tuple.__new__
         comparisons = 0
         found: List[RaceReport] = []
         bitmaps = {"read": (a.read_bitmaps, b.read_bitmaps),
@@ -787,33 +852,31 @@ class RaceDetector:
         for ov in pages:
             page = ov.page
             for flag, a_access, b_access, kind in ACCESS_COMBINATIONS:
-                if getattr(ov, flag):
-                    comparisons += 1
-                    self._intersect(
-                        found, a, a_access, bitmaps[a_access][0].get(page),
-                        b, b_access, bitmaps[b_access][1].get(page),
-                        page, kind, epoch, clock)
+                if not getattr(ov, flag):
+                    continue
+                comparisons += 1
+                bm_a = bitmaps[a_access][0].get(page)
+                bm_b = bitmaps[b_access][1].get(page)
+                if bm_a is None or bm_b is None:
+                    continue
+                common = bm_a._bits & bm_b._bits
+                if not common:
+                    continue
+                ref_a = IntervalRef(a.pid, a.index, a_access, a.sync_label)
+                ref_b = IntervalRef(b.pid, b.index, b_access, b.sync_label)
+                base = page * psz
+                while common:
+                    low = common & -common
+                    common ^= low
+                    bit = low.bit_length() - 1
+                    addr = base + bit
+                    found.append(new(RaceReport, (
+                        kind, addr, symbol_for(addr), page, bit, epoch,
+                        ref_a, ref_b, "word", "race", ())))
+        if comparisons:
+            clock.advance(self.cost_model.bitmap_compare_per_word * psz
+                          * comparisons, CostCategory.BITMAPS)
         return comparisons, found
-
-    def _intersect(self, found: List[RaceReport], a: Interval, a_access: str,
-                   bm_a: Optional[Bitmap], b: Interval, b_access: str,
-                   bm_b: Optional[Bitmap], page: int, kind: RaceKind,
-                   epoch: int, clock: VirtualClock) -> None:
-        """One bitmap comparison, charged to ``clock``; absent bitmaps are
-        empty (this is where §6.5's diff-derived write detection silently
-        loses same-value overwrites: the diff produced no bits)."""
-        clock.advance(
-            self.cost_model.bitmap_compare_per_word * self.page_size_words,
-            CostCategory.BITMAPS)
-        bm_a = bm_a or self._empty
-        bm_b = bm_b or self._empty
-        for bit in bm_a.intersection_bits(bm_b):
-            addr = page * self.page_size_words + bit
-            found.append(RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=page, offset=bit, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label)))
 
     def _page_candidates(self, entry: CheckEntry, epoch: int,
                          **verdict: Any) -> List[RaceReport]:

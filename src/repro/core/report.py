@@ -3,15 +3,15 @@
 The paper's system "prints the address of the affected variable" together
 with the interval indexes (§4 step 5, §6.1); combined with the symbol table
 this identifies the variable and synchronization context.  A
-:class:`RaceReport` carries all of that, plus the epoch, so first-race
-filtering and replay-based PC attribution can consume it.
+:class:`RaceReport` — a tuple, one per reported word — carries all of that
+plus the epoch, for first-race filtering and replay-based PC attribution.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, NamedTuple, Tuple
 
 
 class RaceKind(enum.Enum):
@@ -22,7 +22,9 @@ class RaceKind(enum.Enum):
 @dataclass(frozen=True)
 class IntervalRef:
     """Identifies one side of a race: which interval touched the word, and
-    how (read or write)."""
+    how (read or write).  Immutable, so every report of one bitmap
+    comparison shares the comparison's two refs.  A dataclass, not a
+    tuple: ``index`` would shadow ``tuple.index``."""
 
     pid: int
     index: int
@@ -43,9 +45,15 @@ class IntervalRef:
                    access=data["access"], sync_label=data["sync_label"])
 
 
-@dataclass(frozen=True)
-class RaceReport:
+class RaceReport(NamedTuple):
     """One detected data race on one shared word.
+
+    A tuple of its eleven fields, in the order below: step 5 builds one
+    per common bitmap word with a single ``tuple.__new__`` call, the
+    commit hashes it into the dedup key.  Keyword construction, the
+    defaults and the methods are a record's; equality, hashing and
+    iteration are the tuple's — a report equals the plain tuple of its
+    fields.
 
     Attributes:
         kind: write-write or read-write.
@@ -86,10 +94,14 @@ class RaceReport:
 
     def key(self) -> Tuple:
         """Deduplication key: the same word/interval pair reported once,
-        regardless of comparison order."""
-        sides = tuple(sorted([(self.a.pid, self.a.index, self.a.access),
-                              (self.b.pid, self.b.index, self.b.access)]))
-        return (self.kind, self.granularity, self.verdict, self.addr) + sides
+        regardless of comparison order (the two sides ascending)."""
+        a, b = self.a, self.b
+        side_a = (a.pid, a.index, a.access)
+        side_b = (b.pid, b.index, b.access)
+        if side_b < side_a:
+            side_a, side_b = side_b, side_a
+        return (self.kind, self.granularity, self.verdict, self.addr,
+                side_a, side_b)
 
     def format(self) -> str:
         if self.verdict == "unverifiable":

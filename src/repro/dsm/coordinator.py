@@ -226,8 +226,11 @@ class CoordinatorRole:
     def state_json(self) -> str:
         """Canonical encoding of :meth:`serialize_state` (sorted keys, no
         whitespace — same convention as checkpoints, so byte sizes are
-        deterministic and priceable)."""
-        return durable.canon(self.serialize_state())
+        deterministic and priceable), assembled from the detector's
+        member texts (``RaceDetector.state_json``)."""
+        det = self.detector
+        return durable.assemble({"pid": durable.canon(self.pid), "detector":
+                                 det.state_json() if det else "null"})
 
     @staticmethod
     def parse_journal(framed: str) -> Dict[str, Any]:

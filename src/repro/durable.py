@@ -38,11 +38,13 @@ def canon(obj: Any) -> str:
 def assemble(members: dict[str, str] | Iterable[str]) -> str:
     """Canonical text of an object (``{key: text}``) or array (the texts in
     order) from its members' canonical texts: for a JSON-able ``d`` keyed by
-    strings, ``assemble({k: canon(v) for k, v in d.items()}) == canon(d)``."""
+    strings, ``assemble({k: canon(v) for k, v in d.items()}) == canon(d)``.
+    Joined, not ``+``-chained: appending to a large temporary reallocates
+    it, which costs more than copying it."""
     if isinstance(members, dict):
-        return "{" + ",".join([f"{canon(key)}:{members[key]}"
-                               for key in sorted(members)]) + "}"
-    return "[" + ",".join(members) + "]"
+        return "".join(["{", ",".join([f"{canon(key)}:{members[key]}"
+                                       for key in sorted(members)]), "}"])
+    return "".join(["[", ",".join(members), "]"])
 
 
 def digest(text: str) -> str:
@@ -61,7 +63,7 @@ def content_hash(obj: Any) -> str:
 # ---------------------------------------------------------------------- #
 def frame(body: str) -> str:
     """``body`` plus a trailing content-hash line (no final newline)."""
-    return body + "\n" + digest(body)
+    return f"{body}\n{digest(body)}"
 
 
 def unframe(framed: str) -> Optional[str]:

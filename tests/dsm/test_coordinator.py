@@ -131,6 +131,9 @@ class _FakeDetector:
     def serialize_state(self):
         return {"marker": "live"}
 
+    def state_json(self):
+        return durable.canon(self.serialize_state())
+
     def restore_state(self, state):
         self.restored = state
 

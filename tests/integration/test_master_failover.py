@@ -16,9 +16,16 @@ The headline guarantees (ISSUE 5 acceptance criteria):
   at the flag.
 """
 
+import json
+
 import pytest
 
+from tests.core.reference_step5 import detector_class
+
+from repro import durable
 from repro.apps.registry import APPLICATIONS, get_app
+from repro.core.detector import RaceDetector
+from repro.dsm.coordinator import CoordinatorRole
 from repro.sim.costmodel import OVERHEAD_CATEGORIES, CostCategory
 
 APP_NAMES = sorted(APPLICATIONS)
@@ -182,3 +189,62 @@ def test_master_crash_on_lossy_network_reports_byte_identical(seed,
     assert res.unverifiable == []
     assert res.failover_stats.elections_held == 1
     assert res.traffic.retransmits > 0
+
+
+# ---------------------------------------------------------------------- #
+# The journal is assembled from member texts the detector keeps: at every
+# write it must equal the canonical encoding of the state it stands for.
+# ---------------------------------------------------------------------- #
+def journal_divergences(monkeypatch, app, nprocs, **overrides):
+    """Journal writes whose body differs from ``canon(serialize_state())``
+    (and the number of writes checked)."""
+    bad, writes = [], []
+    journal_state = CoordinatorRole.journal_state
+
+    def checked(self, clock, cost_model):
+        nbytes = journal_state(self, clock, cost_model)
+        writes.append(nbytes)
+        body = durable.unframe(self.journal_json)
+        if body != durable.canon(self.serialize_state()):
+            bad.append(len(writes))
+        return nbytes
+
+    monkeypatch.setattr(CoordinatorRole, "journal_state", checked)
+    res = get_app(app).run(nprocs=nprocs, master_failover=True, **overrides)
+    assert res.failover_stats.elections_held >= 1
+    return bad, len(writes)
+
+
+JOURNAL_CELLS = {
+    "hashtab-no-checkpoint": ("hashtab", 8, dict(crash_at=((0, 2),))),
+    "water-checkpoint": ("water", 4, dict(crash_at=((0, 1),),
+                                          checkpoint=True)),
+    "sor-cascade": ("sor", 4, dict(crash_at=((0, 1), (1, 2)),
+                                   checkpoint=True)),
+    "hashtab-first-races": ("hashtab", 8, dict(crash_at=((0, 2),),
+                                               first_races_only=True)),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(JOURNAL_CELLS))
+def test_journal_texts_equal_the_canonical_state(cell, monkeypatch):
+    app, nprocs, overrides = JOURNAL_CELLS[cell]
+    bad, writes = journal_divergences(monkeypatch, app, nprocs, **overrides)
+    assert writes > 2
+    assert bad == []
+
+
+class RestoreRebuildsLooseTexts(RaceDetector):
+    """A successor that rebuilds its race texts with ``json.dumps``'s
+    separators instead of the canonical ones."""
+
+    def restore_state(self, data):
+        super().restore_state(data)
+        self._texts["races"] = [json.dumps(d) for d in data["races"]]
+
+
+def test_a_journal_with_wrong_member_texts_is_caught(monkeypatch):
+    with detector_class(RestoreRebuildsLooseTexts):
+        bad, _writes = journal_divergences(monkeypatch, "hashtab", 8,
+                                           crash_at=((0, 2),))
+    assert bad
