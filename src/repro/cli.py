@@ -75,8 +75,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--master-failover", action="store_true",
                    help="allow the barrier master (the coordinator running "
                         "the race detector) to crash: the surviving "
-                        "processes elect the lowest live pid, migrate the "
-                        "journaled detection state to it, and re-solicit "
+                        "processes elect the lowest live pid, replay the "
+                        "journaled detector commits into it, and re-solicit "
                         "the in-flight epoch metadata; off (default), the "
                         "master is pinned to P0 and immune to crashes, "
                         "byte-identical to builds without the coordinator "

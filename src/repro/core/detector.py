@@ -22,9 +22,7 @@ decomposition falls out of the ledger.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -37,10 +35,9 @@ from repro.core.checklist import (ACCESS_COMBINATIONS, CheckEntry,
 from repro.core.concurrency import (Block, PairSearchStats,
                                     find_concurrent_pairs, group_by_pid,
                                     model_comparison_count, pair_blocks)
-from repro.core.report import (IntervalRef, RaceKind, RaceReport,
-                               decode_report_key, encode_report_key)
+from repro.core.report import IntervalRef, RaceKind, RaceReport
 from repro.dsm.interval import Interval
-from repro.durable import assemble, canon
+from repro.durable import canon
 from repro.errors import RetryExhaustedError
 from repro.net.message import WireSizer
 from repro.net.transport import Transport
@@ -106,32 +103,6 @@ class DetectorStats:
     #: Per-epoch history, in check order (includes consolidation passes).
     epoch_history: List["EpochSummary"] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form; ``from_dict`` round-trips it exactly
-        (coordinator-state migration on master failover)."""
-        return {**self.scalars(), "epoch_history": [
-            dataclasses.asdict(s) for s in self.epoch_history]}
-
-    def scalars(self) -> Dict[str, Any]:
-        """:meth:`to_dict` without ``epoch_history``."""
-        data = {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)
-                if f.name != "epoch_history"}
-        # The filter counters only exist on filter-on runs; omitting them
-        # when zero keeps filter-off journal/checkpoint bytes (and their
-        # priced sizes) byte-identical to pre-filter builds.
-        if not (self.granule_checks or self.granule_hits
-                or self.pairs_filtered):
-            for name in ("granule_checks", "granule_hits", "pairs_filtered"):
-                del data[name]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DetectorStats":
-        history = [EpochSummary(**entry) for entry in data["epoch_history"]]
-        scalars = {k: v for k, v in data.items() if k != "epoch_history"}
-        return cls(epoch_history=history, **scalars)
-
     @property
     def intervals_used_fraction(self) -> float:
         """Table 3 "Intervals Used": share of intervals involved in at
@@ -147,6 +118,29 @@ class DetectorStats:
         if self.bitmaps_created == 0:
             return 0.0
         return self.bitmaps_fetched / self.bitmaps_created
+
+
+#: The :class:`DetectorStats` counters a commit record carries.
+_STAT_SCALARS = tuple(f.name for f in dataclasses.fields(DetectorStats)
+                      if f.name != "epoch_history")
+
+
+# ---------------------------------------------------------------------- #
+# The commit record: the one text form of detector state.  A report is a
+# row of its fields, its two sides rows of theirs, its kind by value.
+# ---------------------------------------------------------------------- #
+def _report_row(report: RaceReport) -> tuple:
+    kind, addr, symbol, page, offset, epoch, a, b, gran, verdict, lost = report
+    return (kind.value, addr, symbol, page, offset, epoch,
+            (a.pid, a.index, a.access, a.sync_label),
+            (b.pid, b.index, b.access, b.sync_label), gran, verdict, lost)
+
+
+def _report_from_row(row: list) -> RaceReport:
+    kind, addr, symbol, page, offset, epoch, a, b, gran, verdict, lost = row
+    return RaceReport(RaceKind(kind), addr, symbol, page, offset, epoch,
+                      IntervalRef(*a), IntervalRef(*b), gran, verdict,
+                      tuple(lost))
 
 
 # ---------------------------------------------------------------------- #
@@ -253,7 +247,9 @@ class RaceDetector:
     * **commit** — fold the slice results and their key-merged candidate
       items in.  The only writer of ``stats``, ``races``,
       ``unverifiable``, ``_seen_keys``, ``_unverifiable_pair_keys`` and
-      ``_first_race_epoch`` (``restore_state`` apart).
+      ``_first_race_epoch`` (:meth:`replay` apart); with ``log_commits``
+      it appends what it wrote, as one canonical record text, to
+      :attr:`log`.
     """
 
     def __init__(self, page_size_words: int, cost_model: CostModel,
@@ -261,7 +257,8 @@ class RaceDetector:
                  symbol_for, master_pid: int = 0,
                  first_races_only: bool = False,
                  fast_path: bool = True,
-                 coarse_filter: bool = False):
+                 coarse_filter: bool = False,
+                 log_commits: bool = False):
         self.page_size_words = page_size_words
         self.cost_model = cost_model
         self.sizer = sizer
@@ -300,7 +297,9 @@ class RaceDetector:
         self._seen_keys: Dict[Tuple, None] = {}
         self._unverifiable_pair_keys: Set[Tuple] = set()
         self._first_race_epoch: Optional[int] = None
-        self._reset_texts(self.serialize_state())
+        #: One record text per commit, in commit order (``log_commits``
+        #: only): what :meth:`replay` folds back into a fresh detector.
+        self.log: Optional[List[str]] = [] if log_commits else None
 
     # ------------------------------------------------------------------ #
     # Entry point: one epoch's analysis, run on the barrier master.
@@ -333,95 +332,58 @@ class RaceDetector:
     # State migration (master failover).
     #
     # Everything a replacement coordinator needs to continue detection
-    # with identical verdicts *and* identical artifacts: the accumulated
-    # reports, the aggregate statistics, and — critically — the cross-epoch
-    # deduplication state.  ``RaceReport.key()`` deliberately excludes the
-    # epoch, so dropping ``_seen_keys`` on migration would re-report or
-    # mis-deduplicate races found before the crash.
+    # with identical verdicts *and* identical artifacts is what the
+    # commits wrote: the accumulated reports, the aggregate statistics
+    # and — critically — the cross-epoch deduplication state.
+    # ``RaceReport.key()`` deliberately excludes the epoch, so dropping
+    # ``_seen_keys`` on migration would re-report or mis-deduplicate races
+    # found before the crash.
     # ------------------------------------------------------------------ #
-    def serialize_state(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of all mutable detector state.
-
-        ``restore_state`` on a freshly constructed detector (same
-        configuration, possibly a different ``master_pid``) reproduces the
-        original byte for byte — the coordinator journals this dict at
-        every barrier and replays it into the elected successor."""
-        return {
-            "stats": self.stats.to_dict(),
-            "races": [r.to_dict() for r in self.races],
-            "unverifiable": [r.to_dict() for r in self.unverifiable],
-            "seen_keys": sorted(
-                (encode_report_key(k) for k in self._seen_keys),
-                key=json.dumps),
-            **self._small_state(),
-        }
-
-    def _small_state(self) -> Dict[str, Any]:
-        """The members of :meth:`serialize_state` that stay small."""
-        return {
-            "unverifiable_pair_keys": sorted(
-                [list(a), list(b)]
-                for a, b in self._unverifiable_pair_keys),
+    def _record(self, races: List[RaceReport],
+                unverifiable: List[RaceReport],
+                suppressed: List[RaceReport], pair_keys: List[Tuple],
+                summary: EpochSummary) -> str:
+        """One commit's delta as canonical JSON: its new reports, the keys
+        of the races ``first_races_only`` suppressed, its new unverifiable
+        pair keys, its epoch summary and the counters as they now stand."""
+        stats = self.stats
+        return canon({
+            "races": [_report_row(r) for r in races],
+            "unverifiable": [_report_row(r) for r in unverifiable],
+            "suppressed": [(r.kind.value, *r.key()[1:]) for r in suppressed],
+            "pair_keys": pair_keys,
+            "epoch": dataclasses.asdict(summary),
+            "stats": {name: getattr(stats, name) for name in _STAT_SCALARS},
             "first_race_epoch": self._first_race_epoch,
             "actual_comparisons": self.actual_comparisons,
-        }
+        })
 
-    def state_json(self) -> str:
-        """``durable.canon(self.serialize_state())``, assembled from member
-        texts: each report, epoch summary and seen key is encoded the
-        first time it is journalled, so the coordinator's journal write
-        after every detection pass costs the new reports, not all."""
-        texts = self._texts
-        for name, items, encode in (
-                ("races", self.races, RaceReport.to_dict),
-                ("unverifiable", self.unverifiable, RaceReport.to_dict),
-                ("epoch_history", self.stats.epoch_history,
-                 dataclasses.asdict)):
-            done = texts[name]
-            done.extend([canon(encode(x)) for x in items[len(done):]])
-        # (json.dumps, canon) pairs in serialize_state's order; the seen
-        # keys past their count are the new ones (insertion order).
-        keys = self._key_texts
-        for key in itertools.islice(self._seen_keys, len(keys), None):
-            encoded = encode_report_key(key)
-            bisect.insort(keys, (json.dumps(encoded), canon(encoded)))
-        stats = {name: canon(value)
-                 for name, value in self.stats.scalars().items()}
-        stats["epoch_history"] = assemble(texts["epoch_history"])
-        members = {name: canon(value)
-                   for name, value in self._small_state().items()}
-        members.update(stats=assemble(stats),
-                       races=assemble(texts["races"]),
-                       unverifiable=assemble(texts["unverifiable"]),
-                       seen_keys=assemble([text for _, text in keys]))
-        return assemble(members)
-
-    def _reset_texts(self, data: Dict[str, Any]) -> None:
-        """:meth:`state_json`'s member texts of the snapshot ``data``."""
-        self._texts = {name: [canon(d) for d in data[name]]
-                       for name in ("races", "unverifiable")}
-        self._texts["epoch_history"] = [
-            canon(d) for d in data["stats"]["epoch_history"]]
-        self._key_texts = [(json.dumps(k), canon(k))
-                           for k in data["seen_keys"]]
-
-    def restore_state(self, data: Dict[str, Any]) -> None:
-        """Install a ``serialize_state`` snapshot, replacing all mutable
-        state.  Constructor-time configuration (cost model, sizer,
+    def replay(self, records: List[str]) -> None:
+        """Fold :meth:`_commit` records, oldest first, into this freshly
+        built detector: it ends in the state of the detector that wrote
+        them.  Constructor-time configuration (cost model, sizer,
         ``master_pid``, engine selection) is deliberately untouched: the
         role's *owner* changed, not the algorithm."""
-        self.stats = DetectorStats.from_dict(data["stats"])
-        self.races = [RaceReport.from_dict(d) for d in data["races"]]
-        self.unverifiable = [RaceReport.from_dict(d)
-                             for d in data["unverifiable"]]
-        self._seen_keys = dict.fromkeys(
-            decode_report_key(k) for k in data["seen_keys"])
-        self._unverifiable_pair_keys = {
-            (tuple(a), tuple(b))
-            for a, b in data["unverifiable_pair_keys"]}
-        self._first_race_epoch = data["first_race_epoch"]
-        self.actual_comparisons = data["actual_comparisons"]
-        self._reset_texts(data)
+        stats, seen = self.stats, self._seen_keys
+        for text in records:
+            record = json.loads(text)
+            for name in ("races", "unverifiable"):
+                reports = [_report_from_row(row) for row in record[name]]
+                getattr(self, name).extend(reports)
+                seen.update(dict.fromkeys(r.key() for r in reports))
+            for kind, gran, verdict, addr, side_a, side_b in \
+                    record["suppressed"]:
+                seen[(RaceKind(kind), gran, verdict, addr, tuple(side_a),
+                      tuple(side_b))] = None
+            self._unverifiable_pair_keys.update(
+                (tuple(a), tuple(b)) for a, b in record["pair_keys"])
+            stats.epoch_history.append(EpochSummary(**record["epoch"]))
+            for name, value in record["stats"].items():
+                setattr(stats, name, value)
+            self._first_race_epoch = record["first_race_epoch"]
+            self.actual_comparisons = record["actual_comparisons"]
+        if self.log is not None:
+            self.log.extend(records)
 
     # ------------------------------------------------------------------ #
     # The N-slice entry points: ``plan_shards`` -> per-owner
@@ -650,6 +612,7 @@ class RaceDetector:
 
         new_races: List[RaceReport] = []
         new_unverifiable: List[RaceReport] = []
+        new_pair_keys: List[Tuple] = []
         for item in items:
             fresh: List[RaceReport] = []
             for report in item.reports:
@@ -660,6 +623,7 @@ class RaceDetector:
             if item.kind == "unverifiable":
                 if item.pair_key not in self._unverifiable_pair_keys:
                     self._unverifiable_pair_keys.add(item.pair_key)
+                    new_pair_keys.append(item.pair_key)
                     stats.unverifiable_pairs += 1
                 stats.unverifiable_reports += len(fresh)
                 new_unverifiable.extend(fresh)
@@ -669,12 +633,14 @@ class RaceDetector:
                 new_races.extend(fresh)
         self.unverifiable.extend(new_unverifiable)
 
-        stats.epoch_history.append(EpochSummary(
+        summary = EpochSummary(
             epoch=epoch, intervals=len(plan.intervals),
             comparisons=comparisons, concurrent_pairs=concurrent_pairs,
             check_list_entries=check_entries, bitmaps_fetched=fetched,
-            races=len(new_races), unverifiable=len(new_unverifiable)))
+            races=len(new_races), unverifiable=len(new_unverifiable))
+        stats.epoch_history.append(summary)
 
+        kept = new_races
         if self.first_races_only and new_races:
             if self._first_race_epoch is None:
                 self._first_race_epoch = epoch
@@ -683,10 +649,14 @@ class RaceDetector:
                 # earlier ones (a barrier orders the epochs), hence not
                 # "first" races (§6.4).
                 stats.races_suppressed_not_first += len(new_races)
-                return []
-        self.races.extend(new_races)
-        stats.races_found += len(new_races)
-        return new_races
+                kept = []
+        self.races.extend(kept)
+        stats.races_found += len(kept)
+        if self.log is not None:
+            self.log.append(self._record(
+                kept, new_unverifiable, [] if kept else new_races,
+                new_pair_keys, summary))
+        return kept
 
     def _join_blocks(self, shard: DetectShard, plan: ShardPlan,
                      search: PairSearchStats,

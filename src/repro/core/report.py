@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 
 class RaceKind(enum.Enum):
@@ -33,16 +33,6 @@ class IntervalRef:
 
     def __str__(self) -> str:
         return f"P{self.pid} interval {self.index} ({self.access})"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (detector-state migration)."""
-        return {"pid": self.pid, "index": self.index,
-                "access": self.access, "sync_label": self.sync_label}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "IntervalRef":
-        return cls(pid=data["pid"], index=data["index"],
-                   access=data["access"], sync_label=data["sync_label"])
 
 
 class RaceReport(NamedTuple):
@@ -122,53 +112,6 @@ class RaceReport(NamedTuple):
 
     def __str__(self) -> str:
         return self.format()
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form; ``from_dict`` round-trips it exactly
-        (used by the coordinator to migrate detection state on failover)."""
-        return {
-            "kind": self.kind.value,
-            "addr": self.addr,
-            "symbol": self.symbol,
-            "page": self.page,
-            "offset": self.offset,
-            "epoch": self.epoch,
-            "a": self.a.to_dict(),
-            "b": self.b.to_dict(),
-            "granularity": self.granularity,
-            "verdict": self.verdict,
-            "lost_intervals": list(self.lost_intervals),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RaceReport":
-        return cls(
-            kind=RaceKind(data["kind"]),
-            addr=data["addr"],
-            symbol=data["symbol"],
-            page=data["page"],
-            offset=data["offset"],
-            epoch=data["epoch"],
-            a=IntervalRef.from_dict(data["a"]),
-            b=IntervalRef.from_dict(data["b"]),
-            granularity=data["granularity"],
-            verdict=data["verdict"],
-            lost_intervals=tuple(data["lost_intervals"]),
-        )
-
-
-def encode_report_key(key: Tuple) -> list:
-    """JSON-encodable form of a :meth:`RaceReport.key` tuple (the
-    cross-epoch deduplication state a migrating detector must carry)."""
-    kind, granularity, verdict, addr, side_a, side_b = key
-    return [kind.value, granularity, verdict, addr,
-            list(side_a), list(side_b)]
-
-
-def decode_report_key(data: list) -> Tuple:
-    kind, granularity, verdict, addr, side_a, side_b = data
-    return (RaceKind(kind), granularity, verdict, addr,
-            tuple(side_a), tuple(side_b))
 
 
 def involves_symbol(report: RaceReport, name: str) -> bool:

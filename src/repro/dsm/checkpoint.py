@@ -664,23 +664,6 @@ class ResumePoint:
         self.resumed_nodes += 1
 
 
-def checkpointed_coordinator_state(system: "CVM", pid: int):
-    """The dead coordinator's detector state as of its last barrier
-    checkpoint, or None when checkpointing is off or no snapshot holds
-    a coordinator section.  This is the durable fallback
-    :meth:`CoordinatorRole.install_from_journal` restores from when
-    the journal tail turns out torn or corrupt."""
-    if system.checkpoints is None:
-        return None
-    snap = system.checkpoints.latest(pid)
-    if snap is None:
-        return None
-    section = snap.data.get("coordinator")
-    if not section:
-        return None
-    return section.get("state")
-
-
 def barrier_cut(system: "CVM", node: "Node", generation: int) -> None:
     """``node`` stands at the barrier-consistent cut ``generation`` (0:
     before the application starts, so every node can be recovered even if

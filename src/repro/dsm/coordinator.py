@@ -18,18 +18,23 @@ schedule must elect the same coordinator on every run, or chaos-sweep
 report comparisons would be meaningless.
 
 State migration leans on the same barrier-consistent-cut argument as
-checkpointing (PR 3): at every completed detection pass the role journals
-the detector's full serialized state (reports, aggregate statistics, and
-the cross-epoch deduplication keys) to stable storage, priced per byte
-like a checkpoint write but under ``CostCategory.FAILOVER``.  On failover
-the new coordinator fetches that journal, restores it into a freshly
-constructed detector (``RaceDetector.serialize_state`` /
-``restore_state`` — a real canonical-JSON round trip, not a Python object
-handoff), and re-solicits the in-flight interval/write-notice metadata of
-the closing epoch from the survivors' recorded arrival horizons.  All of
-it is charged to ``CostCategory.FAILOVER``, which stays out of
-``OVERHEAD_CATEGORIES`` — Tables 1–3 and Figures 3–4 are computed from
-overhead categories only, so failover-off artifacts stay byte-identical.
+checkpointing: the detector's commit step, its single writer of
+detection state, emits one canonical record per commit (new reports,
+suppressed and unverifiable-pair dedup keys, the epoch summary and the
+counters), and at every completed detection pass the role appends the new
+records, framed, to its journal — an append log on stable storage, priced
+per byte appended like a checkpoint write but under
+``CostCategory.FAILOVER``.  On failover the new coordinator fetches the
+journal, takes its longest intact prefix (filled in from the holder's
+checkpoint section, else from the dead coordinator's memory, when a torn
+write cut it short), replays it into a freshly constructed detector
+(``RaceDetector.replay``), and re-solicits the in-flight
+interval/write-notice metadata of the closing epoch from the survivors'
+recorded arrival horizons.  The role moves the records as opaque texts;
+only :mod:`repro.core.detector` knows their format.  All of it is charged
+to ``CostCategory.FAILOVER``, which stays out of ``OVERHEAD_CATEGORIES``
+— Tables 1–3 and Figures 3–4 are computed from overhead categories only,
+so failover-off artifacts stay byte-identical.
 
 With failover *off* (the default) the role is inert bookkeeping around the
 pinned master: no journaling, no extra charges, no behavioural change —
@@ -38,7 +43,6 @@ the legacy configuration is byte-identical to builds without this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -80,19 +84,19 @@ class FailoverStats:
 
     #: Elections held (one per coordinator crash observed at a barrier).
     elections_held: int = 0
-    #: Serialized detector-state bytes moved to a new coordinator.
+    #: Journal bytes fetched by a new coordinator.
     state_bytes_migrated: int = 0
     #: Interval records replayed to a new coordinator from the survivors'
     #: recorded arrival horizons.
     records_resolicited: int = 0
-    #: Coordinator-state journal writes (one per completed detection pass
-    #: while failover is enabled).
+    #: Journal appends (one at start-up and one per completed detection
+    #: pass while failover is enabled).
     state_checkpoints: int = 0
-    #: Total journaled coordinator-state bytes.
+    #: Total bytes appended to the journal.
     state_checkpoint_bytes: int = 0
-    #: Restores that found the journal torn or corrupt and fell back to
-    #: the checkpointed coordinator section (or, lacking checkpoints, the
-    #: in-memory state) instead of raising.
+    #: Installs that found the journal torn short of its appended records
+    #: and filled the tail in from the holder's checkpoint section (or,
+    #: lacking one, the in-memory records) instead of raising.
     journal_fallbacks: int = 0
 
     def summary(self) -> Dict[str, int]:
@@ -148,6 +152,14 @@ class ShardingStats:
             setattr(self, name, getattr(self, name) + value)
 
 
+def chain_digest(records: List[str], digest: str = "") -> str:
+    """Digest of a record sequence, each record hashed onto the digest of
+    those before it (``digest``: the chain so far)."""
+    for body in records:
+        digest = durable.digest(digest + body)
+    return digest
+
+
 def make_detector(system, master_pid: int) -> Optional[RaceDetector]:
     """Detector factory for the coordinator role: the initial instance
     at construction, and replacement instances (re-homed on the
@@ -160,7 +172,8 @@ def make_detector(system, master_pid: int) -> Optional[RaceDetector]:
         system.net, system.segment.symbol_for, master_pid=master_pid,
         first_races_only=config.first_races_only,
         fast_path=config.detector_fast_path,
-        coarse_filter=config.coarse_filter)
+        coarse_filter=config.coarse_filter,
+        log_commits=config.master_failover)
 
 
 def tree_edges(n: int, root_first: bool = False
@@ -206,114 +219,94 @@ class CoordinatorRole:
         self.system = system
         self.stats = FailoverStats()
         self.sharding_stats = ShardingStats()
-        #: Canonical-JSON journal of the role state at the last completed
-        #: detection pass — what a successor restores from.  Maintained
-        #: only under failover.
-        self._journal: Optional[str] = None
+        #: The journal, standing for stable storage (failover only): an
+        #: append log of the detector's framed commit records, appended
+        #: at every completed detection pass — what a successor replays.
+        self._journal = bytearray()
+        #: Records in the journal, the chain digest of them, and the
+        #: records of the last append (the holder's checkpoint section).
+        self._journaled = 0
+        self._chain = ""
+        self._appended: List[str] = []
 
     # ------------------------------------------------------------------ #
-    # Role state (de)serialization.
+    # The journal and the install.
     # ------------------------------------------------------------------ #
-    def serialize_state(self) -> Dict[str, Any]:
-        """JSON-serializable role state: who holds the role and the full
-        mutable detector state (``None`` with detection off)."""
-        return {
-            "pid": self.pid,
-            "detector": (self.detector.serialize_state()
-                         if self.detector is not None else None),
-        }
-
-    def state_json(self) -> str:
-        """Canonical encoding of :meth:`serialize_state` (sorted keys, no
-        whitespace — same convention as checkpoints, so byte sizes are
-        deterministic and priceable), assembled from the detector's
-        member texts (``RaceDetector.state_json``)."""
-        det = self.detector
-        return durable.assemble({"pid": durable.canon(self.pid), "detector":
-                                 det.state_json() if det else "null"})
-
-    @staticmethod
-    def parse_journal(framed: str) -> Dict[str, Any]:
-        """Validate and decode one framed journal; raises ``ValueError``
-        on a torn or corrupt frame (missing/mismatched hash, unparseable
-        body, wrong shape) so the restore path can fall back instead of
-        installing garbage."""
-        body = durable.unframe(framed)
-        if body is None:
-            raise ValueError("coordinator journal tail torn or corrupt "
-                             "(content hash mismatch)")
-        try:
-            state = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"coordinator journal body unparseable: {exc}")
-        if not isinstance(state, dict) or "detector" not in state:
-            raise ValueError("coordinator journal body malformed "
-                             "(missing role fields)")
-        return state
+    @property
+    def journal_bytes(self) -> int:
+        """Size of the journal, the bytes a successor fetches."""
+        return len(self._journal)
 
     def journal_state(self, clock: VirtualClock,
                       cost_model: CostModel) -> int:
-        """Write the role state to stable storage (failover only), priced
-        like a checkpoint write but under ``FAILOVER``; returns the byte
-        count.  Called after every completed detection pass so the journal
-        is never staler than the last barrier-consistent cut.  The record
-        is framed with a trailing content hash so a torn write is
-        *detectable* on restore rather than silently corrupting the
+        """Append the detector's records committed since the last append
+        to the journal (failover only), priced like a checkpoint write but
+        under ``FAILOVER`` on the bytes appended; returns that count.
+        Called after every completed detection pass so the journal is
+        never staler than the last barrier-consistent cut.  Each record is
+        framed with a trailing content hash so a torn write is
+        *detectable* on install rather than silently corrupting the
         successor's detector state."""
-        framed = durable.frame(self.state_json())
-        nbytes = len(framed.encode("utf-8"))
-        self._journal = framed
-        clock.advance(cost_model.checkpoint_write_per_byte * nbytes,
+        det = self.detector
+        records = det.log[self._journaled:] if det is not None else []
+        data = "".join([durable.frame(r) + "\n" for r in records]).encode()
+        self._journal += data
+        self._journaled += len(records)
+        self._chain = chain_digest(records, self._chain)
+        self._appended = records
+        clock.advance(cost_model.checkpoint_write_per_byte * len(data),
                       CostCategory.FAILOVER)
         self.stats.state_checkpoints += 1
-        self.stats.state_checkpoint_bytes += nbytes
-        return nbytes
-
-    @property
-    def journal_json(self) -> str:
-        """The last journaled role state, framed — or, before the first
-        journal write, the frame of the current in-memory state (possible
-        only if failover was enabled mid-run, which the config layer does
-        not allow)."""
-        if self._journal is None:
-            return durable.frame(self.state_json())
-        return self._journal
+        self.stats.state_checkpoint_bytes += len(data)
+        return len(data)
 
     def install_from_journal(self, new_pid: int,
-                             fallback_state: Optional[Dict[str, Any]] = None
+                             section: Optional[Dict[str, Any]] = None
                              ) -> int:
-        """Re-home the role on ``new_pid``, rebuilding the detector from
-        the stable journal (election outcome).
+        """Re-home the role on ``new_pid`` (election outcome): a *new*
+        detector is built for the winner (so bitmap-round accounting
+        treats the winner's own bitmaps as local) and the journal's
+        records are replayed into it; returns the migrated byte count.
 
-        A *new* detector is constructed for the winner (so bitmap-round
-        accounting treats the winner's own bitmaps as local) and the
-        journaled state is restored into it through the real
-        serialize → canonical JSON → parse → restore path; returns the
-        migrated byte count.
-
-        If the journal's frame fails validation — a torn write truncated
-        or corrupted its tail — the restore falls back to
-        ``fallback_state`` (the checkpointed coordinator section, when the
-        caller has one) or, failing that, the current in-memory state,
-        and counts the event in ``stats.journal_fallbacks``.  It never
-        raises on a bad journal: a coordinator election must not die on
-        the very fault it exists to survive."""
-        framed = self.journal_json
-        nbytes = len(framed.encode("utf-8"))
-        try:
-            state = self.parse_journal(framed)
-        except ValueError:
+        The install takes the journal's longest intact prefix.  When a
+        torn write left it short of what was appended, the missing
+        records come from the dead holder's checkpoint ``section`` if they
+        continue the prefix and the section's chain digest verifies, else
+        from the dead coordinator's in-memory records; the event counts
+        in ``stats.journal_fallbacks`` and the torn tail is cut, so the
+        next append re-writes the filled records.  It never raises on a
+        bad journal: a coordinator election must not die on the very
+        fault it exists to survive."""
+        nbytes = len(self._journal)
+        records, _dropped, intact = durable.parse_log(
+            self._journal, lambda body, _index: body)
+        if len(records) < self._journaled:
             self.stats.journal_fallbacks += 1
-            state = (fallback_state if fallback_state is not None
-                     else self.serialize_state())
+            del self._journal[intact:]
+            self._journaled = len(records)
+            self._chain = chain_digest(records)
+            records += self._fill(records, section)
         successor = self._factory(new_pid)
-        if successor is not None and state["detector"] is not None:
-            successor.restore_state(state["detector"])
+        if successor is not None:
+            successor.replay(records)
         self.detector = successor
         self.pid = new_pid
         self.stats.elections_held += 1
         self.stats.state_bytes_migrated += nbytes
         return nbytes
+
+    def _fill(self, prefix: List[str],
+              section: Optional[Dict[str, Any]]) -> List[str]:
+        """The records past the journal's intact ``prefix``."""
+        if section is not None and "records" in section:
+            tail = section["records"]
+            start = section["count"] - len(tail)
+            if start <= len(prefix) <= section["count"]:
+                filled = tail[len(prefix) - start:]
+                if chain_digest(prefix + filled) == section["digest"]:
+                    return filled
+        det = self.detector
+        return det.log[len(prefix):] if det is not None else []
 
     # ------------------------------------------------------------------ #
     # The responsibilities the role owns.
@@ -531,11 +524,11 @@ class CoordinatorRole:
             return 0
         system = self.system
         store = system.store
-        current = store.epoch_intervals(system.epoch)
+        epoch = system.sync.barrier_state.generation
+        current = store.epoch_intervals(epoch)
         if not current:
             return 0
-        self.detector.run_epoch(current, system.epoch,
-                                system.nodes[pid].clock)
+        self.detector.run_epoch(current, epoch, system.nodes[pid].clock)
         retired = 0
         for rec in current:
             if all(other.vc[rec.pid] >= rec.index for other in system.nodes):
@@ -548,12 +541,15 @@ class CoordinatorRole:
     def snapshot_section(self, pid: int) -> Optional[Dict[str, Any]]:
         """Per-node checkpoint section: every node records who currently
         holds the role; the holder's snapshot additionally carries the
-        full serialized role state, joining the delta chain like any other
-        snapshot component.  ``None`` without failover, so failover-off
-        checkpoints stay byte-identical to builds without this module."""
+        journal's record count and chain digest plus the records of the
+        last append — what a torn journal tail is filled in from.  Each
+        barrier appends once, before the departures' checkpoints, so the
+        holder's sections together hold the whole log.  ``None`` without
+        failover, so failover-off checkpoints stay byte-identical to
+        builds without this module."""
         if not self.failover:
             return None
-        return {
-            "pid": self.pid,
-            "state": (self.serialize_state() if pid == self.pid else None),
-        }
+        if pid != self.pid:
+            return {"pid": self.pid}
+        return {"pid": self.pid, "count": self._journaled,
+                "digest": self._chain, "records": self._appended}

@@ -150,8 +150,6 @@ class CVM:
         self.store.log_vcs = config.track_access_trace
         self.protocol = make_protocol(config.protocol, self)
         self.nodes: List[Node] = []
-        #: The barrier epoch being executed (completed barriers so far).
-        self.epoch = 0
         self.access_trace: List[TraceEvent] = []
         # The barrier-master responsibilities — barrier release, the
         # epoch's detection pass, the detector instance — are owned by the
@@ -228,9 +226,10 @@ class CVM:
                 proc = self.scheduler.spawn(self._proc_main, app, pid, args)
                 self.nodes.append(Node(pid, self.config, proc.clock, self.store))
             if self.coordinator.failover:
-                # Initial role journal (the analogue of the generation-0 node
-                # checkpoints): a coordinator death before the first barrier
-                # migrates the pre-application detector state.
+                # Initial journal append (the analogue of the generation-0
+                # node checkpoints): nothing is committed yet, so a
+                # coordinator death before the first barrier installs an
+                # empty log.
                 self.coordinator.journal_state(
                     self.nodes[self.coordinator.pid].clock,
                     self.config.cost_model)
@@ -264,7 +263,7 @@ class CVM:
             runtime_cycles=max(c.now for c in clocks),
             results=self.scheduler.results(),
             intervals_created=self.store.total_created,
-            barriers_completed=self.sync.barrier_state.barriers_completed,
+            barriers_completed=self.sync.barrier_state.generation,
             lock_acquires=sum(s.acquires for s in locks.values()),
             shared_instr_calls=sum(n.shared_instr_calls for n in self.nodes),
             private_instr_calls=sum(n.private_instr_calls for n in self.nodes),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.dsm.checkpoint import checkpointed_coordinator_state
 from repro.dsm.coordinator import elect_coordinator
 from repro.dsm.node import Node
 from repro.dsm.sync import BarrierState
@@ -229,10 +228,12 @@ class Recovery:
            deterministic rank election: lowest live pid wins.
         2. Each survivor sends its vote to the winner; the winner announces
            the outcome to the rest.
-        3. The winner fetches the coordinator-state journal from stable
-           storage, pays the restore cost, and rebuilds the detector from
-           it (:meth:`CoordinatorRole.install_from_journal`); the barrier
-           master is reassigned so release and death-declaration run here.
+        3. The winner fetches the coordinator journal from stable
+           storage, pays the restore cost, and replays it into a new
+           detector (:meth:`CoordinatorRole.install_from_journal`, handed
+           the dead holder's last checkpoint section to fill in a torn
+           tail); the barrier master is reassigned so release and
+           death-declaration run here.
         4. The closing epoch's in-flight interval/write-notice metadata is
            re-solicited from every process's recorded arrival horizon —
            the same payloads the old master absorbed on the arrival
@@ -270,7 +271,7 @@ class Recovery:
             net.send("coordinator_announce", winner, p, None,
                      sizer.ints(2), clock,
                      category=CostCategory.FAILOVER)
-        jbytes = len(role.journal_json.encode("utf-8"))
+        jbytes = role.journal_bytes
         msg = net.send("coordinator_state", old, winner, None,
                        sizer.ints(2) + jbytes, clock,
                        category=CostCategory.FAILOVER,
@@ -278,9 +279,10 @@ class Recovery:
         clock.wait_until(msg.arrival_time)
         clock.advance(cm.checkpoint_restore_per_byte * jbytes,
                       CostCategory.FAILOVER)
+        snap = (system.checkpoints.latest(old)
+                if system.checkpoints is not None else None)
         role.install_from_journal(
-            winner,
-            fallback_state=checkpointed_coordinator_state(system, old))
+            winner, snap.data.get("coordinator") if snap else None)
         bar.reassign_master(winner)
         # Delta re-solicitation: each survivor resends only its *own*
         # records past the winner's pre-election clock (snapshotted in

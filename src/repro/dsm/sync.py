@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.dsm.checkpoint import barrier_cut
 from repro.dsm.interval import Interval
@@ -106,6 +106,9 @@ class BarrierState:
         #: ``repro.dsm.coordinator``).  Off: the master is pinned and
         #: cannot be declared dead, exactly the legacy behaviour.
         self.failover = failover
+        #: Barriers completed so far: the number of the generation being
+        #: waited at, the epoch being executed and the checkpoint cut
+        #: taken at its departure.
         self.generation = 0
         self.arrived: List[int] = []
         self.arrival_times: Dict[int, float] = {}
@@ -117,11 +120,6 @@ class BarrierState:
         #: Release-time info stored for each departing process:
         #: (global vc snapshot, receiver-side arrival time of release msg).
         self.release_box: Dict[int, Tuple[VectorClock, float]] = {}
-        self.barriers_completed = 0
-        #: Processes the master declared dead (crash recovery) during the
-        #: current generation; cleared at every reset.  Diagnostic state:
-        #: the recovery protocol itself lives in ``repro.dsm.recovery``.
-        self.dead_this_generation: Set[int] = set()
         #: Optional ``(generation, pid)`` callback fired at every arrival —
         #: the two-phase pipeline's arrival-order capture point
         #: (:class:`~repro.replay.trace.SyncTraceRecorder` appends to the
@@ -142,9 +140,9 @@ class BarrierState:
         return len(self.arrived) == self.nprocs
 
     def declare_dead(self, pid: int) -> None:
-        """Record that the master's virtual-time timeout expired for
-        ``pid`` this generation (the node missed the barrier and recovery
-        was initiated).  The *current* master can only be declared dead
+        """Check that ``pid`` may be declared dead this generation (the
+        master's virtual-time timeout expired for it and recovery is being
+        initiated).  The *current* master can only be declared dead
         under failover — the election re-homes the role first, so by the
         time the old master is declared dead ``self.master`` already names
         its successor."""
@@ -153,7 +151,6 @@ class BarrierState:
                 "the barrier master cannot be declared dead "
                 "(enable master failover with --master-failover "
                 "/ DsmConfig.master_failover)")
-        self.dead_this_generation.add(pid)
 
     def reassign_master(self, pid: int) -> None:
         """Move the master role to ``pid`` (election outcome).  Only legal
@@ -170,11 +167,9 @@ class BarrierState:
 
     def reset_for_next_generation(self) -> None:
         self.generation += 1
-        self.barriers_completed += 1
         self.arrived.clear()
         self.arrival_times.clear()
         self.horizons.clear()
-        self.dead_this_generation.clear()
 
 
 class Synchronizer:
@@ -509,7 +504,7 @@ class Synchronizer:
         if self._crasher is not None:
             self.recovery.declare_deaths(bar, master_clock)
         master_clock.wait_until(max(bar.arrival_times.values()))
-        role.run_epoch(self.store, system.epoch, master_clock)
+        role.run_epoch(self.store, bar.generation, master_clock)
         self._barrier_release_pass(bar, master_node)
         if role.failover:
             # Journal the role state after every completed detection pass:
@@ -519,10 +514,9 @@ class Synchronizer:
         # The epoch is fully checked: discard its trace information
         # (bitmaps, notices).  Also sweep the previous epoch's stragglers
         # (the empty arrival intervals closed at departure).
-        self.store.discard_epoch(system.epoch)
-        if system.epoch > 0:
-            self.store.discard_epoch(system.epoch - 1)
-        system.epoch += 1
+        self.store.discard_epoch(bar.generation)
+        if bar.generation > 0:
+            self.store.discard_epoch(bar.generation - 1)
         bar.reset_for_next_generation()
 
     def _barrier_release_pass(self, bar: BarrierState,
@@ -554,11 +548,11 @@ class Synchronizer:
         # Write notices were already applied by the master's release pass;
         # departing only merges the horizon clock.
         node.vc.observe(release_vc)
-        node.epoch = self.system.epoch
+        node.epoch = bar.generation
         node.open_interval("barrier depart")
         # The departure is the epoch's consistent cut: a recovered node's
         # crash is fully absorbed here, and (when enabled) each node
         # checkpoints itself before touching the new epoch.
         node.crashed = None
         node.epoch_start_time = node.clock.now
-        barrier_cut(self.system, node, bar.barriers_completed)
+        barrier_cut(self.system, node, bar.generation)

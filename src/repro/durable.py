@@ -118,7 +118,17 @@ def publish(path: str, text: str, error: Optional[type] = None,
 # ---------------------------------------------------------------------- #
 def replay_log(path: str, decode: Callable[[str, int], Any]
                ) -> Tuple[List[Any], int, int]:
-    """Decode the longest intact prefix of an append log.
+    """:func:`parse_log` of the file at ``path``; a missing file is an
+    empty log."""
+    if not os.path.exists(path):
+        return [], 0, 0
+    with open(path, "rb") as fh:
+        return parse_log(fh.read(), decode)
+
+
+def parse_log(data: bytes, decode: Callable[[str, int], Any]
+              ) -> Tuple[List[Any], int, int]:
+    """Decode the longest intact prefix of an append log's bytes.
 
     ``decode(body, index)`` turns the ``index``-th record's body into the
     caller's record, or raises ``ValueError`` to refuse it.  The replay
@@ -127,11 +137,8 @@ def replay_log(path: str, decode: Callable[[str, int], Any]
     untrusted.  Returns ``(records, dropped_lines, intact_bytes)``:
     ``dropped_lines`` counts the lines past the intact prefix (0 for a
     cleanly written log, 1-2 after a torn append), ``intact_bytes`` is the
-    prefix's length in the file.  A missing file is an empty log."""
-    if not os.path.exists(path):
-        return [], 0, 0
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
+    prefix's length in ``data``."""
+    lines = data.split(b"\n")
     unterminated = lines.pop()  # bytes after the last newline, if any
     records: List[Any] = []
     intact_bytes = 0

@@ -7,7 +7,7 @@ every probe is one call of the paper's constant-time check
 themselves, and every probe bumps ``stats.comparisons`` on the spot.  The
 production generator must yield the same windows in the same order and
 leave the same ``comparisons`` and ``concurrent_pairs`` behind — the
-probe count is journalled (``RaceDetector.serialize_state``:
+probe count is journalled (every commit record's
 ``actual_comparisons``) and reported (``core.detector.probes``), so the
 midpoints are part of the stored format, not an implementation detail.
 """

@@ -1,11 +1,12 @@
-"""Detector-state serialization: the substrate of coordinator failover.
+"""Detector-state replay: the substrate of coordinator failover.
 
-``RaceDetector.serialize_state`` / ``restore_state`` must round-trip the
-*entire* mutable detection state — reports, unverifiable entries, the
-cross-epoch deduplication keys, aggregate statistics and the per-epoch
-history — through canonical JSON, because that is exactly what migrates
-to a newly elected coordinator when the master dies.  A lossy round trip
-would silently corrupt every post-failover report.
+``RaceDetector._commit`` appends one record text per commit to the
+detector's log, and ``RaceDetector.replay`` folds such a log into a fresh
+detector.  The replay must rebuild the *entire* mutable detection state —
+reports, unverifiable entries, the cross-epoch deduplication keys,
+aggregate statistics and the per-epoch history — because that is exactly
+what migrates to a newly elected coordinator when the master dies.  A
+lossy record would silently corrupt every post-failover report.
 """
 
 import json
@@ -13,10 +14,10 @@ import json
 import pytest
 
 from repro.apps.registry import get_app
-from repro.core.detector import DetectorStats, RaceDetector
-from repro.core.report import decode_report_key, encode_report_key
 from repro.dsm.coordinator import make_detector
 from repro.dsm.cvm import CVM
+from repro.durable import canon
+from tests.helpers import detector_state
 
 
 def _run_system(app_name, nprocs=4, **overrides):
@@ -31,31 +32,30 @@ def _run_system(app_name, nprocs=4, **overrides):
 
 @pytest.fixture(scope="module")
 def racy_system():
-    return _run_system("queue_racy", nprocs=3)
+    return _run_system("queue_racy", nprocs=3, master_failover=True)
 
 
-def _fresh_detector(system, master_pid):
-    return make_detector(system, master_pid)
+def _replayed(system, master_pid):
+    clone = make_detector(system, master_pid)
+    clone.replay(list(system.detector.log))
+    return clone
 
 
 # ---------------------------------------------------------------------- #
-# Round trip through canonical JSON, restored on a *different* pid.
+# Replay of the commit log, on a *different* pid.
 # ---------------------------------------------------------------------- #
 def test_round_trip_is_a_fixpoint(racy_system):
     det = racy_system.detector
-    state = det.serialize_state()
-    text = json.dumps(state, sort_keys=True)
-    clone = _fresh_detector(racy_system, master_pid=2)
-    clone.restore_state(json.loads(text))
-    assert clone.serialize_state() == state
+    clone = _replayed(racy_system, master_pid=2)
+    assert clone.log == det.log
+    assert detector_state(clone) == detector_state(det)
     assert clone.master_pid == 2  # identity stays the successor's
 
 
 def test_round_trip_preserves_reports_exactly(racy_system):
     det = racy_system.detector
     assert det.races  # queue_racy must actually race
-    clone = _fresh_detector(racy_system, master_pid=1)
-    clone.restore_state(json.loads(json.dumps(det.serialize_state())))
+    clone = _replayed(racy_system, master_pid=1)
     assert [str(r) for r in clone.races] == [str(r) for r in det.races]
     assert ([str(r) for r in clone.unverifiable]
             == [str(r) for r in det.unverifiable])
@@ -68,9 +68,8 @@ def test_round_trip_preserves_dedup_state(racy_system):
     time the new coordinator sees the pair again."""
     det = racy_system.detector
     assert det._seen_keys
-    clone = _fresh_detector(racy_system, master_pid=2)
-    clone.restore_state(det.serialize_state())
-    assert clone._seen_keys == det._seen_keys
+    clone = _replayed(racy_system, master_pid=2)
+    assert set(clone._seen_keys) == set(det._seen_keys)
     assert clone._unverifiable_pair_keys == det._unverifiable_pair_keys
     assert clone._first_race_epoch == det._first_race_epoch
 
@@ -78,27 +77,34 @@ def test_round_trip_preserves_dedup_state(racy_system):
 def test_round_trip_preserves_stats_and_history(racy_system):
     det = racy_system.detector
     assert det.stats.epoch_history  # the run had epochs
-    restored = DetectorStats.from_dict(det.stats.to_dict())
-    assert restored == det.stats
+    assert _replayed(racy_system, master_pid=1).stats == det.stats
 
 
 def test_serialized_state_is_json_clean(racy_system):
-    # No Python-only types may leak into the state: the journal is real
-    # JSON on the wire.
-    state = racy_system.detector.serialize_state()
-    assert json.loads(json.dumps(state)) == json.loads(
-        json.dumps(json.loads(json.dumps(state))))
+    # One canonical JSON text per commit: no Python-only types leak into
+    # the journal, and its byte sizes are deterministic.
+    log = racy_system.detector.log
+    assert len(log) == racy_system.detector.stats.epochs_checked
+    for text in log:
+        assert canon(json.loads(text)) == text
 
 
-def test_report_key_codec_round_trips(racy_system):
-    for key in racy_system.detector._seen_keys:
-        assert decode_report_key(encode_report_key(key)) == key
+def test_report_key_codec_round_trips():
+    """The keys of races ``first_races_only`` suppressed are in no report
+    list, so only their records carry them across."""
+    system = _run_system("hashtab", nprocs=8, master_failover=True,
+                         first_races_only=True)
+    det = system.detector
+    assert det.stats.races_suppressed_not_first > 0
+    clone = _replayed(system, master_pid=1)
+    assert set(clone._seen_keys) == set(det._seen_keys)
+    assert len(det._seen_keys) > len(det.races) + len(det.unverifiable)
 
 
 # ---------------------------------------------------------------------- #
-# Mid-epoch snapshot: serialize after epoch k, restore on another pid,
-# finish the remaining epochs — reports must match the uninterrupted
-# detector byte for byte, across a seed sweep.
+# Mid-run migration: replay after epoch k on another pid, finish the
+# remaining epochs — reports must match the uninterrupted detector byte
+# for byte, across a seed sweep.
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mid_run_migration_reproduces_reports(seed):
@@ -108,7 +114,7 @@ def test_mid_run_migration_reproduces_reports(seed):
     assert (sorted(str(r) for r in migrated.detector.races)
             == sorted(str(r) for r in uninterrupted.detector.races))
     # The migrated detector genuinely is a different object on a
-    # different pid, restored through the journal.
+    # different pid, rebuilt from the journal.
     assert migrated.coordinator.pid == 1
     assert migrated.detector.master_pid == 1
     assert migrated.coordinator.stats.elections_held == 1

@@ -7,11 +7,11 @@ comparison: exactly two ``IntervalRef`` per comparison with a non-empty
 intersection, where the per-bit builder made two per report.  Its
 Python-level calls (``sys.setprofile`` ``call`` events: the symbol
 lookup, the refs, the entry's one clock advance) stay within a per-report
-ceiling, and under ``--master-failover`` the coordinator journal, written
+ceiling, and under ``--master-failover`` the coordinator journal, appended
 after every detection pass, encodes each report once over the whole run.
 The ceilings fail at the per-bit builder (two refs per report, 7.14 calls
 per report; 2.53 now) and at a journal that re-encodes the detector state
-at every write (174,150 ``RaceReport.to_dict`` calls for 4,698 reports).
+at every write (174,150 report encodings for 4,698 reports).
 """
 
 import sys
@@ -20,8 +20,9 @@ import pytest
 
 from repro.apps.hashtab import HashTabParams
 from repro.apps.registry import get_app
+from repro.core import detector as detector_module
 from repro.core.detector import RaceDetector
-from repro.core.report import IntervalRef, RaceReport
+from repro.core.report import IntervalRef
 from repro.dsm.cvm import CVM
 
 #: Python-level calls step 5 may make per reported race.
@@ -83,13 +84,13 @@ def test_step5_stays_within_its_call_budget(step5_work):
 
 def test_failover_journal_encodes_each_report_once(monkeypatch):
     encoded = []
-    to_dict = RaceReport.to_dict
+    report_row = detector_module._report_row
 
-    def counted(self):
-        encoded.append(self)
-        return to_dict(self)
+    def counted(report):
+        encoded.append(report)
+        return report_row(report)
 
-    monkeypatch.setattr(RaceReport, "to_dict", counted)
+    monkeypatch.setattr(detector_module, "_report_row", counted)
     result = run_cell(master_failover=True)
     reports = len(result.races) + len(result.unverifiable)
     assert result.failover_stats.state_checkpoints > 10

@@ -7,7 +7,7 @@ walks the common bits without a generator, builds each report with one
 ``tests/core/reference_step5.py`` is the same step one bit and one
 comparison at a time.  *Everything observable* must match: the reports
 (fields, text, order), the unverifiable entries, the detector statistics,
-the serialized detector state, every process's virtual-time ledger, the
+the detector state its commits wrote, every process's virtual-time ledger, the
 runtime and the traffic.
 
 Corpora: seeded random SPMD programs, every registered application, the
@@ -19,6 +19,7 @@ notices, and pin the tuple record against keyword construction.
 """
 
 import inspect
+import json
 import textwrap
 
 import pytest
@@ -26,7 +27,7 @@ import pytest
 from tests.core.reference_step5 import detector_class, reference_step5
 from tests.core.test_oracle_agreement import (NWORDS, _execute,
                                               generate_program)
-from tests.helpers import small_config
+from tests.helpers import detector_state, small_config
 
 from repro.apps.hashtab import HashTabParams
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
@@ -34,6 +35,7 @@ from repro.core import detector as detector_module
 from repro.core.detector import RaceDetector
 from repro.core.report import RaceReport
 from repro.dsm.cvm import CVM
+from repro.durable import canon
 from repro.net.faults import FaultPlan, FaultRates
 
 ALL_APPS = sorted(APPLICATIONS) + sorted(EXTRAS)
@@ -42,11 +44,8 @@ ALL_APPS = sorted(APPLICATIONS) + sorted(EXTRAS)
 def observe(system, result):
     """Everything a caller can see of a finished run's detection."""
     return dict(
-        races=[r.to_dict() for r in result.races],
+        detector_state(system.detector),
         text=[str(r) for r in result.races],
-        unverifiable=[r.to_dict() for r in result.unverifiable],
-        stats=result.detector_stats.to_dict(),
-        state=system.detector.serialize_state(),
         ledgers=[dict(ledger.totals) for ledger in result.ledgers],
         runtime=result.runtime_cycles,
         traffic=result.traffic)
@@ -131,7 +130,7 @@ def test_failed_bitmap_round_matches_reference():
     seen = assert_matches_reference(app_run, "hashtab", fault_plan=plan,
                                     retry_budget=2)
     assert seen["stats"]["page_granularity_reports"] > 0
-    assert any(d["granularity"] == "word" for d in seen["races"])
+    assert any(r.granularity == "word" for r in seen["races"])
 
 
 def test_crash_without_checkpoint_matches_reference():
@@ -190,6 +189,7 @@ def test_step5_reports_round_trip_and_hash_like_keyword_reports():
         assert type(report) is RaceReport
         assert report == keyword and hash(report) == hash(keyword)
         assert report == tuple(keyword)  # a tuple of its fields
-        assert RaceReport.from_dict(report.to_dict()) == report
+        row = json.loads(canon(detector_module._report_row(report)))
+        assert detector_module._report_from_row(row) == report
         assert report.key() == keyword.key()
         assert str(report) == str(keyword)

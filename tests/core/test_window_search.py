@@ -4,7 +4,7 @@
 them in line; ``tests/core/reference_windows.py`` keeps the search it
 replaced.  Seeded random lock/barrier histories must give identical
 windows, identical ``concurrent_pairs`` **and** identical ``comparisons``:
-the probe count is journalled by ``RaceDetector.serialize_state``
+the probe count is journalled in every commit record
 (``actual_comparisons``) and reported as ``core.detector.probes``, so a
 different midpoint is a stored-format change even when the windows agree.
 """

@@ -56,7 +56,7 @@ def test_epoch_advances_per_barrier():
 
     system, res = run_app_with_system(app, nprocs=2)
     assert res.barriers_completed == 4  # 3 explicit + final implicit
-    assert system.epoch == 4
+    assert system.sync.barrier_state.generation == 4
 
 
 def test_interval_store_garbage_collected():

@@ -1,12 +1,11 @@
 """Unit tests for the elected coordinator role (master failover).
 
-Covers the deterministic election function, the role's journal/restore
-round trip (the real serialize → canonical JSON → parse → restore path),
+Covers the deterministic election function, the role's journal and its
+install (the longest intact prefix of the framed commit records, a torn
+tail filled in from the holder's checkpoint section or from memory),
 the barrier-master reassignment guards, and the config-layer validation
 of the failover knobs.
 """
-
-import json
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.errors import SynchronizationError
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import (OVERHEAD_CATEGORIES, CostCategory,
                                  CostModel)
+from tests.test_durable import _record_ends
 
 
 # ---------------------------------------------------------------------- #
@@ -54,34 +54,75 @@ def test_election_is_deterministic():
 
 
 # ---------------------------------------------------------------------- #
-# Role state: journal and install round trip.
+# The journal: the detector's commit records, framed, one append per
+# detection pass; the install replays its longest intact prefix.
 # ---------------------------------------------------------------------- #
+#: Three commit records, one per journal append (the role moves them as
+#: opaque texts).
+RECORDS = ['{"n":0}', '{"n":1,"pad":"xx"}', '{"n":2,"pad":"xxxx"}']
+#: What the dead coordinator holds in memory in the tests below: texts
+#: unlike the journal's, so a replay shows where its prefix ended.
+MEMORY = ["memory-0", "memory-1", "memory-2"]
+
+
+class _FakeDetector:
+    """Observable stand-in: a commit log, and what was replayed into it."""
+
+    def __init__(self):
+        self.log = []
+        self.replayed = None
+
+    def replay(self, records):
+        self.replayed = list(records)
+        self.log.extend(records)
+
+
 def _role(failover=True, detector=None, factory=None):
     return CoordinatorRole(4, failover=failover, detector=detector,
                            detector_factory=factory or (lambda pid: None),
                            initial_pid=0)
 
 
+def _journaled_role():
+    """A role that appended ``RECORDS`` one per detection pass, whose
+    dead coordinator then holds ``MEMORY``; returns it with the holder's
+    last checkpoint section."""
+    det = _FakeDetector()
+    role = _role(detector=det, factory=lambda pid: _FakeDetector())
+    for record in RECORDS:
+        det.log.append(record)
+        role.journal_state(VirtualClock(), CostModel())
+    section = role.snapshot_section(0)
+    det.log = list(MEMORY)
+    return role, section
+
+
 def test_role_state_json_is_canonical():
-    role = _role()
-    text = role.state_json()
-    # Canonical form: sorted keys, no whitespace — byte sizes must be
-    # deterministic because they are priced.
-    assert text == json.dumps(json.loads(text), sort_keys=True,
-                              separators=(",", ":"))
+    # The journal holds the detector's canonical record texts verbatim,
+    # each framed — byte sizes must be deterministic because they are
+    # priced.
+    role, _section = _journaled_role()
+    assert bytes(role._journal) == "".join(
+        durable.frame(r) + "\n" for r in RECORDS).encode()
 
 
 def test_journal_state_charges_failover_not_overhead():
-    role = _role()
+    det = _FakeDetector()
+    det.log = list(RECORDS)
+    role = _role(detector=det)
     clock = VirtualClock()
     cm = CostModel()
     nbytes = role.journal_state(clock, cm)
-    assert nbytes == len(role.journal_json.encode("utf-8"))
+    assert nbytes == role.journal_bytes > 0
     assert clock.now == pytest.approx(cm.checkpoint_write_per_byte * nbytes)
     ledger = clock.ledger
     assert ledger.totals[CostCategory.FAILOVER] > 0
     assert all(ledger.totals[cat] == 0 for cat in OVERHEAD_CATEGORIES)
     assert role.stats.state_checkpoints == 1
+    assert role.stats.state_checkpoint_bytes == nbytes
+    # Priced on the bytes appended: a pass that committed nothing
+    # appends nothing.
+    assert role.journal_state(clock, cm) == 0
     assert role.stats.state_checkpoint_bytes == nbytes
 
 
@@ -102,12 +143,13 @@ def test_install_from_journal_moves_the_role():
 
 
 def test_snapshot_section_carries_state_only_for_the_holder():
-    role = _role()
-    holder = role.snapshot_section(0)
+    role, holder = _journaled_role()
     other = role.snapshot_section(3)
     assert holder["pid"] == other["pid"] == 0
-    assert holder["state"] is not None
-    assert other["state"] is None
+    # The count and chain digest of the log, and the last append's records.
+    assert holder["count"] == 3
+    assert holder["records"] == RECORDS[2:]
+    assert other == {"pid": 0}
 
 
 def test_failover_stats_summary_keys():
@@ -118,93 +160,92 @@ def test_failover_stats_summary_keys():
     assert all(v == 0 for v in s.values())
 
 
-# ---------------------------------------------------------------------- #
-# Journal durability: torn or corrupt journal tails are detected on
-# restore and the role falls back instead of installing garbage.
-# ---------------------------------------------------------------------- #
-class _FakeDetector:
-    """Observable stand-in: records what state was restored into it."""
-
-    def __init__(self):
-        self.restored = None
-
-    def serialize_state(self):
-        return {"marker": "live"}
-
-    def state_json(self):
-        return durable.canon(self.serialize_state())
-
-    def restore_state(self, state):
-        self.restored = state
-
-
-def _observable_role():
-    return CoordinatorRole(4, failover=True, detector=_FakeDetector(),
-                           detector_factory=lambda pid: _FakeDetector(),
-                           initial_pid=0)
-
-
 def test_journal_is_framed_and_round_trips():
-    role = _observable_role()
-    role.journal_state(VirtualClock(), CostModel())
-    framed = role.journal_json
-    body, _, digest = framed.rpartition("\n")
-    assert body == role.state_json()
-    state = CoordinatorRole.parse_journal(framed)
-    assert state == {"pid": 0, "detector": {"marker": "live"}}
+    role, _section = _journaled_role()
+    records, dropped, intact = durable.parse_log(
+        role._journal, lambda body, _index: body)
+    assert (records, dropped, intact) == (RECORDS, 0, role.journal_bytes)
+
+
+def test_install_from_intact_journal_restores_journaled_state():
+    role, _section = _journaled_role()
+    role.install_from_journal(2)
+    assert role.detector.replayed == RECORDS
+    assert role.stats.journal_fallbacks == 0
+
+
+# ---------------------------------------------------------------------- #
+# Torn tails: the install takes the longest intact prefix — never a torn
+# record — fills the rest in from the holder's checkpoint section, else
+# from the dead coordinator's memory, and counts the fallback once.
+# ---------------------------------------------------------------------- #
+def test_journal_cut_at_every_offset_installs_the_intact_prefix():
+    role, _section = _journaled_role()
+    data = bytes(role._journal)
+    ends = _record_ends(data)
+    assert len(ends) == 3 and ends[-1] == len(data)
+    for cut in range(len(data) + 1):
+        role, _section = _journaled_role()
+        role._journal = bytearray(data[:cut])
+        role.install_from_journal(1)
+        intact = sum(1 for end in ends if end <= cut)
+        assert role.detector.replayed == RECORDS[:intact] + MEMORY[intact:]
+        assert role.stats.journal_fallbacks == (intact < 3), cut
+        # The torn tail is cut; the next append re-writes the fill.
+        assert bytes(role._journal) == data[:ends[intact - 1]
+                                             if intact else 0]
+
+
+def test_parse_journal_rejects_flipped_byte():
+    role, _section = _journaled_role()
+    data = bytes(role._journal)
+    ends = _record_ends(data)
+    for i in range(len(data)):
+        role, _section = _journaled_role()
+        role._journal = bytearray(data[:i] + bytes([data[i] ^ 1])
+                                  + data[i + 1:])
+        role.install_from_journal(1)
+        intact = sum(1 for end in ends if end <= i)
+        assert role.detector.replayed == RECORDS[:intact] + MEMORY[intact:]
+        assert role.stats.journal_fallbacks == 1, i
 
 
 @pytest.mark.parametrize("cut", [1, 10, -1, -20])
 def test_parse_journal_rejects_truncation(cut):
-    role = _observable_role()
-    role.journal_state(VirtualClock(), CostModel())
-    framed = role.journal_json
-    with pytest.raises(ValueError, match="torn or corrupt"):
-        CoordinatorRole.parse_journal(framed[:cut])
-
-
-def test_parse_journal_rejects_flipped_byte():
-    role = _observable_role()
-    role.journal_state(VirtualClock(), CostModel())
-    framed = role.journal_json
-    corrupt = framed.replace('"marker"', '"mXrker"', 1)
-    assert corrupt != framed
-    with pytest.raises(ValueError, match="torn or corrupt"):
-        CoordinatorRole.parse_journal(corrupt)
-
-
-def test_parse_journal_rejects_wrong_shape():
-    framed = durable.frame('["not", "a", "role"]')
-    with pytest.raises(ValueError, match="malformed"):
-        CoordinatorRole.parse_journal(framed)
-
-
-def test_install_from_intact_journal_restores_journaled_state():
-    role = _observable_role()
-    role.journal_state(VirtualClock(), CostModel())
-    role.install_from_journal(2)
-    assert role.detector.restored == {"marker": "live"}
-    assert role.stats.journal_fallbacks == 0
+    """With the holder's section at hand: a cut into the last append is
+    filled in from its records, an earlier one from memory."""
+    role, section = _journaled_role()
+    role._journal = role._journal[:cut]
+    role.install_from_journal(1, section)
+    if cut < 0:
+        assert role.detector.replayed == RECORDS
+    else:
+        assert role.detector.replayed == MEMORY
+    assert role.stats.journal_fallbacks == 1
 
 
 def test_install_from_torn_journal_uses_checkpoint_fallback():
-    role = _observable_role()
-    role.journal_state(VirtualClock(), CostModel())
-    role._journal = role._journal[:len(role._journal) // 2]
-    role.install_from_journal(
-        2, fallback_state={"pid": 0, "detector": {"marker": "checkpoint"}})
+    role, section = _journaled_role()
+    role._journal = role._journal[:len(role._journal) - 5]
+    role.install_from_journal(2, section)
     assert role.pid == 2
-    assert role.detector.restored == {"marker": "checkpoint"}
+    assert role.detector.replayed == RECORDS
     assert role.stats.journal_fallbacks == 1
     assert role.stats.elections_held == 1
 
 
+def test_checkpoint_records_of_another_log_are_refused():
+    role, section = _journaled_role()
+    role._journal = role._journal[:len(role._journal) - 5]
+    role.install_from_journal(2, dict(section, digest="0" * 16))
+    assert role.detector.replayed == RECORDS[:2] + MEMORY[2:]
+
+
 def test_install_from_torn_journal_without_checkpoint_uses_memory():
-    role = _observable_role()
-    role.journal_state(VirtualClock(), CostModel())
-    role._journal = "garbage with no frame"
+    role, _section = _journaled_role()
+    role._journal = bytearray(b"garbage with no frame")
     role.install_from_journal(1)
-    assert role.detector.restored == {"marker": "live"}
+    assert role.detector.replayed == MEMORY
     assert role.stats.journal_fallbacks == 1
 
 
@@ -228,7 +269,6 @@ def test_reassign_master_moves_the_master():
     # epoch where *every* process crashed, the elected successor is itself
     # recovering and is declared dead like the rest.
     bar.declare_dead(2)
-    assert bar.dead_this_generation == {0, 2}
 
 
 def test_reassign_master_rejects_out_of_range_pid():

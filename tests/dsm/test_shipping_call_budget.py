@@ -63,7 +63,8 @@ def counted_run():
         seen["shipped"] = sum(
             len(system.store.unseen(system.nodes[other].vc, master_node.vc))
             for other in range(NPROCS) if other != bar.master)
-        seen["epoch"] = system.store.epoch_intervals(system.epoch)
+        seen["epoch"] = system.store.epoch_intervals(
+            system.sync.barrier_state.generation)
         seen["calls"] = count_calls(release_pass, bar, master_node)
 
     system.sync._barrier_release_pass = counted

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.dsm.config import DsmConfig
 from repro.dsm.cvm import CVM
 
@@ -38,3 +40,28 @@ def online_race_keys(result):
                        (r.b.pid, r.b.index, r.b.access)])))
         for r in result.races
     }
+
+
+def detector_state(detector):
+    """Everything a detector's commits wrote, as plain values (a copy):
+    the reports, the dedup state, the counters with their per-epoch
+    history, the first-race epoch and the probe count."""
+    return dict(
+        races=list(detector.races),
+        unverifiable=list(detector.unverifiable),
+        seen_keys=set(detector._seen_keys),
+        unverifiable_pair_keys=set(detector._unverifiable_pair_keys),
+        first_race_epoch=detector._first_race_epoch,
+        actual_comparisons=detector.actual_comparisons,
+        stats=dataclasses.asdict(detector.stats))
+
+
+def stats_dict(stats):
+    """``DetectorStats`` in the form the golden files were captured in:
+    the three coarse-filter counters are left out when all are zero."""
+    data = dataclasses.asdict(stats)
+    if not (stats.granule_checks or stats.granule_hits
+            or stats.pairs_filtered):
+        for name in ("granule_checks", "granule_hits", "pairs_filtered"):
+            del data[name]
+    return data

@@ -30,6 +30,7 @@ import pytest
 
 from benchmarks.spine.workloads import BY_NAME, spec_of
 from repro.dsm.cvm import CVM
+from tests.helpers import stats_dict
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "access_golden.json")
 IRREGULAR_PATH = os.path.join(os.path.dirname(__file__),
@@ -59,7 +60,7 @@ def observe(label: str, hooks: str) -> dict:
         trace.update(repr(tuple(event)).encode())
     return {
         "report_keys": [repr(r.key()) for r in result.races],
-        "stats": result.detector_stats.to_dict(),
+        "stats": stats_dict(result.detector_stats),
         "ledgers": [{cat.value: cycles
                      for cat, cycles in ledger.totals.items()}
                     for ledger in result.ledgers],

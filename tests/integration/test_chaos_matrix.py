@@ -302,25 +302,30 @@ def test_chaos_filter_cells_exercise_the_filter():
 
 
 # ---------------------------------------------------------------------- #
-# Journal durability: a torn coordinator-journal write must be detected
-# on restore and fall back to the checkpointed coordinator section —
+# Journal durability: a torn coordinator-journal append must be detected
+# on install and its tail filled in from the holder's checkpoint section —
 # never installed as garbage, never fatal.
 # ---------------------------------------------------------------------- #
 def test_torn_journal_falls_back_to_checkpoint(monkeypatch, tsp_free):
     from repro.dsm.coordinator import CoordinatorRole
 
-    original_journal = CoordinatorRole.journal_state
+    install = CoordinatorRole.install_from_journal
 
-    def torn_journal(self, clock, cost_model):
-        nbytes = original_journal(self, clock, cost_model)
-        # Tear every journal write mid-frame, as a crash mid-write would.
-        self._journal = self._journal[:len(self._journal) // 2]
-        return nbytes
+    def torn_install(self, new_pid, section=None):
+        # The dead coordinator's last append tore mid-record, and its
+        # memory died with it: only the checkpoint can fill the tail in.
+        self._journal = self._journal[:-10]
+        self.detector.log = []
+        return install(self, new_pid, section)
 
-    monkeypatch.setattr(CoordinatorRole, "journal_state", torn_journal)
+    monkeypatch.setattr(CoordinatorRole, "install_from_journal",
+                        torn_install)
     res = get_app("tsp").run(nprocs=4, crash_at=((0, 1),),
                              master_failover=True, checkpoint=True)
     assert res.failover_stats.elections_held == 1
     assert res.failover_stats.journal_fallbacks == 1
     assert _report_lines(res) == _report_lines(tsp_free)
     assert res.unverifiable == []
+    # The torn epoch-0 record came back: tsp races only in epoch 1, so
+    # the report lines alone would not show its loss.
+    assert res.detector_stats == tsp_free.detector_stats

@@ -10,6 +10,10 @@ trailing newline, fleet files with one — because ``nbytes``/``trace_bytes``
 feed virtual-time charges and old spools, traces and checkpoint
 directories must stay readable.
 
+The ``coordinator_journal`` entry was re-captured when the journal
+became an append log of the detector's commit records (its bytes and its
+byte counters fell on purpose; its failover counts did not move).
+
 The checkpoint directory's ``LOCK`` file is left out: it holds the writing
 process's OS pid.
 
@@ -65,7 +69,7 @@ def coordinator_journal(tmp: str) -> dict:
     cfg = spec.config(nprocs=4, master_failover=True, crash_at=((0, 1),))
     system = CVM(cfg)
     result = system.run(spec.func, spec.default_params)
-    return {"sha": _sha(system.coordinator.journal_json),
+    return {"sha": _sha(bytes(system.coordinator._journal)),
             "failover": result.failover_stats.summary()}
 
 

@@ -16,11 +16,10 @@ The headline guarantees (ISSUE 5 acceptance criteria):
   at the flag.
 """
 
-import json
-
 import pytest
 
 from tests.core.reference_step5 import detector_class
+from tests.helpers import detector_state
 
 from repro import durable
 from repro.apps.registry import APPLICATIONS, get_app
@@ -152,6 +151,28 @@ def test_failover_on_without_crash_changes_no_reports():
 
 
 # ---------------------------------------------------------------------- #
+# Bytes: the journal and the holder's checkpoint sections carry each
+# commit record once, so they grow with the commits, not with the state.
+# ---------------------------------------------------------------------- #
+#: hashtab@16 with a random schedule and no crash: the detector's final
+#: state in the full-state encoding the journal once rewrote at every
+#: barrier (39 writes, 15,728,308 B), and the run's checkpoint bytes with
+#: failover off.
+FINAL_STATE_BYTES = 562_308
+CHECKPOINT_BYTES_WITHOUT_FAILOVER = 953_665
+
+
+def test_journal_and_checkpoint_bytes_stay_within_budget():
+    res = get_app("hashtab").run(nprocs=16, policy="random",
+                                 master_failover=True, checkpoint=True)
+    assert res.failover_stats.state_checkpoints == 39
+    assert (res.failover_stats.state_checkpoint_bytes
+            <= 1.1 * FINAL_STATE_BYTES)
+    assert (res.crash_stats.checkpoint_bytes
+            <= CHECKPOINT_BYTES_WITHOUT_FAILOVER + 1.1 * FINAL_STATE_BYTES)
+
+
+# ---------------------------------------------------------------------- #
 # The guard rails with failover off.
 # ---------------------------------------------------------------------- #
 def test_crash_at_master_still_rejected_without_failover():
@@ -192,27 +213,31 @@ def test_master_crash_on_lossy_network_reports_byte_identical(seed,
 
 
 # ---------------------------------------------------------------------- #
-# The journal is assembled from member texts the detector keeps: at every
-# write it must equal the canonical encoding of the state it stands for.
+# The journal is the detector's commit log: at every append, a detector
+# rebuilt by replaying it must equal the live one.
 # ---------------------------------------------------------------------- #
-def journal_divergences(monkeypatch, app, nprocs, **overrides):
-    """Journal writes whose body differs from ``canon(serialize_state())``
-    (and the number of writes checked)."""
-    bad, writes = [], []
+def replay_divergences(monkeypatch, app, nprocs, **overrides):
+    """Journal appends after which a detector replayed from the journal
+    differs from the live one (and the number of appends checked)."""
+    bad, appends = [], []
     journal_state = CoordinatorRole.journal_state
 
     def checked(self, clock, cost_model):
         nbytes = journal_state(self, clock, cost_model)
-        writes.append(nbytes)
-        body = durable.unframe(self.journal_json)
-        if body != durable.canon(self.serialize_state()):
-            bad.append(len(writes))
+        appends.append(nbytes)
+        records, dropped, _ = durable.parse_log(
+            self._journal, lambda body, _index: body)
+        rebuilt = self._factory(self.pid)
+        rebuilt.replay(records)
+        if dropped or detector_state(rebuilt) != detector_state(
+                self.detector):
+            bad.append(len(appends))
         return nbytes
 
     monkeypatch.setattr(CoordinatorRole, "journal_state", checked)
     res = get_app(app).run(nprocs=nprocs, master_failover=True, **overrides)
     assert res.failover_stats.elections_held >= 1
-    return bad, len(writes)
+    return bad, len(appends)
 
 
 JOURNAL_CELLS = {
@@ -223,28 +248,43 @@ JOURNAL_CELLS = {
                                    checkpoint=True)),
     "hashtab-first-races": ("hashtab", 8, dict(crash_at=((0, 2),),
                                                first_races_only=True)),
+    # The crashed master's lost intervals leave unverifiable pairs.
+    "tsp-no-checkpoint": ("tsp", 4, dict(crash_at=((0, 1),))),
 }
 
 
 @pytest.mark.parametrize("cell", sorted(JOURNAL_CELLS))
-def test_journal_texts_equal_the_canonical_state(cell, monkeypatch):
+def test_replay_equals_live(cell, monkeypatch):
     app, nprocs, overrides = JOURNAL_CELLS[cell]
-    bad, writes = journal_divergences(monkeypatch, app, nprocs, **overrides)
-    assert writes > 2
+    bad, appends = replay_divergences(monkeypatch, app, nprocs, **overrides)
+    assert appends > 2
     assert bad == []
 
 
-class RestoreRebuildsLooseTexts(RaceDetector):
-    """A successor that rebuilds its race texts with ``json.dumps``'s
-    separators instead of the canonical ones."""
-
-    def restore_state(self, data):
-        super().restore_state(data)
-        self._texts["races"] = [json.dumps(d) for d in data["races"]]
+class RecordDropsSuppressedKeys(RaceDetector):
+    def _record(self, races, unverifiable, suppressed, pair_keys, summary):
+        return super()._record(races, unverifiable, [], pair_keys, summary)
 
 
-def test_a_journal_with_wrong_member_texts_is_caught(monkeypatch):
-    with detector_class(RestoreRebuildsLooseTexts):
-        bad, _writes = journal_divergences(monkeypatch, "hashtab", 8,
-                                           crash_at=((0, 2),))
+class RecordDropsUnverifiablePairKeys(RaceDetector):
+    def _record(self, races, unverifiable, suppressed, pair_keys, summary):
+        return super()._record(races, unverifiable, suppressed, [], summary)
+
+
+#: A broken record, and the cell whose commits carry what it drops.
+BROKEN_RECORDS = {
+    "drops-suppressed-keys": (RecordDropsSuppressedKeys,
+                              "hashtab-first-races"),
+    "drops-unverifiable-pair-keys": (RecordDropsUnverifiablePairKeys,
+                                     "tsp-no-checkpoint"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BROKEN_RECORDS))
+def test_a_broken_record_is_caught(mutant, monkeypatch):
+    cls, cell = BROKEN_RECORDS[mutant]
+    app, nprocs, overrides = JOURNAL_CELLS[cell]
+    with detector_class(cls):
+        bad, _appends = replay_divergences(monkeypatch, app, nprocs,
+                                           **overrides)
     assert bad
