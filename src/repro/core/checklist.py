@@ -192,18 +192,30 @@ class PageIndex:
         one run of bits.  ``probe_work`` is the sum of :func:`overlap_work`
         over the concurrent pairs (what the detector charges for the
         winnowing step), as window arithmetic: ``size(a) * width`` plus a
-        range sum of partner sizes.
+        range sum of partner sizes, per interval of a window run.  The
+        masks of the runs that span several intervals of p (unordered
+        blocks, all of p) are OR'ed together first and into each of those
+        intervals once.
         """
         conc = [0] * len(self.recs)
-        pre = self._notices
+        pre, base = self._notices, self.base
         probe_work = 0
-        for p, i, q, lo, hi in concurrency_windows(self.by_pid, blocks, stats):
-            o = self.base[p] + i
-            first = self.base[q] + lo
+        runs: Dict[Tuple[int, int], int] = {}
+        for p, i, j, q, lo, hi in concurrency_windows(self.by_pid, blocks,
+                                                      stats):
+            o, end = base[p] + i, base[p] + j
+            first = base[q] + lo
             width = hi - lo
-            probe_work += (width * (pre[o + 1] - pre[o])
-                           + pre[first + width] - pre[first])
-            conc[o] |= ((1 << width) - 1) << first
+            probe_work += (width * (pre[end] - pre[o])
+                           + (j - i) * (pre[first + width] - pre[first]))
+            mask = ((1 << width) - 1) << first
+            if j - i == 1:
+                conc[o] |= mask
+            else:
+                runs[o, end] = runs.get((o, end), 0) | mask
+        for (o, end), mask in runs.items():
+            for x in range(o, end):
+                conc[x] |= mask
         return conc, probe_work
 
     def join(self, conc: List[int], coarse_filter: bool) -> EpochJoin:

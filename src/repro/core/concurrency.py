@@ -12,6 +12,7 @@ of the same process are never compared.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -76,11 +77,37 @@ def pair_blocks(by_pid: Dict[int, List[Interval]]) -> List[Block]:
     return [(p, q) for i, p in enumerate(pids) for q in pids[i + 1:]]
 
 
+def _extend_probe_tables(tables: List[List[int]], n: int) -> List[int]:
+    """Grow ``tables`` up to ``tables[n]`` and return it.
+
+    ``tables[n][r]`` is the number of probes the midpoint bisection over
+    ``n`` entries makes when it ends at ``r``: its path depends on nothing
+    else, because every probe at ``mid`` goes right exactly when
+    ``mid < r``.  The first probe splits ``n`` at ``mid = n // 2`` into
+    the bisections over ``mid`` and ``n - mid - 1`` entries, one probe
+    deeper.
+    """
+    while len(tables) <= n:
+        size = len(tables)
+        mid = size // 2
+        tables.append([probes + 1 for probes in tables[mid]]
+                      + [probes + 1 for probes in tables[size - mid - 1]])
+    return tables[n]
+
+
+#: ``_PROBES[n][r]``: the probes of a midpoint bisection over ``n``
+#: entries that ends at ``r`` (see :func:`_extend_probe_tables`), built
+#: ahead for the block sizes epochs usually have and grown on demand.
+_PROBES: List[List[int]] = [[0]]
+_extend_probe_tables(_PROBES, 64)
+
+
 def concurrency_windows(
         by_pid: Dict[int, List[Interval]], blocks: Iterable[Block],
-        stats: PairSearchStats) -> Iterator[Tuple[int, int, int, int, int]]:
-    """Yield ``(p, i, q, lo, hi)`` for every non-empty concurrency window
-    of the process-pair ``blocks``: interval ``by_pid[p][i]`` is
+        stats: PairSearchStats
+) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """Yield ``(p, i, j, q, lo, hi)`` for every non-empty window run of
+    the process-pair ``blocks``: each interval of ``by_pid[p][i:j]`` is
     concurrent with exactly ``by_pid[q][lo:hi]``.
 
     For a fixed interval ``a`` of process p, process q's intervals are
@@ -88,73 +115,54 @@ def concurrency_windows(
     window*: everything before it happened-before ``a`` (transitively,
     because q's later intervals dominate its earlier ones) and everything
     after it happened-after.  Both window edges are found by binary
-    search — O(i log i) probes per block instead of O(i^2).
+    search — O(i log i) probes per block instead of O(i^2) — on two
+    columns read out of q's closed records once per block: q's interval
+    indices and q's view of p (``vc[p]``).  ``bisect`` runs the search;
+    :data:`_PROBES` gives the probes the paper's constant-time check
+    (:func:`~repro.dsm.vector_clock.precedes`) would have made on the
+    way, midpoint for midpoint.
 
-    The records are closed, so what a probe reads is fixed per block: the
-    two columns the searches compare against — q's interval indices and
-    q's view of p (``vc[p]``) — are read out once, and every probe is one
-    integer comparison against a column (the paper's constant-time check,
-    :func:`~repro.dsm.vector_clock.precedes`, with both operands in
-    hand).  ``stats.comparisons`` (one per probe) and
-    ``stats.concurrent_pairs`` (the window widths) are added once per
-    block, after its last window; ``tests/core/reference_windows.py``
-    keeps the probe-at-a-time search this must agree with, midpoint for
-    midpoint.
+    A block whose corners are unordered — p's last interval has not seen
+    q's first, and q's last has not seen p's first — is one run: clocks
+    never decrease along a process, so no interval of either side has
+    seen any of the other's, and every window is the whole of q.  Two
+    integer comparisons decide it.
+
+    ``stats.comparisons`` (one per probe) and ``stats.concurrent_pairs``
+    (the window widths) are added once per block, after its last run;
+    ``tests/core/reference_windows.py`` keeps the probe-at-a-time search
+    this must agree with.
     """
+    tables = _PROBES
     for p, q in blocks:
-        qs = by_pid[q]
-        n = len(qs)
+        ps, qs = by_pid[p], by_pid[q]
+        m, n = len(ps), len(qs)
+        if not m or not n:
+            continue
+        table = tables[n] if n < len(tables) else _extend_probe_tables(
+            tables, n)
+        if (ps[-1].vc.entries[q] < qs[0].index
+                and qs[-1].vc.entries[p] < ps[0].index):
+            yield p, 0, m, q, 0, n
+            stats.comparisons += m * (table[0] + table[n])
+            stats.concurrent_pairs += m * n
+            continue
         indices = [b.index for b in qs]
         seen_of_p = [b.vc.entries[p] for b in qs]
         probes = pairs = 0
-        for i, a in enumerate(by_pid[p]):
-            # First interval of q that did NOT happen-before a:
-            # b happened-before a iff a.vc[q] >= b.index, and q's indices
-            # increase, so the predicate is monotone (true then false).
-            seen = a.vc.entries[q]
-            first, hi = 0, n
-            while first < hi:
-                mid = (first + hi) // 2
-                probes += 1
-                if seen >= indices[mid]:
-                    first = mid + 1
-                else:
-                    hi = mid
-            # First interval of q that a happened-before:
-            # a happened-before b iff b.vc[p] >= a.index, and clock entries
-            # never decrease along q's program order (false then true).
-            index = a.index
-            after, hi = 0, n
-            while after < hi:
-                mid = (after + hi) // 2
-                probes += 1
-                if seen_of_p[mid] >= index:
-                    hi = mid
-                else:
-                    after = mid + 1
+        for i, a in enumerate(ps):
+            # First interval of q that did NOT happen-before a: b
+            # happened-before a iff a.vc[q] >= b.index.
+            first = bisect_right(indices, a.vc.entries[q])
+            # First interval of q that a happened-before: a
+            # happened-before b iff b.vc[p] >= a.index.
+            after = bisect_left(seen_of_p, a.index)
+            probes += table[first] + table[after]
             if after > first:
                 pairs += after - first
-                yield p, i, q, first, after
+                yield p, i, i + 1, q, first, after
         stats.comparisons += probes
         stats.concurrent_pairs += pairs
-
-
-def model_comparison_count(intervals: List[Interval]) -> int:
-    """Comparisons the naive search *would* perform, computed analytically.
-
-    :func:`find_concurrent_pairs` checks every cross-process interval pair
-    exactly once, so its comparison count is a pure function of the
-    per-process interval counts: the sum over unordered process pairs
-    (p, q) of ``|I_p| * |I_q|``.  The fast-path detector runs the pruned
-    search for real but charges *this* figure to the master's virtual
-    clock, keeping the paper's cost model (Figure 3 "Intervals", Table 3)
-    bit-identical while the Python wall-clock drops.
-    """
-    sizes: Dict[int, int] = {}
-    for rec in intervals:
-        sizes[rec.pid] = sizes.get(rec.pid, 0) + 1
-    total = len(intervals)
-    return (total * total - sum(n * n for n in sizes.values())) // 2
 
 
 def find_concurrent_pairs_pruned(
@@ -168,8 +176,9 @@ def find_concurrent_pairs_pruned(
     """
     by_pid = group_by_pid(intervals)
     stats.intervals += len(intervals)
-    for p, i, q, lo, hi in concurrency_windows(by_pid, pair_blocks(by_pid),
-                                               stats):
-        a = by_pid[p][i]
-        for b in by_pid[q][lo:hi]:
-            yield (a, b)
+    for p, i, j, q, lo, hi in concurrency_windows(
+            by_pid, pair_blocks(by_pid), stats):
+        partners = by_pid[q][lo:hi]
+        for a in by_pid[p][i:j]:
+            for b in partners:
+                yield (a, b)

@@ -34,7 +34,7 @@ from repro.core.checklist import (ACCESS_COMBINATIONS, CheckEntry,
                                   entry_key, overlap_work)
 from repro.core.concurrency import (Block, PairSearchStats,
                                     find_concurrent_pairs, group_by_pid,
-                                    model_comparison_count, pair_blocks)
+                                    pair_blocks)
 from repro.core.report import IntervalRef, RaceKind, RaceReport
 from repro.dsm.interval import Interval
 from repro.durable import canon
@@ -316,8 +316,9 @@ class RaceDetector:
         """
         index = PageIndex(intervals) if self.fast_path else None
         by_pid = index.by_pid if index is not None else group_by_pid(intervals)
-        shard = DetectShard(self.master_pid, pair_blocks(by_pid),
-                            model_comparison_count(intervals))
+        blocks = pair_blocks(by_pid)
+        shard = DetectShard(self.master_pid, blocks, sum(
+            len(by_pid[p]) * len(by_pid[q]) for p, q in blocks))
         plan = ShardPlan(owners=[shard.owner], by_pid=by_pid,
                          shards={shard.owner: shard},
                          intervals=list(intervals),

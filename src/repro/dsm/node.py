@@ -9,7 +9,7 @@ the protocol's and the CVM facade's business.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.interval import Interval
@@ -31,7 +31,7 @@ class IntervalStore:
     (§6.4: "only discards trace information when it has been checked").
 
     Every record in the store is closed, hence sealed (see
-    :class:`~repro.dsm.interval.Interval`): :meth:`unseen` selects what a
+    :class:`~repro.dsm.interval.Interval`): :meth:`records` selects what a
     synchronization message carries, and what that costs on the wire is
     read off the records, not re-derived per message.
     """
@@ -64,27 +64,21 @@ class IntervalStore:
     def by_pid(self) -> Dict[int, Dict[int, Interval]]:
         return self._by_pid
 
-    def unseen(self, have: VectorClock, upto: VectorClock,
-               pids: Optional[Iterable[int]] = None) -> List[Interval]:
-        """The non-empty records a process with clock ``have`` is missing
-        relative to one that has seen ``upto``, in (pid, index) order —
-        the consistency information LRC piggybacks on synchronization
-        messages (§3.1).  ``pids`` restricts the walk to those owners
-        (default: every pid ``upto`` names).  Empty intervals carry no
+    def records(self, pid: int, seen: int, horizon: int) -> List[Interval]:
+        """The non-empty records of ``pid`` with an index in ``(seen,
+        horizon]``, in index order: what a process whose clock names
+        ``seen`` is missing of ``pid`` relative to one that names
+        ``horizon`` — the consistency information LRC piggybacks on
+        synchronization messages (§3.1).  Empty intervals carry no
         notices and never travel."""
-        have_entries, upto_entries = have.entries, upto.entries
+        table = self._by_pid.get(pid)
+        if horizon <= seen or not table:
+            return []
         out: List[Interval] = []
-        for pid in range(len(upto_entries)) if pids is None else pids:
-            seen, horizon = have_entries[pid], upto_entries[pid]
-            if horizon <= seen:
-                continue
-            table = self._by_pid.get(pid)
-            if not table:
-                continue
-            for idx in range(seen + 1, horizon + 1):
-                rec = table.get(idx)
-                if rec is not None and (rec.write_pages or rec.read_pages):
-                    out.append(rec)
+        for idx in range(seen + 1, horizon + 1):
+            rec = table.get(idx)
+            if rec is not None and (rec.write_pages or rec.read_pages):
+                out.append(rec)
         return out
 
     def epoch_intervals(self, epoch: int) -> List[Interval]:

@@ -18,7 +18,7 @@ baseline already carries them.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable
 
 from repro.dsm.diff import apply_diff, create_diff, diff_to_bitmap
 from repro.dsm.interval import Interval
@@ -107,17 +107,18 @@ class Protocol:
             if copy is not None and copy.state is PageState.WRITABLE:
                 copy.state = PageState.READ_ONLY
 
-    def apply_write_notice(self, node: Node, interval: Interval) -> None:
-        """Invalidate local copies of pages written by a newly-seen remote
-        interval (the acquire-time half of lazy release consistency)."""
-        if interval.pid == node.pid:
-            return
-        pages = node.pages
-        for page_id in interval.write_pages:
+    def apply_write_notice(self, node: Node, pages: Iterable[int]) -> None:
+        """Invalidate ``node``'s local copies of ``pages``, written by
+        remote intervals it has newly seen (the acquire-time half of lazy
+        release consistency).  A page it holds no valid copy of, or keeps
+        despite the notice, is left alone, so a page named twice is
+        invalidated once."""
+        node_pages = node.pages
+        for page_id in pages:
             # The node's own copy first: most notices name a page it holds
             # no valid copy of, and only a valid one is worth asking the
             # directory about.
-            copy = pages.get(page_id)
+            copy = node_pages.get(page_id)
             if (copy is None or copy.state is PageState.INVALID
                     or copy.data is None):
                 continue

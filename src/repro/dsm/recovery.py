@@ -299,16 +299,16 @@ class Recovery:
             if p == winner:
                 continue
             horizon = bar.horizons[p]
-            recs, body, _rb, digest_bytes = sync.consistency_payload(
-                vc0, horizon, pids=(p,))
+            summaries, count, body, _rb, digest_bytes = \
+                sync.consistency_payload(vc0, horizon, pids=(p,))
             net.send("resolicit_request", winner, p, None,
                      sizer.ints(2) + sizer.vector_clock(),
                      clock, category=CostCategory.FAILOVER)
-            msg = net.send("resolicit_reply", p, winner, len(recs),
+            msg = net.send("resolicit_reply", p, winner, count,
                            body, clock,
                            category=CostCategory.FAILOVER,
                            fragmentable=True)
             sync.charge_digests(digest_bytes, clock)
             clock.wait_until(msg.arrival_time)
-            sync.apply_consistency(new_node, recs, horizon)
-            role.stats.records_resolicited += len(recs)
+            sync.apply_consistency(new_node, summaries, horizon)
+            role.stats.records_resolicited += count

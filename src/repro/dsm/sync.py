@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dsm.checkpoint import barrier_cut
 from repro.dsm.interval import Interval
@@ -22,6 +22,12 @@ from repro.dsm.node import Node
 from repro.dsm.vector_clock import VectorClock
 from repro.errors import ReplayError, SynchronizationError
 from repro.sim.costmodel import CostCategory
+
+#: What one owner's records ``(seen, horizon]`` add to a consistency
+#: payload: ``(pid, records, body bytes, read-notice bytes, digest bytes,
+#: written pages)`` — the records' wire figures summed and their write
+#: notices united (see :meth:`Synchronizer.consistency_payload`).
+RangeSummary = Tuple[int, int, int, int, int, Set[int]]
 
 
 @dataclass
@@ -223,14 +229,58 @@ class Synchronizer:
     def consistency_payload(
             self, have: VectorClock, upto: Optional[VectorClock],
             pids: Optional[Iterable[int]] = None,
-    ) -> Tuple[List[Interval], int, int, int]:
-        """Interval records a process with clock ``have`` is missing up to
-        horizon ``upto`` (none when ``upto`` is ``None``: a bare vector
-        clock), of the owners ``pids`` only when given; returns (records,
-        body bytes, read-notice bytes, coarse-digest bytes)."""
-        recs = [] if upto is None else self.store.unseen(have, upto, pids)
-        body, read_bytes, digest_bytes = self.record_bytes(recs)
-        return recs, self.sizer.vector_clock() + body, read_bytes, digest_bytes
+            ranges: Optional[Dict[Tuple[int, int, int], RangeSummary]] = None,
+    ) -> Tuple[List[RangeSummary], int, int, int, int]:
+        """What a process with clock ``have`` is missing up to horizon
+        ``upto`` (nothing when ``upto`` is ``None``: a bare vector clock),
+        of the owners ``pids`` only when given: one summary per owner
+        range that holds a record, and (records, body bytes, read-notice
+        bytes, coarse-digest bytes) summed over them.
+
+        ``ranges`` caches the summaries by ``(pid, seen, horizon)``; the
+        barrier release pass shares one across its receivers, so a range
+        that several receivers' clocks name is summarized once.  Every
+        other ship site takes a fresh one (the default)."""
+        body = self.sizer.vector_clock()
+        if upto is None:
+            return [], 0, body, 0, 0
+        if ranges is None:
+            ranges = {}
+        have_entries, upto_entries = have.entries, upto.entries
+        out: List[RangeSummary] = []
+        count = read_bytes = digest_bytes = 0
+        for pid in range(len(upto_entries)) if pids is None else pids:
+            seen, horizon = have_entries[pid], upto_entries[pid]
+            if horizon <= seen:
+                continue
+            key = (pid, seen, horizon)
+            summary = ranges.get(key)
+            if summary is None:
+                summary = ranges[key] = self._summarize(*key)
+            if summary[1]:
+                out.append(summary)
+                count += summary[1]
+                body += summary[2]
+                read_bytes += summary[3]
+                digest_bytes += summary[4]
+        return out, count, body, read_bytes, digest_bytes
+
+    def _summarize(self, pid: int, seen: int, horizon: int) -> RangeSummary:
+        """The :data:`RangeSummary` of ``pid``'s records ``(seen,
+        horizon]``, each closed record priced once (see
+        :meth:`Interval.wire_figures`)."""
+        sizer, with_reads, coarse = (self.sizer, self.config.detection,
+                                     self._coarse)
+        recs = self.store.records(pid, seen, horizon)
+        body = read_bytes = digest_bytes = 0
+        pages: Set[int] = set()
+        for rec in recs:
+            b, r, d = rec.wire_figures(sizer, with_reads, coarse)
+            body += b
+            read_bytes += r
+            digest_bytes += d
+            pages |= rec.write_pages
+        return pid, len(recs), body, read_bytes, digest_bytes, pages
 
     def charge_digests(self, nbytes: int, clock) -> None:
         """Two-level filter carriage: price the ``nbytes`` of coarse
@@ -248,15 +298,17 @@ class Synchronizer:
 
     def _ship_consistency(self, have: VectorClock,
                           upto: Optional[VectorClock], clock,
-                          send: Optional[Tuple[str, int, int]] = None):
-        """Ship, on ``clock``, the interval records a process with clock
-        ``have`` is missing up to ``upto`` (none when ``upto`` is ``None``:
-        a bare vector clock) as one ``send = (tag, src, dst)`` message,
-        and account their read notices and coarse digests.  Without
-        ``send`` the records rode an earlier message and only the
-        accounting is done.  Returns ``(records, message)``."""
-        recs, body, read_bytes, digest_bytes = self.consistency_payload(
-            have, upto)
+                          send: Optional[Tuple[str, int, int]] = None,
+                          ranges: Optional[Dict] = None):
+        """Ship, on ``clock``, what a process with clock ``have`` is
+        missing up to ``upto`` (nothing when ``upto`` is ``None``: a bare
+        vector clock) as one ``send = (tag, src, dst)`` message, and
+        account its read notices and coarse digests.  Without ``send`` the
+        records rode an earlier message and only the accounting is done.
+        ``ranges`` is :meth:`consistency_payload`'s summary cache.
+        Returns ``(summaries, message)``."""
+        summaries, _count, body, read_bytes, digest_bytes = \
+            self.consistency_payload(have, upto, ranges=ranges)
         msg = None
         if send is not None:
             tag, src, dst = send
@@ -265,15 +317,28 @@ class Synchronizer:
         if read_bytes:
             self.traffic.add_read_notice_bytes(read_bytes)
         self.charge_digests(digest_bytes, clock)
-        return recs, msg
+        return summaries, msg
 
-    def apply_consistency(self, node: Node, recs: List[Interval],
+    def apply_consistency(self, node: Node, summaries: List[RangeSummary],
                           horizon: VectorClock) -> None:
         """Acquire-side application: invalidate per write notices, then
         merge the horizon clock."""
-        for rec in recs:
-            self.protocol.apply_write_notice(node, rec)
+        self.apply_write_notices(node, summaries)
         node.vc.observe(horizon)
+
+    def apply_write_notices(self, node: Node,
+                            summaries: List[RangeSummary]) -> None:
+        """Invalidate ``node``'s stale copies of the pages the records of
+        ``summaries`` wrote, each page once — invalidation is idempotent,
+        so this is the per-record application's outcome.  ``node``'s own
+        records name pages it wrote itself and invalidate nothing."""
+        pid = node.pid
+        pages: Set[int] = set()
+        for owner, _records, _body, _reads, _digests, written in summaries:
+            if owner != pid:
+                pages |= written
+        if pages:
+            self.protocol.apply_write_notice(node, pages)
 
     # ------------------------------------------------------------------ #
     # Locks.
@@ -315,9 +380,9 @@ class Synchronizer:
             st.acquires += 1
             if order is not None:
                 order.record_grant(lid, pid)
-            recs = self._charge_idle_lock_acquire(node, st)
+            summaries = self._charge_idle_lock_acquire(node, st)
             if st.last_release_vc is not None:
-                self.apply_consistency(node, recs, st.last_release_vc)
+                self.apply_consistency(node, summaries, st.last_release_vc)
         else:
             st.queue.append(pid)
             st.contended += 1
@@ -325,16 +390,16 @@ class Synchronizer:
             grant = st.grant_box.pop(pid)
             node.clock.wait_until(grant.arrival_time)
             self.apply_consistency(
-                node, self.store.unseen(node.vc, grant.release_vc),
+                node, self.consistency_payload(node.vc, grant.release_vc)[0],
                 grant.release_vc)
         node.open_interval(f"lock({lid}) acquire")
 
     def _charge_idle_lock_acquire(self, node: Node,
-                                  st: LockState) -> List[Interval]:
+                                  st: LockState) -> List[RangeSummary]:
         """Message accounting for acquiring an idle lock: request to the
         manager, forward to the last releaser, grant (with piggybacked
-        consistency data) back to the requester.  Returns the interval
-        records the grant carried, for the acquirer to apply."""
+        consistency data) back to the requester.  Returns the summaries
+        of the records the grant carried, for the acquirer to apply."""
         sizer = self.sizer
         clock = node.clock
         granter = st.last_releaser if st.last_releaser is not None else st.manager
@@ -348,11 +413,11 @@ class Synchronizer:
             # Never released, or last released by this node, whose clock
             # has only grown since: no grant travels, nothing is missing.
             return []
-        recs, msg = self._ship_consistency(
+        summaries, msg = self._ship_consistency(
             node.vc, st.last_release_vc, clock,
             ("lock_grant", granter, node.pid))
         clock.wait_until(msg.arrival_time)
-        return recs
+        return summaries
 
     def lock_release(self, pid: int, lid: int) -> None:
         node = self.nodes[pid]
@@ -373,7 +438,7 @@ class Synchronizer:
             st.acquires += 1
             if order is not None:
                 order.record_grant(lid, nxt)  # the releaser does the work
-            _recs, msg = self._ship_consistency(
+            _summaries, msg = self._ship_consistency(
                 self.nodes[nxt].vc, st.last_release_vc, node.clock,
                 ("lock_grant", pid, nxt))
             st.grant_box[nxt] = GrantInfo(pid, st.last_release_vc,
@@ -440,8 +505,9 @@ class Synchronizer:
             ev.waiters.append(pid)
             self.scheduler.block(pid, f"event {eid}")
         node.clock.wait_until(ev.set_time)
-        recs, _msg = self._ship_consistency(node.vc, ev.set_vc, node.clock)
-        self.apply_consistency(node, recs, ev.set_vc)
+        summaries, _msg = self._ship_consistency(node.vc, ev.set_vc,
+                                                 node.clock)
+        self.apply_consistency(node, summaries, ev.set_vc)
         node.open_interval(f"event({eid}) wait")
 
     # ------------------------------------------------------------------ #
@@ -465,10 +531,10 @@ class Synchronizer:
         node.open_interval("barrier arrival")
         master_node = self.nodes[bar.master]
         if pid != bar.master:
-            recs, msg = self._ship_consistency(
+            summaries, msg = self._ship_consistency(
                 master_node.vc, horizon, node.clock,
                 ("barrier_arrival", pid, bar.master))
-            self.apply_consistency(master_node, recs, horizon)
+            self.apply_consistency(master_node, summaries, horizon)
             arrival_now = msg.arrival_time
         else:
             arrival_now = node.clock.now
@@ -525,18 +591,21 @@ class Synchronizer:
         The write notices are applied (invalidating stale copies) here,
         *before* the checked epoch's records are discarded; the blocked
         processes are not running, so mutating their page tables is safe,
-        and their departure only needs the horizon clock."""
+        and their departure only needs the horizon clock.  Receivers whose
+        clocks name the same range of an owner's records share one
+        summary of it."""
         master_clock = master_node.clock
         release_vc = master_node.vc.copy()
+        ranges: Dict[Tuple[int, int, int], RangeSummary] = {}
         for other in range(self.config.nprocs):
             if other == bar.master:
                 bar.release_box[other] = (release_vc, master_clock.now)
                 continue
-            recs, msg = self._ship_consistency(
-                self.nodes[other].vc, release_vc, master_clock,
-                ("barrier_release", bar.master, other))
-            for rec in recs:
-                self.protocol.apply_write_notice(self.nodes[other], rec)
+            node = self.nodes[other]
+            summaries, msg = self._ship_consistency(
+                node.vc, release_vc, master_clock,
+                ("barrier_release", bar.master, other), ranges)
+            self.apply_write_notices(node, summaries)
             bar.release_box[other] = (release_vc, msg.arrival_time)
 
     def _barrier_depart(self, pid: int) -> None:

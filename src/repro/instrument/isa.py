@@ -202,14 +202,6 @@ class BinaryImage:
             raise KeyError(f"binary {self.name!r}: no function {name!r}")
         return addr
 
-    def function_by_address(self, addr: int) -> Optional[str]:
-        """Inverse of :meth:`function_address`; None for a bad address."""
-        index = addr - FUNC_BASE
-        names = sorted(self.functions)
-        if 0 <= index < len(names):
-            return names[index]
-        return None
-
     def load_store_count(self) -> int:
         return sum(1 for _fn, ins in self.all_instructions() if ins.is_memory)
 

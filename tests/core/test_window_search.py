@@ -1,18 +1,26 @@
-"""The hoisted-column window search against its probe-at-a-time spec.
+"""The window engine against its probe-at-a-time spec.
 
-``concurrency_windows`` reads two integer columns per block and bisects
-them in line; ``tests/core/reference_windows.py`` keeps the search it
-replaced.  Seeded random lock/barrier histories must give identical
-windows, identical ``concurrent_pairs`` **and** identical ``comparisons``:
-the probe count is journalled in every commit record
+``concurrency_windows`` decides a block whose corners are unordered with
+two integer comparisons (one window run for all of p) and bisects every
+other block's two integer columns with ``bisect``, counting the probes
+from a per-size table; ``tests/core/reference_windows.py`` keeps the
+search it replaced.  Seeded random lock/barrier histories must give
+identical windows, identical ``concurrent_pairs`` **and** identical
+``comparisons``: the probe count is journalled in every commit record
 (``actual_comparisons``) and reported as ``core.detector.probes``, so a
 different midpoint is a stored-format change even when the windows agree.
+``PageIndex.scan`` over the same histories must give the reference's
+concurrency masks and probe work.
 """
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
+from repro.core import concurrency as concurrency_module
+from repro.core.checklist import PageIndex, overlap_work
 from repro.core.concurrency import (PairSearchStats, concurrency_windows,
                                     find_concurrent_pairs,
                                     find_concurrent_pairs_pruned, pair_blocks)
@@ -20,7 +28,8 @@ from repro.dsm.interval import Interval
 from repro.dsm.vector_clock import VectorClock
 from tests.core.reference_windows import reference_windows
 
-SHAPES = ("mixed", "no_sync", "chain", "barriers")
+SHAPES = ("mixed", "no_sync", "chain", "barriers", "barrier_only",
+          "lock_chained")
 SEEDS = range(25)
 
 
@@ -29,8 +38,10 @@ class History:
     synchronization operation closes the caller's interval (recorded with
     the clock it was opened under) and opens the next one."""
 
-    def __init__(self, nprocs):
+    def __init__(self, nprocs, rng=None):
         self.nprocs = nprocs
+        #: Draws each record's notices (a few of eight pages), if given.
+        self.rng = rng
         self.vcs = [[0] * nprocs for _ in range(nprocs)]
         for pid in range(nprocs):
             self.vcs[pid][pid] = 1
@@ -39,8 +50,14 @@ class History:
         self.recs = []
 
     def _close(self, pid):
-        self.recs.append(Interval(pid, self.vcs[pid][pid],
-                                  VectorClock(self.opened[pid]), 0, 16))
+        rec = Interval(pid, self.vcs[pid][pid],
+                       VectorClock(self.opened[pid]), 0, 16)
+        if self.rng is not None:
+            for page in self.rng.sample(range(8), self.rng.randrange(3)):
+                rec.record_write(page, self.rng.randrange(16))
+            for page in self.rng.sample(range(8), self.rng.randrange(3)):
+                rec.record_read(page, self.rng.randrange(16))
+        self.recs.append(rec)
 
     def _open(self, pid):
         self.vcs[pid][pid] += 1
@@ -78,7 +95,7 @@ def history(shape, seed):
     side of every block they are in) and some close a single interval."""
     rng = random.Random(f"{shape}-{seed}")
     nprocs = rng.choice((2, 3, 5, 8, 16, 32))
-    h = History(nprocs)
+    h = History(nprocs, random.Random(f"notices-{shape}-{seed}"))
     silent = {pid for pid in range(nprocs) if rng.random() < 0.15}
     active = [pid for pid in range(nprocs) if pid not in silent]
     single = {pid for pid in active if rng.random() < 0.15}
@@ -100,6 +117,34 @@ def history(shape, seed):
         # The start-up intervals (closed at the first acquire, before any
         # token was seen) are the only concurrent ones: leave them out.
         recs = [rec for rec in h.recs if rec.index > 1]
+    elif shape in ("barrier_only", "lock_chained"):
+        # One epoch between two barriers, after a first one: every clock
+        # has seen the whole previous epoch.  Barrier-only: nothing in
+        # the epoch orders two pids, so every block is unordered.  Lock
+        # chained: a random subset of the pids also passes one lock
+        # around (some of them releasing it first thing in the epoch, so
+        # that a partner's clock names exactly their first interval).
+        for pid in active:
+            h.release(pid, 100 + pid)
+        h.barrier(active)
+        mark = len(h.recs)
+        chained = {pid for pid in active if shape == "lock_chained"
+                   and rng.random() < 0.5}
+        for pid in single:
+            budget[pid] = 0  # closes its arrival interval only
+        while any(budget[pid] > 0 for pid in active):
+            pid = rng.choice(active)
+            if not spend(pid):
+                continue
+            if pid in chained and rng.random() < 0.6:
+                if rng.random() < 0.5:
+                    h.release(pid, 0)
+                else:
+                    h.acquire(pid, 0)
+            else:
+                h.release(pid, 100 + pid)
+        h.barrier(active)
+        recs = h.recs[mark:]
     else:
         nlocks = rng.randrange(1, 4)
         while active and any(budget[pid] > 0 for pid in active):
@@ -122,6 +167,13 @@ def history(shape, seed):
     return by_pid
 
 
+def expand(runs):
+    """One ``(p, i, q, lo, hi)`` window per interval of each window run:
+    the reference's shape."""
+    return [(p, k, q, lo, hi) for p, i, j, q, lo, hi in runs
+            for k in range(i, j)]
+
+
 def search(windows, by_pid):
     stats = PairSearchStats()
     found = list(windows(by_pid, pair_blocks(by_pid), stats))
@@ -132,7 +184,8 @@ def search(windows, by_pid):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_windows_pairs_and_probes_match_the_reference(shape, seed):
     by_pid = history(shape, seed)
-    got, stats = search(concurrency_windows, by_pid)
+    runs, stats = search(concurrency_windows, by_pid)
+    got = expand(runs)
     want, ref_stats = search(reference_windows, by_pid)
     assert got == want
     assert stats.concurrent_pairs == ref_stats.concurrent_pairs
@@ -164,9 +217,9 @@ def test_the_corpus_has_the_block_shapes_it_promises():
         for seed in SEEDS:
             by_pid = history(shape, seed)
             sizes.add(len(by_pid))
-            windows, _stats = search(concurrency_windows, by_pid)
+            runs, _stats = search(concurrency_windows, by_pid)
             width = {}
-            for p, _i, q, lo, hi in windows:
+            for p, _i, q, lo, hi in expand(runs):
                 width[p, q] = width.get((p, q), 0) + hi - lo
             for p, q in pair_blocks(by_pid):
                 n, m = len(by_pid[p]), len(by_pid[q])
@@ -180,9 +233,20 @@ def test_the_corpus_has_the_block_shapes_it_promises():
                     blocks.add("all-ordered" if pairs == 0 else
                                "all-concurrent" if pairs == n * m else
                                "partial")
+                ps, qs = by_pid[p], by_pid[q]
+                seen_q, seen_p = ps[-1].vc[q], qs[-1].vc[p]
+                if seen_q < qs[0].index and seen_p < ps[0].index:
+                    blocks.add("unordered")
+                elif shape == "barrier_only":
+                    blocks.add("ordered barrier-only block")
+                # A corner where one side's clock names exactly the
+                # other's first interval: ordered, though one comparison
+                # off the unordered test.
+                if seen_q == qs[0].index or seen_p == ps[0].index:
+                    blocks.add("corner-touch")
     assert {2, 32} <= sizes
     assert blocks == {"empty", "one-record", "all-ordered", "all-concurrent",
-                      "partial"}
+                      "partial", "unordered", "corner-touch"}
 
 
 def test_counts_land_once_per_block():
@@ -196,3 +260,64 @@ def test_counts_land_once_per_block():
     list(windows)
     _want, ref_stats = search(reference_windows, by_pid)
     assert stats == ref_stats
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_scan_matches_the_reference_windows(shape, seed):
+    """``PageIndex.scan``'s masks, probe work and counters are those of
+    the reference windows expanded pair by pair."""
+    by_pid = history(shape, seed)
+    recs = [rec for pid in sorted(by_pid) for rec in by_pid[pid]]
+    if not recs:
+        return
+    index = PageIndex(recs)
+    stats = PairSearchStats()
+    conc, probe_work = index.scan(pair_blocks(index.by_pid), stats)
+    want, ref_stats = search(reference_windows, by_pid)
+    ordinal = {(rec.pid, rec.index): o for o, rec in enumerate(index.recs)}
+    ref_conc = [0] * len(recs)
+    ref_work = 0
+    for p, i, q, lo, hi in want:
+        a = by_pid[p][i]
+        for b in by_pid[q][lo:hi]:
+            ref_conc[ordinal[a.pid, a.index]] |= 1 << ordinal[b.pid, b.index]
+            ref_work += overlap_work(a, b)
+    assert conc == ref_conc
+    assert probe_work == ref_work
+    assert stats.comparisons == ref_stats.comparisons
+    assert stats.concurrent_pairs == ref_stats.concurrent_pairs
+
+
+# ---------------------------------------------------------------------- #
+# Broken window engines must be noticed.
+# ---------------------------------------------------------------------- #
+MUTANTS = {
+    "corner-test-inclusive": ("ps[-1].vc.entries[q] < qs[0].index",
+                              "ps[-1].vc.entries[q] <= qs[0].index"),
+    "probe-table-shifted": ("tables = _PROBES",
+                            "tables = [t[1:] + t[:1] for t in _PROBES]"),
+}
+
+
+def mutant(old, new):
+    """``concurrency_windows`` with one edit."""
+    source = textwrap.dedent(
+        inspect.getsource(concurrency_module.concurrency_windows))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(concurrency_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["concurrency_windows"]
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_a_broken_window_engine_is_caught(name):
+    broken = mutant(*MUTANTS[name])
+    caught = False
+    for shape in SHAPES:
+        for seed in SEEDS:
+            by_pid = history(shape, seed)
+            runs, stats = search(broken, by_pid)
+            want, ref_stats = search(reference_windows, by_pid)
+            caught |= expand(runs) != want or stats != ref_stats
+    assert caught

@@ -87,22 +87,20 @@ def writer(pid, index):
 
 def test_intervals_unseen_by():
     store = store_of(writer(0, 1), writer(0, 2), writer(0, 3), writer(1, 1))
-    have = VectorClock([1, 0])
-    upto = VectorClock([3, 1])
-    got = [(iv.pid, iv.index) for iv in store.unseen(have, upto)]
-    assert got == [(0, 2), (0, 3), (1, 1)]
-    # Restricted to some owners (the failover re-solicitation's walk).
-    assert [(iv.pid, iv.index)
-            for iv in store.unseen(have, upto, pids=(1,))] == [(1, 1)]
-    # A pid whose entry is already covered contributes nothing.
-    assert store.unseen(upto, upto) == []
-    assert store.unseen(upto, have) == []
+    # A process whose clock names [1, 0], against one that names [3, 1].
+    assert [(iv.pid, iv.index) for iv in store.records(0, 1, 3)] == \
+        [(0, 2), (0, 3)]
+    assert [(iv.pid, iv.index) for iv in store.records(1, 0, 1)] == [(1, 1)]
+    # An entry that is already covered contributes nothing.
+    assert store.records(0, 3, 3) == []
+    assert store.records(0, 3, 1) == []
+    assert store.records(2, 0, 5) == []  # a pid with no records
 
 
 def test_intervals_unseen_by_skips_missing_records():
     # Index 1 was discarded, index 3 is empty (no notices: never travels).
     store = store_of(writer(0, 2), make_interval(0, 3))
-    got = store.unseen(VectorClock([0, 0]), VectorClock([3, 0]))
+    got = store.records(0, 0, 3)
     assert [(iv.pid, iv.index) for iv in got] == [(0, 2)]
 
 

@@ -9,12 +9,23 @@ one the lowering emits.  Production code has no copy of it: it exists so
 independent statement of the semantics, one instruction at a time.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import InstrumentationError
 from repro.instrument.atom import ANALYSIS_SYMBOL
-from repro.instrument.isa import ARG_REGS, FP, GP, RV, Function, Op, Section
+from repro.instrument.isa import (ARG_REGS, FP, FUNC_BASE, GP, RV,
+                                  BinaryImage, Function, Op, Section)
 from repro.instrument.machine import STATIC_BASE, Machine
+
+
+def function_by_address(image: BinaryImage, addr: int) -> Optional[str]:
+    """Inverse of :meth:`BinaryImage.function_address`; None for a bad
+    address."""
+    index = addr - FUNC_BASE
+    names = sorted(image.functions)
+    if 0 <= index < len(names):
+        return names[index]
+    return None
 
 
 class ReferenceMachine(Machine):
@@ -27,7 +38,7 @@ class ReferenceMachine(Machine):
         return self.image.function_address(name)
 
     def _function_by_address(self, addr: int) -> str:
-        name = self.image.function_by_address(addr)
+        name = function_by_address(self.image, addr)
         if name is None:
             raise InstrumentationError(
                 f"callr through {addr}: not a function address")
