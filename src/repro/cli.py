@@ -25,7 +25,6 @@ from typing import List, Optional
 
 from repro.apps.base import measure
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
-from repro.sim.crash import DEFAULT_ELECTION_TIMEOUT
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -81,12 +80,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "master is pinned to P0 and immune to crashes, "
                         "byte-identical to builds without the coordinator "
                         "subsystem")
-    p.add_argument("--election-timeout", type=float,
-                   default=DEFAULT_ELECTION_TIMEOUT,
-                   metavar="CYCLES",
-                   help="virtual-time silence past the last live arrival "
-                        "before the survivors hold the coordinator "
-                        "election (default: the crash-detection timeout)")
     p.add_argument("--sharded-detection", action="store_true",
                    help="distribute each epoch's pair search across the "
                         "live processes: shard owners run the pruned "
@@ -165,7 +158,6 @@ def _run_plan(args, **extra):
         detector_fast_path=not args.reference_detector,
         loss_rate=args.loss_rate,
         master_failover=args.master_failover,
-        election_timeout=args.election_timeout,
         duplicate_rate=args.duplicate_rate,
         reorder_rate=args.reorder_rate,
         fault_seed=args.fault_seed,
@@ -391,13 +383,6 @@ def cmd_disasm(args) -> int:
         image = binary_for(args.app, regalloc=args.regalloc)
     if args.instrumented:
         image = AtomRewriter().instrument(image)
-        if args.batched:
-            from repro.instrument.batch import coalesce_analysis_calls
-            image, report = coalesce_analysis_calls(image)
-            print(f"; batched: {report.calls_before} analysis calls -> "
-                  f"{report.calls_after} ({report.ranged_calls} ranged, "
-                  f"{report.words_batched} words)")
-            print()
     if args.lowered:
         # What the machine executes: only application code is lowered.
         from repro.instrument.lower import lower_image
@@ -648,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="register allocator (default: naive, the "
                             "codegen the committed tables are pinned to)")
     p_dis.add_argument("--instrumented", action="store_true")
-    p_dis.add_argument("--batched", action="store_true",
-                       help="with --instrumented: coalesce provably "
-                            "contiguous analysis calls into ranged calls")
     p_dis.add_argument("--full", action="store_true",
                        help="include synthetic library code")
     p_dis.add_argument("--lowered", action="store_true",

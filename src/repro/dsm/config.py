@@ -10,8 +10,7 @@ from repro.net.faults import FaultPlan, plan_from_rates
 from repro.net.reliable import DEFAULT_RETRY_BUDGET
 from repro.net.transport import DEFAULT_MAX_DATAGRAM
 from repro.sim.costmodel import CostModel
-from repro.sim.crash import (CrashPlan, DEFAULT_ELECTION_TIMEOUT,
-                             plan_from_options)
+from repro.sim.crash import CrashPlan, plan_from_options
 
 #: DECstation Alphas used 8 KB pages; with 8-byte words that is 1024 words.
 DEFAULT_PAGE_SIZE_WORDS = 1024
@@ -182,9 +181,6 @@ class DsmConfig:
             overhead breakdown; off (the default), the pinned-master
             behaviour and every artifact are byte-identical to previous
             builds.
-        election_timeout: Extra virtual cycles the surviving nodes wait
-            beyond the latest live arrival before electing a replacement
-            coordinator (``--election-timeout``; failover only).
         sharded_detection: Distribute each barrier epoch's pair search
             across the live processes (``--sharded-detection``): the
             coordinator partitions the cross-process interval-pair blocks
@@ -294,7 +290,6 @@ class DsmConfig:
     crash_at: Tuple[Tuple[int, int], ...] = ()
     crash_recovery: bool = True
     master_failover: bool = False
-    election_timeout: float = DEFAULT_ELECTION_TIMEOUT
     sharded_detection: bool = False
     coarse_filter: bool = True
     checkpoint: bool = False
@@ -326,8 +321,6 @@ class DsmConfig:
             raise ValueError("retry_budget must be at least 1 attempt")
         if not 0.0 <= self.crash_rate < 1.0:
             raise ValueError(f"crash_rate must be in [0, 1): {self.crash_rate}")
-        if self.election_timeout <= 0:
-            raise ValueError("election_timeout must be positive")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds (--deadline) must be positive: "

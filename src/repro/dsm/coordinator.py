@@ -52,7 +52,7 @@ from repro.core.detector import RaceDetector
 from repro.dsm.interval import Interval
 from repro.dsm.node import IntervalStore, Node
 from repro.dsm.vector_clock import precedes
-from repro.errors import RetryExhaustedError
+from repro.errors import RetryExhaustedError, SynchronizationError
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostCategory, CostModel
 from repro.sim.crash import DEFAULT_CRASH_DETECT_TIMEOUT, counter_summary
@@ -276,7 +276,16 @@ class CoordinatorRole:
         in ``stats.journal_fallbacks`` and the torn tail is cut, so the
         next append re-writes the filled records.  It never raises on a
         bad journal: a coordinator election must not die on the very
-        fault it exists to survive."""
+        fault it exists to survive.  It does raise, before touching
+        anything, when the role is pinned or ``new_pid`` is no process."""
+        if not self.failover:
+            raise SynchronizationError(
+                "the barrier master is pinned (enable master failover "
+                "with --master-failover / DsmConfig.master_failover)")
+        if not 0 <= new_pid < self.nprocs:
+            raise SynchronizationError(
+                f"cannot elect P{new_pid} as barrier master "
+                f"(nprocs={self.nprocs})")
         nbytes = len(self._journal)
         records, _dropped, intact = durable.parse_log(
             self._journal, lambda body, _index: body)
@@ -294,6 +303,19 @@ class CoordinatorRole:
         self.stats.elections_held += 1
         self.stats.state_bytes_migrated += nbytes
         return nbytes
+
+    def declare_dead(self, pid: int) -> None:
+        """Check that ``pid`` may be declared dead this generation (the
+        master's virtual-time timeout expired for it and recovery is being
+        initiated).  The *current* master can only be declared dead
+        under failover — the election re-homes the role first, so by the
+        time the old master is declared dead ``self.pid`` already names
+        its successor."""
+        if pid == self.pid and not self.failover:
+            raise SynchronizationError(
+                "the barrier master cannot be declared dead "
+                "(enable master failover with --master-failover "
+                "/ DsmConfig.master_failover)")
 
     def _fill(self, prefix: List[str],
               section: Optional[Dict[str, Any]]) -> List[str]:

@@ -23,7 +23,8 @@ from repro.dsm.node import Node
 from repro.dsm.sync import BarrierState
 from repro.errors import NodeCrashed
 from repro.sim.costmodel import CostCategory
-from repro.sim.crash import DEFAULT_CRASH_DETECT_TIMEOUT, CrashRecord
+from repro.sim.crash import (DEFAULT_CRASH_DETECT_TIMEOUT,
+                             DEFAULT_ELECTION_TIMEOUT, CrashRecord)
 
 
 class Recovery:
@@ -160,28 +161,28 @@ class Recovery:
         if not crashed:
             return
         system = self.system
+        role = system.coordinator
         arrivals = [t for p, t in bar.arrival_times.items()
                     if p not in crashed]
         deadline = ((max(arrivals) if arrivals else master_clock.now)
                     + DEFAULT_CRASH_DETECT_TIMEOUT)
         master_clock.wait_until(deadline)
         for p in crashed:
-            bar.declare_dead(p)
+            role.declare_dead(p)
             self.stats.deaths_declared += 1
             rec = self.nodes[p].crashed
             msg = system.net.send(
-                "recovery_request", bar.master, p, None,
+                "recovery_request", role.pid, p, None,
                 system.sizer.ints(2), master_clock,
                 category=CostCategory.RECOVERY)
             arrived = bar.arrival_times[p]
             bar.arrival_times[p] = max(
                 arrived, msg.arrival_time + (arrived - rec.time))
         if live:
-            self._migrate_lock_managers(bar, live[0], set(crashed),
-                                        master_clock)
+            self._migrate_lock_managers(live[0], set(crashed), master_clock)
 
-    def _migrate_lock_managers(self, bar: BarrierState, new_mgr: int,
-                               dead: set, master_clock) -> None:
+    def _migrate_lock_managers(self, new_mgr: int, dead: set,
+                               master_clock) -> None:
         """Re-home every lock whose static manager pid was just declared
         dead onto ``new_mgr``, the lowest live pid.
 
@@ -197,6 +198,7 @@ class Recovery:
         structural, so the re-homing changes traffic and virtual time only
         — reports stay byte-identical to the crash-free run's."""
         system = self.system
+        master = system.coordinator.pid
         sizer = system.sizer
         locks = system.sync.locks
         for lid in sorted(locks):
@@ -205,13 +207,13 @@ class Recovery:
                 continue
             st.manager = new_mgr
             self.stats.locks_migrated += 1
-            if new_mgr != bar.master:
+            if new_mgr != master:
                 # Lock id + holder + queue snapshot + prepared grants
                 # (pid + vector clock each).
                 body = (sizer.ints(3 + len(st.queue))
                         + len(st.grant_box)
                         * (sizer.ints(1) + sizer.vector_clock()))
-                system.net.send("lock_migrate", bar.master, new_mgr, None,
+                system.net.send("lock_migrate", master, new_mgr, None,
                                 body, master_clock,
                                 category=CostCategory.RECOVERY)
 
@@ -223,17 +225,17 @@ class Recovery:
         which stays out of the overhead breakdown):
 
         1. The survivors time out on the coordinator's silence past the
-           last live arrival (``election_timeout``, overlapping — not
-           stacking with — the death-declaration timeout) and hold the
-           deterministic rank election: lowest live pid wins.
+           last live arrival (``DEFAULT_ELECTION_TIMEOUT``, overlapping —
+           not stacking with — the death-declaration timeout) and hold
+           the deterministic rank election: lowest live pid wins.
         2. Each survivor sends its vote to the winner; the winner announces
            the outcome to the rest.
         3. The winner fetches the coordinator journal from stable
            storage, pays the restore cost, and replays it into a new
            detector (:meth:`CoordinatorRole.install_from_journal`, handed
            the dead holder's last checkpoint section to fill in a torn
-           tail); the barrier master is reassigned so release and
-           death-declaration run here.
+           tail); the role's pid, the barrier master, is now the winner,
+           so release and death-declaration run here.
         4. The closing epoch's in-flight interval/write-notice metadata is
            re-solicited from every process's recorded arrival horizon —
            the same payloads the old master absorbed on the arrival
@@ -257,7 +259,7 @@ class Recovery:
         live_arrivals = [t for p, t in bar.arrival_times.items()
                          if p in live]
         start = max(live_arrivals) if live_arrivals else clock.now
-        clock.wait_until(start + self.config.election_timeout)
+        clock.wait_until(start + DEFAULT_ELECTION_TIMEOUT)
         # The survivors besides the winner (the dead coordinator, having a
         # pending crash, is not among them).
         voters = [p for p in sorted(bar.arrival_times)
@@ -283,7 +285,6 @@ class Recovery:
                 if system.checkpoints is not None else None)
         role.install_from_journal(
             winner, snap.data.get("coordinator") if snap else None)
-        bar.reassign_master(winner)
         # Delta re-solicitation: each survivor resends only its *own*
         # records past the winner's pre-election clock (snapshotted in
         # ``vc0`` — the evolving clock must not be consulted, or a reply

@@ -94,24 +94,15 @@ class BarrierState:
 
     Arrival order, per-arrival clock times and the master's release payload
     are recorded per *generation* so the barrier can be reused any number of
-    times.  By default the master role is pinned to process 0, as in the
-    paper (the barrier master runs the race-detection analysis); whichever
-    process arrives last executes the master's work on the master's virtual
-    clock.  With ``failover`` enabled the master is an elected *coordinator
-    role* owned by :mod:`repro.dsm.coordinator`: ``master`` then varies by
-    generation (it is reassigned to the lowest live pid when the current
-    coordinator dies) and arrival consistency horizons are retained so a
-    newly elected coordinator can re-solicit what the dead one knew.
+    times.  Whichever process arrives last executes the master's work on
+    the master's virtual clock.  The master itself is not held here: it is
+    the :class:`~repro.dsm.coordinator.CoordinatorRole`'s pid, pinned to
+    process 0 as in the paper (the barrier master runs the race-detection
+    analysis) unless failover re-elects it.
     """
 
-    def __init__(self, nprocs: int, master: int = 0,
-                 failover: bool = False):
+    def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        self.master = master
-        #: Whether the master is an elected, migratable role (see
-        #: ``repro.dsm.coordinator``).  Off: the master is pinned and
-        #: cannot be declared dead, exactly the legacy behaviour.
-        self.failover = failover
         #: Barriers completed so far: the number of the generation being
         #: waited at, the epoch being executed and the checkpoint cut
         #: taken at its departure.
@@ -145,32 +136,6 @@ class BarrierState:
             self.order_hook(self.generation, pid)
         return len(self.arrived) == self.nprocs
 
-    def declare_dead(self, pid: int) -> None:
-        """Check that ``pid`` may be declared dead this generation (the
-        master's virtual-time timeout expired for it and recovery is being
-        initiated).  The *current* master can only be declared dead
-        under failover — the election re-homes the role first, so by the
-        time the old master is declared dead ``self.master`` already names
-        its successor."""
-        if pid == self.master and not self.failover:
-            raise SynchronizationError(
-                "the barrier master cannot be declared dead "
-                "(enable master failover with --master-failover "
-                "/ DsmConfig.master_failover)")
-
-    def reassign_master(self, pid: int) -> None:
-        """Move the master role to ``pid`` (election outcome).  Only legal
-        under failover; the pinned-master configuration never migrates."""
-        if not self.failover:
-            raise SynchronizationError(
-                "the barrier master is pinned (enable master failover "
-                "with --master-failover / DsmConfig.master_failover)")
-        if not 0 <= pid < self.nprocs:
-            raise SynchronizationError(
-                f"cannot elect P{pid} as barrier master "
-                f"(nprocs={self.nprocs})")
-        self.master = pid
-
     def reset_for_next_generation(self) -> None:
         self.generation += 1
         self.arrived.clear()
@@ -198,8 +163,7 @@ class Synchronizer:
         self._crasher = system._crasher
         self.locks: Dict[int, LockState] = {}
         self.events: Dict[int, EventState] = {}
-        self.barrier_state = BarrierState(config.nprocs, master=0,
-                                          failover=config.master_failover)
+        self.barrier_state = BarrierState(config.nprocs)
         # Two-level detection filter: when on (and detecting), every
         # consistency payload also carries the coarse access digests the
         # filter consults, priced by charge_digests at each ship site.
@@ -529,16 +493,17 @@ class Synchronizer:
         self._close_interval(node)
         horizon = node.vc.copy()
         node.open_interval("barrier arrival")
-        master_node = self.nodes[bar.master]
-        if pid != bar.master:
+        role = self.system.coordinator
+        master_node = self.nodes[role.pid]
+        if pid != role.pid:
             summaries, msg = self._ship_consistency(
                 master_node.vc, horizon, node.clock,
-                ("barrier_arrival", pid, bar.master))
+                ("barrier_arrival", pid, role.pid))
             self.apply_consistency(master_node, summaries, horizon)
             arrival_now = msg.arrival_time
         else:
             arrival_now = node.clock.now
-        if bar.failover:
+        if role.failover:
             # The closing horizon is what a new coordinator would have to
             # re-solicit from this process if the master dies this epoch.
             bar.horizons[pid] = horizon
@@ -565,7 +530,7 @@ class Synchronizer:
         if (role.failover and self.config.nprocs > 1
                 and self.nodes[role.pid].crashed is not None):
             self.recovery.coordinator_failover(bar)
-        master_node = self.nodes[bar.master]
+        master_node = self.nodes[role.pid]
         master_clock = master_node.clock
         if self._crasher is not None:
             self.recovery.declare_deaths(bar, master_clock)
@@ -594,17 +559,18 @@ class Synchronizer:
         and their departure only needs the horizon clock.  Receivers whose
         clocks name the same range of an owner's records share one
         summary of it."""
+        master = master_node.pid
         master_clock = master_node.clock
         release_vc = master_node.vc.copy()
         ranges: Dict[Tuple[int, int, int], RangeSummary] = {}
         for other in range(self.config.nprocs):
-            if other == bar.master:
+            if other == master:
                 bar.release_box[other] = (release_vc, master_clock.now)
                 continue
             node = self.nodes[other]
             summaries, msg = self._ship_consistency(
                 node.vc, release_vc, master_clock,
-                ("barrier_release", bar.master, other), ranges)
+                ("barrier_release", master, other), ranges)
             self.apply_write_notices(node, summaries)
             bar.release_box[other] = (release_vc, msg.arrival_time)
 

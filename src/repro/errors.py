@@ -152,10 +152,6 @@ class LinkError(InstrumentationError):
     """The linker could not resolve an object file or symbol."""
 
 
-class DetectorError(ReproError):
-    """The race detector reached an inconsistent state."""
-
-
 class ReplayError(ReproError):
     """Replay diverged from the recorded synchronization order."""
 

@@ -192,9 +192,9 @@ class BinaryImage:
     def function_address(self, name: str) -> int:
         """The address ``Op.LA`` materializes for ``name``.
 
-        Keyed on the *sorted symbol order*, which instrumentation and
-        batching preserve (they rewrite bodies, never names), so function
-        values survive every binary rewrite unchanged.
+        Keyed on the *sorted symbol order*, which instrumentation
+        preserves (it rewrites bodies, never names), so function values
+        survive every binary rewrite unchanged.
         """
         table = self._address_table()
         addr = table.get(name)

@@ -1,10 +1,10 @@
 """Lowering: each mini-ISA function decoded once into basic-block code.
 
-The phase between the rewriters (:mod:`repro.instrument.atom`,
-:mod:`repro.instrument.batch`) and :mod:`repro.instrument.machine`.  A
-``Section.APP`` function becomes one Python function per basic block,
-compiled from generated source (the ``dataclasses`` / ``namedtuple``
-technique), with everything a rewrite fixes resolved here, once:
+The phase between the rewriter (:mod:`repro.instrument.atom`) and
+:mod:`repro.instrument.machine`.  A ``Section.APP`` function becomes one
+Python function per basic block, compiled from generated source (the
+``dataclasses`` / ``namedtuple`` technique), with everything a rewrite
+fixes resolved here, once:
 
 * register names are list slots — ``fp gp a0–a5 v0`` at fixed positions
   (frame set-up needs no lookup), the rest in first-use order; the file
@@ -13,7 +13,7 @@ technique), with everything a rewrite fixes resolved here, once:
   branch lands on the block *after* its label; falling into a label
   executes it as a counted no-op — ``steps`` is exact either way;
 * ``la`` is its ``FUNC_BASE + i`` constant, and the ``__race_analysis``
-  operands (base slot, offset, ld/st, run length, origin) are literals;
+  operands (base slot, offset, ld/st, origin) are literals;
 * a block charges its length to ``steps`` and tests ``max_steps`` once
   on entry: the limit fires before a block that would cross it, so never
   more than ``max_steps`` instructions execute.
@@ -50,17 +50,6 @@ def _step_limit(m) -> None:
 
 def _undefined_la(name: str) -> int:
     raise InstrumentationError(f"la of undefined function {name!r}")
-
-
-def _ranged(hook, addr: int, count: int, is_store: bool, origin: str) -> None:
-    """A ranged analysis call: the hook's ``range_access`` if it has one,
-    else the identical per-word sequence."""
-    range_hook = getattr(hook, "range_access", None)
-    if range_hook is not None:
-        range_hook(addr, count, is_store, origin)
-    else:
-        for k in range(count):
-            hook(addr + k, is_store, origin)
 
 
 def _plus(base: str, offset: int) -> str:
@@ -100,17 +89,10 @@ class _Emitter:
     def call(self, ins: Instruction) -> str:
         if ins.target != ANALYSIS_SYMBOL:
             return f"r[{RV_SLOT}] = m._call({ins.target!r}, {_ARGS})"
-        # One procedure call however many words a ranged call (imm = run
-        # length) announces — that is the cost batching removes.
         addr = _plus(self.reg(ins.srcs[0]) if ins.srcs else "0", ins.offset)
         is_store = len(ins.srcs) > 1 and ins.srcs[1] == "st"
-        count = 1 if ins.imm is None else ins.imm
-        if count == 1:
-            hook = f"m.analysis_hook({addr}, {is_store}, {ins.origin!r})"
-        else:
-            hook = (f"ranged(m.analysis_hook, {addr}, {count}, {is_store}, "
-                    f"{ins.origin!r})")
-        return f"m.analysis_calls += 1; {hook}"
+        return (f"m.analysis_calls += 1; "
+                f"m.analysis_hook({addr}, {is_store}, {ins.origin!r})")
 
     def la(self, ins: Instruction) -> str:
         addr = self.addresses.get(ins.target)
@@ -196,8 +178,7 @@ def generate(fn: Function,
 def _compile(source: str, filename: str) -> List[Callable[..., int]]:
     """Compile generated source to its block list.  The toolchain's only
     ``compile()``: a test patches it to prove no simulation thread lowers."""
-    namespace = {"limit": _step_limit, "undefined_la": _undefined_la,
-                 "ranged": _ranged}
+    namespace = {"limit": _step_limit, "undefined_la": _undefined_la}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["blocks"]
 

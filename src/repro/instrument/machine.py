@@ -61,14 +61,6 @@ class AnalysisCounter:
             self.private += 1
         self.events.append((addr, is_store))
 
-    def range_access(self, addr: int, count: int, is_store: bool,
-                     origin: str) -> None:
-        """Ranged entry point for batched instrumentation: classifies and
-        records every word, so the observable event stream is identical
-        to ``count`` scalar calls — only the procedure-call count shrank."""
-        for i in range(count):
-            self(addr + i, is_store, origin)
-
 
 class Machine:
     """One mini-ISA execution context."""

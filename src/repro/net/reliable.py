@@ -115,10 +115,6 @@ class ReliableChannel:
     def max_datagram(self) -> int:
         return self.transport.max_datagram
 
-    @property
-    def messages(self) -> list:
-        return self.transport.messages
-
     def deliver(self, msg: Message, dst_clock: VirtualClock) -> Any:
         return self.transport.deliver(msg, dst_clock)
 

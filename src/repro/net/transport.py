@@ -29,18 +29,13 @@ class Transport:
 
     def __init__(self, cost_model: CostModel,
                  max_datagram: int = DEFAULT_MAX_DATAGRAM,
-                 stats: Optional[TrafficStats] = None,
-                 trace: bool = False):
+                 stats: Optional[TrafficStats] = None):
         if max_datagram <= HEADER_BYTES:
             raise ValueError(
                 f"max_datagram must exceed the {HEADER_BYTES}-byte header")
         self.cost_model = cost_model
         self.max_datagram = max_datagram
         self.stats = stats or TrafficStats()
-        #: When tracing, every sent message is retained (tests/debugging;
-        #: payloads are references, so keep runs small).
-        self.trace = trace
-        self.messages: list = []
         #: Per-transport sequence counter: seqnos are a property of *this*
         #: channel, not the process, so back-to-back runs in one
         #: interpreter (equivalence suites, benchmarks) assign identical
@@ -104,8 +99,6 @@ class Transport:
                       arrival_time=arrival, seqno=next(self._seqno),
                       nfragments=nfragments)
         self.stats.record(tag, src, dst, nbytes, count=nfragments)
-        if self.trace:
-            self.messages.append(msg)
         if self.delivery_hook is not None:
             self.delivery_hook(tag, src, dst)
         return msg

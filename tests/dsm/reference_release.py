@@ -90,15 +90,16 @@ def apply_consistency(sync: Synchronizer, node: Node, recs: List[Interval],
 def barrier_release_pass(sync: Synchronizer, bar, master_node: Node) -> None:
     """One payload per process, each walked and priced on its own, its
     write notices applied record by record."""
+    master = master_node.pid
     master_clock = master_node.clock
     release_vc = master_node.vc.copy()
     for other in range(sync.config.nprocs):
-        if other == bar.master:
+        if other == master:
             bar.release_box[other] = (release_vc, master_clock.now)
             continue
         recs, msg = sync._ship_consistency(
             sync.nodes[other].vc, release_vc, master_clock,
-            ("barrier_release", bar.master, other))
+            ("barrier_release", master, other))
         for rec in recs:
             apply_write_notice(sync.protocol, sync.nodes[other], rec)
         bar.release_box[other] = (release_vc, msg.arrival_time)

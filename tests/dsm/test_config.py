@@ -43,7 +43,8 @@ def test_policy_strings_accepted_lazily():
 
 
 @pytest.mark.parametrize("retired", [
-    "access_fast_path", "detection_shards", "trace_messages"])
+    "access_fast_path", "detection_shards", "trace_messages",
+    "election_timeout"])
 def test_retired_fields_are_gone(retired):
     with pytest.raises(TypeError, match=retired):
         DsmConfig(**{retired: False})

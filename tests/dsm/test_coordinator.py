@@ -3,7 +3,7 @@
 Covers the deterministic election function, the role's journal and its
 install (the longest intact prefix of the framed commit records, a torn
 tail filled in from the holder's checkpoint section or from memory),
-the barrier-master reassignment guards, and the config-layer validation
+the barrier-master guards on the role, and the config-layer validation
 of the failover knobs.
 """
 
@@ -13,11 +13,13 @@ from repro import durable
 from repro.dsm.config import DsmConfig
 from repro.dsm.coordinator import (CoordinatorRole, FailoverStats,
                                    elect_coordinator)
+from repro.dsm.cvm import CVM
 from repro.dsm.sync import BarrierState
 from repro.errors import SynchronizationError
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import (OVERHEAD_CATEGORIES, CostCategory,
                                  CostModel)
+from tests.helpers import small_config
 from tests.test_durable import _record_ends
 
 
@@ -250,47 +252,59 @@ def test_install_from_torn_journal_without_checkpoint_uses_memory():
 
 
 # ---------------------------------------------------------------------- #
-# Barrier-master reassignment guards.
+# Barrier-master guards: the role's pid is the master.
 # ---------------------------------------------------------------------- #
-def test_reassign_master_requires_failover():
-    bar = BarrierState(4)
+def test_pinned_role_refuses_install():
+    role = _role(failover=False)
     with pytest.raises(SynchronizationError, match="pinned"):
-        bar.reassign_master(1)
-    assert bar.master == 0
+        role.install_from_journal(1)
+    assert role.pid == 0
+    assert role.stats.elections_held == 0
 
 
-def test_reassign_master_moves_the_master():
-    bar = BarrierState(4, failover=True)
-    bar.reassign_master(2)
-    assert bar.master == 2
+def test_install_moves_the_master():
+    role = _role()
+    role.install_from_journal(2)
+    assert role.pid == 2
     # The old master is just another process now and can be declared dead.
-    bar.declare_dead(0)
+    role.declare_dead(0)
     # Under failover even the current master may be declared dead: in an
     # epoch where *every* process crashed, the elected successor is itself
     # recovering and is declared dead like the rest.
-    bar.declare_dead(2)
+    role.declare_dead(2)
 
 
-def test_reassign_master_rejects_out_of_range_pid():
-    bar = BarrierState(4, failover=True)
+def test_install_rejects_out_of_range_pid():
+    role = _role()
     with pytest.raises(SynchronizationError, match="elect"):
-        bar.reassign_master(4)
+        role.install_from_journal(4)
+    assert role.pid == 0
 
 
 def test_declare_dead_master_allowed_under_failover():
-    bar = BarrierState(4, failover=True)
-    bar.reassign_master(1)
-    bar.declare_dead(0)  # the old master is just another process now
+    role = _role()
+    role.install_from_journal(1)
+    role.declare_dead(0)  # the old master is just another process now
 
 
-def test_horizons_recorded_only_under_failover():
-    bar = BarrierState(2, failover=False)
-    assert bar.horizons == {}
-    bar = BarrierState(2, failover=True)
-    assert bar.failover
-    bar.horizons[0] = object()
-    bar.reset_for_next_generation()
-    assert bar.horizons == {}
+def test_horizons_recorded_only_under_failover(monkeypatch):
+    """Arrival horizons are kept for a successor's re-solicitation, so
+    only a run whose role can migrate records them; every reset clears
+    them."""
+    seen = []
+    reset = BarrierState.reset_for_next_generation
+
+    def spy(bar):
+        seen.append(sorted(bar.horizons))
+        reset(bar)
+        assert bar.horizons == {}
+
+    monkeypatch.setattr(BarrierState, "reset_for_next_generation", spy)
+    for failover in (False, True):
+        seen.clear()
+        system = CVM(small_config(nprocs=2, master_failover=failover))
+        system.run(lambda env: env.barrier())
+        assert seen and all(h == ([0, 1] if failover else []) for h in seen)
 
 
 # ---------------------------------------------------------------------- #
@@ -315,7 +329,3 @@ def test_config_rejects_master_crash_with_single_process():
     with pytest.raises(ValueError, match="nprocs=1"):
         DsmConfig(nprocs=1, crash_at=((0, 1),), master_failover=True)
 
-
-def test_config_rejects_nonpositive_election_timeout():
-    with pytest.raises(ValueError, match="election_timeout"):
-        DsmConfig(nprocs=4, master_failover=True, election_timeout=0.0)

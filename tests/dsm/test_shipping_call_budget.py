@@ -77,7 +77,7 @@ def counted_run():
             return release_pass(bar, master_node)
         seen["shipped"] = sum(
             len(unseen(system.store, system.nodes[other].vc, master_node.vc))
-            for other in range(NPROCS) if other != bar.master)
+            for other in range(NPROCS) if other != master_node.pid)
         seen["epoch"] = system.store.epoch_intervals(
             system.sync.barrier_state.generation)
         seen["calls"] = count_calls(release_pass, bar, master_node)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dsm.coordinator import CoordinatorRole
 from repro.dsm.sync import BarrierState, EventState, GrantInfo, LockState
 from repro.dsm.vector_clock import VectorClock
 from repro.errors import ReproError, SynchronizationError
@@ -47,14 +48,16 @@ def test_barrier_double_arrival_catchable_as_repro_error():
 
 def test_barrier_death_declaration_bookkeeping():
     bar = BarrierState(3)
-    bar.declare_dead(2)
+    role = CoordinatorRole(3, failover=False, detector=None,
+                           detector_factory=lambda pid: None)
+    role.declare_dead(2)
     bar.arrive(0, 1.0)
     bar.arrive(1, 2.0)
     bar.arrive(2, 9.0)
     bar.reset_for_next_generation()
-    bar.declare_dead(2)
+    role.declare_dead(2)
     with pytest.raises(SynchronizationError, match="master"):
-        bar.declare_dead(0)
+        role.declare_dead(0)
 
 
 def test_barrier_generation_reset():

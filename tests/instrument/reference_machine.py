@@ -117,26 +117,12 @@ class ReferenceMachine(Machine):
                 pc = labels[ins.target]
             elif op is Op.CALL:
                 if ins.target == ANALYSIS_SYMBOL:
-                    # One procedure call regardless of how many words a
-                    # ranged call (imm = run length) announces — that is
-                    # the cost batching removes.
                     self.analysis_calls += 1
                     base_val = get(ins.srcs[0]) if ins.srcs else 0
-                    addr = base_val + ins.offset
                     is_store = (ins.srcs[1] == "st"
                                 if len(ins.srcs) > 1 else False)
-                    count = ins.imm if ins.imm is not None else 1
-                    if count == 1:
-                        self.analysis_hook(addr, is_store, ins.origin)
-                    else:
-                        range_hook = getattr(self.analysis_hook,
-                                             "range_access", None)
-                        if range_hook is not None:
-                            range_hook(addr, count, is_store, ins.origin)
-                        else:
-                            for k in range(count):
-                                self.analysis_hook(addr + k, is_store,
-                                                   ins.origin)
+                    self.analysis_hook(base_val + ins.offset, is_store,
+                                       ins.origin)
                 else:
                     call_args = [get(ARG_REGS[i]) for i in range(6)]
                     regs[RV] = self._call(ins.target, call_args)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import InstrumentationError
 from repro.instrument.atom import ANALYSIS_SYMBOL, AtomRewriter
-from repro.instrument.batch import coalesce_analysis_calls
 from repro.instrument.binaries import APP_NAMES, binary_for
 from repro.instrument.isa import (BinaryImage, Function, Instruction, Op,
                                   Section)
@@ -19,7 +18,7 @@ from repro.instrument.linker import link
 from repro.instrument.machine import AnalysisCounter, Machine
 from repro.instrument.parser import compile_source
 from tests.instrument.reference_machine import ReferenceMachine
-from tests.instrument.test_batch_soundness import generate
+from tests.instrument.kernel_fuzz import generate
 
 KERNEL_ARGS = {"fft": (16,), "sor": (6, 6), "tsp": (5,), "water": (4, 1),
                "lu": (5,)}
@@ -76,8 +75,7 @@ def test_fuzzed_kernels(seed):
     obj = compile_source(generate(seed), "fuzz")
     plain = link("fuzz", [obj], libraries=[], include_cvm=False)
     instrumented = AtomRewriter().instrument(plain)
-    batched, _report = coalesce_analysis_calls(instrumented)
-    for image in (plain, instrumented, batched):
+    for image in (plain, instrumented):
         ref, _low = both(image)
         assert ref.outcome[0] == "returned"
     assert ref.machine.analysis_calls > 0
@@ -141,8 +139,8 @@ def test_division_truncates_toward_zero_exactly(num, denom):
     assert ref.outcome[0] == "returned"
 
 
-class Unranged:
-    """A hook without ``range_access``: ranged calls expand per word."""
+class Recorder:
+    """A hook that keeps each call's origin as well."""
 
     def __init__(self):
         self.events = []
@@ -151,28 +149,21 @@ class Unranged:
         self.events.append((addr, is_store, origin))
 
 
-class Ranged(Unranged):
-    def range_access(self, addr, count, is_store, origin):
-        self.events.append(("range", addr, count, is_store, origin))
-
-
-@pytest.mark.parametrize("hook", [None, Unranged, Ranged])
-def test_ranged_and_scalar_analysis_calls(hook):
+@pytest.mark.parametrize("hook", [None, Recorder])
+def test_analysis_call_operand_shapes(hook):
     def call(*srcs, **kw):
         return I(Op.CALL, target=ANALYSIS_SYMBOL, srcs=srcs, **kw)
 
     ref, _low = both(image_of(app(
         "main",
-        call("a0", "st", offset=2, imm=3, origin="ranged-store"),
-        call("a0", "ld", offset=-1, imm=4, origin="ranged-load"),
-        call("a0", "st", origin="scalar-store"),
-        call("a0", "ld", offset=5, imm=1, origin="explicit-one"),
-        call("a0", "ld", imm=0, origin="empty-run"),
+        call("a0", "st", offset=2, origin="store"),
+        call("a0", "ld", offset=-1, origin="load"),
         call("", "ld", offset=9, origin="no-base"),
         call(offset=4, origin="no-operands"),
         I(Op.RET))), (1000,), hook=hook)
-    assert ref.machine.analysis_calls == 7
-    assert ref.hook.events
+    assert ref.machine.analysis_calls == 4
+    assert [e[:2] for e in ref.hook.events] == [
+        (1002, True), (999, False), (9, False), (4, False)]
 
 
 def _calls_magic():

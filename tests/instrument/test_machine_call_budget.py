@@ -2,7 +2,7 @@
 
 Counts the Python-level calls (``sys.setprofile`` ``call`` events) the
 machine makes per executed instruction over the 24 generated kernels of
-``test_batch_soundness``, ATOM-instrumented.  The step interpreter paid
+``kernel_fuzz``, ATOM-instrumented.  The step interpreter paid
 1.835 calls per step (a ``get`` lambda per operand read on top of the
 memory seam and the analysis hook); lowered blocks pay one call per
 *basic block* plus the seam, the hook and the call path.  The ceiling is
@@ -17,7 +17,7 @@ from repro.instrument.lower import lower_image
 from repro.instrument.machine import Machine
 from repro.instrument.parser import compile_source
 from tests.dsm.test_access_call_budget import count_calls
-from tests.instrument.test_batch_soundness import generate
+from tests.instrument.kernel_fuzz import generate
 
 #: Measured 0.668 (4,173 calls / 6,250 steps).
 CEILING = 0.68
