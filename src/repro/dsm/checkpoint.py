@@ -551,15 +551,6 @@ class CheckpointManager:
     def has_generation(self, pid: int, generation: int) -> bool:
         return generation in self._history.get(pid, {})
 
-    def restore_latest(self, node: "Node", store: "IntervalStore") -> NodeSnapshot:
-        """Restore ``node`` from its latest checkpoint; raises
-        :class:`CheckpointError` if none was ever taken."""
-        snap = self.latest(node.pid)
-        if snap is None:
-            raise CheckpointError(f"no checkpoint exists for P{node.pid}")
-        restore_node(snap, node, store)
-        return snap
-
     @classmethod
     def load_dir(cls, directory: str) -> "CheckpointManager":
         """Rehydrate a manager from a checkpoint directory.

@@ -8,7 +8,6 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan, plan_from_rates
 from repro.net.reliable import DEFAULT_RETRY_BUDGET
-from repro.net.transport import DEFAULT_MAX_DATAGRAM
 from repro.sim.costmodel import CostModel
 from repro.sim.crash import CrashPlan, plan_from_options
 
@@ -135,7 +134,6 @@ class DsmConfig:
             no intervening barrier (§6.3).  0 disables.
         policy: Scheduling policy spec (``"round_robin"`` or ``"random"``).
         seed: Seed for the scheduling policy.
-        max_datagram: Transport datagram limit in bytes.
         loss_rate: Per-datagram drop probability of the simulated network.
             Any nonzero fault rate (or an explicit ``fault_plan``) routes
             all traffic through the reliable channel
@@ -278,7 +276,6 @@ class DsmConfig:
     consolidation_interval: int = 0
     policy: str = "round_robin"
     seed: int = 0
-    max_datagram: int = DEFAULT_MAX_DATAGRAM
     loss_rate: float = 0.0
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0

@@ -130,8 +130,7 @@ class CVM:
             policy=make_policy(config.policy, config.seed),
             deadline_seconds=config.deadline_seconds)
         self.sizer = WireSizer(config.nprocs, config.page_size_words)
-        self.transport = Transport(config.cost_model,
-                                   max_datagram=config.max_datagram)
+        self.transport = Transport(config.cost_model)
         # With faults configured, all protocol traffic goes through the
         # reliable channel (fragmentation, ack/retransmit, duplicate
         # suppression); with faults off — the default — the bare transport

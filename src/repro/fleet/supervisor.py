@@ -93,8 +93,8 @@ class FleetService:
         self.backoff_cap = backoff_cap
         self.drain_on_empty = drain_on_empty
         #: Chaos: SIGKILL the Nth started worker once (1-based; 0 = off).
-        #: The fleet's own fault injection, used by tests and the CI
-        #: smoke job to prove the retry path with a real dead process.
+        #: The fleet's own fault injection, used by the tests to prove
+        #: the retry path with a real dead process.
         self.chaos_kill_worker = chaos_kill_worker
         self.chaos_kill_after = chaos_kill_after
         self._chaos_done = chaos_kill_worker == 0

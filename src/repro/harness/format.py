@@ -54,7 +54,7 @@ def race_report_lines(result) -> List[str]:
     :class:`~repro.core.report.RaceReport`, sorted.
 
     This is the comparison format everywhere reports are diffed — the CLI
-    ``--report`` file, the CI smoke jobs, and the equivalence suites
+    ``--report`` file, ``scripts/smoke.py``, and the equivalence suites
     (record/replay, sharded-vs-centralized, crash-vs-crash-free) — so a
     byte-identical claim always means the same bytes."""
     return sorted(str(race) for race in result.races)

@@ -107,12 +107,6 @@ class WireSizer:
         """
         return INT_BYTES * (1 + npages)
 
-    def interval_record(self, nwrite_notices: int, nread_notices: int = 0) -> int:
-        """An interval on the wire: owner pid + index + version vector +
-        its notice lists."""
-        return (INT_BYTES * (4 + nwrite_notices + nread_notices)
-                + self._vc_bytes)
-
     def bitmap(self) -> int:
         """A word-granularity access bitmap for one page: one bit per word."""
         return self._bitmap_bytes

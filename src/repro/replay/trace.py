@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import durable
 from repro.errors import ConfigError, ReplayError, TraceError
 from repro.net.reliable import DEFAULT_TIMEOUT_CYCLES
+from repro.net.transport import DEFAULT_MAX_DATAGRAM
 from repro.sim.costmodel import CostCategory
 
 #: Bump when the trace schema changes incompatibly.
@@ -91,9 +92,9 @@ def execution_digest(config, app_name: str) -> str:
         "seed": config.seed,
         "page_size_words": config.page_size_words,
         "segment_words": config.segment_words,
-        "max_datagram": config.max_datagram,
         # Former DsmConfig fields nothing ever set, hashed at their constant
         # values so traces recorded before their removal still replay.
+        "max_datagram": DEFAULT_MAX_DATAGRAM,
         "fragmentable_messages": True,
         "loss_rate": config.loss_rate,
         "duplicate_rate": config.duplicate_rate,

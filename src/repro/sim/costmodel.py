@@ -98,10 +98,6 @@ class CostCategory(enum.Enum):
     #: comparisons; the filter's own cost is priced here.
     COARSE_FILTER = "coarse_filter"
 
-    @property
-    def is_overhead(self) -> bool:
-        return self is not CostCategory.BASE
-
 
 #: The paper's race-detection overhead categories, in Figure 3 order.  The
 #: ``paper=False`` ones are reported separately (see docs/robustness.md).
@@ -216,10 +212,6 @@ class CostModel:
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count to virtual seconds."""
         return cycles / self.clock_hz
-
-    def message_cycles(self, nbytes: int) -> float:
-        """Total cycles to move ``nbytes`` across the simulated network."""
-        return self.msg_latency + self.cycles_per_byte * nbytes
 
 
 class CostLedger:

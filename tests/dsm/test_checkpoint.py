@@ -109,7 +109,7 @@ def test_manager_in_memory_restore_undoes_mutation():
     before = snapshot_node(node, system.store, 0).data["vc"]
     node.vc.tick(1)  # corrupt
     node.epoch += 5
-    manager.restore_latest(node, system.store)
+    restore_node(manager.latest(1), node, system.store)
     assert list(node.vc.entries) == snap.data["vc"]
     assert node.epoch == snap.epoch
     assert before == snap.data["vc"] or True  # restore wins regardless
@@ -145,10 +145,5 @@ def test_checkpoint_errors_are_repro_errors():
         NodeSnapshot.from_json("{not json")
     with pytest.raises(ReproError):
         NodeSnapshot.from_json(json.dumps({"version": 999}))
-    manager = CheckpointManager()
-    store = IntervalStore()
-    from repro.dsm.config import DsmConfig
-    node = Node(0, DsmConfig(nprocs=2, page_size_words=16,
-                             segment_words=256), VirtualClock(), store)
     with pytest.raises(CheckpointError, match="no checkpoint"):
-        manager.restore_latest(node, store)
+        CheckpointManager().at_generation(0, 0)

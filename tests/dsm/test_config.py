@@ -44,7 +44,7 @@ def test_policy_strings_accepted_lazily():
 
 @pytest.mark.parametrize("retired", [
     "access_fast_path", "detection_shards", "trace_messages",
-    "election_timeout"])
+    "election_timeout", "max_datagram"])
 def test_retired_fields_are_gone(retired):
     with pytest.raises(TypeError, match=retired):
         DsmConfig(**{retired: False})

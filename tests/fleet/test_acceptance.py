@@ -20,43 +20,35 @@ import time
 
 import pytest
 
-from repro.fleet import FleetJournal, FleetSpool, JobSpec, fold_journal
+from repro.cli import main
+from repro.fleet import FleetJournal, FleetSpool, fold_journal
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")
 
 
 def submit_mixed_queue(root):
-    """12 jobs: 2 record + 2 detect-offline + 8 online (incl. one lossy)."""
-    spool = FleetSpool(str(root))
-    jobs = []
+    """12 jobs: 2 record + 2 detect-offline + 8 online (incl. one lossy),
+    each submitted through ``repro fleet submit``."""
+    def submit(*argv):
+        assert main(["fleet", "submit", "--spool", str(root), *argv]) == 0
+
     trace = {s: os.path.join(str(root), f"trace-{s}.log") for s in (0, 1)}
-    i = 0
-
-    def add(**kw):
-        nonlocal i
-        spec = JobSpec(job_id=f"job-{i:06d}", **kw)
-        spool.submit(spec)
-        jobs.append(spec)
-        i += 1
-
     for seed in (0, 1):
-        add(app="queue_racy", mode="record", nprocs=3, seed=seed,
-            overrides={"trace_file": trace[seed]})
+        submit("queue_racy", "--mode", "record", "--seed", str(seed),
+               "--trace-file", trace[seed])
     for seed in (0, 1):
         # May race ahead of its record job and fail transiently on the
         # missing trace: that is the retry path working as designed.
-        add(app="queue_racy", mode="detect-offline", nprocs=3, seed=seed,
-            overrides={"trace_file": trace[seed]}, max_retries=8)
-    for seed in range(4):
-        add(app="queue_racy", mode="online", nprocs=3, seed=seed)
-    add(app="queue_racy", mode="online", nprocs=3, seed=0,
-        overrides={"loss_rate": 0.05, "fault_seed": 1})  # lossy online
-    add(app="fft", mode="online", nprocs=2, seed=0)
-    add(app="tsp", mode="online", nprocs=4, seed=0)
-    add(app="water", mode="online", nprocs=4, seed=0)
-    assert len(jobs) == 12
-    return spool
+        submit("queue_racy", "--mode", "detect-offline", "--seed", str(seed),
+               "--trace-file", trace[seed], "--max-retries", "8")
+    submit("queue_racy", "--seeds", "0:4")
+    submit("queue_racy", "--set", "loss_rate=0.05",
+           "--set", "fault_seed=1")  # lossy online
+    submit("fft", "--procs", "2")
+    submit("tsp")
+    submit("water")
+    assert len(FleetSpool(str(root)).pending_files()) == 12
 
 
 def serve_argv(root, *extra):
@@ -127,9 +119,12 @@ def test_mixed_queue_survives_worker_and_service_kills(tmp_path):
 
     # The chaos SIGKILL really happened and was retried.
     assert any(e["event"] == "chaos_kill" for e in events)
+    assert any(e["event"] == "retry" for e in events)
 
     # Aggregate byte-identical to the uninterrupted execution.
     for name in ("aggregate.txt", "aggregate.json"):
         ref_bytes = (ref_root / name).read_bytes()
         vic_bytes = (vic_root / name).read_bytes()
         assert ref_bytes == vic_bytes, f"{name} differs"
+
+    assert main(["fleet", "status", "--spool", str(vic_root)]) == 0

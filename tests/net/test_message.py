@@ -22,14 +22,6 @@ def test_notice_list_sizes():
     assert s.notice_list(7) - s.notice_list(6) == INT_BYTES
 
 
-def test_interval_record_size_components():
-    s = WireSizer(nprocs=4, page_size_words=64)
-    base = s.interval_record(0, 0)
-    assert base == s.ints(2) + s.vector_clock() + 2 * s.notice_list(0)
-    with_notices = s.interval_record(3, 5)
-    assert with_notices == base + 8 * INT_BYTES
-
-
 def test_diff_size():
     s = WireSizer(nprocs=2, page_size_words=64)
     assert s.diff(0) == INT_BYTES
