@@ -52,7 +52,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -146,7 +146,7 @@ def bench_cell(spec: AppSpec, nprocs: int, **config) -> dict:
             "sharded": coordinator_detection_share(sharded),
         },
         "sharded_detect_cycles": sharded_cycles,
-        "sharding": sharded.sharding_stats.summary(),
+        "sharding": asdict(sharded.sharding_stats),
     }
 
 

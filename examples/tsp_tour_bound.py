@@ -35,7 +35,7 @@ def main():
 
     print(f"TSP solved: optimal tour length {result.results[0]} "
           f"(exhaustive check: {true_optimum(params.ncities)})")
-    print(f"lock acquires: {result.lock_acquires}, "
+    print(f"lock acquires: {result.metrics['dsm.sync.lock_acquires']}, "
           f"intervals/barrier: {result.intervals_per_barrier:.1f}")
 
     print(f"\n{len(result.races)} benign data races on the tour bound:")

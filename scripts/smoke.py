@@ -110,6 +110,9 @@ RUNS: Dict[str, Run] = {
                                 "ckpt-water4-delta --checkpoint-delta "
                                 "--report water4-resumed-delta.txt", 1,
                                 needs=("water4-ckpt-delta",)),
+    "water4-resumed-nodelta": Run("run water --procs 4 --resume-from "
+                                  "ckpt-water4-delta", 3,
+                                  needs=("water4-ckpt-delta",)),
     # -- master failover --------------------------------------------------
     "water4-failover1": Run("run water --procs 4 --crash-at 0:1 "
                             "--master-failover --loss-rate 0.05 --fault-seed 7 "
@@ -283,6 +286,8 @@ CELLS: Dict[str, List] = {
         Same("water4", "water4-ckpt-delta"),
         Same("water4-ckpt-delta", "water4-resumed-delta"),
         Has("water4-resumed-delta", "resumed from"),
+        # The other encoding's clock differs: refused by name.
+        Has("water4-resumed-nodelta", "--checkpoint-delta", "stderr"),
     ],
     # The coordinator dies at a barrier generation on a lossy network; the
     # elected successor replays the journal.

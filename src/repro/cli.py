@@ -184,9 +184,110 @@ def cmd_apps(_args) -> int:
     return 0
 
 
+class _Counters(dict):
+    """A run's ``metrics`` read by name; ``m[a+b]`` reads a sum."""
+
+    def __missing__(self, key: str):
+        if "+" not in key:
+            raise KeyError(key)
+        return sum(self[name] for name in key.split("+"))
+
+
+#: The summary ``run`` prints: ``(when, line)`` rows in print order.
+#: ``when(args, res)`` selects a row; its line formats over the parsed
+#: ``args``, the run's config ``c`` and counters ``m`` (``m[dotted.name]``,
+#: see ``RunResult.metrics``), ``ms`` (virtual runtime), ``slowdown``,
+#: ``ipb`` (intervals per barrier) and ``to_dir`` (checkpoint target).
+_SUMMARY = (
+    (lambda a, r: True,
+     "{args.app} on {c.nprocs} simulated processes ({args.protocol} protocol, "
+     "{args.policy} seed {args.seed})"),
+    (lambda a, r: a.mode == "online" and not a.resume_from,
+     "  runtime: {ms:.2f} virtual ms, slowdown {slowdown:.2f}x"),
+    (lambda a, r: a.mode == "record",
+     "  runtime: {ms:.2f} virtual ms (recording to {args.trace_file})"),
+    (lambda a, r: a.mode == "detect-offline",
+     "  runtime: {ms:.2f} virtual ms (replaying {args.trace_file})"),
+    (lambda a, r: a.mode == "online" and a.resume_from,
+     "  runtime: {ms:.2f} virtual ms (resumed from {args.resume_from})"),
+    (lambda a, r: True,
+     "  memory: {m[dsm.segment.high_water_kbytes]:.1f} KB shared, "
+     "{m[dsm.sync.barriers]} barriers, {m[dsm.sync.lock_acquires]} lock "
+     "acquires, {ipb:.1f} intervals/barrier"),
+    (lambda a, r: r.detector_stats,
+     "  detector: {m[core.detector.comparisons]} comparisons, "
+     "{m[core.detector.concurrent_pairs]} concurrent pairs, "
+     "{m[core.detector.bitmaps_fetched]}/{m[core.detector.bitmaps_created]} "
+     "bitmaps fetched"),
+    (lambda a, r: r.detector_stats and r.config.coarse_filter,
+     "  filter: "
+     "{m[core.detector.pairs_filtered]}/{m[core.detector.granule_checks]} "
+     "combination(s) proven race-free by digest, "
+     "{m[core.detector.granule_hits]} granule hit(s) fetched, "
+     "{m[net.transport.digest_bytes]} digest bytes carried"),
+    (lambda a, r: a.mode == "record",
+     "  record: {m[replay.trace.entries]} sync entries "
+     "({m[replay.trace.lock_grants]} lock grants, "
+     "{m[replay.trace.barrier_arrivals]} barrier arrivals, "
+     "{m[replay.trace.deliveries]} message deliveries), "
+     "{m[replay.trace.bytes]} trace bytes"),
+    (lambda a, r: a.mode == "detect-offline",
+     "  replay: {m[replay.trace.grants_replayed]} lock grants steered, "
+     "{m[replay.trace.arrivals_verified]} barrier arrivals and "
+     "{m[replay.trace.deliveries_verified]} deliveries verified against the "
+     "trace"),
+    (lambda a, r: r.config.faults_enabled,
+     "  network: {m[net.reliable.drops]} drops, {m[net.reliable.retransmits]} "
+     "retransmits, {m[net.reliable.duplicates]} duplicates suppressed, "
+     "{m[net.reliable.reorders]} reorders, {m[net.reliable.retry_failures]} "
+     "retry failures"),
+    (lambda a, r: (r.config.faults_enabled and r.detector_stats
+                   and r.metrics["core.detector.page_granularity_reports"]),
+     "  degradation: {m[core.detector.page_granularity_reports]} "
+     "page-granularity report(s) after "
+     "{m[core.detector.bitmap_rounds_failed]} failed bitmap round(s)"),
+    (lambda a, r: r.config.crashes_enabled,
+     "  crashes: {m[sim.crash.crashes]} injected "
+     "({m[sim.crash.deaths_declared]} declared dead by the master), "
+     "{m[sim.crash.recoveries_from_checkpoint]} checkpoint recoveries, "
+     "{m[sim.crash.recoveries_without_checkpoint]} restart recoveries, "
+     "{m[sim.crash.intervals_lost]} interval(s) lost"),
+    (lambda a, r: r.config.checkpointing_enabled,
+     "  checkpoints: {m[dsm.checkpoint.takes]} written, "
+     "{m[dsm.checkpoint.bytes_written]} bytes{to_dir}"),
+    (lambda a, r: r.config.sharded_detection,
+     "  sharding: {m[dsm.sharding.epochs_sharded]}/"
+     "{m[dsm.sharding.epochs_sharded+dsm.sharding.epochs_centralized]} "
+     "epoch(s) sharded, {m[dsm.sharding.shards_dispatched]} shard(s), "
+     "{m[dsm.sharding.records_shipped]} record(s) shipped, "
+     "{m[dsm.sharding.bytes_scattered+dsm.sharding.bytes_reduced]} "
+     "scatter/reduce bytes, {m[dsm.sharding.bitmap_fetch_messages]} bitmap "
+     "fetch(es) ({m[dsm.sharding.bitmap_fetch_bytes]} bytes), "
+     "{m[dsm.sharding.fallbacks_owner_crash+dsm.sharding.fallbacks_network]} "
+     "fallback(s)"),
+    (lambda a, r: r.config.master_failover,
+     "  failover: {m[dsm.failover.elections_held]} election(s), "
+     "{m[dsm.failover.state_bytes_migrated]} state bytes migrated, "
+     "{m[dsm.failover.records_resolicited]} record(s) re-solicited, "
+     "{m[dsm.failover.state_checkpoints]} journal write(s) "
+     "({m[dsm.failover.state_checkpoint_bytes]} bytes)"),
+)
+
+
+def render_summary(args, res, slowdown: Optional[float]) -> List[str]:
+    """The summary lines of run ``res`` (``slowdown``: the measured one,
+    or ``None`` for a single run)."""
+    target = res.config.checkpoint_dir
+    values = dict(args=args, c=res.config, m=_Counters(res.metrics),
+                  ms=res.runtime_seconds * 1e3, slowdown=slowdown,
+                  ipb=res.intervals_per_barrier,
+                  to_dir=f" -> {target}" if target else "")
+    return [line.format(**values) for when, line in _SUMMARY
+            if when(args, res)]
+
+
 def cmd_run(args) -> int:
     spec, params, overrides = _run_plan(args)
-    nprocs = overrides["nprocs"]
     if args.resume_from or args.mode != "online":
         # A resumed run must match the original checkpointed run exactly,
         # so only the detection-on run is performed (measure()'s
@@ -195,95 +296,16 @@ def cmd_run(args) -> int:
         # detection off and logs the synchronization order; detect-offline
         # replays the trace with detection on.
         res = spec.run(params=params, **overrides)
-        result = None
+        slowdown = None
     else:
         result = measure(spec, params=params, **overrides)
-        res = result.detected
-    print(f"{args.app} on {nprocs} simulated processes "
-          f"({args.protocol} protocol, {args.policy} seed {args.seed})")
-    if result is not None:
-        print(f"  runtime: {res.runtime_seconds * 1e3:.2f} virtual ms, "
-              f"slowdown {result.slowdown:.2f}x")
-    elif args.mode == "record":
-        print(f"  runtime: {res.runtime_seconds * 1e3:.2f} virtual ms "
-              f"(recording to {args.trace_file})")
-    elif args.mode == "detect-offline":
-        print(f"  runtime: {res.runtime_seconds * 1e3:.2f} virtual ms "
-              f"(replaying {args.trace_file})")
-    else:
-        print(f"  runtime: {res.runtime_seconds * 1e3:.2f} virtual ms "
-              f"(resumed from {args.resume_from})")
-    print(f"  memory: {res.memory_kbytes:.1f} KB shared, "
-          f"{res.barriers_completed} barriers, "
-          f"{res.lock_acquires} lock acquires, "
-          f"{res.intervals_per_barrier:.1f} intervals/barrier")
-    st = res.detector_stats
-    if st is not None:
-        print(f"  detector: {st.interval_comparisons} comparisons, "
-              f"{st.concurrent_pairs} concurrent pairs, "
-              f"{st.bitmaps_fetched}/{st.bitmaps_created} bitmaps fetched")
-        if res.config.coarse_filter:
-            print(f"  filter: {st.pairs_filtered}/{st.granule_checks} "
-                  f"combination(s) proven race-free by digest, "
-                  f"{st.granule_hits} granule hit(s) fetched, "
-                  f"{res.traffic.digest_bytes} digest bytes carried")
-    rs = res.record_stats
-    if rs is not None and args.mode == "record":
-        print(f"  record: {rs['entries_recorded']} sync entries "
-              f"({rs['lock_grants']} lock grants, "
-              f"{rs['barrier_arrivals']} barrier arrivals, "
-              f"{rs['deliveries']} message deliveries), "
-              f"{rs['trace_bytes']} trace bytes")
-    elif rs is not None:
-        print(f"  replay: {rs['grants_replayed']} lock grants steered, "
-              f"{rs['arrivals_verified']} barrier arrivals and "
-              f"{rs['deliveries_verified']} deliveries verified "
-              f"against the trace")
-    if res.config.faults_enabled:
-        fs = res.traffic.fault_summary()
-        print(f"  network: {fs['drops']} drops, {fs['retransmits']} "
-              f"retransmits, {fs['duplicates']} duplicates suppressed, "
-              f"{fs['reorders']} reorders, {fs['retry_failures']} "
-              f"retry failures")
-        if st is not None and st.page_granularity_reports:
-            print(f"  degradation: {st.page_granularity_reports} "
-                  f"page-granularity report(s) after "
-                  f"{st.bitmap_rounds_failed} failed bitmap round(s)")
-    cs = res.crash_stats
-    if res.config.crashes_enabled:
-        print(f"  crashes: {cs.crashes} injected "
-              f"({cs.deaths_declared} declared dead by the master), "
-              f"{cs.recoveries_from_checkpoint} checkpoint recoveries, "
-              f"{cs.recoveries_without_checkpoint} restart recoveries, "
-              f"{cs.intervals_lost} interval(s) lost")
-    if res.config.checkpointing_enabled:
-        print(f"  checkpoints: {cs.checkpoints_written} written, "
-              f"{cs.checkpoint_bytes} bytes"
-              + (f" -> {res.config.checkpoint_dir}"
-                 if res.config.checkpoint_dir else ""))
-    if res.config.sharded_detection:
-        sh = res.sharding_stats
-        print(f"  sharding: {sh.epochs_sharded}/"
-              f"{sh.epochs_sharded + sh.epochs_centralized} epoch(s) "
-              f"sharded, {sh.shards_dispatched} shard(s), "
-              f"{sh.records_shipped} record(s) shipped, "
-              f"{sh.bytes_scattered + sh.bytes_reduced} "
-              f"scatter/reduce bytes, "
-              f"{sh.bitmap_fetch_messages} bitmap fetch(es) "
-              f"({sh.bitmap_fetch_bytes} bytes), "
-              f"{sh.fallbacks_owner_crash + sh.fallbacks_network} "
-              f"fallback(s)")
-    if res.config.master_failover:
-        fo = res.failover_stats
-        print(f"  failover: {fo.elections_held} election(s), "
-              f"{fo.state_bytes_migrated} state bytes migrated, "
-              f"{fo.records_resolicited} record(s) re-solicited, "
-              f"{fo.state_checkpoints} journal write(s) "
-              f"({fo.state_checkpoint_bytes} bytes)")
-    if res.unverifiable and st is not None:
+        res, slowdown = result.detected, result.slowdown
+    print("\n".join(render_summary(args, res, slowdown)))
+    if res.unverifiable and res.detector_stats is not None:
         print(f"\n{len(res.unverifiable)} unverifiable concurrent "
               f"pair entr(ies) — crash-lost metadata "
-              f"({st.unverifiable_pairs} distinct pair(s)):")
+              f"({res.metrics['core.detector.unverifiable_pairs']} "
+              f"distinct pair(s)):")
         for entry in res.unverifiable:
             print(f"  {entry}")
     if res.races:

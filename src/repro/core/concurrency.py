@@ -27,11 +27,6 @@ class PairSearchStats:
     comparisons: int = 0
     concurrent_pairs: int = 0
 
-    def merge(self, other: "PairSearchStats") -> None:
-        self.intervals += other.intervals
-        self.comparisons += other.comparisons
-        self.concurrent_pairs += other.concurrent_pairs
-
 
 def group_by_pid(intervals: List[Interval]) -> Dict[int, List[Interval]]:
     """Split an epoch's intervals per process, index-ordered."""

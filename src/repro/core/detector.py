@@ -326,7 +326,7 @@ class RaceDetector:
                          index=index)
         res = self._compute(shard, plan, epoch, master_clock, "bitmap_",
                             CostCategory.BITMAPS, tolerant=True)
-        self.transport.stats.add_bitmap_round_bytes(res.fetch_bytes)
+        self.transport.stats.bitmap_round_bytes += res.fetch_bytes
         return self._commit(plan, [res], res.items, epoch)
 
     # ------------------------------------------------------------------ #

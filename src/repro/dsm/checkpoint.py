@@ -559,8 +559,11 @@ class CheckpointManager:
         into full snapshots, validating base continuity and content hashes
         link by link) and retained in :meth:`at_generation` history; the
         highest generation of each pid becomes its :meth:`latest` snapshot
-        — the state a resumed run restarts each node from."""
+        — the state a resumed run restarts each node from.  The manager's
+        ``delta`` says how the files after a node's first are encoded
+        (``None`` when no node has more than one)."""
         manager = cls(directory=None)
+        manager.delta = None
         try:
             names = sorted(os.listdir(directory))
         except OSError as exc:
@@ -579,6 +582,8 @@ class CheckpointManager:
             history = manager._history.setdefault(pid, {})
             for gen, name in sorted(entries):
                 loaded = load_checkpoint(os.path.join(directory, name))
+                if current is not None:
+                    manager.delta = loaded.is_delta
                 if loaded.is_delta:
                     if current is None:
                         raise CheckpointError(
@@ -610,10 +615,16 @@ class ResumePoint:
     validate and reinstall each node's state from the restored snapshots.
     The resumed run must use the same configuration the checkpoints were
     written under (checkpointing stays enabled so the virtual-time write
-    charges line up)."""
+    charges line up), the checkpoint encoding (``delta``) included: the
+    written bytes are priced in virtual time."""
 
-    def __init__(self, directory: str, nprocs: int):
+    def __init__(self, directory: str, nprocs: int, delta: bool):
         mgr = CheckpointManager.load_dir(directory)
+        if mgr.delta is not None and mgr.delta != delta:
+            raise CheckpointError(
+                f"checkpoint directory {directory!r} holds "
+                f"{'delta' if mgr.delta else 'full'} checkpoints: resume it "
+                f"{'with' if mgr.delta else 'without'} --checkpoint-delta")
         pids = sorted(s.pid for s in mgr.snapshots())
         if pids != list(range(nprocs)):
             raise CheckpointError(

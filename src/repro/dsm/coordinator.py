@@ -43,7 +43,7 @@ the legacy configuration is byte-identical to builds without this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -55,7 +55,7 @@ from repro.dsm.vector_clock import precedes
 from repro.errors import RetryExhaustedError, SynchronizationError
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostCategory, CostModel
-from repro.sim.crash import DEFAULT_CRASH_DETECT_TIMEOUT, counter_summary
+from repro.sim.crash import DEFAULT_CRASH_DETECT_TIMEOUT
 
 
 def elect_coordinator(old_pid: int, live_pids: Sequence[int],
@@ -99,10 +99,6 @@ class FailoverStats:
     #: lacking one, the in-memory records) instead of raising.
     journal_fallbacks: int = 0
 
-    def summary(self) -> Dict[str, int]:
-        """Flat summary used in logs and tests."""
-        return counter_summary(self)
-
 
 @dataclass
 class ShardingStats:
@@ -137,10 +133,6 @@ class ShardingStats:
     #: reliable channel's retry budget.
     fallbacks_network: int = 0
 
-    def summary(self) -> Dict[str, int]:
-        """Flat summary used in logs and tests."""
-        return counter_summary(self)
-
     def merge(self, other: "ShardingStats") -> None:
         """Fold a *staged* epoch's counters in.  The sharded phases stage
         their counters in a scratch instance and merge only after
@@ -148,8 +140,9 @@ class ShardingStats:
         (owner crash, retry exhaustion) contributes nothing — the
         counters describe work that was actually committed, not work that
         was attempted and abandoned."""
-        for name, value in counter_summary(other).items():
-            setattr(self, name, getattr(self, name) + value)
+        for f in fields(other):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
 
 
 def chain_digest(records: List[str], digest: str = "") -> str:

@@ -12,7 +12,7 @@ through it; none imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -42,6 +42,45 @@ from repro.sim.policy import make_policy
 from repro.sim.scheduler import Scheduler
 
 
+#: Registry names that differ from ``<layer>.<field>``: the names
+#: BENCHMARK.json gives these counters.
+METRIC_RENAMES = {
+    **{f"core.detector.{old}": f"core.detector.{new}" for old, new in (
+        ("epochs_checked", "epochs"), ("intervals_total", "intervals"),
+        ("interval_comparisons", "comparisons"),
+        ("overlapping_pairs", "checklist_entries"), ("races_found", "races"))},
+    **{f"net.transport.{key}": f"net.reliable.{key}" for key in (
+        "drops", "retransmits", "duplicates", "reorders", "acks",
+        "retry_failures")},
+    "sim.crash.checkpoints_written": "dsm.checkpoint.takes",
+    "sim.crash.checkpoint_bytes": "dsm.checkpoint.bytes_written",
+    "replay.trace.entries_recorded": "replay.trace.entries",
+    "replay.trace.trace_bytes": "replay.trace.bytes",
+}
+
+#: ``RunResult.record_stats``' keys: ``lock_order.stats()`` per mode.
+_RECORD_STATS = {"record": ("entries_recorded", "lock_grants",
+                            "barrier_arrivals", "deliveries", "trace_bytes"),
+                 "detect-offline": ("grants_replayed", "arrivals_verified",
+                                    "deliveries_verified")}
+
+
+def metric_name(layer: str, key: str) -> str:
+    """The registry name of counter ``key`` of ``layer``."""
+    name = f"{layer}.{key}"
+    return METRIC_RENAMES.get(name, name)
+
+
+def int_fields(stats) -> Dict[str, int]:
+    """Every ``int`` field of a stats dataclass, in declaration order."""
+    return {f.name: getattr(stats, f.name) for f in fields(stats)
+            if isinstance(getattr(stats, f.name), int)}
+
+
+def _metric(name: str) -> property:
+    return property(lambda self: self.metrics[name])
+
+
 @dataclass
 class RunResult:
     """Everything a finished run exposes to the harness and to tests."""
@@ -53,15 +92,13 @@ class RunResult:
     ledgers: List[CostLedger]
     runtime_cycles: float
     results: List[Any]
-    intervals_created: int
-    barriers_completed: int
-    lock_acquires: int
-    shared_instr_calls: int
-    private_instr_calls: int
-    memory_kbytes: float
     access_trace: List[TraceEvent]
-    #: Protocol-level diagnostics (faults, invalidations, transfers...).
-    protocol_stats: Dict[str, int] = field(default_factory=dict)
+    #: Every counter of the run under one dotted name (``CVM._collect``):
+    #: ``<layer>.<field>`` of the stats objects below and of the
+    #: protocol, sync, interval, scheduler and replay layers, renamed
+    #: where :data:`METRIC_RENAMES` says.  Online runs all carry the same
+    #: keys; the two-phase modes add their own ``replay.trace`` counters.
+    metrics: Dict[str, float]
     #: Per-lock (acquires, contended) counters.
     lock_stats: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     #: Crash/recovery counters (all zero when crashes are disabled).
@@ -80,11 +117,27 @@ class RunResult:
     #: off.  Detection verdicts and ``detector_stats`` are byte-identical
     #: to the centralized engine's either way.
     sharding_stats: ShardingStats = field(default_factory=ShardingStats)
-    #: Two-phase pipeline counters: a ``--mode record`` run reports the
-    #: entries captured per stream and the flushed trace bytes; a
-    #: ``--mode detect-offline`` run reports the entries replayed and
-    #: verified.  ``None`` in online mode.
-    record_stats: Optional[Dict[str, int]] = None
+
+    # The counters ``benchmarks/spine`` and the fleet read by name.
+    shared_instr_calls = _metric("dsm.env.words")
+    intervals_created = _metric("dsm.interval.created")
+    barriers_completed = _metric("dsm.sync.barriers")
+    lock_acquires = _metric("dsm.sync.lock_acquires")
+
+    @property
+    def protocol_stats(self) -> Dict[str, int]:
+        return {name[len("dsm.protocol."):]: value
+                for name, value in self.metrics.items()
+                if name.startswith("dsm.protocol.")}
+
+    @property
+    def record_stats(self) -> Optional[Dict[str, int]]:
+        """The two-phase pipeline's counters under ``lock_order.stats()``'s
+        keys; ``None`` in online mode."""
+        keys = _RECORD_STATS.get(self.config.mode)
+        return None if keys is None else {
+            key: self.metrics[metric_name("replay.trace", key)]
+            for key in keys}
 
     @property
     def runtime_seconds(self) -> float:
@@ -109,16 +162,6 @@ class RunResult:
         """System-wide per-category overhead relative to base time
         (Figure 3's bars)."""
         return self.aggregate_ledger().breakdown()
-
-    def shared_access_rate(self) -> float:
-        """Instrumented shared accesses per virtual second (Table 3)."""
-        secs = self.runtime_seconds
-        return self.shared_instr_calls / secs if secs > 0 else 0.0
-
-    def private_access_rate(self) -> float:
-        """Instrumented private accesses per virtual second (Table 3)."""
-        secs = self.runtime_seconds
-        return self.private_instr_calls / secs if secs > 0 else 0.0
 
 
 class CVM:
@@ -179,7 +222,8 @@ class CVM:
         self.barrier = self.sync.barrier
         #: Cross-run resume point (``--resume-from``), else ``None``.
         self.resume: Optional[ResumePoint] = (
-            ResumePoint(config.resume_from, config.nprocs)
+            ResumePoint(config.resume_from, config.nprocs,
+                        config.checkpoint_delta)
             if config.resume_from is not None else None)
         #: Optional replay controller (see :mod:`repro.replay`): records or
         #: enforces the order in which contended locks are granted — and,
@@ -251,31 +295,56 @@ class CVM:
         return result
 
     def _collect(self) -> RunResult:
-        clocks = self.scheduler.clocks()
+        clocks, nodes = self.scheduler.clocks(), self.nodes
         locks = self.sync.locks
+        detector = self.detector
+        traffic = self.transport.stats
+        recorded = (self.lock_order.stats()
+                    if self.config.mode in TWO_PHASE_MODES else {})
+        layers = {
+            "sim.scheduler": {
+                "switches": self.scheduler.switches,
+                "yields": sum(p.yields
+                              for p in self.scheduler.processes.values())},
+            "dsm.env": {
+                "words": sum(n.shared_instr_calls for n in nodes),
+                "private_words": sum(n.private_instr_calls for n in nodes)},
+            "dsm.segment": {
+                "high_water_kbytes": self.segment.high_water_kbytes},
+            "dsm.protocol": self.protocol.stats(),
+            "dsm.sync": {
+                "lock_acquires": sum(s.acquires for s in locks.values()),
+                "contended_acquires": sum(s.contended for s in locks.values()),
+                "barriers": self.sync.barrier_state.generation},
+            "dsm.interval": {"created": self.store.total_created},
+            "net.transport": {"messages": traffic.total_messages,
+                              "bytes": traffic.total_bytes,
+                              **int_fields(traffic)},
+            "core.detector": {
+                **int_fields(detector.stats if detector else DetectorStats()),
+                "probes": detector.actual_comparisons if detector else 0},
+            "sim.crash": int_fields(self.crash_stats),
+            "dsm.failover": int_fields(self.coordinator.stats),
+            "dsm.sharding": int_fields(self.coordinator.sharding_stats),
+            "replay.trace": {"entries_recorded": 0, "trace_bytes": 0,
+                             **recorded},
+        }
         return RunResult(
             config=self.config,
-            races=list(self.detector.races) if self.detector else [],
-            detector_stats=self.detector.stats if self.detector else None,
-            traffic=self.transport.stats,
+            races=list(detector.races) if detector else [],
+            detector_stats=detector.stats if detector else None,
+            traffic=traffic,
             ledgers=[c.ledger for c in clocks],
             runtime_cycles=max(c.now for c in clocks),
             results=self.scheduler.results(),
-            intervals_created=self.store.total_created,
-            barriers_completed=self.sync.barrier_state.generation,
-            lock_acquires=sum(s.acquires for s in locks.values()),
-            shared_instr_calls=sum(n.shared_instr_calls for n in self.nodes),
-            private_instr_calls=sum(n.private_instr_calls for n in self.nodes),
-            memory_kbytes=self.segment.high_water_kbytes,
             access_trace=self.access_trace,
-            protocol_stats=self.protocol.stats(),
+            metrics={metric_name(layer, key): value
+                     for layer, counters in layers.items()
+                     for key, value in counters.items()},
             lock_stats={lid: (st.acquires, st.contended)
                         for lid, st in sorted(locks.items())},
             crash_stats=self.crash_stats,
-            unverifiable=(list(self.detector.unverifiable)
-                          if self.detector else []),
+            unverifiable=list(detector.unverifiable) if detector else [],
             failover_stats=self.coordinator.stats,
             sharding_stats=self.coordinator.sharding_stats,
-            record_stats=(self.lock_order.stats()
-                          if self.config.mode in TWO_PHASE_MODES else None),
         )

@@ -258,7 +258,7 @@ class Synchronizer:
         if nbytes:
             clock.advance(self.config.cost_model.cycles_per_byte * nbytes,
                           CostCategory.COARSE_FILTER)
-            self.traffic.add_digest_bytes(nbytes)
+            self.traffic.digest_bytes += nbytes
 
     def _ship_consistency(self, have: VectorClock,
                           upto: Optional[VectorClock], clock,
@@ -279,7 +279,7 @@ class Synchronizer:
             msg = self.net.send(tag, src, dst, None, body, clock,
                                 fragmentable=True)
         if read_bytes:
-            self.traffic.add_read_notice_bytes(read_bytes)
+            self.traffic.read_notice_bytes += read_bytes
         self.charge_digests(digest_bytes, clock)
         return summaries, msg
 

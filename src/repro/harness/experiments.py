@@ -104,7 +104,7 @@ def render_experiments_md(results: ExperimentResults) -> str:
              "Memory KB (ours)", "KB (paper)",
              "Intervals/barrier (ours)", "(paper)",
              "Slowdown 8p (ours)", "(paper)"],
-            [[r.app.upper(), r.input_set, PAPER_TABLE1[r.app]["input"],
+            [[r.app.upper(), r.input, PAPER_TABLE1[r.app]["input"],
               r.synchronization, r.memory_kbytes,
               PAPER_TABLE1[r.app]["memory_kbytes"],
               r.intervals_per_barrier,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import asdict
 from typing import Dict, List
 
 from repro.harness.experiments import ExperimentResults
@@ -23,29 +24,12 @@ from repro.sim.costmodel import OVERHEAD_CATEGORIES
 def results_to_dict(results: ExperimentResults) -> Dict:
     """The full experiment payload as plain data."""
     return {
-        "table1": [
-            {"app": r.app, "input": r.input_set,
-             "synchronization": r.synchronization,
-             "memory_kbytes": r.memory_kbytes,
-             "intervals_per_barrier": r.intervals_per_barrier,
-             "slowdown": r.slowdown,
-             "paper": PAPER_TABLE1[r.app]}
-            for r in results.table1],
-        "table2": [
-            {"app": r.app, "stack": r.stack, "static": r.static,
-             "library": r.library, "cvm": r.cvm,
-             "instrumented": r.instrumented,
-             "eliminated_fraction": r.eliminated_fraction,
-             "paper": PAPER_TABLE2[r.app]}
-            for r in results.table2],
-        "table3": [
-            {"app": r.app, "intervals_used": r.intervals_used,
-             "bitmaps_used": r.bitmaps_used,
-             "msg_overhead": r.msg_overhead,
-             "shared_per_sec": r.shared_per_sec,
-             "private_per_sec": r.private_per_sec,
-             "paper": PAPER_TABLE3[r.app]}
-            for r in results.table3],
+        "table1": [{**asdict(r), "paper": PAPER_TABLE1[r.app]}
+                   for r in results.table1],
+        "table2": [{**asdict(r), "paper": PAPER_TABLE2[r.app]}
+                   for r in results.table2],
+        "table3": [{**asdict(r), "paper": PAPER_TABLE3[r.app]}
+                   for r in results.table3],
         "figure3": [
             {"app": r.app, **r.fractions,
              "total_overhead": r.total_overhead,
@@ -92,7 +76,7 @@ def export_csv(results: ExperimentResults, directory: str) -> List[str]:
     write("table1",
           ["app", "input", "synchronization", "memory_kbytes",
            "intervals_per_barrier", "slowdown", "paper_slowdown"],
-          [[r.app, r.input_set, r.synchronization, r.memory_kbytes,
+          [[r.app, r.input, r.synchronization, r.memory_kbytes,
             r.intervals_per_barrier, r.slowdown,
             PAPER_TABLE1[r.app]["slowdown_8proc"]] for r in results.table1])
     write("table2",

@@ -19,7 +19,7 @@ from repro.harness.paper_values import PAPER_TABLE1
 @dataclass
 class Table1Row:
     app: str
-    input_set: str
+    input: str
     synchronization: str
     memory_kbytes: float
     intervals_per_barrier: float
@@ -34,9 +34,9 @@ def compute_table1(ctx: ExperimentContext,
         m = ctx.result(app, nprocs)
         rows.append(Table1Row(
             app=app,
-            input_set=spec.input_description,
+            input=spec.input_description,
             synchronization=spec.synchronization,
-            memory_kbytes=m.detected.memory_kbytes,
+            memory_kbytes=m.detected.metrics["dsm.segment.high_water_kbytes"],
             intervals_per_barrier=m.detected.intervals_per_barrier,
             slowdown=m.slowdown,
         ))
@@ -48,6 +48,6 @@ def render_table1(rows: List[Table1Row]) -> str:
         "Table 1. Application Characteristics (measured | paper)",
         ["App", "Input Set", "Synchronization", "Memory (KB)",
          "Intervals/Barrier", "Slowdown (8p)", "Paper Slowdown"],
-        [[r.app.upper(), r.input_set, r.synchronization,
+        [[r.app.upper(), r.input, r.synchronization,
           r.memory_kbytes, r.intervals_per_barrier, r.slowdown,
           PAPER_TABLE1[r.app]["slowdown_8proc"]] for r in rows])

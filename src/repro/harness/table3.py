@@ -38,14 +38,14 @@ def compute_table3(ctx: ExperimentContext,
     rows: List[Table3Row] = []
     for app in ctx.app_names:
         res = ctx.result(app, nprocs).detected
-        stats = res.detector_stats
+        stats, secs = res.detector_stats, res.runtime_seconds
         rows.append(Table3Row(
             app=app,
             intervals_used=stats.intervals_used_fraction,
             bitmaps_used=stats.bitmaps_used_fraction,
             msg_overhead=res.traffic.message_overhead_fraction(),
-            shared_per_sec=res.shared_access_rate(),
-            private_per_sec=res.private_access_rate(),
+            shared_per_sec=res.metrics["dsm.env.words"] / secs,
+            private_per_sec=res.metrics["dsm.env.private_words"] / secs,
         ))
     return rows
 

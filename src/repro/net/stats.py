@@ -55,15 +55,6 @@ class TrafficStats:
         self.bytes_by_tag[tag] += nbytes
         self.bytes_by_pair[(src, dst)] += nbytes
 
-    def add_read_notice_bytes(self, nbytes: int) -> None:
-        self.read_notice_bytes += nbytes
-
-    def add_bitmap_round_bytes(self, nbytes: int) -> None:
-        self.bitmap_round_bytes += nbytes
-
-    def add_digest_bytes(self, nbytes: int) -> None:
-        self.digest_bytes += nbytes
-
     @property
     def total_messages(self) -> int:
         return sum(self.messages_by_tag.values())
@@ -80,23 +71,3 @@ class TrafficStats:
         if total == 0:
             return 0.0
         return (self.read_notice_bytes + self.bitmap_round_bytes) / total
-
-    def summary(self) -> Dict[str, int]:
-        """Flat summary used in logs and tests."""
-        return {
-            "messages": self.total_messages,
-            "bytes": self.total_bytes,
-            "read_notice_bytes": self.read_notice_bytes,
-            "bitmap_round_bytes": self.bitmap_round_bytes,
-        }
-
-    def fault_summary(self) -> Dict[str, int]:
-        """Reliable-channel counters (all zero on a fault-free network)."""
-        return {
-            "drops": self.drops,
-            "retransmits": self.retransmits,
-            "duplicates": self.duplicates,
-            "reorders": self.reorders,
-            "acks": self.acks,
-            "retry_failures": self.retry_failures,
-        }

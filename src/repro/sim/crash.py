@@ -38,7 +38,6 @@ scheduling skips (a node whose crash is still pending recovery,
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
@@ -203,22 +202,6 @@ class CrashStats:
     def record_crash(self, kind: str) -> None:
         self.crashes += 1
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
-    @property
-    def recoveries(self) -> int:
-        return (self.recoveries_from_checkpoint
-                + self.recoveries_without_checkpoint)
-
-    def summary(self) -> Dict[str, int]:
-        """Flat summary used in logs and tests (``by_kind`` stays out)."""
-        return counter_summary(self)
-
-
-def counter_summary(stats) -> Dict[str, int]:
-    """Every ``int`` field of a stats dataclass, in declaration order —
-    derived, so a new counter cannot be left out of a summary."""
-    return {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
-            if isinstance(getattr(stats, f.name), int)}
 
 
 def plan_from_options(rate: float, seed: int,

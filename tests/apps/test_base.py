@@ -43,8 +43,8 @@ def test_measure_pairs_identical_workload():
     # Same workload both runs: identical app results, identical base
     # interval structure.
     assert result.base.results == result.detected.results
-    assert result.base.barriers_completed == \
-        result.detected.barriers_completed
+    assert result.base.metrics["dsm.sync.barriers"] == \
+        result.detected.metrics["dsm.sync.barriers"]
     assert result.slowdown > 1.0
     # The undetected run carries no detector state at all.
     assert result.base.detector_stats is None

@@ -155,7 +155,7 @@ def test_private_instrumentation_flows_to_table3_accounting():
     paper's Table 3 'false' instrumentations."""
     res = run("bfs", nprocs=4)
     assert res.detector_stats is not None
-    stats = res.private_instr_calls
+    stats = res.metrics["dsm.env.private_words"]
     assert stats > 0
 
 

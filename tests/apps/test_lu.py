@@ -62,7 +62,7 @@ def test_missing_pivot_barrier_races_on_matrix():
 def test_barrier_count_scales_with_steps():
     res = run(nprocs=2)
     # One barrier per elimination step plus init/readback/final.
-    assert res.barriers_completed >= SMALL.n - 1
+    assert res.metrics["dsm.sync.barriers"] >= SMALL.n - 1
     assert res.intervals_per_barrier == 2.0
 
 

@@ -64,7 +64,7 @@ def test_interval_heavy_structure():
     # Lock-based work queue: far more intervals per barrier than the
     # barrier-only applications (Table 1: TSP has by far the most).
     assert res.intervals_per_barrier > 5
-    assert res.lock_acquires > 20
+    assert res.metrics["dsm.sync.lock_acquires"] > 20
 
 
 def test_high_intervals_used_low_bitmaps_used():

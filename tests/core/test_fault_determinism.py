@@ -28,11 +28,16 @@ def race_lines(result):
     return sorted(str(r) for r in result.races)
 
 
+def reliable(result):
+    """The reliable channel's counters of a run."""
+    return {name: value for name, value in result.metrics.items()
+            if name.startswith("net.reliable.")}
+
+
 def test_same_fault_seed_identical_schedule_and_report():
     a, b = run_queue(**FAULTY), run_queue(**FAULTY)
     assert race_lines(a) == race_lines(b)
-    assert a.traffic.fault_summary() == b.traffic.fault_summary()
-    assert a.traffic.summary() == b.traffic.summary()
+    assert a.metrics == b.metrics
     assert a.runtime_cycles == b.runtime_cycles
     assert a.traffic.drops > 0  # the schedule actually exercised faults
 
@@ -40,7 +45,7 @@ def test_same_fault_seed_identical_schedule_and_report():
 def test_different_fault_seed_different_schedule():
     a = run_queue(**FAULTY)
     b = run_queue(**dict(FAULTY, fault_seed=6))
-    assert a.traffic.fault_summary() != b.traffic.fault_summary()
+    assert reliable(a) != reliable(b)
 
 
 def test_lossy_run_reports_same_races_as_reliable_run():
@@ -63,9 +68,10 @@ def test_registered_apps_complete_and_agree_under_loss(app):
 def test_faults_disabled_is_byte_identical():
     clean_a, clean_b = run_queue(), run_queue()
     assert clean_a.runtime_cycles == clean_b.runtime_cycles
-    assert clean_a.traffic.fault_summary() == {
-        "drops": 0, "retransmits": 0, "duplicates": 0,
-        "reorders": 0, "acks": 0, "retry_failures": 0}
+    assert reliable(clean_a) == {
+        "net.reliable.drops": 0, "net.reliable.retransmits": 0,
+        "net.reliable.duplicates": 0, "net.reliable.reorders": 0,
+        "net.reliable.acks": 0, "net.reliable.retry_failures": 0}
     ledger = clean_a.aggregate_ledger()
     assert ledger.totals[CostCategory.RETRANSMIT] == 0.0
     assert "ack" not in clean_a.traffic.messages_by_tag

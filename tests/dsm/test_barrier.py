@@ -55,7 +55,7 @@ def test_epoch_advances_per_barrier():
         env.barrier()
 
     system, res = run_app_with_system(app, nprocs=2)
-    assert res.barriers_completed == 4  # 3 explicit + final implicit
+    assert res.metrics["dsm.sync.barriers"] == 4  # 3 explicit + final implicit
     assert system.sync.barrier_state.generation == 4
 
 

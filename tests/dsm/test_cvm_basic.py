@@ -138,11 +138,12 @@ def test_runresult_basic_fields():
     assert res.results == [0, 1, 2, 3]
     assert res.runtime_cycles > 0
     assert res.runtime_seconds > 0
-    assert res.barriers_completed == 2  # explicit + final implicit
-    assert res.intervals_created > 0
-    assert res.memory_kbytes == pytest.approx(16 * 8 / 1024)
-    assert res.shared_instr_calls >= 4
-    assert res.private_instr_calls == 4 * 5
+    assert res.metrics["dsm.sync.barriers"] == 2  # explicit + final implicit
+    assert res.metrics["dsm.interval.created"] > 0
+    assert (res.metrics["dsm.segment.high_water_kbytes"]
+            == pytest.approx(16 * 8 / 1024))
+    assert res.metrics["dsm.env.words"] >= 4
+    assert res.metrics["dsm.env.private_words"] == 4 * 5
 
 
 def test_detection_off_counts_nothing():
@@ -152,8 +153,8 @@ def test_detection_off_counts_nothing():
         env.private_accesses(10)
 
     res = run_app(app, nprocs=1, detection=False)
-    assert res.shared_instr_calls == 0
-    assert res.private_instr_calls == 0
+    assert res.metrics["dsm.env.words"] == 0
+    assert res.metrics["dsm.env.private_words"] == 0
     assert res.races == []
     assert res.detector_stats is None
 

@@ -92,29 +92,34 @@ def counted_run(**flags):
 
 
 def check_common(system, res, calls, datagrams):
-    assert res.barriers_completed == BARRIERS
-    assert res.lock_acquires == NPROCS * LOCK_ROUNDS
-    assert calls["lock_acquire"] == calls["lock_release"] == res.lock_acquires
-    assert calls["barrier"] == res.barriers_completed * NPROCS
+    assert res.metrics["dsm.sync.barriers"] == BARRIERS
+    assert res.metrics["dsm.sync.lock_acquires"] == NPROCS * LOCK_ROUNDS
+    assert (calls["lock_acquire"] == calls["lock_release"]
+            == res.metrics["dsm.sync.lock_acquires"])
+    assert calls["barrier"] == res.metrics["dsm.sync.barriers"] * NPROCS
     assert calls["event_set"] == 1
     assert calls["event_wait"] == NPROCS - 1
     # Every datagram on the wire left through the wrapped ``send``.
     assert datagrams == res.traffic.total_messages > 0
-    stats = res.protocol_stats
-    assert calls["protocol.ensure_readable"] >= stats["read_faults"] > 0
+    m = res.metrics
+    assert (calls["protocol.ensure_readable"]
+            >= m["dsm.protocol.read_faults"] > 0)
     assert (calls["protocol.ensure_writable"]
-            >= stats["write_faults"] + stats["soft_faults"] > 0)
-    assert stats["invalidations"] > 0
+            >= m["dsm.protocol.write_faults"] + m["dsm.protocol.soft_faults"]
+            > 0)
+    assert m["dsm.protocol.invalidations"] > 0
     assert calls["protocol.apply_write_notice"] > 0
     # An interval record is created when its interval closes.
-    assert calls["protocol.on_interval_closed"] == res.intervals_created
+    assert (calls["protocol.on_interval_closed"]
+            == res.metrics["dsm.interval.created"])
     assert calls["scheduler.run"] == 1
     assert calls["scheduler.yield_control"] == sum(
         p.yields for p in system.scheduler.processes.values())
     assert calls["scheduler.block"] > 0
     # The checked epoch, and from the second barrier on its predecessor's
     # stragglers.
-    assert calls["store.discard_epoch"] == 2 * res.barriers_completed - 1
+    assert (calls["store.discard_epoch"]
+            == 2 * res.metrics["dsm.sync.barriers"] - 1)
     assert res.races
 
 

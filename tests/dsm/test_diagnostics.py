@@ -17,8 +17,8 @@ def test_protocol_stats_keys_present():
     for key in ("read_faults", "write_faults", "soft_faults",
                 "invalidations", "ownership_transfers",
                 "diffs_created", "diff_words_moved"):
-        assert key in res.protocol_stats
-    assert res.protocol_stats["write_faults"] >= 1
+        assert f"dsm.protocol.{key}" in res.metrics
+    assert res.metrics["dsm.protocol.write_faults"] >= 1
 
 
 def test_sw_counts_ownership_transfers():
@@ -33,8 +33,8 @@ def test_sw_counts_ownership_transfers():
         env.barrier()
 
     res = run_app(app, nprocs=2, protocol="sw")
-    assert res.protocol_stats["ownership_transfers"] >= 1
-    assert res.protocol_stats["diffs_created"] == 0
+    assert res.metrics["dsm.protocol.ownership_transfers"] >= 1
+    assert res.metrics["dsm.protocol.diffs_created"] == 0
 
 
 def test_mw_counts_diffs():
@@ -46,9 +46,9 @@ def test_mw_counts_diffs():
         env.barrier()
 
     res = run_app(app, nprocs=2, protocol="mw")
-    assert res.protocol_stats["diffs_created"] >= 1
-    assert res.protocol_stats["diff_words_moved"] >= 1
-    assert res.protocol_stats["ownership_transfers"] == 0
+    assert res.metrics["dsm.protocol.diffs_created"] >= 1
+    assert res.metrics["dsm.protocol.diff_words_moved"] >= 1
+    assert res.metrics["dsm.protocol.ownership_transfers"] == 0
 
 
 def test_invalidations_counted():
@@ -63,7 +63,7 @@ def test_invalidations_counted():
         env.load(x)
 
     res = run_app(app, nprocs=4)
-    assert res.protocol_stats["invalidations"] >= 3
+    assert res.metrics["dsm.protocol.invalidations"] >= 3
 
 
 def test_lock_stats_track_contention():

@@ -67,7 +67,7 @@ def test_access_counters_count_words_not_calls():
         env.load(x)                    # +1
 
     res = run_app(app, nprocs=1)
-    assert res.shared_instr_calls == 33
+    assert res.metrics["dsm.env.words"] == 33
 
 
 def test_proc_call_cost_scales_with_words():

@@ -60,7 +60,7 @@ def assert_equivalent(production, reference):
         [r.key() for r in reference.races]
     assert production.detector_stats == reference.detector_stats
     assert production.runtime_cycles == reference.runtime_cycles
-    assert production.shared_instr_calls == reference.shared_instr_calls
+    assert production.metrics == reference.metrics
     assert production.traffic.total_messages == \
         reference.traffic.total_messages
     assert production.traffic.total_bytes == reference.traffic.total_bytes
@@ -255,11 +255,7 @@ def observe(prog: Program, cell: str, seed: int, scratch) -> Dict[str, Any]:
         "detector_stats": res.detector_stats,
         "runtime_cycles": res.runtime_cycles,
         "ledgers": [ledger.totals for ledger in res.ledgers],
-        "shared_instr_calls": res.shared_instr_calls,
-        "private_instr_calls": res.private_instr_calls,
-        "messages": res.traffic.total_messages,
-        "bytes": res.traffic.total_bytes,
-        "protocol_stats": res.protocol_stats,
+        "metrics": res.metrics,
         "access_trace": res.access_trace,
         "crash_stats": res.crash_stats,
         "pc_watch": system.pc_watch,

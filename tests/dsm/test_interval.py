@@ -208,7 +208,7 @@ def test_sealed_run_equals_a_run_priced_on_every_visit(monkeypatch, flags):
                 dict(res.traffic.messages_by_tag),
                 dict(res.traffic.bytes_by_tag),
                 res.traffic.read_notice_bytes, res.traffic.digest_bytes,
-                res.failover_stats.summary(), res.runtime_cycles,
+                res.failover_stats, res.runtime_cycles,
                 sorted(str(r) for r in res.races))
 
     sealed = observed(get_app("water").run(nprocs=4, **flags))

@@ -109,7 +109,7 @@ def test_fifo_granting_under_contention():
 def test_lock_acquire_counts():
     system, res = run_app_with_system(_locking_app, nprocs=3)
     # 3 procs x 2 acquires each.
-    assert res.lock_acquires == 6
+    assert res.metrics["dsm.sync.lock_acquires"] == 6
 
 
 def _locking_app(env):

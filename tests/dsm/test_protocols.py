@@ -73,7 +73,7 @@ def test_mw_diff_write_detection_finds_race():
     res = run_app(app, nprocs=3, protocol="mw", diff_write_detection=True)
     assert any(r.kind.value == "write-write" for r in res.races)
     # Stores were not instrumented: no shared analysis calls for them.
-    assert res.shared_instr_calls == 0
+    assert res.metrics["dsm.env.words"] == 0
 
 
 def test_mw_diff_write_detection_misses_same_value_overwrite():

@@ -121,7 +121,7 @@ def observe(prog: Program, cell: str, seed: int) -> Dict[str, Any]:
         "races": [r.key() for r in res.races],
         "unverifiable": [r.key() for r in res.unverifiable],
         "detector_stats": res.detector_stats,
-        "protocol_stats": res.protocol_stats,
+        "metrics": res.metrics,
         "traffic": {name: dict(value) if isinstance(value, dict) else value
                     for name, value in vars(res.traffic).items()},
         "ledgers": [ledger.totals for ledger in res.ledgers],
@@ -159,7 +159,7 @@ def test_the_corpus_exercises_what_it_promises():
                 if cell == "mw":
                     continue
                 obs = observe(prog, cell, seed)
-                if obs["protocol_stats"]["invalidations"]:
+                if obs["metrics"]["dsm.protocol.invalidations"]:
                     seen.add(f"{kind} invalidates")
                 if obs["failover_stats"].elections_held:
                     seen.add("election")

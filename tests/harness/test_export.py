@@ -5,22 +5,14 @@ import json
 
 import pytest
 
-from repro.harness.context import ExperimentContext
-from repro.harness.experiments import run_all_experiments
 from repro.harness.export import export_csv, export_json, results_to_dict
 
 
-@pytest.fixture(scope="module")
-def results():
-    ctx = ExperimentContext(apps=("sor", "tsp"))
-    return run_all_experiments(ctx, sweep=(2,))
-
-
-def test_results_to_dict_structure(results):
+def test_results_to_dict_structure(ctx, results):
     data = results_to_dict(results)
     assert set(data) == {"table1", "table2", "table3", "figure3",
                          "figure4", "races", "avg_slowdown"}
-    assert {row["app"] for row in data["table1"]} == {"sor", "tsp"}
+    assert {row["app"] for row in data["table1"]} == set(ctx.app_names)
     # table2 always covers the four binaries (static artifact).
     assert len(data["table2"]) == 4
     assert data["races"]["tsp"], "TSP races present in export"
@@ -36,12 +28,12 @@ def test_export_json_roundtrip(results, tmp_path):
     assert loaded["figure4"][0]["slowdowns"]["2"] > 1
 
 
-def test_export_csv_files(results, tmp_path):
+def test_export_csv_files(ctx, results, tmp_path):
     paths = export_csv(results, str(tmp_path / "csv"))
     assert len(paths) == 5
     with open([p for p in paths if p.endswith("table1.csv")][0]) as f:
         rows = list(csv.DictReader(f))
-    assert {r["app"] for r in rows} == {"sor", "tsp"}
+    assert {r["app"] for r in rows} == set(ctx.app_names)
     assert all(float(r["slowdown"]) > 1 for r in rows)
     with open([p for p in paths if p.endswith("figure3.csv")][0]) as f:
         rows = list(csv.DictReader(f))

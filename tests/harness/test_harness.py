@@ -1,23 +1,13 @@
 """Harness: table/figure computation and rendering (small configs)."""
 
-import pytest
-
-from repro.harness.context import ExperimentContext
 from repro.harness.experiments import (render_experiments_md, render_findings,
-                                       render_report, run_all_experiments)
+                                       render_report)
 from repro.harness.figure3 import compute_figure3, render_figure3
 from repro.harness.figure4 import Figure4Row, compute_figure4, render_figure4
 from repro.harness.format import markdown_table, pct, render_table
 from repro.harness.table1 import compute_table1, render_table1
 from repro.harness.table2 import compute_table2, render_table2
 from repro.harness.table3 import compute_table3, render_table3
-
-
-@pytest.fixture(scope="module")
-def results():
-    """One small full-experiment run shared by every test here."""
-    ctx = ExperimentContext()
-    return run_all_experiments(ctx, sweep=(2, 4))
 
 
 def test_table1_rows(results):

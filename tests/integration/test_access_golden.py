@@ -67,8 +67,8 @@ def observe(label: str, hooks: str) -> dict:
         "runtime_cycles": result.runtime_cycles,
         "messages": result.traffic.total_messages,
         "bytes": result.traffic.total_bytes,
-        "shared_instr_calls": result.shared_instr_calls,
-        "private_instr_calls": result.private_instr_calls,
+        "shared_instr_calls": result.metrics["dsm.env.words"],
+        "private_instr_calls": result.metrics["dsm.env.private_words"],
         "trace_events": len(result.access_trace),
         "trace_digest": trace.hexdigest(),
         "crashes": result.crash_stats.crashes,

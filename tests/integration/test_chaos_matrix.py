@@ -145,7 +145,7 @@ def test_combined_chaos_deterministic():
     assert a.runtime_cycles == b.runtime_cycles
     assert _report_lines(a) == _report_lines(b)
     assert a.traffic.retransmits == b.traffic.retransmits
-    assert a.crash_stats.summary() == b.crash_stats.summary()
+    assert a.crash_stats == b.crash_stats
 
 
 # ---------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ Regenerate (only from a commit whose bytes are the reference) with
 ``PYTHONPATH=src python -m tests.integration.test_durable_golden``.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -61,7 +62,7 @@ def record_trace(tmp: str) -> dict:
     path = os.path.join(tmp, "water.trace")
     result = get_app("water").run(nprocs=4, mode="record", trace_file=path)
     return {"sha": _sha_file(path),
-            "trace_bytes": result.record_stats["trace_bytes"]}
+            "trace_bytes": result.metrics["replay.trace.bytes"]}
 
 
 def coordinator_journal(tmp: str) -> dict:
@@ -70,7 +71,7 @@ def coordinator_journal(tmp: str) -> dict:
     system = CVM(cfg)
     result = system.run(spec.func, spec.default_params)
     return {"sha": _sha(bytes(system.coordinator._journal)),
-            "failover": result.failover_stats.summary()}
+            "failover": dataclasses.asdict(result.failover_stats)}
 
 
 def fleet_files(tmp: str) -> dict:

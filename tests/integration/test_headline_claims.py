@@ -66,4 +66,5 @@ def test_paper_scale_inputs_runnable():
     res = spec.run(nprocs=8, params=spec.paper_params,
                    segment_words=1 << 20)
     assert res.races == []
-    assert res.memory_kbytes > 2000  # 512x512 doubles x 2 grids
+    # 512x512 doubles x 2 grids
+    assert res.metrics["dsm.segment.high_water_kbytes"] > 2000

@@ -66,7 +66,7 @@ def test_manager_crash_without_checkpoint_completes():
     *complete* — waiters unstrand through the migrated manager."""
     res = get_app("tsp").run(nprocs=4, crash_at=((1, 1),))
     assert res.crash_stats.locks_migrated >= 1
-    assert res.barriers_completed > 0
+    assert res.metrics["dsm.sync.barriers"] > 0
     assert res.unverifiable  # degradation is loud, not silent
 
 
@@ -83,7 +83,8 @@ def test_queue_racy_lock_manager_crash_mid_contention():
     assert res.crash_stats.crashes == 1
     assert res.failover_stats.elections_held == 1
     assert res.crash_stats.locks_migrated == 1
-    assert res.lock_acquires == free.lock_acquires
+    assert (res.metrics["dsm.sync.lock_acquires"]
+            == free.metrics["dsm.sync.lock_acquires"])
     assert _report_lines(res) == _report_lines(free)
 
 

@@ -24,7 +24,7 @@ from tests.helpers import detector_state
 from repro import durable
 from repro.apps.registry import APPLICATIONS, get_app
 from repro.core.detector import RaceDetector
-from repro.dsm.coordinator import CoordinatorRole
+from repro.dsm.coordinator import CoordinatorRole, FailoverStats
 from repro.sim.costmodel import OVERHEAD_CATEGORIES, CostCategory
 
 APP_NAMES = sorted(APPLICATIONS)
@@ -85,7 +85,7 @@ def test_master_crash_without_checkpoints_degrades_soundly(name, free_runs):
 def test_master_crash_at_later_generation_completes():
     res = get_app("sor").run(nprocs=4, master_failover=True,
                              crash_at=((0, 3),), checkpoint=True)
-    assert res.barriers_completed > 3
+    assert res.metrics["dsm.sync.barriers"] > 3
     assert res.failover_stats.elections_held == 1
 
 
@@ -99,8 +99,8 @@ def test_failover_is_deterministic():
     a, b = runs
     assert _report_lines(a) == _report_lines(b)
     assert a.runtime_cycles == b.runtime_cycles
-    assert a.failover_stats.summary() == b.failover_stats.summary()
-    assert a.crash_stats.summary() == b.crash_stats.summary()
+    assert a.failover_stats == b.failover_stats
+    assert a.crash_stats == b.crash_stats
 
 
 def test_successive_coordinator_deaths_cascade_down_the_ranks():
@@ -132,14 +132,15 @@ def test_failover_charges_stay_out_of_overhead():
     assert CostCategory.FAILOVER not in OVERHEAD_CATEGORIES
     assert CostCategory.FAILOVER.value not in res.overhead_breakdown()
     # One journal write at startup plus one after every detection pass.
-    assert res.failover_stats.state_checkpoints == res.barriers_completed + 1
+    assert (res.failover_stats.state_checkpoints
+            == res.metrics["dsm.sync.barriers"] + 1)
 
 
 def test_failover_off_run_has_zero_failover_state():
     res = get_app("sor").run(nprocs=4)
     assert not res.config.master_failover
     assert res.aggregate_ledger().totals[CostCategory.FAILOVER] == 0.0
-    assert all(v == 0 for v in res.failover_stats.summary().values())
+    assert res.failover_stats == FailoverStats()
 
 
 def test_failover_on_without_crash_changes_no_reports():

@@ -15,6 +15,7 @@ overhead breakdown, so sharding-off artifacts stay byte-identical.
 import pytest
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
+from repro.dsm.coordinator import ShardingStats
 from repro.sim.costmodel import OVERHEAD_CATEGORIES, CostCategory
 
 ALL_APPS = sorted(APPLICATIONS) + sorted(EXTRAS)
@@ -174,7 +175,7 @@ def test_sharded_run_is_deterministic():
     b = spec.run(nprocs=8, sharded_detection=True)
     assert [str(r) for r in a.races] == [str(r) for r in b.races]
     assert a.runtime_cycles == b.runtime_cycles
-    assert a.sharding_stats.summary() == b.sharding_stats.summary()
+    assert a.sharding_stats == b.sharding_stats
     for la, lb in zip(a.ledgers, b.ledgers):
         assert la.totals == lb.totals
 
@@ -192,7 +193,7 @@ def test_sharding_traffic_priced_under_its_own_category():
 def test_sharding_off_stats_are_zero():
     res = get_app("tsp").run(nprocs=8)
     assert not res.config.sharded_detection
-    assert all(v == 0 for v in res.sharding_stats.summary().values())
+    assert res.sharding_stats == ShardingStats()
 
 
 def test_sharding_message_tags_ride_the_network(monkeypatch):

@@ -72,7 +72,7 @@ def test_committed_epochs_count_exactly_once():
     assert sh.shards_dispatched > 0
     # A second identical run agrees counter for counter.
     again = get_app("sor").run(nprocs=4, sharded_detection=True)
-    assert sh.summary() == again.sharding_stats.summary()
+    assert sh == again.sharding_stats
 
 
 def test_partial_shard_loss_commits_only_surviving_epochs():

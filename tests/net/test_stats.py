@@ -1,5 +1,6 @@
 """Traffic statistics and the Table 3 message-overhead fraction."""
 
+from repro.dsm.cvm import int_fields
 from repro.net.stats import TrafficStats
 
 
@@ -21,15 +22,19 @@ def test_overhead_fraction_combines_notices_and_bitmap_round():
     s = TrafficStats()
     s.record("sync", 0, 1, 800)
     s.record("bitmap_reply", 1, 0, 200)
-    s.add_read_notice_bytes(100)
-    s.add_bitmap_round_bytes(200)
+    s.read_notice_bytes += 100
+    s.bitmap_round_bytes += 200
     assert s.message_overhead_fraction() == (100 + 200) / 1000
 
 
 def test_summary_keys():
     s = TrafficStats()
     s.record("t", 0, 1, 10)
-    s.add_read_notice_bytes(3)
-    out = s.summary()
-    assert out == {"messages": 1, "bytes": 10,
-                   "read_notice_bytes": 3, "bitmap_round_bytes": 0}
+    s.read_notice_bytes += 3
+    # The int fields are what a run's metrics carry (``net.transport.*``
+    # and ``net.reliable.*``), beside the two totals.
+    assert int_fields(s) == {
+        "read_notice_bytes": 3, "bitmap_round_bytes": 0, "digest_bytes": 0,
+        "drops": 0, "retransmits": 0, "duplicates": 0, "reorders": 0,
+        "acks": 0, "retry_failures": 0}
+    assert (s.total_messages, s.total_bytes) == (1, 10)

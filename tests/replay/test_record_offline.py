@@ -68,9 +68,9 @@ def assert_identical_reports(offline, online):
 def test_replay_matches_online_4_procs(app, tmp_path):
     recorded, replayed, _ = record_and_replay(app, tmp_path, nprocs=4)
     assert_identical_reports(replayed, online_run(app, nprocs=4))
-    assert recorded.record_stats["entries_recorded"] > 0
-    assert (replayed.record_stats["deliveries_verified"]
-            == recorded.record_stats["deliveries"])
+    assert recorded.metrics["replay.trace.entries"] > 0
+    assert (replayed.metrics["replay.trace.deliveries_verified"]
+            == recorded.metrics["replay.trace.deliveries"])
 
 
 @pytest.mark.parametrize("app", ALL_APPS)

@@ -30,7 +30,8 @@ def record_run(seed, nprocs=4):
 
 def test_recorder_logs_every_grant():
     recorder, result = record_run(seed=1)
-    assert recorder.trace.total_grants == result.lock_acquires
+    assert (recorder.trace.total_grants
+            == result.metrics["dsm.sync.lock_acquires"])
     assert recorder.trace.log_bytes > 0
     # All grants are for lock 1 and each pid appears 4 times.
     grants = recorder.trace.lock_grants[1]

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro.apps.registry import get_app
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, render_summary
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
@@ -294,3 +294,23 @@ def test_fleet_serve_batch(capsys, tmp_path):
     assert rc == 0
     assert "drained" in out and "Fleet jobs" in out
     assert "queue_racy" in out
+
+
+def test_summary_degradation_line_follows_the_network_line():
+    """``degradation:`` cannot be reached from the CLI (a lossy run that
+    loses a bitmap round exhausts a page message first), so it is checked
+    on a rendered result whose counters say rounds failed, against the
+    text the line had before the summary became a table."""
+    argv = "run sor --procs 2 --loss-rate 0.05 --fault-seed 7".split()
+    args = build_parser().parse_args(argv)
+    res = get_app("sor").run(nprocs=2, loss_rate=0.05, fault_seed=7)
+    degraded = dataclasses.replace(res, metrics={
+        **res.metrics, "core.detector.page_granularity_reports": 3,
+        "core.detector.bitmap_rounds_failed": 2})
+    assert not any("degradation" in line
+                   for line in render_summary(args, res, 1.0))
+    lines = render_summary(args, degraded, 1.0)
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("  network:"))
+    assert lines[at + 1] == ("  degradation: 3 page-granularity report(s) "
+                             "after 2 failed bitmap round(s)")
