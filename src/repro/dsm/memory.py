@@ -47,6 +47,8 @@ class SharedSegment:
         self._alloc_starts: List[int] = []
         self._by_name: Dict[str, Allocation] = {}
         self._anon_counter = 0
+        #: One past the highest word ever allocated (freeing keeps it).
+        self._high_water = 0
         #: Bumped by every :meth:`free`; a cached :class:`Allocation` is
         #: good for as long as the generation it was looked up under.
         self.generation = 0
@@ -92,6 +94,7 @@ class SharedSegment:
         self._allocs.insert(pos, alloc)
         self._alloc_starts.insert(pos, addr)
         self._by_name[name] = alloc
+        self._high_water = max(self._high_water, alloc.end)
         return addr
 
     def free(self, addr: int) -> None:
@@ -170,9 +173,7 @@ class SharedSegment:
     @property
     def high_water_kbytes(self) -> float:
         """Highest address ever handed out, in kbytes."""
-        if not self._allocs:
-            return 0.0
-        return max(a.end for a in self._allocs) * 8 / 1024.0
+        return self._high_water * 8 / 1024.0
 
     def page_of(self, addr: int) -> int:
         return addr // self.page_size_words

@@ -84,6 +84,16 @@ def test_footprint_metrics():
     assert seg.high_water_kbytes >= seg.allocated_kbytes
 
 
+def test_high_water_remembers_freed_blocks():
+    seg = make_segment()
+    seg.malloc(64, name="low")
+    top = seg.malloc(256, name="top")
+    assert seg.high_water_kbytes == pytest.approx(2.5)
+    seg.free(top)
+    assert seg.allocated_kbytes == pytest.approx(0.5)
+    assert seg.high_water_kbytes == pytest.approx(2.5)
+
+
 def test_page_arithmetic():
     seg = make_segment(page=64)
     assert seg.page_of(0) == 0

@@ -5,8 +5,10 @@ import pytest
 
 from tests.helpers import online_race_keys
 
+from repro.apps.fft import PAPER_PARAMS as FFT_PAPER_PARAMS
 from repro.apps.fft import FftParams
-from repro.apps.registry import APPLICATIONS
+from repro.apps.lu import PAPER_PARAMS as LU_PAPER_PARAMS
+from repro.apps.registry import APPLICATIONS, get_app
 from repro.apps.sor import PAPER_PARAMS as SOR_PAPER_PARAMS
 from repro.apps.sor import SorParams
 from repro.apps.tsp import TspParams
@@ -25,7 +27,7 @@ SMALL_PARAMS = {
 def oracle_keys(app, params, nprocs):
     """Run ``app`` traced; the happens-before oracle's key set, once the
     online detector and the post-mortem analysis have both matched it."""
-    spec = APPLICATIONS[app]
+    spec = get_app(app)
     cfg = spec.config(nprocs=nprocs, track_access_trace=True,
                       segment_words=spec.segment_words(params, nprocs))
     system = CVM(cfg)
@@ -51,10 +53,13 @@ def test_online_matches_oracles(app):
 @pytest.mark.parametrize("app,params,races", [
     ("water", WaterParams(nmol=128, steps=3), 252),
     ("sor", SOR_PAPER_PARAMS, 0),
+    ("fft", FFT_PAPER_PARAMS, 0),
+    ("lu", LU_PAPER_PARAMS, 0),
 ])
 def test_online_matches_oracles_above_default_scale(app, params, races):
     """Past the default parameters: Water at 128 molecules (a 125 k-event
-    trace) and SOR at the paper's 512x512."""
+    trace), and SOR (512x512), FFT (64x64x16, a 136 k-event trace) and LU
+    (128x128) at the paper's inputs."""
     assert len(oracle_keys(app, params, nprocs=8)) == races
 
 
