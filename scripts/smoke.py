@@ -251,8 +251,6 @@ RUNS: Dict[str, Run] = {
                             needs=("hashtab8-record",)),
     # -- the rest of the exit-code protocol, and other surfaces -----------
     "fft-trace-file-online": Run("run fft --trace-file t.log", 2),
-    "fleet-submit-full": Run("fleet submit --spool spool fft "
-                             "--queue-limit 0", 3),
     "water4-deadline": Run("run water --procs 4 --deadline 1e-9", 4),
     "sor8-paper-input": Run("run sor --procs 8 --paper-input", 0),
     "disasm-lowered": Run("disasm hashtab --instrumented --lowered", 0),
@@ -381,12 +379,12 @@ CELLS: Dict[str, List] = {
             "stderr"),
         Has("sor8-record-crashy", "--crash-rate", "stderr"),
     ],
-    # repro.exitcodes: 0 clean, 1 races, 2 config, 3 runtime, 4 deadline.
+    # repro.exitcodes: 0 clean, 1 races, 2 config, 3 runtime, 4 deadline
+    # (3 is checked by run sor8-offline-torn in cell trace-rejected).
     "exit-codes": [
         Lacks("sor2", "DATA RACE", "--report"),
         Has("water4", "DATA RACE", "--report"),
         Has("fft-trace-file-online", "configuration error", "stderr"),
-        Has("fleet-submit-full", "admission limit", "stderr"),
         Has("water4-deadline", "deadline exceeded", "stderr"),
     ],
     "paper-input": [Has("sor8-paper-input", "no data races detected")],

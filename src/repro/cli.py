@@ -6,12 +6,11 @@ Usage (``python -m repro.cli <command> ...``)::
     run APP [options]            run one application and report races
     report [--write PATH]        regenerate every table and figure
     attribute APP [options]      two-run §6.1 racy-access attribution
+    timeline APP [options]       interval/happens-before timeline of a run
     table2                       static instrumentation statistics
     disasm APP [--instrumented] [--lowered]
                                  mini-ISA listing of an app kernel binary,
                                  or the block code it is lowered to
-    fleet serve|submit|status|drain
-                                 supervised multi-run detection service
 
 Exit codes (see :mod:`repro.exitcodes`): 0 clean, 1 races found,
 2 configuration error, 3 runtime failure/degraded, 4 deadline exceeded.
@@ -425,193 +424,6 @@ def cmd_disasm(args) -> int:
     return 0
 
 
-def _parse_seeds(text: str) -> List[int]:
-    """``A:B`` (half-open range) or ``A,B,C`` seed sweep for submit."""
-    from repro.errors import ConfigError
-    try:
-        if ":" in text:
-            lo, hi = (int(part) for part in text.split(":", 1))
-            if hi <= lo:
-                raise ValueError
-            return list(range(lo, hi))
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"--seeds {text!r} is neither a half-open range A:B nor a "
-            f"comma list A,B,C")
-
-
-def _parse_overrides(items: List[str]) -> dict:
-    """``--set key=value`` pairs; values parse as JSON, falling back to
-    bare strings (so ``--set loss_rate=0.05`` and ``--set
-    trace_file=/tmp/t.log`` both work)."""
-    import json
-    from repro.errors import ConfigError
-    overrides = {}
-    for item in items:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set {item!r} is not key=value")
-        try:
-            overrides[key] = json.loads(value)
-        except json.JSONDecodeError:
-            overrides[key] = value
-    return overrides
-
-
-def cmd_fleet_submit(args) -> int:
-    from repro.fleet import FleetSpool, JobSpec
-    spool = FleetSpool(args.spool)
-    overrides = _parse_overrides(args.set)
-    if args.trace_file:
-        overrides["trace_file"] = args.trace_file
-    chaos = {}
-    if args.chaos_exit_code is not None:
-        chaos["exit_code"] = args.chaos_exit_code
-    if args.chaos_hang:
-        chaos["hang"] = True
-    nprocs = _nprocs(args)
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    for seed in seeds:
-        job_id = spool.next_job_id()
-        job_overrides = dict(overrides)
-        if args.checkpoint:
-            # Scoped per job: two fleet jobs never share a checkpoint
-            # directory (the CheckpointManager lock would refuse it).
-            job_overrides["checkpoint_dir"] = \
-                spool.checkpoint_dir_for(job_id)
-        spec = JobSpec(
-            job_id=job_id, app=args.app, mode=args.mode, nprocs=nprocs,
-            seed=seed, overrides=job_overrides,
-            deadline_seconds=args.deadline,
-            max_retries=args.max_retries, max_crashes=args.max_crashes,
-            chaos=chaos)
-        spool.submit(spec, limit=args.queue_limit)
-        print(f"submitted {job_id}: {spec.app}/{spec.mode} seed={seed} "
-              f"nprocs={nprocs} (priority class {spec.priority})")
-    return 0
-
-
-def cmd_fleet_serve(args) -> int:
-    from repro.fleet import FleetService
-    service = FleetService(
-        args.spool, slots=args.slots, queue_limit=args.queue_limit,
-        poll_interval=args.poll_interval,
-        heartbeat_interval=args.heartbeat_interval,
-        heartbeat_timeout=args.heartbeat_timeout,
-        deadline_grace=args.deadline_grace,
-        backoff_base=args.backoff_base, backoff_cap=args.backoff_cap,
-        drain_on_empty=args.drain_on_empty,
-        chaos_kill_worker=args.chaos_kill_worker,
-        chaos_kill_after=args.chaos_kill_after)
-    return service.serve(resume=args.resume)
-
-
-def cmd_fleet_status(args) -> int:
-    from repro.fleet import FleetSpool, status_text
-    print(status_text(FleetSpool(args.spool)), end="")
-    return 0
-
-
-def cmd_fleet_drain(args) -> int:
-    from repro.fleet import FleetSpool
-    spool = FleetSpool(args.spool)
-    spool.ensure()
-    with open(spool.drain_path, "w", encoding="utf-8"):
-        pass
-    print(f"drain requested: {spool.drain_path} (the service stops "
-          f"admission, finishes in-flight jobs, writes the aggregate "
-          f"and exits)")
-    return 0
-
-
-def _add_fleet_options(sub) -> None:
-    def spool_arg(p):
-        p.add_argument("--spool", required=True, metavar="DIR",
-                       help="fleet spool directory (queue, journal, "
-                            "results, aggregate)")
-
-    p_serve = sub.add_parser(
-        "serve", help="run the supervised detection service")
-    spool_arg(p_serve)
-    p_serve.add_argument("--slots", type=int, default=4,
-                         help="worker-pool size in slots; a job costs "
-                              "ceil(nprocs/8) slots (default 4)")
-    p_serve.add_argument("--queue-limit", type=int, default=64,
-                         help="admission bound of the in-memory queue")
-    p_serve.add_argument("--resume", action="store_true",
-                         help="recover queue/in-flight/results state "
-                              "from the spool journal after the service "
-                              "was killed")
-    p_serve.add_argument("--drain-on-empty", action="store_true",
-                         help="exit (with the aggregate) once every "
-                              "submitted job is terminal and the spool "
-                              "is empty — batch mode")
-    p_serve.add_argument("--poll-interval", type=float, default=0.05)
-    p_serve.add_argument("--heartbeat-interval", type=float, default=0.2)
-    p_serve.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                         help="silence past which a worker is declared "
-                              "hung and SIGKILLed")
-    p_serve.add_argument("--deadline-grace", type=float, default=2.0,
-                         help="extra seconds past a job's --deadline "
-                              "before the supervisor kills the worker "
-                              "(the in-run guard should fire first)")
-    p_serve.add_argument("--backoff-base", type=float, default=0.1)
-    p_serve.add_argument("--backoff-cap", type=float, default=2.0)
-    p_serve.add_argument("--chaos-kill-worker", type=int, default=0,
-                         metavar="N",
-                         help="fault injection: SIGKILL the Nth started "
-                              "worker once, mid-job (tests/CI)")
-    p_serve.add_argument("--chaos-kill-after", type=float, default=0.15)
-    p_serve.set_defaults(func=cmd_fleet_serve)
-
-    p_sub = sub.add_parser("submit", help="spool a detection job")
-    spool_arg(p_sub)
-    p_sub.add_argument("app")
-    p_sub.add_argument("--mode",
-                       choices=["online", "record", "detect-offline"],
-                       default="online",
-                       help="also the priority class: record < "
-                            "detect-offline < online")
-    p_sub.add_argument("--procs", type=int, default=4)
-    p_sub.add_argument("--seed", type=int, default=0)
-    p_sub.add_argument("--seeds", default=None, metavar="A:B|A,B,C",
-                       help="submit one job per seed (sweep); the "
-                            "aggregate dedups races across them")
-    p_sub.add_argument("--deadline", type=float, default=None,
-                       metavar="SECONDS")
-    p_sub.add_argument("--max-retries", type=int, default=2)
-    p_sub.add_argument("--max-crashes", type=int, default=2)
-    p_sub.add_argument("--trace-file", default=None, metavar="PATH")
-    p_sub.add_argument("--checkpoint", action="store_true",
-                       help="checkpoint under the spool's per-job scope "
-                            "(ckpt/<job-id>)")
-    p_sub.add_argument("--set", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="extra DsmConfig override (repeatable), "
-                            "e.g. --set loss_rate=0.05")
-    p_sub.add_argument("--chaos-exit-code", type=int, default=None,
-                       help="fault injection: worker exits with this "
-                            "code instead of running (tests/CI)")
-    p_sub.add_argument("--chaos-hang", action="store_true",
-                       help="fault injection: worker hangs silently "
-                            "(tests/CI)")
-    p_sub.add_argument("--queue-limit", type=int, default=64,
-                       help="spool-side admission bound; past it submit "
-                            "refuses with an AdmissionError (exit 3)")
-    p_sub.set_defaults(func=cmd_fleet_submit)
-
-    p_stat = sub.add_parser("status", help="show fleet state from the "
-                                           "journal (no service needed)")
-    spool_arg(p_stat)
-    p_stat.set_defaults(func=cmd_fleet_status)
-
-    p_drain = sub.add_parser("drain",
-                             help="ask the service to drain and exit")
-    spool_arg(p_drain)
-    p_drain.set_defaults(func=cmd_fleet_drain)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -664,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "annotated with its instruction")
     p_dis.set_defaults(func=cmd_disasm)
 
-    p_fleet = sub.add_parser(
-        "fleet", help="supervised, crash-tolerant multi-run service")
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-    _add_fleet_options(fleet_sub)
     return parser
 
 

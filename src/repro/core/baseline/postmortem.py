@@ -18,7 +18,7 @@ to be written (``log_bytes``) and the analysis deferred to after the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.baseline.hb_detector import RaceKey, make_race_key
 from repro.core.baseline.trace import TraceEvent
@@ -38,6 +38,18 @@ class ComputationEvent:
     @property
     def empty(self) -> bool:
         return not self.reads and not self.writes
+
+
+def concurrent_pairs(events: Sequence[ComputationEvent]
+                     ) -> Iterator[Tuple[ComputationEvent, ComputationEvent]]:
+    """Every pair of events on different processes that happens-before-1
+    leaves unordered, ``a`` before ``b`` in ``events``' order — the
+    O(n²) walk both the analysis and the timeline make."""
+    for i, a in enumerate(events):
+        for b in events[i + 1:]:
+            if a.pid != b.pid and concurrent(a.pid, a.index, a.vc,
+                                             b.pid, b.index, b.vc):
+                yield a, b
 
 
 class PostMortemAnalyzer:
@@ -67,27 +79,20 @@ class PostMortemAnalyzer:
 
     def races(self, trace: Iterable[TraceEvent]) -> Set[RaceKey]:
         """Racy (kind, word, interval-pair) triples, post-mortem."""
-        events = self.build_events(trace)
         out: Set[RaceKey] = set()
-        for i, a in enumerate(events):
-            for b in events[i + 1:]:
-                if a.pid == b.pid:
-                    continue
-                if not concurrent(a.pid, a.index, a.vc,
-                                  b.pid, b.index, b.vc):
-                    continue
-                for word in a.writes & b.writes:
-                    out.add(make_race_key("write-write", word,
-                                          (a.pid, a.index, "write"),
-                                          (b.pid, b.index, "write")))
-                for word in a.writes & b.reads:
-                    out.add(make_race_key("read-write", word,
-                                          (a.pid, a.index, "write"),
-                                          (b.pid, b.index, "read")))
-                for word in a.reads & b.writes:
-                    out.add(make_race_key("read-write", word,
-                                          (a.pid, a.index, "read"),
-                                          (b.pid, b.index, "write")))
+        for a, b in concurrent_pairs(self.build_events(trace)):
+            for word in a.writes & b.writes:
+                out.add(make_race_key("write-write", word,
+                                      (a.pid, a.index, "write"),
+                                      (b.pid, b.index, "write")))
+            for word in a.writes & b.reads:
+                out.add(make_race_key("read-write", word,
+                                      (a.pid, a.index, "write"),
+                                      (b.pid, b.index, "read")))
+            for word in a.reads & b.writes:
+                out.add(make_race_key("read-write", word,
+                                      (a.pid, a.index, "read"),
+                                      (b.pid, b.index, "write")))
         return out
 
     @staticmethod

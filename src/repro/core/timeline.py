@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.baseline.postmortem import ComputationEvent, PostMortemAnalyzer
-from repro.dsm.vector_clock import VectorClock, concurrent
+from repro.core.baseline.postmortem import (ComputationEvent,
+                                           PostMortemAnalyzer,
+                                           concurrent_pairs)
 
 
 @dataclass
@@ -111,19 +112,13 @@ def render_timeline(events: Sequence[ComputationEvent],
     # Concurrent pairs involving racy words, if any.
     if racy_words:
         racy_pairs = []
-        evs = list(events)
-        for i, a in enumerate(evs):
-            for b in evs[i + 1:]:
-                if a.pid == b.pid:
-                    continue
-                if not concurrent(a.pid, a.index, a.vc, b.pid, b.index, b.vc):
-                    continue
-                overlap = ((a.writes & (b.writes | b.reads))
-                           | (a.reads & b.writes)) & racy_words
-                if overlap:
-                    racy_pairs.append(
-                        f"  P{a.pid}:{a.index} || P{b.pid}:{b.index} "
-                        f"on words {sorted(overlap)}")
+        for a, b in concurrent_pairs(events):
+            overlap = ((a.writes & (b.writes | b.reads))
+                       | (a.reads & b.writes)) & racy_words
+            if overlap:
+                racy_pairs.append(
+                    f"  P{a.pid}:{a.index} || P{b.pid}:{b.index} "
+                    f"on words {sorted(overlap)}")
         if racy_pairs:
             lines.append("")
             lines.append("concurrent racy pairs:")

@@ -486,8 +486,8 @@ class CheckpointManager:
         recovery (and a later ``--resume-from`` would restore a chimera).
         The lock makes the collision loud: the second run is refused with
         a :class:`~repro.errors.ConfigError` naming the run already
-        holding the directory — another CVM instance of this process or a
-        concurrent fleet worker alike (:class:`repro.durable.FileLock`).
+        holding the directory — another CVM instance of this process or
+        another process alike (:class:`repro.durable.FileLock`).
         """
         try:
             self._lock = durable.FileLock(os.path.join(directory, "LOCK"))
@@ -497,9 +497,7 @@ class CheckpointManager:
                 + (f" by {held.holder}" if held.holder else "")
                 + ": two runs cannot share one --checkpoint-dir (their "
                 "ckpt_p*_g*.json files would interleave and corrupt both "
-                "recoveries); give each run its own directory — the fleet "
-                "scopes each job under <spool>/ckpt/<job-id> for exactly "
-                "this reason") from None
+                "recoveries); give each run its own directory") from None
         self._lock.note = f"os-pid {os.getpid()}"
 
     def close(self) -> None:

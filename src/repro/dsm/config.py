@@ -255,10 +255,9 @@ class DsmConfig:
             (``--deadline``).  When the scheduler's dispatch step sees
             the budget exceeded, ``Scheduler.run()`` raises
             :class:`~repro.errors.DeadlineExceeded` (CLI exit code 4)
-            instead of hanging forever — the guard the fleet's per-job
-            deadline builds on.  Purely wall-clock: a run that finishes
-            in time is byte-identical to one with no deadline.  ``None``
-            (default) disables the guard.
+            instead of hanging forever.  Purely wall-clock: a run that
+            finishes in time is byte-identical to one with no deadline.
+            ``None`` (default) disables the guard.
         cost_model: Cycle costs for virtual time.
         track_access_trace: Record every shared access for the baseline
             (oracle) detectors; expensive, test-scale inputs only.

@@ -118,7 +118,7 @@ class RunResult:
     #: to the centralized engine's either way.
     sharding_stats: ShardingStats = field(default_factory=ShardingStats)
 
-    # The counters ``benchmarks/spine`` and the fleet read by name.
+    # The counters ``benchmarks/spine`` reads by name.
     shared_instr_calls = _metric("dsm.env.words")
     intervals_created = _metric("dsm.interval.created")
     barriers_completed = _metric("dsm.sync.barriers")

@@ -1,12 +1,12 @@
 """Durable records: the one copy of every stable-storage mechanism.
 
-The detector of the paper lives in memory; the reproduction keeps five
+The detector of the paper lives in memory; the reproduction keeps three
 records on stable storage — barrier checkpoints (and their delta chain),
-the coordinator journal, the synchronization-order trace, fleet job/result
-files and the fleet journal.  What they share is owned here: the canonical
-form and its digest, the frame (``body + "\\n" + digest(body)``, which any
-truncation or corruption breaks detectably), atomic publish, the append
-log and the exclusive lock.
+the coordinator journal and the synchronization-order trace.  What they
+share is owned here: the canonical form and its digest, the frame
+(``body + "\\n" + digest(body)``, which any truncation or corruption
+breaks detectably), atomic publish, the append-log reader and the
+exclusive lock.
 
 Mechanism only.  What a torn record *means* stays with the caller: its
 error type, its message and its recovery policy (docs/robustness.md,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable, Iterable, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 try:
     import fcntl
@@ -68,10 +68,7 @@ def frame(body: str) -> str:
 
 def unframe(framed: str) -> Optional[str]:
     """The body of an intact frame, or ``None`` when the frame is torn or
-    corrupt.  One newline after the digest is tolerated: fleet files end
-    with one, the trace file does not, and this is the one reader."""
-    if framed.endswith("\n"):
-        framed = framed[:-1]
+    corrupt."""
     body, sep, tail = framed.rpartition("\n")
     if not sep or digest(body) != tail:
         return None
@@ -116,16 +113,6 @@ def publish(path: str, text: str, error: Optional[type] = None,
 # ---------------------------------------------------------------------- #
 # Append log.
 # ---------------------------------------------------------------------- #
-def replay_log(path: str, decode: Callable[[str, int], Any]
-               ) -> Tuple[List[Any], int, int]:
-    """:func:`parse_log` of the file at ``path``; a missing file is an
-    empty log."""
-    if not os.path.exists(path):
-        return [], 0, 0
-    with open(path, "rb") as fh:
-        return parse_log(fh.read(), decode)
-
-
 def parse_log(data: bytes, decode: Callable[[str, int], Any]
               ) -> Tuple[List[Any], int, int]:
     """Decode the longest intact prefix of an append log's bytes.
@@ -155,24 +142,6 @@ def parse_log(data: bytes, decode: Callable[[str, int], Any]
     return records, dropped, intact_bytes
 
 
-def open_log(path: str, decode: Callable[[str, int], Any]) -> TextIO:
-    """Open an append log for writing, first cutting a torn tail back to
-    the intact prefix: a record glued onto a partial line would corrupt
-    the log from there on."""
-    _, dropped, intact_bytes = replay_log(path, decode)
-    if dropped:
-        with open(path, "rb+") as fh:
-            fh.truncate(intact_bytes)
-    return open(path, "a", encoding="utf-8")
-
-
-def append_log(fh: TextIO, body: str) -> None:
-    """Append one framed record and flush it, so a killed writer loses at
-    most the record being written."""
-    fh.write(frame(body) + "\n")
-    fh.flush()
-
-
 # ---------------------------------------------------------------------- #
 # Exclusive lock with a holder note.
 # ---------------------------------------------------------------------- #
@@ -190,17 +159,16 @@ class FileLock:
     ``flock`` locks follow the open file description: they exclude a
     second taker in the same process as well as other processes, and die
     with the holder, so a killed process never wedges the path.  The file's
-    content is the holder's :attr:`note`.  ``wait=False`` raises
+    content is the holder's :attr:`note`.  A second taker gets
     :class:`LockHeld` (carrying the holder's note) instead of blocking."""
 
-    def __init__(self, path: str, wait: bool = False):
+    def __init__(self, path: str):
         self._fd: Optional[int] = os.open(path, os.O_RDWR | os.O_CREAT,
                                           0o644)
         if fcntl is None:  # pragma: no cover - non-POSIX
             return
         try:
-            fcntl.flock(self._fd,
-                        fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             holder = self.note
             self.close()

@@ -178,8 +178,8 @@ class DeadlineExceeded(ReproError):
     """A run blew through its wall-clock deadline (``--deadline``).
 
     Raised from ``Scheduler.run()``, so the simulation unwinds
-    cleanly instead of hanging forever; the CLI maps it to exit code 4 and
-    the fleet supervisor classifies it as a retryable timeout.  Purely a
+    cleanly instead of hanging forever; the CLI maps it to exit code 4,
+    which a caller may treat as a retryable timeout.  Purely a
     wall-clock guard: a run that finishes under its deadline is
     byte-identical to one with no deadline at all.
     """
@@ -193,24 +193,3 @@ class DeadlineExceeded(ReproError):
             f"wall-clock deadline of {deadline_seconds:g}s exceeded "
             f"({elapsed_seconds:.2f}s elapsed, {switches} context "
             f"switches); the run was aborted")
-
-
-class FleetError(ReproError):
-    """Illegal use of the fleet service layer (spool state conflicts,
-    malformed job specs, journal misuse)."""
-
-
-class AdmissionError(FleetError):
-    """The fleet refused a job submission — the bounded queue is full.
-
-    This is the backpressure signal: callers should retry later or drain
-    completed work first, not treat it as a crash.
-    """
-
-    def __init__(self, job_id: str, limit: int):
-        self.job_id = job_id
-        self.limit = limit
-        super().__init__(
-            f"job {job_id!r} rejected: the fleet queue is at its "
-            f"admission limit of {limit} queued job(s); retry after the "
-            f"backlog drains (backpressure, not a failure)")

@@ -1,7 +1,7 @@
-"""Process exit codes of the single-run CLI (and fleet workers).
+"""Process exit codes of the single-run CLI.
 
-The mapping lets any shell caller — CI scripts, the fleet supervisor, a
-cron wrapper — classify a run's outcome without parsing stdout:
+The mapping lets any shell caller — CI scripts, a batch driver, a cron
+wrapper — classify a run's outcome without parsing stdout:
 
 ====  =========================================================
 code  meaning
@@ -16,9 +16,8 @@ code  meaning
 4     wall-clock deadline exceeded (``--deadline``)
 ====  =========================================================
 
-The fleet supervisor's retry policy keys off exactly these classes:
-2 is permanently-failed, 3 and 4 are retried with backoff, and a worker
-killed by a signal (negative returncode) counts toward the poison cap.
+A retry policy can key off exactly these classes: 2 fails permanently,
+3 and 4 may succeed on a second attempt.
 """
 
 from __future__ import annotations

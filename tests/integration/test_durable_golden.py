@@ -1,14 +1,13 @@
 """Golden bytes of every durable record the repo writes.
 
-``durable_golden.json`` was captured on the commit *before* the five
+``durable_golden.json`` was captured on the commit *before* the
 hand-rolled copies of "canonical JSON + newline + BLAKE2b" (checkpoints,
-coordinator journal, synchronization trace, fleet job/result files, fleet
-journal) were folded onto :mod:`repro.durable`.  The fold moves mechanism
-only: every byte written for a given run must stay what the old copies
-wrote — checkpoint files unframed canonical JSON, the trace file without a
-trailing newline, fleet files with one — because ``nbytes``/``trace_bytes``
-feed virtual-time charges and old spools, traces and checkpoint
-directories must stay readable.
+coordinator journal, synchronization trace) were folded onto
+:mod:`repro.durable`.  The fold moves mechanism only: every byte written
+for a given run must stay what the old copies wrote — checkpoint files
+unframed canonical JSON, the trace file without a trailing newline —
+because ``nbytes``/``trace_bytes`` feed virtual-time charges and old
+traces and checkpoint directories must stay readable.
 
 The ``coordinator_journal`` entry was re-captured when the journal
 became an append log of the detector's commit records (its bytes and its
@@ -31,10 +30,6 @@ import pytest
 
 from repro.apps.registry import get_app
 from repro.dsm.cvm import CVM
-from repro.fleet import worker
-from repro.fleet.job import JobSpec
-from repro.fleet.journal import FleetJournal
-from repro.fleet.spool import FleetSpool
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "durable_golden.json")
 
@@ -74,37 +69,10 @@ def coordinator_journal(tmp: str) -> dict:
             "failover": dataclasses.asdict(result.failover_stats)}
 
 
-def fleet_files(tmp: str) -> dict:
-    spec = JobSpec(job_id="job-000007", app="queue_racy", mode="online",
-                   nprocs=3, seed=2, overrides={"loss_rate": 0.05},
-                   deadline_seconds=30.0)
-    spool = FleetSpool(os.path.join(tmp, "spool"))
-    job_path = spool.submit(spec)
-    result_path = spool.result_path(spec.job_id)
-    worker.main(["--job", job_path, "--result", result_path,
-                 "--heartbeat", os.path.join(tmp, "hb")])
-    return {"job_framed": _sha(spec.to_framed()),
-            "job_file": _sha_file(job_path),
-            "result_file": _sha_file(result_path)}
-
-
-def fleet_journal(tmp: str) -> dict:
-    path = os.path.join(tmp, "journal.log")
-    journal = FleetJournal(path)
-    journal.open()
-    journal.append("service", resume=False, slots=4, queue_limit=64)
-    journal.append("submit", job={"job_id": "job-000000", "app": "fft"})
-    journal.append("drain")
-    journal.close()
-    return {"sha": _sha_file(path)}
-
-
 SITES = {
     "checkpoint_dir": checkpoint_dir,
     "record_trace": record_trace,
     "coordinator_journal": coordinator_journal,
-    "fleet_files": fleet_files,
-    "fleet_journal": fleet_journal,
 }
 
 

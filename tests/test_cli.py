@@ -237,63 +237,17 @@ def test_config_error_maps_to_exit_code_2(capsys):
     assert "configuration error" in err and "--trace-file" in err
 
 
-def test_fleet_submit_and_status(capsys, tmp_path):
-    spool = str(tmp_path / "spool")
-    rc, out = run_cli(capsys, "fleet", "submit", "--spool", spool,
-                      "queue_racy", "--seeds", "0:3", "--mode", "record",
-                      "--trace-file", str(tmp_path / "t.log"))
+def test_torn_trace_maps_to_exit_code_3(capsys, tmp_path):
+    """A runtime failure (here an unverifiable trace) exits 3, not 2."""
+    trace = tmp_path / "sor.trace"
+    rc, _out = run_cli(capsys, "run", "sor", "--procs", "2", "--mode",
+                       "record", "--trace-file", str(trace))
     assert rc == 0
-    assert out.count("submitted job-") == 3
-    assert "priority class 0" in out  # record rides the cheapest class
-    rc, out = run_cli(capsys, "fleet", "status", "--spool", spool)
-    assert rc == 0
-    assert "spooled (awaiting ingestion): 3" in out
-
-
-def test_fleet_submit_backpressure_exit_code_3(capsys, tmp_path):
-    spool = str(tmp_path / "spool")
-    rc, _out = run_cli(capsys, "fleet", "submit", "--spool", spool,
-                       "fft", "--seeds", "0:2", "--queue-limit", "2")
-    assert rc == 0
-    rc = main(["fleet", "submit", "--spool", spool, "fft",
-               "--queue-limit", "2"])
-    assert rc == 3  # AdmissionError: transient backpressure, not config
-    assert "backpressure" in capsys.readouterr().err
-
-
-def test_fleet_submit_rejects_unknown_override(capsys, tmp_path):
-    rc = main(["fleet", "submit", "--spool", str(tmp_path / "s"),
-               "fft", "--set", "warp_speed=9"])
+    trace.write_bytes(trace.read_bytes()[:-8])
+    rc = main(["run", "sor", "--procs", "2", "--mode", "detect-offline",
+               "--trace-file", str(trace)])
     assert rc == 3
-    assert "unknown DsmConfig override" in capsys.readouterr().err
-
-
-def test_fleet_submit_refuses_a_retired_config_field_by_name(capsys,
-                                                            tmp_path):
-    """The accepted override keys derive from ``DsmConfig``'s fields, so
-    a retired knob is refused at submit time, named."""
-    rc = main(["fleet", "submit", "--spool", str(tmp_path / "s"),
-               "fft", "--set", "access_fast_path=false"])
-    assert rc == 3
-    assert "['access_fast_path']" in capsys.readouterr().err
-
-
-def test_fleet_drain_touches_marker(capsys, tmp_path):
-    spool = tmp_path / "spool"
-    rc, out = run_cli(capsys, "fleet", "drain", "--spool", str(spool))
-    assert rc == 0
-    assert (spool / "DRAIN").exists()
-
-
-def test_fleet_serve_batch(capsys, tmp_path):
-    spool = str(tmp_path / "spool")
-    run_cli(capsys, "fleet", "submit", "--spool", spool, "queue_racy")
-    rc, out = run_cli(capsys, "fleet", "serve", "--spool", spool,
-                      "--slots", "1", "--drain-on-empty",
-                      "--poll-interval", "0.02")
-    assert rc == 0
-    assert "drained" in out and "Fleet jobs" in out
-    assert "queue_racy" in out
+    assert "torn or corrupt" in capsys.readouterr().err
 
 
 def test_summary_degradation_line_follows_the_network_line():

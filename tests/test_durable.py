@@ -1,10 +1,10 @@
 """repro.durable: the one implementation of frames, atomic publish, the
-append log and the directory lock.
+append-log reader and the directory lock.
 
 The torn-write fuzz runs here once, against the one implementation; each
-record's *policy* on a torn frame (raise, fall back, quarantine) keeps its
-own test beside the record (tests/dsm/test_coordinator.py,
-tests/replay/test_record_offline.py, tests/fleet/).
+record's *policy* on a torn frame (raise, fall back) keeps its own test
+beside the record (tests/dsm/test_coordinator.py,
+tests/replay/test_record_offline.py).
 """
 
 import ast
@@ -37,7 +37,6 @@ def test_frame_round_trips_with_and_without_trailing_newline(body):
     framed = durable.frame(body)
     assert framed == body + "\n" + durable.digest(body)
     assert durable.unframe(framed) == body
-    assert durable.unframe(framed + "\n") == body
 
 
 @pytest.mark.parametrize("body", BODIES)
@@ -136,13 +135,14 @@ def _decode(body, index):
     return body
 
 
-def _write_log(path, n):
-    fh = durable.open_log(path, _decode)
-    for i in range(n):
-        durable.append_log(fh, f"{i}:payload-{'x' * i}")
-    fh.close()
-    with open(path, "rb") as fh:
-        return fh.read()
+def _log(bodies):
+    """The bytes of an append log holding ``bodies``, one frame and its
+    terminating newline each — what the coordinator journal appends."""
+    return "".join([durable.frame(b) + "\n" for b in bodies]).encode()
+
+
+def _numbered_log(n):
+    return _log([f"{i}:payload-{'x' * i}" for i in range(n)])
 
 
 def _record_ends(data: bytes):
@@ -156,55 +156,39 @@ def _record_ends(data: bytes):
     return ends
 
 
-def test_log_truncated_at_every_byte_replays_the_intact_prefix(tmp_path):
-    path = str(tmp_path / "log")
-    data = _write_log(path, 4)
+def test_log_truncated_at_every_byte_replays_the_intact_prefix():
+    data = _numbered_log(4)
     ends = _record_ends(data)
     assert len(ends) == 4 and ends[-1] == len(data)
     for cut in range(len(data) + 1):
-        with open(path, "wb") as fh:
-            fh.write(data[:cut])
         intact = sum(1 for end in ends if end <= cut)
-        records, dropped, _ = durable.replay_log(path, _decode)
+        records, dropped, intact_bytes = durable.parse_log(data[:cut],
+                                                           _decode)
         assert [r.split(":")[0] for r in records] == \
             [str(i) for i in range(intact)], cut
         assert (dropped == 0) == (cut in [0] + ends), cut
-        # Reopen, append: the torn tail is cut first, so the log is clean.
-        fh = durable.open_log(path, _decode)
-        durable.append_log(fh, f"{intact}:appended")
-        fh.close()
-        records, dropped, _ = durable.replay_log(path, _decode)
-        assert dropped == 0, cut
-        assert len(records) == intact + 1
-        assert records[-1] == f"{intact}:appended"
+        # Where a caller cuts the torn tail back to.
+        assert intact_bytes == ([0] + ends)[intact], cut
 
 
-def test_log_with_any_one_byte_flipped_replays_the_records_before_it(
-        tmp_path):
-    path = str(tmp_path / "log")
-    data = _write_log(path, 4)
+def test_log_with_any_one_byte_flipped_replays_the_records_before_it():
+    data = _numbered_log(4)
     ends = _record_ends(data)
     for i in range(len(data)):
-        with open(path, "wb") as fh:
-            fh.write(_flipped(data, i))
-        records, dropped, _ = durable.replay_log(path, _decode)
+        records, dropped, _ = durable.parse_log(_flipped(data, i), _decode)
         assert len(records) == sum(1 for end in ends if end <= i), i
         assert dropped > 0
 
 
-def test_log_stops_at_a_record_the_caller_refuses(tmp_path):
-    path = str(tmp_path / "log")
-    fh = durable.open_log(path, _decode)
-    durable.append_log(fh, "0:a")
-    durable.append_log(fh, "7:out of sequence")
-    durable.append_log(fh, "2:c")
-    fh.close()
-    records, dropped, _ = durable.replay_log(path, _decode)
+def test_log_stops_at_a_record_the_caller_refuses():
+    data = _log(["0:a", "7:out of sequence", "2:c"])
+    records, dropped, _ = durable.parse_log(data, _decode)
     assert records == ["0:a"] and dropped == 4
 
 
-def test_missing_log_is_empty(tmp_path):
-    assert durable.replay_log(str(tmp_path / "nope"), _decode) == ([], 0, 0)
+def test_missing_log_is_empty():
+    """A journal nothing was appended to yet holds no records."""
+    assert durable.parse_log(b"", _decode) == ([], 0, 0)
 
 
 # ---------------------------------------------------------------------- #
@@ -219,7 +203,7 @@ def test_second_taker_learns_the_holders_note(tmp_path):
     assert exc_info.value.holder == "run 17"
     first.close()
     first.close()  # idempotent
-    second = durable.FileLock(path, wait=True)
+    second = durable.FileLock(path)
     assert second.note == "run 17"  # the note outlives its writer
     second.note = "9"
     assert second.note == "9"
@@ -249,7 +233,7 @@ def test_durable_imports_nothing_from_repro():
     assert not [n for n in names if n.split(".")[0] == "repro"]
 
 
-@pytest.mark.parametrize("package", ["fleet", "replay"])
+@pytest.mark.parametrize("package", ["replay"])
 def test_no_durable_record_reaches_into_the_checkpoint_module(package):
     directory = os.path.join(SRC, package)
     modules = [name for name in sorted(os.listdir(directory))
