@@ -79,7 +79,20 @@ class DslMachine(Machine):
 
     def __init__(self, image: BinaryImage, env: Env, shared_base: int,
                  **kwargs):
-        super().__init__(image, analysis_hook=self._analysis, **kwargs)
+        # The hook and the synchronization intrinsics close over ``env``,
+        # never over the machine: a machine holding a bound method of
+        # itself would be a reference cycle, and through ``env`` it would
+        # keep the whole finished run alive with it.
+        def analysis(addr: int, is_store: bool, origin: str) -> None:
+            """The rewriter's analysis call.  Shared accesses were already
+            fully accounted (cost, bitmaps, detection) by the ``env.load``
+            / ``env.store`` the LD/ST itself performed; what remains is
+            the instrumented-but-private case — the run-time check that
+            fails the shared-segment bounds test."""
+            if addr < HEAP_BASE:
+                env.private_accesses(1)
+
+        super().__init__(image, analysis_hook=analysis, **kwargs)
         self.env = env
         self.shared_base = shared_base
         psz = env.config.page_size_words
@@ -105,15 +118,6 @@ class DslMachine(Machine):
             self.env.store(self.shared_base + (addr - HEAP_BASE), value)
         else:
             self.memory[addr] = value
-
-    def _analysis(self, addr: int, is_store: bool, origin: str) -> None:
-        """The rewriter's analysis call.  Shared accesses were already
-        fully accounted (cost, bitmaps, detection) by the ``env.load`` /
-        ``env.store`` the LD/ST itself performed; what remains is the
-        instrumented-but-private case — the run-time check that fails the
-        shared-segment bounds test."""
-        if addr < HEAP_BASE:
-            self.env.private_accesses(1)
 
 
 def run_dsl_app(env: Env, source: str, name: str, *main_args: int) -> int:

@@ -199,37 +199,53 @@ def _solve_suffix(env: Env, dist: List[int], n: int, prefix: Tuple[int, ...],
     """Exhaustive depth-first completion of one partial tour (private
     work), with occasional unsynchronized re-reads of the global bound for
     mid-subtree pruning, exactly like the original program."""
-    best_len: Optional[int] = None
-    best_tour: Optional[Tuple[int, ...]] = None
+    search = _SuffixSearch(env, dist, n, bound)
     remaining = [c for c in range(n) if c not in prefix]
-    nodes_visited = 0
+    search.dfs(list(prefix), length, remaining)
+    env.compute(search.nodes_visited * FLOPS_PER_EDGE)
+    env.private_accesses(search.nodes_visited * PRIVATE_PER_EDGE)
+    return search.best_len, search.best_tour
 
-    def dfs(tour: List[int], length: int, todo: List[int]) -> None:
-        nonlocal best_len, best_tour, nodes_visited, bound
-        nodes_visited += 1
-        if (nodes_visited & 0x3F) == 0:
+
+class _SuffixSearch:
+    """The state of one :func:`_solve_suffix` search.  A method recursing
+    through ``self`` holds no reference to itself, where a closure calling
+    itself by name is a reference cycle per search."""
+
+    __slots__ = ("env", "dist", "n", "bound", "best_len", "best_tour",
+                 "nodes_visited")
+
+    def __init__(self, env: Env, dist: List[int], n: int, bound: int):
+        self.env = env
+        self.dist = dist
+        self.n = n
+        self.bound = bound
+        self.best_len: Optional[int] = None
+        self.best_tour: Optional[Tuple[int, ...]] = None
+        self.nodes_visited = 0
+
+    def dfs(self, tour: List[int], length: int, todo: List[int]) -> None:
+        dist, n = self.dist, self.n
+        self.nodes_visited += 1
+        if (self.nodes_visited & 0x3F) == 0:
             # Periodic unsynchronized refresh of the bound (also racy).
+            env = self.env
             fresh = env.load(env.system.segment.lookup("tsp_bound").addr,
                              site="tsp.dfs:unsynchronized-read")
-            bound = min(bound, fresh)
+            self.bound = min(self.bound, fresh)
         if not todo:
             total = length + dist[tour[-1] * n + tour[0]]
-            if best_len is None or total < best_len:
-                best_len, best_tour = total, tuple(tour)
+            if self.best_len is None or total < self.best_len:
+                self.best_len, self.best_tour = total, tuple(tour)
             return
         last = tour[-1]
         for nxt in sorted(todo, key=lambda c: dist[last * n + c]):
             step = dist[last * n + nxt]
-            if length + step >= bound and \
-                    (best_len is None or length + step >= best_len):
+            if length + step >= self.bound and \
+                    (self.best_len is None or length + step >= self.best_len):
                 continue
             tour.append(nxt)
             todo.remove(nxt)
-            dfs(tour, length + step, todo)
+            self.dfs(tour, length + step, todo)
             todo.append(nxt)
             tour.pop()
-
-    dfs(list(prefix), length, remaining)
-    env.compute(nodes_visited * FLOPS_PER_EDGE)
-    env.private_accesses(nodes_visited * PRIVATE_PER_EDGE)
-    return best_len, best_tour

@@ -156,7 +156,8 @@ def chain_digest(records: List[str], digest: str = "") -> str:
 def make_detector(system, master_pid: int) -> Optional[RaceDetector]:
     """Detector factory for the coordinator role: the initial instance
     at construction, and replacement instances (re-homed on the
-    election winner) during failover.  ``None`` with detection off."""
+    election winner) during failover.  ``None`` with detection off.
+    The detector keeps ``system``'s siblings, never ``system`` itself."""
     config = system.config
     if not config.detection:
         return None
@@ -195,9 +196,10 @@ class CoordinatorRole:
     :meth:`snapshot_section`.  The pid is stable for the whole run unless
     failover is enabled *and* the coordinator crashes, in which case
     :mod:`repro.dsm.recovery` drives the election and calls
-    :meth:`install_from_journal` on the winner.  ``system`` is the
-    :class:`repro.dsm.cvm.CVM` facade the role analyses for (the journal
-    and election halves work without one).
+    :meth:`install_from_journal` on the winner.  ``system`` is a weak
+    proxy of the :class:`repro.dsm.cvm.CVM` facade the role analyses for
+    (the journal and election halves work without one): the recovery and
+    synchronization layers it reaches hold the role themselves.
     """
 
     def __init__(self, nprocs: int, failover: bool,

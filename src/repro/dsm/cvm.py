@@ -5,13 +5,18 @@ transport, the shared segment, the coherence protocol, the synchronization
 operations, the coordinator role with (when enabled) the race detector,
 and crash recovery, then runs an SPMD application function on every
 simulated process, each behind its own :class:`~repro.dsm.env.Env`.
-Every collaborator takes the system as its back-reference, the way
-:class:`~repro.dsm.protocol.Protocol` does, and reaches the others
-through it; none imports this module.
+The facade owns its collaborators, and nothing they hold owns the
+facade: each collaborator is handed the siblings it uses at construction,
+and the few that must reach a sibling built after them (or one that
+holds them) keep a :func:`weakref.proxy` of the facade instead.  So a
+finished run is one tree of references, freed as soon as its caller drops
+the ``CVM``, not one cycle left for the garbage collector.  None of the
+collaborators imports this module.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -172,6 +177,9 @@ class CVM:
         self.scheduler = Scheduler(
             policy=make_policy(config.policy, config.seed),
             deadline_seconds=config.deadline_seconds)
+        # What a collaborator that must reach back into the system holds:
+        # a strong reference would make every run one reference cycle.
+        facade = weakref.proxy(self)
         self.sizer = WireSizer(config.nprocs, config.page_size_words)
         self.transport = Transport(config.cost_model)
         # With faults configured, all protocol traffic goes through the
@@ -190,18 +198,18 @@ class CVM:
         self.directory = PageDirectory(config.num_pages, config.nprocs)
         self.store = IntervalStore()
         self.store.log_vcs = config.track_access_trace
-        self.protocol = make_protocol(config.protocol, self)
         self.nodes: List[Node] = []
+        self.protocol = make_protocol(config.protocol, self)
         self.access_trace: List[TraceEvent] = []
         # The barrier-master responsibilities — barrier release, the
         # epoch's detection pass, the detector instance — are owned by the
         # coordinator role, initially held by P0 as in the paper; only
         # ``--master-failover`` ever moves it.
-        factory = partial(make_detector, self)
+        factory = partial(make_detector, facade)
         self.coordinator = CoordinatorRole(
             config.nprocs, failover=config.master_failover,
             detector=factory(0), detector_factory=factory,
-            initial_pid=0, system=self)
+            initial_pid=0, system=facade)
         # Crash tolerance.  With no crash plan — the default — the
         # injector is None, every crash point is a cheap no-op, and all
         # artifacts are byte-identical to a build without this layer.
@@ -209,10 +217,10 @@ class CVM:
         self._crasher = CrashInjector(cplan) if cplan is not None else None
         #: Counters of the crash, recovery and checkpoint layers.
         self.crash_stats = CrashStats()
-        self.recovery = Recovery(self)
+        self.recovery = Recovery(facade)
         #: The crash point of the access layer (``Env``'s hook tail).
         self._maybe_crash = self.recovery.maybe_crash
-        self.sync = Synchronizer(self)
+        self.sync = Synchronizer(facade)
         # The synchronization operations, under the names ``Env.lock`` and
         # friends look up here at every call (so a tracer may rebind them).
         self.lock_acquire = self.sync.lock_acquire

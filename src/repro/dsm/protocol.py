@@ -31,15 +31,20 @@ from repro.sim.costmodel import CostCategory
 class Protocol:
     """Shared fault/notice machinery; subclasses fill in ownership rules.
 
-    ``system`` is the :class:`repro.dsm.cvm.CVM` facade, giving access to
-    the directory, every node (for page fetches), the transport and the
-    cost model.
+    Built from the :class:`repro.dsm.cvm.CVM` facade ``system``, it keeps
+    the siblings it uses — the configuration, the directory, every node
+    (for page fetches), the wire sizer and the network — and not the
+    facade.
     """
 
     name = "base"
 
     def __init__(self, system) -> None:
-        self.system = system
+        self.config = system.config
+        self.directory = system.directory
+        self.nodes = system.nodes
+        self.sizer = system.sizer
+        self.net = system.net
         self.faults_read = 0
         self.faults_write = 0
         self.soft_faults = 0
@@ -89,7 +94,7 @@ class Protocol:
             fetched = True
         else:
             self.soft_faults += 1
-            node.clock.advance(self.system.config.cost_model.soft_fault,
+            node.clock.advance(self.config.cost_model.soft_fault,
                                CostCategory.BASE)
         self._grant_write(node, copy, fetched)
         copy.state = PageState.WRITABLE
@@ -150,7 +155,7 @@ class Protocol:
     def _source_copy(self, source_pid: int, page_id: int) -> PageCopy:
         """The canonical copy at ``source_pid``, materialized (zero-filled)
         on first reference — fresh shared pages read as zero."""
-        source = self.system.nodes[source_pid]
+        source = self.nodes[source_pid]
         copy = source.page_copy(page_id)
         if copy.data is None:
             copy.materialize()
@@ -162,20 +167,20 @@ class Protocol:
                            page_id: int) -> None:
         """Message accounting for a remote page fetch: request to the
         manager, forward to the source if different, full-page reply."""
-        system = self.system
-        cm = system.config.cost_model
+        cm = self.config.cost_model
         node.clock.advance(cm.page_fault, CostCategory.BASE)
-        manager = system.directory.manager_of(page_id)
-        sizer = system.sizer
+        manager = self.directory.manager_of(page_id)
+        sizer = self.sizer
         if source_pid == node.pid:
             return  # local source: no messages
-        system.net.send("page_request", node.pid, manager, None,
-                              sizer.ints(4), node.clock)
+        net = self.net
+        net.send("page_request", node.pid, manager, None,
+                 sizer.ints(4), node.clock)
         if manager != source_pid:
-            system.net.send("page_forward", manager, source_pid, None,
-                                  sizer.ints(4), node.clock)
-        system.net.send("page_reply", source_pid, node.pid, None,
-                              sizer.ints(2) + sizer.page_data(), node.clock)
+            net.send("page_forward", manager, source_pid, None,
+                     sizer.ints(4), node.clock)
+        net.send("page_reply", source_pid, node.pid, None,
+                 sizer.ints(2) + sizer.page_data(), node.clock)
 
 
 class SingleWriterProtocol(Protocol):
@@ -184,7 +189,7 @@ class SingleWriterProtocol(Protocol):
     name = "sw"
 
     def _fetch_page(self, node: Node, copy: PageCopy) -> None:
-        owner = self.system.directory.owner_of(copy.page_id)
+        owner = self.directory.owner_of(copy.page_id)
         source = self._source_copy(owner, copy.page_id)
         self._charge_page_fetch(node, owner, copy.page_id)
         copy.materialize(source.data)
@@ -201,7 +206,7 @@ class SingleWriterProtocol(Protocol):
         The previous owner's copy demotes to a (possibly staling)
         read-only copy, which LRC permits until a write notice reaches it.
         """
-        directory = self.system.directory
+        directory = self.directory
         owner = directory.owner_of(copy.page_id)
         if owner != node.pid:
             prev = self._source_copy(owner, copy.page_id)
@@ -216,7 +221,7 @@ class SingleWriterProtocol(Protocol):
     def _keeps_copy_despite_notice(self, node: Node, page_id: int) -> bool:
         # The current owner holds the newest data; invalidating it would
         # lose updates.  Everyone else drops their copy.
-        return self.system.directory.owner_of(page_id) == node.pid
+        return self.directory.owner_of(page_id) == node.pid
 
 
 class MultiWriterProtocol(Protocol):
@@ -234,30 +239,30 @@ class MultiWriterProtocol(Protocol):
     name = "mw"
 
     def _fetch_page(self, node: Node, copy: PageCopy) -> None:
-        home = self.system.directory.manager_of(copy.page_id)
+        home = self.directory.manager_of(copy.page_id)
         source = self._source_copy(home, copy.page_id)
         self._charge_page_fetch(node, home, copy.page_id)
         copy.materialize(source.data)
 
     def _grant_write(self, node: Node, copy: PageCopy,
                      fetched: bool) -> None:
-        cm = self.system.config.cost_model
+        cm = self.config.cost_model
         if copy.twin is None:
             copy.make_twin()
             node.twinned_pages.append(copy.page_id)
             node.clock.advance(
-                cm.twin_per_word * self.system.config.page_size_words,
+                cm.twin_per_word * self.config.page_size_words,
                 CostCategory.BASE)
 
     def _keeps_copy_despite_notice(self, node: Node, page_id: int) -> bool:
         # The home copy is canonical (diffs are applied to it at release).
-        return self.system.directory.manager_of(page_id) == node.pid
+        return self.directory.manager_of(page_id) == node.pid
 
     def on_interval_closed(self, node: Node, closed: Interval) -> None:
         """Diff every twinned page and flush to its home."""
-        system = self.system
-        cm = system.config.cost_model
-        page_words = system.config.page_size_words
+        config = self.config
+        cm = config.cost_model
+        page_words = config.page_size_words
         for page_id in node.twinned_pages:
             copy = node.pages.get(page_id)
             if copy is None or copy.twin is None or copy.data is None:
@@ -269,14 +274,14 @@ class MultiWriterProtocol(Protocol):
             if diff:
                 self.diffs_created += 1
                 self.diff_words_moved += len(diff)
-            if diff and system.config.diff_write_detection:
+            if diff and config.diff_write_detection:
                 closed.merge_write_bitmap(
                     page_id, diff_to_bitmap(diff, page_words))
-            home = system.directory.manager_of(page_id)
+            home = self.directory.manager_of(page_id)
             if home != node.pid and diff:
-                system.net.send(
+                self.net.send(
                     "diff_flush", node.pid, home, None,
-                    system.sizer.diff(len(diff)), node.clock)
+                    self.sizer.diff(len(diff)), node.clock)
                 home_copy = self._source_copy(home, page_id)
                 apply_diff(home_copy.data, diff)
                 node.clock.advance(cm.diff_per_word * len(diff),

@@ -29,8 +29,11 @@ from repro.sim.crash import (DEFAULT_CRASH_DETECT_TIMEOUT,
 
 class Recovery:
     """The crash points of one system and the protocols that absorb a
-    crash.  ``system`` is the :class:`repro.dsm.cvm.CVM` facade: its
-    injector (``system._crasher``) decides, its ``crash_stats`` count."""
+    crash.  ``system`` is a weak proxy of the :class:`repro.dsm.cvm.CVM`
+    facade: its injector (``system._crasher``) decides, its
+    ``crash_stats`` count.  The siblings it uses are taken from it here;
+    only the synchronizer (which holds this object) and the checkpoint
+    manager (built after it) are reached through it."""
 
     def __init__(self, system) -> None:
         self.system = system
@@ -38,6 +41,11 @@ class Recovery:
         self.crasher = system._crasher
         self.stats = system.crash_stats
         self.nodes = system.nodes
+        self.coordinator = system.coordinator
+        self.directory = system.directory
+        self.sizer = system.sizer
+        self.net = system.net
+        self.store = system.store
 
     def live_and_crashed(self) -> Tuple[List[int], List[int]]:
         """The pids without and with a pending crash this barrier
@@ -62,7 +70,7 @@ class Recovery:
             doomed = self.crasher.decide(pid, kind)
         if not doomed:
             return
-        role = self.system.coordinator
+        role = self.coordinator
         if pid == role.pid and (not role.failover or self.config.nprocs < 2):
             # Without failover the coordinator runs the detector and the
             # recovery protocol and cannot crash; with nprocs=1 there is
@@ -106,33 +114,33 @@ class Recovery:
         unrecoverable and the detector degrades those checks to explicit
         unverifiable reports.
         """
-        system = self.system
+        checkpoints = self.system.checkpoints
         rec = node.crashed
         clock = node.clock
         cm = self.config.cost_model
         clock.advance(cm.crash_restart, CostCategory.RECOVERY)
-        if system.checkpoints is not None:
-            snap = system.checkpoints.latest(node.pid)
+        if checkpoints is not None:
+            snap = checkpoints.latest(node.pid)
             nbytes = snap.nbytes if snap is not None else 0
             clock.advance(cm.checkpoint_restore_per_byte * nbytes,
                           CostCategory.RECOVERY)
             restart_point = node.last_checkpoint_time
             self.stats.recoveries_from_checkpoint += 1
         else:
-            sizer = system.sizer
+            sizer = self.sizer
             for page_id in sorted(node.pages):
                 copy = node.pages[page_id]
                 if not copy.valid:
                     continue
-                src = system.directory.manager_of(page_id)
+                src = self.directory.manager_of(page_id)
                 if src == node.pid:
                     continue
-                msg = system.net.send(
+                msg = self.net.send(
                     "recovery_page", src, node.pid, None,
                     sizer.ints(2) + sizer.page_data(), clock,
                     category=CostCategory.RECOVERY, fragmentable=True)
                 clock.wait_until(msg.arrival_time)
-            table = system.store.by_pid().get(node.pid, {})
+            table = self.store.by_pid().get(node.pid, {})
             for stored in table.values():
                 if stored.epoch == node.epoch and not stored.lost:
                     stored.lost = True
@@ -160,8 +168,7 @@ class Recovery:
         live, crashed = self.live_and_crashed()
         if not crashed:
             return
-        system = self.system
-        role = system.coordinator
+        role = self.coordinator
         arrivals = [t for p, t in bar.arrival_times.items()
                     if p not in crashed]
         deadline = ((max(arrivals) if arrivals else master_clock.now)
@@ -171,9 +178,9 @@ class Recovery:
             role.declare_dead(p)
             self.stats.deaths_declared += 1
             rec = self.nodes[p].crashed
-            msg = system.net.send(
+            msg = self.net.send(
                 "recovery_request", role.pid, p, None,
-                system.sizer.ints(2), master_clock,
+                self.sizer.ints(2), master_clock,
                 category=CostCategory.RECOVERY)
             arrived = bar.arrival_times[p]
             bar.arrival_times[p] = max(
@@ -197,10 +204,9 @@ class Recovery:
         death-declaration protocol.  Race verdicts are vector-clock
         structural, so the re-homing changes traffic and virtual time only
         — reports stay byte-identical to the crash-free run's."""
-        system = self.system
-        master = system.coordinator.pid
-        sizer = system.sizer
-        locks = system.sync.locks
+        master = self.coordinator.pid
+        sizer = self.sizer
+        locks = self.system.sync.locks
         for lid in sorted(locks):
             st = locks[lid]
             if st.manager not in dead:
@@ -213,9 +219,9 @@ class Recovery:
                 body = (sizer.ints(3 + len(st.queue))
                         + len(st.grant_box)
                         * (sizer.ints(1) + sizer.vector_clock()))
-                system.net.send("lock_migrate", master, new_mgr, None,
-                                body, master_clock,
-                                category=CostCategory.RECOVERY)
+                self.net.send("lock_migrate", master, new_mgr, None,
+                              body, master_clock,
+                              category=CostCategory.RECOVERY)
 
     def coordinator_failover(self, bar: BarrierState) -> None:
         """Election plus detection-state migration, run before the barrier
@@ -246,10 +252,10 @@ class Recovery:
            crash-free race reports come out byte-identical.
         """
         system = self.system
-        role = system.coordinator
+        role = self.coordinator
         sync = system.sync
-        net = system.net
-        sizer = system.sizer
+        net = self.net
+        sizer = self.sizer
         cm = self.config.cost_model
         old = role.pid
         live, _crashed = self.live_and_crashed()

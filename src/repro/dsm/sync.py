@@ -145,9 +145,11 @@ class BarrierState:
 
 class Synchronizer:
     """The synchronization operations of one system, on the state above.
-    ``system`` is the :class:`repro.dsm.cvm.CVM` facade, on which the five
-    operations applications reach are bound under the same names —
-    callers look them up there."""
+    ``system`` is a weak proxy of the :class:`repro.dsm.cvm.CVM` facade,
+    on which the five operations applications reach are bound under the
+    same names — callers look them up there.  The siblings it uses are
+    taken from it here; only ``lock_order``, which a caller may replace
+    after construction, and the checkpoint cut are reached through it."""
 
     def __init__(self, system) -> None:
         self.system = system
@@ -160,6 +162,7 @@ class Synchronizer:
         self.protocol = system.protocol
         self.nodes = system.nodes
         self.recovery = system.recovery
+        self.coordinator = system.coordinator
         self._crasher = system._crasher
         self.locks: Dict[int, LockState] = {}
         self.events: Dict[int, EventState] = {}
@@ -410,7 +413,7 @@ class Synchronizer:
             self.scheduler.unblock(nxt)
         else:
             st.holder = None
-        self.system.coordinator.maybe_consolidate(node)
+        self.coordinator.maybe_consolidate(node)
         self.scheduler.yield_control(pid)
 
     @staticmethod
@@ -493,7 +496,7 @@ class Synchronizer:
         self._close_interval(node)
         horizon = node.vc.copy()
         node.open_interval("barrier arrival")
-        role = self.system.coordinator
+        role = self.coordinator
         master_node = self.nodes[role.pid]
         if pid != role.pid:
             summaries, msg = self._ship_consistency(
@@ -524,9 +527,8 @@ class Synchronizer:
         nodes and failover is enabled, the survivors first elect a
         replacement and migrate the detection state to it; the analysis
         then proceeds on the new coordinator's clock."""
-        system = self.system
         bar = self.barrier_state
-        role = system.coordinator
+        role = self.coordinator
         if (role.failover and self.config.nprocs > 1
                 and self.nodes[role.pid].crashed is not None):
             self.recovery.coordinator_failover(bar)

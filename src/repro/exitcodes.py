@@ -32,16 +32,15 @@ EXIT_TIMEOUT = 4
 def classify_exception(exc: BaseException) -> int:
     """Exit code for an exception escaping a run.
 
-    Order matters: :class:`~repro.errors.DeadlineExceeded` and
-    :class:`~repro.errors.ConfigError` are both ``ReproError`` subclasses
-    and must win over the generic runtime class; plain ``ValueError``
-    covers :class:`~repro.dsm.config.DsmConfig`'s scalar validation.
+    :class:`~repro.errors.DeadlineExceeded` and
+    :class:`~repro.errors.ConfigError` are ``ReproError`` subclasses with
+    classes of their own; plain ``ValueError`` covers
+    :class:`~repro.dsm.config.DsmConfig`'s scalar validation.  Everything
+    else is a runtime failure.
     """
-    from repro.errors import ConfigError, DeadlineExceeded, ReproError
+    from repro.errors import ConfigError, DeadlineExceeded
     if isinstance(exc, DeadlineExceeded):
         return EXIT_TIMEOUT
     if isinstance(exc, (ConfigError, ValueError)):
         return EXIT_CONFIG
-    if isinstance(exc, ReproError):
-        return EXIT_RUNTIME
     return EXIT_RUNTIME

@@ -65,6 +65,13 @@ class AnalysisCounter:
 class Machine:
     """One mini-ISA execution context."""
 
+    #: The intrinsics every machine implements: symbol -> method name.
+    #: Resolved on the instance at each call, so a machine holds no bound
+    #: method of itself (which would make every machine a reference cycle).
+    BUILTIN_INTRINSICS = {"malloc": "_malloc",
+                          "__heap_alloc": "_heap_alloc",
+                          "__heap_free": "_heap_free"}
+
     def __init__(self, image: BinaryImage, heap_words: int = 1 << 16,
                  analysis_hook: Optional[AnalysisHook] = None,
                  max_steps: int = 5_000_000):
@@ -77,11 +84,9 @@ class Machine:
         self.analysis_calls = 0
         self.steps = 0
         self.max_steps = max_steps
-        self.intrinsics: Dict[str, Callable[..., int]] = {
-            "malloc": self._malloc,
-            "__heap_alloc": self._heap_alloc,
-            "__heap_free": self._heap_free,
-        }
+        #: Registered intrinsics (:meth:`intrinsic`), which take
+        #: precedence over :data:`BUILTIN_INTRINSICS`.
+        self.intrinsics: Dict[str, Callable[..., int]] = {}
         # Free lists for the ``new``/``delete`` allocator: exact-size
         # block recycling (metadata lives Python-side, uninstrumented,
         # like libc allocator internals).
@@ -101,6 +106,14 @@ class Machine:
     def intrinsic(self, name: str, fn: Callable[..., int]) -> None:
         """Register a Python implementation for an external symbol."""
         self.intrinsics[name] = fn
+
+    def resolve_intrinsic(self, name: str) -> Optional[Callable[..., int]]:
+        """The implementation of external symbol ``name``, or ``None``
+        for an opaque library call."""
+        fn = self.intrinsics.get(name)
+        if fn is None and name in self.BUILTIN_INTRINSICS:
+            fn = getattr(self, self.BUILTIN_INTRINSICS[name])
+        return fn
 
     def read_word(self, addr: int) -> int:
         return self.memory.get(addr, 0)
@@ -148,7 +161,7 @@ class Machine:
     def _call(self, name: str, args: List[int]) -> int:
         fn = self.image.functions.get(name)
         if fn is None or fn.section is not Section.APP:
-            intrinsic = self.intrinsics.get(name)
+            intrinsic = self.resolve_intrinsic(name)
             if intrinsic is not None:
                 return int(intrinsic(*args))
             return 0  # opaque library call

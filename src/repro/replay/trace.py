@@ -251,7 +251,10 @@ class SyncTraceRecorder:
     Implements the ``CVM.lock_order`` controller protocol (grants are
     never gated while recording) plus the barrier-arrival and
     message-delivery hooks.  Given the record run's ``system``
-    (:func:`attach`), it also prices itself under ``CostCategory.RECORD``:
+    (:func:`attach`), it keeps that run's configuration, scheduler, nodes
+    and coordinator role — not the system, whose network and barrier
+    state hold this object's hooks — and prices itself under
+    ``CostCategory.RECORD``:
     ``CostModel.record_entry`` per captured entry on the acting pid's
     clock — the record run's only per-event online cost — and the
     per-byte flush cost when :meth:`end_run` writes the trace file.
@@ -265,15 +268,19 @@ class SyncTraceRecorder:
         self.entries_recorded = 0
         #: Size of the flushed trace file (0 until :meth:`end_run`).
         self.trace_bytes = 0
-        self._system = system
+        self._priced = system is not None
+        if self._priced:
+            self._config = system.config
+            self._scheduler = system.scheduler
+            self._nodes = system.nodes
+            self._coordinator = system.coordinator
 
     def _captured(self, pid: int) -> None:
         """One more entry, captured by ``pid``'s action."""
         self.entries_recorded += 1
-        system = self._system
-        if system is not None:
-            system.nodes[pid].clock.advance(
-                system.config.cost_model.record_entry, CostCategory.RECORD)
+        if self._priced:
+            self._nodes[pid].clock.advance(
+                self._config.cost_model.record_entry, CostCategory.RECORD)
 
     # -- lock controller protocol ------------------------------------- #
     def may_acquire(self, lid: int, pid: int) -> bool:
@@ -286,8 +293,7 @@ class SyncTraceRecorder:
         self.trace.lock_grants.setdefault(lid, []).append(pid)
         # The running process does the work: the acquirer of an idle
         # lock, the releaser handing a held one to its next waiter.
-        system = self._system
-        self._captured(pid if system is None else system.scheduler.current())
+        self._captured(self._scheduler.current() if self._priced else pid)
 
     # -- barrier-arrival hook ------------------------------------------ #
     def on_barrier_arrival(self, generation: int, pid: int) -> None:
@@ -306,7 +312,7 @@ class SyncTraceRecorder:
     # -- the record run's start and end -------------------------------- #
     def begin_run(self, app_name: str) -> None:
         """Stamp the trace with its execution header."""
-        config = self._system.config
+        config = self._config
         t = self.trace
         t.app = app_name
         t.nprocs = config.nprocs
@@ -319,10 +325,9 @@ class SyncTraceRecorder:
         """End-of-run trace flush: frame and persist the file, and price
         the serialization on the coordinator's clock (it owns the run's
         durable artifacts, like the role journal)."""
-        system = self._system
-        config = system.config
+        config = self._config
         self.trace_bytes = write_trace(self.trace, config.trace_file)
-        system.nodes[system.coordinator.pid].clock.advance(
+        self._nodes[self._coordinator.pid].clock.advance(
             config.cost_model.record_flush_per_byte * self.trace_bytes,
             CostCategory.RECORD)
 
@@ -347,7 +352,7 @@ class SyncTraceEnforcer:
 
     def __init__(self, trace: SyncTrace, system=None):
         self.trace = trace
-        self._system = system
+        self._config = system.config if system is not None else None
         #: Next unconsumed position per recorded lock.
         self._grant_pos: Dict[int, int] = {lid: 0 for lid in trace.lock_grants}
         #: Next unconsumed position per barrier generation.
@@ -439,7 +444,7 @@ class SyncTraceEnforcer:
         configuration: the config digest pins every execution-shaping
         field (app, nprocs, seed, policy, network-fault schedule...), so
         a mismatch means the trace would steer a different program."""
-        config = self._system.config
+        config = self._config
         trace = self.trace
         digest = execution_digest(config, app_name)
         if digest != trace.digest:

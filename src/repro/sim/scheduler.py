@@ -286,6 +286,15 @@ class Scheduler:
             raise SystemExit  # unwind quietly after a failure
 
     def _thread_main(self, proc: SimProcess) -> None:
+        try:
+            self._run_process(proc)
+        finally:
+            # The function is typically a bound method of whatever owns
+            # this scheduler: kept past the thread's end, it would tie the
+            # owner and everything it holds into one reference cycle.
+            proc.fn = proc.args = None
+
+    def _run_process(self, proc: SimProcess) -> None:
         proc.gate.acquire()  # wait for the first dispatch
         if self._shutdown:
             return

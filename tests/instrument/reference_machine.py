@@ -47,7 +47,7 @@ class ReferenceMachine(Machine):
     def _call(self, name: str, args: List[int]) -> int:
         fn = self.image.functions.get(name)
         if fn is None or fn.section is not Section.APP:
-            intrinsic = self.intrinsics.get(name)
+            intrinsic = self.resolve_intrinsic(name)
             if intrinsic is not None:
                 return int(intrinsic(*args))
             return 0  # opaque library call

@@ -1,8 +1,11 @@
 """Scheduler: determinism, blocking, failure and deadlock handling."""
 
+import time
+
 import pytest
 
-from repro.errors import DeadlockError, ProcessFailure, SimulationError
+from repro.errors import (DeadlineExceeded, DeadlockError, ProcessFailure,
+                          SimulationError)
 from repro.sim.policy import RandomPolicy, RoundRobinPolicy
 from repro.sim.scheduler import ProcState, Scheduler
 
@@ -206,3 +209,68 @@ def test_max_switches_guards_livelock():
     sched.spawn(worker, 1)
     with pytest.raises((SimulationError, ProcessFailure)):
         sched.run()
+
+
+# ---------------------------------------------------------------------- #
+# A finished process keeps neither its function nor its arguments: the
+# function is typically a bound method of the scheduler's owner, and
+# holding it would make that owner a reference cycle.
+# ---------------------------------------------------------------------- #
+def assert_released(sched):
+    for proc in sched.processes.values():
+        assert proc.fn is None and proc.args is None, proc
+
+
+def test_normal_run_releases_fn_and_args():
+    sched = Scheduler()
+    for i in range(3):
+        sched.spawn(lambda pid, payload: pid, i, [i])
+    sched.run()
+    assert sched.results() == [0, 1, 2]
+    assert_released(sched)
+
+
+def test_process_failure_releases_fn_and_args():
+    sched = Scheduler()
+
+    def blocker(pid):
+        sched.block(pid, "forever")
+
+    def boom(pid):
+        sched.yield_control(pid)
+        raise RuntimeError("die")
+
+    sched.spawn(blocker, 0)
+    sched.spawn(boom, 1)
+    with pytest.raises(ProcessFailure):
+        sched.run()
+    assert_released(sched)
+
+
+def test_deadlock_releases_fn_and_args():
+    sched = Scheduler()
+
+    def stuck(pid):
+        sched.block(pid, f"stuck-{pid}")
+
+    sched.spawn(stuck, 0)
+    sched.spawn(stuck, 1)
+    with pytest.raises(DeadlockError):
+        sched.run()
+    assert_released(sched)
+
+
+def test_deadline_abort_releases_fn_and_args():
+    sched = Scheduler(deadline_seconds=0.05)
+
+    def worker(pid):
+        for step in range(1000):
+            if pid == 0 and step == 10:
+                time.sleep(0.1)  # blow the budget mid-run
+            sched.yield_control(pid)
+
+    for pid in range(4):
+        sched.spawn(worker, pid)
+    with pytest.raises(DeadlineExceeded):
+        sched.run()
+    assert_released(sched)

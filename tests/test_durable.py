@@ -33,7 +33,7 @@ def _flipped(data: bytes, i: int) -> bytes:
 # Frames.
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("body", BODIES)
-def test_frame_round_trips_with_and_without_trailing_newline(body):
+def test_frame_round_trips(body):
     framed = durable.frame(body)
     assert framed == body + "\n" + durable.digest(body)
     assert durable.unframe(framed) == body
