@@ -46,12 +46,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.dsm.cvm import Env
-from repro.instrument.atom import AtomRewriter
 from repro.instrument.isa import BinaryImage
-from repro.instrument.linker import link
-from repro.instrument.lower import lower_image
 from repro.instrument.machine import HEAP_BASE, Machine
-from repro.instrument.parser import compile_source
 
 #: Words of private ``new`` arena per process.  16 procs fit comfortably
 #: in the default 64Ki-word segment: 1 mailbox page + 16 * 512 words.
@@ -66,7 +62,13 @@ def compiled_image(name: str, source: str,
 
     Lowering happens here, in the thread that builds the image: block
     compilation inside the simulation threads would leave its transient
-    allocations resident in every thread's arena."""
+    allocations resident in every thread's arena.  The toolchain is
+    imported here: a process that runs no DSL program never loads it."""
+    from repro.instrument.atom import AtomRewriter
+    from repro.instrument.linker import link
+    from repro.instrument.lower import lower_image
+    from repro.instrument.parser import compile_source
+
     obj = compile_source(source, name, regalloc=regalloc)
     image = AtomRewriter().instrument(
         link(name, [obj], libraries=[], include_cvm=False, strict=True))

@@ -55,6 +55,20 @@ class CheckEntry:
     pages: List[OverlapPage]
 
 
+#: One page of an interval ``a``'s check-list entries, as masks over a
+#: sequence of partner intervals: ``(page, write_write, a_read_b_write,
+#: a_write_b_read)``, bit ``x`` of a mask naming partner ``x`` — the
+#: :class:`OverlapPage` flags of every entry of ``a`` at once, in
+#: :data:`ACCESS_COMBINATIONS` order.
+Row = Tuple[int, int, int, int]
+
+
+def entry_rows(pages: List[OverlapPage]) -> List[Row]:
+    """One entry's pages as rows over its one partner (bit 0)."""
+    return [(ov.page, int(ov.write_write), int(ov.a_read_b_write),
+             int(ov.a_write_b_read)) for ov in pages]
+
+
 def page_overlaps(a: Interval, b: Interval) -> List[OverlapPage]:
     """Page-granularity overlap between two intervals' notice lists.
 
@@ -113,7 +127,9 @@ def _bits(mask: int) -> Iterator[int]:
 @dataclass
 class EpochJoin:
     """Steps 2-3 (and the coarse filter) of one set of pair blocks: the
-    check list as counts, plus the entries step 5 has to walk."""
+    check list as counts, plus what step 5 has to walk — rows over
+    interval ordinals (:meth:`PageIndex.join`) or, for the reference
+    steps, entries."""
 
     #: Concurrency masks the join ran over (see :meth:`PageIndex.scan`),
     #: the probes that found them and the pairs they hold.
@@ -128,8 +144,13 @@ class EpochJoin:
     #: collided (both 0 with the filter off).
     granule_checks: int = 0
     granule_hits: int = 0
-    #: Canonical order.  Filter on: the entries with a granule hit, their
-    #: pages and flags narrowed to the hits.  Filter off: every entry.
+    #: ``(o, rows)`` per interval ordinal ``o`` with >= 1 entry, in
+    #: ordinal order, its rows sorted by page, their masks over
+    #: :attr:`PageIndex.recs`.  Filter on: narrowed to the granule hits,
+    #: rows with none dropped.  None: the reference steps, which walk
+    #: ``entries``.
+    rows: Optional[List[Tuple[int, List[Row]]]] = None
+    #: Reference steps only, in canonical order: the whole check list.
     entries: List[CheckEntry] = field(default_factory=list)
     #: Reference steps only (:meth:`RaceDetector._winnow`), where
     #: ``entries`` is the whole list with the filter on: id(entry) -> the
@@ -219,14 +240,14 @@ class PageIndex:
         return conc, probe_work
 
     def join(self, conc: List[int], coarse_filter: bool) -> EpochJoin:
-        """The check list of the concurrent pairs in ``conc``.
+        """The check list of the concurrent pairs in ``conc``, as rows.
 
-        Identical to :func:`build_check_list` over those pairs — same
-        entries, order, sorted pages and access-kind flags — followed,
-        with ``coarse_filter``, by the detector's per-entry digest
-        pre-check; the equivalence tests assert this.
+        :meth:`entries` of the rows is :func:`build_check_list` over
+        those pairs — same entries, order, sorted pages and access-kind
+        flags — followed, with ``coarse_filter``, by the detector's
+        per-entry digest pre-check; the equivalence tests assert this.
         """
-        out = EpochJoin(conc=conc)
+        out = EpochJoin(conc=conc, rows=[])
         used = 0
         for o, mask in enumerate(conc):
             if not mask:
@@ -250,28 +271,65 @@ class PageIndex:
             used |= partners | 1 << o
             if coarse_filter:
                 out.granule_checks += combos
-                rows = [(page, self._hits(a, page, "write", "write", ww),
-                         self._hits(a, page, "read", "write", arbw),
-                         self._hits(a, page, "write", "read", awbr))
-                        for page, ww, arbw, awbr in rows]
-                partners, combos = _fold(rows)
+                hits = []
+                for page, ww, arbw, awbr in rows:
+                    if ww:
+                        ww = self._hits(a, page, "write", "write", ww)
+                    if arbw:
+                        arbw = self._hits(a, page, "read", "write", arbw)
+                    if awbr:
+                        awbr = self._hits(a, page, "write", "read", awbr)
+                    if ww or arbw or awbr:
+                        hits.append((page, ww, arbw, awbr))
+                rows = hits
+                combos = _fold(rows)[1]
                 out.granule_hits += combos
+                if not rows:
+                    continue
             rows.sort()
-            for b in _bits(partners):
-                out.entries.append(CheckEntry(a, self.recs[b], [
-                    OverlapPage(page, bool(ww >> b & 1), bool(arbw >> b & 1),
-                                bool(awbr >> b & 1))
-                    for page, ww, arbw, awbr in rows
-                    if (ww | arbw | awbr) >> b & 1]))
-        out.entries.sort(key=entry_key)
+            out.rows.append((o, rows))
         out.used = {(self.recs[o].pid, self.recs[o].index)
                     for o in _bits(used)}
         return out
 
+    def entries(self, rows: List[Tuple[int, List[Row]]]) -> List[CheckEntry]:
+        """The check entries ``rows`` (of :meth:`join`) stand for, in
+        canonical order: one per (interval, partner bit)."""
+        out: List[CheckEntry] = []
+        for o, a_rows in rows:
+            a = self.recs[o]
+            for b in _bits(_fold(a_rows)[0]):
+                out.append(CheckEntry(a, self.recs[b], [
+                    OverlapPage(page, bool(ww >> b & 1), bool(arbw >> b & 1),
+                                bool(awbr >> b & 1))
+                    for page, ww, arbw, awbr in a_rows
+                    if (ww | arbw | awbr) >> b & 1]))
+        out.sort(key=entry_key)
+        return out
+
+    def needed(self, rows: List[Tuple[int, List[Row]]]
+               ) -> Set[Tuple[int, int, int, str]]:
+        """:func:`bitmaps_needed` of :meth:`entries` of ``rows``, from the
+        masks: each (page, kind)'s accessors are OR-ed over the rows, then
+        expanded once."""
+        masks: Dict[Tuple[int, str], int] = {}
+        for o, a_rows in rows:
+            me = 1 << o
+            for page, ww, arbw, awbr in a_rows:
+                write = ww | arbw | (me if ww or awbr else 0)
+                read = awbr | (me if arbw else 0)
+                if write:
+                    masks[page, "write"] = masks.get((page, "write"), 0) | write
+                if read:
+                    masks[page, "read"] = masks.get((page, "read"), 0) | read
+        recs = self.recs
+        return {(recs[o].pid, recs[o].index, page, kind)
+                for (page, kind), mask in masks.items() for o in _bits(mask)}
+
     def _hits(self, a: Interval, page: int, kind_a: str, kind_b: str,
               candidates: int) -> int:
-        """The ``candidates`` whose ``(page, kind_b)`` digest is not
-        provably disjoint from ``a``'s ``(page, kind_a)`` digest.
+        """The ``candidates`` (non-zero) whose ``(page, kind_b)`` digest
+        is not provably disjoint from ``a``'s ``(page, kind_a)`` digest.
 
         The accessors of one (page, kind) are grouped by digest value, and
         a pair of values is tested once per epoch, when the first
@@ -279,8 +337,6 @@ class PageIndex:
         class of candidates, so the tests number at most min(candidate
         pairs, pairs of values) — never more than one per pair.
         """
-        if not candidates:
-            return 0
         mine = a.digest(page, kind_a)
         classes = self._classes.get((page, kind_b))
         if classes is None:
@@ -321,7 +377,7 @@ def build_check_list_fast(intervals: List[Interval]) -> List[CheckEntry]:
     index = PageIndex(intervals)
     conc, _probe_work = index.scan(pair_blocks(index.by_pid),
                                    PairSearchStats())
-    return index.join(conc, coarse_filter=False).entries
+    return index.entries(index.join(conc, coarse_filter=False).rows)
 
 
 def bitmaps_needed(entries: List[CheckEntry]) -> Set[Tuple[int, int, int, str]]:

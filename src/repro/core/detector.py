@@ -25,13 +25,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bitmap import digests_disjoint
 from repro.core.checklist import (ACCESS_COMBINATIONS, CheckEntry,
-                                  EpochJoin, OverlapPage, PageIndex,
+                                  EpochJoin, OverlapPage, PageIndex, Row,
                                   bitmaps_needed, build_check_list,
-                                  entry_key, overlap_work)
+                                  entry_key, entry_rows, overlap_work)
 from repro.core.concurrency import (Block, PairSearchStats,
                                     find_concurrent_pairs, group_by_pid,
                                     pair_blocks)
@@ -504,9 +505,10 @@ class RaceDetector:
         # page-overlap winnowing into the check list.
         #
         # The fast path (default) never enumerates the concurrent pairs:
-        # the pruned O(i log i) search leaves them as bit masks, the check
-        # list is their intersection with the inverted notices, and only
-        # the entries step 5 must look at become objects.  Virtual time is
+        # the pruned O(i log i) search leaves them as bit masks, and the
+        # check list is their intersection with the inverted notices —
+        # rows of partner masks that steps 4-5 walk as they are; entry
+        # objects are built only for a degraded epoch.  Virtual time is
         # *decoupled* from that execution: the clock is charged for the
         # naive algorithm's comparison count (computed analytically) and
         # the reference probe work, exactly as the reference engine
@@ -531,14 +533,32 @@ class RaceDetector:
         res.fetch_messages, res.fetch_bytes, failed = self._bitmap_round(
             shard.owner, join.needed, clock, tag, category, tolerant)
         res.failed_owners = failed
-        if failed and join.plan is None and self.coarse_filter:
-            # The page-granularity reports are defined over the
-            # *unfiltered* pages, which the join did not materialize.
-            join.entries = plan.index.join(join.conc, False).entries
-            join.plan = {id(entry): self._filter_pages(entry)[0]
-                         for entry in join.entries}
+        if failed and join.rows is not None:
+            # The page-granularity reports are defined over entries and
+            # their *unfiltered* pages, which the join did not build.
+            index = plan.index
+            join.entries = index.entries(index.join(join.conc, False).rows)
+            join.rows = None
+            if self.coarse_filter:
+                join.plan = {id(entry): self._filter_pages(entry)[0]
+                             for entry in join.entries}
 
-        # Step 5: bitmap comparison -> candidate reports.
+        # Step 5: bitmap comparison -> candidate reports.  A clean epoch
+        # walks each interval's rows against its partners; the entries
+        # that report become items, put in check-list order.  A degraded
+        # epoch and the reference engine walk the entries.
+        if join.rows is not None:
+            recs = plan.index.recs
+            for o, rows in join.rows:
+                a = recs[o]
+                comparisons, found = self._word_candidates(a, rows, recs,
+                                                           epoch, clock)
+                res.bitmap_comparisons += comparisons
+                for x, reports in found.items():
+                    b = recs[x]
+                    res.items.append(ShardItem(
+                        (a.pid, b.pid, a.index, b.index), "race", reports))
+            res.items.sort(key=attrgetter("key"))
         for entry in join.entries:
             if plan.lost_present and (entry.a.lost or entry.b.lost):
                 res.items.append(self._unverifiable_item(entry, epoch))
@@ -556,16 +576,17 @@ class RaceDetector:
                     entry_key(entry), "page",
                     self._page_candidates(entry, epoch)))
             else:
-                comparisons, reports = self._word_candidates(
-                    entry, join.pages_of(entry), epoch, clock)
+                comparisons, found = self._word_candidates(
+                    entry.a, entry_rows(join.pages_of(entry)), (entry.b,),
+                    epoch, clock)
                 res.bitmap_comparisons += comparisons
-                if reports:
+                if found:
                     res.items.append(ShardItem(entry_key(entry), "race",
-                                               reports))
-        # The commit reads the join's counters and sets; its per-pair
-        # objects are done with, and N slices' worth of them would
-        # otherwise live until the reduce has finished.
-        join.entries, join.conc, join.plan = [], [], None
+                                               found[0]))
+        # The commit reads the join's counters and sets; its rows and
+        # per-pair objects are done with, and N slices' worth of them
+        # would otherwise live until the reduce has finished.
+        join.rows, join.entries, join.conc, join.plan = None, [], [], None
         return res
 
     def _commit(self, plan: ShardPlan, results: List[ShardResult],
@@ -671,11 +692,12 @@ class RaceDetector:
             # Crash-degraded epoch: the unverifiable reports are defined
             # over every entry and its unfiltered pages, so take the whole
             # list and the reference steps.
-            join = self._winnow(index.join(conc, False).entries, True, clock)
+            join = self._winnow(index.entries(index.join(conc, False).rows),
+                                True, clock)
             join.conc = conc
         else:
             join = index.join(conc, self.coarse_filter)
-            join.needed = bitmaps_needed(join.entries)
+            join.needed = index.needed(join.rows)
             if self.coarse_filter:
                 clock.advance(
                     self.cost_model.granule_check * join.granule_checks,
@@ -798,52 +820,69 @@ class RaceDetector:
                 out.append(OverlapPage(page, **surviving))
         return out, checks, hits
 
-    def _word_candidates(self, entry: CheckEntry, pages: List[OverlapPage],
-                         epoch: int, clock: VirtualClock
-                         ) -> Tuple[int, List[RaceReport]]:
-        """Step 5 for one entry, before the dedup: one bitmap comparison
-        per access-kind combination of ``pages``; returns ``(comparisons,
-        reports)``, one report per common word.
+    def _word_candidates(self, a: Interval, rows: List[Row],
+                         partners: Sequence[Interval], epoch: int,
+                         clock: VirtualClock
+                         ) -> Tuple[int, Dict[int, List[RaceReport]]]:
+        """Step 5 for interval ``a``, before the dedup: one bitmap
+        comparison per set bit of each row's masks, bit ``x`` standing
+        for ``partners[x]``; returns ``(comparisons, reports)``, the
+        reports — one per common word — by partner bit, each list in
+        page, :data:`ACCESS_COMBINATIONS` and word order.  The one step 5
+        of both walks: a clean epoch's rows over the epoch's intervals,
+        and a check entry's pages over its one partner.
 
         The page base and the two :class:`IntervalRef` are built per
-        comparison, so a word costs its symbol and one ``tuple.__new__``.
-        An absent bitmap is empty (where §6.5's diff-derived write
-        detection loses same-value overwrites: the diff set no bits).  The
-        comparisons are charged in one advance, equal to one per
-        comparison as the cost constants are dyadic rationals (the per-bit
-        spec: tests/core/reference_step5.py)."""
-        a, b = entry.a, entry.b
+        comparison with a common word, so a word costs its symbol and one
+        ``tuple.__new__``.  An absent bitmap is empty (where §6.5's
+        diff-derived write detection loses same-value overwrites: the
+        diff set no bits).  The comparisons are charged in one advance,
+        equal to one per comparison as the cost constants are dyadic
+        rationals (the per-bit spec: tests/core/reference_step5.py)."""
         psz = self.page_size_words
         symbol_for = self.symbol_for
         new = tuple.__new__
         comparisons = 0
-        found: List[RaceReport] = []
-        bitmaps = {"read": (a.read_bitmaps, b.read_bitmaps),
-                   "write": (a.write_bitmaps, b.write_bitmaps)}
-        for ov in pages:
-            page = ov.page
-            for flag, a_access, b_access, kind in ACCESS_COMBINATIONS:
-                if not getattr(ov, flag):
+        found: Dict[int, List[RaceReport]] = {}
+        for row in rows:
+            page = row[0]
+            for mask, (_flag, a_access, b_access, kind) in zip(
+                    row[1:], ACCESS_COMBINATIONS):
+                if not mask:
                     continue
-                comparisons += 1
-                bm_a = bitmaps[a_access][0].get(page)
-                bm_b = bitmaps[b_access][1].get(page)
-                if bm_a is None or bm_b is None:
+                comparisons += mask.bit_count()
+                bm_a = (a.write_bitmaps if a_access == "write"
+                        else a.read_bitmaps).get(page)
+                if bm_a is None:
                     continue
-                common = bm_a._bits & bm_b._bits
-                if not common:
-                    continue
-                ref_a = IntervalRef(a.pid, a.index, a_access, a.sync_label)
-                ref_b = IntervalRef(b.pid, b.index, b_access, b.sync_label)
-                base = page * psz
-                while common:
-                    low = common & -common
-                    common ^= low
-                    bit = low.bit_length() - 1
-                    addr = base + bit
-                    found.append(new(RaceReport, (
-                        kind, addr, symbol_for(addr), page, bit, epoch,
-                        ref_a, ref_b, "word", "race", ())))
+                mine = bm_a._bits
+                b_write = b_access == "write"
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    x = low.bit_length() - 1
+                    b = partners[x]
+                    bm_b = (b.write_bitmaps if b_write
+                            else b.read_bitmaps).get(page)
+                    if bm_b is None:
+                        continue
+                    common = mine & bm_b._bits
+                    if not common:
+                        continue
+                    ref_a = IntervalRef(a.pid, a.index, a_access,
+                                        a.sync_label)
+                    ref_b = IntervalRef(b.pid, b.index, b_access,
+                                        b.sync_label)
+                    base = page * psz
+                    out = found.setdefault(x, [])
+                    while common:
+                        low = common & -common
+                        common ^= low
+                        bit = low.bit_length() - 1
+                        addr = base + bit
+                        out.append(new(RaceReport, (
+                            kind, addr, symbol_for(addr), page, bit, epoch,
+                            ref_a, ref_b, "word", "race", ())))
         if comparisons:
             clock.advance(self.cost_model.bitmap_compare_per_word * psz
                           * comparisons, CostCategory.BITMAPS)

@@ -25,21 +25,3 @@ We have no Alpha binaries, so we rebuild the whole pipeline one level down:
 * :mod:`repro.instrument.machine` — the execution context that runs those
   blocks, so the inserted calls demonstrably fire at run time.
 """
-
-from repro.instrument.atom import AtomRewriter, InstrumentationReport
-from repro.instrument.compiler import compile_kernel
-from repro.instrument.isa import BinaryImage, Instruction, Section
-from repro.instrument.linker import link
-from repro.instrument.parser import compile_source, parse_kernel
-
-__all__ = [
-    "AtomRewriter",
-    "BinaryImage",
-    "Instruction",
-    "InstrumentationReport",
-    "Section",
-    "compile_kernel",
-    "compile_source",
-    "link",
-    "parse_kernel",
-]

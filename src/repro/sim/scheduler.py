@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
+import traceback
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import (DeadlineExceeded, DeadlockError, NodeCrashed,
@@ -53,6 +54,27 @@ def _new_gate() -> Any:
     gate = threading.Lock()
     gate.acquire()
     return gate
+
+
+def _clear_frames(exc: Optional[BaseException]) -> None:
+    """Clear the locals of the finished frames the traceback of ``exc``
+    keeps — its own and those they were called from, up to the thread's
+    first — and do the same for the exceptions it was raised from or
+    while handling."""
+    seen = set()
+    while exc is not None and id(exc) not in seen:
+        seen.add(id(exc))
+        tb = exc.__traceback__
+        if tb is not None:
+            traceback.clear_frames(tb)
+            frame = tb.tb_frame.f_back
+            while frame is not None:
+                try:
+                    frame.clear()
+                except RuntimeError:  # still executing
+                    break
+                frame = frame.f_back
+        exc = exc.__cause__ or exc.__context__
 
 
 class SimProcess:
@@ -163,6 +185,15 @@ class Scheduler:
             for proc in self.processes.values():
                 proc.gate.release()
                 proc.thread.join(_JOIN_TIMEOUT)
+            # The exception raised here keeps its traceback, whose frames
+            # hold this scheduler (and the caller's system): kept as the
+            # verdict too, it would make the failed run one reference
+            # cycle.  So would a process error's traceback, whose frames
+            # hold the process function's owner; the threads are done, so
+            # clear those frames' locals (the printable traceback stays).
+            self._verdict = None
+            for proc in self.processes.values():
+                _clear_frames(proc.error)
 
     def _pass_token(self, me: Optional[SimProcess]) -> bool:
         """The one dispatch step, run by whichever thread is giving the

@@ -6,17 +6,17 @@ charged on its own, an absent bitmap is an empty :class:`Bitmap`, the
 common bits come from ``Bitmap.intersection_bits`` and every reported word
 builds its report — and both of its :class:`IntervalRef` — by keyword.
 Production builds per comparison what is the same for every word of the
-comparison and charges an entry's comparisons in one advance;
+comparison and charges a call's comparisons in one advance;
 ``tests/core/test_step5_matches_reference.py`` holds it to this spec.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bitmap import Bitmap
-from repro.core.checklist import ACCESS_COMBINATIONS, CheckEntry, OverlapPage
+from repro.core.checklist import ACCESS_COMBINATIONS, Row
 from repro.core.detector import RaceDetector
 from repro.core.report import IntervalRef, RaceKind, RaceReport
 from repro.dsm import coordinator
@@ -32,26 +32,31 @@ class ReferenceStep5Detector(RaceDetector):
         super().__init__(*args, **kwargs)
         self._empty = Bitmap(self.page_size_words)
 
-    def _word_candidates(self, entry: CheckEntry, pages: List[OverlapPage],
-                         epoch: int, clock: VirtualClock
-                         ) -> Tuple[int, List[RaceReport]]:
-        """Step 5 for one entry, before the dedup: one bitmap comparison
-        per access-kind combination of ``pages``; returns ``(comparisons,
-        reports)``, one report per common word."""
-        a, b = entry.a, entry.b
+    def _word_candidates(self, a: Interval, rows: List[Row],
+                         partners: Sequence[Interval], epoch: int,
+                         clock: VirtualClock
+                         ) -> Tuple[int, Dict[int, List[RaceReport]]]:
+        """Step 5 for interval ``a``, before the dedup: one bitmap
+        comparison per set bit ``x`` of each row's access-kind masks,
+        against ``partners[x]``; returns ``(comparisons, reports)``, the
+        reports — one per common word — by partner bit."""
         comparisons = 0
-        found: List[RaceReport] = []
-        bitmaps = {"read": (a.read_bitmaps, b.read_bitmaps),
-                   "write": (a.write_bitmaps, b.write_bitmaps)}
-        for ov in pages:
-            page = ov.page
-            for flag, a_access, b_access, kind in ACCESS_COMBINATIONS:
-                if getattr(ov, flag):
+        found: Dict[int, List[RaceReport]] = {}
+        for page, *masks in rows:
+            for mask, (_flag, a_access, b_access, kind) in zip(
+                    masks, ACCESS_COMBINATIONS):
+                for x in range(mask.bit_length()):
+                    if not mask >> x & 1:
+                        continue
                     comparisons += 1
+                    b = partners[x]
+                    reports: List[RaceReport] = []
                     self._intersect(
-                        found, a, a_access, bitmaps[a_access][0].get(page),
-                        b, b_access, bitmaps[b_access][1].get(page),
+                        reports, a, a_access, _bitmaps(a, a_access).get(page),
+                        b, b_access, _bitmaps(b, b_access).get(page),
                         page, kind, epoch, clock)
+                    if reports:
+                        found.setdefault(x, []).extend(reports)
         return comparisons, found
 
     def _intersect(self, found: List[RaceReport], a: Interval, a_access: str,
@@ -73,6 +78,10 @@ class ReferenceStep5Detector(RaceDetector):
                 page=page, offset=bit, epoch=epoch,
                 a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
                 b=IntervalRef(b.pid, b.index, b_access, b.sync_label)))
+
+
+def _bitmaps(rec: Interval, access: str):
+    return rec.write_bitmaps if access == "write" else rec.read_bitmaps
 
 
 @contextlib.contextmanager

@@ -6,6 +6,8 @@ step 5 on any epoch: the entries and their filtered pages, the filter
 counters, the used set, the fetch set and the report list — with the
 coarse filter on and off, centralized and sharded, with a crash-lost
 interval, and with a bitmap exchange that exhausts its retry budget.
+A clean epoch's fetch set and step 5 walk the join's rows of partner
+masks; the reference engine walks entries, and the two must agree.
 """
 
 import random
@@ -13,6 +15,7 @@ import random
 import pytest
 
 from repro.core import checklist
+from repro.core.bitmap import BLOOM_SPARSE_MAX
 from repro.core.checklist import (PageIndex, bitmaps_needed, build_check_list,
                                   entry_key)
 from repro.core.concurrency import (PairSearchStats, find_concurrent_pairs,
@@ -174,9 +177,10 @@ def test_join_matches_pairwise_check_list(seed, coarse_filter):
     assert join.check_entries == len(reference)
     assert join.used == used
     assert (join.granule_checks, join.granule_hits) == (checks, hits)
-    assert [(entry_key(e), page_rows(e.pages)) for e in join.entries] == \
+    entries = index.entries(join.rows)
+    assert [(entry_key(e), page_rows(e.pages)) for e in entries] == \
            [(entry_key(e), page_rows(e.pages)) for e in expected]
-    assert bitmaps_needed(join.entries) == bitmaps_needed(expected)
+    assert index.needed(join.rows) == bitmaps_needed(expected)
 
 
 @pytest.mark.parametrize("coarse_filter", [False, True])
@@ -415,12 +419,30 @@ def test_generator_covers_the_shapes_it_promises():
     assert degraded >= 10
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of ``names`` made through the check-list and
+    detector modules' globals (constructors included)."""
+    from repro.core import detector as detector_module
+    built = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (checklist, detector_module):
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+    return built
+
+
 def test_fully_filtered_epoch_builds_no_per_pair_objects(monkeypatch):
     """N processes writing one page at words of distinct granules: every
     pair is a check-list entry and every one is filtered.  The join must
     construct no entry or page object for them and test digests per
     *class*, not per pair — so per-pair work cannot creep back."""
-    from repro.core import detector as detector_module
     nprocs, per_proc, page_words = 24, 4, 1024
     intervals = []
     for pid in range(nprocs):
@@ -432,19 +454,8 @@ def test_fully_filtered_epoch_builds_no_per_pair_objects(monkeypatch):
             rec.close()
             intervals.append(rec)
     pairs = per_proc * per_proc * nprocs * (nprocs - 1) // 2
-
-    built = {"OverlapPage": 0, "CheckEntry": 0, "digests_disjoint": 0}
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            built[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for module in (checklist, detector_module):
-        for name in built:
-            monkeypatch.setattr(module, name,
-                                counting(name, getattr(module, name)))
+    built = count_calls(monkeypatch, "OverlapPage", "CheckEntry",
+                        "digests_disjoint")
     cost = CostModel()
     detector = RaceDetector(page_words, cost, WireSizer(nprocs, page_words),
                             Transport(cost), symbol_for=str,
@@ -457,3 +468,114 @@ def test_fully_filtered_epoch_builds_no_per_pair_objects(monkeypatch):
     assert detector.stats.bitmaps_fetched == 0
     assert built["OverlapPage"] == built["CheckEntry"] == 0
     assert 0 < built["digests_disjoint"] <= nprocs * nprocs
+
+
+def test_hit_heavy_clean_epoch_builds_no_per_pair_objects(monkeypatch):
+    """N processes write interleaved words of the same granules, densely
+    enough that the digests carry no Bloom part: every pair is a
+    check-list entry and a granule hit, whose bitmaps are fetched and
+    compared, and none races.  Steps 4-5 of the clean epoch walk the
+    join's masks: no entry or page object is built for those pairs."""
+    nprocs, per_proc, page_words = 8, 2, 1024
+    words = BLOOM_SPARSE_MAX + 1
+    intervals = []
+    for pid in range(nprocs):
+        vc = [0] * nprocs
+        for index in range(1, per_proc + 1):
+            vc[pid] = index
+            rec = Interval(pid, index, VectorClock(vc), 0, page_words)
+            for k in range(words):
+                rec.record_write(7, pid + nprocs * k)
+            rec.close()
+            intervals.append(rec)
+    pairs = per_proc * per_proc * nprocs * (nprocs - 1) // 2
+    built = count_calls(monkeypatch, "OverlapPage", "CheckEntry")
+    cost = CostModel()
+    detector = RaceDetector(page_words, cost, WireSizer(nprocs, page_words),
+                            Transport(cost), symbol_for=str,
+                            coarse_filter=True)
+    assert detector.run_epoch(intervals, 0, VirtualClock()) == []
+    assert detector.stats.overlapping_pairs == pairs
+    assert detector.stats.granule_hits == pairs
+    assert detector.stats.pairs_filtered == 0
+    assert detector.stats.bitmap_comparisons == pairs
+    assert detector.stats.bitmaps_fetched == len(intervals)
+    assert built == {"OverlapPage": 0, "CheckEntry": 0}
+
+
+# ---------------------------------------------------------------------- #
+# Steps 4-5 of a clean epoch walk the join's rows; the reference engine
+# walks check entries.  Their fetch sets and step-5 items must agree.
+# ---------------------------------------------------------------------- #
+def step5_slice(intervals, nprocs, fast_path, coarse_filter, mutate=None):
+    """The one-slice result of a clean epoch: the fetch set, the bitmap
+    comparisons, the candidate items and the clock.  ``mutate`` rewrites
+    every row the join hands the fast path."""
+    captured = []
+    compute, join = RaceDetector._compute, PageIndex.join
+
+    def capturing(self, *args, **kwargs):
+        captured.append(compute(self, *args, **kwargs))
+        return captured[-1]
+
+    def mutated(self, conc, coarse_filter):
+        out = join(self, conc, coarse_filter)
+        out.rows = [(o, [mutate(row) for row in rows])
+                    for o, rows in out.rows]
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RaceDetector, "_compute", capturing)
+        if mutate is not None:
+            patch.setattr(PageIndex, "join", mutated)
+        detector = make_detector(nprocs, fast_path, coarse_filter)
+        clock = VirtualClock()
+        detector.run_epoch(intervals, 0, clock)
+    (res,) = captured
+    return dict(needed=res.join.needed,
+                comparisons=res.bitmap_comparisons,
+                items=[(item.key, item.kind, item.reports)
+                       for item in res.items],
+                ledger=dict(clock.ledger.totals), now=clock.now)
+
+
+@pytest.mark.parametrize("coarse_filter", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_walk_matches_entry_walk(seed, coarse_filter):
+    intervals, nprocs = make_epoch(seed)
+    rows = step5_slice(intervals, nprocs, True, coarse_filter)
+    entries = step5_slice(intervals, nprocs, False, coarse_filter)
+    assert rows == entries
+
+
+def test_row_walk_corpus_reaches_reports():
+    """Some epochs of the corpus above report races from several
+    partners of one interval."""
+    multi = 0
+    for seed in SEEDS:
+        intervals, nprocs = make_epoch(seed)
+        items = step5_slice(intervals, nprocs, True, True)["items"]
+        firsts = [key[0::2] for key, _kind, _reports in items]
+        multi += len(firsts) > len(set(firsts))
+    assert multi >= 10
+
+
+#: Rows broken on purpose: the a-write/b-read combination dropped, and a
+#: partner mask moved to the neighbouring ordinal.
+ROW_MUTANTS = {
+    "combination-dropped": lambda row: (row[0], row[1], row[2], 0),
+    "partner-shifted": lambda row: (row[0], row[1] >> 1, row[2], row[3]),
+}
+
+
+@pytest.mark.parametrize("coarse_filter", [False, True])
+@pytest.mark.parametrize("name", sorted(ROW_MUTANTS))
+def test_a_broken_row_is_caught(name, coarse_filter):
+    caught = 0
+    for seed in SEEDS:
+        intervals, nprocs = make_epoch(seed)
+        broken = step5_slice(intervals, nprocs, True, coarse_filter,
+                             ROW_MUTANTS[name])
+        reference = step5_slice(intervals, nprocs, False, coarse_filter)
+        caught += broken != reference
+    assert caught >= 20

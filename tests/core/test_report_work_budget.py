@@ -1,17 +1,19 @@
 """A timing-free work budget for the race-report path.
 
 On the spine's ``hashtab@16`` cell (the ``irregular_scalar`` workload's
-largest report producer) step 5 — ``RaceDetector._word_candidates`` —
+largest report producer) step 5 — ``RaceDetector._word_candidates``, one
+call per interval of a clean epoch's rows or per check entry —
 builds what is the same for every word of a bitmap comparison once per
 comparison: exactly two ``IntervalRef`` per comparison with a non-empty
 intersection, where the per-bit builder made two per report.  Its
 Python-level calls (``sys.setprofile`` ``call`` events: the symbol
-lookup, the refs, the entry's one clock advance) stay within a per-report
+lookup, the refs, the call's one clock advance) stay within a per-report
 ceiling, and under ``--master-failover`` the coordinator journal, appended
 after every detection pass, encodes each report once over the whole run.
 The ceilings fail at the per-bit builder (two refs per report, 7.14 calls
-per report; 2.53 now) and at a journal that re-encodes the detector state
-at every write (174,150 report encodings for 4,698 reports).
+per report; 2.46 now, 2.53 with one call per check entry) and at a
+journal that re-encodes the detector state at every write (174,150
+report encodings for 4,698 reports).
 """
 
 import sys
@@ -46,7 +48,7 @@ def step5_work(monkeypatch):
     production = RaceDetector._word_candidates
     ref_init = IntervalRef.__init__.__code__
 
-    def profiled(self, entry, pages, epoch, clock):
+    def profiled(self, a, rows, partners, epoch, clock):
         calls = []
 
         def profiler(frame, event, arg):
@@ -55,14 +57,18 @@ def step5_work(monkeypatch):
 
         sys.setprofile(profiler)
         try:
-            comparisons, found = production(self, entry, pages, epoch, clock)
+            comparisons, by_partner = production(self, a, rows, partners,
+                                                 epoch, clock)
         finally:
             sys.setprofile(None)
-        nonempty = {(r.page, r.a.access, r.b.access) for r in found}
+        found = [r for reports in by_partner.values() for r in reports]
+        # One comparison per (partner, page, access-kind combination).
+        nonempty = {(r.b.pid, r.b.index, r.page, r.a.access, r.b.access)
+                    for r in found}
         # calls[0] is the production frame itself.
         work.append((len(calls) - 1, calls.count(ref_init), len(nonempty),
                      len(found)))
-        return comparisons, found
+        return comparisons, by_partner
 
     monkeypatch.setattr(RaceDetector, "_word_candidates", profiled)
     return work

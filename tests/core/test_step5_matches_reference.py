@@ -1,9 +1,11 @@
 """The production step 5 against its per-bit spec.
 
-``RaceDetector._word_candidates`` builds per bitmap comparison what every
-word of the comparison shares (the two interval refs, the page base),
-walks the common bits without a generator, builds each report with one
-``tuple.__new__`` and charges an entry's comparisons in one advance;
+``RaceDetector._word_candidates`` — the one step 5 of both walks, a
+clean epoch's rows of partner masks and a degraded or reference-engine
+epoch's check entries — builds per bitmap comparison what every word of
+the comparison shares (the two interval refs, the page base), walks the
+common bits without a generator, builds each report with one
+``tuple.__new__`` and charges a call's comparisons in one advance;
 ``tests/core/reference_step5.py`` is the same step one bit and one
 comparison at a time.  *Everything observable* must match: the reports
 (fields, text, order), the unverifiable entries, the detector statistics,
@@ -164,6 +166,9 @@ MUTANTS = {
     "one-side-twice": ("ref_a, ref_b,", "ref_a, ref_a,"),
     "entry-charged-once": ("* comparisons, CostCategory",
                            "* 1, CostCategory"),
+    "partner-shifted": ("b = partners[x]", "b = partners[x - 1]"),
+    "combination-dropped": ("row[1:], ACCESS_COMBINATIONS",
+                            "row[1:3], ACCESS_COMBINATIONS"),
 }
 
 

@@ -13,6 +13,7 @@ Each case runs with ``gc`` disabled, drops the ``CVM`` and its
 """
 
 import gc
+import traceback
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.apps import bfs, hashtab, wsdeque
 from repro.apps.dsl import compiled_image
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
 from repro.dsm.cvm import CVM
+from repro.errors import ProcessFailure
 
 NPROCS = 4
 
@@ -94,6 +96,34 @@ def test_resumed_run_leaves_no_cycle(tmp_path):
 
 def test_hashtab_under_master_failover_leaves_no_cycle():
     assert cyclic_garbage_after("hashtab", master_failover=True) == 0
+
+
+def test_failed_run_leaves_no_cycle():
+    """A run whose application raises: the failure's traceback, and the
+    process error it was raised from, must not keep the run's frames —
+    whose locals hold the system — alive.  What the caller is shown of
+    the failure stays whole."""
+    def app(env, _params):
+        env.barrier()
+        if env.pid == 1:
+            raise ValueError("boom")
+
+    spec = get_app("fft")
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ProcessFailure) as caught:
+            CVM(spec.config(nprocs=2)).run(app, None)
+        failure = caught.value
+        assert str(failure) == "process P1 failed: ValueError('boom')"
+        assert isinstance(failure.__cause__, ValueError)
+        printed = "".join(traceback.format_exception(failure))
+        assert 'raise ValueError("boom")' in printed
+        assert "in _proc_main" in printed
+        del caught, failure
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_the_check_sees_a_cycle():
