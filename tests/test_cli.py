@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import dataclasses
+import hashlib
 import os
 import re
 
@@ -126,6 +127,41 @@ def test_timeline(capsys):
     assert rc == 0
     assert "P0 |" in out and "happens-before edges" in out
     assert "race(s)" in out
+
+
+#: ``repro timeline queue_racy``, byte for byte: lane notes, ``!`` marks,
+#: edges and racy-pair overlaps.
+QUEUE_RACY_TIMELINE = """\
+P0 | [1! w:0,64]--[5! w:0,64]
+P1 | [3! r:0]--[5! w:165,166 r:0,64]
+P2 | [5! w:165,166,167…]
+
+happens-before edges (release -> acquire):
+  P1:3 -> P0:5
+  P1:3 -> P2:5
+
+concurrent racy pairs:
+  P0:5 || P1:5 on words [0, 64]
+  P1:5 || P2:5 on words [165, 166]
+
+4 race(s); '!' marks intervals touching a racy word
+"""
+
+
+def test_timeline_queue_racy_golden(capsys):
+    rc, out = run_cli(capsys, "timeline", "queue_racy")
+    assert rc == 0
+    assert out == QUEUE_RACY_TIMELINE
+
+
+def test_timeline_water_golden(capsys):
+    """986 lines, 18 concurrent racy pairs: pinned by digest."""
+    rc, out = run_cli(capsys, "timeline", "water", "--procs", "4")
+    assert rc == 0
+    assert len(out.splitlines()) == 986
+    assert out.count(" || ") == 18
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "711bcd9afe7df670479d0a85cc9d59cd420f0c53e22b29a99cc7b744f08fa103")
 
 
 # ---------------------------------------------------------------------- #
