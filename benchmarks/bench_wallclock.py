@@ -7,7 +7,9 @@ through both detection engines — the reference O(i²p²) algorithm and the
 default fast path — timing the full ``run_epoch`` analysis and checking
 in the same breath that races, statistics, and virtual-time ledgers are
 identical.  Results go to ``BENCH_detection.json`` so the repository
-carries a perf trajectory across PRs.
+carries a perf trajectory across PRs; a ``--quick`` run writes
+``BENCH_detection_smoke.json`` instead and leaves the committed report
+alone.
 
 Usage::
 
@@ -90,9 +92,14 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="required fast-path speedup on the stress "
                              "workload (default 3.0)")
-    parser.add_argument("--output", default="BENCH_detection.json",
-                        help="where to write the JSON report")
+    parser.add_argument("--output", default=None,
+                        help="where to write the JSON report (default "
+                             "BENCH_detection.json, quick "
+                             "BENCH_detection_smoke.json)")
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = ("BENCH_detection_smoke.json" if args.quick
+                       else "BENCH_detection.json")
 
     workloads = QUICK_WORKLOADS if args.quick else FULL_WORKLOADS
     repeats = args.repeats or (2 if args.quick else 5)

@@ -6,8 +6,8 @@ claim mechanically: with access tracing enabled, a run yields a full shared
 access trace, and
 
 * :mod:`repro.core.baseline.hb_detector` runs an exact happens-before
-  detector over the trace (per-word read/write vector-clock sets — the
-  classical approach of Dinning/Schonberg and FastTrack-style tools), and
+  detector over the trace's word ranges (Definition 2 per word — the
+  criterion of Dinning/Schonberg and FastTrack-style tools), and
 * :mod:`repro.core.baseline.postmortem` reimplements Adve et al.'s
   post-mortem trace analysis, which the paper cites as its closest
   relative (§7): computation-event logs analyzed offline.

@@ -13,13 +13,12 @@ No judgement is made twice: words with the same *accessor set* — the same
 ``(pid, interval, is_write)`` triples — race on the same pairs, so each
 distinct set is analysed once, and ``concurrent`` is evaluated once per
 (writer, other) interval pair.  Cost: grouping is one sweep of the
-address line — a step per accessor of each distinct range at its two
-boundaries and one ``frozenset`` per run of words between boundaries, so
-no set is built per word and a range costs what the trace holds, not
-what it spans (a trace of one-word accesses skips the sweep) — then set
-algebra per (accessor set, writer); default Water@8 is 434 words, 74
-sets, 13.6 k verdicts.  The word-by-word body this replaced is the
-executable spec ``tests/core/baseline/reference_hb.py``.
+address line over the trace's :func:`~repro.core.baseline.trace.fold` —
+a step per range at its two boundaries and one ``frozenset`` per run of
+words between them, so a range costs what the trace holds, not what it
+spans — then set algebra per (accessor set, writer); default Water@8 is
+434 words, 74 sets, 13.6 k verdicts.  The word-by-word body this
+replaced is the executable spec ``tests/core/baseline/reference_hb.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.trace import TraceEvent, fold
 from repro.dsm.vector_clock import VectorClock, concurrent
 
 #: A canonical race key: (kind, word address, ((pid, idx, access) sorted)).
@@ -78,39 +77,25 @@ class HappensBeforeDetector:
     @staticmethod
     def accessor_sets(trace: Iterable[TraceEvent]
                       ) -> Dict[FrozenSet[Access], List[int]]:
-        """The words of the trace grouped by who accessed them: repeated
-        identical accesses add nothing, and two words with the same
-        accessor set have the same races.
+        """The words of the trace grouped by who accessed them: two words
+        with the same accessor set have the same races.
 
-        One sweep of the address line, not one set per word: each
-        distinct range opens its accessors at its first word and closes
-        them one past its last, and every run of words between two
-        consecutive boundaries shares the accessors covering it.  A trace
-        whose ranges are all one word long needs no sweep: each range is
-        its word."""
-        ranges: Dict[Tuple[int, int], Set[Access]] = defaultdict(set)
-        for pid, index, addr, count, is_write in trace:
-            ranges[addr, addr + count].add((pid, index, is_write))
+        One sweep of the address line over the trace's :func:`fold`: each
+        boundary of a range toggles its accessor in the cover (the fold
+        leaves no two ranges of one accessor touching, so a boundary is
+        an entry or an exit), and every run of words between two
+        consecutive boundaries shares the accessors covering it."""
+        edges: Dict[int, List[Access]] = defaultdict(list)
+        for (pid, index), sides in fold(trace).items():
+            for is_write, ranges in zip((False, True), sides):
+                for start, end in ranges:
+                    edges[start].append((pid, index, is_write))
+                    edges[end].append((pid, index, is_write))
         groups: Dict[FrozenSet[Access], List[int]] = {}
-        if all(end - start == 1 for start, end in ranges):
-            for (word, _end), accesses in ranges.items():
-                groups.setdefault(frozenset(accesses), []).append(word)
-            return groups
-        edges: Dict[int, List[Tuple[Set[Access], int]]] = defaultdict(list)
-        for (start, end), accesses in ranges.items():
-            edges[start].append((accesses, 1))
-            edges[end].append((accesses, -1))
-        #: access -> how many of the open ranges hold it.
-        cover: Dict[Access, int] = {}
+        cover: Set[Access] = set()
         points = sorted(edges)
         for here, there in zip(points, points[1:]):
-            for accesses, step in edges[here]:
-                for access in accesses:
-                    depth = cover.get(access, 0) + step
-                    if depth:
-                        cover[access] = depth
-                    else:
-                        del cover[access]
+            cover.symmetric_difference_update(edges[here])
             if cover:
                 groups.setdefault(frozenset(cover), []).extend(
                     range(here, there))

@@ -6,22 +6,24 @@ events* delimited by synchronization, each carrying READ/WRITE attribute
 sets, ordered by logged synchronization information, analyzed offline.
 
 This module reimplements that scheme faithfully on top of our trace: it
-reconstructs computation events (== CVM intervals) with their read/write
-word sets, then finds unordered event pairs with overlapping attributes.
-Unlike :mod:`repro.core.baseline.hb_detector` it mirrors the *structure* of
-the paper's online algorithm (interval-granularity pairs, then word
-overlap), but runs entirely post-mortem from a log — so comparing the two
-quantifies exactly what the paper claims to save: the log that never needs
-to be written (``log_bytes``) and the analysis deferred to after the run.
+reconstructs computation events (== CVM intervals) with their read and
+write word ranges (the trace's :func:`~repro.core.baseline.trace.fold`),
+then finds unordered event pairs with overlapping attributes.  Unlike
+:mod:`repro.core.baseline.hb_detector` it mirrors the *structure* of the
+paper's online algorithm (interval-granularity pairs, then word overlap:
+a merge of two range lists), but runs entirely post-mortem from a log —
+so comparing the two quantifies exactly what the paper claims to save:
+the log that never needs to be written (``log_bytes``) and the analysis
+deferred to after the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.baseline.hb_detector import RaceKey, make_race_key
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.trace import Ranges, TraceEvent, common_words, fold
 from repro.dsm.vector_clock import VectorClock, concurrent
 
 
@@ -32,12 +34,8 @@ class ComputationEvent:
     pid: int
     index: int
     vc: VectorClock
-    reads: Set[int] = field(default_factory=set)
-    writes: Set[int] = field(default_factory=set)
-
-    @property
-    def empty(self) -> bool:
-        return not self.reads and not self.writes
+    reads: Ranges
+    writes: Ranges
 
 
 def concurrent_pairs(events: Sequence[ComputationEvent]
@@ -61,38 +59,26 @@ class PostMortemAnalyzer:
     def build_events(self, trace: Iterable[TraceEvent]
                      ) -> List[ComputationEvent]:
         """Reconstruct computation events from the flat access log."""
-        events: Dict[Tuple[int, int], ComputationEvent] = {}
-        for ev in trace:
-            key = (ev.pid, ev.interval_index)
-            ce = events.get(key)
-            if ce is None:
-                vc = self.vc_log.get(key)
-                if vc is None:
-                    raise KeyError(
-                        f"no ordering information logged for P{ev.pid} "
-                        f"interval {ev.interval_index}")
-                ce = events[key] = ComputationEvent(ev.pid,
-                                                    ev.interval_index, vc)
-            target = ce.writes if ev.is_write else ce.reads
-            target.update(ev.words())
-        return [events[k] for k in sorted(events)]
+        events = []
+        for (pid, index), (reads, writes) in sorted(fold(trace).items()):
+            vc = self.vc_log.get((pid, index))
+            if vc is None:
+                raise KeyError(f"no ordering information logged for P{pid} "
+                               f"interval {index}")
+            events.append(ComputationEvent(pid, index, vc, reads, writes))
+        return events
 
     def races(self, trace: Iterable[TraceEvent]) -> Set[RaceKey]:
         """Racy (kind, word, interval-pair) triples, post-mortem."""
         out: Set[RaceKey] = set()
         for a, b in concurrent_pairs(self.build_events(trace)):
-            for word in a.writes & b.writes:
-                out.add(make_race_key("write-write", word,
-                                      (a.pid, a.index, "write"),
-                                      (b.pid, b.index, "write")))
-            for word in a.writes & b.reads:
-                out.add(make_race_key("read-write", word,
-                                      (a.pid, a.index, "write"),
-                                      (b.pid, b.index, "read")))
-            for word in a.reads & b.writes:
-                out.add(make_race_key("read-write", word,
-                                      (a.pid, a.index, "read"),
-                                      (b.pid, b.index, "write")))
+            for kind, a_side, xs, b_side, ys in (
+                    ("write-write", "write", a.writes, "write", b.writes),
+                    ("read-write", "write", a.writes, "read", b.reads),
+                    ("read-write", "read", a.reads, "write", b.writes)):
+                for word in common_words(xs, ys):
+                    out.add(make_race_key(kind, word, (a.pid, a.index, a_side),
+                                          (b.pid, b.index, b_side)))
         return out
 
     @staticmethod

@@ -14,11 +14,13 @@ per-interval vector clocks that normal runs garbage-collect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.baseline.postmortem import (ComputationEvent,
                                            PostMortemAnalyzer,
                                            concurrent_pairs)
+from repro.core.baseline.trace import common_words
 
 
 @dataclass
@@ -65,16 +67,15 @@ def _collapse_redundant(edges: List[HbEdge]) -> List[HbEdge]:
 
 
 def _access_note(ev: ComputationEvent, max_words: int = 3) -> str:
-    parts = []
-    if ev.writes:
-        ws = sorted(ev.writes)[:max_words]
-        more = "…" if len(ev.writes) > max_words else ""
-        parts.append("w:" + ",".join(map(str, ws)) + more)
-    if ev.reads:
-        rs = sorted(ev.reads)[:max_words]
-        more = "…" if len(ev.reads) > max_words else ""
-        parts.append("r:" + ",".join(map(str, rs)) + more)
-    return " ".join(parts)
+    """`` w:…`` and `` r:…``: each side's first ``max_words`` words."""
+    note = ""
+    for tag, ranges in ((" w:", ev.writes), (" r:", ev.reads)):
+        words = list(islice(chain.from_iterable(starmap(range, ranges)),
+                            max_words + 1))
+        if words:
+            more = "…" if len(words) > max_words else ""
+            note += tag + ",".join(map(str, words[:max_words])) + more
+    return note
 
 
 def render_timeline(events: Sequence[ComputationEvent],
@@ -89,56 +90,52 @@ def render_timeline(events: Sequence[ComputationEvent],
         return "(no intervals)"
     nprocs = nprocs or (max(ev.pid for ev in events) + 1)
     racy_words = racy_words or set()
-    lanes: List[str] = []
+    racy = [(word, word + 1) for word in sorted(racy_words)]
+    #: interval -> (the racy words it read, the racy words it wrote).
+    hot = {(ev.pid, ev.index): (set(common_words(ev.reads, racy)),
+                                set(common_words(ev.writes, racy)))
+           for ev in events}
+    lines: List[str] = []
     for pid in range(nprocs):
         own = sorted((ev for ev in events if ev.pid == pid),
                      key=lambda ev: ev.index)
         cells = []
         for ev in own:
-            mark = "!" if (ev.reads | ev.writes) & racy_words else ""
-            note = _access_note(ev)
-            body = f"{ev.index}{mark}"
-            if note:
-                body += f" {note}"
-            cells.append(f"[{body}]")
-        lanes.append(f"P{pid} | " + "--".join(cells))
-    lines = lanes
+            mark = "!" if any(hot[pid, ev.index]) else ""
+            cells.append(f"[{ev.index}{mark}{_access_note(ev)}]")
+        lines.append(f"P{pid} | " + "--".join(cells))
     edges = _collapse_redundant(direct_edges(events))
     if edges:
-        lines.append("")
-        lines.append("happens-before edges (release -> acquire):")
-        for e in edges:
-            lines.append(f"  {e}")
+        lines += ["", "happens-before edges (release -> acquire):",
+                  *(f"  {e}" for e in edges)]
     # Concurrent pairs involving racy words, if any.
     if racy_words:
         racy_pairs = []
         for a, b in concurrent_pairs(events):
-            overlap = ((a.writes & (b.writes | b.reads))
-                       | (a.reads & b.writes)) & racy_words
+            (a_reads, a_writes), (b_reads, b_writes) = (
+                hot[a.pid, a.index], hot[b.pid, b.index])
+            overlap = (a_writes & (b_writes | b_reads)) | (a_reads & b_writes)
             if overlap:
                 racy_pairs.append(
                     f"  P{a.pid}:{a.index} || P{b.pid}:{b.index} "
                     f"on words {sorted(overlap)}")
         if racy_pairs:
-            lines.append("")
-            lines.append("concurrent racy pairs:")
-            lines.extend(racy_pairs)
+            lines += ["", "concurrent racy pairs:", *racy_pairs]
     return "\n".join(lines)
 
 
-def timeline_from_run(system, result, racy_only: bool = True) -> str:
-    """Build and render the timeline of a traced run.
+def timeline_from_run(system, result) -> str:
+    """Build and render the timeline of a traced run, marking the words
+    its detector reported.
 
     Args:
         system: The :class:`~repro.dsm.cvm.CVM` instance (holds the vector
             clock log).
         result: Its :class:`~repro.dsm.cvm.RunResult`.
-        racy_only: Mark only the words that actually raced.
     """
     if not result.access_trace:
         raise ValueError("timeline needs a run with track_access_trace=True")
     pm = PostMortemAnalyzer(system.store.vc_log)
     events = pm.build_events(result.access_trace)
-    racy = {r.addr for r in result.races} if racy_only else set()
     return render_timeline(events, nprocs=system.config.nprocs,
-                           racy_words=racy)
+                           racy_words={r.addr for r in result.races})

@@ -5,8 +5,10 @@ every pair of deduplicated accesses of every word is walked, read-read
 pairs included, and ``concurrent`` is evaluated once per word per pair.
 ``repro.core.baseline.hb_detector`` now groups words by accessor set and
 remembers one verdict per interval pair;
-``tests/core/baseline/test_hb_matches_reference.py`` holds it to this
-class, key set for key set.
+``tests/core/baseline/test_hb_matches_reference.py`` holds it, and the
+post-mortem analyzer, to this class, key set for key set.  It expands
+each access into its words itself, so it shares nothing with
+:func:`repro.core.baseline.trace.fold`, which both of them read.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class ReferenceHappensBeforeDetector:
         # repeated identical accesses add nothing.
         by_word: Dict[int, Set[Tuple[int, int, bool]]] = {}
         for ev in trace:
-            for word in ev.words():
+            for word in range(ev.addr, ev.addr + ev.count):
                 by_word.setdefault(word, set()).add(
                     (ev.pid, ev.interval_index, ev.is_write))
         out: Set[RaceKey] = set()

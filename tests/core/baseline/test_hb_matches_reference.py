@@ -1,22 +1,28 @@
-"""The grouped, memoised oracle against its brute-force spec.
+"""The grouped, memoised oracle and the post-mortem analyzer against the
+brute-force spec.
 
 ``HappensBeforeDetector.races`` analyses each distinct accessor set once
-and decides each interval pair once; ``reference_hb.py`` is the body it
-replaced, which walks every access pair of every word.  They must return
-the same key set on every trace — seeded random programs, synthetic range
-traces over hand-built vector-clock logs, every registered app and the
-spine benchmark's oracle cells — and
-the corpus must be able to tell: three plausible slips in the new code
-(a verdict memo that forgets the second interval's index, a grouping that
-forgets ``is_write``, every range read one word longer) have to come out
-different.  The oracle is only a witness while it stays independent, so
-its imports are pinned too.
+and decides each interval pair once; ``PostMortemAnalyzer.races`` walks
+the concurrent interval pairs and merges their range lists.  Both read
+the trace through one fold (``repro.core.baseline.trace.fold``), so
+``pm == hb`` alone could not catch a slip in it: each is held to
+``reference_hb.py`` — the word-by-word body the oracle replaced, which
+expands every access itself and shares nothing with the fold.  They must
+return its key set on every trace — seeded random programs, synthetic
+range traces over hand-built vector-clock logs, every registered app and
+the spine benchmark's oracle cells — and the corpus must be able to
+tell: four plausible slips (a verdict memo that forgets the second
+interval's index, a grouping that forgets ``is_write``, every range read
+one word longer, a fold that closes each range one word late) have to
+come out different.  The oracle is only a witness while it stays
+independent, so its imports are pinned too.
 """
 
 from __future__ import annotations
 
 import ast
 import random
+import sys
 
 import pytest
 
@@ -27,12 +33,15 @@ from tests.core.test_oracle_agreement import generate_program, run_program
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
 from repro.core.baseline import hb_detector
 from repro.core.baseline.hb_detector import HappensBeforeDetector
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.postmortem import PostMortemAnalyzer
+from repro.core.baseline.trace import TraceEvent, fold
 from repro.dsm.cvm import CVM
 from repro.dsm.vector_clock import VectorClock
 
 PROGRAM_SEEDS = range(210)
 SYNTHETIC_SEEDS = range(60)
+#: The two readers of the fold, each held to the reference on its own.
+WITNESSES = (HappensBeforeDetector, PostMortemAnalyzer)
 
 
 def program_case(seed: int):
@@ -87,7 +96,8 @@ def disagreements(detector_class, cases):
 
 
 def test_corpus_key_sets_equal_the_reference(corpus):
-    assert disagreements(HappensBeforeDetector, corpus) == []
+    for witness in WITNESSES:
+        assert disagreements(witness, corpus) == [], witness
     # Not vacuously: the corpus has racy traces and multi-word ranges.
     assert sum(bool(HappensBeforeDetector(vc_log).races(trace))
                for vc_log, trace in corpus) > len(corpus) // 2
@@ -97,7 +107,9 @@ def test_corpus_key_sets_equal_the_reference(corpus):
 
 @pytest.mark.parametrize("name", sorted({**APPLICATIONS, **EXTRAS}))
 def test_app_key_sets_equal_the_reference(name):
-    assert disagreements(HappensBeforeDetector, [app_case(name)]) == []
+    case = app_case(name)
+    for witness in WITNESSES:
+        assert disagreements(witness, [case]) == [], witness
 
 
 @pytest.mark.parametrize("workload", sorted(BY_NAME))
@@ -115,7 +127,8 @@ def test_spine_oracle_cells_equal_the_reference(workload, tmp_path):
         if result.detector_stats is not None:
             compared.append((system.store.vc_log, result.access_trace))
     assert compared
-    assert disagreements(HappensBeforeDetector, compared) == []
+    for witness in WITNESSES:
+        assert disagreements(witness, compared) == [], witness
 
 
 def test_partially_overlapping_ranges_split_accessor_sets():
@@ -173,6 +186,23 @@ class SweepClosesLate(HappensBeforeDetector):
                                     SweepClosesLate])
 def test_a_broken_oracle_is_caught(mutant, corpus):
     assert disagreements(mutant, corpus)
+
+
+def fold_closes_late(trace):
+    """What a fold that closes every range it joins one word late
+    returns: the input read right, the slip inside the fold.  The ranges
+    it returns stay sorted and disjoint."""
+    return {key: tuple([(start, end + 1) for start, end in ranges]
+                       for ranges in sides)
+            for key, sides in fold(trace).items()}
+
+
+@pytest.mark.parametrize("witness", WITNESSES)
+def test_a_broken_fold_is_caught_in_each_reader(witness, corpus,
+                                                monkeypatch):
+    monkeypatch.setattr(sys.modules[witness.__module__], "fold",
+                        fold_closes_late)
+    assert disagreements(witness, corpus)
 
 
 def test_oracle_reads_only_the_trace_and_the_vector_clocks():

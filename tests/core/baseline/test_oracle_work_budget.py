@@ -11,7 +11,9 @@ off an ``Env`` access costs the calls ``test_access_call_budget`` allows,
 and with it on exactly one more, the hook tail, which builds the event
 without a Python-level constructor frame.  Grouping is a sweep over the
 trace's ranges, so its memory is what it returns: a range of 2**16 words
-costs its word list, not a set per word.
+costs its word list, not a set per word.  The post-mortem analyzer reads
+the same fold and merges range lists, so a long range costs it nothing
+until another interval's range meets it.
 """
 
 import sys
@@ -25,12 +27,17 @@ from tests.helpers import run_app
 from repro.apps.registry import get_app
 from repro.core.baseline import hb_detector
 from repro.core.baseline.hb_detector import HappensBeforeDetector
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.postmortem import PostMortemAnalyzer
+from repro.core.baseline.trace import TraceEvent, fold
 from repro.dsm.cvm import CVM
+from repro.dsm.vector_clock import VectorClock
 
 #: Ceilings on default Water@8: ``concurrent`` evaluations, accessor sets.
 MAX_VERDICTS = 20_000
 MAX_ACCESSOR_SETS = 100
+#: What a post-mortem analysis of two intervals may hold beside its
+#: ranges and keys: the event list, the two events, the pass's frames.
+ANALYZER_FIXED_BYTES = 8 * 1024
 
 
 def test_oracle_decides_each_pair_and_each_accessor_set_once(monkeypatch):
@@ -75,6 +82,38 @@ def test_grouping_memory_is_the_word_lists_it_returns():
                for words in groups.values())
     assert sum(len(words) for words in groups.values()) == span + span // 2
     assert peak <= 2 * held, (peak, held)
+
+
+@pytest.mark.parametrize("overlap", [0, 3])
+def test_postmortem_memory_is_the_ranges_and_the_keys(overlap):
+    """Two concurrent intervals over 2**16-word ranges that meet on
+    ``overlap`` words: the analysis holds their ranges and its keys, and
+    expands only the words they share (a word set per interval peaks at
+    12 MB here)."""
+    span = 1 << 16
+    log = {(0, 1): VectorClock([1, 0]), (1, 1): VectorClock([0, 1])}
+    trace = [TraceEvent(0, 1, addr=0, count=span, is_write=True),
+             TraceEvent(1, 1, addr=span - overlap, count=span,
+                        is_write=False),
+             TraceEvent(1, 1, addr=span - overlap, count=span,
+                        is_write=True)]
+    analyzer = PostMortemAnalyzer(log)
+    tracemalloc.start()
+    try:
+        races = analyzer.races(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(races) == 2 * overlap  # write-write and read-write per word
+    ranges = fold(trace)
+    held = (sys.getsizeof(ranges) + sum(
+        sys.getsizeof(sides) + sum(
+            sys.getsizeof(side) + sum(map(sys.getsizeof, side))
+            for side in sides)
+        for sides in ranges.values()))
+    held += sys.getsizeof(races) + sum(
+        sys.getsizeof(key) + sys.getsizeof(key[2]) for key in races)
+    assert peak <= held + ANALYZER_FIXED_BYTES, (peak, held)
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -11,8 +11,9 @@ from repro.dsm.vector_clock import VectorClock
 
 
 def ev(pid, index, vc, reads=(), writes=()):
+    """An event whose reads and writes are ``[start, end)`` ranges."""
     return ComputationEvent(pid, index, VectorClock(vc),
-                            reads=set(reads), writes=set(writes))
+                            reads=list(reads), writes=list(writes))
 
 
 def test_direct_edges_from_vcs():
@@ -33,7 +34,8 @@ def test_collapse_keeps_newest():
 
 
 def test_render_marks_racy_words():
-    events = [ev(0, 1, [1, 0], writes=[7]), ev(1, 1, [0, 1], writes=[7])]
+    events = [ev(0, 1, [1, 0], writes=[(7, 8)]),
+              ev(1, 1, [0, 1], writes=[(7, 8)])]
     out = render_timeline(events, racy_words={7})
     assert "1! w:7" in out
     assert "concurrent racy pairs:" in out
@@ -45,9 +47,9 @@ def test_render_empty():
 
 
 def test_render_orders_lanes_and_edges():
-    events = [ev(0, 1, [1, 0], writes=[3]),
+    events = [ev(0, 1, [1, 0], writes=[(3, 4)]),
               ev(0, 2, [2, 1]),
-              ev(1, 1, [0, 1], reads=[3]),
+              ev(1, 1, [0, 1], reads=[(3, 4)]),
               ev(1, 2, [1, 2])]
     out = render_timeline(events)
     lanes = out.splitlines()
@@ -82,6 +84,6 @@ def test_timeline_requires_trace():
 
 
 def test_access_note_truncation():
-    e = ev(0, 1, [1], writes=range(10))
+    e = ev(0, 1, [1], writes=[(0, 10)])
     out = render_timeline([e])
     assert "…" in out
