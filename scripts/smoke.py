@@ -96,23 +96,16 @@ RUNS: Dict[str, Run] = {
                        "--checkpoint-dir ckpt-tsp4-crashy "
                        "--report tsp4-crashy.txt", 1),
     "tsp4-chaos": Run("run tsp --procs 4 --crash-rate 0.02 --crash-seed 2 "
-                      "--loss-rate 0.05 --fault-seed 2 --checkpoint-delta "
+                      "--loss-rate 0.05 --fault-seed 2 "
+                      "--checkpoint-dir ckpt-tsp4-chaos "
                       "--report tsp4-chaos.txt", 1),
     "water4-ckpt": Run("run water --procs 4 --checkpoint-dir ckpt-water4 "
                        "--report water4-ckpt.txt", 1),
     "water4-resumed": Run("run water --procs 4 --resume-from ckpt-water4 "
                           "--report water4-resumed.txt", 1,
                           needs=("water4-ckpt",)),
-    "water4-ckpt-delta": Run("run water --procs 4 --checkpoint-dir "
-                             "ckpt-water4-delta --checkpoint-delta "
-                             "--report water4-ckpt-delta.txt", 1),
-    "water4-resumed-delta": Run("run water --procs 4 --resume-from "
-                                "ckpt-water4-delta --checkpoint-delta "
-                                "--report water4-resumed-delta.txt", 1,
-                                needs=("water4-ckpt-delta",)),
-    "water4-resumed-nodelta": Run("run water --procs 4 --resume-from "
-                                  "ckpt-water4-delta", 3,
-                                  needs=("water4-ckpt-delta",)),
+    "sor4-resumed-water4": Run("run sor --procs 4 --resume-from "
+                               "ckpt-water4", 3, needs=("water4-ckpt",)),
     # -- master failover --------------------------------------------------
     "water4-failover1": Run("run water --procs 4 --crash-at 0:1 "
                             "--master-failover --loss-rate 0.05 --fault-seed 7 "
@@ -274,18 +267,15 @@ CELLS: Dict[str, List] = {
         Has("tsp4-crashy", "crashes:"),
         Has("tsp4-crashy", "checkpoints:"),
     ],
-    # Crashes and losses at once, with delta-encoded checkpoints.
+    # Crashes and losses at once, with checkpoints on disk.
     "chaos": [Same("tsp4", "tsp4-chaos")],
+    # A resume reproduces the run; one that never reaches the directory's
+    # cut (sor has fewer barriers than water) is refused, not "resumed".
     "resume": [
         Same("water4-ckpt", "water4-resumed"),
         Has("water4-resumed", "resumed from"),
-    ],
-    "resume-delta": [
-        Same("water4", "water4-ckpt-delta"),
-        Same("water4-ckpt-delta", "water4-resumed-delta"),
-        Has("water4-resumed-delta", "resumed from"),
-        # The other encoding's clock differs: refused by name.
-        Has("water4-resumed-nodelta", "--checkpoint-delta", "stderr"),
+        Has("sor4-resumed-water4", "never reached the resume cut", "stderr"),
+        Lacks("sor4-resumed-water4", "resumed from"),
     ],
     # The coordinator dies at a barrier generation on a lossy network; the
     # elected successor replays the journal.

@@ -102,12 +102,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                         "persist them under DIR; a crashed node then "
                         "recovers with its detection metadata intact, so "
                         "race reports match the crash-free run exactly")
-    p.add_argument("--checkpoint-delta", action="store_true",
-                   help="delta-encode each checkpoint against the node's "
-                        "previous generation (implies checkpointing): only "
-                        "changed pages/intervals are written, shrinking "
-                        "checkpoint bytes and their priced write cost; "
-                        "recovery is byte-identical to full snapshots")
     p.add_argument("--resume-from", default=None, metavar="DIR",
                    help="resume from a checkpoint directory written by a "
                         "previous --checkpoint-dir run with the same "
@@ -167,7 +161,6 @@ def _run_plan(args, **extra):
         sharded_detection=args.sharded_detection,
         coarse_filter=args.coarse_filter,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_delta=args.checkpoint_delta,
         resume_from=args.resume_from,
         mode=args.mode,
         trace_file=args.trace_file,

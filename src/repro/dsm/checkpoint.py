@@ -9,24 +9,25 @@ protection states and twins), access counters, and the node's live interval
 records including their word bitmaps — with nothing in flight.
 
 Snapshots serialize to a canonical JSON form (sorted keys, no whitespace),
-so byte size is deterministic and doubles as the recovery-cost input.  Each
-page and interval record is encoded once per snapshot; the full text and
-the next generation's delta are assembled from those member texts.  With
-``--checkpoint-dir`` the :class:`CheckpointManager` also persists one file
-per (pid, barrier generation), which enables *cross-run* restoration of a
-long simulation's per-node state (``CheckpointManager.load_dir``) in
-addition to the in-run crash recovery driven by :mod:`repro.dsm.recovery`.
-The run side lives here too: :func:`barrier_cut` is what a system does at
-every cut, :class:`ResumePoint` is ``--resume-from``.
+so byte size is deterministic and doubles as the recovery-cost input.  A
+node's first checkpoint is written whole (the *base*); every later one is a
+*delta* against the node's previous generation, component by component —
+only pages and interval records whose canonical text changed (plus scalar
+fields that moved and explicit deletion lists).  Each page and interval
+record is encoded once per snapshot; the full text and the next delta are
+assembled from those member texts.  The priced bytes are the written
+record's.
 
-With ``checkpoint_delta`` the manager writes *delta* checkpoints: each
-generation is encoded against the node's previous snapshot, component by
-component — only pages and interval records whose canonical text
-changed are included (plus scalar fields that moved and explicit deletion
-lists).  Generation 0 is always a full snapshot.  ``load_dir`` replays a
-delta chain back into full snapshots, validating base-generation
-continuity and the base content hash at every link, so recovery from a
-delta chain is byte-identical to full-snapshot recovery.
+With ``--checkpoint-dir`` the :class:`CheckpointManager` also appends each
+node's records to one log, ``ckpt_p<pid>.log`` (``durable.append``: one
+framed record per cut), which enables *cross-run* restoration of a long
+simulation's per-node state (``CheckpointManager.load_dir``) in addition to
+the in-run crash recovery driven by :mod:`repro.dsm.recovery`.  Loading
+drops a torn tail and folds each log with :func:`apply_delta`, validating
+base-generation continuity and the base content hash at every link, up to
+the latest cut every node reached.  The run side lives here too:
+:func:`barrier_cut` is what a system does at every cut,
+:class:`ResumePoint` is ``--resume-from``.
 
 The round-trip contracts (asserted property-style in
 ``tests/dsm/test_checkpoint.py`` and ``test_checkpoint_delta.py``):
@@ -43,7 +44,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union, TYPE_CHECKING
+from typing import Any, Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
 
 from repro import durable
 from repro.core.bitmap import Bitmap
@@ -60,20 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (node ← checkpoint)
 #: Bump when the snapshot schema changes incompatibly.
 FORMAT_VERSION = 1
 
-_FILE_RE = re.compile(r"ckpt_p(\d+)_g(\d+)\.json$")
-
-
-def _parse(text: str) -> Dict[str, Any]:
-    """Decode one checkpoint's JSON text and check its format version."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
-    if data.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {data.get('version')!r} "
-            f"not supported (expected {FORMAT_VERSION})")
-    return data
+_LOG_RE = re.compile(r"ckpt_p(\d+)\.log$")
+#: The one-file-per-generation layout this format replaced.
+_OLD_FILE_RE = re.compile(r"ckpt_p\d+_g\d+\.json$")
 
 
 # ---------------------------------------------------------------------- #
@@ -134,7 +124,7 @@ def _assemble(data: Dict[str, Any], **sections: str) -> str:
 
 @dataclass(frozen=True)
 class _Snapshot:
-    """What a full and a delta checkpoint share: the payload dict, its
+    """What a base and a delta record share: the payload dict, its
     memoized canonical encoding and the size charged for it."""
 
     data: Dict[str, Any]
@@ -160,7 +150,7 @@ class _Snapshot:
 
     def to_json(self) -> str:
         """Canonical encoding, produced once and memoized: the size
-        charge, the stats, the file write and the delta base hash all
+        charge, the stats, the log append and the delta base hash all
         consult it without re-encoding."""
         cached = self._json
         if cached is None:
@@ -174,11 +164,6 @@ class _Snapshot:
         costs are charged on."""
         return len(self.to_json().encode("utf-8"))
 
-    def publish(self, path: str) -> None:
-        """Write the text atomically; its one UTF-8 encode sizes ``nbytes``."""
-        self.__dict__["nbytes"] = durable.publish(
-            path, self.to_json(), CheckpointError, "checkpoint")
-
 
 @dataclass(frozen=True)
 class NodeSnapshot(_Snapshot):
@@ -191,8 +176,6 @@ class NodeSnapshot(_Snapshot):
     encoded once, into :attr:`members`; ``durable.assemble`` (held to
     ``durable.canon``) builds the full text and the next delta from those.
     """
-
-    is_delta = False
 
     @functools.cached_property
     def members(self) -> Dict[str, Dict[str, str]]:
@@ -211,26 +194,6 @@ class NodeSnapshot(_Snapshot):
         return _assemble(self.data, pages=durable.assemble(pages),
                          store_records=durable.assemble(records.values()))
 
-    @property
-    def epoch(self) -> int:
-        return self.data["epoch"]
-
-    @property
-    def clock_now(self) -> float:
-        """The node's virtual clock at snapshot time (recorded for
-        cross-run resume; in-run recovery charges restore time explicitly
-        and never rewinds clocks)."""
-        return self.data["clock_now"]
-
-    @classmethod
-    def from_json(cls, text: str) -> "NodeSnapshot":
-        data = _parse(text)
-        if data.get("delta"):
-            raise CheckpointError(
-                "delta checkpoint cannot be loaded standalone — replay its "
-                "chain with CheckpointManager.load_dir")
-        return cls(data)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, NodeSnapshot)
                 and self.to_json() == other.to_json())
@@ -244,20 +207,9 @@ class DeltaSnapshot(_Snapshot):
     and moved scalar fields); ``nbytes`` is therefore the *bytes written
     this generation* — exactly what the virtual-time write cost and the
     checkpoint statistics should price.  Restoration always goes through
-    a reconstructed full :class:`NodeSnapshot` (see :func:`apply_delta`),
-    so recovery cost and behavior are unchanged.
+    a reconstructed full :class:`NodeSnapshot` (see :func:`apply_delta`).
     """
 
-    is_delta = True
-
-    @property
-    def base_generation(self) -> int:
-        """Generation of the snapshot this delta was encoded against."""
-        return self.data["base_generation"]
-
-
-#: What ``CheckpointManager.take`` returns: the object actually written.
-WrittenCheckpoint = Union[NodeSnapshot, DeltaSnapshot]
 
 #: Top-level snapshot fields a delta may carry forward wholesale (the
 #: dict-valued components ``pages``/``store_records`` are diffed by
@@ -355,11 +307,45 @@ def apply_delta(prev: NodeSnapshot, delta: DeltaSnapshot) -> NodeSnapshot:
     return NodeSnapshot(data)
 
 
-def load_checkpoint(path: str) -> WrittenCheckpoint:
-    """Load one checkpoint file: a full :class:`NodeSnapshot` or a
-    :class:`DeltaSnapshot`, depending on the file's ``delta`` marker."""
-    data = _parse(durable.read_text(path, CheckpointError, "checkpoint"))
-    return DeltaSnapshot(data) if data.get("delta") else NodeSnapshot(data)
+def read_log(path: str, pid: int) -> List[_Snapshot]:
+    """The intact records of ``pid``'s checkpoint log at ``path``: its base
+    record, then its deltas, in the order written.  A torn or corrupt tail
+    (a run killed mid-append) is dropped; an intact record that is not
+    ``pid``'s, not in this format or out of place is refused."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint log {path!r}: {exc}") from exc
+
+    def decode(body: str, index: int) -> _Snapshot:
+        rec = json.loads(body)
+        if rec.get("version") != FORMAT_VERSION or rec.get("pid") != pid:
+            raise CheckpointError(
+                f"record {index} of checkpoint log {path!r} is not a "
+                f"version-{FORMAT_VERSION} record of P{pid}")
+        if bool(rec.get("delta")) != (index > 0):
+            raise CheckpointError(
+                f"record {index} of checkpoint log {path!r} is a "
+                f"{'delta' if index == 0 else 'base'} record: a log is "
+                "one base record, then deltas")
+        return DeltaSnapshot(rec) if index else NodeSnapshot(rec, body)
+
+    return durable.parse_log(data, decode)[0]
+
+
+def fold(records: Iterable[_Snapshot]) -> Iterator[NodeSnapshot]:
+    """The full snapshot at each record of one log (:func:`read_log`):
+    the base, then each delta applied to the snapshot before it."""
+    current: Optional[NodeSnapshot] = None
+    for rec in records:
+        if current is None:
+            current = rec
+        else:
+            base, current = current, apply_delta(current, rec)
+            base.release_members()  # encoded for the hash check
+        yield current
 
 
 def snapshot_node(node: "Node", store: "IntervalStore",
@@ -371,8 +357,8 @@ def snapshot_node(node: "Node", store: "IntervalStore",
     ``coordinator`` is the per-node coordinator-role section
     (:meth:`repro.dsm.coordinator.CoordinatorRole.snapshot_section`),
     included only under master failover — without it the snapshot bytes
-    are identical to pre-failover builds, keeping old checkpoint
-    directories resumable and failover-off artifacts byte-identical."""
+    are identical to pre-failover builds, keeping failover-off artifacts
+    byte-identical."""
     pages: Dict[str, Any] = {}
     for page_id, copy in sorted(node.pages.items()):
         # Copy the word lists: the snapshot must freeze barrier-time page
@@ -445,22 +431,17 @@ def restore_node(snap: NodeSnapshot, node: "Node",
 class CheckpointManager:
     """Holds the latest barrier checkpoint of every node.
 
-    With a ``directory``, every checkpoint is also serialized to
-    ``ckpt_p<pid>_g<generation>.json`` there — one file per (node, barrier
-    generation) — so a later process can rehydrate the run's per-node state
-    with :meth:`load_dir` (cross-run resume of long simulations).
-
-    With ``delta=True`` every checkpoint after a node's first is written
-    as a :class:`DeltaSnapshot` against the previous generation;
-    :meth:`latest` (and therefore recovery) always serves the full
-    in-memory reconstruction, so only the *written bytes* — the priced
-    write cost and the on-disk footprint — shrink.
+    Every checkpoint after a node's first is written as a
+    :class:`DeltaSnapshot` against the previous generation; :meth:`latest`
+    (and therefore recovery) always serves the full snapshot.  With a
+    ``directory``, each node's records are also appended to its log
+    ``ckpt_p<pid>.log`` there, so a later process can rehydrate the run's
+    per-node state with :meth:`load_dir` (cross-run resume of long
+    simulations).
     """
 
-    def __init__(self, directory: Optional[str] = None,
-                 delta: bool = False):
+    def __init__(self, directory: Optional[str] = None):
         self.directory = directory
-        self.delta = delta
         self._lock: Optional[durable.FileLock] = None
         if directory is not None:
             try:
@@ -471,9 +452,6 @@ class CheckpointManager:
                     f"{exc}") from exc
             self._acquire_lock(directory)
         self._latest: Dict[int, NodeSnapshot] = {}
-        #: Per-pid {generation: full snapshot}; populated by
-        #: :meth:`load_dir` so a resumed run can restore at the common cut.
-        self._history: Dict[int, Dict[int, NodeSnapshot]] = {}
 
     # ------------------------------------------------------------------ #
     # Directory exclusivity.
@@ -482,7 +460,7 @@ class CheckpointManager:
         """Take the exclusive lock on ``<directory>/LOCK``.
 
         Two live runs writing one ``--checkpoint-dir`` would interleave
-        their ``ckpt_p*_g*.json`` files and silently corrupt *both* runs'
+        their ``ckpt_p*.log`` records and silently corrupt *both* runs'
         recovery (and a later ``--resume-from`` would restore a chimera).
         The lock makes the collision loud: the second run is refused with
         a :class:`~repro.errors.ConfigError` naming the run already
@@ -496,7 +474,7 @@ class CheckpointManager:
                 f"checkpoint directory {directory!r} is already in use"
                 + (f" by {held.holder}" if held.holder else "")
                 + ": two runs cannot share one --checkpoint-dir (their "
-                "ckpt_p*_g*.json files would interleave and corrupt both "
+                "ckpt_p*.log records would interleave and corrupt both "
                 "recoveries); give each run its own directory") from None
         self._lock.note = f"os-pid {os.getpid()}"
 
@@ -504,99 +482,82 @@ class CheckpointManager:
         """Release the directory lock (idempotent).  Called when the
         owning run finishes; the LOCK file itself is left behind — the
         next run re-locks and rewrites it, and ``load_dir`` ignores any
-        file not matching the checkpoint name pattern."""
+        file not matching the checkpoint log name pattern."""
         if self._lock is not None:
             self._lock.close()
             self._lock = None
 
     def take(self, node: "Node", store: "IntervalStore",
              generation: int,
-             coordinator: Optional[Dict[str, Any]] = None
-             ) -> WrittenCheckpoint:
+             coordinator: Optional[Dict[str, Any]] = None) -> _Snapshot:
         """Snapshot ``node`` at barrier ``generation``; retain the full
-        snapshot as the node's latest checkpoint and persist the written
-        form (full, or delta in delta mode) when a directory is set.
-        ``coordinator`` is the optional failover role section (see
-        :func:`snapshot_node`).
+        snapshot as the node's latest checkpoint and, when a directory is
+        set, append the written record to the node's log — started over at
+        the node's first take.  ``coordinator`` is the optional failover
+        role section (see :func:`snapshot_node`).
 
-        Returns the object actually *written* — its ``nbytes`` is what the
-        caller's virtual-time write charge and stats should price."""
+        Returns the record written, base or delta — its ``nbytes`` is what
+        the caller's virtual-time write charge and stats should price."""
         snap = snapshot_node(node, store, generation, coordinator)
         prev = self._latest.get(node.pid)
-        written: WrittenCheckpoint = snap
+        written: _Snapshot = snap
         if prev is not None:
-            if self.delta:
-                written = encode_delta(prev, snap)
+            written = encode_delta(prev, snap)
             prev.release_members()
         self._latest[node.pid] = snap
         if self.directory is not None:
-            written.publish(os.path.join(
-                self.directory, f"ckpt_p{node.pid}_g{generation}.json"))
+            durable.append(
+                os.path.join(self.directory, f"ckpt_p{node.pid}.log"),
+                [written.to_json()], fresh=prev is None,
+                error=CheckpointError, what="checkpoint log")
         return written
 
     def latest(self, pid: int) -> Optional[NodeSnapshot]:
         return self._latest.get(pid)
 
-    def at_generation(self, pid: int, generation: int) -> NodeSnapshot:
-        """The full snapshot of ``pid`` at ``generation`` (history is only
-        retained by :meth:`load_dir`-constructed managers)."""
-        snap = self._history.get(pid, {}).get(generation)
-        if snap is None:
-            raise CheckpointError(
-                f"no checkpoint for P{pid} at generation {generation}")
-        return snap
-
-    def has_generation(self, pid: int, generation: int) -> bool:
-        return generation in self._history.get(pid, {})
-
     @classmethod
     def load_dir(cls, directory: str) -> "CheckpointManager":
         """Rehydrate a manager from a checkpoint directory.
 
-        Every generation of every pid is loaded (delta chains are replayed
-        into full snapshots, validating base continuity and content hashes
-        link by link) and retained in :meth:`at_generation` history; the
-        highest generation of each pid becomes its :meth:`latest` snapshot
-        — the state a resumed run restarts each node from.  The manager's
-        ``delta`` says how the files after a node's first are encoded
-        (``None`` when no node has more than one)."""
-        manager = cls(directory=None)
-        manager.delta = None
+        Each log's intact records (:func:`read_log`) are folded up to the
+        directory's *cut* — the latest generation every log reaches — and
+        that snapshot becomes the pid's :meth:`latest`: the state a
+        resumed run restarts each node from.  A directory of the older
+        one-file-per-generation layout is refused by name."""
         try:
             names = sorted(os.listdir(directory))
         except OSError as exc:
             raise CheckpointError(
                 f"cannot list checkpoint directory {directory!r}: "
                 f"{exc}") from exc
-        files: Dict[int, List[Tuple[int, str]]] = {}
+        old = [name for name in names if _OLD_FILE_RE.match(name)]
+        if old:
+            raise CheckpointError(
+                f"checkpoint directory {directory!r} holds {old[0]!r}, a "
+                "per-generation checkpoint file of an older format: "
+                "checkpoints are one log per process (ckpt_p<pid>.log); "
+                "write a fresh directory with --checkpoint-dir")
+        logs = {}
         for name in names:
-            m = _FILE_RE.match(name)
-            if not m:
-                continue
-            pid, gen = int(m.group(1)), int(m.group(2))
-            files.setdefault(pid, []).append((gen, name))
-        for pid, entries in sorted(files.items()):
-            current: Optional[NodeSnapshot] = None
-            history = manager._history.setdefault(pid, {})
-            for gen, name in sorted(entries):
-                loaded = load_checkpoint(os.path.join(directory, name))
-                if current is not None:
-                    manager.delta = loaded.is_delta
-                if loaded.is_delta:
-                    if current is None:
-                        raise CheckpointError(
-                            f"delta checkpoint {name!r} has no full base "
-                            f"snapshot in {directory!r}")
-                    base, current = current, apply_delta(current, loaded)
-                    base.release_members()  # encoded for the hash check
-                else:
-                    current = loaded
-                if current.generation != gen:
-                    raise CheckpointError(
-                        f"checkpoint {name!r} claims generation "
-                        f"{current.generation}, expected {gen}")
-                history[gen] = current
-            manager._latest[pid] = current
+            m = _LOG_RE.match(name)
+            if m:
+                pid = int(m.group(1))
+                records = read_log(os.path.join(directory, name), pid)
+                if records:
+                    logs[pid] = records
+        manager = cls()
+        if not logs:
+            return manager
+        cut = min(records[-1].generation for records in logs.values())
+        for pid, records in sorted(logs.items()):
+            for snap in fold(records):
+                if snap.generation == cut:
+                    manager._latest[pid] = snap
+                    break
+            else:
+                raise CheckpointError(
+                    f"checkpoint directory {directory!r} has no consistent "
+                    f"cut: P{pid} lacks generation {cut}")
         return manager
 
     def snapshots(self) -> List[NodeSnapshot]:
@@ -613,30 +574,19 @@ class ResumePoint:
     validate and reinstall each node's state from the restored snapshots.
     The resumed run must use the same configuration the checkpoints were
     written under (checkpointing stays enabled so the virtual-time write
-    charges line up), the checkpoint encoding (``delta``) included: the
-    written bytes are priced in virtual time."""
+    charges line up)."""
 
-    def __init__(self, directory: str, nprocs: int, delta: bool):
+    def __init__(self, directory: str, nprocs: int):
         mgr = CheckpointManager.load_dir(directory)
-        if mgr.delta is not None and mgr.delta != delta:
-            raise CheckpointError(
-                f"checkpoint directory {directory!r} holds "
-                f"{'delta' if mgr.delta else 'full'} checkpoints: resume it "
-                f"{'with' if mgr.delta else 'without'} --checkpoint-delta")
         pids = sorted(s.pid for s in mgr.snapshots())
         if pids != list(range(nprocs)):
             raise CheckpointError(
                 f"checkpoint directory {directory!r} covers "
                 f"pids {pids}, but the run has nprocs={nprocs}")
-        gen = min(s.generation for s in mgr.snapshots())
-        for pid in pids:
-            if not mgr.has_generation(pid, gen):
-                raise CheckpointError(
-                    f"checkpoint directory {directory!r} has "
-                    f"no consistent cut: P{pid} lacks generation {gen}")
+        self.directory = directory
         self.manager = mgr
         #: The cut resumed at: the latest generation every node reached.
-        self.generation = gen
+        self.generation = mgr.snapshots()[0].generation
         self.resumed_nodes = 0
 
     def install(self, system: "CVM", node: "Node") -> None:
@@ -650,7 +600,7 @@ class ResumePoint:
         would silently diverge.  The restored (deserialized) objects are
         then actually installed, so the remainder of the run exercises the
         restore path end to end."""
-        snap = self.manager.at_generation(node.pid, self.generation)
+        snap = self.manager.latest(node.pid)
         current = snapshot_node(
             node, system.store, self.generation,
             coordinator=system.coordinator.snapshot_section(node.pid))
@@ -662,6 +612,18 @@ class ResumePoint:
                 "parameters, process count and flags)")
         restore_node(snap, node, system.store)
         self.resumed_nodes += 1
+
+    def check_reached(self, generation: int) -> None:
+        """After the run, whose last cut was ``generation``: a run that
+        never reached the resume cut installed nothing and checked nothing,
+        so it did not resume — refused, not reported as resumed."""
+        if self.resumed_nodes < len(self.manager.snapshots()):
+            raise CheckpointError(
+                f"the run never reached the resume cut of "
+                f"{self.directory!r}: its last cut was generation "
+                f"{generation}, the directory's is generation "
+                f"{self.generation} (was it written by another "
+                "application or parameters?)")
 
 
 def barrier_cut(system: "CVM", node: "Node", generation: int) -> None:

@@ -218,13 +218,10 @@ class DsmConfig:
             node (enables recovery with no lost metadata).
         checkpoint_dir: Directory to persist checkpoints to
             (``--checkpoint-dir``); implies ``checkpoint``.
-        checkpoint_delta: Delta-encode each checkpoint against the node's
-            previous generation (``--checkpoint-delta``; implies
-            ``checkpoint``): only pages/intervals whose content hash
-            changed are written, shrinking checkpoint bytes and their
-            priced virtual-time write cost.  Recovery reconstructs the
-            full snapshot from the delta chain and is byte-identical to
-            full-snapshot recovery.  Default off: existing runs untouched.
+        checkpoint_delta: Inert: checkpoints are always delta-encoded
+            against the node's previous generation.  Kept only because
+            callers still pass it; like ``checkpoint`` it implies
+            checkpointing.
         resume_from: Checkpoint directory to resume from
             (``--resume-from``): the run re-executes deterministically and,
             at the barrier generation the directory covers, validates and
@@ -374,8 +371,8 @@ class DsmConfig:
     @property
     def checkpointing_enabled(self) -> bool:
         """True when barrier checkpoints are taken (explicitly requested
-        or implied by a checkpoint directory, delta encoding, or a resume:
-        a resumed run re-takes checkpoints so its virtual-time write
-        charges line up with the original checkpointed run's)."""
+        or implied by a checkpoint directory, ``checkpoint_delta``, or a
+        resume: a resumed run re-takes checkpoints so its virtual-time
+        write charges line up with the original checkpointed run's)."""
         return (self.checkpoint or self.checkpoint_dir is not None
                 or self.checkpoint_delta or self.resume_from is not None)

@@ -244,16 +244,15 @@ class CoordinatorRole:
         successor's detector state."""
         det = self.detector
         records = det.log[self._journaled:] if det is not None else []
-        data = "".join([durable.frame(r) + "\n" for r in records]).encode()
-        self._journal += data
+        nbytes = durable.append(self._journal, records)
         self._journaled += len(records)
         self._chain = chain_digest(records, self._chain)
         self._appended = records
-        clock.advance(cost_model.checkpoint_write_per_byte * len(data),
+        clock.advance(cost_model.checkpoint_write_per_byte * nbytes,
                       CostCategory.FAILOVER)
         self.stats.state_checkpoints += 1
-        self.stats.state_checkpoint_bytes += len(data)
-        return len(data)
+        self.stats.state_checkpoint_bytes += nbytes
+        return nbytes
 
     def install_from_journal(self, new_pid: int,
                              section: Optional[Dict[str, Any]] = None

@@ -230,8 +230,7 @@ class CVM:
         self.barrier = self.sync.barrier
         #: Cross-run resume point (``--resume-from``), else ``None``.
         self.resume: Optional[ResumePoint] = (
-            ResumePoint(config.resume_from, config.nprocs,
-                        config.checkpoint_delta)
+            ResumePoint(config.resume_from, config.nprocs)
             if config.resume_from is not None else None)
         #: Optional replay controller (see :mod:`repro.replay`): records or
         #: enforces the order in which contended locks are granted — and,
@@ -247,13 +246,12 @@ class CVM:
         self.pc_watch: Optional[Dict[int, List[Tuple]]] = None
         # Created last: with a persistent directory the manager takes an
         # exclusive advisory lock on it (two live runs sharing one
-        # --checkpoint-dir would interleave ckpt files and corrupt both
+        # --checkpoint-dir would interleave ckpt logs and corrupt both
         # recoveries), and nothing above must be able to fail while the
         # lock is held.  Released in run()'s finally clause.
         self.checkpoints: Optional[CheckpointManager] = None
         if config.checkpointing_enabled:
-            self.checkpoints = CheckpointManager(config.checkpoint_dir,
-                                                 delta=config.checkpoint_delta)
+            self.checkpoints = CheckpointManager(config.checkpoint_dir)
         self._ran = False
 
     @property
@@ -287,6 +285,8 @@ class CVM:
             for node in self.nodes:
                 barrier_cut(self, node, generation=0)
             self.scheduler.run()
+            if self.resume is not None:
+                self.resume.check_reached(self.sync.barrier_state.generation)
             if two_phase:
                 self.lock_order.end_run()
             return self._collect()

@@ -1,12 +1,12 @@
 """Durable records: the one copy of every stable-storage mechanism.
 
 The detector of the paper lives in memory; the reproduction keeps three
-records on stable storage — barrier checkpoints (and their delta chain),
-the coordinator journal and the synchronization-order trace.  What they
-share is owned here: the canonical form and its digest, the frame
+records on stable storage — the per-process barrier checkpoint logs, the
+coordinator journal and the synchronization-order trace.  What they share
+is owned here: the canonical form and its digest, the frame
 (``body + "\\n" + digest(body)``, which any truncation or corruption
-breaks detectably), atomic publish, the append-log reader and the
-exclusive lock.
+breaks detectably), atomic publish, the append-log writer and reader and
+the exclusive lock.
 
 Mechanism only.  What a torn record *means* stays with the caller: its
 error type, its message and its recovery policy (docs/robustness.md,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 try:
     import fcntl
@@ -113,6 +113,28 @@ def publish(path: str, text: str, error: Optional[type] = None,
 # ---------------------------------------------------------------------- #
 # Append log.
 # ---------------------------------------------------------------------- #
+def append(log: Union[bytearray, str], bodies: Iterable[str],
+           fresh: bool = False, error: Optional[type] = None,
+           what: str = "log") -> int:
+    """Append each body to ``log`` as one record, ``frame(body) + "\\n"``:
+    ``log`` is an in-memory ``bytearray`` or the path of a file (created
+    if missing; with ``fresh``, started over).  A writer killed mid-append
+    leaves a torn tail, which :func:`parse_log` drops.  Returns the byte
+    count appended; ``error``/``what`` as in :func:`read_text`."""
+    data = "".join([frame(body) + "\n" for body in bodies]).encode("utf-8")
+    if isinstance(log, bytearray):
+        log.extend(data)
+        return len(data)
+    try:
+        with open(log, "wb" if fresh else "ab") as fh:
+            fh.write(data)
+    except OSError as exc:
+        if error is None:
+            raise
+        raise error(f"cannot write {what} {log!r}: {exc}") from exc
+    return len(data)
+
+
 def parse_log(data: bytes, decode: Callable[[str, int], Any]
               ) -> Tuple[List[Any], int, int]:
     """Decode the longest intact prefix of an append log's bytes.

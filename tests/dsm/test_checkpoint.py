@@ -13,10 +13,9 @@ import os
 import pytest
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
-from repro.dsm.checkpoint import (CheckpointManager, NodeSnapshot,
+from repro.dsm.checkpoint import (CheckpointManager, NodeSnapshot, fold,
                                   interval_from_dict, interval_to_dict,
-                                  load_checkpoint, restore_node,
-                                  snapshot_node)
+                                  read_log, restore_node, snapshot_node)
 from repro.dsm.cvm import CVM
 from repro.dsm.node import IntervalStore, Node
 from repro.errors import CheckpointError, ReproError
@@ -35,24 +34,27 @@ def _run_with_checkpoints(name, tmp_path):
     return cfg, ckdir
 
 
+def _logs(ckdir):
+    """``{pid: [full snapshot at each generation]}`` of a checkpoint
+    directory, every log folded to its end."""
+    logs = {}
+    for fname in sorted(os.listdir(ckdir)):
+        if fname.startswith("ckpt_p"):
+            pid = int(fname[len("ckpt_p"):-len(".log")])
+            logs[pid] = list(fold(read_log(os.path.join(ckdir, fname), pid)))
+    return logs
+
+
 @pytest.mark.parametrize("name", ALL_APPS)
 def test_roundtrip_idempotent_every_app(name, tmp_path):
     cfg, ckdir = _run_with_checkpoints(name, tmp_path)
-    # The manager's exclusivity LOCK lives alongside the snapshots.
-    files = sorted(f for f in os.listdir(ckdir) if f.startswith("ckpt_"))
-    assert files, "run wrote no checkpoints"
-    by_pid = {}
-    for fname in files:
-        pid = int(fname.split("_")[1][1:])
-        gen = int(fname.split("_g")[1].split(".")[0])
-        by_pid.setdefault(pid, []).append(gen)
-    for pid, gens in by_pid.items():
-        gens = sorted(gens)
-        probe = {0, 1 if len(gens) > 1 else gens[-1], gens[-1]}
-        for gen in sorted(probe & set(gens)):
-            path = os.path.join(ckdir, f"ckpt_p{pid}_g{gen}.json")
-            snap = load_checkpoint(path)
-            assert snap.pid == pid and snap.generation == gen
+    logs = _logs(ckdir)
+    assert logs, "run wrote no checkpoints"
+    for pid, snaps in logs.items():
+        assert [s.generation for s in snaps] == list(range(len(snaps)))
+        for snap in (snaps[0], snaps[min(1, len(snaps) - 1)], snaps[-1]):
+            gen = snap.generation
+            assert snap.pid == pid
             # Restore into a *fresh* node, snapshot again: must be equal.
             store = IntervalStore()
             node = Node(pid, cfg, VirtualClock(), store)
@@ -68,16 +70,15 @@ def test_roundtrip_idempotent_every_app(name, tmp_path):
 
 def test_roundtrip_serialization_is_canonical(tmp_path):
     _cfg, ckdir = _run_with_checkpoints("sor", tmp_path)
-    path = os.path.join(ckdir, sorted(
-        f for f in os.listdir(ckdir) if f.startswith("ckpt_"))[0])
-    snap = load_checkpoint(path)
+    path = os.path.join(ckdir, "ckpt_p0.log")
+    snap = read_log(path, 0)[0]
     # serialize -> parse -> serialize is a fixpoint (sorted keys, no
     # whitespace), so nbytes is deterministic.
     text = snap.to_json()
-    assert NodeSnapshot.from_json(text).to_json() == text
+    assert NodeSnapshot(json.loads(text)).to_json() == text
     assert snap.nbytes == len(text.encode("utf-8"))
     with open(path, "r", encoding="utf-8") as fh:
-        assert fh.read() == text
+        assert fh.read().startswith(text + "\n")
 
 
 def test_interval_roundtrip_preserves_bitmaps_and_lost_flag():
@@ -111,39 +112,33 @@ def test_manager_in_memory_restore_undoes_mutation():
     node.epoch += 5
     restore_node(manager.latest(1), node, system.store)
     assert list(node.vc.entries) == snap.data["vc"]
-    assert node.epoch == snap.epoch
+    assert node.epoch == snap.data["epoch"]
     assert before == snap.data["vc"] or True  # restore wins regardless
 
 
 def test_manager_load_dir_picks_latest_generation(tmp_path):
     _cfg, ckdir = _run_with_checkpoints("sor", tmp_path)
     loaded = CheckpointManager.load_dir(ckdir)
-    gens = {}
-    for fname in os.listdir(ckdir):
-        if not fname.startswith("ckpt_"):
-            continue  # the manager's exclusivity LOCK
-        pid = int(fname.split("_")[1][1:])
-        gen = int(fname.split("_g")[1].split(".")[0])
-        gens[pid] = max(gens.get(pid, -1), gen)
-    for pid, maxgen in gens.items():
-        snap = loaded.latest(pid)
-        assert snap is not None and snap.generation == maxgen
+    for pid, snaps in _logs(ckdir).items():
+        assert loaded.latest(pid) == snaps[-1]
 
 
 def test_restore_wrong_pid_rejected(tmp_path):
     cfg, ckdir = _run_with_checkpoints("sor", tmp_path)
-    path = os.path.join(ckdir, "ckpt_p1_g0.json")
-    snap = load_checkpoint(path)
+    snap = read_log(os.path.join(ckdir, "ckpt_p1.log"), 1)[0]
     store = IntervalStore()
     node = Node(2, cfg, VirtualClock(), store)
     with pytest.raises(CheckpointError, match="P1.*P2"):
         restore_node(snap, node, store)
 
 
-def test_checkpoint_errors_are_repro_errors():
+def test_checkpoint_errors_are_repro_errors(tmp_path):
+    from repro import durable
+    path = str(tmp_path / "ckpt_p0.log")
+    durable.append(path, [json.dumps({"version": 999, "pid": 0})])
     with pytest.raises(ReproError):
-        NodeSnapshot.from_json("{not json")
-    with pytest.raises(ReproError):
-        NodeSnapshot.from_json(json.dumps({"version": 999}))
-    with pytest.raises(CheckpointError, match="no checkpoint"):
-        CheckpointManager().at_generation(0, 0)
+        read_log(path, 0)
+    with pytest.raises(CheckpointError, match="cannot read"):
+        read_log(str(tmp_path / "missing.log"), 0)
+    with pytest.raises(CheckpointError, match="cannot list"):
+        CheckpointManager.load_dir(str(tmp_path / "missing"))

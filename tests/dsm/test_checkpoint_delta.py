@@ -2,12 +2,10 @@
 bytes they save.
 
 The contract: ``apply_delta(prev, encode_delta(prev, snap))`` reproduces
-``snap``'s canonical JSON exactly; ``load_dir`` replays a delta chain
-into the same full snapshots a full-checkpoint directory holds (modulo
-``clock_now``, which legitimately differs across *runs* because delta
-mode prices fewer checkpoint-write bytes); recovery from delta
-checkpoints reproduces the crash-free race report byte-identically; and
-the written bytes genuinely shrink.
+``snap``'s canonical JSON exactly; folding a node's checkpoint log (one
+base record, then deltas) replays the very snapshots the run took;
+recovery from delta checkpoints reproduces the crash-free race report
+byte-identically; and the written bytes genuinely shrink.
 """
 
 import os
@@ -18,13 +16,21 @@ from repro import durable
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
 from repro.dsm.checkpoint import (CheckpointManager, DeltaSnapshot,
                                   NodeSnapshot, apply_delta, encode_delta,
-                                  load_checkpoint)
+                                  fold, read_log)
 from repro.errors import CheckpointError
 from tests.helpers import run_app_with_system
 
 
 def _report_lines(result):
     return sorted(str(r) for r in result.races)
+
+
+def _folded(d, nprocs):
+    """Every node's log in ``d``, folded: ``{pid: [snapshot per
+    generation]}``."""
+    return {pid: list(fold(read_log(os.path.join(d, f"ckpt_p{pid}.log"),
+                                    pid)))
+            for pid in range(nprocs)}
 
 
 def _snapshot_pairs(app_name="water", nprocs=4):
@@ -34,11 +40,9 @@ def _snapshot_pairs(app_name="water", nprocs=4):
     import tempfile
     with tempfile.TemporaryDirectory() as d:
         spec.run(nprocs=nprocs, checkpoint_dir=d)
-        mgr = CheckpointManager.load_dir(d)
         pairs = []
-        for pid, gens in sorted(mgr._history.items()):
-            ordered = [gens[g] for g in sorted(gens)]
-            pairs.extend(zip(ordered, ordered[1:]))
+        for _pid, snaps in sorted(_folded(d, nprocs).items()):
+            pairs.extend(zip(snaps, snaps[1:]))
         return pairs
 
 
@@ -64,7 +68,7 @@ def test_delta_smaller_than_full():
 def test_unchanged_components_are_omitted():
     pairs = _snapshot_pairs()
     delta = encode_delta(*pairs[0])
-    assert delta.is_delta
+    assert isinstance(delta, DeltaSnapshot)
     # At least one page survived an epoch untouched on some node, and
     # the encoder omitted it.
     kept = [
@@ -116,72 +120,61 @@ def test_delta_wrong_pid_rejected():
 
 
 def test_delta_cannot_load_standalone(tmp_path):
+    """A log is one base record, then deltas: a log that starts with a
+    delta, or carries a second base, is refused outright."""
     pairs = _snapshot_pairs()
     prev, snap = pairs[0]
     delta = encode_delta(prev, snap)
-    path = tmp_path / "ckpt_p9_g1.json"
-    path.write_text(delta.to_json())
-    loaded = load_checkpoint(str(path))
-    assert isinstance(loaded, DeltaSnapshot)
-    with pytest.raises(CheckpointError, match="load_dir"):
-        NodeSnapshot.from_json(delta.to_json())
-    # A directory whose chain starts with a delta is rejected outright.
-    with pytest.raises(CheckpointError, match="no full base"):
+    path = str(tmp_path / f"ckpt_p{prev.pid}.log")
+    durable.append(path, [delta.to_json()])
+    with pytest.raises(CheckpointError, match="record 0 .* is a delta"):
         CheckpointManager.load_dir(str(tmp_path))
+    durable.append(path, [prev.to_json(), snap.to_json()], fresh=True)
+    with pytest.raises(CheckpointError, match="record 1 .* is a base"):
+        read_log(path, prev.pid)
 
 
 # ---------------------------------------------------------------------- #
 # Manager behavior end to end.
 # ---------------------------------------------------------------------- #
-def test_delta_directory_replays_to_full_snapshots(tmp_path):
-    full_dir, delta_dir = str(tmp_path / "full"), str(tmp_path / "delta")
-    spec = get_app("water")
-    free = spec.run(nprocs=4, checkpoint_dir=full_dir)
-    dres = spec.run(nprocs=4, checkpoint_dir=delta_dir,
-                    checkpoint_delta=True)
-    assert _report_lines(free) == _report_lines(dres)
-    mf = CheckpointManager.load_dir(full_dir)
-    md = CheckpointManager.load_dir(delta_dir)
-    for pid in range(4):
-        assert sorted(mf._history[pid]) == sorted(md._history[pid])
-        for gen in sorted(mf._history[pid]):
-            a = dict(mf._history[pid][gen].data)
-            b = dict(md._history[pid][gen].data)
-            # clock_now alone may differ: delta mode prices fewer
-            # checkpoint-write bytes, so virtual clocks advance less.
-            a.pop("clock_now"), b.pop("clock_now")
-            assert a == b
+def test_delta_directory_replays_to_full_snapshots(monkeypatch, tmp_path):
+    """Every generation folded out of the logs is, byte for byte, the
+    snapshot the run took at that cut."""
+    d = str(tmp_path / "ckpt")
+    taken = _takes(monkeypatch, "water", checkpoint_dir=d)
+    folded = _folded(d, 4)
+    assert sum(len(snaps) for snaps in folded.values()) == len(taken)
+    for snap, _written in taken:
+        assert folded[snap.pid][snap.generation].to_json() == snap.to_json()
 
 
-def test_delta_directory_is_smaller_on_disk(tmp_path):
-    full_dir, delta_dir = str(tmp_path / "full"), str(tmp_path / "delta")
-    spec = get_app("water")
-    free = spec.run(nprocs=4, checkpoint_dir=full_dir)
-    dres = spec.run(nprocs=4, checkpoint_dir=delta_dir,
-                    checkpoint_delta=True)
-    size = lambda d: sum(  # noqa: E731
-        os.path.getsize(os.path.join(d, n)) for n in os.listdir(d))
-    assert size(delta_dir) < size(full_dir)
-    # ... and the priced bytes shrink with the written bytes.
-    assert dres.crash_stats.checkpoint_bytes < \
-        free.crash_stats.checkpoint_bytes
+def test_delta_directory_is_smaller_on_disk(monkeypatch, tmp_path):
+    """The logs hold the priced bytes plus one 18-byte frame (hash line
+    and two newlines) per record, and far fewer bytes than every
+    snapshot written whole."""
+    d = str(tmp_path / "ckpt")
+    taken = _takes(monkeypatch, "water", checkpoint_dir=d)
+    on_disk = sum(os.path.getsize(os.path.join(d, f"ckpt_p{pid}.log"))
+                  for pid in range(4))
+    priced = sum(written.nbytes for _snap, written in taken)
+    assert on_disk == priced + 18 * len(taken)
+    assert priced < 0.75 * sum(snap.nbytes for snap, _written in taken)
 
 
 def test_generation_zero_always_full(tmp_path):
-    d = str(tmp_path / "delta")
-    get_app("sor").run(nprocs=4, checkpoint_dir=d, checkpoint_delta=True)
+    d = str(tmp_path / "ckpt")
+    get_app("sor").run(nprocs=4, checkpoint_dir=d)
     for pid in range(4):
-        first = load_checkpoint(os.path.join(d, f"ckpt_p{pid}_g0.json"))
-        assert not first.is_delta
-        second = load_checkpoint(os.path.join(d, f"ckpt_p{pid}_g1.json"))
-        assert second.is_delta
+        first, *rest = read_log(os.path.join(d, f"ckpt_p{pid}.log"), pid)
+        assert isinstance(first, NodeSnapshot) and first.generation == 0
+        assert rest and all(isinstance(r, DeltaSnapshot) for r in rest)
 
 
 def test_crashy_delta_run_reproduces_crash_free_report():
     spec = get_app("water")
     clean = spec.run(nprocs=4)
     crashy = spec.run(nprocs=4, crash_rate=0.02, crash_seed=3,
-                      checkpoint_delta=True)
+                      checkpoint=True)
     assert crashy.crash_stats.crashes > 0
     assert crashy.crash_stats.recoveries_from_checkpoint == \
         crashy.crash_stats.crashes
@@ -227,8 +220,8 @@ def test_snapshots_do_not_alias_live_pages():
 # Encode once: member texts ⇒ canonical text.
 # ---------------------------------------------------------------------- #
 def _takes(monkeypatch, name, nprocs=4, **flags):
-    """Run ``name`` with delta checkpoints and return, per take in run
-    order, ``(full snapshot, written checkpoint)``."""
+    """Run ``name`` with checkpoints and return, per take in run order,
+    ``(full snapshot, written record)``."""
     from repro.dsm import checkpoint
     taken = []
     snapshot_node = checkpoint.snapshot_node
@@ -246,7 +239,7 @@ def _takes(monkeypatch, name, nprocs=4, **flags):
     monkeypatch.setattr(checkpoint, "snapshot_node", keeping_snapshot)
     monkeypatch.setattr(CheckpointManager, "take", keeping_take)
     get_app(name).run(nprocs=3 if name == "queue_racy" else nprocs,
-                      checkpoint_delta=True, **flags)
+                      checkpoint=True, **flags)
     return taken
 
 
@@ -269,17 +262,18 @@ def test_assembled_text_is_the_canonical_text(monkeypatch, name, failover):
         assert ("coordinator" in chain[0][0].data) == failover
         for snap, written in (chain[0], chain[min(1, len(chain) - 1)],
                               chain[-1]):
-            assert written.is_delta == (snap.generation > 0)
+            is_delta = isinstance(written, DeltaSnapshot)
+            assert is_delta == (snap.generation > 0)
             for obj in (snap, written):
                 text = obj.to_json()
                 assert text == durable.canon(obj.data)
                 assert obj.nbytes == len(text.encode("utf-8"))
-            probed_deltas += written.is_delta
+            probed_deltas += is_delta
     assert probed_deltas
 
 
 def test_each_component_is_encoded_once(monkeypatch):
-    """The encode budget of a water@4 ``checkpoint_delta`` run, free of
+    """The encode budget of a water@4 checkpointed run, free of
     timing: the characters ``durable.canon`` produces, summed over the
     run, stay within 1.25x the summed length of the full snapshots taken
     — each page and record once, plus the small scalar fields of the full
@@ -299,7 +293,8 @@ def test_each_component_is_encoded_once(monkeypatch):
     spent = sum(encoded)
     monkeypatch.setattr(durable, "canon", canon)
     full = sum(len(canon(snap.data)) for snap, _written in taken)
-    assert len(taken) >= 8 and any(w.is_delta for _s, w in taken)
+    assert len(taken) >= 8 and any(isinstance(w, DeltaSnapshot)
+                                   for _s, w in taken)
     assert spent <= 1.25 * full, (spent, full, spent / full)
     assert spent >= 0.5 * full  # the counter saw the run
 
@@ -307,7 +302,7 @@ def test_each_component_is_encoded_once(monkeypatch):
 def test_superseded_snapshot_holds_no_member_memo(monkeypatch, tmp_path):
     """The member memo lives on each node's latest snapshot only: the
     manager releases it when the next generation supersedes it, in
-    ``take`` and when ``load_dir`` replays a chain."""
+    ``take`` and when a log is folded."""
     kept = [snap for snap, _written in _takes(
         monkeypatch, "sor", nprocs=2, checkpoint_dir=str(tmp_path))]
     latest = {snap.pid: snap for snap in kept}
@@ -318,8 +313,7 @@ def test_superseded_snapshot_holds_no_member_memo(monkeypatch, tmp_path):
         else:
             assert "members" not in vars(snap)
             assert snap.to_json() == durable.canon(snap.data)  # text stays
-    mgr = CheckpointManager.load_dir(str(tmp_path))
-    for pid, gens in mgr._history.items():
-        assert len(gens) > 1
-        for snap in gens.values():
-            assert "members" not in vars(snap) or snap is mgr.latest(pid)
+    for snaps in _folded(str(tmp_path), 2).values():
+        assert len(snaps) > 1
+        for snap in snaps[:-1]:
+            assert "members" not in vars(snap)

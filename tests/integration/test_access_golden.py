@@ -11,6 +11,11 @@ category, the final virtual time, traffic, the instrumentation counters,
 the access trace and the crash counters must stay exactly what the old
 engines produced.
 
+The ``crash`` cells' ``recovery`` ledgers and final virtual times were
+re-captured when the full checkpoint encoding was retired: their
+in-memory checkpoints now price delta records (fewer bytes written), and
+nothing else in those cells moved.
+
 ``irregular_golden.json`` holds the three ``irregular_scalar`` cells —
 the apps whose every access is issued by the mini-ISA machine — in the
 default configuration, captured on the commit before that machine's step

@@ -9,6 +9,12 @@ unframed canonical JSON, the trace file without a trailing newline —
 because ``nbytes``/``trace_bytes`` feed virtual-time charges and old
 traces and checkpoint directories must stay readable.
 
+Checkpoints later moved from one file per (pid, generation) to one append
+log per pid whose records are those files' texts, framed.  The
+``checkpoint_dir`` site reads each record's body back out of the logs and
+keys its hash by the file name it was captured under,
+``ckpt_p<pid>_g<generation>.json``, so the entry was kept as captured.
+
 The ``coordinator_journal`` entry was re-captured when the journal
 became an append log of the detector's commit records (its bytes and its
 byte counters fell on purpose; its failover counts did not move).
@@ -28,6 +34,7 @@ import tempfile
 
 import pytest
 
+from repro import durable
 from repro.apps.registry import get_app
 from repro.dsm.cvm import CVM
 
@@ -47,10 +54,19 @@ def _sha_file(path: str) -> str:
 
 def checkpoint_dir(tmp: str) -> dict:
     ckdir = os.path.join(tmp, "ckpt")
-    get_app("water").run(nprocs=4, checkpoint_dir=ckdir,
-                         checkpoint_delta=True)
-    return {name: _sha_file(os.path.join(ckdir, name))
-            for name in sorted(os.listdir(ckdir)) if name != "LOCK"}
+    get_app("water").run(nprocs=4, checkpoint_dir=ckdir)
+    shas = {}
+    for name in sorted(os.listdir(ckdir)):
+        if name == "LOCK":
+            continue
+        with open(os.path.join(ckdir, name), "rb") as fh:
+            bodies, dropped, _intact = durable.parse_log(
+                fh.read(), lambda body, _index: body)
+        assert dropped == 0
+        for body in bodies:
+            rec = json.loads(body)
+            shas[f"ckpt_p{rec['pid']}_g{rec['generation']}.json"] = _sha(body)
+    return shas
 
 
 def record_trace(tmp: str) -> dict:

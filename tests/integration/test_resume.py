@@ -1,8 +1,9 @@
 """Cross-run resume: ``--resume-from`` reproduces the uninterrupted run.
 
-A checkpointed run persists one snapshot per (node, barrier generation).
-A resumed run re-executes deterministically and, at the directory's
-common covered generation, *validates* that its recomputed state matches
+A checkpointed run appends one record per barrier generation to each
+node's log.  A resumed run re-executes deterministically and, at the
+latest generation every log reaches, *validates* that its recomputed
+state matches
 the stored snapshots byte for byte before reinstalling them — so a
 resume under a changed configuration fails loudly instead of silently
 diverging, and a successful resume's report is byte-identical to the
@@ -89,55 +90,71 @@ def test_resume_with_diverging_config_rejected(checkpointed):
     assert isinstance(exc_info.value.__cause__, CheckpointError)
 
 
-def test_resume_from_delta_directory(tmp_path):
-    """Delta-encoded checkpoint directories resume identically (the
-    chain replays into full snapshots first)."""
-    d = str(tmp_path / "delta")
-    spec = get_app(APP)
-    original = spec.run(nprocs=NPROCS, checkpoint_dir=d,
-                        checkpoint_delta=True)
-    resumed = spec.run(nprocs=NPROCS, resume_from=d,
-                       checkpoint_delta=True)
+def test_resume_from_delta_directory(checkpointed, tmp_path):
+    """Each log is a base record, then deltas.  A run resuming from the
+    directory it also writes (``--checkpoint-dir`` equal to
+    ``--resume-from``) replays every chain before it starts the logs over,
+    and rewrites them byte for byte."""
+    import shutil
+    d, original = checkpointed
+    again = str(tmp_path / "again")
+    shutil.copytree(d, again)
+    resumed = get_app(APP).run(nprocs=NPROCS, resume_from=again,
+                               checkpoint_dir=again)
     assert _report_lines(resumed) == _report_lines(original)
     assert resumed.runtime_cycles == original.runtime_cycles
+    for pid in range(NPROCS):
+        name = f"ckpt_p{pid}.log"
+        with open(os.path.join(d, name), "rb") as a, \
+                open(os.path.join(again, name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
-def test_resume_of_a_delta_directory_needs_the_delta_flag(tmp_path):
-    """Delta and full checkpoints price different bytes, so the clocks of
-    the two encodings differ: the mismatch is refused by name."""
-    d = str(tmp_path / "delta")
-    spec = get_app(APP)
-    spec.run(nprocs=NPROCS, checkpoint_dir=d, checkpoint_delta=True)
-    with pytest.raises(CheckpointError, match="with --checkpoint-delta"):
-        spec.run(nprocs=NPROCS, resume_from=d)
+def test_resume_of_an_old_format_directory_is_refused(tmp_path, capsys):
+    """The one-file-per-generation layout is refused by name (exit 3),
+    not read as an empty directory."""
+    from repro.cli import main
+    d = tmp_path / "old"
+    d.mkdir()
+    (d / "ckpt_p0_g0.json").write_text("{}")
+    with pytest.raises(CheckpointError, match="'ckpt_p0_g0.json'.*older"):
+        get_app(APP).run(nprocs=NPROCS, resume_from=str(d))
+    assert main(["run", APP, "--procs", str(NPROCS),
+                 "--resume-from", str(d)]) == 3
+    assert "ckpt_p0_g0.json" in capsys.readouterr().err
 
 
-def test_resume_of_a_full_directory_refuses_the_delta_flag(checkpointed):
+def test_resume_that_never_reaches_its_cut_is_refused(checkpointed):
+    """sor completes 7 barriers and water's cut is generation 11: the run
+    never installs a node, so it did not resume — a runtime failure
+    naming both generations, not a report that says "resumed"."""
     d, _original = checkpointed
-    with pytest.raises(CheckpointError, match="without --checkpoint-delta"):
-        get_app(APP).run(nprocs=NPROCS, resume_from=d, checkpoint_delta=True)
+    with pytest.raises(CheckpointError,
+                       match="never reached .* generation 7, .* 11"):
+        get_app("sor").run(nprocs=NPROCS, resume_from=d)
 
 
 def test_resume_survives_a_run_killed_mid_checkpoint(checkpointed, tmp_path):
-    """Checkpoints are published atomically (tmp + rename), so a run killed
-    while writing P1's generation-3 file leaves ``ckpt_p1_g3.json.tmp``
-    and no torn ``ckpt_p1_g3.json``: the loader ignores the leftover and
-    the resume starts from the last cut every node completed."""
+    """A run killed while appending P1's generation-3 record leaves that
+    record torn at the end of P1's log, P0's log one record ahead and the
+    others one behind: the loader drops the torn tail and the resume
+    starts from the last cut every node completed."""
     import shutil
     d, original = checkpointed
     killed = str(tmp_path / "killed")
     shutil.copytree(d, killed)
     os.remove(os.path.join(killed, "LOCK"))
     cut = 3
-    for name in os.listdir(killed):
-        pid, gen = (int(x) for x in name[len("ckpt_p"):-len(".json")]
-                    .split("_g"))
-        if gen > cut or (gen == cut and pid >= 1):
-            os.remove(os.path.join(killed, name))
-    with open(os.path.join(d, f"ckpt_p1_g{cut}.json")) as fh:
-        torn = fh.read()[:100]
-    with open(os.path.join(killed, f"ckpt_p1_g{cut}.json.tmp"), "w") as fh:
-        fh.write(torn)
+    for pid in range(NPROCS):
+        path = os.path.join(killed, f"ckpt_p{pid}.log")
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        keep = 2 * (cut + (pid == 0))  # two lines (body, hash) a record
+        data = b"".join(line + b"\n" for line in lines[:keep])
+        if pid == 1:
+            data += lines[keep][:100]
+        with open(path, "wb") as fh:
+            fh.write(data)
     spec = get_app(APP)
     system = CVM(spec.config(nprocs=NPROCS, resume_from=killed))
     resumed = system.run(spec.func, spec.default_params)

@@ -241,7 +241,8 @@ _RETIRED_FLAG_BASE = {"run": ["run", "water", "--procs", "2"],
 
 @pytest.mark.parametrize("retired", [
     ["run", "--reference-access-path"], ["run", "--detection-shards", "2"],
-    ["run", "--election-timeout", "5"], ["disasm", "--batched"]])
+    ["run", "--election-timeout", "5"], ["disasm", "--batched"],
+    ["run", "--checkpoint-delta"]])
 def test_retired_run_flags_are_refused_by_argparse(retired, capsys):
     command, *flags = retired
     with pytest.raises(SystemExit) as exc_info:

@@ -1,5 +1,5 @@
 """repro.durable: the one implementation of frames, atomic publish, the
-append-log reader and the directory lock.
+append-log writer and reader and the directory lock.
 
 The torn-write fuzz runs here once, against the one implementation; each
 record's *policy* on a torn frame (raise, fall back) keeps its own test
@@ -138,7 +138,28 @@ def _decode(body, index):
 def _log(bodies):
     """The bytes of an append log holding ``bodies``, one frame and its
     terminating newline each — what the coordinator journal appends."""
-    return "".join([durable.frame(b) + "\n" for b in bodies]).encode()
+    log = bytearray()
+    durable.append(log, bodies)
+    return bytes(log)
+
+
+def test_append_frames_each_body_into_a_buffer_or_a_file(tmp_path):
+    log = bytearray(b"kept")
+    assert durable.append(log, ["a", "é"]) == len(log) - 4
+    assert log == ("kept" + durable.frame("a") + "\n"
+                   + durable.frame("é") + "\n").encode()
+    assert durable.append(log, []) == 0
+    path = str(tmp_path / "ckpt.log")
+    assert durable.append(path, ["a"]) == 19  # created: body + 18
+    durable.append(path, ["é"])
+    with open(path, "rb") as fh:
+        assert fh.read() == bytes(log[4:])
+    durable.append(path, ["b"], fresh=True)  # started over
+    with open(path, "rb") as fh:
+        assert fh.read() == (durable.frame("b") + "\n").encode()
+    with pytest.raises(_SiteError, match="cannot write ckpt log"):
+        durable.append(str(tmp_path / "nope" / "x.log"), ["a"],
+                       error=_SiteError, what="ckpt log")
 
 
 def _numbered_log(n):
