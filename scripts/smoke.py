@@ -101,6 +101,8 @@ RUNS: Dict[str, Run] = {
                       "--report tsp4-chaos.txt", 1),
     "water4-ckpt": Run("run water --procs 4 --checkpoint-dir ckpt-water4 "
                        "--report water4-ckpt.txt", 1),
+    "water2-into-water4": Run("run water --procs 2 --checkpoint-dir "
+                              "ckpt-water4", 3, needs=("water4-ckpt",)),
     "water4-resumed": Run("run water --procs 4 --resume-from ckpt-water4 "
                           "--report water4-resumed.txt", 1,
                           needs=("water4-ckpt",)),
@@ -271,9 +273,12 @@ CELLS: Dict[str, List] = {
     "chaos": [Same("tsp4", "tsp4-chaos")],
     # A resume reproduces the run; one that never reaches the directory's
     # cut (sor has fewer barriers than water) is refused, not "resumed".
+    # A narrower run is refused the directory up front (before the resume
+    # reads it), as a resume of what it would leave would be refused.
     "resume": [
         Same("water4-ckpt", "water4-resumed"),
         Has("water4-resumed", "resumed from"),
+        Has("water2-into-water4", "'ckpt_p2.log', the log of P2", "stderr"),
         Has("sor4-resumed-water4", "never reached the resume cut", "stderr"),
         Lacks("sor4-resumed-water4", "resumed from"),
     ],

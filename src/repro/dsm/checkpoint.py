@@ -428,6 +428,40 @@ def restore_node(snap: NodeSnapshot, node: "Node",
 # ---------------------------------------------------------------------- #
 # The manager: latest-per-pid snapshots, optional disk persistence.
 # ---------------------------------------------------------------------- #
+def _list_dir(directory: str) -> List[str]:
+    try:
+        return sorted(os.listdir(directory))
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot list checkpoint directory {directory!r}: "
+            f"{exc}") from exc
+
+
+def _refuse_foreign_files(directory: str, names: List[str],
+                          nprocs: Optional[int] = None) -> None:
+    """Refuse a directory holding a checkpoint file of the older
+    per-generation format or, given the run's ``nprocs``, the log of a
+    pid the run does not have: either would make a later resume from
+    the directory fail."""
+    old = [name for name in names if _OLD_FILE_RE.match(name)]
+    if old:
+        raise CheckpointError(
+            f"checkpoint directory {directory!r} holds {old[0]!r}, a "
+            "per-generation checkpoint file of an older format: "
+            "checkpoints are one log per process (ckpt_p<pid>.log); "
+            "write a fresh directory with --checkpoint-dir")
+    if nprocs is None:
+        return
+    for name in names:
+        m = _LOG_RE.match(name)
+        if m and int(m.group(1)) >= nprocs:
+            raise CheckpointError(
+                f"checkpoint directory {directory!r} holds {name!r}, the "
+                f"log of P{m.group(1)}, but the run has nprocs={nprocs}: "
+                "a resume from it would cover pids the run does not "
+                "have; write a fresh directory with --checkpoint-dir")
+
+
 class CheckpointManager:
     """Holds the latest barrier checkpoint of every node.
 
@@ -437,10 +471,13 @@ class CheckpointManager:
     ``directory``, each node's records are also appended to its log
     ``ckpt_p<pid>.log`` there, so a later process can rehydrate the run's
     per-node state with :meth:`load_dir` (cross-run resume of long
-    simulations).
+    simulations).  A directory that such a resume would refuse — one
+    holding an older-format file or, given the run's ``nprocs``, the log
+    of a pid outside the run — is refused up front.
     """
 
-    def __init__(self, directory: Optional[str] = None):
+    def __init__(self, directory: Optional[str] = None,
+                 nprocs: Optional[int] = None):
         self.directory = directory
         self._lock: Optional[durable.FileLock] = None
         if directory is not None:
@@ -451,6 +488,12 @@ class CheckpointManager:
                     f"cannot create checkpoint directory {directory!r}: "
                     f"{exc}") from exc
             self._acquire_lock(directory)
+            try:
+                _refuse_foreign_files(directory, _list_dir(directory),
+                                      nprocs)
+            except CheckpointError:
+                self.close()
+                raise
         self._latest: Dict[int, NodeSnapshot] = {}
 
     # ------------------------------------------------------------------ #
@@ -524,19 +567,8 @@ class CheckpointManager:
         that snapshot becomes the pid's :meth:`latest`: the state a
         resumed run restarts each node from.  A directory of the older
         one-file-per-generation layout is refused by name."""
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot list checkpoint directory {directory!r}: "
-                f"{exc}") from exc
-        old = [name for name in names if _OLD_FILE_RE.match(name)]
-        if old:
-            raise CheckpointError(
-                f"checkpoint directory {directory!r} holds {old[0]!r}, a "
-                "per-generation checkpoint file of an older format: "
-                "checkpoints are one log per process (ckpt_p<pid>.log); "
-                "write a fresh directory with --checkpoint-dir")
+        names = _list_dir(directory)
+        _refuse_foreign_files(directory, names)
         logs = {}
         for name in names:
             m = _LOG_RE.match(name)

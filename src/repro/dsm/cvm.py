@@ -251,7 +251,8 @@ class CVM:
         # lock is held.  Released in run()'s finally clause.
         self.checkpoints: Optional[CheckpointManager] = None
         if config.checkpointing_enabled:
-            self.checkpoints = CheckpointManager(config.checkpoint_dir)
+            self.checkpoints = CheckpointManager(config.checkpoint_dir,
+                                                 config.nprocs)
         self._ran = False
 
     @property

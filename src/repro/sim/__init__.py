@@ -1,10 +1,11 @@
 """Deterministic execution engine for simulated parallel processes.
 
 The paper ran its applications on eight Alpha workstations connected by ATM.
-We substitute a deterministic simulation: each simulated process is a Python
-thread, but a token-passing scheduler guarantees that exactly one of them
-executes at a time and that every interleaving decision is made by a seeded
-policy.  Runs are therefore reproducible bit-for-bit.
+We substitute a deterministic simulation: each simulated process runs on a
+Python thread (pooled across runs), but a token-passing scheduler
+guarantees that exactly one of them executes at a time and that every
+interleaving decision is made by a seeded policy.  Runs are therefore
+reproducible bit-for-bit.
 
 Wall-clock performance is replaced by *virtual time*: each process owns a
 :class:`~repro.sim.clock.VirtualClock` measured in cycles, advanced explicitly

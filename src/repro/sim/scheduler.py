@@ -1,6 +1,6 @@
 """Token-passing deterministic scheduler.
 
-Simulated processes are Python threads, but at most one ever executes: a
+Simulated processes run on OS threads, but at most one ever executes: a
 single *token* is handed directly from thread to thread.  Processes give the
 token up at explicit yield points — the DSM substrate yields at
 synchronization operations and page faults — and the thread giving it up
@@ -9,6 +9,13 @@ Every thread parks on a lock of its own, so a switch costs one wake-up (none
 when the yielder is picked again).  The thread that called
 :meth:`Scheduler.run` parks until the run is over or must be aborted.
 Given the same policy and seed, an execution is fully reproducible.
+
+The threads are pooled: a worker that has run one process to its end
+parks, holding nothing of the run, until a later run hands it another.
+A run starts a new thread only when no worker is parked, so the pool
+grows to the most processes this OS process ever ran at once and no
+further, and repeated runs neither pay for thread starts nor hand each
+new thread a fresh malloc arena.
 
 This design lets application code (FFT, SOR, TSP, Water...) be written as
 ordinary Python functions while the simulation retains complete control over
@@ -19,6 +26,7 @@ experiments repeatable.
 from __future__ import annotations
 
 import enum
+import os
 import threading
 import time
 import traceback
@@ -43,8 +51,11 @@ class ProcState(enum.Enum):
     CRASHED = "crashed"
 
 
-#: Seconds :meth:`Scheduler.run` waits for each process thread to exit.
+#: Seconds :meth:`Scheduler.run` waits for each process to unwind.
 _JOIN_TIMEOUT = 5.0
+
+#: Name of a pooled worker thread while it runs no process.
+_IDLE_NAME = "pooled-sim-worker"
 
 
 def _new_gate() -> Any:
@@ -77,8 +88,69 @@ def _clear_frames(exc: Optional[BaseException]) -> None:
         exc = exc.__cause__ or exc.__context__
 
 
+def _caller_cpus() -> Optional[Set[int]]:
+    """The calling thread's CPU affinity, or ``None`` where the platform
+    cannot report it."""
+    try:
+        return os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None
+
+
+class _Worker:
+    """One pooled OS thread.  It parks on ``wake`` until handed a
+    ``job`` — a scheduler, the process to run and the CPUs to run it on —
+    runs it, lets go of it and releases ``done``.  Woken with no job, it
+    exits."""
+
+    def __init__(self) -> None:
+        self.job: Optional[tuple] = None
+        self.wake = _new_gate()
+        self.done = _new_gate()
+        self.thread = threading.Thread(target=self._loop, name=_IDLE_NAME,
+                                       daemon=True)
+        self.thread.start()
+
+    def _loop(self) -> None:
+        while True:
+            self.wake.acquire()
+            if self.job is None:
+                return
+            try:
+                self._serve()
+            except BaseException:  # noqa: BLE001 - run() waits on done
+                traceback.print_exc()
+            self.thread.name = _IDLE_NAME
+            self.done.release()
+
+    def _serve(self) -> None:
+        # The job's references live in this frame only, which is gone
+        # by the time the worker parks again.
+        sched, proc, cpus = self.job
+        self.job = None
+        if cpus is not None:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # a CPU of the caller's went offline since
+                pass
+        sched._thread_main(proc)
+
+
+#: Parked workers, shared by every scheduler of this OS process.
+_idle: List[_Worker] = []
+
+
+def _forget_pool() -> None:
+    """In a forked child the pooled threads do not exist."""
+    _idle.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 class SimProcess:
-    """One simulated process: a function plus its thread, state and clock."""
+    """One simulated process: a function plus its state and clock."""
 
     def __init__(self, pid: int, fn: Callable[..., Any], args: tuple, name: str):
         self.pid = pid
@@ -90,7 +162,6 @@ class SimProcess:
         self.clock = VirtualClock()
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self.thread: Optional[threading.Thread] = None
         #: Where this process's thread parks while it lacks the token.
         self.gate = _new_gate()
         #: Number of times this process passed a yield point.
@@ -159,38 +230,50 @@ class Scheduler:
 
         Raises :class:`ProcessFailure` if any process raises, and
         :class:`DeadlockError` if all live processes block forever.  Every
-        process thread has exited by the time this returns or raises.
+        process has unwound and its worker is parked again by the time
+        this returns or raises (a worker that outlives ``_JOIN_TIMEOUT``
+        is left to finish and is never reused).  Each process runs under
+        the caller's CPU affinity.
         """
         if self._started:
             raise SimulationError("run() may only be called once")
         self._started = True
-        for proc in self.processes.values():
-            proc.state = ProcState.READY
-            proc.thread = threading.Thread(
-                target=self._thread_main, args=(proc,),
-                name=f"sim-{proc.name}", daemon=True)
-            proc.thread.start()
-        self._ready.update(self.processes)
-        self._started_at = time.monotonic()
+        cpus = _caller_cpus()
+        workers: List[_Worker] = []
         try:
+            for proc in self.processes.values():
+                proc.state = ProcState.READY
+                try:
+                    worker = _idle.pop()
+                except IndexError:
+                    worker = _Worker()
+                worker.thread.name = f"sim-{proc.name}"
+                worker.job = (self, proc, cpus)
+                worker.wake.release()
+                workers.append(worker)
+            self._ready.update(self.processes)
+            self._started_at = time.monotonic()
             self._pass_token(None)
             self._run_gate.acquire()  # until the run is over or aborted
             if self._verdict is not None:
                 raise self._verdict
         finally:
-            # Unpark the threads an abort left waiting, one at a time, so
+            # Unpark the processes an abort left waiting, one at a time, so
             # they unwind through application ``finally`` blocks neither
             # concurrently with each other nor with the caller.
             self._shutdown = True
-            for proc in self.processes.values():
+            for proc, worker in zip(self.processes.values(), workers):
                 proc.gate.release()
-                proc.thread.join(_JOIN_TIMEOUT)
+                if worker.done.acquire(timeout=_JOIN_TIMEOUT):
+                    _idle.append(worker)
+                else:
+                    worker.wake.release()  # exits once its job is over
             # The exception raised here keeps its traceback, whose frames
             # hold this scheduler (and the caller's system): kept as the
             # verdict too, it would make the failed run one reference
             # cycle.  So would a process error's traceback, whose frames
-            # hold the process function's owner; the threads are done, so
-            # clear those frames' locals (the printable traceback stays).
+            # hold the process function's owner; the processes are done,
+            # so clear those frames' locals (the printable traceback stays).
             self._verdict = None
             for proc in self.processes.values():
                 _clear_frames(proc.error)
@@ -321,8 +404,8 @@ class Scheduler:
             self._run_process(proc)
         finally:
             # The function is typically a bound method of whatever owns
-            # this scheduler: kept past the thread's end, it would tie the
-            # owner and everything it holds into one reference cycle.
+            # this scheduler: kept past the process's end, it would tie
+            # the owner and everything it holds into one reference cycle.
             proc.fn = proc.args = None
 
     def _run_process(self, proc: SimProcess) -> None:
@@ -336,7 +419,7 @@ class Scheduler:
         except BaseException as exc:  # noqa: BLE001 - reported as ProcessFailure
             proc.error = exc
         if self._shutdown:
-            return  # run() is already raising, and is joining this thread
+            return  # run() is already raising, and waits for this process
         if isinstance(proc.error, NodeCrashed):
             # A fail-stop crash is not a program bug: park the process in
             # the terminal CRASHED state and keep scheduling the survivors.

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.cvm import CVM
+from repro.sim import scheduler
 
 
 def small_config(**overrides) -> DsmConfig:
@@ -65,3 +67,14 @@ def stats_dict(stats):
         for name in ("granule_checks", "granule_hits", "pairs_filtered"):
             del data[name]
     return data
+
+
+def assert_pool_parked():
+    """Every pooled scheduler worker is parked: no job, the idle name, and
+    its thread waiting in the worker loop itself, below no job frame."""
+    frames = sys._current_frames()
+    for worker in scheduler._idle:
+        assert worker.job is None
+        assert worker.thread.name == scheduler._IDLE_NAME
+        assert worker.thread.is_alive()
+        assert frames[worker.thread.ident].f_code.co_name == "_loop"

@@ -124,6 +124,54 @@ def test_resume_of_an_old_format_directory_is_refused(tmp_path, capsys):
     assert "ckpt_p0_g0.json" in capsys.readouterr().err
 
 
+def _listing(d):
+    return {name: (d / name).read_bytes() for name in os.listdir(d)
+            if name != "LOCK"}
+
+
+def test_checkpoint_dir_holding_an_old_format_file_is_refused(tmp_path,
+                                                              capsys):
+    """A run would write logs beside the older file and every resume of
+    the directory would then be refused: the writer refuses it up front,
+    in the reader's words, and writes nothing."""
+    from repro.cli import main
+    d = tmp_path / "old"
+    d.mkdir()
+    (d / "ckpt_p0_g0.json").write_text("{}")
+    with pytest.raises(CheckpointError, match="'ckpt_p0_g0.json'.*older"):
+        get_app("sor").run(nprocs=2, checkpoint_dir=str(d))
+    assert main(["run", "sor", "--procs", "2",
+                 "--checkpoint-dir", str(d)]) == 3
+    assert "'ckpt_p0_g0.json', a per-generation checkpoint file of an " \
+        "older format" in capsys.readouterr().err
+    assert _listing(d) == {"ckpt_p0_g0.json": b"{}"}
+
+
+def test_checkpoint_dir_holding_a_wider_runs_logs_is_refused(tmp_path,
+                                                            capsys):
+    """A 2-process run into a 4-process run's directory would leave
+    ``ckpt_p2.log`` and ``ckpt_p3.log`` behind, and a 2-process resume
+    of it would be refused for covering pids [0, 1, 2, 3]: the writer
+    refuses the directory up front, naming the log, and leaves the
+    4-process run's logs as they were (it still resumes)."""
+    from repro.cli import main
+    d = tmp_path / "wide"
+    get_app("sor").run(nprocs=4, checkpoint_dir=str(d))
+    before = _listing(d)
+    with pytest.raises(CheckpointError,
+                       match="'ckpt_p2.log', the log of P2, but the run "
+                             "has nprocs=2"):
+        get_app("sor").run(nprocs=2, checkpoint_dir=str(d))
+    assert main(["run", "sor", "--procs", "3",
+                 "--checkpoint-dir", str(d)]) == 3
+    assert "'ckpt_p3.log', the log of P3" in capsys.readouterr().err
+    assert _listing(d) == before
+    get_app("sor").run(nprocs=4, resume_from=str(d))
+    # The same width rewrites the directory, and so may a resume into it.
+    get_app("sor").run(nprocs=4, resume_from=str(d), checkpoint_dir=str(d))
+    assert _listing(d) == before
+
+
 def test_resume_that_never_reaches_its_cut_is_refused(checkpointed):
     """sor completes 7 barriers and water's cut is generation 11: the run
     never installs a node, so it did not resume — a runtime failure

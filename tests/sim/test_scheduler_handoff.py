@@ -1,6 +1,8 @@
 """Direct token handoff: the interleaving is pinned, no wake-up is lost,
-aborts surface on the ``run()`` caller's thread, and no ``sim-*`` thread
-outlives ``run()``."""
+aborts surface on the ``run()`` caller's thread, and no thread still runs
+a process of a run once ``run()`` has returned or raised: the process
+threads are pooled workers, and every one of them is parked again with
+no job."""
 
 import sys
 import threading
@@ -12,6 +14,7 @@ from repro.errors import (DeadlineExceeded, DeadlockError, NodeCrashed,
                           ProcessFailure, SimulationError)
 from repro.sim.policy import RoundRobinPolicy, SchedulingPolicy, make_policy
 from repro.sim.scheduler import ProcState, Scheduler
+from tests.helpers import assert_pool_parked
 
 
 def assert_ready_set_matches_scan(sched):
@@ -48,9 +51,12 @@ def recorded_scheduler(inner, **kwargs):
     return sched, policy
 
 
-def sim_threads():
-    return [t.name for t in threading.enumerate()
-            if t.name.startswith("sim-")]
+def assert_no_process_running():
+    """No thread runs a process: none carries a process's ``sim-*`` name,
+    and every pooled worker is parked with no job."""
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("sim-")] == []
+    assert_pool_parked()
 
 
 def run_bounded(sched, seconds=120.0):
@@ -179,12 +185,13 @@ def test_many_processes_many_yields_never_lose_a_wakeup(spec, seed):
         assert sched.switches == NPROCS + NPROCS * NYIELDS
     assert [p.yields for p in sched.processes.values()] == [NYIELDS] * NPROCS
     assert all(p.state is ProcState.DONE for p in sched.processes.values())
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 # ---------------------------------------------------------------------- #
 # (c) Aborts detected on a process thread are raised from run(), on the
-# caller's thread, and every process thread has unwound by then.
+# caller's thread, and every process has unwound and its worker is parked
+# by then.
 # ---------------------------------------------------------------------- #
 def test_deadline_detected_by_a_process_is_raised_from_run():
     sched, policy = recorded_scheduler(RoundRobinPolicy(),
@@ -214,7 +221,7 @@ def test_deadline_detected_by_a_process_is_raised_from_run():
     assert "aborted" in str(err)
     assert len(policy.calls) == 256
     assert sorted(unwound) == [0, 1, 2, 3]
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 def test_deadlock_detected_by_a_process_is_raised_from_run():
@@ -244,7 +251,7 @@ def test_deadlock_detected_by_a_process_is_raised_from_run():
     # Unwound one at a time, in pid order, before run() raised.
     assert unwound == [0, 2]
     assert sched.processes[1].state is ProcState.CRASHED
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 def test_max_switches_detected_by_a_process_is_raised_from_run():
@@ -261,7 +268,7 @@ def test_max_switches_detected_by_a_process_is_raised_from_run():
     assert type(exc_info.value) is SimulationError
     assert str(exc_info.value) == "exceeded max_switches=10; likely livelock"
     assert sched.switches == 11
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 def test_process_failure_is_raised_from_run_after_the_others_unwind():
@@ -289,7 +296,7 @@ def test_process_failure_is_raised_from_run_after_the_others_unwind():
     assert err.__cause__ is err.original
     assert str(err) == "process P1 failed: RuntimeError('die')"
     assert unwound == [0, 2]
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 def test_policy_failure_on_a_process_thread_is_raised_from_run():
@@ -312,7 +319,7 @@ def test_policy_failure_on_a_process_thread_is_raised_from_run():
         sched.spawn(worker, pid)
     with pytest.raises(RuntimeError, match="policy bug"):
         run_bounded(sched)
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 def test_unwinding_process_cannot_reenter_the_scheduler():
@@ -330,7 +337,7 @@ def test_unwinding_process_cannot_reenter_the_scheduler():
     sched.spawn(blocker, 1)
     with pytest.raises(DeadlockError):
         sched.run()
-    assert sim_threads() == []
+    assert_no_process_running()
     for proc in sched.processes.values():
         assert isinstance(proc.error, SimulationError)
         assert proc.state is ProcState.BLOCKED
@@ -348,7 +355,7 @@ def test_clean_run_leaves_no_thread_behind():
         sched.spawn(worker, pid)
     sched.run()
     assert sched.results() == list(range(8))
-    assert sim_threads() == []
+    assert_no_process_running()
 
 
 def test_run_with_no_processes_returns():
