@@ -40,8 +40,8 @@ def fft_program() -> KernelProgram:
         "fft_butterfly", params=("data", "twiddles", "n", "stride"),
         locals_=("i", "j", "ar", "ai", "br", "bi", "wr", "wi", "tr", "ti"),
         body=[
-            _loop("i", Local("n"), [
-                Assign(Local("j"), Bin("+", Local("i"), Local("stride"))),
+            _loop("i", Param("n"), [
+                Assign(Local("j"), Bin("+", Local("i"), Param("stride"))),
                 Assign(Local("ar"), Deref(data, Bin("*", Local("i"), Const(2)))),
                 Assign(Local("ai"), Deref(data, Bin("+", Bin("*", Local("i"), Const(2)), Const(1)))),
                 Assign(Local("br"), Deref(data, Bin("*", Local("j"), Const(2)))),
@@ -66,12 +66,12 @@ def fft_program() -> KernelProgram:
         "fft_transpose", params=("src", "dst", "rows", "cols"),
         locals_=("r", "c", "v"),
         body=[
-            _loop("r", Local("rows"), [
-                _loop("c", Local("cols"), [
+            _loop("r", Param("rows"), [
+                _loop("c", Param("cols"), [
                     Assign(Local("v"), Deref(Param("src"),
-                                             Bin("+", Bin("*", Local("r"), Local("cols")), Local("c")))),
+                                             Bin("+", Bin("*", Local("r"), Param("cols")), Local("c")))),
                     Assign(Deref(Param("dst"),
-                                 Bin("+", Bin("*", Local("c"), Local("rows")), Local("r"))),
+                                 Bin("+", Bin("*", Local("c"), Param("rows")), Local("r"))),
                            Local("v")),
                 ]),
             ]),
@@ -81,7 +81,7 @@ def fft_program() -> KernelProgram:
         locals_=("i", "j", "bit", "t0", "t1"),
         arrays=(("perm", 32),),
         body=[
-            _loop("i", Local("n"), [
+            _loop("i", Param("n"), [
                 Assign(Local("j"), Const(0)),
                 Assign(Local("bit"), Const(0)),
                 While(Bin("<", Local("bit"), Const(5)), [
@@ -102,7 +102,7 @@ def fft_program() -> KernelProgram:
         "fft_scale", params=("data", "n"),
         locals_=("i",),
         body=[
-            _loop("i", Local("n"), [
+            _loop("i", Param("n"), [
                 Assign(Deref(Param("data"), Local("i")),
                        Bin("/", Deref(Param("data"), Local("i")), Static("fft_norm"))),
             ]),
@@ -110,14 +110,14 @@ def fft_program() -> KernelProgram:
     main = KernelFunction(
         "main", params=("n",), locals_=("p", "d", "t"),
         body=[
-            Assign(Local("d"), CallExpr("malloc", (Bin("*", Local("n"), Const(2)),))),
-            Assign(Local("t"), CallExpr("malloc", (Bin("*", Local("n"), Const(2)),))),
-            ExprStmt(CallExpr("fft_bit_reverse", (Local("d"), Local("n")))),
+            Assign(Local("d"), CallExpr("malloc", (Bin("*", Param("n"), Const(2)),))),
+            Assign(Local("t"), CallExpr("malloc", (Bin("*", Param("n"), Const(2)),))),
+            ExprStmt(CallExpr("fft_bit_reverse", (Local("d"), Param("n")))),
             ExprStmt(CallExpr("fft_butterfly",
-                              (Local("d"), Local("t"), Local("n"), Const(1)))),
+                              (Local("d"), Local("t"), Param("n"), Const(1)))),
             ExprStmt(CallExpr("fft_transpose",
                               (Local("d"), Local("t"), Const(8), Const(8)))),
-            ExprStmt(CallExpr("fft_scale", (Local("d"), Local("n")))),
+            ExprStmt(CallExpr("fft_scale", (Local("d"), Param("n")))),
             Return(Const(0)),
         ])
     return KernelProgram("fft", statics=("fft_norm", "fft_log2n"),
@@ -132,12 +132,12 @@ def sor_program() -> KernelProgram:
         "sor_relax_row", params=("src", "dst", "cols", "row"),
         locals_=("c", "up", "down", "left", "right", "base"),
         body=[
-            Assign(Local("base"), Bin("*", Local("row"), Local("cols"))),
-            _loop("c", Bin("-", Local("cols"), Const(1)), [
+            Assign(Local("base"), Bin("*", Param("row"), Param("cols"))),
+            _loop("c", Bin("-", Param("cols"), Const(1)), [
                 Assign(Local("up"), Deref(Param("src"),
-                                          Bin("-", Bin("+", Local("base"), Local("c")), Local("cols")))),
+                                          Bin("-", Bin("+", Local("base"), Local("c")), Param("cols")))),
                 Assign(Local("down"), Deref(Param("src"),
-                                            Bin("+", Bin("+", Local("base"), Local("c")), Local("cols")))),
+                                            Bin("+", Bin("+", Local("base"), Local("c")), Param("cols")))),
                 Assign(Local("left"), Deref(Param("src"),
                                             Bin("-", Bin("+", Local("base"), Local("c")), Const(1)))),
                 Assign(Local("right"), Deref(Param("src"),
@@ -151,7 +151,7 @@ def sor_program() -> KernelProgram:
     init = KernelFunction(
         "sor_init", params=("grid", "n"), locals_=("i",),
         body=[
-            _loop("i", Local("n"), [
+            _loop("i", Param("n"), [
                 Assign(Deref(Param("grid"), Local("i")), Static("sor_seed")),
             ]),
         ])
@@ -159,14 +159,14 @@ def sor_program() -> KernelProgram:
         "main", params=("rows", "cols"), locals_=("a", "b", "r"),
         body=[
             Assign(Local("a"), CallExpr("malloc",
-                                        (Bin("*", Local("rows"), Local("cols")),))),
+                                        (Bin("*", Param("rows"), Param("cols")),))),
             Assign(Local("b"), CallExpr("malloc",
-                                        (Bin("*", Local("rows"), Local("cols")),))),
+                                        (Bin("*", Param("rows"), Param("cols")),))),
             ExprStmt(CallExpr("sor_init",
-                              (Local("a"), Bin("*", Local("rows"), Local("cols"))))),
-            _loop("r", Bin("-", Local("rows"), Const(1)), [
+                              (Local("a"), Bin("*", Param("rows"), Param("cols"))))),
+            _loop("r", Bin("-", Param("rows"), Const(1)), [
                 ExprStmt(CallExpr("sor_relax_row",
-                                  (Local("a"), Local("b"), Local("cols"), Local("r")))),
+                                  (Local("a"), Local("b"), Param("cols"), Local("r")))),
             ], start=Const(1)),
             Return(Const(0)),
         ])
@@ -185,7 +185,7 @@ def tsp_program() -> KernelProgram:
         locals_=("i", "total", "a", "b"),
         body=[
             Assign(Local("total"), Const(0)),
-            _loop("i", Bin("-", Local("k"), Const(1)), [
+            _loop("i", Bin("-", Param("k"), Const(1)), [
                 Assign(Local("a"), Deref(Param("tour"), Local("i"))),
                 Assign(Local("b"), Deref(Param("tour"), Bin("+", Local("i"), Const(1)))),
                 Assign(Local("total"), Bin("+", Local("total"),
@@ -220,7 +220,7 @@ def tsp_program() -> KernelProgram:
         body=[
             # The famous unsynchronized read of the global tour bound.
             Assign(Local("bound"), Deref(Param("bound_ptr"), Const(0))),
-            If(Bin("<", Local("bound"), Local("lower")),
+            If(Bin("<", Local("bound"), Param("lower")),
                [Return(Const(1))], [Return(Const(0))]),
         ])
     update_bound = KernelFunction(
@@ -237,9 +237,9 @@ def tsp_program() -> KernelProgram:
         locals_=("i", "j", "a", "b", "dups"),
         body=[
             Assign(Local("dups"), Const(0)),
-            _loop("i", Local("k"), [
+            _loop("i", Param("k"), [
                 Assign(Local("a"), Deref(Param("tour"), Local("i"))),
-                _loop("j", Local("k"), [
+                _loop("j", Param("k"), [
                     Assign(Local("b"), Deref(Param("tour"), Local("j"))),
                     If(Bin("==", Local("a"), Local("b")), [
                         Assign(Local("dups"), Bin("+", Local("dups"), Const(1))),
@@ -253,7 +253,7 @@ def tsp_program() -> KernelProgram:
         locals_=("src", "dst", "flag", "v", "w"),
         body=[
             Assign(Local("dst"), Const(0)),
-            _loop("src", Local("qlen"), [
+            _loop("src", Param("qlen"), [
                 Assign(Local("flag"), Deref(Param("queue"), Local("src"))),
                 If(Bin("<", Const(0), Local("flag")), [
                     Assign(Local("v"), Deref(Param("queue"), Local("src"))),
@@ -271,36 +271,36 @@ def tsp_program() -> KernelProgram:
         "tsp_record_best", params=("tour", "best", "k"),
         locals_=("i", "v"),
         body=[
-            _loop("i", Local("k"), [
+            _loop("i", Param("k"), [
                 Assign(Local("v"), Deref(Param("tour"), Local("i"))),
                 Assign(Deref(Param("best"), Local("i")), Local("v")),
             ]),
-            Assign(Deref(Param("best"), Local("k")),
+            Assign(Deref(Param("best"), Param("k")),
                    Static("tsp_best_seen")),
         ])
     main = KernelFunction(
         "main", params=("ncities",), locals_=("dmat", "queue", "bound", "i", "l"),
         body=[
-            Assign(Static("tsp_ncities"), Local("ncities")),
+            Assign(Static("tsp_ncities"), Param("ncities")),
             Assign(Local("dmat"), CallExpr("malloc",
-                                           (Bin("*", Local("ncities"), Local("ncities")),))),
+                                           (Bin("*", Param("ncities"), Param("ncities")),))),
             Assign(Local("queue"), CallExpr("malloc", (Const(4096),))),
             Assign(Local("bound"), CallExpr("malloc", (Const(1),))),
             Assign(Deref(Local("bound"), Const(0)), Const(1 << 20)),
-            _loop("i", Local("ncities"), [
+            _loop("i", Param("ncities"), [
                 Assign(Local("l"), CallExpr("tsp_tour_length",
-                                            (Local("dmat"), Local("queue"), Local("ncities")))),
+                                            (Local("dmat"), Local("queue"), Param("ncities")))),
                 ExprStmt(CallExpr("tsp_update_bound", (Local("bound"), Local("l")))),
                 ExprStmt(CallExpr("tsp_expand_node",
                                   (Local("dmat"), Local("queue"), Local("i"), Local("i")))),
                 ExprStmt(CallExpr("tsp_prune", (Local("l"), Local("bound")))),
                 ExprStmt(CallExpr("tsp_validate_tour",
-                                  (Local("queue"), Local("ncities")))),
+                                  (Local("queue"), Param("ncities")))),
                 ExprStmt(CallExpr("tsp_record_best",
                                   (Local("queue"), Local("dmat"), Local("i")))),
             ]),
             ExprStmt(CallExpr("tsp_compact_queue",
-                              (Local("queue"), Local("ncities")))),
+                              (Local("queue"), Param("ncities")))),
             Return(Const(0)),
         ])
     return KernelProgram("tsp", statics=("tsp_ncities", "tsp_best_seen"),
@@ -320,34 +320,34 @@ def water_program() -> KernelProgram:
         "water_interf", params=("pos", "forces", "i", "j"),
         locals_=("dx", "dy", "dz", "r2", "f"),
         body=[
-            Assign(Local("dx"), Bin("-", vec("pos", Local("i"), 0),
-                                    vec("pos", Local("j"), 0))),
-            Assign(Local("dy"), Bin("-", vec("pos", Local("i"), 1),
-                                    vec("pos", Local("j"), 1))),
-            Assign(Local("dz"), Bin("-", vec("pos", Local("i"), 2),
-                                    vec("pos", Local("j"), 2))),
+            Assign(Local("dx"), Bin("-", vec("pos", Param("i"), 0),
+                                    vec("pos", Param("j"), 0))),
+            Assign(Local("dy"), Bin("-", vec("pos", Param("i"), 1),
+                                    vec("pos", Param("j"), 1))),
+            Assign(Local("dz"), Bin("-", vec("pos", Param("i"), 2),
+                                    vec("pos", Param("j"), 2))),
             Assign(Local("r2"), Bin("+", Bin("*", Local("dx"), Local("dx")),
                                     Bin("+", Bin("*", Local("dy"), Local("dy")),
                                         Bin("*", Local("dz"), Local("dz"))))),
             Assign(Local("f"), Bin("/", Static("water_cutoff"),
                                    Bin("+", Local("r2"), Const(1)))),
-            Assign(vec("forces", Local("i"), 0),
-                   Bin("+", vec("forces", Local("i"), 0),
+            Assign(vec("forces", Param("i"), 0),
+                   Bin("+", vec("forces", Param("i"), 0),
                        Bin("*", Local("f"), Local("dx")))),
-            Assign(vec("forces", Local("i"), 1),
-                   Bin("+", vec("forces", Local("i"), 1),
+            Assign(vec("forces", Param("i"), 1),
+                   Bin("+", vec("forces", Param("i"), 1),
                        Bin("*", Local("f"), Local("dy")))),
-            Assign(vec("forces", Local("i"), 2),
-                   Bin("+", vec("forces", Local("i"), 2),
+            Assign(vec("forces", Param("i"), 2),
+                   Bin("+", vec("forces", Param("i"), 2),
                        Bin("*", Local("f"), Local("dz")))),
-            Assign(vec("forces", Local("j"), 0),
-                   Bin("-", vec("forces", Local("j"), 0),
+            Assign(vec("forces", Param("j"), 0),
+                   Bin("-", vec("forces", Param("j"), 0),
                        Bin("*", Local("f"), Local("dx")))),
-            Assign(vec("forces", Local("j"), 1),
-                   Bin("-", vec("forces", Local("j"), 1),
+            Assign(vec("forces", Param("j"), 1),
+                   Bin("-", vec("forces", Param("j"), 1),
                        Bin("*", Local("f"), Local("dy")))),
-            Assign(vec("forces", Local("j"), 2),
-                   Bin("-", vec("forces", Local("j"), 2),
+            Assign(vec("forces", Param("j"), 2),
+                   Bin("-", vec("forces", Param("j"), 2),
                        Bin("*", Local("f"), Local("dz")))),
         ])
     intra = KernelFunction(
@@ -373,7 +373,7 @@ def water_program() -> KernelProgram:
         locals_=("m", "a", "sum", "v"),
         body=[
             Assign(Local("sum"), Const(0)),
-            _loop("m", Local("nmol"), [
+            _loop("m", Param("nmol"), [
                 _loop("a", Const(3), [
                     Assign(Local("v"), Deref(Param("vel"),
                                              Bin("+", Bin("*", Local("m"), Const(3)), Local("a")))),
@@ -388,8 +388,8 @@ def water_program() -> KernelProgram:
         locals_=("i", "j", "acc"),
         body=[
             Assign(Local("acc"), Const(0)),
-            _loop("i", Local("nmol"), [
-                _loop("j", Local("nmol"), [
+            _loop("i", Param("nmol"), [
+                _loop("j", Param("nmol"), [
                     Assign(Local("acc"), Bin("+", Local("acc"),
                                              Deref(Param("pos"),
                                                    Bin("+", Local("i"), Local("j"))))),
@@ -404,7 +404,7 @@ def water_program() -> KernelProgram:
         "water_bndry", params=("pos", "nmol"),
         locals_=("m", "a", "p"),
         body=[
-            _loop("m", Local("nmol"), [
+            _loop("m", Param("nmol"), [
                 _loop("a", Const(3), [
                     Assign(Local("p"), Deref(Param("pos"),
                                              Bin("+", Bin("*", Local("m"), Const(3)), Local("a")))),
@@ -420,24 +420,24 @@ def water_program() -> KernelProgram:
         "main", params=("nmol", "steps"),
         locals_=("pos", "vel", "forces", "sums", "s", "i", "j"),
         body=[
-            Assign(Local("pos"), CallExpr("malloc", (Bin("*", Local("nmol"), Const(3)),))),
-            Assign(Local("vel"), CallExpr("malloc", (Bin("*", Local("nmol"), Const(3)),))),
-            Assign(Local("forces"), CallExpr("malloc", (Bin("*", Local("nmol"), Const(3)),))),
+            Assign(Local("pos"), CallExpr("malloc", (Bin("*", Param("nmol"), Const(3)),))),
+            Assign(Local("vel"), CallExpr("malloc", (Bin("*", Param("nmol"), Const(3)),))),
+            Assign(Local("forces"), CallExpr("malloc", (Bin("*", Param("nmol"), Const(3)),))),
             Assign(Local("sums"), CallExpr("malloc", (Const(8),))),
-            _loop("s", Local("steps"), [
-                _loop("i", Local("nmol"), [
-                    _loop("j", Local("nmol"), [
+            _loop("s", Param("steps"), [
+                _loop("i", Param("nmol"), [
+                    _loop("j", Param("nmol"), [
                         ExprStmt(CallExpr("water_interf",
                                           (Local("pos"), Local("forces"), Local("i"), Local("j")))),
                     ]),
                 ]),
-                _loop("i", Local("nmol"), [
+                _loop("i", Param("nmol"), [
                     ExprStmt(CallExpr("water_intraf",
                                       (Local("pos"), Local("vel"), Local("forces"), Local("i")))),
                 ]),
-                ExprStmt(CallExpr("water_kineti", (Local("vel"), Local("nmol"), Local("sums")))),
-                ExprStmt(CallExpr("water_poteng", (Local("pos"), Local("nmol"), Local("sums")))),
-                ExprStmt(CallExpr("water_bndry", (Local("pos"), Local("nmol")))),
+                ExprStmt(CallExpr("water_kineti", (Local("vel"), Param("nmol"), Local("sums")))),
+                ExprStmt(CallExpr("water_poteng", (Local("pos"), Param("nmol"), Local("sums")))),
+                ExprStmt(CallExpr("water_bndry", (Local("pos"), Param("nmol")))),
             ]),
             Return(Const(0)),
         ])
