@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from repro.apps.base import measure
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
+from repro.instrument.kernels import KERNEL_SOURCES
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -374,8 +375,9 @@ def cmd_table2(_args) -> int:
     return 0
 
 
-#: Kernel-language applications (docs/language.md): disassembled from
-#: their DSL sources rather than the scalar-kernel builders.
+#: Kernel-language DSM applications (docs/language.md): their sources
+#: live beside the app (``repro.apps.<name>.SOURCE``) and link without
+#: libraries or the CVM runtime, unlike the paper kernels' binaries.
 _DSL_DISASM = ("wsdeque", "bfs", "hashtab")
 
 
@@ -453,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl.set_defaults(func=cmd_timeline)
 
     p_dis = sub.add_parser("disasm", help="disassemble a kernel binary")
-    p_dis.add_argument("app", choices=["fft", "sor", "tsp", "water", "lu",
-                                       "wsdeque", "bfs", "hashtab"])
+    p_dis.add_argument("app", choices=[*KERNEL_SOURCES, *_DSL_DISASM])
     p_dis.add_argument("--regalloc", choices=["naive", "linear"],
                        default="naive",
                        help="register allocator (default: naive, the "

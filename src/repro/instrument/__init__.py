@@ -15,6 +15,9 @@ We have no Alpha binaries, so we rebuild the whole pipeline one level down:
   :mod:`repro.instrument.compiler` — a miniature C-like kernel language
   (AST, text parser, compiler) that emits mini-ISA code with the
   addressing-mode discipline the static filter relies on;
+* :mod:`repro.instrument.kernels` — the application kernels (Table 2's
+  FFT, SOR, TSP and Water, plus LU) as source text in that language;
+  :mod:`repro.instrument.binaries` parses, compiles and links them;
 * :mod:`repro.instrument.linker` — links compiled application objects with
   synthetic libc/libm/CVM objects into a :class:`BinaryImage`;
 * :mod:`repro.instrument.atom` — the rewriter: classifies every load and

@@ -1,4 +1,7 @@
-"""Linked binaries for the four applications, and Table 2 regeneration.
+"""Linked binaries of the application kernels, and Table 2 regeneration.
+
+Every kernel is source text (:mod:`repro.instrument.kernels`) that
+:func:`binary_for` parses, compiles and links.
 
 FFT and Water link ``libm`` in addition to the core C library — in the
 paper their binaries carry 124,716 library loads/stores versus 48,717 for
@@ -8,22 +11,19 @@ SOR and TSP, which link only the core.  Every binary links the CVM runtime
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.instrument.atom import AtomRewriter, InstrumentationReport
-from repro.instrument.compiler import compile_kernel
 from repro.instrument.isa import BinaryImage
-from repro.instrument.kernels import KERNEL_PROGRAMS
-from repro.instrument.kernels_src import lu_program
+from repro.instrument.kernels import KERNEL_SOURCES
 from repro.instrument.linker import LIBC_CORE, LIBM, link
+from repro.instrument.parser import compile_source
 
 #: Which apps pull in the math library.
 LINKS_LIBM = frozenset({"fft", "water"})
 
-#: The paper's Table 2 applications.
+#: The paper's Table 2 applications (``KERNEL_SOURCES`` also holds LU).
 APP_NAMES = ("fft", "sor", "tsp", "water")
-#: Additional kernels available to the toolchain (not Table 2 rows).
-EXTRA_KERNELS = {"lu": lu_program}
 
 
 def binary_for(app: str, regalloc: str = "naive") -> BinaryImage:
@@ -36,13 +36,10 @@ def binary_for(app: str, regalloc: str = "naive") -> BinaryImage:
     same program semantics (compared head-to-head by the regalloc
     tests and the toolchain CLI).
     """
-    if app in KERNEL_PROGRAMS:
-        obj = compile_kernel(KERNEL_PROGRAMS[app](), regalloc=regalloc)
-    elif app in EXTRA_KERNELS:
-        obj = compile_kernel(EXTRA_KERNELS[app](), regalloc=regalloc)
-    else:
+    if app not in KERNEL_SOURCES:
         raise KeyError(f"unknown application {app!r}; expected one of "
-                       f"{sorted(KERNEL_PROGRAMS) + sorted(EXTRA_KERNELS)}")
+                       f"{sorted(KERNEL_SOURCES)}")
+    obj = compile_source(KERNEL_SOURCES[app], app, regalloc=regalloc)
     libs = [LIBC_CORE, LIBM] if app in LINKS_LIBM else [LIBC_CORE]
     return link(f"{app}+linear" if regalloc == "linear" else app,
                 [obj], libraries=libs, strict=True)

@@ -29,8 +29,9 @@ filter distinguishes:
   (``Op.CALLR``).
 
 Every node carries an optional ``line`` (source line, 0 when built
-programmatically); it is excluded from equality so hand-built and parsed
-ASTs still compare equal.
+programmatically); it is excluded from equality.  Programs are written as
+source text and parsed (:mod:`repro.instrument.parser`); only tests build
+ASTs by hand, and those compare equal to parsed ones.
 """
 
 from __future__ import annotations

@@ -1,29 +1,29 @@
-"""Kernel-language sources for the four applications' compute cores.
+"""Kernel-language sources of the paper's application kernels.
 
 These are the mini-language analogues of the C sources whose binaries the
-paper instrumented: the inner loops of FFT, SOR, TSP and Water, written
-against dynamically-allocated (potentially shared) arrays via ``Deref``,
+paper instrumented: the inner loops of FFT, SOR, TSP and Water (Table 2's
+rows), plus an LU decomposition matching :mod:`repro.apps.lu`, written
+against dynamically-allocated (potentially shared) arrays via ``p[i]``,
 with loop counters and scratch in locals, lookup tables in statics, and
-per-call scratch arrays on the stack.  Compiling and linking them yields
-binaries whose load/store classification regenerates Table 2's structure:
-a handful of app accesses survive the static filter while libraries and
-the CVM runtime dominate raw counts.
+per-call scratch arrays on the stack.  Every kernel runs through the one
+pipeline (:mod:`repro.instrument.binaries`): parse → compile → link →
+filter → instrument → execute.  The linked binaries' load/store
+classification regenerates Table 2's structure: a handful of app accesses
+survive the static filter while libraries and the CVM runtime dominate raw
+counts.
 
 Relative sizes follow the paper: Water has the largest instrumented
 residue, then TSP, then FFT, then SOR; FFT and Water additionally link
 ``libm`` (their binaries carried ~125k library loads/stores vs ~49k for
 SOR and TSP).
+
+Some declarations are never read — FFT ``main``'s local ``p``, the static
+``fft_log2n`` and ``tsp_expand_node``'s local ``len`` — but they are kept:
+they fix the frame slots and static offsets, hence the instruction bytes
+Table 2 counts.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
-
-from repro.instrument.kernel_ast import (Assign, Bin, CallExpr, Const, Deref,
-                                         ExprStmt, For, If, KernelFunction,
-                                         KernelProgram, Local, LocalArr,
-                                         Param, Return, Static, While)
-
 
 FFT_SOURCE = """
 # 1D butterflies over a dynamically allocated complex array plus a blocked
@@ -336,432 +336,62 @@ func main(nmol, steps) {
 }
 """
 
+LU_SOURCE = """
+# Dense LU decomposition without pivoting over a malloc'd n x n matrix,
+# mirroring repro.apps.lu: diagonally dominant input, right-looking
+# elimination, trace-of-U readback.
 
-def _loop(var: str, end, body, start=Const(0), step: int = 1) -> For:
-    return For(Local(var), start, end, body, step=step)
+static lu_steps;
 
+func lu_init(a, n) {
+    local r, c, v;
+    for (r = 0; r < n; r += 1) {
+        for (c = 0; c < n; c += 1) {
+            v = (r * 13 + c * 7) - (r + c);
+            if (r == c) { v = v + 4 * n; }
+            a[r * n + c] = v;
+        }
+    }
+}
 
-# --------------------------------------------------------------------- #
-# FFT: 1D butterflies over a dynamically allocated complex array plus a
-# blocked transpose (the phase that causes the false sharing the paper's
-# Table 3 shows for FFT).
-# --------------------------------------------------------------------- #
-def fft_program() -> KernelProgram:
-    data, twid, n, stride = Param("data"), Param("twiddles"), Param("n"), Param("stride")
-    butterfly = KernelFunction(
-        "fft_butterfly", params=("data", "twiddles", "n", "stride"),
-        locals_=("i", "j", "ar", "ai", "br", "bi", "wr", "wi", "tr", "ti"),
-        body=[
-            _loop("i", Param("n"), [
-                Assign(Local("j"), Bin("+", Local("i"), Param("stride"))),
-                Assign(Local("ar"), Deref(data, Bin("*", Local("i"), Const(2)))),
-                Assign(Local("ai"), Deref(data, Bin("+", Bin("*", Local("i"), Const(2)), Const(1)))),
-                Assign(Local("br"), Deref(data, Bin("*", Local("j"), Const(2)))),
-                Assign(Local("bi"), Deref(data, Bin("+", Bin("*", Local("j"), Const(2)), Const(1)))),
-                Assign(Local("wr"), Deref(twid, Bin("*", Local("i"), Const(2)))),
-                Assign(Local("wi"), Deref(twid, Bin("+", Bin("*", Local("i"), Const(2)), Const(1)))),
-                Assign(Local("tr"), Bin("-", Bin("*", Local("br"), Local("wr")),
-                                        Bin("*", Local("bi"), Local("wi")))),
-                Assign(Local("ti"), Bin("+", Bin("*", Local("br"), Local("wi")),
-                                        Bin("*", Local("bi"), Local("wr")))),
-                Assign(Deref(data, Bin("*", Local("i"), Const(2))),
-                       Bin("+", Local("ar"), Local("tr"))),
-                Assign(Deref(data, Bin("+", Bin("*", Local("i"), Const(2)), Const(1))),
-                       Bin("+", Local("ai"), Local("ti"))),
-                Assign(Deref(data, Bin("*", Local("j"), Const(2))),
-                       Bin("-", Local("ar"), Local("tr"))),
-                Assign(Deref(data, Bin("+", Bin("*", Local("j"), Const(2)), Const(1))),
-                       Bin("-", Local("ai"), Local("ti"))),
-            ]),
-        ])
-    transpose = KernelFunction(
-        "fft_transpose", params=("src", "dst", "rows", "cols"),
-        locals_=("r", "c", "v"),
-        body=[
-            _loop("r", Param("rows"), [
-                _loop("c", Param("cols"), [
-                    Assign(Local("v"), Deref(Param("src"),
-                                             Bin("+", Bin("*", Local("r"), Param("cols")), Local("c")))),
-                    Assign(Deref(Param("dst"),
-                                 Bin("+", Bin("*", Local("c"), Param("rows")), Local("r"))),
-                           Local("v")),
-                ]),
-            ]),
-        ])
-    bitrev = KernelFunction(
-        "fft_bit_reverse", params=("data", "n"),
-        locals_=("i", "j", "bit", "t0", "t1"),
-        arrays=(("perm", 32),),
-        body=[
-            _loop("i", Param("n"), [
-                Assign(Local("j"), Const(0)),
-                Assign(Local("bit"), Const(0)),
-                While(Bin("<", Local("bit"), Const(5)), [
-                    Assign(LocalArr("perm", Local("bit")), Local("j")),
-                    Assign(Local("j"), Bin("+", Bin("*", Local("j"), Const(2)),
-                                           Bin("&", Local("i"), Const(1)))),
-                    Assign(Local("bit"), Bin("+", Local("bit"), Const(1))),
-                ]),
-                If(Bin("<", Local("i"), Local("j")), [
-                    Assign(Local("t0"), Deref(Param("data"), Local("i"))),
-                    Assign(Local("t1"), Deref(Param("data"), Local("j"))),
-                    Assign(Deref(Param("data"), Local("i")), Local("t1")),
-                    Assign(Deref(Param("data"), Local("j")), Local("t0")),
-                ]),
-            ]),
-        ])
-    scale = KernelFunction(
-        "fft_scale", params=("data", "n"),
-        locals_=("i",),
-        body=[
-            _loop("i", Param("n"), [
-                Assign(Deref(Param("data"), Local("i")),
-                       Bin("/", Deref(Param("data"), Local("i")), Static("fft_norm"))),
-            ]),
-        ])
-    main = KernelFunction(
-        "main", params=("n",), locals_=("p", "d", "t"),
-        body=[
-            Assign(Local("d"), CallExpr("malloc", (Bin("*", Param("n"), Const(2)),))),
-            Assign(Local("t"), CallExpr("malloc", (Bin("*", Param("n"), Const(2)),))),
-            ExprStmt(CallExpr("fft_bit_reverse", (Local("d"), Param("n")))),
-            ExprStmt(CallExpr("fft_butterfly",
-                              (Local("d"), Local("t"), Param("n"), Const(1)))),
-            ExprStmt(CallExpr("fft_transpose",
-                              (Local("d"), Local("t"), Const(8), Const(8)))),
-            ExprStmt(CallExpr("fft_scale", (Local("d"), Param("n")))),
-            Return(Const(0)),
-        ])
-    return KernelProgram("fft", statics=("fft_norm", "fft_log2n"),
-                         functions=[butterfly, transpose, bitrev, scale, main])
+func lu_eliminate(a, n, k) {
+    local r, c, pivot, factor;
+    pivot = a[k * n + k];
+    for (r = k + 1; r < n; r += 1) {
+        factor = a[r * n + k] / pivot;
+        a[r * n + k] = factor;
+        for (c = k + 1; c < n; c += 1) {
+            a[r * n + c] = a[r * n + c] - factor * a[k * n + c];
+        }
+    }
+    lu_steps = lu_steps + 1;
+}
+
+func lu_trace(a, n) {
+    local i, t;
+    t = 0;
+    for (i = 0; i < n; i += 1) { t = t + a[i * n + i]; }
+    return t;
+}
+
+func main(n) {
+    local a, k;
+    a = malloc(n * n);
+    lu_init(a, n);
+    for (k = 0; k < n - 1; k += 1) {
+        lu_eliminate(a, n, k);
+    }
+    return lu_trace(a, n);
+}
+"""
 
 
-# --------------------------------------------------------------------- #
-# SOR: Jacobi relaxation — the smallest kernel (fewest instrumented ops).
-# --------------------------------------------------------------------- #
-def sor_program() -> KernelProgram:
-    relax = KernelFunction(
-        "sor_relax_row", params=("src", "dst", "cols", "row"),
-        locals_=("c", "up", "down", "left", "right", "base"),
-        body=[
-            Assign(Local("base"), Bin("*", Param("row"), Param("cols"))),
-            _loop("c", Bin("-", Param("cols"), Const(1)), [
-                Assign(Local("up"), Deref(Param("src"),
-                                          Bin("-", Bin("+", Local("base"), Local("c")), Param("cols")))),
-                Assign(Local("down"), Deref(Param("src"),
-                                            Bin("+", Bin("+", Local("base"), Local("c")), Param("cols")))),
-                Assign(Local("left"), Deref(Param("src"),
-                                            Bin("-", Bin("+", Local("base"), Local("c")), Const(1)))),
-                Assign(Local("right"), Deref(Param("src"),
-                                             Bin("+", Bin("+", Local("base"), Local("c")), Const(1)))),
-                Assign(Deref(Param("dst"), Bin("+", Local("base"), Local("c"))),
-                       Bin("/", Bin("+", Bin("+", Local("up"), Local("down")),
-                                    Bin("+", Local("left"), Local("right"))),
-                           Const(4))),
-            ], start=Const(1)),
-        ])
-    init = KernelFunction(
-        "sor_init", params=("grid", "n"), locals_=("i",),
-        body=[
-            _loop("i", Param("n"), [
-                Assign(Deref(Param("grid"), Local("i")), Static("sor_seed")),
-            ]),
-        ])
-    main = KernelFunction(
-        "main", params=("rows", "cols"), locals_=("a", "b", "r"),
-        body=[
-            Assign(Local("a"), CallExpr("malloc",
-                                        (Bin("*", Param("rows"), Param("cols")),))),
-            Assign(Local("b"), CallExpr("malloc",
-                                        (Bin("*", Param("rows"), Param("cols")),))),
-            ExprStmt(CallExpr("sor_init",
-                              (Local("a"), Bin("*", Param("rows"), Param("cols"))))),
-            _loop("r", Bin("-", Param("rows"), Const(1)), [
-                ExprStmt(CallExpr("sor_relax_row",
-                                  (Local("a"), Local("b"), Param("cols"), Local("r")))),
-            ], start=Const(1)),
-            Return(Const(0)),
-        ])
-    return KernelProgram("sor", statics=("sor_seed",),
-                         functions=[relax, init, main])
-
-
-# --------------------------------------------------------------------- #
-# TSP: branch-and-bound with a shared work queue and global bound —
-# pointer-chasing code with many instrumented accesses per line.
-# --------------------------------------------------------------------- #
-def tsp_program() -> KernelProgram:
-    dist = lambda i, j: Deref(Param("dmat"), Bin("+", Bin("*", i, Static("tsp_ncities")), j))  # noqa: E731
-    tour_len = KernelFunction(
-        "tsp_tour_length", params=("dmat", "tour", "k"),
-        locals_=("i", "total", "a", "b"),
-        body=[
-            Assign(Local("total"), Const(0)),
-            _loop("i", Bin("-", Param("k"), Const(1)), [
-                Assign(Local("a"), Deref(Param("tour"), Local("i"))),
-                Assign(Local("b"), Deref(Param("tour"), Bin("+", Local("i"), Const(1)))),
-                Assign(Local("total"), Bin("+", Local("total"),
-                                           dist(Local("a"), Local("b")))),
-            ]),
-            Return(Local("total")),
-        ])
-    expand = KernelFunction(
-        "tsp_expand_node", params=("dmat", "queue", "qlen", "node"),
-        locals_=("city", "len", "slot", "c"),
-        arrays=(("visited", 24),),
-        body=[
-            _loop("c", Static("tsp_ncities"), [
-                Assign(LocalArr("visited", Local("c")), Const(0)),
-            ]),
-            _loop("c", Static("tsp_ncities"), [
-                Assign(Local("city"), Deref(Param("queue"),
-                                            Bin("+", Param("node"), Local("c")))),
-                Assign(LocalArr("visited", Local("city")), Const(1)),
-            ]),
-            _loop("c", Static("tsp_ncities"), [
-                If(Bin("==", LocalArr("visited", Local("c")), Const(0)), [
-                    Assign(Local("slot"), Bin("+", Param("qlen"), Local("c"))),
-                    Assign(Deref(Param("queue"), Local("slot")), Local("c")),
-                ]),
-            ]),
-            Return(Local("slot")),
-        ])
-    prune = KernelFunction(
-        "tsp_prune", params=("lower", "bound_ptr"),
-        locals_=("bound",),
-        body=[
-            # The famous unsynchronized read of the global tour bound.
-            Assign(Local("bound"), Deref(Param("bound_ptr"), Const(0))),
-            If(Bin("<", Local("bound"), Param("lower")),
-               [Return(Const(1))], [Return(Const(0))]),
-        ])
-    update_bound = KernelFunction(
-        "tsp_update_bound", params=("bound_ptr", "candidate"),
-        locals_=("cur",),
-        body=[
-            Assign(Local("cur"), Deref(Param("bound_ptr"), Const(0))),
-            If(Bin("<", Param("candidate"), Local("cur")), [
-                Assign(Deref(Param("bound_ptr"), Const(0)), Param("candidate")),
-            ]),
-        ])
-    validate = KernelFunction(
-        "tsp_validate_tour", params=("tour", "k"),
-        locals_=("i", "j", "a", "b", "dups"),
-        body=[
-            Assign(Local("dups"), Const(0)),
-            _loop("i", Param("k"), [
-                Assign(Local("a"), Deref(Param("tour"), Local("i"))),
-                _loop("j", Param("k"), [
-                    Assign(Local("b"), Deref(Param("tour"), Local("j"))),
-                    If(Bin("==", Local("a"), Local("b")), [
-                        Assign(Local("dups"), Bin("+", Local("dups"), Const(1))),
-                    ]),
-                ]),
-            ]),
-            Return(Local("dups")),
-        ])
-    compact = KernelFunction(
-        "tsp_compact_queue", params=("queue", "qlen"),
-        locals_=("src", "dst", "flag", "v", "w"),
-        body=[
-            Assign(Local("dst"), Const(0)),
-            _loop("src", Param("qlen"), [
-                Assign(Local("flag"), Deref(Param("queue"), Local("src"))),
-                If(Bin("<", Const(0), Local("flag")), [
-                    Assign(Local("v"), Deref(Param("queue"), Local("src"))),
-                    Assign(Local("w"), Deref(Param("queue"),
-                                             Bin("+", Local("src"), Const(1)))),
-                    Assign(Deref(Param("queue"), Local("dst")), Local("v")),
-                    Assign(Deref(Param("queue"),
-                                 Bin("+", Local("dst"), Const(1))), Local("w")),
-                    Assign(Local("dst"), Bin("+", Local("dst"), Const(2))),
-                ]),
-            ]),
-            Return(Local("dst")),
-        ])
-    record_best = KernelFunction(
-        "tsp_record_best", params=("tour", "best", "k"),
-        locals_=("i", "v"),
-        body=[
-            _loop("i", Param("k"), [
-                Assign(Local("v"), Deref(Param("tour"), Local("i"))),
-                Assign(Deref(Param("best"), Local("i")), Local("v")),
-            ]),
-            Assign(Deref(Param("best"), Param("k")),
-                   Static("tsp_best_seen")),
-        ])
-    main = KernelFunction(
-        "main", params=("ncities",), locals_=("dmat", "queue", "bound", "i", "l"),
-        body=[
-            Assign(Static("tsp_ncities"), Param("ncities")),
-            Assign(Local("dmat"), CallExpr("malloc",
-                                           (Bin("*", Param("ncities"), Param("ncities")),))),
-            Assign(Local("queue"), CallExpr("malloc", (Const(4096),))),
-            Assign(Local("bound"), CallExpr("malloc", (Const(1),))),
-            Assign(Deref(Local("bound"), Const(0)), Const(1 << 20)),
-            _loop("i", Param("ncities"), [
-                Assign(Local("l"), CallExpr("tsp_tour_length",
-                                            (Local("dmat"), Local("queue"), Param("ncities")))),
-                ExprStmt(CallExpr("tsp_update_bound", (Local("bound"), Local("l")))),
-                ExprStmt(CallExpr("tsp_expand_node",
-                                  (Local("dmat"), Local("queue"), Local("i"), Local("i")))),
-                ExprStmt(CallExpr("tsp_prune", (Local("l"), Local("bound")))),
-                ExprStmt(CallExpr("tsp_validate_tour",
-                                  (Local("queue"), Param("ncities")))),
-                ExprStmt(CallExpr("tsp_record_best",
-                                  (Local("queue"), Local("dmat"), Local("i")))),
-            ]),
-            ExprStmt(CallExpr("tsp_compact_queue",
-                              (Local("queue"), Param("ncities")))),
-            Return(Const(0)),
-        ])
-    return KernelProgram("tsp", statics=("tsp_ncities", "tsp_best_seen"),
-                         functions=[tour_len, expand, prune, update_bound,
-                                    validate, compact, record_best, main])
-
-
-# --------------------------------------------------------------------- #
-# Water: the largest kernel — O(n^2) molecular force interactions over
-# shared position/force arrays plus intra-molecule updates.
-# --------------------------------------------------------------------- #
-def water_program() -> KernelProgram:
-    def vec(ptr, mol, axis):
-        return Deref(Param(ptr), Bin("+", Bin("*", mol, Const(3)), Const(axis)))
-
-    inter = KernelFunction(
-        "water_interf", params=("pos", "forces", "i", "j"),
-        locals_=("dx", "dy", "dz", "r2", "f"),
-        body=[
-            Assign(Local("dx"), Bin("-", vec("pos", Param("i"), 0),
-                                    vec("pos", Param("j"), 0))),
-            Assign(Local("dy"), Bin("-", vec("pos", Param("i"), 1),
-                                    vec("pos", Param("j"), 1))),
-            Assign(Local("dz"), Bin("-", vec("pos", Param("i"), 2),
-                                    vec("pos", Param("j"), 2))),
-            Assign(Local("r2"), Bin("+", Bin("*", Local("dx"), Local("dx")),
-                                    Bin("+", Bin("*", Local("dy"), Local("dy")),
-                                        Bin("*", Local("dz"), Local("dz"))))),
-            Assign(Local("f"), Bin("/", Static("water_cutoff"),
-                                   Bin("+", Local("r2"), Const(1)))),
-            Assign(vec("forces", Param("i"), 0),
-                   Bin("+", vec("forces", Param("i"), 0),
-                       Bin("*", Local("f"), Local("dx")))),
-            Assign(vec("forces", Param("i"), 1),
-                   Bin("+", vec("forces", Param("i"), 1),
-                       Bin("*", Local("f"), Local("dy")))),
-            Assign(vec("forces", Param("i"), 2),
-                   Bin("+", vec("forces", Param("i"), 2),
-                       Bin("*", Local("f"), Local("dz")))),
-            Assign(vec("forces", Param("j"), 0),
-                   Bin("-", vec("forces", Param("j"), 0),
-                       Bin("*", Local("f"), Local("dx")))),
-            Assign(vec("forces", Param("j"), 1),
-                   Bin("-", vec("forces", Param("j"), 1),
-                       Bin("*", Local("f"), Local("dy")))),
-            Assign(vec("forces", Param("j"), 2),
-                   Bin("-", vec("forces", Param("j"), 2),
-                       Bin("*", Local("f"), Local("dz")))),
-        ])
-    intra = KernelFunction(
-        "water_intraf", params=("pos", "vel", "forces", "mol"),
-        locals_=("a", "v", "p"),
-        body=[
-            _loop("a", Const(3), [
-                Assign(Local("v"), vec("vel", Param("mol"), 0)),
-                Assign(Local("p"), vec("pos", Param("mol"), 0)),
-                Assign(Deref(Param("vel"),
-                             Bin("+", Bin("*", Param("mol"), Const(3)), Local("a"))),
-                       Bin("+", Local("v"),
-                           Bin("*", Deref(Param("forces"),
-                                          Bin("+", Bin("*", Param("mol"), Const(3)), Local("a"))),
-                               Static("water_dt")))),
-                Assign(Deref(Param("pos"),
-                             Bin("+", Bin("*", Param("mol"), Const(3)), Local("a"))),
-                       Bin("+", Local("p"), Static("water_dt"))),
-            ]),
-        ])
-    kinetic = KernelFunction(
-        "water_kineti", params=("vel", "nmol", "out"),
-        locals_=("m", "a", "sum", "v"),
-        body=[
-            Assign(Local("sum"), Const(0)),
-            _loop("m", Param("nmol"), [
-                _loop("a", Const(3), [
-                    Assign(Local("v"), Deref(Param("vel"),
-                                             Bin("+", Bin("*", Local("m"), Const(3)), Local("a")))),
-                    Assign(Local("sum"), Bin("+", Local("sum"),
-                                             Bin("*", Local("v"), Local("v")))),
-                ]),
-            ]),
-            Assign(Deref(Param("out"), Const(0)), Local("sum")),
-        ])
-    potential = KernelFunction(
-        "water_poteng", params=("pos", "nmol", "out"),
-        locals_=("i", "j", "acc"),
-        body=[
-            Assign(Local("acc"), Const(0)),
-            _loop("i", Param("nmol"), [
-                _loop("j", Param("nmol"), [
-                    Assign(Local("acc"), Bin("+", Local("acc"),
-                                             Deref(Param("pos"),
-                                                   Bin("+", Local("i"), Local("j"))))),
-                ]),
-            ]),
-            # The historical Splash bug: unsynchronized accumulation into a
-            # shared global sum.
-            Assign(Deref(Param("out"), Const(0)),
-                   Bin("+", Deref(Param("out"), Const(0)), Local("acc"))),
-        ])
-    boundary = KernelFunction(
-        "water_bndry", params=("pos", "nmol"),
-        locals_=("m", "a", "p"),
-        body=[
-            _loop("m", Param("nmol"), [
-                _loop("a", Const(3), [
-                    Assign(Local("p"), Deref(Param("pos"),
-                                             Bin("+", Bin("*", Local("m"), Const(3)), Local("a")))),
-                    If(Bin("<", Static("water_boxl"), Local("p")), [
-                        Assign(Deref(Param("pos"),
-                                     Bin("+", Bin("*", Local("m"), Const(3)), Local("a"))),
-                               Bin("-", Local("p"), Static("water_boxl"))),
-                    ]),
-                ]),
-            ]),
-        ])
-    main = KernelFunction(
-        "main", params=("nmol", "steps"),
-        locals_=("pos", "vel", "forces", "sums", "s", "i", "j"),
-        body=[
-            Assign(Local("pos"), CallExpr("malloc", (Bin("*", Param("nmol"), Const(3)),))),
-            Assign(Local("vel"), CallExpr("malloc", (Bin("*", Param("nmol"), Const(3)),))),
-            Assign(Local("forces"), CallExpr("malloc", (Bin("*", Param("nmol"), Const(3)),))),
-            Assign(Local("sums"), CallExpr("malloc", (Const(8),))),
-            _loop("s", Param("steps"), [
-                _loop("i", Param("nmol"), [
-                    _loop("j", Param("nmol"), [
-                        ExprStmt(CallExpr("water_interf",
-                                          (Local("pos"), Local("forces"), Local("i"), Local("j")))),
-                    ]),
-                ]),
-                _loop("i", Param("nmol"), [
-                    ExprStmt(CallExpr("water_intraf",
-                                      (Local("pos"), Local("vel"), Local("forces"), Local("i")))),
-                ]),
-                ExprStmt(CallExpr("water_kineti", (Local("vel"), Param("nmol"), Local("sums")))),
-                ExprStmt(CallExpr("water_poteng", (Local("pos"), Param("nmol"), Local("sums")))),
-                ExprStmt(CallExpr("water_bndry", (Local("pos"), Param("nmol")))),
-            ]),
-            Return(Const(0)),
-        ])
-    return KernelProgram(
-        "water", statics=("water_cutoff", "water_dt", "water_boxl"),
-        functions=[inter, intra, kinetic, potential, boundary, main])
-
-
-#: All four kernel programs, in the paper's order.
-KERNEL_PROGRAMS = {
-    "fft": fft_program,
-    "sor": sor_program,
-    "tsp": tsp_program,
-    "water": water_program,
+#: Every kernel's source, by application name: the four Table 2 kernels
+#: in the paper's order, then LU.
+KERNEL_SOURCES = {
+    "fft": FFT_SOURCE,
+    "sor": SOR_SOURCE,
+    "tsp": TSP_SOURCE,
+    "water": WATER_SOURCE,
+    "lu": LU_SOURCE,
 }

@@ -6,11 +6,11 @@ from repro.errors import InstrumentationError
 from repro.instrument.asm import (assemble, assemble_line, disassemble,
                                   disassemble_function)
 from repro.instrument.binaries import binary_for
-from repro.instrument.compiler import compile_kernel
 from repro.instrument.isa import Instruction, Op, Section
-from repro.instrument.kernels import KERNEL_PROGRAMS
+from repro.instrument.kernels import KERNEL_SOURCES
 from repro.instrument.machine import Machine
 from repro.instrument.linker import link
+from repro.instrument.parser import compile_source
 
 
 @pytest.mark.parametrize("line,op", [
@@ -88,7 +88,7 @@ def test_comments_and_blank_lines_ignored():
 @pytest.mark.parametrize("app", ["sor", "tsp"])
 def test_compiled_kernels_roundtrip(app):
     """disassemble -> assemble preserves semantics for real kernels."""
-    obj = compile_kernel(KERNEL_PROGRAMS[app]())
+    obj = compile_source(KERNEL_SOURCES[app], app)
     text = disassemble(obj)
     rebuilt = assemble(text, name=obj.name)
     assert [f.name for f in rebuilt.functions] == \
@@ -102,7 +102,7 @@ def test_compiled_kernels_roundtrip(app):
 
 
 def test_roundtrip_preserves_execution():
-    obj = compile_kernel(KERNEL_PROGRAMS["sor"]())
+    obj = compile_source(KERNEL_SOURCES["sor"], "sor")
     rebuilt = assemble(disassemble(obj), name="sor")
     img1 = link("a", [obj], libraries=[])
     img2 = link("b", [rebuilt], libraries=[])

@@ -1,19 +1,38 @@
-"""Text-source kernels (LU): parse, classify, execute."""
+"""Kernel-language source kernels: parse, classify, execute (LU in depth)."""
 
 import pytest
 
-from repro.apps.lu import reference_lu_trace
 from repro.instrument.atom import AtomRewriter
 from repro.instrument.binaries import binary_for
-from repro.instrument.kernels_src import lu_program
+from repro.instrument.kernels import KERNEL_SOURCES
 from repro.instrument.machine import AnalysisCounter, Machine
+from repro.instrument.parser import parse_kernel
+
+#: app -> (functions in link order, statics in offset order).
+DECLARED = {
+    "fft": (["fft_butterfly", "fft_transpose", "fft_bit_reverse",
+             "fft_scale", "main"], ("fft_norm", "fft_log2n")),
+    "sor": (["sor_relax_row", "sor_init", "main"], ("sor_seed",)),
+    "tsp": (["tsp_tour_length", "tsp_expand_node", "tsp_prune",
+             "tsp_update_bound", "tsp_validate_tour", "tsp_compact_queue",
+             "tsp_record_best", "main"], ("tsp_ncities", "tsp_best_seen")),
+    "water": (["water_interf", "water_intraf", "water_kineti",
+               "water_poteng", "water_bndry", "main"],
+              ("water_cutoff", "water_dt", "water_boxl")),
+    "lu": (["lu_init", "lu_eliminate", "lu_trace", "main"], ("lu_steps",)),
+}
 
 
-def test_lu_program_parses():
-    prog = lu_program()
-    assert {fn.name for fn in prog.functions} == \
-        {"lu_init", "lu_eliminate", "lu_trace", "main"}
-    assert prog.statics == ("lu_steps",)
+def test_every_kernel_declared():
+    assert list(KERNEL_SOURCES) == list(DECLARED)
+
+
+@pytest.mark.parametrize("app", sorted(DECLARED))
+def test_kernel_source_parses(app):
+    prog = parse_kernel(KERNEL_SOURCES[app], app)
+    functions, statics = DECLARED[app]
+    assert [fn.name for fn in prog.functions] == functions
+    assert prog.statics == statics
 
 
 def test_lu_binary_links_and_classifies():

@@ -11,10 +11,10 @@ the default ``"naive"`` mode stays byte-identical to what the deleted
 import pytest
 
 from repro.errors import CompileError
-from repro.instrument.binaries import APP_NAMES, binary_for
+from repro.instrument.binaries import binary_for
 from repro.instrument.compiler import compile_kernel
 from repro.instrument.isa import Function, Instruction, Op, Section
-from repro.instrument.kernels import KERNEL_PROGRAMS
+from repro.instrument.kernels import KERNEL_SOURCES
 from repro.instrument.linker import link
 from repro.instrument.machine import Machine
 from repro.instrument.parser import compile_source, parse_kernel
@@ -22,7 +22,7 @@ from repro.instrument.regalloc import (ALLOCATABLE, AllocationReport,
                                        NaiveBinding, bind_registers,
                                        live_intervals)
 
-ALL_KERNELS = list(APP_NAMES) + ["lu"]
+ALL_KERNELS = list(KERNEL_SOURCES)
 
 
 def _app_mem_ops(image):
@@ -57,7 +57,7 @@ def test_linear_same_dynamic_result(app):
 
 def test_default_mode_is_naive():
     """The Table 2 pipeline stays pinned to the unoptimized codegen."""
-    prog = KERNEL_PROGRAMS["sor"]()
+    prog = parse_kernel(KERNEL_SOURCES["sor"], "sor")
     default = compile_kernel(prog)
     explicit = compile_kernel(prog, regalloc="naive")
     for a, b in zip(default.functions, explicit.functions):
@@ -67,7 +67,8 @@ def test_default_mode_is_naive():
 
 def test_unknown_mode_rejected():
     with pytest.raises(CompileError, match="regalloc"):
-        compile_kernel(KERNEL_PROGRAMS["sor"](), regalloc="ssa")
+        compile_kernel(parse_kernel(KERNEL_SOURCES["sor"], "sor"),
+                       regalloc="ssa")
 
 
 # ---------------------------------------------------------------------- #

@@ -98,6 +98,19 @@ def test_disasm_app_only(capsys):
     assert "section=library" not in out
 
 
+def _disasm_choices():
+    sub = next(a for a in build_parser()._actions
+               if a.dest == "command").choices["disasm"]
+    return next(a for a in sub._actions if a.dest == "app").choices
+
+
+@pytest.mark.parametrize("app", _disasm_choices())
+def test_disasm_every_choice(capsys, app):
+    rc, out = run_cli(capsys, "disasm", app)
+    assert rc == 0
+    assert ".func main section=app" in out
+
+
 def test_disasm_instrumented(capsys):
     rc, out = run_cli(capsys, "disasm", "tsp", "--instrumented")
     assert rc == 0
