@@ -31,7 +31,8 @@ filter distinguishes:
 Every node carries an optional ``line`` (source line, 0 when built
 programmatically); it is excluded from equality.  Programs are written as
 source text and parsed (:mod:`repro.instrument.parser`); only tests build
-ASTs by hand, and those compare equal to parsed ones.
+ASTs by hand, and such an AST compares equal to the one parsed from the
+same text.
 """
 
 from __future__ import annotations

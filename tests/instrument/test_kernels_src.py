@@ -23,11 +23,7 @@ DECLARED = {
 }
 
 
-def test_every_kernel_declared():
-    assert list(KERNEL_SOURCES) == list(DECLARED)
-
-
-@pytest.mark.parametrize("app", sorted(DECLARED))
+@pytest.mark.parametrize("app", sorted(KERNEL_SOURCES))
 def test_kernel_source_parses(app):
     prog = parse_kernel(KERNEL_SOURCES[app], app)
     functions, statics = DECLARED[app]
