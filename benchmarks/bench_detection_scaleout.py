@@ -30,9 +30,8 @@ centralized engine — whose coordinator serializes the whole bitmap
 round — must get measurably faster.
 
 Results merge into ``BENCH_detection.json`` under the ``"scaleout"``
-and ``"coarse_filter"`` keys (the wall-clock microbenchmark owns the
-rest of the file) so the repository carries both trajectories across
-PRs.
+and ``"coarse_filter"`` keys (the file's only two) so the repository
+carries both trajectories across PRs.
 
 Usage::
 

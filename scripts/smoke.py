@@ -182,13 +182,6 @@ RUNS: Dict[str, Run] = {
     "tsp8-sharded-lossy": Run("run tsp --procs 8 --sharded-detection "
                               "--loss-rate 0.05 --fault-seed 7 "
                               "--report tsp8-sharded-lossy.txt", 1),
-    # -- the reference (paper-literal) detector ---------------------------
-    "hashtab16-reference": Run("run hashtab --procs 16 --reference-detector "
-                               "--report hashtab16-reference.txt", 1),
-    "bfs16-reference": Run("run bfs --procs 16 --reference-detector "
-                           "--report bfs16-reference.txt", 1),
-    "water16-reference": Run("run water --procs 16 --reference-detector "
-                             "--report water16-reference.txt", 1),
     # -- the coarse filter off --------------------------------------------
     "water8-nofilter": Run("run water --procs 8 --no-coarse-filter "
                            "--report water8-nofilter.txt", 1),
@@ -327,11 +320,11 @@ CELLS: Dict[str, List] = {
     ],
     # hashtab and bfs synchronize by barriers only, so every process pair
     # of an epoch is one unordered block; water's locks make its blocks
-    # bisect.
+    # bisect.  (tests/core/test_fast_path_equivalence.py holds the
+    # reference engine to the same three apps at 16 procs.)
     "engines16": [
-        Same(app, f"{app}-{engine}")
+        Same(app, f"{app}-sharded")
         for app in ("hashtab16", "bfs16", "water16")
-        for engine in ("sharded", "reference")
     ],
     "filter": [
         check

@@ -54,6 +54,16 @@ from repro.instrument.machine import HEAP_BASE, Machine
 ARENA_WORDS = 512
 
 
+def linked_image(name: str, source: str, regalloc: str) -> BinaryImage:
+    """Compile and link a DSL program: no libraries, no CVM runtime.
+    The uninstrumented binary, as ``repro disasm`` lists it."""
+    from repro.instrument.linker import link
+    from repro.instrument.parser import compile_source
+
+    obj = compile_source(source, name, regalloc=regalloc)
+    return link(name, [obj], libraries=[], include_cvm=False, strict=True)
+
+
 @lru_cache(maxsize=None)
 def compiled_image(name: str, source: str,
                    regalloc: str = "linear") -> BinaryImage:
@@ -65,13 +75,9 @@ def compiled_image(name: str, source: str,
     allocations resident in every thread's arena.  The toolchain is
     imported here: a process that runs no DSL program never loads it."""
     from repro.instrument.atom import AtomRewriter
-    from repro.instrument.linker import link
     from repro.instrument.lower import lower_image
-    from repro.instrument.parser import compile_source
 
-    obj = compile_source(source, name, regalloc=regalloc)
-    image = AtomRewriter().instrument(
-        link(name, [obj], libraries=[], include_cvm=False, strict=True))
+    image = AtomRewriter().instrument(linked_image(name, source, regalloc))
     lower_image(image)
     return image
 

@@ -38,10 +38,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--first-races-only", action="store_true")
     p.add_argument("--paper-input", action="store_true",
                    help="use the paper's Table 1 input set (slow)")
-    p.add_argument("--reference-detector", action="store_true",
-                   help="run the paper's literal O(i²p²) detection "
-                        "algorithm instead of the fast path (identical "
-                        "output, slower wall-clock; see docs/performance.md)")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-datagram drop probability of the simulated "
                         "network (default 0: reliable, byte-identical to "
@@ -149,7 +145,6 @@ def _run_plan(args, **extra):
         policy=args.policy,
         seed=args.seed,
         first_races_only=args.first_races_only,
-        detector_fast_path=not args.reference_detector,
         loss_rate=args.loss_rate,
         master_failover=args.master_failover,
         duplicate_rate=args.duplicate_rate,
@@ -377,7 +372,8 @@ def cmd_table2(_args) -> int:
 
 #: Kernel-language DSM applications (docs/language.md): their sources
 #: live beside the app (``repro.apps.<name>.SOURCE``) and link without
-#: libraries or the CVM runtime, unlike the paper kernels' binaries.
+#: libraries or the CVM runtime, unlike the paper kernels' binaries, and
+#: the DSM runs them compiled ``linear`` (``apps.dsl.compiled_image``).
 _DSL_DISASM = ("wsdeque", "bfs", "hashtab")
 
 
@@ -389,14 +385,12 @@ def cmd_disasm(args) -> int:
     if args.app in _DSL_DISASM:
         import importlib
 
-        from repro.instrument.linker import link
-        from repro.instrument.parser import compile_source
+        from repro.apps.dsl import linked_image
         mod = importlib.import_module(f"repro.apps.{args.app}")
-        obj = compile_source(mod.SOURCE, args.app, regalloc=args.regalloc)
-        image = link(args.app, [obj], libraries=[], include_cvm=False,
-                     strict=True)
+        image = linked_image(args.app, mod.SOURCE,
+                             args.regalloc or "linear")
     else:
-        image = binary_for(args.app, regalloc=args.regalloc)
+        image = binary_for(args.app, regalloc=args.regalloc or "naive")
     if args.instrumented:
         image = AtomRewriter().instrument(image)
     if args.lowered:
@@ -457,9 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis = sub.add_parser("disasm", help="disassemble a kernel binary")
     p_dis.add_argument("app", choices=[*KERNEL_SOURCES, *_DSL_DISASM])
     p_dis.add_argument("--regalloc", choices=["naive", "linear"],
-                       default="naive",
-                       help="register allocator (default: naive, the "
-                            "codegen the committed tables are pinned to)")
+                       default=None,
+                       help="register allocator (default: the one the "
+                            "binary runs under — linear for wsdeque, bfs "
+                            "and hashtab, as the DSM runs them; naive for "
+                            "the paper kernels, the codegen the committed "
+                            "tables are pinned to)")
     p_dis.add_argument("--instrumented", action="store_true")
     p_dis.add_argument("--full", action="store_true",
                        help="include synthetic library code")

@@ -271,9 +271,12 @@ class RaceDetector:
         #: Execution engine selector.  True (default): pruned pair search +
         #: bit-parallel check-list join, with the naive algorithm's work
         #: charged to virtual time analytically.  False: the paper's
-        #: literal O(i^2 p^2) reference algorithm.  Verdicts, stats and
-        #: ledgers are identical either way (the equivalence tests assert
-        #: this); only Python wall-clock differs.
+        #: literal O(i^2 p^2) reference algorithm — the tests' spec of the
+        #: fast path.  Verdicts, stats and ledgers are identical either
+        #: way (the equivalence tests assert this); only Python wall-clock
+        #: differs.  The reference steps stay here only until the spine
+        #: benchmark's ``micro.py`` stops calling them; then they move to
+        #: ``tests/core/reference_detector.py``.
         self.fast_path = fast_path
         #: Two-level filter: pre-check every check-list combination
         #: against the coarse digests piggy-backed on the interval

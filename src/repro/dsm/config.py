@@ -123,7 +123,11 @@ class DsmConfig:
             are identical to the reference engine — the naive algorithm's
             cost is still charged to the master clock analytically — only
             real (Python) wall-clock time differs.  Off = the paper's
-            literal O(i²p²) algorithm, kept for equivalence tests.
+            literal O(i²p²) algorithm: the tests' spec of the fast path,
+            not a product mode (no CLI flag reaches it).  It stays in
+            ``src/`` only until the spine benchmark's ``micro.py`` stops
+            reading this field; then it moves to
+            ``tests/core/reference_detector.py`` and the field goes.
         diff_write_detection: With the multi-writer protocol, derive write
             bitmaps from diffs instead of instrumenting stores (§6.5
             extension; same-value overwrites become invisible).

@@ -111,6 +111,21 @@ def test_disasm_every_choice(capsys, app):
     assert ".func main section=app" in out
 
 
+@pytest.mark.parametrize("app, regalloc", [("hashtab", "linear"),
+                                           ("sor", "naive")])
+def test_disasm_defaults_to_the_allocator_the_binary_runs_under(
+        capsys, app, regalloc):
+    """A DSM app is listed as the DSM runs it (``linear``), a paper
+    kernel as Table 2 counts it (``naive``)."""
+    rc, default = run_cli(capsys, "disasm", app)
+    assert rc == 0
+    rc, explicit = run_cli(capsys, "disasm", app, "--regalloc", regalloc)
+    assert rc == 0
+    assert default == explicit
+    other = {"linear": "naive", "naive": "linear"}[regalloc]
+    assert run_cli(capsys, "disasm", app, "--regalloc", other)[1] != default
+
+
 def test_disasm_instrumented(capsys):
     rc, out = run_cli(capsys, "disasm", "tsp", "--instrumented")
     assert rc == 0
@@ -255,7 +270,7 @@ _RETIRED_FLAG_BASE = {"run": ["run", "water", "--procs", "2"],
 @pytest.mark.parametrize("retired", [
     ["run", "--reference-access-path"], ["run", "--detection-shards", "2"],
     ["run", "--election-timeout", "5"], ["disasm", "--batched"],
-    ["run", "--checkpoint-delta"]])
+    ["run", "--checkpoint-delta"], ["run", "--reference-detector"]])
 def test_retired_run_flags_are_refused_by_argparse(retired, capsys):
     command, *flags = retired
     with pytest.raises(SystemExit) as exc_info:
