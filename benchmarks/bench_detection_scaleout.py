@@ -31,7 +31,8 @@ round — must get measurably faster.
 
 Results merge into ``BENCH_detection.json`` under the ``"scaleout"``
 and ``"coarse_filter"`` keys (the file's only two) so the repository
-carries both trajectories across PRs.
+carries both trajectories across PRs; a ``--quick`` run writes the
+git-ignored ``BENCH_scaleout_smoke.json`` instead.
 
 Usage::
 
@@ -250,7 +251,10 @@ def merge_report(path: str, entry: dict, key: str = "scaleout") -> None:
         f.write("\n")
 
 
-def main(argv: List[str] = None) -> int:
+def parse_args(argv: List[str] = None) -> argparse.Namespace:
+    """The command line, ``--output`` resolved: a ``--quick`` run goes to
+    the git-ignored smoke file unless told otherwise, so it never
+    overwrites the committed full-run figures."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="two process counts only (CI smoke)")
@@ -263,10 +267,19 @@ def main(argv: List[str] = None) -> int:
                              "the two-level filter on the stress workload "
                              "at the highest process count, both engines' "
                              "traffic combined (default 2.0)")
-    parser.add_argument("--output", default="BENCH_detection.json",
+    parser.add_argument("--output",
                         help="benchmark file to merge the scale-out "
-                             "entry into")
+                             "entry into (default BENCH_detection.json, "
+                             "BENCH_scaleout_smoke.json with --quick)")
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = ("BENCH_scaleout_smoke.json" if args.quick
+                       else "BENCH_detection.json")
+    return args
+
+
+def main(argv: List[str] = None) -> int:
+    args = parse_args(argv)
 
     sweep = QUICK_NPROCS if args.quick else FULL_NPROCS
     rows = []

@@ -20,7 +20,8 @@ measured as *added* virtual time over the base run).
 
 Results go to ``BENCH_record.json`` so the repository carries the
 record-overhead trajectory across PRs, alongside
-``BENCH_detection.json``.
+``BENCH_detection.json``; a ``--quick`` run writes the git-ignored
+``BENCH_record_smoke.json`` instead.
 
 Usage::
 
@@ -94,7 +95,10 @@ def bench_workload(app: str, nprocs: int, trace_dir: str) -> dict:
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The command line, ``--output`` resolved: a ``--quick`` run goes to
+    the git-ignored smoke file unless told otherwise, so it never
+    overwrites the committed full-run figures."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="two workloads only (CI smoke)")
@@ -105,9 +109,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="online detection's added overhead must be "
                              "at least this many times the record run's "
                              "(default 4.0)")
-    parser.add_argument("--output", default="BENCH_record.json",
-                        help="where to write the JSON report")
+    parser.add_argument("--output",
+                        help="where to write the JSON report (default "
+                             "BENCH_record.json, BENCH_record_smoke.json "
+                             "with --quick)")
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = ("BENCH_record_smoke.json" if args.quick
+                       else "BENCH_record.json")
+    return args
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
 
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench_record_") as trace_dir:

@@ -26,7 +26,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.bitmap import digests_disjoint
 from repro.core.checklist import (ACCESS_COMBINATIONS, CheckEntry,
@@ -137,11 +138,29 @@ def _report_row(report: RaceReport) -> tuple:
             (b.pid, b.index, b.access, b.sync_label), gran, verdict, lost)
 
 
-def _report_from_row(row: list) -> RaceReport:
+def _report_from_row(row: list, symbols: Dict[str, str],
+                     refs: Dict[Tuple, IntervalRef]) -> RaceReport:
+    """The report of a row.  ``symbols`` and ``refs`` are the caller's
+    memos by value, so the reports it rebuilds share their symbol strings
+    and sides as step 5's do."""
     kind, addr, symbol, page, offset, epoch, a, b, gran, verdict, lost = row
-    return RaceReport(RaceKind(kind), addr, symbol, page, offset, epoch,
-                      IntervalRef(*a), IntervalRef(*b), gran, verdict,
-                      tuple(lost))
+    a, b = tuple(a), tuple(b)
+    return RaceReport(RaceKind(kind), addr, symbols.setdefault(symbol, symbol),
+                      page, offset, epoch,
+                      refs.get(a) or refs.setdefault(a, IntervalRef(*a)),
+                      refs.get(b) or refs.setdefault(b, IntervalRef(*b)),
+                      gran, verdict, tuple(lost))
+
+
+#: A step-5 cache of :class:`IntervalRef` by ``(pid, index, access)``.
+RefCache = Dict[Tuple[int, int, str], IntervalRef]
+
+
+def _report_group(report: RaceReport) -> Tuple:
+    """The dedup group of a report: its ``RaceReport.key()`` with the
+    address cut to its page (the word offset is the group's mask bit)."""
+    kind, gran, verdict, _addr, side_a, side_b = report.key()
+    return (kind, gran, verdict, report.page, side_a, side_b)
 
 
 # ---------------------------------------------------------------------- #
@@ -297,8 +316,10 @@ class RaceDetector:
         #: apart from confirmed races so race artifacts stay comparable
         #: across runs while the degradation is still fully reported.
         self.unverifiable: List[RaceReport] = []
-        #: Report keys seen so far, as an insertion-ordered set.
-        self._seen_keys: Dict[Tuple, None] = {}
+        #: Report keys seen so far, one entry per comparison group:
+        #: ``_report_group`` -> mask of the word offsets seen in it
+        #: (:meth:`seen_keys` expands it to the keys themselves).
+        self._seen_keys: Dict[Tuple, int] = {}
         self._unverifiable_pair_keys: Set[Tuple] = set()
         self._first_race_epoch: Optional[int] = None
         #: One record text per commit, in commit order (``log_commits``
@@ -370,16 +391,23 @@ class RaceDetector:
         ``master_pid``, engine selection) is deliberately untouched: the
         role's *owner* changed, not the algorithm."""
         stats, seen = self.stats, self._seen_keys
+        symbols: Dict[str, str] = {}
+        refs: Dict[Tuple, IntervalRef] = {}
         for text in records:
             record = json.loads(text)
             for name in ("races", "unverifiable"):
-                reports = [_report_from_row(row) for row in record[name]]
+                reports = [_report_from_row(row, symbols, refs)
+                           for row in record[name]]
                 getattr(self, name).extend(reports)
-                seen.update(dict.fromkeys(r.key() for r in reports))
+                for r in reports:
+                    group = _report_group(r)
+                    seen[group] = seen.get(group, 0) | 1 << r.offset
             for kind, gran, verdict, addr, side_a, side_b in \
                     record["suppressed"]:
-                seen[(RaceKind(kind), gran, verdict, addr, tuple(side_a),
-                      tuple(side_b))] = None
+                page, offset = divmod(addr, self.page_size_words)
+                group = (RaceKind(kind), gran, verdict, page, tuple(side_a),
+                         tuple(side_b))
+                seen[group] = seen.get(group, 0) | 1 << offset
             self._unverifiable_pair_keys.update(
                 (tuple(a), tuple(b)) for a, b in record["pair_keys"])
             stats.epoch_history.append(EpochSummary(**record["epoch"]))
@@ -389,6 +417,19 @@ class RaceDetector:
             self.actual_comparisons = record["actual_comparisons"]
         if self.log is not None:
             self.log.extend(records)
+
+    def seen_keys(self) -> Iterator[Tuple]:
+        """The ``RaceReport.key()`` of every report the commits have seen
+        (kept and suppressed alike), expanded from the group masks."""
+        psz = self.page_size_words
+        for (kind, gran, verdict, page, side_a, side_b), mask in \
+                self._seen_keys.items():
+            base = page * psz
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                yield (kind, gran, verdict, base + low.bit_length() - 1,
+                       side_a, side_b)
 
     # ------------------------------------------------------------------ #
     # The N-slice entry points: ``plan_shards`` -> per-owner
@@ -504,6 +545,8 @@ class RaceDetector:
         caller's bitmap-round policy (:meth:`_bitmap_round`)."""
         res = ShardResult(owner=shard.owner,
                           comparisons=shard.model_comparisons)
+        # Step 5's interval refs, shared by every report of the slice.
+        refs: RefCache = {}
         # Steps 2+3: concurrent pairs (constant-time VC comparisons), then
         # page-overlap winnowing into the check list.
         #
@@ -554,8 +597,8 @@ class RaceDetector:
             recs = plan.index.recs
             for o, rows in join.rows:
                 a = recs[o]
-                comparisons, found = self._word_candidates(a, rows, recs,
-                                                           epoch, clock)
+                comparisons, found = self._word_candidates(
+                    a, rows, recs, epoch, clock, refs)
                 res.bitmap_comparisons += comparisons
                 for x, reports in found.items():
                     b = recs[x]
@@ -581,7 +624,7 @@ class RaceDetector:
             else:
                 comparisons, found = self._word_candidates(
                     entry.a, entry_rows(join.pages_of(entry)), (entry.b,),
-                    epoch, clock)
+                    epoch, clock, refs)
                 res.bitmap_comparisons += comparisons
                 if found:
                     res.items.append(ShardItem(entry_key(entry), "race",
@@ -601,7 +644,10 @@ class RaceDetector:
         check-list order — so first-occurrence dedup against
         ``_seen_keys`` (``RaceReport.key()`` deliberately excludes the
         epoch) keeps the same reports in the same order however the epoch
-        was sliced.
+        was sliced.  A report is fresh when its word offset's bit is clear
+        in its group's mask; the bit is set as it is kept.  The reports of
+        one comparison are consecutive and share their group, which is
+        looked up once per run of them.
         """
         stats = self.stats
         stats.epochs_checked += 1
@@ -638,12 +684,23 @@ class RaceDetector:
         new_races: List[RaceReport] = []
         new_unverifiable: List[RaceReport] = []
         new_pair_keys: List[Tuple] = []
+        seen = self._seen_keys
         for item in items:
             fresh: List[RaceReport] = []
+            last = group = None
+            mask = 0
             for report in item.reports:
-                key = report.key()
-                if key not in self._seen_keys:
-                    self._seen_keys[key] = None
+                kind, _addr, _symbol, page, offset, _epoch, a, b, gran, \
+                    verdict, _lost = report
+                here = (kind, gran, verdict, page, a, b)
+                if here != last:
+                    last = here
+                    group = _report_group(report)
+                    mask = seen.get(group, 0)
+                bit = 1 << offset
+                if not mask & bit:
+                    mask |= bit
+                    seen[group] = mask
                     fresh.append(report)
             if item.kind == "unverifiable":
                 if item.pair_key not in self._unverifiable_pair_keys:
@@ -825,7 +882,7 @@ class RaceDetector:
 
     def _word_candidates(self, a: Interval, rows: List[Row],
                          partners: Sequence[Interval], epoch: int,
-                         clock: VirtualClock
+                         clock: VirtualClock, refs: RefCache
                          ) -> Tuple[int, Dict[int, List[RaceReport]]]:
         """Step 5 for interval ``a``, before the dedup: one bitmap
         comparison per set bit of each row's masks, bit ``x`` standing
@@ -835,13 +892,16 @@ class RaceDetector:
         of both walks: a clean epoch's rows over the epoch's intervals,
         and a check entry's pages over its one partner.
 
-        The page base and the two :class:`IntervalRef` are built per
-        comparison with a common word, so a word costs its symbol and one
-        ``tuple.__new__``.  An absent bitmap is empty (where §6.5's
-        diff-derived write detection loses same-value overwrites: the
-        diff set no bits).  The comparisons are charged in one advance,
-        equal to one per comparison as the cost constants are dyadic
-        rationals (the per-bit spec: tests/core/reference_step5.py)."""
+        The page base is computed per comparison with a common word, and
+        each side's :class:`IntervalRef` comes from ``refs``, the calling
+        slice's cache, so it is built once per ``(pid, index, access)``
+        of the slice.  A word costs one ``tuple.__new__``: its symbol is
+        the segment's one string for the address.  An absent bitmap is
+        empty (where §6.5's diff-derived write detection loses same-value
+        overwrites: the diff set no bits).  The comparisons are charged
+        in one advance, equal to one per comparison as the cost constants
+        are dyadic rationals (the per-bit spec:
+        tests/core/reference_step5.py)."""
         psz = self.page_size_words
         symbol_for = self.symbol_for
         new = tuple.__new__
@@ -872,10 +932,14 @@ class RaceDetector:
                     common = mine & bm_b._bits
                     if not common:
                         continue
-                    ref_a = IntervalRef(a.pid, a.index, a_access,
-                                        a.sync_label)
-                    ref_b = IntervalRef(b.pid, b.index, b_access,
-                                        b.sync_label)
+                    side = (a.pid, a.index, a_access)
+                    ref_a = refs.get(side)
+                    if ref_a is None:
+                        ref_a = refs[side] = IntervalRef(*side, a.sync_label)
+                    side = (b.pid, b.index, b_access)
+                    ref_b = refs.get(side)
+                    if ref_b is None:
+                        ref_b = refs[side] = IntervalRef(*side, b.sync_label)
                     base = page * psz
                     out = found.setdefault(x, [])
                     while common:

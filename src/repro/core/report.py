@@ -5,6 +5,10 @@ with the interval indexes (§4 step 5, §6.1); combined with the symbol table
 this identifies the variable and synchronization context.  A
 :class:`RaceReport` — a tuple, one per reported word — carries all of that
 plus the epoch, for first-race filtering and replay-based PC attribution.
+The tuple is all a run keeps per reported word: its symbol string is
+shared with every report of its address, and each of its two
+:class:`IntervalRef` with every report of the same detection pass that
+names the same side.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ class RaceKind(enum.Enum):
 @dataclass(frozen=True)
 class IntervalRef:
     """Identifies one side of a race: which interval touched the word, and
-    how (read or write).  Immutable, so every report of one bitmap
-    comparison shares the comparison's two refs.  A dataclass, not a
-    tuple: ``index`` would shadow ``tuple.index``."""
+    how (read or write).  Immutable, so step 5 builds one per ``(pid,
+    index, access)`` of a detection slice and every report of that side
+    shares it.  A dataclass, not a tuple: ``index`` would shadow
+    ``tuple.index``."""
 
     pid: int
     index: int
@@ -39,11 +44,13 @@ class RaceReport(NamedTuple):
     """One detected data race on one shared word.
 
     A tuple of its eleven fields, in the order below: step 5 builds one
-    per common bitmap word with a single ``tuple.__new__`` call, the
-    commit hashes it into the dedup key.  Keyword construction, the
-    defaults and the methods are a record's; equality, hashing and
-    iteration are the tuple's — a report equals the plain tuple of its
-    fields.
+    per common bitmap word with a single ``tuple.__new__`` call, from the
+    segment's one symbol string per address and the slice's shared
+    interval refs.  The commit dedups it as bit ``offset`` of one mask
+    per comparison group: its :meth:`key` with the address cut to the
+    page.  Keyword construction, the defaults and the methods are a
+    record's; equality, hashing and iteration are the tuple's — a report
+    equals the plain tuple of its fields.
 
     Attributes:
         kind: write-write or read-write.

@@ -52,6 +52,11 @@ class SharedSegment:
         #: Bumped by every :meth:`free`; a cached :class:`Allocation` is
         #: good for as long as the generation it was looked up under.
         self.generation = 0
+        #: :meth:`symbol_for`'s strings by address, so every report of one
+        #: word shares one.  Both :meth:`malloc` and :meth:`free` clear
+        #: it: a ``malloc`` can turn an address that printed as ``0x...``
+        #: into a name, a ``free`` the reverse.
+        self._symbols: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ #
     # Allocation.
@@ -95,6 +100,7 @@ class SharedSegment:
         self._alloc_starts.insert(pos, addr)
         self._by_name[name] = alloc
         self._high_water = max(self._high_water, alloc.end)
+        self._symbols.clear()
         return addr
 
     def free(self, addr: int) -> None:
@@ -107,6 +113,7 @@ class SharedSegment:
         del self._by_name[alloc.name]
         bisect.insort(self._free, (alloc.addr, alloc.nwords))
         self._coalesce()
+        self._symbols.clear()
         self.generation += 1
 
     def _coalesce(self) -> None:
@@ -143,13 +150,19 @@ class SharedSegment:
 
     def symbol_for(self, addr: int) -> str:
         """Human-readable ``name[+offset]`` for an address, or the raw
-        address when it falls in no allocation (e.g. already freed)."""
-        try:
-            alloc = self.block_of(addr)
-        except SegmentationFault:
-            return f"0x{addr:x}"
-        off = addr - alloc.addr
-        return alloc.name if off == 0 else f"{alloc.name}+{off}"
+        address when it falls in no allocation (e.g. already freed); one
+        string per address until the next ``malloc`` or ``free``."""
+        symbol = self._symbols.get(addr)
+        if symbol is None:
+            try:
+                alloc = self.block_of(addr)
+            except SegmentationFault:
+                symbol = f"0x{addr:x}"
+            else:
+                off = addr - alloc.addr
+                symbol = alloc.name if off == 0 else f"{alloc.name}+{off}"
+            self._symbols[addr] = symbol
+        return symbol
 
     def lookup(self, name: str) -> Allocation:
         alloc = self._by_name.get(name)

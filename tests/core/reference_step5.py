@@ -6,7 +6,8 @@ charged on its own, an absent bitmap is an empty :class:`Bitmap`, the
 common bits come from ``Bitmap.intersection_bits`` and every reported word
 builds its report — and both of its :class:`IntervalRef` — by keyword.
 Production builds per comparison what is the same for every word of the
-comparison and charges a call's comparisons in one advance;
+comparison, shares each interval ref over the slice and charges a call's
+comparisons in one advance;
 ``tests/core/test_step5_matches_reference.py`` holds it to this spec.
 """
 
@@ -17,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bitmap import Bitmap
 from repro.core.checklist import ACCESS_COMBINATIONS, Row
-from repro.core.detector import RaceDetector
+from repro.core.detector import RaceDetector, RefCache
 from repro.core.report import IntervalRef, RaceKind, RaceReport
 from repro.dsm import coordinator
 from repro.dsm.interval import Interval
@@ -34,12 +35,13 @@ class ReferenceStep5Detector(RaceDetector):
 
     def _word_candidates(self, a: Interval, rows: List[Row],
                          partners: Sequence[Interval], epoch: int,
-                         clock: VirtualClock
+                         clock: VirtualClock, refs: RefCache
                          ) -> Tuple[int, Dict[int, List[RaceReport]]]:
         """Step 5 for interval ``a``, before the dedup: one bitmap
         comparison per set bit ``x`` of each row's access-kind masks,
         against ``partners[x]``; returns ``(comparisons, reports)``, the
-        reports — one per common word — by partner bit."""
+        reports — one per common word — by partner bit.  The slice's ref
+        cache ``refs`` goes unused: every report builds its own refs."""
         comparisons = 0
         found: Dict[int, List[RaceReport]] = {}
         for page, *masks in rows:

@@ -69,9 +69,22 @@ def test_round_trip_preserves_dedup_state(racy_system):
     det = racy_system.detector
     assert det._seen_keys
     clone = _replayed(racy_system, master_pid=2)
-    assert set(clone._seen_keys) == set(det._seen_keys)
+    assert set(clone.seen_keys()) == set(det.seen_keys())
     assert clone._unverifiable_pair_keys == det._unverifiable_pair_keys
     assert clone._first_race_epoch == det._first_race_epoch
+
+
+def test_replayed_reports_share_symbols_and_sides():
+    """A replayed detector keeps what the live one keeps per report: the
+    tuple, with one symbol string per symbol and one ref per side."""
+    clone = _replayed(_run_system("hashtab", nprocs=8, master_failover=True),
+                      master_pid=1)
+    reports = clone.races + clone.unverifiable
+    assert len(reports) > len({r.symbol for r in reports})
+    assert (len({id(r.symbol) for r in reports})
+            == len({r.symbol for r in reports}))
+    refs = [ref for r in reports for ref in (r.a, r.b)]
+    assert len({id(ref) for ref in refs}) == len(set(refs))
 
 
 def test_round_trip_preserves_stats_and_history(racy_system):
@@ -97,8 +110,9 @@ def test_report_key_codec_round_trips():
     det = system.detector
     assert det.stats.races_suppressed_not_first > 0
     clone = _replayed(system, master_pid=1)
-    assert set(clone._seen_keys) == set(det._seen_keys)
-    assert len(det._seen_keys) > len(det.races) + len(det.unverifiable)
+    assert set(clone.seen_keys()) == set(det.seen_keys())
+    assert (len(set(det.seen_keys()))
+            > len(det.races) + len(det.unverifiable))
 
 
 # ---------------------------------------------------------------------- #

@@ -195,6 +195,6 @@ def test_step5_reports_round_trip_and_hash_like_keyword_reports():
         assert report == keyword and hash(report) == hash(keyword)
         assert report == tuple(keyword)  # a tuple of its fields
         row = json.loads(canon(detector_module._report_row(report)))
-        assert detector_module._report_from_row(row) == report
+        assert detector_module._report_from_row(row, {}, {}) == report
         assert report.key() == keyword.key()
         assert str(report) == str(keyword)

@@ -64,6 +64,30 @@ def test_symbol_resolution():
     assert seg.symbol_for(900).startswith("0x")  # unmapped
 
 
+def test_symbol_memo_is_one_string_per_address():
+    seg = make_segment()
+    a = seg.malloc(10, name="grid")
+    assert seg.symbol_for(a + 3) is seg.symbol_for(a + 3)
+    assert seg.symbol_for(a + 3) == "grid+3"
+
+
+def test_symbol_memo_follows_malloc_and_free():
+    seg = make_segment()
+    # An address that resolves to nothing until it is allocated.
+    assert seg.symbol_for(0) == "0x0"
+    assert seg.symbol_for(5) == "0x5"
+    a = seg.malloc(10, name="old")
+    assert a == 0
+    assert seg.symbol_for(0) == "old"
+    assert seg.symbol_for(5) == "old+5"
+    # The same addresses under another name after a free and a malloc.
+    seg.free(a)
+    assert seg.symbol_for(5) == "0x5"
+    assert seg.malloc(10, name="new") == a
+    assert seg.symbol_for(0) == "new"
+    assert seg.symbol_for(5) == "new+5"
+
+
 def test_block_of_and_check_range():
     seg = make_segment()
     a = seg.malloc(10, name="arr")

@@ -51,7 +51,7 @@ def detector_state(detector):
     return dict(
         races=list(detector.races),
         unverifiable=list(detector.unverifiable),
-        seen_keys=set(detector._seen_keys),
+        seen_keys=set(detector.seen_keys()),
         unverifiable_pair_keys=set(detector._unverifiable_pair_keys),
         first_race_epoch=detector._first_race_epoch,
         actual_comparisons=detector.actual_comparisons,

@@ -72,3 +72,47 @@ def test_explicit_consolidate_call():
 
     system, res = run_app_with_system(app, nprocs=2)
     assert all(isinstance(r, int) for r in res.results)
+
+
+def test_consolidation_passes_are_deduplicated(monkeypatch):
+    """Each consolidation pass re-runs detection over every live record
+    of the epoch, so a race found before a lock loop is a candidate
+    again at every pass until the barrier: the commit's dedup must keep
+    exactly one report per word and interval pair.  The racy words sit
+    at the same offset of two pages, so a dedup group that forgot the
+    page would fold them together."""
+    from repro.core.detector import RaceDetector
+
+    def app(env):
+        psz = env.system.config.page_size_words
+        x = env.malloc(1, name="counter")
+        racy = env.malloc(2 * psz, name="racy", page_aligned=True)
+        env.barrier()
+        env.store(racy, env.pid)
+        env.store(racy + psz, env.pid)
+        for _i in range(12):
+            with env.locked(1):
+                env.store(x, env.load(x) + 1)
+        env.barrier()
+
+    candidates = []
+    commit = RaceDetector._commit
+
+    def counted(self, plan, results, items, epoch):
+        candidates.extend(r for item in items for r in item.reports)
+        return commit(self, plan, results, items, epoch)
+
+    monkeypatch.setattr(RaceDetector, "_commit", counted)
+    system, res = run_app_with_system(app, nprocs=4,
+                                      consolidation_interval=2)
+    keys = [r.key() for r in res.races]
+    assert len(candidates) > len(keys)
+    assert len(set(keys)) == len(keys)
+    assert set(system.detector.seen_keys()) == set(keys)
+    without = run_app(app, nprocs=4)
+    assert set(keys) == {r.key() for r in without.races}
+    racy = system.segment.lookup("racy")
+    psz = system.config.page_size_words
+    assert {(k[3], k[4][0], k[5][0]) for k in keys} == {
+        (addr, p, q) for addr in (racy.addr, racy.addr + psz)
+        for p in range(4) for q in range(p + 1, 4)}
