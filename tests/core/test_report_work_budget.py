@@ -36,17 +36,13 @@ from repro.dsm.cvm import CVM
 CALLS_PER_REPORT = 4.0
 
 
-def run_system(**overrides):
+def run_cell(**overrides):
     """The spine's ``hashtab@16`` cell: the system and its result."""
     spec = get_app("hashtab")
     cfg = spec.config(nprocs=16, policy="random", seed=0, **overrides)
     system = CVM(cfg)
     return system, system.run(spec.func,
                               HashTabParams(nb=8, keys_per_pid=6, rounds=3))
-
-
-def run_cell(**overrides):
-    return run_system(**overrides)[1]
 
 
 @pytest.fixture
@@ -91,7 +87,7 @@ def step5_work(monkeypatch):
 
 
 def test_step5_builds_one_ref_per_side_per_slice(step5_work):
-    result = run_cell()
+    _system, result = run_cell()
     scopes = {}
     for _calls, built, refs, _nonempty, _reports in step5_work:
         scopes.setdefault(id(refs), (refs, []))[1].extend(built)
@@ -112,7 +108,7 @@ def test_step5_stays_within_its_call_budget(step5_work):
 
 
 def test_a_run_keeps_one_tuple_per_reported_word():
-    system, result = run_system()
+    system, result = run_cell()
     races = result.races
     detector = system.detector
     assert len(races) > 1000 and not detector.unverifiable
@@ -131,7 +127,7 @@ def test_failover_journal_encodes_each_report_once(monkeypatch):
         return report_row(report)
 
     monkeypatch.setattr(detector_module, "_report_row", counted)
-    result = run_cell(master_failover=True)
+    _system, result = run_cell(master_failover=True)
     reports = len(result.races) + len(result.unverifiable)
     assert result.failover_stats.state_checkpoints > 10
     assert reports > 1000
