@@ -18,6 +18,7 @@ match the oracles exactly.
 
 from repro.core.baseline.hb_detector import HappensBeforeDetector
 from repro.core.baseline.postmortem import PostMortemAnalyzer
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.trace import AccessTrace, TraceEvent
 
-__all__ = ["HappensBeforeDetector", "PostMortemAnalyzer", "TraceEvent"]
+__all__ = ["AccessTrace", "HappensBeforeDetector", "PostMortemAnalyzer",
+           "TraceEvent"]

@@ -24,9 +24,9 @@ replaced is the executable spec ``tests/core/baseline/reference_hb.py``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.core.baseline.trace import TraceEvent, fold
+from repro.core.baseline.trace import AccessTrace, fold
 from repro.dsm.vector_clock import VectorClock, concurrent
 
 #: A canonical race key: (kind, word address, ((pid, idx, access) sorted)).
@@ -75,7 +75,7 @@ class HappensBeforeDetector:
         return others & unordered
 
     @staticmethod
-    def accessor_sets(trace: Iterable[TraceEvent]
+    def accessor_sets(trace: AccessTrace
                       ) -> Dict[FrozenSet[Access], List[int]]:
         """The words of the trace grouped by who accessed them: two words
         with the same accessor set have the same races.
@@ -101,7 +101,7 @@ class HappensBeforeDetector:
                     range(here, there))
         return groups
 
-    def races(self, trace: Iterable[TraceEvent]) -> Set[RaceKey]:
+    def races(self, trace: AccessTrace) -> Set[RaceKey]:
         """All racy (kind, word, interval-pair) triples in the trace."""
         verdicts: Verdicts = {}
         out: Set[RaceKey] = set()
@@ -120,6 +120,6 @@ class HappensBeforeDetector:
                                    for word in words)
         return out
 
-    def racy_words(self, trace: Iterable[TraceEvent]) -> Set[int]:
+    def racy_words(self, trace: AccessTrace) -> Set[int]:
         """Just the racy word addresses (the coarsest comparison level)."""
         return {addr for _kind, addr, _sides in self.races(trace)}

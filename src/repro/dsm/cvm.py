@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.trace import AccessTrace, check_capacity
 from repro.core.detector import DetectorStats, RaceDetector
 from repro.core.report import RaceReport
 from repro.dsm.checkpoint import (CheckpointManager, ResumePoint,
@@ -97,7 +97,7 @@ class RunResult:
     ledgers: List[CostLedger]
     runtime_cycles: float
     results: List[Any]
-    access_trace: List[TraceEvent]
+    access_trace: AccessTrace
     #: Every counter of the run under one dotted name (``CVM._collect``):
     #: ``<layer>.<field>`` of the stats objects below and of the
     #: protocol, sync, interval, scheduler and replay layers, renamed
@@ -173,6 +173,8 @@ class CVM:
     """A configured DSM system, ready to run one SPMD application."""
 
     def __init__(self, config: DsmConfig):
+        if config.track_access_trace:
+            check_capacity(config.nprocs, config.segment_words)
         self.config = config
         self.scheduler = Scheduler(
             policy=make_policy(config.policy, config.seed),
@@ -200,7 +202,7 @@ class CVM:
         self.store.log_vcs = config.track_access_trace
         self.nodes: List[Node] = []
         self.protocol = make_protocol(config.protocol, self)
-        self.access_trace: List[TraceEvent] = []
+        self.access_trace = AccessTrace()
         # The barrier-master responsibilities — barrier release, the
         # epoch's detection pass, the detector instance — are owned by the
         # coordinator role, initially held by P0 as in the paper; only

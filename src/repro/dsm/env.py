@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.core.baseline.trace import TraceEvent
+from repro.core.baseline.trace import ADDR_SHIFT, INDEX_SHIFT, pack
 from repro.dsm.memory import Allocation
 from repro.dsm.page import PageState
 from repro.errors import AllocationError, SegmentationFault
@@ -63,6 +63,8 @@ class Env:
         # run() (the config is frozen; replay attribution installs its
         # watch on the system before starting the second run).
         self._trace = config.track_access_trace
+        #: The trace's bound ``array.extend``: an event is one C call.
+        self._record = system.access_trace.words.extend
         self._watching = system.pc_watch is not None
         self._crasher = system._crasher
         #: Accesses between two visits to the hook tail (_after_access):
@@ -315,10 +317,15 @@ class Env:
         if self._trace or self._watching:
             system = self.system
             if self._trace:
-                # One C call: no __new__ or VectorClock.__getitem__ frame.
-                system.access_trace.append(tuple.__new__(TraceEvent, (
-                    self.pid, self._node.vc.entries[self.pid],
-                    addr, count, is_write)))
+                index = self._node.vc.entries[self.pid]
+                try:
+                    # trace.pack's two words, packed inline.
+                    self._record((
+                        index << INDEX_SHIFT | self.pid << 1 | is_write,
+                        addr << ADDR_SHIFT | count))
+                except OverflowError:
+                    pack(self.pid, index, addr, count, is_write)  # names it
+                    raise
             if self._watching:
                 for w in range(addr, addr + count):
                     hits = system.pc_watch.get(w)

@@ -14,8 +14,12 @@ the spine benchmark's oracle cells — and the corpus must be able to
 tell: four plausible slips (a verdict memo that forgets the second
 interval's index, a grouping that forgets ``is_write``, every range read
 one word longer, a fold that closes each range one word late) have to
-come out different.  The oracle is only a witness while it stays
-independent, so its imports are pinned too.
+come out different.  The analyzer's concurrent interval pairs — which
+the timeline walks too — come from the online engine's window search;
+they must equal, in order, the n² walk kept in ``reference_pairs.py``,
+and a window one interval too wide at either edge has to come out
+different.  The oracle is only a witness while it stays independent,
+so its imports are pinned too.
 """
 
 from __future__ import annotations
@@ -27,14 +31,16 @@ import sys
 import pytest
 
 from benchmarks.spine.workloads import BY_NAME, spec_of
+from tests.core.baseline import reference_pairs
 from tests.core.baseline.reference_hb import ReferenceHappensBeforeDetector
 from tests.core.test_oracle_agreement import generate_program, run_program
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
-from repro.core.baseline import hb_detector
+from repro.core.baseline import hb_detector, postmortem
 from repro.core.baseline.hb_detector import HappensBeforeDetector
 from repro.core.baseline.postmortem import PostMortemAnalyzer
-from repro.core.baseline.trace import TraceEvent, fold
+from repro.core.baseline.trace import AccessTrace, TraceEvent, fold
+from repro.core.concurrency import concurrency_windows
 from repro.dsm.cvm import CVM
 from repro.dsm.vector_clock import VectorClock
 
@@ -62,7 +68,7 @@ def synthetic_case(seed: int):
     rng = random.Random(seed)
     nprocs = rng.randrange(2, 5)
     clocks = [VectorClock.zero(nprocs) for _ in range(nprocs)]
-    vc_log, trace = {}, []
+    vc_log, events = {}, []
     for _ in range(rng.randrange(4, 16)):
         pid = rng.randrange(nprocs)
         if rng.random() < 0.5:
@@ -70,9 +76,9 @@ def synthetic_case(seed: int):
         index = clocks[pid].tick(pid)
         vc_log[(pid, index)] = clocks[pid].copy()
         for _ in range(rng.randrange(4)):
-            trace.append(TraceEvent(pid, index, rng.randrange(40),
-                                    rng.randrange(1, 9), rng.random() < 0.4))
-    return vc_log, trace
+            events.append(TraceEvent(pid, index, rng.randrange(40),
+                                     rng.randrange(1, 9), rng.random() < 0.4))
+    return vc_log, AccessTrace(events)
 
 
 def app_case(name: str):
@@ -95,6 +101,21 @@ def disagreements(detector_class, cases):
             != ReferenceHappensBeforeDetector(vc_log).races(trace)]
 
 
+def pair_disagreements(cases):
+    """The cases whose concurrent event pairs, in order, differ from the
+    n² walk of ``reference_pairs.py``."""
+    def ids(pairs):
+        return [(a.pid, a.index, b.pid, b.index) for a, b in pairs]
+
+    out = []
+    for n, (vc_log, trace) in enumerate(cases):
+        events = PostMortemAnalyzer(vc_log).build_events(trace)
+        if (ids(postmortem.concurrent_pairs(events))
+                != ids(reference_pairs.concurrent_pairs(events))):
+            out.append(n)
+    return out
+
+
 def test_corpus_key_sets_equal_the_reference(corpus):
     for witness in WITNESSES:
         assert disagreements(witness, corpus) == [], witness
@@ -105,11 +126,16 @@ def test_corpus_key_sets_equal_the_reference(corpus):
                for event in trace)
 
 
+def test_corpus_pairs_equal_the_n2_walk(corpus):
+    assert pair_disagreements(corpus) == []
+
+
 @pytest.mark.parametrize("name", sorted({**APPLICATIONS, **EXTRAS}))
 def test_app_key_sets_equal_the_reference(name):
     case = app_case(name)
     for witness in WITNESSES:
         assert disagreements(witness, [case]) == [], witness
+    assert pair_disagreements([case]) == []
 
 
 @pytest.mark.parametrize("workload", sorted(BY_NAME))
@@ -129,12 +155,13 @@ def test_spine_oracle_cells_equal_the_reference(workload, tmp_path):
     assert compared
     for witness in WITNESSES:
         assert disagreements(witness, compared) == [], witness
+    assert pair_disagreements(compared) == []
 
 
 def test_partially_overlapping_ranges_split_accessor_sets():
     log = {(0, 1): VectorClock([1, 0]), (1, 1): VectorClock([0, 1])}
-    trace = [TraceEvent(0, 1, addr=0, count=6, is_write=True),
-             TraceEvent(1, 1, addr=4, count=6, is_write=False)]
+    trace = AccessTrace([TraceEvent(0, 1, addr=0, count=6, is_write=True),
+                         TraceEvent(1, 1, addr=4, count=6, is_write=False)])
     groups = HappensBeforeDetector.accessor_sets(trace)
     assert sorted(sorted(words) for words in groups.values()) == [
         [0, 1, 2, 3], [4, 5], [6, 7, 8, 9]]
@@ -177,8 +204,8 @@ class SweepClosesLate(HappensBeforeDetector):
 
     @staticmethod
     def accessor_sets(trace):
-        return HappensBeforeDetector.accessor_sets(
-            event._replace(count=event.count + 1) for event in trace)
+        return HappensBeforeDetector.accessor_sets(AccessTrace(
+            event._replace(count=event.count + 1) for event in trace))
 
 
 @pytest.mark.parametrize("mutant", [MemoForgetsSecondIndex,
@@ -203,6 +230,25 @@ def test_a_broken_fold_is_caught_in_each_reader(witness, corpus,
     monkeypatch.setattr(sys.modules[witness.__module__], "fold",
                         fold_closes_late)
     assert disagreements(witness, corpus)
+
+
+def windows_start_early(by_pid, blocks, stats):
+    for p, i, j, q, lo, hi in concurrency_windows(by_pid, blocks, stats):
+        yield p, i, j, q, max(lo - 1, 0), hi
+
+
+def windows_end_late(by_pid, blocks, stats):
+    for p, i, j, q, lo, hi in concurrency_windows(by_pid, blocks, stats):
+        yield p, i, j, q, lo, min(hi + 1, len(by_pid[q]))
+
+
+@pytest.mark.parametrize("mutant", [windows_start_early, windows_end_late])
+def test_an_off_by_one_window_is_caught(mutant, corpus, monkeypatch):
+    """A window one interval too wide at either edge pairs an ordered
+    interval: the pair walk and the analyzer's race sets both notice."""
+    monkeypatch.setattr(postmortem, "concurrency_windows", mutant)
+    assert pair_disagreements(corpus)
+    assert disagreements(PostMortemAnalyzer, corpus)
 
 
 def test_oracle_reads_only_the_trace_and_the_vector_clocks():

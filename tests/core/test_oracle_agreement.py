@@ -140,4 +140,4 @@ def test_trace_disabled_by_default():
             env.barrier()
 
     _system, result = run_app_with_system(app, nprocs=2)
-    assert result.access_trace == []
+    assert len(result.access_trace) == 0
