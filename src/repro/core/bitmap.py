@@ -89,6 +89,13 @@ def _fold_pairs(mask: int, ngran: int) -> int:
     return out
 
 
+def digest_has_bloom(bm: Optional["Bitmap"]) -> bool:
+    """Whether :func:`coarse_digest` gives ``bm`` a Bloom part: an absent
+    (empty) or sparse access set has one.  Known without finalizing the
+    digest, which is how a record's digest bytes are priced."""
+    return bm is None or bm.count() <= BLOOM_SPARSE_MAX
+
+
 def coarse_digest(bm: Optional["Bitmap"], nbits: int) -> Digest:
     """Finalize the digest shipped for one (page, kind) access set.
 
@@ -102,7 +109,7 @@ def coarse_digest(bm: Optional["Bitmap"], nbits: int) -> Digest:
     while ngran > DIGEST_MAX_BITS:
         gmask = _fold_pairs(gmask, ngran)
         ngran = (ngran + 1) // 2
-    if bm.count() <= BLOOM_SPARSE_MAX:
+    if digest_has_bloom(bm):
         bloom = 0
         for off in bm.iter_set_bits():
             bloom |= bloom_word_mask(off)

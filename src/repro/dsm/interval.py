@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from repro.core.bitmap import Bitmap, Digest, coarse_digest
+from repro.core.bitmap import (Bitmap, Digest, coarse_digest,
+                               digest_has_bloom)
 from repro.dsm.vector_clock import VectorClock, concurrent
 from repro.net.message import WireSizer
 
@@ -203,12 +204,13 @@ class Interval:
     def digest_wire_size(self, sizer: WireSizer) -> int:
         """Bytes the coarse digests add to this record when the two-level
         filter piggy-backs them on the notice lists (one digest per write
-        notice and, with detection, per read notice)."""
+        notice and, with detection, per read notice).  Pricing finalizes
+        no digest: only the filter's first :meth:`digest` call does."""
         size = 0
-        for page in self.write_pages:
-            size += sizer.digest(self.digest(page, "write")[1] is not None)
-        for page in self.read_pages:
-            size += sizer.digest(self.digest(page, "read")[1] is not None)
+        for pages, bms in ((self.write_pages, self.write_bitmaps),
+                           (self.read_pages, self.read_bitmaps)):
+            for page in pages:
+                size += sizer.digest(digest_has_bloom(bms.get(page)))
         return size
 
     def __repr__(self) -> str:

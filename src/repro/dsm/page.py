@@ -85,8 +85,8 @@ class PageDirectory:
         return page_id % self.nprocs
 
     def owner_of(self, page_id: int) -> int:
-        self._check(page_id)
-        return self._owner.get(page_id, self.manager_of(page_id))
+        self._check(page_id)  # manager_of's default, inlined: one check
+        return self._owner.get(page_id, page_id % self.nprocs)
 
     def set_owner(self, page_id: int, pid: int) -> None:
         self._check(page_id)

@@ -10,6 +10,18 @@ when the yielder is picked again).  The thread that called
 :meth:`Scheduler.run` parks until the run is over or must be aborted.
 Given the same policy and seed, an execution is fully reproducible.
 
+A switch also costs the host one OS context switch.  Each process thread
+puts itself under ``SCHED_BATCH`` when it starts, and the kernel never
+lets a batch thread it wakes preempt the thread that woke it.  So the
+thread that released the next one's lock carries on into its own
+``acquire()``, which drops the GIL, and only then does the kernel switch
+to the woken thread, which finds the GIL free.  Under the default policy
+the woken thread preempted its waker, found the GIL still held and slept
+again: two to three context switches per switch.  Where the platform has
+no ``SCHED_BATCH`` or refuses it, the threads keep the policy they were
+started with; nothing else changes.  The :meth:`Scheduler.run` caller's
+own policy is never touched.
+
 The threads are pooled: a worker that has run one process to its end
 parks, holding nothing of the run, until a later run hands it another.
 A run starts a new thread only when no worker is parked, so the pool
@@ -98,10 +110,10 @@ def _caller_cpus() -> Optional[Set[int]]:
 
 
 class _Worker:
-    """One pooled OS thread.  It parks on ``wake`` until handed a
-    ``job`` — a scheduler, the process to run and the CPUs to run it on —
-    runs it, lets go of it and releases ``done``.  Woken with no job, it
-    exits."""
+    """One pooled OS thread, under ``SCHED_BATCH`` where the platform
+    allows it.  It parks on ``wake`` until handed a ``job`` — a scheduler,
+    the process to run and the CPUs to run it on — runs it, lets go of it
+    and releases ``done``.  Woken with no job, it exits."""
 
     def __init__(self) -> None:
         self.job: Optional[tuple] = None
@@ -112,6 +124,12 @@ class _Worker:
         self.thread.start()
 
     def _loop(self) -> None:
+        # A thread a handoff wakes must not preempt the one that woke it
+        # (see the module docstring).
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):  # no such policy, or refused
+            pass
         while True:
             self.wake.acquire()
             if self.job is None:

@@ -1,7 +1,10 @@
 """Interval records: notices, bitmaps, ordering, wire sizes."""
 
+import sys
+
 import pytest
 
+from repro.core.bitmap import BLOOM_SPARSE_MAX
 from repro.dsm.interval import Interval
 from repro.dsm.node import IntervalStore
 from repro.dsm.vector_clock import VectorClock
@@ -144,11 +147,80 @@ def test_closed_interval_is_priced_once(monkeypatch):
     figures = iv.wire_figures(SIZER, True, True)
     assert figures == definitions(iv)
 
-    def no_digest(self, page, kind):
+    def priced_again(self, sizer):
         raise AssertionError("a sealed record was priced again")
 
-    monkeypatch.setattr(Interval, "digest", no_digest)
+    monkeypatch.setattr(Interval, "digest_wire_size", priced_again)
     assert iv.wire_figures(SIZER, True, True) is figures
+
+
+def finalized_digest_bytes(iv):
+    """The digest figure read off the finalized digests themselves."""
+    return sum(SIZER.digest(iv.digest(page, kind)[1] is not None)
+               for kind, pages in (("write", iv.write_pages),
+                                   ("read", iv.read_pages))
+               for page in pages)
+
+
+def test_digest_bytes_are_priced_without_finalizing_a_digest():
+    iv = make_interval()
+    iv.record_write(1, 0, bitmap=False)  # no bitmap: digests to (0, 0)
+    iv.record_write(2, 0, count=BLOOM_SPARSE_MAX)  # sparse: Bloom carried
+    iv.record_read(3, 0, count=BLOOM_SPARSE_MAX + 1)  # dense: none
+    iv.record_read(4, 5)
+    iv.close()
+    priced = iv.digest_wire_size(SIZER)
+    assert iv._digests == {}
+    assert priced == 3 * SIZER.digest(True) + SIZER.digest(False)
+    assert priced == finalized_digest_bytes(iv)
+
+
+def falsely_shared_then_locked(env):
+    """A falsely shared page written outside any lock, which the filter
+    is asked about, then private pages written in one lock's critical
+    sections, which it is never asked about."""
+    psz = env.system.config.page_size_words
+    shared = env.malloc(psz, name="shared", page_aligned=True)
+    private = env.malloc(env.nprocs * psz, name="private", page_aligned=True)
+    env.barrier()
+    env.store(shared + env.pid, env.pid)
+    for it in range(4):
+        with env.locked(0):
+            env.store(private + env.pid * psz, it)
+    env.barrier()
+
+
+def test_a_run_finalizes_only_the_digests_the_filter_reads(monkeypatch):
+    """Pricing a record for shipping finalizes none of its digests: each
+    one finalized in a run is one the two-level filter (``repro.core``)
+    asked for.  While pricing finalized every digest it priced, this run
+    finalized 20 digests for the 4 the filter reads."""
+    from repro.dsm import interval
+    from tests.helpers import run_app
+
+    asked, finalized, key = set(), [], [None]
+    digest, coarse_digest = Interval.digest, interval.coarse_digest
+
+    def counted_digest(self, page, kind):
+        if sys._getframe(1).f_globals["__name__"].startswith("repro.core."):
+            asked.add((id(self), page, kind))
+        outer, key[0] = key[0], (id(self), page, kind)
+        try:
+            return digest(self, page, kind)
+        finally:
+            key[0] = outer
+
+    def counted_coarse_digest(bm, nbits):
+        finalized.append(key[0])
+        return coarse_digest(bm, nbits)
+
+    monkeypatch.setattr(Interval, "digest", counted_digest)
+    monkeypatch.setattr(interval, "coarse_digest", counted_coarse_digest)
+    result = run_app(falsely_shared_then_locked, nprocs=4)
+    assert result.detector_stats.pairs_filtered > 0
+    assert finalized
+    assert set(finalized) <= asked
+    assert len(finalized) == len(set(finalized))
 
 
 def test_figures_leave_out_what_the_run_does_not_ship():

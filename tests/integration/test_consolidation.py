@@ -20,12 +20,21 @@ def _lock_heavy_app(env, rounds=12):
     return env.load(x)
 
 
-def test_consolidation_retires_interval_records():
-    system, res = run_app_with_system(_lock_heavy_app, nprocs=4,
-                                      consolidation_interval=6)
-    # Records were retired mid-epoch: the store never held the full
-    # epoch's interval count at once.
+def test_consolidation_retires_interval_records(monkeypatch):
+    from repro.dsm.coordinator import CoordinatorRole
+
+    retired = []
+    consolidate = CoordinatorRole.consolidate
+
+    def counted(self, pid):
+        retired.append(consolidate(self, pid))
+        return retired[-1]
+
+    monkeypatch.setattr(CoordinatorRole, "consolidate", counted)
+    res = run_app(_lock_heavy_app, nprocs=4, consolidation_interval=6)
     assert res.results == [48] * 4
+    # Passes ran between the barriers and retired records mid-epoch.
+    assert sum(retired) > 0
 
 
 def test_consolidation_preserves_race_findings():

@@ -2,11 +2,14 @@
 only when none is parked, and hands them back when its processes have
 unwound.  Workers are reused, the pool is bounded by the widest run, an
 idle worker keeps nothing of a finished run, a worker runs under its
-caller's CPU affinity, one that outlives the join timeout is dropped, and
-a forked child starts from an empty pool."""
+caller's CPU affinity, one that outlives the join timeout is dropped, a
+forked child starts from an empty pool, and every worker runs under
+``SCHED_BATCH`` — one OS context switch per token handoff — while the
+caller keeps its own scheduling policy."""
 
 import gc
 import os
+import resource
 import sys
 import threading
 import time
@@ -240,3 +243,114 @@ def test_a_forked_child_runs_on_threads_of_its_own():
             pytest.fail("the forked child's run did not finish")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# ---------------------------------------------------------------------- #
+# The workers' scheduling policy.
+# ---------------------------------------------------------------------- #
+def batch_refused():
+    """Why a thread cannot put itself under ``SCHED_BATCH`` here, or
+    ``None`` when it can (probed on a throwaway thread: the policy is
+    per thread)."""
+    if not hasattr(os, "SCHED_BATCH"):
+        return "the platform has no SCHED_BATCH"
+    refused = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except OSError as exc:
+            refused.append(f"SCHED_BATCH refused: {exc}")
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return refused[0] if refused else None
+
+
+needs_batch = pytest.mark.skipif(batch_refused() is not None,
+                                 reason=str(batch_refused()))
+
+
+def run_policies(nprocs):
+    """The scheduling policy each process of one CVM run ran under."""
+    spec = get_app("fft")
+    system = CVM(spec.config(nprocs=nprocs))
+    return system.run(lambda env, _params: os.sched_getscheduler(0),
+                      None).results
+
+
+@needs_batch
+def test_processes_run_under_sched_batch(empty_pool):
+    assert run_policies(4) == [os.SCHED_BATCH] * 4  # new threads
+    assert run_policies(4) == [os.SCHED_BATCH] * 4  # the same, reused
+    assert_pool_parked()
+
+
+@needs_batch
+def test_the_callers_policy_is_its_own():
+    before = os.sched_getscheduler(0)
+    assert before != os.SCHED_BATCH
+    assert run_policies(4) == [os.SCHED_BATCH] * 4
+    assert os.sched_getscheduler(0) == before
+
+
+@needs_batch
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_on_batch_threads():
+    run_threads(4)
+    pid = os.fork()
+    if pid == 0:  # the child: exit at once, whatever happens
+        code = 1
+        try:
+            code = 0 if run_policies(4) == [os.SCHED_BATCH] * 4 else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's run did not finish")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@needs_batch
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_a_pinned_switch_costs_one_os_context_switch():
+    """Eight processes that only yield, on one CPU: the thread a handoff
+    wakes waits until the one that woke it has parked and dropped the
+    GIL, so each switch is one OS context switch.  A worker under the
+    caller's policy preempts its waker, finds the GIL held and sleeps
+    again: 2.8 to 3.1 per switch."""
+    counts = []
+
+    def caller():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        run_threads(8, yields=2)  # start the workers outside the count
+        sched = Scheduler()
+
+        def proc(pid):
+            for _ in range(200):
+                sched.yield_control(pid)
+
+        for pid in range(8):
+            sched.spawn(proc, pid)
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        sched.run()
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        counts.append((after.ru_nvcsw - before.ru_nvcsw
+                       + after.ru_nivcsw - before.ru_nivcsw, sched.switches))
+
+    thread = threading.Thread(target=caller)
+    thread.start()
+    thread.join(60.0)
+    assert not thread.is_alive()
+    context_switches, switches = counts[0]
+    assert switches > 1600
+    assert context_switches <= 1.3 * switches
